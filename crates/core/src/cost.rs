@@ -384,59 +384,8 @@ impl CostModel {
     }
 
     /// Relative weight of the sequential stitch barrier per worker, as a
-    /// fraction of [`CostModel::thread_spawn`]. The chunked pipeline runs
-    /// *two* parallel passes (counts, then scatter) around a sequential
-    /// prefix stitch, so it pays this twice per chunk.
+    /// fraction of [`CostModel::thread_spawn`].
     const STITCH_UNIT: f64 = 0.5;
-
-    /// Floor on the chunk size for intra-edge parallelism: below this, the
-    /// per-chunk fixed costs (allocation, stitch bookkeeping) drown the
-    /// fanned-out work.
-    pub const MIN_CHUNK_PAIRS: usize = 4096;
-
-    /// Granularity decision for a parallel plan, driven by the *per-edge*
-    /// pair counts rather than their total: per-edge fan-out has a speedup
-    /// ceiling of `|Eq|` work units, so when there are more workers than
-    /// edges and one edge's set is large enough to amortize the chunked
-    /// pipeline's extra pass and stitch, the largest sets are split into
-    /// fixed chunks of the returned size. Returns
-    /// [`ParGranularity::PerEdge`](crate::plan::ParGranularity::PerEdge)
-    /// whenever chunking cannot pay (enough edges to saturate the workers,
-    /// or sets too small to split).
-    pub fn parallel_granularity(
-        &self,
-        per_edge_pairs: &[u64],
-        threads: usize,
-    ) -> crate::plan::ParGranularity {
-        use crate::plan::ParGranularity;
-        let ne = per_edge_pairs.len();
-        let max_pairs = per_edge_pairs.iter().copied().max().unwrap_or(0);
-        if threads < 2 || ne == 0 || ne >= threads {
-            // Enough per-edge units to keep every worker busy (or no
-            // parallelism at all): the chunked pipeline's second pass and
-            // stitch would be pure overhead.
-            return ParGranularity::PerEdge;
-        }
-        // Split the largest set into ~`threads` chunks, floored so chunks
-        // stay coarse enough to amortize their fixed costs.
-        let chunk_pairs = (max_pairs as usize)
-            .div_ceil(threads)
-            .max(Self::MIN_CHUNK_PAIRS);
-        let chunks = (max_pairs as usize).div_ceil(chunk_pairs.max(1));
-        if chunks < 2 {
-            return ParGranularity::PerEdge; // largest set fits one chunk
-        }
-        // Chunking the biggest edge saves up to (1 - ne/threads) of its
-        // build work (the per-edge plan already overlaps `ne` units); it
-        // costs one extra parallel pass plus the sequential prefix stitch.
-        let saved = self.read_pair * max_pairs as f64 * (1.0 - ne as f64 / threads as f64);
-        let overhead = (1.0 + 2.0 * Self::STITCH_UNIT) * self.thread_spawn * threads as f64;
-        if saved > overhead {
-            ParGranularity::Chunked { chunk_pairs }
-        } else {
-            ParGranularity::PerEdge
-        }
-    }
 
     /// Predicted execution wall time (µs once calibrated; unit-free before)
     /// for a recorded sample's feature vector under *these* weights.
@@ -670,43 +619,6 @@ mod tests {
         assert!(!cm.parallel_pays(100, 1), "never parallel on one thread");
         assert!(!cm.parallel_pays(100, 4), "tiny jobs stay sequential");
         assert!(cm.parallel_pays(1_000_000, 4), "large jobs parallelize");
-    }
-
-    /// The granularity decision is driven by the per-edge distribution, not
-    /// the total: chunking only pays when there are more workers than edges
-    /// *and* a dominant set large enough to amortize the chunked pipeline's
-    /// extra pass and stitch.
-    #[test]
-    fn granularity_from_per_edge_counts() {
-        use crate::plan::ParGranularity;
-        let cm = CostModel::default();
-        // Enough edges to saturate the workers: per-edge, regardless of size.
-        assert_eq!(
-            cm.parallel_granularity(&[1_000_000; 8], 4),
-            ParGranularity::PerEdge
-        );
-        // The |Eq| ceiling case: 2 edges, 8 workers, one 10M-pair set.
-        match cm.parallel_granularity(&[10_000_000, 50], 8) {
-            ParGranularity::Chunked { chunk_pairs } => {
-                assert!(chunk_pairs >= CostModel::MIN_CHUNK_PAIRS);
-                assert!(
-                    chunk_pairs <= 10_000_000 / 2,
-                    "the dominant set splits into several chunks: {chunk_pairs}"
-                );
-            }
-            g => panic!("expected chunked granularity, got {g:?}"),
-        }
-        // Small sets: the stitch overhead drowns the savings.
-        assert_eq!(
-            cm.parallel_granularity(&[100, 50], 8),
-            ParGranularity::PerEdge
-        );
-        // One thread (or none) never chunks.
-        assert_eq!(
-            cm.parallel_granularity(&[10_000_000], 1),
-            ParGranularity::PerEdge
-        );
-        assert_eq!(cm.parallel_granularity(&[], 8), ParGranularity::PerEdge);
     }
 
     /// Regression for the `unwrap_or(0)` bug: a partial λ (some entry

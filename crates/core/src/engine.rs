@@ -55,11 +55,6 @@ pub struct EngineConfig {
     pub cost: CostModel,
     /// Worker threads for the parallel executor (`0` = auto-detect).
     pub threads: usize,
-    /// Pin the chunk size for intra-edge (chunked) parallelism instead of
-    /// letting the cost model derive it from the per-edge pair counts.
-    /// Only applies when the planner picks (or [`Self::force_exec`] pins)
-    /// the parallel executor; `None` = cost-based granularity.
-    pub chunk_pairs: Option<usize>,
     /// Pin the view-selection mode instead of costing the alternatives.
     pub force_selection: Option<SelectionMode>,
     /// Pin the execution strategy instead of letting the cost model gate
@@ -423,69 +418,23 @@ impl QueryEngine {
         }
     }
 
-    /// Execution-strategy decision from the *per-edge* pair counts of the
-    /// merge the plan will read. The total gates parallelism at all
-    /// ([`CostModel::parallel_pays`]); the per-edge distribution picks the
-    /// granularity ([`CostModel::parallel_granularity`]): per-edge fan-out
-    /// caps the speedup at `|Eq|` work units, so with more workers than
-    /// edges and a large-enough dominant set the plan carries chunked
-    /// granularity instead. [`EngineConfig::chunk_pairs`] pins the chunk
-    /// size; [`EngineConfig::force_exec`] pins the whole strategy.
-    fn exec_for(&self, per_edge_pairs: &[u64]) -> ExecStrategy {
+    /// Execution-strategy decision from the number of pairs the plan's
+    /// merge will read: [`CostModel::parallel_pays`] gates parallelism;
+    /// [`EngineConfig::force_exec`] pins the whole strategy.
+    fn exec_for(&self, pairs: u64) -> ExecStrategy {
         if let Some(exec) = self.config.force_exec {
-            return self.pin_chunk(exec);
+            return exec;
         }
         let threads = if self.config.threads == 0 {
             auto_threads()
         } else {
             self.config.threads
         };
-        let total: u64 = per_edge_pairs.iter().sum();
-        if self.config.cost.parallel_pays(total, threads) {
-            let granularity = match self.config.chunk_pairs {
-                Some(chunk_pairs) => crate::plan::ParGranularity::Chunked { chunk_pairs },
-                None => self
-                    .config
-                    .cost
-                    .parallel_granularity(per_edge_pairs, threads),
-            };
-            ExecStrategy::Parallel {
-                threads,
-                granularity,
-            }
+        if self.config.cost.parallel_pays(pairs, threads) {
+            ExecStrategy::Parallel { threads }
         } else {
             ExecStrategy::Sequential(JoinStrategy::RankedBottomUp)
         }
-    }
-
-    /// Applies a pinned [`EngineConfig::chunk_pairs`] to a forced parallel
-    /// strategy (a forced sequential strategy is returned untouched).
-    fn pin_chunk(&self, exec: ExecStrategy) -> ExecStrategy {
-        match (exec, self.config.chunk_pairs) {
-            (ExecStrategy::Parallel { threads, .. }, Some(chunk_pairs)) => ExecStrategy::Parallel {
-                threads,
-                granularity: crate::plan::ParGranularity::Chunked { chunk_pairs },
-            },
-            _ => exec,
-        }
-    }
-
-    /// The per-edge pair counts a source vector's merge will read: the
-    /// pinned covering extension's size for [`EdgeSource::View`] edges,
-    /// `0` for graph-sourced ones (their scan size is priced separately).
-    /// This is the input to the granularity decision
-    /// ([`CostModel::parallel_granularity`] via `exec_for`) — one
-    /// definition, shared with the bench so recorded
-    /// `granularity_chunk_pairs` series cannot diverge from what the
-    /// engine actually picks.
-    pub fn per_edge_pairs(&self, sources: &[EdgeSource]) -> Vec<u64> {
-        sources
-            .iter()
-            .map(|s| match s {
-                EdgeSource::View(r) => self.ext.edge_set(r.view, r.edge).len() as u64,
-                EdgeSource::Graph => 0,
-            })
-            .collect()
     }
 
     /// Per-edge cost-based sourcing over a (full or partial) λ: every
@@ -589,11 +538,7 @@ impl QueryEngine {
                 let chosen = self.select(q, full, &table);
                 let (sources, view_pairs, graph_edges) = self.source_edges(q, &chosen.plan.lambda);
                 if graph_edges == 0 {
-                    // Granularity is decided from the per-edge sizes the
-                    // merge will actually read (the pinned smallest
-                    // covering extensions), not their total: the per-edge
-                    // distribution is what bounds per-edge fan-out.
-                    let exec = self.exec_for(&self.per_edge_pairs(&sources));
+                    let exec = self.exec_for(view_pairs);
                     return QueryPlan::ViewsOnly(ViewPlan {
                         exec,
                         sources,
@@ -758,10 +703,7 @@ impl QueryEngine {
                 let merged = merged_from_sources(q, &vp.sources, &self.ext, None)?;
                 match vp.exec {
                     ExecStrategy::Sequential(strategy) => run_fixpoint(q, merged, strategy)?,
-                    ExecStrategy::Parallel {
-                        threads,
-                        granularity,
-                    } => par_fixpoint(q, merged, threads, granularity)?,
+                    ExecStrategy::Parallel { threads } => par_fixpoint(q, merged, threads)?,
                 }
             }
             QueryPlan::Hybrid {
@@ -895,9 +837,8 @@ impl QueryEngine {
                     .expect("at least the `all` candidate exists")
             }
         };
-        // Per-edge minimum extension sizes (what the bounded merge reads),
-        // for the same per-edge-driven granularity decision as `plan`.
-        let per_edge: Vec<u64> = chosen
+        // The bounded merge reads each edge's smallest covering extension.
+        let pairs: u64 = chosen
             .plan
             .lambda
             .iter()
@@ -908,32 +849,22 @@ impl QueryEngine {
                     .min()
                     .unwrap_or(0)
             })
-            .collect();
-        chosen.exec = self.exec_for(&per_edge);
+            .sum();
+        chosen.exec = self.exec_for(pairs);
         Ok(chosen)
     }
 
     /// Plans and executes a bounded query from bounded views only
     /// (Theorem 8 path).
     pub fn answer_bounded(&self, qb: &BoundedPattern) -> Result<BoundedMatchResult, EngineError> {
-        use crate::plan::ParGranularity;
         let plan = self.plan_bounded(qb)?;
         let (_, ext) = self.bounded.as_ref().expect("plan_bounded checked");
-        let (strategy, threads, granularity) = match plan.exec {
-            ExecStrategy::Sequential(s) => (s, 0, ParGranularity::PerEdge),
-            ExecStrategy::Parallel {
-                threads,
-                granularity,
-            } => (JoinStrategy::Parallel, threads, granularity),
+        let (strategy, threads) = match plan.exec {
+            ExecStrategy::Sequential(s) => (s, 0),
+            ExecStrategy::Parallel { threads } => (JoinStrategy::Parallel, threads),
         };
-        let (r, _) = crate::bmatchjoin::bmatch_join_exec(
-            qb,
-            &plan.plan,
-            ext,
-            strategy,
-            threads,
-            granularity,
-        )?;
+        let (r, _) =
+            crate::bmatchjoin::bmatch_join_threaded(qb, &plan.plan, ext, strategy, threads)?;
         Ok(r)
     }
 
@@ -1079,10 +1010,7 @@ mod tests {
             ViewDef::new("vab", single("A", "B")),
             ViewDef::new("vbc", single("B", "C")),
         ]);
-        let forced = ExecStrategy::Parallel {
-            threads: 2,
-            granularity: crate::plan::ParGranularity::PerEdge,
-        };
+        let forced = ExecStrategy::Parallel { threads: 2 };
         let engine = QueryEngine::materialize(views, &g).with_config(EngineConfig {
             force_selection: Some(SelectionMode::Minimum),
             force_exec: Some(forced),
@@ -1094,38 +1022,6 @@ mod tests {
         assert_eq!(vp.selection, SelectionMode::Minimum);
         assert_eq!(vp.exec, forced);
         assert_eq!(engine.answer(&q, &g).unwrap(), match_pattern(&q, &g));
-    }
-
-    /// A pinned `chunk_pairs` turns a forced (or cost-chosen) parallel
-    /// strategy chunked, and the chunked plan answers identically.
-    #[test]
-    fn pinned_chunk_pairs_yields_chunked_granularity() {
-        use crate::plan::ParGranularity;
-        let g = graph();
-        let q = chain3();
-        let views = ViewSet::new(vec![
-            ViewDef::new("vab", single("A", "B")),
-            ViewDef::new("vbc", single("B", "C")),
-        ]);
-        let engine = QueryEngine::materialize(views, &g).with_config(EngineConfig {
-            chunk_pairs: Some(2),
-            force_exec: Some(ExecStrategy::Parallel {
-                threads: 4,
-                granularity: ParGranularity::PerEdge,
-            }),
-            ..EngineConfig::default()
-        });
-        let QueryPlan::ViewsOnly(vp) = engine.plan(&q) else {
-            panic!("contained");
-        };
-        assert_eq!(
-            vp.exec,
-            ExecStrategy::Parallel {
-                threads: 4,
-                granularity: ParGranularity::Chunked { chunk_pairs: 2 },
-            }
-        );
-        assert_eq!(engine.answer_from_views(&q).unwrap(), match_pattern(&q, &g));
     }
 
     #[test]

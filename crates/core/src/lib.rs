@@ -85,14 +85,13 @@ pub use matchjoin::{match_join, match_join_with, JoinError, JoinStats, JoinStrat
 pub use minimal::{minimal, Selection};
 pub use minimize::{minimize, Minimized};
 pub use minimum::{alpha, minimum};
-pub use parallel::{par_match_join, par_match_join_granular};
+pub use parallel::par_match_join;
 pub use partial::{
     answer_with_partial_views, hybrid_match_join, partial_contain, sources_from_partial,
     PartialPlan,
 };
 pub use plan::{
-    CacheDisposition, EdgeSource, ExecStrategy, FallbackReason, ParGranularity, QueryPlan,
-    SelectionMode, ViewPlan,
+    CacheDisposition, EdgeSource, ExecStrategy, FallbackReason, QueryPlan, SelectionMode, ViewPlan,
 };
 pub use selection::{select_views_for_workload, WorkloadSelection};
 pub use service::{

@@ -152,20 +152,7 @@ pub fn match_join_union_with(
     ext: &ViewExtensions,
     strategy: JoinStrategy,
 ) -> Result<(MatchResult, JoinStats), JoinError> {
-    // Under the parallel strategy the per-edge sort/dedup of the union
-    // itself fans across workers (chunk-sort + k-way merge — identical
-    // output, see `parallel::par_sort_dedup`).
-    let merged = if strategy == JoinStrategy::Parallel {
-        crate::parallel::par_merge_step_union(
-            q,
-            plan,
-            ext,
-            crate::parallel::auto_threads(),
-            crate::cost::CostModel::MIN_CHUNK_PAIRS,
-        )?
-    } else {
-        merge_step_union(q, plan, ext)?
-    };
+    let merged = merge_step_union(q, plan, ext)?;
     run_fixpoint(q, merged, strategy)
 }
 
@@ -195,12 +182,7 @@ pub(crate) fn run_fixpoint(
     let sets = match strategy {
         JoinStrategy::RankedBottomUp => ranked_fixpoint(q, merged, &mut stats),
         JoinStrategy::NaiveFixpoint => naive_fixpoint(q, merged, &mut stats),
-        JoinStrategy::Parallel => crate::parallel::par_ranked_fixpoint(
-            q,
-            merged,
-            &mut stats,
-            crate::parallel::auto_threads(),
-        )?,
+        JoinStrategy::Parallel => crate::parallel::par_ranked_fixpoint(q, merged, &mut stats, 0)?,
     };
     Ok((assemble(q, sets), stats))
 }

@@ -6,8 +6,8 @@
 //! queries of what shape over how many labels, how the serving schedule
 //! repeats them (zipfian), what fraction of the covering view set is
 //! registered, how the store mutates between rounds, and the full engine/
-//! service configuration (selection mode, executor + granularity, threads,
-//! chunk size, cost weights, cache budgets, recalibration cadence). Two
+//! service configuration (selection mode, executor, threads, cost
+//! weights, cache budgets, recalibration cadence). Two
 //! invariants make it a fuzzing substrate:
 //!
 //! * **One-seed determinism** — [`Scenario::sample`] is a pure function of
@@ -20,9 +20,9 @@
 //!
 //! Config knobs are swept by *cycling* (`index` modulo small co-prime-ish
 //! periods) rather than sampled randomly, so a short run provably covers
-//! the whole configuration matrix: 5 query modes × 3 executor settings ×
-//! 2 weight classes × 4 cache states are all hit within the first
-//! `lcm ≤ 60` iterations (and mostly within the first 5–12). Workload
+//! the whole configuration matrix: 5 query modes × 2 executors × 2 weight
+//! classes × 4 cache states are all hit within the first `lcm ≤ 60`
+//! iterations (and mostly within the first 5–12). Workload
 //! dimensions (graph source/scale, query shapes, zipf skew, coverage) are
 //! drawn from the seeded RNG for diversity.
 
@@ -39,8 +39,8 @@ use gpv_core::differential::{
     PlainOracle,
 };
 use gpv_core::{
-    BoundedViewSet, CostModel, EdgeDelta, EngineConfig, ExecStrategy, JoinStrategy, ParGranularity,
-    SelectionMode, ServiceConfig, ViewDef, ViewSet,
+    BoundedViewSet, CostModel, EdgeDelta, EngineConfig, ExecStrategy, JoinStrategy, SelectionMode,
+    ServiceConfig, ViewDef, ViewSet,
 };
 use gpv_graph::{DataGraph, NodeId};
 use gpv_matching::{bmatch_pattern, match_pattern};
@@ -111,8 +111,6 @@ pub enum ExecKnob {
     Sequential,
     /// Parallel, one work unit per pattern edge.
     ParallelPerEdge,
-    /// Parallel, chunked within each edge's pair set.
-    ParallelChunked,
 }
 
 /// Which cost-weight class the engine plans under.
@@ -174,10 +172,8 @@ pub struct Scenario {
     pub mode: QueryMode,
     /// Executor under test.
     pub exec: ExecKnob,
-    /// Worker threads for parallel executors.
+    /// Worker threads for the parallel executor.
     pub threads: usize,
-    /// Pairs per chunk for [`ExecKnob::ParallelChunked`].
-    pub chunk_pairs: usize,
     /// Cost-weight class under test.
     pub weights: WeightsKnob,
     /// Service recalibration cadence (0 = never).
@@ -225,11 +221,13 @@ impl Scenario {
     /// seeded with `master_seed`.
     ///
     /// Configuration axes cycle with short periods so coverage is
-    /// guaranteed, not probabilistic: query mode has period 5, executor 3,
-    /// weight class 4 (default on even indices, the two calibrated classes
-    /// alternating on odd), cache state 4, threads/chunk sizes 3 and 4
-    /// (offset so they decorrelate from the other axes). Everything else
-    /// is drawn from an RNG seeded with `mix(master_seed, index)`.
+    /// guaranteed, not probabilistic: query mode has period 5, executor 3
+    /// (sequential on multiples of 3, parallel otherwise — odd periods keep
+    /// the executor independent of the weight class's parity), weight
+    /// class 4 (default on even indices, the two calibrated classes
+    /// alternating on odd), cache state 4, threads 3 (offset so they
+    /// decorrelate from the other axes). Everything else is drawn from an
+    /// RNG seeded with `mix(master_seed, index)`.
     pub fn sample(master_seed: u64, index: u64) -> Scenario {
         let seed = mix(master_seed, index);
         let mut rng = StdRng::seed_from_u64(seed);
@@ -241,10 +239,10 @@ impl Scenario {
             3 => QueryMode::Partial,
             _ => QueryMode::Bounded,
         };
-        let exec = match index % 3 {
-            0 => ExecKnob::Sequential,
-            1 => ExecKnob::ParallelPerEdge,
-            _ => ExecKnob::ParallelChunked,
+        let exec = if index % 3 == 0 {
+            ExecKnob::Sequential
+        } else {
+            ExecKnob::ParallelPerEdge
         };
         let weights = if index % 2 == 0 {
             WeightsKnob::Default
@@ -255,7 +253,6 @@ impl Scenario {
         };
         let result_cache_bytes = CACHE_STATES[(index % 4) as usize];
         let threads = [2, 4, 8][((index / 3) % 3) as usize];
-        let chunk_pairs = [1, 8, 64, 65_536][((index / 4) % 4) as usize];
         let recalibrate_every = usize::from(index % 7 < 3);
 
         let labels = rng.gen_range(2..=6);
@@ -325,7 +322,6 @@ impl Scenario {
             mode,
             exec,
             threads,
-            chunk_pairs,
             weights,
             recalibrate_every,
             result_cache_bytes,
@@ -496,19 +492,12 @@ impl Scenario {
     }
 
     /// The engine configuration the scenario forces (executor, selection
-    /// mode, threads, chunking, weights).
+    /// mode, threads, weights).
     pub fn engine_config(&self) -> EngineConfig {
         let force_exec = Some(match self.exec {
             ExecKnob::Sequential => ExecStrategy::Sequential(JoinStrategy::RankedBottomUp),
             ExecKnob::ParallelPerEdge => ExecStrategy::Parallel {
                 threads: self.threads,
-                granularity: ParGranularity::PerEdge,
-            },
-            ExecKnob::ParallelChunked => ExecStrategy::Parallel {
-                threads: self.threads,
-                granularity: ParGranularity::Chunked {
-                    chunk_pairs: self.chunk_pairs.max(1),
-                },
             },
         });
         let force_selection = match self.mode {
@@ -520,8 +509,6 @@ impl Scenario {
         EngineConfig {
             cost: self.cost_model(),
             threads: self.threads,
-            chunk_pairs: matches!(self.exec, ExecKnob::ParallelChunked)
-                .then_some(self.chunk_pairs.max(1)),
             force_selection,
             force_exec,
         }
@@ -670,27 +657,57 @@ mod tests {
         }
     }
 
+    /// Marginal coverage is not enough: an executor axis whose period
+    /// divides another axis's would pin each executor to one half of that
+    /// axis and still hit every value. Assert the joint pairs too.
     #[test]
     fn twenty_five_iterations_cover_the_matrix() {
         let mut modes = BTreeSet::new();
         let mut execs = BTreeSet::new();
         let mut weights = BTreeSet::new();
         let mut caches = BTreeSet::new();
+        let mut exec_weights = BTreeSet::new();
+        let mut exec_modes = BTreeSet::new();
         for i in 0..25 {
             let sc = Scenario::sample(42, i);
-            modes.insert(format!("{:?}", sc.mode));
-            execs.insert(format!("{:?}", sc.exec));
-            weights.insert(sc.cost_model().calibrated);
+            let (mode, exec) = (format!("{:?}", sc.mode), format!("{:?}", sc.exec));
+            let calibrated = sc.cost_model().calibrated;
+            modes.insert(mode.clone());
+            execs.insert(exec.clone());
+            weights.insert(calibrated);
             caches.insert(sc.result_cache_bytes);
+            exec_weights.insert((exec.clone(), calibrated));
+            exec_modes.insert((exec, mode));
         }
         assert_eq!(modes.len(), 5, "all five query modes: {modes:?}");
-        assert_eq!(
-            execs.len(),
-            3,
-            "both executors, both granularities: {execs:?}"
-        );
+        assert_eq!(execs.len(), 2, "both executors: {execs:?}");
         assert_eq!(weights.len(), 2, "default and calibrated weights");
         assert!(caches.len() >= 2, "≥ 2 cache states: {caches:?}");
+        assert_eq!(
+            exec_weights.len(),
+            4,
+            "every executor under both weight classes: {exec_weights:?}"
+        );
+        assert_eq!(
+            exec_modes.len(),
+            10,
+            "every executor in every query mode: {exec_modes:?}"
+        );
+    }
+
+    /// Repro lines saved before the chunked executor was removed carry a
+    /// chunk-size field: they still parse (the field is ignored). A line
+    /// naming the removed executor fails with the clean parse error.
+    #[test]
+    fn retired_chunk_knobs_in_saved_descriptors() {
+        // Verbatim from a committed `BENCH_service.json` row.
+        let saved = r#"{"seed":42,"graph":{"Synthetic":{"nodes":8000,"edges":16000,"labels":10}},"queries":6,"query_nodes":4,"query_edges":6,"shape":"Any","max_bound":1,"zipf_s":0.0,"batch_len":24,"rounds":2,"updates_per_round":0,"delta_batch_len":0,"delete_ratio":0.0,"coverage":1.0,"max_fragment":3,"mode":"Minimal","exec":"Sequential","threads":1,"chunk_pairs":0,"weights":"Default","recalibrate_every":0,"result_cache_bytes":67108864,"plan_cache_capacity":4096,"shards":8}"#;
+        let sc = Scenario::from_json_line(saved).expect("old descriptor parses");
+        assert_eq!(sc.exec, ExecKnob::Sequential);
+        assert_eq!(sc.shards, 8);
+        let chunked = saved.replace(r#""exec":"Sequential""#, r#""exec":"ParallelChunked""#);
+        let err = Scenario::from_json_line(&chunked).expect_err("removed executor");
+        assert!(err.starts_with("bad scenario JSON"), "{err}");
     }
 
     #[test]

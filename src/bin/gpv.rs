@@ -27,12 +27,9 @@
 //! the materialized extension sizes (`--select auto`, the default), and
 //! picks a sequential or parallel executor (omit `--threads` to
 //! auto-detect the worker count).
-//! Parallel plans also carry a fan-out *granularity* — per pattern edge, or
-//! chunked *within* each edge's pair set when there are more workers than
-//! edges (breaking the per-edge `|Eq|` speedup ceiling); the cost model
-//! derives the chunk size from the per-edge pair counts, `--chunk-pairs N`
-//! pins it. The EXPLAIN output shows the chosen executor and granularity
-//! (`execute: parallel(8, chunked:65536)`), the per-edge merge sources
+//! The parallel executor fans one work unit per pattern edge. The EXPLAIN
+//! output shows the chosen executor and its worker count
+//! (`execute: parallel(8)`), the per-edge merge sources
 //! (`View`/`Graph`), and the active cost weights; `plan --calibrated` first
 //! executes the query a few times (`--repeat`, min 3) to fill the
 //! estimate-vs-actual log, re-fits the weights, and EXPLAINs under the
@@ -99,8 +96,8 @@
 //! each iteration samples a `gpv_generator::Scenario` — graph emulator +
 //! scale, query shapes, zipfian serving schedule, view coverage, store
 //! mutations, and the full engine/service configuration (query mode,
-//! executor + granularity, threads, chunk size, cost weights, cache
-//! budgets, recalibration cadence) — deterministically from `--seed`, runs
+//! executor, threads, cost weights, cache budgets, recalibration
+//! cadence) — deterministically from `--seed`, runs
 //! it through `QueryEngine` *and* `ViewService`, and asserts bit-exact
 //! agreement with naive `match_pattern` / `bmatch_pattern` on every
 //! answer. A divergence prints the scenario's one-line JSON and the exact
@@ -114,10 +111,9 @@
 //!
 //! `--exec auto|seq|par` (answer/plan/serve/advise) overrides the cost
 //! model's executor choice: `seq` forces the sequential executor, `par`
-//! forces the parallel one — chunked granularity when `--chunk-pairs` is
-//! given, per-edge otherwise. This is how the golden EXPLAIN tests pin
-//! `parallel(T, chunked:N)` plans on fixtures far too small for the cost
-//! gate to pick them.
+//! forces the parallel one. This is how the golden EXPLAIN test pins a
+//! `parallel(T)` plan on a fixture far too small for the cost gate to pick
+//! it.
 //!
 //! Graphs use the `gpv-graph` text format (`node <id> <labels> [k=v ...]` /
 //! `edge <src> <dst>`); patterns use the `gpv-pattern` format
@@ -138,7 +134,6 @@ struct Args {
     calibrated: bool,
     select: String,
     threads: usize,
-    chunk_pairs: Option<usize>,
     shards: usize,
     clients: usize,
     repeat: usize,
@@ -158,7 +153,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: gpv <stats|match|contain|minimal|minimum|answer|plan|calibrate|serve|advise|minimize|lint|check|fuzz> \
          [--graph F] [--pattern F]... [--view F]... [--bounded] [--dual] \
-         [--select auto|all|minimal|minimum] [--exec auto|seq|par] [--threads N] [--chunk-pairs N] \
+         [--select auto|all|minimal|minimum] [--exec auto|seq|par] [--threads N] \
          [--calibrated] [--shards N] [--clients N] [--repeat K] [--result-cache-mb M] [--explain] \
          [--store-dir D] [--budget N] [--iterations N] [--seed S] [--repro JSON] \
          [--updates-per-round N] [--require-deltas] [--json]"
@@ -177,7 +172,6 @@ fn parse_args(rest: &[String]) -> Result<Args, String> {
         calibrated: false,
         select: "auto".into(),
         threads: 0,
-        chunk_pairs: None,
         shards: 8,
         clients: 1,
         repeat: 1,
@@ -226,17 +220,6 @@ fn parse_args(rest: &[String]) -> Result<Args, String> {
                     );
                 }
                 a.threads = n;
-                i += 2;
-            }
-            "--chunk-pairs" => {
-                let n = uint("--chunk-pairs", rest.get(i + 1))?;
-                if n == 0 {
-                    return Err(
-                        "--chunk-pairs must be at least 1 (omit the flag for per-edge fan-out)"
-                            .into(),
-                    );
-                }
-                a.chunk_pairs = Some(n);
                 i += 2;
             }
             "--shards" => {
@@ -1102,18 +1085,11 @@ fn engine_config(a: &Args) -> Result<core::EngineConfig, String> {
         "seq" => Some(core::ExecStrategy::Sequential(
             core::JoinStrategy::RankedBottomUp,
         )),
-        "par" => Some(core::ExecStrategy::Parallel {
-            threads: a.threads,
-            granularity: match a.chunk_pairs {
-                Some(cp) => core::ParGranularity::Chunked { chunk_pairs: cp },
-                None => core::ParGranularity::PerEdge,
-            },
-        }),
+        "par" => Some(core::ExecStrategy::Parallel { threads: a.threads }),
         other => return Err(format!("unknown --exec mode `{other}`")),
     };
     Ok(core::EngineConfig {
         threads: a.threads,
-        chunk_pairs: a.chunk_pairs,
         force_selection,
         force_exec,
         ..core::EngineConfig::default()

@@ -76,9 +76,7 @@ pub mod prelude {
     pub use gpv_core::matchjoin::{match_join, match_join_with, JoinStrategy};
     pub use gpv_core::minimal::minimal;
     pub use gpv_core::minimum::minimum;
-    pub use gpv_core::plan::{
-        EdgeSource, ExecStrategy, FallbackReason, ParGranularity, QueryPlan, SelectionMode,
-    };
+    pub use gpv_core::plan::{EdgeSource, ExecStrategy, FallbackReason, QueryPlan, SelectionMode};
     pub use gpv_core::view::{materialize, ViewDef, ViewExtensions, ViewSet};
     pub use gpv_graph::{DataGraph, GraphBuilder, NodeId, Value};
     pub use gpv_matching::bounded::bmatch_pattern;

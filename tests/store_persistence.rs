@@ -1,13 +1,13 @@
 //! Persistence contract tests for the columnar shard format: a store
 //! saved to disk and reloaded must serve **bit-identical** answers to the
 //! boxed `match_pattern` ground truth across every query mode × executor
-//! × granularity the planner can pick, and corrupt shard files must load
+//! × thread count the planner can pick, and corrupt shard files must load
 //! as clean errors — never panics — in both debug and release builds.
 
 use gpv_generator::{covering_views, random_graph, random_pattern, PatternShape};
 use graph_views::prelude::*;
 use graph_views::views::store::ViewStore;
-use graph_views::views::{CompactView, ExecStrategy, ParGranularity, ViewService};
+use graph_views::views::{CompactView, ExecStrategy, ViewService};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -34,8 +34,8 @@ fn arb_query() -> impl Strategy<Value = Pattern> {
 }
 
 /// Five query modes (cost-based auto + the three pinned selections + the
-/// pinned sequential executor) plus the parallel executor at both
-/// granularities: every plan shape a reloaded store can serve under.
+/// pinned sequential executor) plus the parallel executor at two thread
+/// counts: every plan shape a reloaded store can serve under.
 fn all_configs() -> Vec<EngineConfig> {
     let mut cfgs = vec![EngineConfig::default()];
     for m in [
@@ -53,18 +53,10 @@ fn all_configs() -> Vec<EngineConfig> {
         ..EngineConfig::default()
     });
     for threads in [2usize, 4] {
-        for granularity in [
-            ParGranularity::PerEdge,
-            ParGranularity::Chunked { chunk_pairs: 3 },
-        ] {
-            cfgs.push(EngineConfig {
-                force_exec: Some(ExecStrategy::Parallel {
-                    threads,
-                    granularity,
-                }),
-                ..EngineConfig::default()
-            });
-        }
+        cfgs.push(EngineConfig {
+            force_exec: Some(ExecStrategy::Parallel { threads }),
+            ..EngineConfig::default()
+        });
     }
     cfgs
 }
@@ -99,8 +91,8 @@ proptest! {
         let served = service.serve_batch(std::slice::from_ref(&q), Some(&g));
         prop_assert_eq!(&*served[0].as_ref().unwrap().result, &direct);
 
-        // ...and through engines pinned to every mode × executor ×
-        // granularity, views-only (no graph access at all).
+        // ...and through engines pinned to every mode × executor × thread
+        // count, views-only (no graph access at all).
         let snap = loaded.snapshot();
         for cfg in all_configs() {
             let engine = QueryEngine::from_snapshot(&snap).with_config(cfg);
