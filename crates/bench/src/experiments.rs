@@ -144,7 +144,6 @@ fn row_scenario(
         exec: ExecKnob::Sequential,
         threads: 1,
         weights: WeightsKnob::Default,
-        recalibrate_every: 0,
         result_cache_bytes: 64 << 20,
         plan_cache_capacity: 4096,
         shards,
@@ -1251,7 +1250,6 @@ pub fn maintenance_experiment(scale: Scale, seed: u64) -> ExperimentResult {
             exec: ExecKnob::Sequential,
             threads: 1,
             weights: WeightsKnob::Default,
-            recalibrate_every: 0,
             result_cache_bytes: 64 << 20,
             plan_cache_capacity: 4096,
             shards: 8,

@@ -10,10 +10,9 @@ use crate::compact::CompactBoundedView;
 use gpv_graph::DataGraph;
 use gpv_matching::bounded::bmatch_pattern;
 use gpv_pattern::BoundedPattern;
-use serde::{Deserialize, Serialize};
 
 /// A named bounded view definition.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct BoundedViewDef {
     /// Human-readable name.
     pub name: String,
@@ -32,7 +31,7 @@ impl BoundedViewDef {
 }
 
 /// A set of bounded view definitions.
-#[derive(Clone, Debug, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Default)]
 pub struct BoundedViewSet {
     views: Vec<BoundedViewDef>,
 }

@@ -448,21 +448,9 @@ impl CompactBoundedView {
     }
 }
 
-impl Serialize for CompactBoundedView {
-    fn to_value(&self) -> serde::value::Value {
-        self.thaw().to_value()
-    }
-}
-
-impl Deserialize for CompactBoundedView {
-    fn from_value(v: &serde::value::Value) -> Result<Self, serde::value::Error> {
-        BoundedMatchResult::from_value(v).map(|r| CompactBoundedView::freeze(&r))
-    }
-}
-
 /// Bounded extensions in columnar form (the bounded twin of
 /// [`CompactExtensions`]).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CompactBoundedExtensions {
     /// `extensions[i]` = `Vi(G)` with distances.
     pub extensions: Vec<CompactBoundedView>,

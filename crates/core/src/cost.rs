@@ -77,7 +77,7 @@ pub struct CostEstimate {
     /// Total relative *execution* cost (lower wins).
     pub total: f64,
     /// The weights this estimate was priced under (so an EXPLAIN'd plan is
-    /// self-describing even after the engine recalibrates).
+    /// self-describing even after the engine installs fitted weights).
     pub weights: CostModel,
 }
 

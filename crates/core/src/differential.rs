@@ -54,8 +54,7 @@ pub type BoundedOracle = Box<dyn Fn(&BoundedPattern, &DataGraph) -> BoundedMatch
 ///
 /// Rounds are indices into `queries` (repetition exercises the plan and
 /// result caches); `updates[r]` is inserted into the store after round `r`
-/// (exercising engine rebuilds and, with
-/// [`ServiceConfig::recalibrate_every`], recalibration epochs).
+/// (exercising engine rebuilds and cache invalidation).
 pub struct DifferentialCase<'a> {
     /// The data graph `G` every answer is checked against.
     pub graph: &'a DataGraph,
@@ -80,8 +79,8 @@ pub struct DifferentialCase<'a> {
     /// Engine configuration under test (executor, selection mode, cost
     /// weights, threads).
     pub engine: EngineConfig,
-    /// Service configuration under test (plan/result caches, recalibration
-    /// cadence); its embedded engine config is what `serve_batch` uses.
+    /// Service configuration under test (plan/result caches); its embedded
+    /// engine config is what `serve_batch` uses.
     pub service: ServiceConfig,
 }
 
@@ -270,9 +269,8 @@ fn verify_store_state(
 /// Phase 2 (service): materializes a [`ViewStore`], serves every round's
 /// batch through [`ViewService::serve_batch`] under the case's
 /// [`ServiceConfig`], inserts the round's updates, and repeats — so cache
-/// hits, engine rebuilds after mutations, and recalibration epochs are all
-/// checked against the *same* oracle answers (valid throughout, per the
-/// module docs).
+/// hits and engine rebuilds after mutations are all checked against the
+/// *same* oracle answers (valid throughout, per the module docs).
 ///
 /// Returns the exercise counters, or the first [`Divergence`] found.
 pub fn check_plain(
@@ -346,9 +344,9 @@ pub fn check_plain(
         }
     }
 
-    // Phase 2: the serving layer, across store mutations, edge deltas and
-    // recalibration. The graph evolves under the deltas, so ground truth is
-    // tracked per-round: `truth[qi]` caches the oracle's answer against the
+    // Phase 2: the serving layer, across store mutations and edge deltas.
+    // The graph evolves under the deltas, so ground truth is tracked
+    // per-round: `truth[qi]` caches the oracle's answer against the
     // *current* graph and is dropped wholesale whenever a delta lands
     // (answers are then recomputed lazily, only for queries actually
     // served again).

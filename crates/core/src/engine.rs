@@ -2,8 +2,9 @@
 //!
 //! [`QueryEngine`] is the single decision point for "answer `Qs` given what
 //! we have cached": it owns a view registry (definitions + materialized
-//! extensions, interchangeable with [`ViewCache`]
-//! for durability), produces an explicit [`QueryPlan`] IR, and executes it —
+//! extensions, or an `Arc`-shared [`StoreSnapshot`] of a
+//! [`ViewStore`](crate::store::ViewStore)),
+//! produces an explicit [`QueryPlan`] IR, and executes it —
 //! choosing among the paper's algorithms instead of making the caller pick:
 //!
 //! * **Analyze** — containment via [`contain`](crate::containment::contain)
@@ -37,8 +38,8 @@ use crate::parallel::{auto_threads, par_fixpoint};
 use crate::partial::{best_cover, merged_from_sources, PartialPlan};
 use crate::plan::{EdgeSource, ExecStrategy, FallbackReason, QueryPlan, SelectionMode, ViewPlan};
 use crate::selection::{select_views_for_workload, WorkloadSelection};
-use crate::storage::{graph_fingerprint, BoundedViewCache, ViewCache};
-use crate::store::{StoreSnapshot, ViewStore};
+use crate::storage::graph_fingerprint;
+use crate::store::StoreSnapshot;
 use crate::view::{materialize, ViewDef, ViewExtensions, ViewSet};
 use gpv_graph::stats::GraphStats;
 use gpv_graph::DataGraph;
@@ -195,21 +196,8 @@ impl QueryEngine {
         }
     }
 
-    /// Wraps an already-materialized (e.g. loaded) view cache.
-    pub fn from_cache(cache: ViewCache) -> Self {
-        QueryEngine {
-            views: Arc::new(cache.views),
-            ext: Arc::new(cache.extensions),
-            bounded: None,
-            fingerprint: cache.graph_fingerprint,
-            graph_stats: cache.graph_stats,
-            config: EngineConfig::default(),
-            cost_log: SharedCostLog::default(),
-        }
-    }
-
     /// Builds an engine over a [`StoreSnapshot`] of a sharded
-    /// [`ViewStore`] — the serving-layer path:
+    /// [`ViewStore`](crate::store::ViewStore) — the serving-layer path:
     /// [`ViewService`](crate::service::ViewService) takes one snapshot per
     /// store version and plans/executes against it lock-free.
     ///
@@ -226,23 +214,6 @@ impl QueryEngine {
             graph_stats: snap.graph_stats.clone(),
             config: EngineConfig::default(),
             cost_log: SharedCostLog::default(),
-        }
-    }
-
-    /// Shards this engine's plain-view registry into a concurrent
-    /// [`ViewStore`] (ids assigned in registry order).
-    pub fn to_store(&self, shards: usize) -> ViewStore {
-        ViewStore::from_cache(self.to_cache(), shards)
-    }
-
-    /// Extracts a durable [`ViewCache`] snapshot of the plain-view registry
-    /// (the extensions stay `Arc`-shared; only handles are cloned).
-    pub fn to_cache(&self) -> ViewCache {
-        ViewCache {
-            graph_fingerprint: self.fingerprint,
-            graph_stats: self.graph_stats.clone(),
-            views: (*self.views).clone(),
-            extensions: (*self.ext).clone(),
         }
     }
 
@@ -356,12 +327,6 @@ impl QueryEngine {
     pub fn with_bounded_views(mut self, views: BoundedViewSet, g: &DataGraph) -> Self {
         let ext = bmaterialize(&views, g);
         self.bounded = Some((views, ext));
-        self
-    }
-
-    /// Wraps a loaded bounded-view cache into the engine.
-    pub fn with_bounded_cache(mut self, cache: BoundedViewCache) -> Self {
-        self.bounded = Some((cache.views, cache.extensions));
         self
     }
 
@@ -1042,40 +1007,6 @@ mod tests {
             .is_ok());
         assert_eq!(engine.views().card(), 1);
         assert_eq!(engine.extensions().extensions.len(), 1);
-    }
-
-    /// `to_store(0)` must hand back a usable (1-shard) store, not one that
-    /// panics with a division by zero on its first id hash.
-    #[test]
-    fn to_store_zero_shards_clamps() {
-        let g = graph();
-        let views = ViewSet::new(vec![ViewDef::new("vab", single("A", "B"))]);
-        let engine = QueryEngine::materialize(views, &g);
-        let store = engine.to_store(0);
-        assert_eq!(store.shard_count(), 1);
-        assert_eq!(store.len(), 1);
-        let revived = QueryEngine::from_snapshot(&store.snapshot());
-        let q = single("A", "B");
-        assert_eq!(
-            revived.answer_from_views(&q).unwrap(),
-            engine.answer_from_views(&q).unwrap()
-        );
-    }
-
-    #[test]
-    fn cache_roundtrip_preserves_answers() {
-        let g = graph();
-        let q = chain3();
-        let views = ViewSet::new(vec![
-            ViewDef::new("vab", single("A", "B")),
-            ViewDef::new("vbc", single("B", "C")),
-        ]);
-        let engine = QueryEngine::materialize(views, &g);
-        let revived = QueryEngine::from_cache(engine.to_cache());
-        assert_eq!(
-            revived.answer_from_views(&q).unwrap(),
-            engine.answer_from_views(&q).unwrap()
-        );
     }
 
     #[test]

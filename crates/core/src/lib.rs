@@ -99,7 +99,6 @@ pub use service::{
     ServiceStats, ViewService,
 };
 pub use shard::{decode_shard, encode_shard, ShardError, StoreMeta, SHARD_MAGIC, SHARD_VERSION};
-pub use storage::{BoundedViewCache, CacheError, ViewCache};
 pub use store::{
     DeltaReport, EvictionAdvice, ShardOccupancy, StoreError, StoreSnapshot, StoredView, ViewStore,
 };

@@ -13,7 +13,7 @@
 //!   `Arc`);
 //! * **answers repeated queries across batches without executing** — a
 //!   byte-budgeted, LRU-evicted **result cache** keyed by `(query
-//!   fingerprint, view-set fingerprint, calibration epoch)` replays the answer
+//!   fingerprint, view-set fingerprint)` replays the answer
 //!   computed the first time (the memo-over-recompute move the paper makes
 //!   for views, applied one level up the stack); entries hold the *frozen
 //!   columnar* form, so the byte budget bounds actual residency, and a hit
@@ -27,22 +27,23 @@
 //!   rebuild;
 //! * **remembers refusals**: a strict (`g = None`) call that fails with
 //!   [`ServiceError::NeedsGraph`] records a negative entry keyed by the
-//!   query fingerprint and stamped `(view-set fingerprint, max epoch,
-//!   calibration epoch)`, so repeating the same refused query skips the
-//!   plan cache and the planner entirely until the store moves;
+//!   query fingerprint and stamped `(view-set fingerprint, max epoch)`, so
+//!   repeating the same refused query skips the plan cache and the planner
+//!   entirely until the store moves;
 //! * **deduplicates identical queries inside a batch**, executing each
 //!   distinct query once and fanning the result out;
 //! * executes against a lock-free
 //!   [`StoreSnapshot`] of the sharded
 //!   [`ViewStore`], rebuilding its internal [`QueryEngine`] only when the
-//!   store version moves or a recalibration
-//!   ([`ServiceConfig::recalibrate_every`]) changes the cost model — a
-//!   rebuild shares the snapshot's extensions by `Arc`
-//!   ([`QueryEngine::from_snapshot`]), so it costs O(card(V)) handle
+//!   store version moves — a rebuild shares the snapshot's extensions by
+//!   `Arc` ([`QueryEngine::from_snapshot`]), so it costs O(card(V)) handle
 //!   clones, never a deep copy of the materialized pairs;
+//! * plans under one fixed cost model, `config.engine.cost` (the default
+//!   weights, or weights fitted offline with
+//!   [`QueryEngine::apply_calibration`]);
 //! * keeps service-level statistics: plan- and result-cache hit rates,
 //!   per-shard occupancy, in-flight queue depth, a log₂ latency histogram,
-//!   and the calibration state (active weights, sample count, drift).
+//!   and the cost-model drift gauge (weights, sample count, estimate error).
 //!
 //! Answers are **byte-identical** to calling
 //! [`QueryEngine::answer`] sequentially (asserted by `tests/service.rs`):
@@ -245,28 +246,12 @@ pub struct ServiceConfig {
     pub plan_cache_capacity: usize,
     /// Byte budget for the cross-batch **result** cache (`0` disables it).
     /// The plan cache skips planning; this cache skips *execution*: a
-    /// repeated identical query at an unchanged store version and
-    /// calibration epoch returns the shared `Arc<MatchResult>` computed the
-    /// first time. When an insertion pushes the estimated resident bytes
-    /// over the budget, least-recently-used entries are evicted until it
-    /// fits (an answer larger than the whole budget is simply not cached).
+    /// repeated identical query whose views are unchanged returns the answer
+    /// computed the first time. When an insertion pushes the estimated
+    /// resident bytes over the budget, least-recently-used entries are
+    /// evicted until it fits (an answer larger than the whole budget is
+    /// simply not cached).
     pub result_cache_bytes: usize,
-    /// Re-fit the cost weights from the measured [`CostSample`](crate::cost::CostSample)
-    /// log every this many **executed** queries (`0` disables
-    /// recalibration). A re-fit that changes the weights invalidates cached
-    /// plans *and results* and rebuilds the engine snapshot, so subsequent
-    /// planning is priced in measured units.
-    ///
-    /// Only queries that actually plan-and-execute count toward the
-    /// cadence: dedup fan-outs and result-cache hits record no
-    /// [`CostSample`](crate::cost::CostSample) (there is nothing new to
-    /// measure), so counting them — as the batch-counting cadence of PR 4
-    /// did — made a fully cached steady state attempt pointless re-fits
-    /// over an unchanged log every batch, and could rebuild the engine and
-    /// cold both caches for noise. A hot cache now leaves the calibration
-    /// machinery untouched; [`ServiceStats::cost_log_starved`] counts how
-    /// many served queries fed it nothing.
-    pub recalibrate_every: u64,
 }
 
 impl Default for ServiceConfig {
@@ -275,7 +260,6 @@ impl Default for ServiceConfig {
             engine: EngineConfig::default(),
             plan_cache_capacity: 4096,
             result_cache_bytes: 64 << 20,
-            recalibrate_every: 0,
         }
     }
 }
@@ -423,15 +407,9 @@ pub struct ServiceStats {
     pub refusal_cache_size: usize,
     /// Queries answered by intra-batch deduplication.
     pub dedup_saved: u64,
-    /// Queries that actually planned and executed (the
-    /// [`ServiceConfig::recalibrate_every`] cadence counts these only).
+    /// Queries that actually planned and executed — the only ones that
+    /// record a [`CostSample`](crate::cost::CostSample).
     pub executed_queries: u64,
-    /// Queries served without executing (dedup fan-outs + result-cache
-    /// hits): each recorded **no**
-    /// [`CostSample`](crate::cost::CostSample), so a high ratio of this to
-    /// [`Self::queries`] means the calibration loop is running on old
-    /// measurements — by design, since there is nothing new to measure.
-    pub cost_log_starved: u64,
     /// Times the engine snapshot was rebuilt because the store changed.
     pub engine_rebuilds: u64,
     /// Queries currently in flight (the queue-depth gauge).
@@ -442,18 +420,15 @@ pub struct ServiceStats {
     pub shard_occupancy: Vec<ShardOccupancy>,
     /// Log₂ latency histogram over all served queries.
     pub latency: LatencyHistogram,
-    /// The active cost model (calibrated when a re-fit has been applied).
+    /// The cost model the service plans under (`config.engine.cost`).
     pub cost_model: CostModel,
     /// Estimate-vs-actual samples currently retained in the cost log.
     pub cost_samples: usize,
-    /// Calibration drift: mean relative error of the active weights'
+    /// Calibration drift: mean relative error of the configured weights'
     /// predictions against the measured executions (`None` before any
-    /// execution). Rising drift under a calibrated model means the
-    /// workload shifted and the next re-fit will move the weights.
+    /// execution). Rising drift under offline-fitted weights means the
+    /// workload shifted and a fresh offline fit is due.
     pub estimate_error: Option<f64>,
-    /// Times a re-fit changed the weights (each one invalidated the plan
-    /// cache and rebuilt the engine snapshot).
-    pub recalibrations: u64,
 }
 
 /// Internal atomic counters (one cache line of independently-updated
@@ -468,29 +443,23 @@ struct Counters {
     result_misses: AtomicU64,
     result_evictions: AtomicU64,
     dedup_saved: AtomicU64,
-    /// Queries that planned and executed (drives the recalibration cadence).
+    /// Queries that planned and executed.
     executed: AtomicU64,
-    /// Queries served from dedup or the result cache — no `CostSample`.
-    starved: AtomicU64,
     /// Strict-mode queries refused straight from the negative cache.
     refusal_hits: AtomicU64,
-    /// `executed` watermark at the last recalibration attempt.
-    last_recalib_executed: AtomicU64,
     engine_rebuilds: AtomicU64,
-    recalibrations: AtomicU64,
     in_flight: AtomicU64,
     max_in_flight: AtomicU64,
     latency: [AtomicU64; LATENCY_BUCKETS],
 }
 
 /// The engine snapshot the service executes against, tagged with the store
-/// version and the calibration epoch it was built from. Carries the MVCC
-/// [`StoreSnapshot`] it was built over so cache probes can price an
-/// answer's epoch-set stamp without re-touching the store.
+/// version it was built from. Carries the MVCC [`StoreSnapshot`] it was
+/// built over so cache probes can price an answer's epoch-set stamp
+/// without re-touching the store.
 #[derive(Clone, Debug)]
 struct EngineSnapshot {
     version: u64,
-    calib_epoch: u64,
     view_fingerprint: u64,
     store: Arc<StoreSnapshot>,
     engine: Arc<QueryEngine>,
@@ -509,32 +478,23 @@ pub struct ViewService {
     /// detected by equality instead of silently serving the wrong plan.
     plan_cache: RwLock<PlanCache>,
     /// Cross-batch answers, keyed by `(query fingerprint, view-set
-    /// fingerprint, calibration epoch)` and validated per-hit against the
-    /// entry's epoch-set stamp — the same collision-witness discipline as
-    /// the plan cache, byte-budgeted
-    /// ([`ServiceConfig::result_cache_bytes`]).
+    /// fingerprint)` and validated per-hit against the entry's epoch-set
+    /// stamp — the same collision-witness discipline as the plan cache,
+    /// byte-budgeted ([`ServiceConfig::result_cache_bytes`]).
     result_cache: RwLock<ResultCache>,
     /// The estimate-vs-actual history, shared into every rebuilt engine so
-    /// recalibration sees all measurements, not just the latest snapshot's.
+    /// the drift gauge sees all measurements, not just the latest
+    /// snapshot's.
     cost_log: SharedCostLog,
-    /// The last applied re-fit (`None` = still on the configured weights).
-    calibrated: RwLock<Option<CostModel>>,
-    /// Bumped whenever a re-fit changes the weights, invalidating the
-    /// engine snapshot (same mechanism as a store-version move).
-    calib_epoch: AtomicU64,
     counters: Counters,
 }
 
 /// One cached plan: the canonical query JSON (the fingerprint-collision
-/// witness), the shared plan, the calibration epoch it was priced under
-/// (an in-flight batch holding a pre-recalibration engine could otherwise
-/// re-insert a stale-weights plan *after* the recalibration clear, and the
-/// key alone would serve it forever), and an LRU stamp updated on hits.
+/// witness), the shared plan, and an LRU stamp updated on hits.
 #[derive(Debug)]
 struct PlanCacheEntry {
     qkey: Arc<str>,
     plan: Arc<QueryPlan>,
-    epoch: u64,
     last_used: AtomicU64,
 }
 
@@ -620,7 +580,7 @@ struct ResultCacheEntry {
 
 /// Refusal entries older than this stamp can never hit; see
 /// [`ResultCache::refusals`].
-type RefusalStamp = (u64, u64, u64);
+type RefusalStamp = (u64, u64);
 
 /// Hard cap on remembered refusals: unlike positive entries they carry no
 /// byte-accounted payload, so a flood of distinct uncovered queries is
@@ -629,21 +589,21 @@ type RefusalStamp = (u64, u64, u64);
 const REFUSAL_CACHE_CAP: usize = 4096;
 
 /// The cross-batch result cache: `(query fingerprint, view-set
-/// fingerprint, calibration epoch)` → answer, bounded by an estimated-byte
-/// budget with LRU eviction.
+/// fingerprint)` → answer, bounded by an estimated-byte budget with LRU
+/// eviction.
 ///
 /// Invalidation is *exact at view granularity*: a hit additionally
 /// requires the entry's epoch-set stamp to match the current snapshot
 /// ([`ResultCacheEntry::epoch_key`]), so an [`EdgeDelta`] invalidates
 /// precisely the answers whose plans read a changed view (or the graph) —
 /// answers over untouched views survive the mutation. A view-set
-/// membership change or an applied re-fit changes the key itself. Dead
-/// entries are purged wholesale when the engine snapshot rebuilds
-/// ([`ViewService::engine`]), so an invalidation also releases its budget
-/// immediately instead of waiting for LRU pressure.
+/// membership change changes the key itself. Dead entries are purged
+/// wholesale when the engine snapshot rebuilds ([`ViewService::engine`]),
+/// so an invalidation also releases its budget immediately instead of
+/// waiting for LRU pressure.
 #[derive(Debug, Default)]
 struct ResultCache {
-    map: HashMap<(u64, u64, u64), ResultCacheEntry>,
+    map: HashMap<(u64, u64), ResultCacheEntry>,
     /// Negative entries: queries refused with
     /// [`ServiceError::NeedsGraph`] in strict (`g = None`) mode, keyed by
     /// query fingerprint with the canonical form as collision witness.
@@ -653,9 +613,9 @@ struct ResultCache {
     /// still folds in the max epoch, so any store movement (not just
     /// membership change) conservatively re-plans refused queries once.
     refusals: HashMap<u64, Arc<str>>,
-    /// `(view-set fingerprint, max epoch, calibration epoch)` the current
-    /// [`Self::refusals`] entries were recorded under; the map is cleared
-    /// whenever the basis moves.
+    /// `(view-set fingerprint, max epoch)` the current [`Self::refusals`]
+    /// entries were recorded under; the map is cleared whenever the basis
+    /// moves.
     refusal_stamp: RefusalStamp,
     /// Estimated resident bytes across all entries.
     bytes: usize,
@@ -674,25 +634,23 @@ impl ResultCache {
     }
 
     /// Drops every entry that can never hit again under the freshly
-    /// published snapshot — wrong view-set fingerprint, wrong calibration
-    /// epoch, or an epoch-set stamp some consumed view (or the graph) has
-    /// moved past. Called on engine rebuild. Entries whose stamps *are*
-    /// still current survive: that is what keeps answers over untouched
-    /// views warm across a delta. Refusals are cleared when their stamp
-    /// basis moved.
-    fn purge_stale(&mut self, snap: &StoreSnapshot, calib_epoch: u64) {
+    /// published snapshot — wrong view-set fingerprint, or an epoch-set
+    /// stamp some consumed view (or the graph) has moved past. Called on
+    /// engine rebuild. Entries whose stamps *are* still current survive:
+    /// that is what keeps answers over untouched views warm across a delta.
+    /// Refusals are cleared when their stamp basis moved.
+    fn purge_stale(&mut self, snap: &StoreSnapshot) {
         let mut freed = 0usize;
-        self.map.retain(|&(_, vfp, ce), entry| {
-            let keep = vfp == snap.fingerprint
-                && ce == calib_epoch
-                && plan_epoch_key(&entry.plan, snap) == entry.epoch_key;
+        self.map.retain(|&(_, vfp), entry| {
+            let keep =
+                vfp == snap.fingerprint && plan_epoch_key(&entry.plan, snap) == entry.epoch_key;
             if !keep {
                 freed += entry.bytes;
             }
             keep
         });
         self.bytes -= freed;
-        let basis = (snap.fingerprint, snap.max_epoch(), calib_epoch);
+        let basis = (snap.fingerprint, snap.max_epoch());
         if self.refusal_stamp != basis {
             self.refusals.clear();
             self.refusal_stamp = basis;
@@ -737,8 +695,6 @@ impl ViewService {
             plan_cache: RwLock::new(PlanCache::default()),
             result_cache: RwLock::new(ResultCache::default()),
             cost_log: SharedCostLog::default(),
-            calibrated: RwLock::new(None),
-            calib_epoch: AtomicU64::new(0),
             counters: Counters::default(),
         }
     }
@@ -765,49 +721,30 @@ impl ViewService {
         self.store.apply_delta(delta, g).map_err(ServiceError::from)
     }
 
-    /// The cost model planning should run under: the last applied re-fit,
-    /// or the configured weights before any calibration.
-    fn active_cost_model(&self) -> CostModel {
-        self.calibrated
-            .read()
-            .expect("calibration lock poisoned")
-            .unwrap_or(self.config.engine.cost)
-    }
-
-    /// Current engine snapshot, rebuilding if the store version moved or a
-    /// recalibration changed the active cost model.
+    /// Current engine snapshot, rebuilding if the store version moved.
     fn engine(&self) -> EngineSnapshot {
         let version = self.store.version();
-        let epoch = self.calib_epoch.load(Ordering::Relaxed);
-        let valid = |s: &&EngineSnapshot| s.version == version && s.calib_epoch == epoch;
         if let Some(snap) = self
             .engine
             .read()
             .expect("engine lock poisoned")
             .as_ref()
-            .filter(valid)
+            .filter(|s| s.version == version)
         {
             return snap.clone();
         }
         let mut guard = self.engine.write().expect("engine lock poisoned");
         // Another thread may have rebuilt while we waited for the lock.
         let version = self.store.version();
-        let epoch = self.calib_epoch.load(Ordering::Relaxed);
-        if let Some(snap) = guard
-            .as_ref()
-            .filter(|s| s.version == version && s.calib_epoch == epoch)
-        {
+        if let Some(snap) = guard.as_ref().filter(|s| s.version == version) {
             return snap.clone();
         }
         let store_snap = self.store.snapshot();
-        let mut config = self.config.engine.clone();
-        config.cost = self.active_cost_model();
         let engine = QueryEngine::from_snapshot(&store_snap)
-            .with_config(config)
+            .with_config(self.config.engine.clone())
             .with_cost_log(self.cost_log.clone());
         let snap = EngineSnapshot {
             version: store_snap.version,
-            calib_epoch: epoch,
             view_fingerprint: store_snap.fingerprint,
             store: store_snap,
             engine: Arc::new(engine),
@@ -825,78 +762,9 @@ impl ViewService {
             self.result_cache
                 .write()
                 .expect("result cache lock poisoned")
-                .purge_stale(&snap.store, snap.calib_epoch);
+                .purge_stale(&snap.store);
         }
         snap
-    }
-
-    /// Whether two fits are close enough to count as converged. A fit over
-    /// an ever-growing log moves in low-order float bits on *every* batch;
-    /// exact equality would therefore re-install, drop the plan cache, and
-    /// rebuild the engine each batch under `recalibrate_every = 1` —
-    /// permanently-cold caches in exchange for noise. Only a ≥5% move in
-    /// some fitted weight is worth repricing plans over.
-    fn converged(a: &CostModel, b: &CostModel) -> bool {
-        let close =
-            |x: f64, y: f64| (x - y).abs() <= 0.05 * x.abs().max(y.abs()).max(f64::MIN_POSITIVE);
-        close(a.read_pair, b.read_pair)
-            && close(a.refine_pair, b.refine_pair)
-            && close(a.scan_edge, b.scan_edge)
-    }
-
-    /// Re-fits the cost weights from the measured log when enough queries
-    /// have *executed* since the last attempt
-    /// ([`ServiceConfig::recalibrate_every`]). A fit that moves the weights
-    /// installs itself, drops every cached plan (they were priced under the
-    /// old weights) and invalidates the engine snapshot; a fit within
-    /// tolerance of the active one is a no-op. Dedup fan-outs and
-    /// result-cache hits never advance the cadence: they add no samples, so
-    /// re-fitting on their account would grind the same log again — and, on
-    /// the first ever fit, rebuild the engine and cold both caches in a
-    /// steady state that executed nothing (the PR 4 caveat this closes).
-    fn maybe_recalibrate(&self) {
-        let every = self.config.recalibrate_every;
-        if every == 0 {
-            return;
-        }
-        let executed = self.counters.executed.load(Ordering::Relaxed);
-        let last = self.counters.last_recalib_executed.load(Ordering::Relaxed);
-        if executed.saturating_sub(last) < every {
-            return;
-        }
-        // Two racing batches may both pass the gate; the CAS lets one
-        // advance the watermark and the loser simply skips (the winner's
-        // fit covers its samples too).
-        if self
-            .counters
-            .last_recalib_executed
-            .compare_exchange(last, executed, Ordering::Relaxed, Ordering::Relaxed)
-            .is_err()
-        {
-            return;
-        }
-        let Some(fitted) = self
-            .active_cost_model()
-            .calibrate(&self.cost_log.snapshot())
-        else {
-            return;
-        };
-        {
-            let mut slot = self.calibrated.write().expect("calibration lock poisoned");
-            if let Some(prev) = slot.as_ref() {
-                if Self::converged(prev, &fitted) {
-                    return; // keep serving with the installed weights
-                }
-            }
-            *slot = Some(fitted);
-        }
-        self.plan_cache
-            .write()
-            .expect("plan cache lock poisoned")
-            .map
-            .clear();
-        self.calib_epoch.fetch_add(1, Ordering::Relaxed);
-        self.counters.recalibrations.fetch_add(1, Ordering::Relaxed);
     }
 
     /// The plan for `q` under view-set fingerprint `vfp`, from the cache
@@ -910,7 +778,6 @@ impl ViewService {
         &self,
         engine: &QueryEngine,
         vfp: u64,
-        epoch: u64,
         qfp: u64,
         qkey: &str,
         q: &Pattern,
@@ -923,18 +790,15 @@ impl ViewService {
         {
             let cache = self.plan_cache.read().expect("plan cache lock poisoned");
             if let Some(entry) = cache.map.get(&key) {
-                if *entry.qkey == *qkey && entry.epoch == epoch {
+                if *entry.qkey == *qkey {
                     cache.touch(entry);
                     self.counters.plan_hits.fetch_add(1, Ordering::Relaxed);
                     return (entry.plan.clone(), true);
                 }
-                if *entry.qkey != *qkey {
-                    // Fingerprint collision with a different query: plan
-                    // fresh, don't disturb the resident entry.
-                    self.counters.plan_misses.fetch_add(1, Ordering::Relaxed);
-                    return (Arc::new(engine.plan(q)), false);
-                }
-                // Same query, stale epoch: fall through and replace below.
+                // Fingerprint collision with a different query: plan fresh,
+                // don't disturb the resident entry.
+                self.counters.plan_misses.fetch_add(1, Ordering::Relaxed);
+                return (Arc::new(engine.plan(q)), false);
             }
         }
         let plan = Arc::new(engine.plan(q));
@@ -942,25 +806,11 @@ impl ViewService {
         // Racing planners produce identical plans (planning is
         // deterministic), so last-writer-wins is safe; prefer the resident
         // entry to keep `Arc` identity stable for callers comparing plans.
-        enum Resident {
-            Fresh(Arc<QueryPlan>),
-            Collision,
-            Stale,
-        }
-        let resident = cache.map.get(&key).map(|e| {
-            if *e.qkey != *qkey {
-                Resident::Collision
-            } else if e.epoch == epoch {
-                Resident::Fresh(e.plan.clone())
-            } else {
-                Resident::Stale
-            }
-        });
-        let entry = match resident {
-            Some(Resident::Fresh(existing)) => existing,
-            Some(Resident::Collision) => plan, // serve fresh, keep resident
-            stale_or_vacant => {
-                if stale_or_vacant.is_none() && cache.map.len() >= self.config.plan_cache_capacity {
+        let entry = match cache.map.get(&key) {
+            Some(e) if *e.qkey == *qkey => e.plan.clone(),
+            Some(_) => plan, // collision: serve fresh, keep resident
+            None => {
+                if cache.map.len() >= self.config.plan_cache_capacity {
                     cache.evict_lru();
                 }
                 let stamp = cache.tick();
@@ -969,7 +819,6 @@ impl ViewService {
                     PlanCacheEntry {
                         qkey: Arc::from(qkey),
                         plan: plan.clone(),
-                        epoch,
                         last_used: AtomicU64::new(stamp),
                     },
                 );
@@ -986,8 +835,8 @@ impl ViewService {
 
     /// Probes the cross-batch result cache for `qfp`/`qkey` at this engine
     /// snapshot. A hit requires the key `(fingerprint, view-set
-    /// fingerprint, calibration epoch)` *and* the canonical form to match,
-    /// *and* the entry's epoch-set stamp to still be current — every view
+    /// fingerprint)` *and* the canonical form to match, *and* the entry's
+    /// epoch-set stamp to still be current — every view
     /// (and, for graph-reading plans, the graph) the cached answer's plan
     /// consumed is then unchanged, so the answer holds even though the
     /// store version may have moved. For a views-only (`has_graph =
@@ -1012,7 +861,7 @@ impl ViewService {
                 .expect("result cache lock poisoned");
             cache
                 .map
-                .get(&(qfp, snap.view_fingerprint, snap.calib_epoch))
+                .get(&(qfp, snap.view_fingerprint))
                 .filter(|e| {
                     *e.qkey == *qkey
                         && (has_graph || e.graph_free)
@@ -1055,7 +904,7 @@ impl ViewService {
             return;
         }
         let epoch_key = plan_epoch_key(&a.plan, &snap.store);
-        let key = (qfp, snap.view_fingerprint, snap.calib_epoch);
+        let key = (qfp, snap.view_fingerprint);
         let mut cache = self
             .result_cache
             .write()
@@ -1064,15 +913,13 @@ impl ViewService {
         // on and `engine()` already purged this batch's world: inserting
         // now would park a dead entry in the budget until the next purge.
         // Recheck against the *currently published* snapshot under the
-        // same lock `purge_stale` runs under — if membership, the answer's
-        // epoch set, or the calibration epoch moved, drop the insert. (A
-        // mutation racing in right after this check still gets cleaned by
-        // the purge on the next engine rebuild, which every later batch
-        // performs.)
+        // same lock `purge_stale` runs under — if membership or the
+        // answer's epoch set moved, drop the insert. (A mutation racing in
+        // right after this check still gets cleaned by the purge on the
+        // next engine rebuild, which every later batch performs.)
         let current = self.store.snapshot();
         if current.fingerprint != snap.view_fingerprint
             || plan_epoch_key(&a.plan, &current) != epoch_key
-            || snap.calib_epoch != self.calib_epoch.load(Ordering::Relaxed)
         {
             return;
         }
@@ -1120,11 +967,7 @@ impl ViewService {
         if self.config.result_cache_bytes == 0 {
             return false;
         }
-        let basis = (
-            snap.view_fingerprint,
-            snap.store.max_epoch(),
-            snap.calib_epoch,
-        );
+        let basis = (snap.view_fingerprint, snap.store.max_epoch());
         let hit = {
             let cache = self
                 .result_cache
@@ -1147,11 +990,7 @@ impl ViewService {
         if self.config.result_cache_bytes == 0 {
             return;
         }
-        let basis = (
-            snap.view_fingerprint,
-            snap.store.max_epoch(),
-            snap.calib_epoch,
-        );
+        let basis = (snap.view_fingerprint, snap.store.max_epoch());
         let mut cache = self
             .result_cache
             .write()
@@ -1161,12 +1000,7 @@ impl ViewService {
             // *currently published* basis — a stale in-flight snapshot must
             // not clobber refusals recorded against a newer store.
             let published = self.store.snapshot();
-            let current = (
-                published.fingerprint,
-                published.max_epoch(),
-                self.calib_epoch.load(Ordering::Relaxed),
-            );
-            if basis != current {
+            if basis != (published.fingerprint, published.max_epoch()) {
                 return;
             }
             cache.refusals.clear();
@@ -1253,10 +1087,8 @@ impl ViewService {
             let answer = match dedup_hit {
                 Some(prev) => {
                     // Identical query earlier in this batch: fan its answer
-                    // out without re-planning or re-executing (and without
-                    // feeding the cost log — see `cost_log_starved`).
+                    // out without re-planning or re-executing.
                     self.counters.dedup_saved.fetch_add(1, Ordering::Relaxed);
-                    self.counters.starved.fetch_add(1, Ordering::Relaxed);
                     let micros = t0.elapsed().as_micros() as u64;
                     self.record_latency(micros);
                     prev.map(|mut a| {
@@ -1269,7 +1101,6 @@ impl ViewService {
                 // NeedsGraph refusal is refused without touching the plan
                 // cache or the planner at all.
                 None if g.is_none() && self.cached_refusal(&snap, qfp, &qkey) => {
-                    self.counters.starved.fetch_add(1, Ordering::Relaxed);
                     let micros = t0.elapsed().as_micros() as u64;
                     self.record_latency(micros);
                     let answer = Err(ServiceError::NeedsGraph);
@@ -1283,9 +1114,6 @@ impl ViewService {
                 // shared answer without planning or executing anything.
                 None => match self.cached_result(&snap, qfp, &qkey, g.is_some()) {
                     Some(hit) => {
-                        // Served without executing: no CostSample recorded,
-                        // and the recalibration cadence must not advance.
-                        self.counters.starved.fetch_add(1, Ordering::Relaxed);
                         // Mirror the uncached path's graph validation: a
                         // graph-reading plan supplied with the *wrong*
                         // graph fails with GraphMismatch there, and a warm
@@ -1307,20 +1135,14 @@ impl ViewService {
                         answer
                     }
                     None => {
-                        let (plan, plan_cached) = self.plan_for(
-                            &snap.engine,
-                            snap.view_fingerprint,
-                            snap.calib_epoch,
-                            qfp,
-                            &qkey,
-                            q,
-                        );
+                        let (plan, plan_cached) =
+                            self.plan_for(&snap.engine, snap.view_fingerprint, qfp, &qkey, q);
                         // Views-only plans execute with no graph at all;
                         // plans that do read G first validate it belongs to
                         // this store (once per batch). A graph-*optional*
                         // plan (a fully-covered cost-based hybrid) uses G
                         // when supplied and falls back to its view sources
-                        // when not — calibration never costs strict-mode
+                        // when not — fitted weights never cost strict-mode
                         // availability.
                         let exec = if plan.needs_graph() {
                             match g {
@@ -1342,8 +1164,7 @@ impl ViewService {
                         };
                         if exec.is_ok() {
                             // A real plan-and-execute: the only path that
-                            // records a CostSample, and therefore the only
-                            // one that advances the recalibration cadence.
+                            // records a CostSample.
                             self.counters.executed.fetch_add(1, Ordering::Relaxed);
                         }
                         let executed = exec.map(|(result, join_stats)| ServedAnswer {
@@ -1387,10 +1208,6 @@ impl ViewService {
             self.counters.in_flight.fetch_sub(1, Ordering::Relaxed);
             out.push(answer);
         }
-        // Adaptive planning: between batches, re-fit the cost weights from
-        // the measurements this batch just added (no-op unless
-        // [`ServiceConfig::recalibrate_every`] is set).
-        self.maybe_recalibrate();
         out
     }
 
@@ -1411,7 +1228,7 @@ impl ViewService {
             .expect("plan cache lock poisoned")
             .map
             .get(&(qfp, snap.view_fingerprint))
-            .filter(|entry| *entry.qkey == *qkey && entry.epoch == snap.calib_epoch)
+            .filter(|entry| *entry.qkey == *qkey)
             .map(|entry| entry.plan.clone());
         let plan_cached = cached_plan.is_some();
         let result_cached = self
@@ -1419,7 +1236,7 @@ impl ViewService {
             .read()
             .expect("result cache lock poisoned")
             .map
-            .get(&(qfp, snap.view_fingerprint, snap.calib_epoch))
+            .get(&(qfp, snap.view_fingerprint))
             .is_some_and(|entry| {
                 *entry.qkey == *qkey && plan_epoch_key(&entry.plan, &snap.store) == entry.epoch_key
             });
@@ -1445,7 +1262,7 @@ impl ViewService {
                 .expect("result cache lock poisoned");
             (cache.map.len(), cache.bytes, cache.refusals.len())
         };
-        let active = self.active_cost_model();
+        let cost_model = self.config.engine.cost;
         let log = self.cost_log.snapshot();
         let mut latency = LatencyHistogram::default();
         for (i, b) in self.counters.latency.iter().enumerate() {
@@ -1481,16 +1298,14 @@ impl ViewService {
             refusal_cache_size: refusals,
             dedup_saved: self.counters.dedup_saved.load(Ordering::Relaxed),
             executed_queries: self.counters.executed.load(Ordering::Relaxed),
-            cost_log_starved: self.counters.starved.load(Ordering::Relaxed),
             engine_rebuilds: self.counters.engine_rebuilds.load(Ordering::Relaxed),
             in_flight: self.counters.in_flight.load(Ordering::Relaxed),
             max_in_flight: self.counters.max_in_flight.load(Ordering::Relaxed),
             shard_occupancy: self.store.occupancy(),
             latency,
-            cost_model: active,
+            cost_model,
             cost_samples: log.len(),
-            estimate_error: active.mean_relative_error(&log),
-            recalibrations: self.counters.recalibrations.load(Ordering::Relaxed),
+            estimate_error: cost_model.mean_relative_error(&log),
         }
     }
 }
@@ -1631,7 +1446,7 @@ mod tests {
     /// budget is released on rebuild. (Edge *deltas* are the surgical
     /// case: see `delta_to_one_view_keeps_answers_reading_other_views`.)
     #[test]
-    fn result_cache_invalidated_by_store_mutation_and_recalibration_epoch() {
+    fn result_cache_invalidated_by_store_mutation() {
         let (svc, g) = service();
         let q = chain3();
         let first = svc.serve(&q, Some(&g)).unwrap();
@@ -1650,12 +1465,6 @@ mod tests {
         // Exact invalidation: the stale entry was purged on rebuild, so
         // only the new version's entry is resident.
         assert_eq!(svc.stats().result_cache_size, 1);
-
-        // An epoch bump (recalibration) invalidates the same way.
-        svc.calib_epoch.fetch_add(1, Ordering::Relaxed);
-        let repriced = svc.serve(&q, Some(&g)).unwrap();
-        assert!(!repriced.result_cached, "epoch bump must miss");
-        assert_eq!(*repriced.result, match_pattern(&q, &g));
     }
 
     /// A strict (`g = None`) call must never be satisfied by an answer
@@ -1878,38 +1687,20 @@ mod tests {
         assert!(svc.serve(&uncovered, Some(&g)).unwrap().result_cached);
     }
 
-    /// Regression (the PR 4 caveat): with `recalibrate_every` set and a hot
-    /// result cache, a fully cached steady state executes nothing, records
-    /// no samples — and must therefore never attempt a re-fit, bump the
-    /// epoch, or rebuild the engine. The cadence counts *executed* queries
-    /// only; cache hits and dedup fan-outs show up in `cost_log_starved`
-    /// instead.
+    /// A fully cached steady state executes nothing, records no cost
+    /// samples, and never rebuilds the engine: cache hits and dedup
+    /// fan-outs leave the executed-query count and the cost log untouched.
     #[test]
-    fn hot_result_cache_never_triggers_pointless_recalibration_or_rebuild() {
-        let g = graph();
-        let views = ViewSet::new(vec![
-            ViewDef::new("vab", single("A", "B")),
-            ViewDef::new("vbc", single("B", "C")),
-        ]);
-        let store = Arc::new(ViewStore::materialize(views, &g, 2));
-        let svc = ViewService::with_config(
-            store,
-            ServiceConfig {
-                recalibrate_every: 1,
-                ..ServiceConfig::default()
-            },
-        );
+    fn hot_result_cache_never_rebuilds_the_engine() {
+        let (svc, _) = service();
         let q = chain3();
-        // Warm up: the first serve executes (1 executed query; with
-        // recalibrate_every = 1 the service may attempt a fit — over a
-        // 1-sample log `calibrate` refuses, so nothing installs).
+        // Warm up: the first serve executes.
         assert!(!svc.serve(&q, None).unwrap().result_cached);
         let warm = svc.stats();
         assert_eq!(warm.executed_queries, 1);
 
         // Steady state: every serve hits the result cache (plus in-batch
-        // dedup), executes nothing, and the calibration machinery must not
-        // move — no recalibrations, no epoch bump, no engine rebuild.
+        // dedup) and executes nothing.
         for _ in 0..10 {
             let batch = vec![q.clone(), q.clone()];
             for a in svc.serve_batch(&batch, None) {
@@ -1919,16 +1710,13 @@ mod tests {
         }
         let hot = svc.stats();
         assert_eq!(hot.executed_queries, 1, "nothing executed while hot");
-        assert_eq!(hot.cost_log_starved, 20, "every hot serve starved the log");
         assert_eq!(
             hot.engine_rebuilds, warm.engine_rebuilds,
             "a hot cache must never rebuild the engine"
         );
-        assert_eq!(hot.recalibrations, warm.recalibrations);
         assert_eq!(hot.cost_samples, warm.cost_samples, "no new measurements");
 
-        // And the cadence still works once real executions resume: a fresh
-        // query (cache miss) executes and re-arms the loop.
+        // A fresh query (cache miss) executes again.
         let q2 = single("A", "B");
         svc.serve(&q2, None).unwrap();
         assert_eq!(svc.stats().executed_queries, 2);

@@ -1,20 +1,16 @@
-//! Persistence for view caches.
+//! Graph identity for persisted and served views.
 //!
-//! The paper's method presumes views are "defined, materialized and cached";
-//! this module makes the cache durable: a [`ViewCache`] bundles the view
-//! definitions with their extensions (and, for bounded views, the distance
-//! index baked into the extensions) and round-trips through JSON. A cache
-//! records the fingerprint of the graph it was materialized against so stale
-//! caches are detected on load.
+//! Materialized extensions are only meaningful for the graph they were
+//! computed on. [`graph_fingerprint`] is the identity every layer checks
+//! against: the binary shard format records it in `meta.json`, the store
+//! and engine reject views registered against another graph, and the
+//! service validates a supplied graph before any plan reads it.
 
-use crate::bview::{BoundedViewExtensions, BoundedViewSet};
-use crate::view::{ViewExtensions, ViewSet};
 use gpv_graph::DataGraph;
-use serde::{Deserialize, Serialize};
 
 /// A cheap structural fingerprint of a graph: node/edge counts plus a
 /// FNV-1a hash over the edge list. Not cryptographic — just enough to catch
-/// "this cache belongs to a different graph".
+/// "these views belong to a different graph".
 pub fn graph_fingerprint(g: &DataGraph) -> u64 {
     let mut h = crate::fnv::Fnv1a::new();
     h.write_u64_coarse(g.node_count() as u64);
@@ -25,265 +21,30 @@ pub fn graph_fingerprint(g: &DataGraph) -> u64 {
     h.finish()
 }
 
-/// A durable plain-view cache.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct ViewCache {
-    /// Fingerprint of the graph the extensions were computed on.
-    pub graph_fingerprint: u64,
-    /// Statistics of that graph, captured at materialization time so a
-    /// revived [`QueryEngine`](crate::engine::QueryEngine) can still cost
-    /// hybrid/direct fallback plans without re-scanning `G`.
-    pub graph_stats: Option<gpv_graph::stats::GraphStats>,
-    /// The view definitions.
-    pub views: ViewSet,
-    /// Their materialized extensions.
-    pub extensions: ViewExtensions,
-}
-
-/// A durable bounded-view cache (extensions carry `I(V)` distances).
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct BoundedViewCache {
-    /// Fingerprint of the graph the extensions were computed on.
-    pub graph_fingerprint: u64,
-    /// The bounded view definitions.
-    pub views: BoundedViewSet,
-    /// Their materialized extensions with distances.
-    pub extensions: BoundedViewExtensions,
-}
-
-/// Errors from cache load/save.
-#[derive(Debug)]
-pub enum CacheError {
-    /// I/O failure.
-    Io(std::io::Error),
-    /// JSON (de)serialization failure.
-    Json(serde_json::Error),
-    /// The cache was materialized against a different graph.
-    StaleCache {
-        /// Fingerprint stored in the cache file.
-        expected: u64,
-        /// Fingerprint of the graph supplied at load time.
-        actual: u64,
-    },
-}
-
-impl std::fmt::Display for CacheError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CacheError::Io(e) => write!(f, "cache i/o: {e}"),
-            CacheError::Json(e) => write!(f, "cache json: {e}"),
-            CacheError::StaleCache { expected, actual } => write!(
-                f,
-                "stale view cache: materialized for graph {expected:#x}, loaded against {actual:#x}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for CacheError {}
-
-impl From<std::io::Error> for CacheError {
-    fn from(e: std::io::Error) -> Self {
-        CacheError::Io(e)
-    }
-}
-
-impl From<serde_json::Error> for CacheError {
-    fn from(e: serde_json::Error) -> Self {
-        CacheError::Json(e)
-    }
-}
-
-impl ViewCache {
-    /// Materializes `views` on `g` and bundles the result.
-    pub fn build(views: ViewSet, g: &DataGraph) -> Self {
-        let extensions = crate::view::materialize(&views, g);
-        ViewCache {
-            graph_fingerprint: graph_fingerprint(g),
-            graph_stats: Some(gpv_graph::stats::stats(g)),
-            views,
-            extensions,
-        }
-    }
-
-    /// Saves to a JSON file.
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> Result<(), CacheError> {
-        let f = std::fs::File::create(path)?;
-        serde_json::to_writer(std::io::BufWriter::new(f), self)?;
-        Ok(())
-    }
-
-    /// Loads from a JSON file, verifying the cache belongs to `g`.
-    pub fn load(path: impl AsRef<std::path::Path>, g: &DataGraph) -> Result<Self, CacheError> {
-        let f = std::fs::File::open(path)?;
-        let cache: ViewCache = serde_json::from_reader(std::io::BufReader::new(f))?;
-        let actual = graph_fingerprint(g);
-        if cache.graph_fingerprint != actual {
-            return Err(CacheError::StaleCache {
-                expected: cache.graph_fingerprint,
-                actual,
-            });
-        }
-        Ok(cache)
-    }
-
-    /// Shards this monolithic cache into a concurrently-writable
-    /// [`ViewStore`](crate::store::ViewStore) — the durable-file →
-    /// serving-process handoff (`ViewStore::to_cache` goes back).
-    pub fn into_store(self, shards: usize) -> crate::store::ViewStore {
-        crate::store::ViewStore::from_cache(self, shards)
-    }
-}
-
-impl BoundedViewCache {
-    /// Materializes bounded `views` on `g` and bundles the result.
-    pub fn build(views: BoundedViewSet, g: &DataGraph) -> Self {
-        let extensions = crate::bview::bmaterialize(&views, g);
-        BoundedViewCache {
-            graph_fingerprint: graph_fingerprint(g),
-            views,
-            extensions,
-        }
-    }
-
-    /// Saves to a JSON file.
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> Result<(), CacheError> {
-        let f = std::fs::File::create(path)?;
-        serde_json::to_writer(std::io::BufWriter::new(f), self)?;
-        Ok(())
-    }
-
-    /// Loads from a JSON file, verifying the cache belongs to `g`.
-    pub fn load(path: impl AsRef<std::path::Path>, g: &DataGraph) -> Result<Self, CacheError> {
-        let f = std::fs::File::open(path)?;
-        let cache: BoundedViewCache = serde_json::from_reader(std::io::BufReader::new(f))?;
-        let actual = graph_fingerprint(g);
-        if cache.graph_fingerprint != actual {
-            return Err(CacheError::StaleCache {
-                expected: cache.graph_fingerprint,
-                actual,
-            });
-        }
-        Ok(cache)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::containment::contain;
-    use crate::matchjoin::match_join;
-    use crate::view::ViewDef;
     use gpv_graph::GraphBuilder;
-    use gpv_matching::simulation::match_pattern;
-    use gpv_pattern::PatternBuilder;
 
-    fn tmp(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join("gpv-storage-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(format!("{}-{name}", std::process::id()))
-    }
-
-    fn setup() -> (gpv_graph::DataGraph, ViewSet, gpv_pattern::Pattern) {
+    fn graph(reversed_second_edge: bool) -> DataGraph {
         let mut b = GraphBuilder::new();
         let a = b.add_node(["A"]);
         let c = b.add_node(["B"]);
         let d = b.add_node(["C"]);
         b.add_edge(a, c);
-        b.add_edge(c, d);
-        let g = b.build();
-
-        let mk = |x: &str, y: &str| {
-            let mut p = PatternBuilder::new();
-            let u = p.node_labeled(x);
-            let v = p.node_labeled(y);
-            p.edge(u, v);
-            p.build().unwrap()
-        };
-        let views = ViewSet::new(vec![
-            ViewDef::new("vab", mk("A", "B")),
-            ViewDef::new("vbc", mk("B", "C")),
-        ]);
-        let mut p = PatternBuilder::new();
-        let u = p.node_labeled("A");
-        let v = p.node_labeled("B");
-        let w = p.node_labeled("C");
-        p.edge(u, v);
-        p.edge(v, w);
-        (g, views, p.build().unwrap())
-    }
-
-    #[test]
-    fn roundtrip_and_answer_from_loaded_cache() {
-        let (g, views, q) = setup();
-        let cache = ViewCache::build(views, &g);
-        let path = tmp("plain.json");
-        cache.save(&path).unwrap();
-
-        let loaded = ViewCache::load(&path, &g).unwrap();
-        assert_eq!(loaded.extensions, cache.extensions);
-        let plan = contain(&q, &loaded.views).unwrap();
-        let r = match_join(&q, &plan, &loaded.extensions).unwrap();
-        assert_eq!(r, match_pattern(&q, &g));
-    }
-
-    #[test]
-    fn stale_cache_rejected() {
-        let (g, views, _) = setup();
-        let cache = ViewCache::build(views, &g);
-        let path = tmp("stale.json");
-        cache.save(&path).unwrap();
-
-        // A different graph (one extra edge).
-        let mut b = GraphBuilder::new();
-        let a = b.add_node(["A"]);
-        let c = b.add_node(["B"]);
-        let d = b.add_node(["C"]);
-        b.add_edge(a, c);
-        b.add_edge(c, d);
-        b.add_edge(a, d);
-        let g2 = b.build();
-        assert!(matches!(
-            ViewCache::load(&path, &g2),
-            Err(CacheError::StaleCache { .. })
-        ));
-    }
-
-    #[test]
-    fn bounded_cache_roundtrip() {
-        use crate::bcontainment::bcontain;
-        use crate::bmatchjoin::bmatch_join;
-        use crate::bview::BoundedViewDef;
-        use gpv_matching::bounded::bmatch_pattern;
-        let (g, _, _) = setup();
-        let mut p = PatternBuilder::new();
-        let u = p.node_labeled("A");
-        let v = p.node_labeled("C");
-        p.edge_bounded(u, v, 2);
-        let qb = p.build_bounded().unwrap();
-        let views = BoundedViewSet::new(vec![BoundedViewDef::new("v", qb.clone())]);
-        let cache = BoundedViewCache::build(views, &g);
-        let path = tmp("bounded.json");
-        cache.save(&path).unwrap();
-
-        let loaded = BoundedViewCache::load(&path, &g).unwrap();
-        let plan = bcontain(&qb, &loaded.views).unwrap();
-        let r = bmatch_join(&qb, &plan, &loaded.extensions).unwrap();
-        assert_eq!(r, bmatch_pattern(&qb, &g));
+        if reversed_second_edge {
+            b.add_edge(d, c);
+        } else {
+            b.add_edge(c, d);
+        }
+        b.build()
     }
 
     #[test]
     fn fingerprint_sensitive_to_edges() {
-        let (g, _, _) = setup();
+        let g = graph(false);
         let fp1 = graph_fingerprint(&g);
-        let mut b = GraphBuilder::new();
-        let a = b.add_node(["A"]);
-        let c = b.add_node(["B"]);
-        let d = b.add_node(["C"]);
-        b.add_edge(a, c);
-        b.add_edge(d, c); // reversed second edge
-        let g2 = b.build();
-        assert_ne!(fp1, graph_fingerprint(&g2));
+        assert_ne!(fp1, graph_fingerprint(&graph(true)));
         assert_eq!(fp1, graph_fingerprint(&g));
     }
 }

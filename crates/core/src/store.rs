@@ -1,10 +1,10 @@
 //! Sharded, concurrently-writable view storage.
 //!
-//! [`crate::storage::ViewCache`] is a monolithic snapshot: one blob of view
-//! definitions plus extensions, cloned and replaced wholesale. That is fine
-//! for a single-threaded CLI run but not for a serving process where many
-//! threads read views while others register or retire them. [`ViewStore`]
-//! is the concurrent representation: views live in `N` independent shards,
+//! A [`QueryEngine`](crate::engine::QueryEngine) owns one monolithic view
+//! registry. That is fine for a single-threaded CLI run but not for a
+//! serving process where many threads read views while others register or
+//! retire them. [`ViewStore`] is the concurrent representation: views live
+//! in `N` independent shards,
 //! each behind its own [`RwLock`], chosen by a hash of the view's stable id.
 //!
 //! Concurrency contract (MVCC):
@@ -46,7 +46,7 @@ use crate::compact::CompactView;
 use crate::delta::{EdgeDelta, ViewFootprintIndex};
 use crate::maintenance::IncrementalView;
 use crate::shard::{decode_shard, encode_shard, ShardError, StoreMeta, SHARD_VERSION};
-use crate::storage::{graph_fingerprint, ViewCache};
+use crate::storage::graph_fingerprint;
 use crate::view::{ViewDef, ViewExtensions, ViewSet};
 use gpv_graph::stats::GraphStats;
 use gpv_graph::{DataGraph, NodeId};
@@ -172,8 +172,8 @@ pub struct EvictionAdvice {
 /// A sharded, concurrently-writable registry of materialized views.
 ///
 /// See the [module docs](self) for the locking contract. Build one with
-/// [`ViewStore::materialize`] (or [`ViewStore::from_cache`] for a loaded
-/// [`ViewCache`]), then hand it to a
+/// [`ViewStore::materialize`] (or [`ViewStore::load_from_dir`] for
+/// persisted shards), then hand it to a
 /// [`ViewService`](crate::service::ViewService) — or use
 /// [`ViewStore::snapshot`] directly:
 ///
@@ -292,38 +292,6 @@ impl ViewStore {
         store
     }
 
-    /// Shards a monolithic [`ViewCache`] (ids are assigned in cache order,
-    /// so [`Self::to_cache`] round-trips). The cache's extensions are
-    /// `Arc`-shared into the store, not copied.
-    pub fn from_cache(cache: ViewCache, shards: usize) -> Self {
-        let store =
-            Self::with_fingerprint(cache.graph_fingerprint, cache.graph_stats.clone(), shards);
-        for (def, ext) in cache
-            .views
-            .views()
-            .iter()
-            .cloned()
-            .zip(cache.extensions.extensions)
-        {
-            store.insert_raw(def, ext);
-        }
-        store.publish();
-        store
-    }
-
-    /// Collapses the store back into a monolithic, durable [`ViewCache`]
-    /// (views in id order). The extensions stay `Arc`-shared with the
-    /// store; only the definitions are cloned.
-    pub fn to_cache(&self) -> ViewCache {
-        let snap = self.snapshot();
-        ViewCache {
-            graph_fingerprint: self.graph_fingerprint(),
-            graph_stats: self.graph_stats.clone(),
-            views: (*snap.view_set()).clone(),
-            extensions: (*snap.extensions()).clone(),
-        }
-    }
-
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
@@ -399,7 +367,7 @@ impl ViewStore {
     }
 
     /// Shard insertion without publication: the bulk-load path
-    /// (`materialize`, `from_cache`, `load_from_dir`) registers every view
+    /// (`materialize`, `load_from_dir`) registers every view
     /// first and publishes one snapshot at the end, keeping construction
     /// O(n) instead of O(n²). The new view's epoch is the post-insert
     /// version.
@@ -917,10 +885,6 @@ mod tests {
         assert!(store.get(id).is_some());
         assert_eq!(store.snapshot().ids().len(), 3);
 
-        let from_cache = ViewStore::from_cache(ViewCache::build(two_views(), &g), 0);
-        assert_eq!(from_cache.shard_count(), 1);
-        assert_eq!(from_cache.len(), 2);
-
         let empty = ViewStore::for_graph(&g, 0);
         assert_eq!(empty.shard_count(), 1);
         assert!(empty.is_empty());
@@ -939,17 +903,6 @@ mod tests {
             store.insert(ViewDef::new("v", single("X", "Y")), &other),
             Err(StoreError::GraphMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn cache_roundtrip() {
-        let g = graph();
-        let cache = ViewCache::build(two_views(), &g);
-        let store = ViewStore::from_cache(cache.clone(), 4);
-        let back = store.to_cache();
-        assert_eq!(back.graph_fingerprint, cache.graph_fingerprint);
-        assert_eq!(back.views, cache.views);
-        assert_eq!(back.extensions, cache.extensions);
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //! repeats them (zipfian), what fraction of the covering view set is
 //! registered, how the store mutates between rounds, and the full engine/
 //! service configuration (selection mode, executor, threads, cost
-//! weights, cache budgets, recalibration cadence). Two
-//! invariants make it a fuzzing substrate:
+//! weights, cache budgets). Two invariants make it a fuzzing substrate:
 //!
 //! * **One-seed determinism** — [`Scenario::sample`] is a pure function of
 //!   `(master_seed, index)`, and [`Scenario::materialize`] is a pure
@@ -176,8 +175,6 @@ pub struct Scenario {
     pub threads: usize,
     /// Cost-weight class under test.
     pub weights: WeightsKnob,
-    /// Service recalibration cadence (0 = never).
-    pub recalibrate_every: usize,
     /// Result-cache budget in bytes (0 disables).
     pub result_cache_bytes: usize,
     /// Plan-cache capacity (small values force churn).
@@ -253,7 +250,6 @@ impl Scenario {
         };
         let result_cache_bytes = CACHE_STATES[(index % 4) as usize];
         let threads = [2, 4, 8][((index / 3) % 3) as usize];
-        let recalibrate_every = usize::from(index % 7 < 3);
 
         let labels = rng.gen_range(2..=6);
         // Bounded mode needs label-alphabet graphs (the bounded generator
@@ -323,7 +319,6 @@ impl Scenario {
             exec,
             threads,
             weights,
-            recalibrate_every,
             result_cache_bytes,
             plan_cache_capacity: [2, 8, 4096][rng.gen_range(0..3usize)],
             shards: rng.gen_range(1..=4),
@@ -514,14 +509,13 @@ impl Scenario {
         }
     }
 
-    /// The service configuration (cache budgets, recalibration cadence)
-    /// wrapping [`engine_config`](Scenario::engine_config).
+    /// The service configuration (cache budgets) wrapping
+    /// [`engine_config`](Scenario::engine_config).
     pub fn service_config(&self) -> ServiceConfig {
         ServiceConfig {
             engine: self.engine_config(),
             plan_cache_capacity: self.plan_cache_capacity,
             result_cache_bytes: self.result_cache_bytes,
-            recalibrate_every: self.recalibrate_every as u64,
         }
     }
 
@@ -695,16 +689,22 @@ mod tests {
         );
     }
 
-    /// Repro lines saved before the chunked executor was removed carry a
-    /// chunk-size field: they still parse (the field is ignored). A line
-    /// naming the removed executor fails with the clean parse error.
+    /// Repro lines saved before the chunked executor and the service's
+    /// online re-fit were removed carry their retired knob fields: they
+    /// still parse, whatever the field values (the fields are ignored). A
+    /// line naming the removed executor fails with the clean parse error.
     #[test]
-    fn retired_chunk_knobs_in_saved_descriptors() {
-        // Verbatim from a committed `BENCH_service.json` row.
+    fn retired_knobs_in_saved_descriptors() {
+        // Verbatim from a `BENCH_service.json` row recorded before both
+        // removals.
         let saved = r#"{"seed":42,"graph":{"Synthetic":{"nodes":8000,"edges":16000,"labels":10}},"queries":6,"query_nodes":4,"query_edges":6,"shape":"Any","max_bound":1,"zipf_s":0.0,"batch_len":24,"rounds":2,"updates_per_round":0,"delta_batch_len":0,"delete_ratio":0.0,"coverage":1.0,"max_fragment":3,"mode":"Minimal","exec":"Sequential","threads":1,"chunk_pairs":0,"weights":"Default","recalibrate_every":0,"result_cache_bytes":67108864,"plan_cache_capacity":4096,"shards":8}"#;
-        let sc = Scenario::from_json_line(saved).expect("old descriptor parses");
-        assert_eq!(sc.exec, ExecKnob::Sequential);
-        assert_eq!(sc.shards, 8);
+        let refit_every_batch = saved.replace(r#"_every":0"#, r#"_every":1"#);
+        assert_ne!(refit_every_batch, saved);
+        for line in [saved, refit_every_batch.as_str()] {
+            let sc = Scenario::from_json_line(line).expect("old descriptor parses");
+            assert_eq!(sc.exec, ExecKnob::Sequential);
+            assert_eq!(sc.shards, 8);
+        }
         let chunked = saved.replace(r#""exec":"Sequential""#, r#""exec":"ParallelChunked""#);
         let err = Scenario::from_json_line(&chunked).expect_err("removed executor");
         assert!(err.starts_with("bad scenario JSON"), "{err}");

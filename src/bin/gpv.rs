@@ -12,7 +12,7 @@
 //!              [--repeat K]
 //! gpv serve    --graph G.txt --view V1.txt ... --pattern Q1.txt [--pattern Q2.txt ...]
 //!              [--shards N] [--clients N] [--repeat K] [--result-cache-mb M] [--explain]
-//!              [--store-dir D] [--updates-per-round N]
+//!              [--store-dir D] [--updates-per-round N] [--calibrated]
 //! gpv advise   --graph G.txt --view V1.txt ... --pattern Q1.txt [--pattern Q2.txt ...]
 //!              [--budget N]
 //! gpv minimize --pattern Q.txt
@@ -50,6 +50,11 @@
 //! is planned (plan cache) and executed. The command reports the answers
 //! once plus the service stats (plan- and result-cache hit rates, shard
 //! occupancy, queue depth, latency quantiles).
+//!
+//! `serve --calibrated` fits the cost weights once, before serving: it
+//! executes the batch `--repeat` times (min 3) on an engine over the store,
+//! re-fits exactly as `calibrate` does, and every batch then plans under
+//! the fitted weights.
 //!
 //! `serve --store-dir D` persists the sharded store as flat columnar
 //! shard files (one per shard, see `gpv_core::shard` for the byte
@@ -96,9 +101,9 @@
 //! each iteration samples a `gpv_generator::Scenario` — graph emulator +
 //! scale, query shapes, zipfian serving schedule, view coverage, store
 //! mutations, and the full engine/service configuration (query mode,
-//! executor, threads, cost weights, cache budgets, recalibration
-//! cadence) — deterministically from `--seed`, runs
-//! it through `QueryEngine` *and* `ViewService`, and asserts bit-exact
+//! executor, threads, cost weights, cache budgets) — deterministically
+//! from `--seed`, runs it through `QueryEngine` *and* `ViewService`, and
+//! asserts bit-exact
 //! agreement with naive `match_pattern` / `bmatch_pattern` on every
 //! answer. A divergence prints the scenario's one-line JSON and the exact
 //! `gpv fuzz --repro '<json>'` command that replays it. `--require-deltas`
@@ -444,24 +449,14 @@ fn run() -> Result<(), String> {
             let vs = plain_view_set(&views)?;
             let mut engine = core::QueryEngine::materialize(vs, &g).with_config(engine_config(&a)?);
             if a.calibrated {
-                // Fill the estimate-vs-actual log by executing the query a
-                // few times, then re-plan under the fitted weights.
-                for _ in 0..a.repeat.max(3) {
-                    let plan = engine.plan(&q);
-                    engine
-                        .execute(&q, &plan, Some(&g))
-                        .map_err(|e| e.to_string())?;
-                }
-                let before = engine.estimate_error();
-                if engine.apply_calibration() {
-                    if let (Some(b), Some(after)) = (before, engine.estimate_error()) {
-                        println!(
-                            "# calibrated over {} runs: mean relative estimate error {b:.3} -> {after:.3}",
-                            engine.cost_log().len()
-                        );
-                    }
-                } else {
-                    eprintln!("gpv: not enough measurements to calibrate; showing default weights");
+                match fit_cost_model(&mut engine, std::slice::from_ref(&q), &g, a.repeat)? {
+                    Some((before, after)) => println!(
+                        "# calibrated over {} runs: mean relative estimate error {before:.3} -> {after:.3}",
+                        engine.cost_log().len()
+                    ),
+                    None => eprintln!(
+                        "gpv: not enough measurements to calibrate; showing default weights"
+                    ),
                 }
             }
             println!("{}", engine.explain(&q));
@@ -490,6 +485,34 @@ fn run() -> Result<(), String> {
     Ok(())
 }
 
+/// The one offline calibration routine behind `calibrate`, `plan
+/// --calibrated` and `serve --calibrated`: executes every query against `g`
+/// `max(repeat, 3)` times to fill the engine's estimate-vs-actual log, then
+/// installs the least-squares fit ([`core::QueryEngine::apply_calibration`]).
+/// Returns the mean relative estimate error before and after the fit, or
+/// `None` when the log is too small or degenerate to fit (the engine keeps
+/// its configured weights).
+fn fit_cost_model(
+    engine: &mut core::QueryEngine,
+    queries: &[gpv_pattern::Pattern],
+    g: &gpv_graph::DataGraph,
+    repeat: usize,
+) -> Result<Option<(f64, f64)>, String> {
+    for _ in 0..repeat.max(3) {
+        for q in queries {
+            let plan = engine.plan(q);
+            engine
+                .execute(q, &plan, Some(g))
+                .map_err(|e| e.to_string())?;
+        }
+    }
+    let before = engine.estimate_error();
+    if !engine.apply_calibration() {
+        return Ok(None);
+    }
+    Ok(before.zip(engine.estimate_error()))
+}
+
 /// The `calibrate` command: run a workload against the engine a few times,
 /// least-squares-fit the cost weights from the measured executions
 /// ([`core::CostModel::calibrate`]), and report the fitted microsecond
@@ -506,29 +529,14 @@ fn calibrate(a: &Args) -> Result<(), String> {
         queries.push(require_plain(&load_pattern(p)?, "pattern")?);
     }
     let mut engine = core::QueryEngine::materialize(vs, &g).with_config(engine_config(a)?);
-    for _ in 0..a.repeat.max(3) {
-        for q in &queries {
-            let plan = engine.plan(q);
-            engine
-                .execute(q, &plan, Some(&g))
-                .map_err(|e| e.to_string())?;
-        }
-    }
-    let before = engine.estimate_error();
-    if !engine.apply_calibration() {
-        return Err(
-            "not enough measurements to calibrate (add --pattern files or raise --repeat)".into(),
-        );
-    }
-    let after = engine.estimate_error();
+    let (before, after) = fit_cost_model(&mut engine, &queries, &g, a.repeat)?
+        .ok_or("not enough measurements to calibrate (add --pattern files or raise --repeat)")?;
     let cm = engine.cost_model();
     println!("samples    : {}", engine.cost_log().len());
     println!("read_pair  : {:.6} us/pair", cm.read_pair);
     println!("refine_pair: {:.6} us/pair", cm.refine_pair);
     println!("scan_edge  : {:.6} us/edge", cm.scan_edge);
-    if let (Some(b), Some(af)) = (before, after) {
-        println!("est. error : {b:.3} -> {af:.3} (mean relative, lower is better)");
-    }
+    println!("est. error : {before:.3} -> {after:.3} (mean relative, lower is better)");
     Ok(())
 }
 
@@ -572,15 +580,24 @@ fn serve(a: &Args) -> Result<(), String> {
             store
         }
     };
+    // `--calibrated`: fit the cost weights once, up front, on an engine over
+    // the store snapshot, and serve every batch under the fitted model.
+    let mut engine = engine_config(a)?;
+    if a.calibrated {
+        let mut calib =
+            core::QueryEngine::from_snapshot(&store.snapshot()).with_config(engine.clone());
+        match fit_cost_model(&mut calib, &batch, &g, a.repeat)? {
+            Some(_) => engine.cost = *calib.cost_model(),
+            None => eprintln!(
+                "gpv: not enough measurements to calibrate; serving under default weights"
+            ),
+        }
+    }
     let service = core::ViewService::with_config(
         store,
         core::ServiceConfig {
-            engine: engine_config(a)?,
+            engine,
             result_cache_bytes: a.result_cache_mb << 20,
-            // `--calibrated`: re-fit the cost weights after every *executed*
-            // query, so later batches plan adaptively (cache hits record no
-            // measurements and do not re-trigger the fit).
-            recalibrate_every: if a.calibrated { 1 } else { 0 },
             ..core::ServiceConfig::default()
         },
     );
@@ -733,12 +750,9 @@ fn serve(a: &Args) -> Result<(), String> {
         stats.latency.quantile_label(0.99),
         stats.max_in_flight
     );
+    println!("executed: {} queries planned+run", stats.executed_queries);
     println!(
-        "executed: {} queries planned+run, {} served without executing (cost-log starved)",
-        stats.executed_queries, stats.cost_log_starved
-    );
-    println!(
-        "cost model: read={:.3} refine={:.3} scan={:.3} ({}), {} samples, est. error {}, {} recalibrations",
+        "cost model: read={:.3} refine={:.3} scan={:.3} ({}), {} samples, est. error {}",
         stats.cost_model.read_pair,
         stats.cost_model.refine_pair,
         stats.cost_model.scan_edge,
@@ -750,8 +764,7 @@ fn serve(a: &Args) -> Result<(), String> {
         stats.cost_samples,
         stats
             .estimate_error
-            .map_or("n/a".into(), |e| format!("{e:.3}")),
-        stats.recalibrations
+            .map_or("n/a".into(), |e| format!("{e:.3}"))
     );
     let occupied = stats.shard_occupancy.iter().filter(|o| o.views > 0).count();
     println!(

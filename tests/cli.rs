@@ -523,6 +523,64 @@ fn plan_calibrated_shows_fitted_weights() {
     assert!(s.contains("(calibrated)"), "{s}");
 }
 
+/// `gpv serve --calibrated` fits the weights once before serving: the
+/// service reports the fitted model, and the answers are the ones the
+/// default weights serve (weights change plans, never answers).
+#[test]
+fn serve_calibrated_fits_once_and_keeps_answers() {
+    let g = write_tmp("sc-g.txt", GRAPH);
+    let q = write_tmp("sc-q.txt", QUERY);
+    let v1 = write_tmp("sc-v1.txt", VIEW1);
+    let v2 = write_tmp("sc-v2.txt", VIEW2);
+    let serve = |calibrated: bool| {
+        let mut cmd = gpv();
+        cmd.args([
+            "serve",
+            "--graph",
+            g.to_str().unwrap(),
+            "--view",
+            v1.to_str().unwrap(),
+            "--view",
+            v2.to_str().unwrap(),
+            "--pattern",
+            q.to_str().unwrap(),
+            "--repeat",
+            "2",
+        ]);
+        if calibrated {
+            cmd.arg("--calibrated");
+        }
+        let out = cmd.output().unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8_lossy(&out.stdout).to_string()
+    };
+    // `query i: N pairs` — the answer, without the plan-dependent sourcing
+    // and latency that follow it.
+    let answers = |stdout: &str| -> Vec<String> {
+        stdout
+            .lines()
+            .filter(|l| l.starts_with("query "))
+            .map(|l| l[..l.find(" pairs").map_or(l.len(), |i| i + 6)].to_string())
+            .collect()
+    };
+    let (plain, fitted) = (serve(false), serve(true));
+    let model = |s: &str| {
+        s.lines()
+            .find(|l| l.starts_with("cost model:"))
+            .unwrap_or_else(|| panic!("no cost-model line in: {s}"))
+            .to_string()
+    };
+    assert!(model(&fitted).contains("(calibrated)"), "{fitted}");
+    assert!(model(&plain).contains("(default)"), "{plain}");
+    let a = answers(&plain);
+    assert!(!a.is_empty() && a[0].ends_with(" pairs"), "{plain}");
+    assert_eq!(a, answers(&fitted), "fitted weights changed an answer");
+}
+
 /// `serve --store-dir` must save the sharded store on the first run, load
 /// it on the second — announcing which happened — and serve identical
 /// answers either way (the store-dir round trip may not perturb results).

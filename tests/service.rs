@@ -234,11 +234,10 @@ proptest! {
     /// The tentpole acceptance property: with the result cache enabled,
     /// `serve_batch` stays bit-identical to a sequential
     /// `QueryEngine::answer` built fresh from the store snapshot, across
-    /// rounds of repeated batches interleaved with store mutations and
-    /// between-batch recalibration — no stale answer survives a version
-    /// bump or a calibration-epoch change.
+    /// rounds of repeated batches interleaved with store mutations — no
+    /// stale answer survives a version bump.
     #[test]
-    fn result_cache_consistent_across_mutations_and_recalibration(
+    fn result_cache_consistent_across_mutations(
         (n, m, gseed) in (5usize..40, 10usize..100, any::<u64>()),
         qseeds in proptest::collection::vec(any::<u64>(), 1..4),
         vseed in any::<u64>(),
@@ -254,14 +253,13 @@ proptest! {
         batch.extend(queries.iter().cloned());
         // Sweep the result-cache budget across disabled, tiny (constant
         // eviction churn), and the 64 MiB default: cold, thrashing, and
-        // hot cache states all face the same mutation + recalibration
-        // differential, with a fresh store and service per budget.
+        // hot cache states all face the same mutation differential, with a
+        // fresh store and service per budget.
         for rcb in [0usize, 4096, 64 << 20] {
             let store = std::sync::Arc::new(ViewStore::materialize(views.clone(), &g, shards));
             let svc = ViewService::with_config(
                 store,
                 graph_views::views::ServiceConfig {
-                    recalibrate_every: 1,
                     result_cache_bytes: rcb,
                     ..Default::default()
                 },
@@ -297,25 +295,6 @@ proptest! {
                 "no reuse at cache budget {}", rcb
             );
         }
-    }
-
-    /// Serving through a store round-tripped to/from the durable cache
-    /// changes nothing.
-    #[test]
-    fn cache_roundtripped_store_serves_identically(
-        (n, m, gseed) in (5usize..40, 10usize..100, any::<u64>()),
-        qseed in any::<u64>(),
-        vseed in any::<u64>(),
-    ) {
-        let g = random_graph(n, m, &LABELS, gseed);
-        let q = random_pattern(3, 4, &LABELS, PatternShape::Any, qseed);
-        let views = covering_views(std::slice::from_ref(&q), 2, vseed);
-        let direct = build_service(views.clone(), &g, 4);
-        let store = ViewStore::materialize(views, &g, 4);
-        let revived = ViewService::new(Arc::new(ViewStore::from_cache(store.to_cache(), 2)));
-        let a = direct.serve(&q, Some(&g)).unwrap();
-        let b = revived.serve(&q, Some(&g)).unwrap();
-        prop_assert_eq!(a.result, b.result);
     }
 }
 
@@ -404,59 +383,6 @@ fn plan_cache_lru_keeps_hot_entries_under_cold_flood() {
     );
 }
 
-/// Between-batch recalibration: with `recalibrate_every` set the service
-/// re-fits the cost weights from measured executions, exposes the
-/// calibrated model and its drift in the stats — and answers stay
-/// byte-identical to the sequential engine throughout.
-#[test]
-fn recalibration_between_batches_keeps_answers_and_updates_model() {
-    use graph_views::views::ServiceConfig;
-    let g = random_graph(40, 120, &LABELS, 17);
-    let covered = random_pattern(3, 4, &LABELS, PatternShape::Any, 21);
-    let uncovered = random_pattern(4, 5, &LABELS, PatternShape::Any, 22);
-    // Views cover only the first query: the batch mixes views-only and
-    // graph-reading plans, giving the fit signal on every weight.
-    let views = covering_views(std::slice::from_ref(&covered), 2, 23);
-    let engine = QueryEngine::materialize(views.clone(), &g);
-    let store = Arc::new(ViewStore::materialize(views, &g, 4));
-    let svc = ViewService::with_config(
-        store,
-        ServiceConfig {
-            recalibrate_every: 1,
-            // Result caching off: a cache hit skips execution and records
-            // no CostSample, so a fully cached steady state would starve
-            // the measurement log this test needs to converge on a fit.
-            // (The cache-on recalibration path is covered by the
-            // `result_cache_consistent_across_mutations_and_recalibration`
-            // proptest below.)
-            result_cache_bytes: 0,
-            ..ServiceConfig::default()
-        },
-    );
-    let batch = vec![covered.clone(), uncovered.clone(), covered.clone()];
-    for round in 0..4 {
-        let answers = svc.serve_batch(&batch, Some(&g));
-        for (i, r) in answers.iter().enumerate() {
-            assert_eq!(
-                *r.as_ref().unwrap().result,
-                engine.answer(&batch[i], &g).unwrap(),
-                "round {round} slot {i} diverged under recalibration"
-            );
-        }
-    }
-    let stats = svc.stats();
-    assert!(stats.cost_samples > 0, "executions were recorded");
-    assert!(
-        stats.recalibrations >= 1,
-        "the cadence re-fit at least once: {stats:?}"
-    );
-    assert!(stats.cost_model.calibrated, "active model is the re-fit");
-    assert!(
-        stats.estimate_error.is_some(),
-        "drift gauge exposed once samples exist"
-    );
-}
-
 /// Strict views-only serving survives calibration: a cost model that
 /// demotes covered edges to graph scans must not make a fully-covered
 /// query unanswerable when no graph is supplied — the service executes the
@@ -496,9 +422,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Scenario-driven serving sweep biased toward churn: every sampled
-    /// scenario is forced onto the hard path — multiple rounds, a store
-    /// mutation after each one, recalibration every batch — and the
-    /// differential checker asserts the served answers stay bit-exact
+    /// scenario is forced onto the hard path — multiple rounds and a store
+    /// mutation after each one — and the differential checker asserts the
+    /// served answers stay bit-exact
     /// against `match_pattern` throughout. Failures print the scenario's
     /// one-line JSON and the exact `gpv fuzz --repro` command.
     #[test]
@@ -506,7 +432,6 @@ proptest! {
         let mut sc = gpv_generator::Scenario::sample(master, idx);
         sc.rounds = 4;
         sc.updates_per_round = 1;
-        sc.recalibrate_every = 1;
         if let Err(d) = gpv_generator::check_scenario(&sc) {
             return Err(TestCaseError::fail(format!(
                 "{d}\nscenario: {}\nrepro: {}",
