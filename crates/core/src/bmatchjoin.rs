@@ -15,7 +15,7 @@
 use crate::bview::BoundedViewExtensions;
 use crate::containment::ContainmentPlan;
 use crate::matchjoin::{
-    naive_fixpoint, ranked_fixpoint, JoinError, JoinStats, JoinStrategy, MergedSets,
+    check_arity, refine, smallest_cover, JoinError, JoinStats, JoinStrategy, MergedSets,
 };
 use gpv_graph::NodeId;
 use gpv_matching::result::BoundedMatchResult;
@@ -52,12 +52,7 @@ pub fn bmatch_join_threaded(
     threads: usize,
 ) -> Result<(BoundedMatchResult, JoinStats), JoinError> {
     let q = qb.pattern();
-    if q.edge_count() == 0 {
-        return Err(JoinError::NoEdges);
-    }
-    if plan.lambda.len() != q.edge_count() {
-        return Err(JoinError::PlanMismatch);
-    }
+    check_arity(q, plan.lambda.len())?;
 
     // Merge step with the distance filter d ≤ fe(e) (I(V) lookups are the
     // `d` fields riding along with every cached pair). As in the plain
@@ -73,17 +68,11 @@ pub fn bmatch_join_threaded(
     let mut merged: MergedSets<'_> = Vec::with_capacity(q.edge_count());
     for (ei, entries) in plan.lambda.iter().enumerate() {
         let bound = qb.bound(PatternEdgeId(ei as u32));
-        for r in entries {
-            if r.view >= ext.extensions.len() {
-                return Err(JoinError::ViewOutOfRange(r.view));
-            }
-        }
-        let best = entries
-            .iter()
-            .min_by_key(|r| ext.edge_set(r.view, r.edge).len())
-            .ok_or(JoinError::PlanMismatch)?;
-        let mut filtered: Vec<(NodeId, NodeId, u32)> = ext
-            .edge_set(best.view, best.edge)
+        let (_, set) = smallest_cover(entries, ext.extensions.len(), |r| {
+            ext.edge_set(r.view, r.edge)
+        })?
+        .ok_or(JoinError::PlanMismatch)?;
+        let mut filtered: Vec<(NodeId, NodeId, u32)> = set
             .iter()
             .copied()
             .filter(|&(_, _, d)| bound.admits(d))
@@ -106,18 +95,7 @@ pub fn bmatch_join_threaded(
         with_dist.push(filtered);
     }
 
-    let mut stats = JoinStats {
-        merged_pairs: merged.iter().map(|s| s.len() as u64).sum(),
-        ..JoinStats::default()
-    };
-    let sets = match strategy {
-        JoinStrategy::RankedBottomUp => ranked_fixpoint(q, merged, &mut stats),
-        JoinStrategy::NaiveFixpoint => naive_fixpoint(q, merged, &mut stats),
-        JoinStrategy::Parallel => {
-            crate::parallel::par_ranked_fixpoint(q, merged, &mut stats, threads)?
-        }
-    };
-
+    let (sets, stats) = refine(q, merged, strategy, threads)?;
     let Some(sets) = sets else {
         return Ok((BoundedMatchResult::empty(), stats));
     };

@@ -9,9 +9,11 @@
 //! * view matches come from [`simulate_pattern_dual`] — a view covers a
 //!   query edge only when it dual-simulates into the query;
 //! * extensions are materialized with `dual_match_pattern`;
-//! * `dual_match_join` runs the fixpoint with *two* support counters per
-//!   edge (forward witnesses for the source, backward witnesses for the
-//!   target).
+//! * `dual_match_join` runs the shared ranked kernel of
+//!   [`crate::matchjoin`] in its dual mode: candidates also intersect
+//!   in-edge targets, and each edge keeps *two* support counters (forward
+//!   witnesses for the source, backward witnesses for the target), so the
+//!   drain propagates removals to successors as well as predecessors.
 //!
 //! Dual simulations compose exactly like plain ones, so the single-witness
 //! merge narrowing and the Theorem-1-style equivalence
@@ -19,14 +21,12 @@
 //! in `tests/`).
 
 use crate::containment::{ContainmentPlan, ViewEdgeRef};
-use crate::matchjoin::JoinError;
+use crate::matchjoin::{assemble, merge_step, ranked_fixpoint, JoinError, JoinStats, Simulation};
 use crate::view::{ViewExtensions, ViewSet};
-use gpv_graph::{BitSet, NodeId};
 use gpv_matching::dual::dual_match_pattern;
 use gpv_matching::pattern_sim::simulate_pattern_dual;
 use gpv_matching::result::MatchResult;
 use gpv_pattern::{Pattern, PatternEdgeId};
-use std::collections::HashMap;
 
 /// `Dcontain`: decides whether `Qs` is contained in `V` under dual
 /// simulation, returning the witnessing λ.
@@ -81,247 +81,25 @@ pub fn dual_materialize(views: &ViewSet, g: &gpv_graph::DataGraph) -> ViewExtens
 }
 
 /// `DualMatchJoin`: computes the dual-simulation result of `q` from dual
-/// view extensions, without accessing `G`.
+/// view extensions, without accessing `G`. The single-witness merge
+/// borrows the arena slices (dual simulations compose, so one covering
+/// extension per edge suffices), and the shared ranked kernel refines them
+/// under `Simulation::Dual`.
 pub fn dual_match_join(
     q: &Pattern,
     plan: &ContainmentPlan,
     ext: &ViewExtensions,
 ) -> Result<MatchResult, JoinError> {
-    if q.edge_count() == 0 {
-        return Err(JoinError::NoEdges);
-    }
-    if plan.lambda.len() != q.edge_count() {
-        return Err(JoinError::PlanMismatch);
-    }
-    // Single-witness merge (dual simulations compose).
-    let mut merged: Vec<Vec<(NodeId, NodeId)>> = Vec::with_capacity(q.edge_count());
-    for entries in &plan.lambda {
-        for r in entries {
-            if r.view >= ext.extensions.len() {
-                return Err(JoinError::ViewOutOfRange(r.view));
-            }
-        }
-        let best = entries
-            .iter()
-            .min_by_key(|r| ext.edge_set(r.view, r.edge).len())
-            .ok_or(JoinError::PlanMismatch)?;
-        merged.push(ext.edge_set(best.view, best.edge).to_vec());
-    }
-    Ok(dual_fixpoint(q, merged))
-}
-
-/// Two-directional support-counter fixpoint over merged candidate sets.
-fn dual_fixpoint(q: &Pattern, merged: Vec<Vec<(NodeId, NodeId)>>) -> MatchResult {
-    let np = q.node_count();
-    let ne = q.edge_count();
-
-    // Compact node ids.
-    let mut index: HashMap<NodeId, u32> = HashMap::new();
-    for set in &merged {
-        for &(s, t) in set {
-            let next = index.len() as u32;
-            index.entry(s).or_insert(next);
-            let next = index.len() as u32;
-            index.entry(t).or_insert(next);
-        }
-    }
-    let m = index.len();
-    let mut rev_index = vec![NodeId(0); m];
-    for (&node, &i) in &index {
-        rev_index[i as usize] = node;
-    }
-
-    let mut pairs: Vec<Vec<(u32, u32)>> = Vec::with_capacity(ne);
-    let mut srcs_of: Vec<BitSet> = Vec::with_capacity(ne);
-    let mut tgts_of: Vec<BitSet> = Vec::with_capacity(ne);
-    for set in &merged {
-        let mut ps = Vec::with_capacity(set.len());
-        let mut sb = BitSet::new(m);
-        let mut tb = BitSet::new(m);
-        for &(s, t) in set {
-            let (cs, ct) = (index[&s], index[&t]);
-            ps.push((cs, ct));
-            sb.insert(cs as usize);
-            tb.insert(ct as usize);
-        }
-        pairs.push(ps);
-        srcs_of.push(sb);
-        tgts_of.push(tb);
-    }
-
-    // Dual candidates: sources of every out-edge AND targets of every
-    // in-edge.
-    let mut cand: Vec<BitSet> = Vec::with_capacity(np);
-    for u in q.nodes() {
-        let mut set: Option<BitSet> = None;
-        for &(_, e) in q.out_edges(u) {
-            match &mut set {
-                None => set = Some(srcs_of[e.index()].clone()),
-                Some(s) => s.intersect_with(&srcs_of[e.index()]),
-            }
-        }
-        for &(_, e) in q.in_edges(u) {
-            match &mut set {
-                None => set = Some(tgts_of[e.index()].clone()),
-                Some(s) => s.intersect_with(&tgts_of[e.index()]),
-            }
-        }
-        let set = set.unwrap_or_else(|| BitSet::new(m));
-        if set.is_empty() {
-            return MatchResult::empty();
-        }
-        cand.push(set);
-    }
-
-    // Per-edge CSR both ways.
-    let build_csr = |ps: &[(u32, u32)], by_src: bool| -> (Vec<u32>, Vec<u32>) {
-        let mut off = vec![0u32; m + 1];
-        for &(s, t) in ps {
-            let k = if by_src { s } else { t };
-            off[k as usize + 1] += 1;
-        }
-        for i in 0..m {
-            off[i + 1] += off[i];
-        }
-        let mut cur = off.clone();
-        let mut data = vec![0u32; ps.len()];
-        for &(s, t) in ps {
-            let (k, v) = if by_src { (s, t) } else { (t, s) };
-            data[cur[k as usize] as usize] = v;
-            cur[k as usize] += 1;
-        }
-        (off, data)
-    };
-    let fwd: Vec<(Vec<u32>, Vec<u32>)> = pairs.iter().map(|ps| build_csr(ps, true)).collect();
-    let rev: Vec<(Vec<u32>, Vec<u32>)> = pairs.iter().map(|ps| build_csr(ps, false)).collect();
-
-    // Forward support (source side) and backward support (target side).
-    let mut sup_f: Vec<Vec<u32>> = vec![vec![0; m]; ne];
-    let mut sup_b: Vec<Vec<u32>> = vec![vec![0; m]; ne];
-    let mut worklist: Vec<(u32, u32)> = Vec::new(); // (pattern node, compact node)
-    let mut scheduled: Vec<BitSet> = vec![BitSet::new(m); np];
-
-    for u in q.nodes() {
-        for &(t, e) in q.out_edges(u) {
-            let (fo, ft) = &fwd[e.index()];
-            let ct = &cand[t.index()];
-            for v in cand[u.index()].iter() {
-                let (a, b) = (fo[v] as usize, fo[v + 1] as usize);
-                let cnt = ft[a..b]
-                    .iter()
-                    .filter(|&&t2| ct.contains(t2 as usize))
-                    .count() as u32;
-                sup_f[e.index()][v] = cnt;
-                if cnt == 0 && scheduled[u.index()].insert(v) {
-                    worklist.push((u.0, v as u32));
-                }
-            }
-        }
-        for &(s, e) in q.in_edges(u) {
-            let (ro, rs) = &rev[e.index()];
-            let cs = &cand[s.index()];
-            for v in cand[u.index()].iter() {
-                let (a, b) = (ro[v] as usize, ro[v + 1] as usize);
-                let cnt = rs[a..b]
-                    .iter()
-                    .filter(|&&s2| cs.contains(s2 as usize))
-                    .count() as u32;
-                sup_b[e.index()][v] = cnt;
-                if cnt == 0 && scheduled[u.index()].insert(v) {
-                    worklist.push((u.0, v as u32));
-                }
-            }
-        }
-    }
-
-    let mut head = 0;
-    while head < worklist.len() {
-        let (u, v) = worklist[head];
-        head += 1;
-        let u = gpv_pattern::PatternNodeId(u);
-        if !cand[u.index()].remove(v as usize) {
-            continue;
-        }
-        if cand[u.index()].is_empty() {
-            return MatchResult::empty();
-        }
-        // Forward propagation to predecessors.
-        for &(u0, e0) in q.in_edges(u) {
-            let (ro, rs) = &rev[e0.index()];
-            let (a, b) = (ro[v as usize] as usize, ro[v as usize + 1] as usize);
-            for &w in &rs[a..b] {
-                if cand[u0.index()].contains(w as usize)
-                    && !scheduled[u0.index()].contains(w as usize)
-                {
-                    let s = &mut sup_f[e0.index()][w as usize];
-                    *s = s.saturating_sub(1);
-                    if *s == 0 {
-                        scheduled[u0.index()].insert(w as usize);
-                        worklist.push((u0.0, w));
-                    }
-                }
-            }
-        }
-        // Backward propagation to successors.
-        for &(t2, e2) in q.out_edges(u) {
-            let (fo, ft) = &fwd[e2.index()];
-            let (a, b) = (fo[v as usize] as usize, fo[v as usize + 1] as usize);
-            for &w in &ft[a..b] {
-                if cand[t2.index()].contains(w as usize)
-                    && !scheduled[t2.index()].contains(w as usize)
-                {
-                    let s = &mut sup_b[e2.index()][w as usize];
-                    *s = s.saturating_sub(1);
-                    if *s == 0 {
-                        scheduled[t2.index()].insert(w as usize);
-                        worklist.push((t2.0, w));
-                    }
-                }
-            }
-        }
-    }
-
-    // Final sets.
-    let mut out = Vec::with_capacity(ne);
-    let mut node_sets: Vec<std::collections::HashSet<NodeId>> =
-        vec![std::collections::HashSet::new(); np];
-    for (ei, ps) in pairs.into_iter().enumerate() {
-        let (u, t) = q.edge(PatternEdgeId(ei as u32));
-        let filtered: Vec<(NodeId, NodeId)> = ps
-            .into_iter()
-            .filter(|&(s, w)| {
-                cand[u.index()].contains(s as usize) && cand[t.index()].contains(w as usize)
-            })
-            .map(|(s, w)| {
-                let (a, b) = (rev_index[s as usize], rev_index[w as usize]);
-                node_sets[u.index()].insert(a);
-                node_sets[t.index()].insert(b);
-                (a, b)
-            })
-            .collect();
-        if filtered.is_empty() {
-            return MatchResult::empty();
-        }
-        out.push(filtered);
-    }
-    if node_sets.iter().any(std::collections::HashSet::is_empty) {
-        return MatchResult::empty();
-    }
-    MatchResult::new(
-        q,
-        node_sets
-            .into_iter()
-            .map(|s| s.into_iter().collect())
-            .collect(),
-        out,
-    )
+    let merged = merge_step(q, plan, ext)?;
+    let sets = ranked_fixpoint(q, merged, Simulation::Dual, 1, &mut JoinStats::default())?;
+    Ok(assemble(q, sets))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::view::ViewDef;
-    use gpv_graph::GraphBuilder;
+    use gpv_graph::{GraphBuilder, NodeId};
     use gpv_pattern::PatternBuilder;
 
     /// G where dual prunes more than plain: A1 -> B1 (B1 lacks a C pred),

@@ -34,8 +34,9 @@ use crate::bview::{bmaterialize, BoundedViewExtensions, BoundedViewSet};
 use crate::containment::{ContainmentPlan, ViewEdgeRef};
 use crate::cost::{CostEstimate, CostLog, CostModel, CostSample, SharedCostLog};
 use crate::matchjoin::{run_fixpoint, JoinError, JoinStats, JoinStrategy};
-use crate::parallel::{auto_threads, par_fixpoint};
-use crate::partial::{best_cover, merged_from_sources, PartialPlan};
+use crate::minimal::Selection;
+use crate::parallel::auto_threads;
+use crate::partial::{cover, merged_from_sources, PartialPlan};
 use crate::plan::{EdgeSource, ExecStrategy, FallbackReason, QueryPlan, SelectionMode, ViewPlan};
 use crate::selection::{select_views_for_workload, WorkloadSelection};
 use crate::storage::graph_fingerprint;
@@ -421,9 +422,11 @@ impl QueryEngine {
         let mut pairs = 0u64;
         let mut graph_edges = 0usize;
         for entries in lambda {
-            match best_cover(entries, &self.ext) {
-                Some(r) => {
-                    let size = self.ext.edge_set(r.view, r.edge).len() as u64;
+            // The λ comes from a sweep over the registered views, so every
+            // view index is in range.
+            match cover(entries, &self.ext).expect("λ over registered views") {
+                Some((r, set)) => {
+                    let size = set.len() as u64;
                     let prefer_graph = self
                         .graph_stats
                         .as_ref()
@@ -576,61 +579,23 @@ impl QueryEngine {
         use crate::minimal::minimal_from_table;
         use crate::minimum::minimum_from_table;
         let cm = &self.config.cost;
-        let placeholder = ExecStrategy::Sequential(JoinStrategy::RankedBottomUp);
-        let premium = cm.selection_overhead(q, self.views.card());
+        let (selection, sel, cost) = choose_selection(
+            self.config.force_selection,
+            full,
+            || minimal_from_table(q, table),
+            || minimum_from_table(q, table),
+            |plan| cm.view_plan(q, plan, &self.ext),
+            cm.selection_overhead(q, self.views.card()),
+        );
         // `sources` and `exec` are placeholders here: `plan` resolves the
         // per-edge sourcing and the executor for the winning candidate only.
-        let candidate = |selection: SelectionMode, sel: crate::minimal::Selection| {
-            let mut cost = cm.view_plan(q, &sel.plan, &self.ext);
-            cost.planning = premium;
-            ViewPlan {
-                selection,
-                views: sel.views,
-                plan: sel.plan,
-                sources: Vec::new(),
-                exec: placeholder,
-                cost,
-            }
-        };
-        let all_candidate = |full: ContainmentPlan| ViewPlan {
-            selection: SelectionMode::All,
-            views: full.used_views.clone(),
-            cost: cm.view_plan(q, &full, &self.ext),
-            plan: full,
+        ViewPlan {
+            selection,
+            views: sel.views,
+            plan: sel.plan,
             sources: Vec::new(),
-            exec: placeholder,
-        };
-
-        match self.config.force_selection {
-            Some(SelectionMode::All) => all_candidate(full),
-            Some(SelectionMode::Minimal) => match minimal_from_table(q, table) {
-                Some(sel) => candidate(SelectionMode::Minimal, sel),
-                None => all_candidate(full),
-            },
-            Some(SelectionMode::Minimum) => match minimum_from_table(q, table) {
-                Some(sel) => candidate(SelectionMode::Minimum, sel),
-                None => all_candidate(full),
-            },
-            None => {
-                let mut candidates: Vec<ViewPlan> = Vec::with_capacity(3);
-                if let Some(sel) = minimal_from_table(q, table) {
-                    candidates.push(candidate(SelectionMode::Minimal, sel));
-                }
-                if let Some(sel) = minimum_from_table(q, table) {
-                    candidates.push(candidate(SelectionMode::Minimum, sel));
-                }
-                candidates.push(all_candidate(full));
-                candidates
-                    .into_iter()
-                    .min_by(|a, b| {
-                        a.cost
-                            .total
-                            .partial_cmp(&b.cost.total)
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                            .then(a.views.len().cmp(&b.views.len()))
-                    })
-                    .expect("at least the `all` candidate exists")
-            }
+            exec: ExecStrategy::Sequential(JoinStrategy::RankedBottomUp),
+            cost,
         }
     }
 
@@ -666,10 +631,8 @@ impl QueryEngine {
         let out = match plan {
             QueryPlan::ViewsOnly(vp) => {
                 let merged = merged_from_sources(q, &vp.sources, &self.ext, None)?;
-                match vp.exec {
-                    ExecStrategy::Sequential(strategy) => run_fixpoint(q, merged, strategy)?,
-                    ExecStrategy::Parallel { threads } => par_fixpoint(q, merged, threads)?,
-                }
+                let (strategy, threads) = vp.exec.join();
+                run_fixpoint(q, merged, strategy, threads)?
             }
             QueryPlan::Hybrid {
                 partial, sources, ..
@@ -687,7 +650,7 @@ impl QueryEngine {
                     }
                     None => return Err(EngineError::NeedsGraph),
                 };
-                run_fixpoint(q, merged, JoinStrategy::RankedBottomUp)?
+                run_fixpoint(q, merged, JoinStrategy::RankedBottomUp, 1)?
             }
             QueryPlan::Direct { .. } => {
                 let g = g.ok_or(EngineError::NeedsGraph)?;
@@ -744,79 +707,32 @@ impl QueryEngine {
         let table = crate::bcontainment::BTable::build(qb, views);
         let full = bcontain_from_table(qb, &table).ok_or(EngineError::BoundedNotContained)?;
 
-        let placeholder = ExecStrategy::Sequential(JoinStrategy::RankedBottomUp);
-        let premium = cm.selection_overhead(qb.pattern(), views.card());
-        let cost_of = |plan: &ContainmentPlan, planning: f64| -> CostEstimate {
-            let pairs = cm.pairs_read_bounded(&plan.lambda, ext);
-            CostEstimate {
-                pairs_read: pairs,
-                graph_edges_scanned: 0,
-                planning,
-                total: cm.join_exec_cost(qb.pattern().edge_count(), pairs),
-                weights: *cm,
-            }
-        };
-        let candidate = |selection: SelectionMode, sel: crate::minimal::Selection| BoundedPlan {
+        let (selection, sel, cost) = choose_selection(
+            self.config.force_selection,
+            full,
+            || bminimal_from_table(qb, &table),
+            || bminimum_from_table(qb, &table),
+            |plan| {
+                let pairs = cm.pairs_read_bounded(&plan.lambda, ext);
+                CostEstimate {
+                    pairs_read: pairs,
+                    graph_edges_scanned: 0,
+                    planning: 0.0,
+                    total: cm.join_exec_cost(qb.pattern().edge_count(), pairs),
+                    weights: *cm,
+                }
+            },
+            cm.selection_overhead(qb.pattern(), views.card()),
+        );
+        // The bounded merge reads each edge's smallest covering extension:
+        // exactly the pairs the estimate counted.
+        Ok(BoundedPlan {
             selection,
-            cost: cost_of(&sel.plan, premium),
             views: sel.views,
             plan: sel.plan,
-            exec: placeholder,
-        };
-        let all_candidate = |full: ContainmentPlan| BoundedPlan {
-            selection: SelectionMode::All,
-            views: full.used_views.clone(),
-            cost: cost_of(&full, 0.0),
-            plan: full,
-            exec: placeholder,
-        };
-
-        let mut chosen = match self.config.force_selection {
-            Some(SelectionMode::All) => all_candidate(full),
-            Some(SelectionMode::Minimal) => match bminimal_from_table(qb, &table) {
-                Some(sel) => candidate(SelectionMode::Minimal, sel),
-                None => all_candidate(full),
-            },
-            Some(SelectionMode::Minimum) => match bminimum_from_table(qb, &table) {
-                Some(sel) => candidate(SelectionMode::Minimum, sel),
-                None => all_candidate(full),
-            },
-            None => {
-                let mut candidates: Vec<BoundedPlan> = Vec::with_capacity(3);
-                if let Some(sel) = bminimal_from_table(qb, &table) {
-                    candidates.push(candidate(SelectionMode::Minimal, sel));
-                }
-                if let Some(sel) = bminimum_from_table(qb, &table) {
-                    candidates.push(candidate(SelectionMode::Minimum, sel));
-                }
-                candidates.push(all_candidate(full));
-                candidates
-                    .into_iter()
-                    .min_by(|a, b| {
-                        a.cost
-                            .total
-                            .partial_cmp(&b.cost.total)
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                            .then(a.views.len().cmp(&b.views.len()))
-                    })
-                    .expect("at least the `all` candidate exists")
-            }
-        };
-        // The bounded merge reads each edge's smallest covering extension.
-        let pairs: u64 = chosen
-            .plan
-            .lambda
-            .iter()
-            .map(|entries| {
-                entries
-                    .iter()
-                    .map(|r| ext.edge_set(r.view, r.edge).len() as u64)
-                    .min()
-                    .unwrap_or(0)
-            })
-            .sum();
-        chosen.exec = self.exec_for(pairs);
-        Ok(chosen)
+            exec: self.exec_for(cost.pairs_read),
+            cost,
+        })
     }
 
     /// Plans and executes a bounded query from bounded views only
@@ -824,10 +740,7 @@ impl QueryEngine {
     pub fn answer_bounded(&self, qb: &BoundedPattern) -> Result<BoundedMatchResult, EngineError> {
         let plan = self.plan_bounded(qb)?;
         let (_, ext) = self.bounded.as_ref().expect("plan_bounded checked");
-        let (strategy, threads) = match plan.exec {
-            ExecStrategy::Sequential(s) => (s, 0),
-            ExecStrategy::Parallel { threads } => (JoinStrategy::Parallel, threads),
-        };
+        let (strategy, threads) = plan.exec.join();
         let (r, _) =
             crate::bmatchjoin::bmatch_join_threaded(qb, &plan.plan, ext, strategy, threads)?;
         Ok(r)
@@ -836,6 +749,65 @@ impl QueryEngine {
     /// Human-readable EXPLAIN of the plan for `q`.
     pub fn explain(&self, q: &Pattern) -> String {
         self.plan(q).to_string()
+    }
+}
+
+/// The `all` / `minimal` / `minimum` choice shared by plain and bounded
+/// planning. Each candidate is priced by `cost`; the selection algorithms
+/// have already run by comparison time, so their planning premium is
+/// recorded in [`CostEstimate::planning`] rather than charged to the
+/// choice. The cheapest execution estimate wins, ties break toward fewer
+/// views. A pinned mode computes only its own candidate, falling back to
+/// the full `all` λ when the pinned algorithm cannot apply (it always can
+/// when containment holds).
+fn choose_selection(
+    forced: Option<SelectionMode>,
+    full: ContainmentPlan,
+    minimal: impl FnOnce() -> Option<Selection>,
+    minimum: impl FnOnce() -> Option<Selection>,
+    cost: impl Fn(&ContainmentPlan) -> CostEstimate,
+    premium: f64,
+) -> (SelectionMode, Selection, CostEstimate) {
+    let priced = |selection: SelectionMode, sel: Selection| {
+        let mut c = cost(&sel.plan);
+        c.planning = premium;
+        (selection, sel, c)
+    };
+    let all = || {
+        let c = cost(&full);
+        let sel = Selection {
+            views: full.used_views.clone(),
+            plan: full,
+        };
+        (SelectionMode::All, sel, c)
+    };
+    match forced {
+        Some(SelectionMode::All) => all(),
+        Some(SelectionMode::Minimal) => {
+            minimal().map_or_else(all, |s| priced(SelectionMode::Minimal, s))
+        }
+        Some(SelectionMode::Minimum) => {
+            minimum().map_or_else(all, |s| priced(SelectionMode::Minimum, s))
+        }
+        None => {
+            let mut candidates = Vec::with_capacity(3);
+            if let Some(sel) = minimal() {
+                candidates.push(priced(SelectionMode::Minimal, sel));
+            }
+            if let Some(sel) = minimum() {
+                candidates.push(priced(SelectionMode::Minimum, sel));
+            }
+            candidates.push(all());
+            candidates
+                .into_iter()
+                .min_by(|(_, a, ca), (_, b, cb)| {
+                    ca.total
+                        .partial_cmp(&cb.total)
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                        .then(a.views.len().cmp(&b.views.len()))
+                })
+                .expect("at least the `all` candidate exists")
+        }
     }
 }
 

@@ -168,7 +168,7 @@ impl IncrementalView {
                 }
             }
         }
-        let ok = Self::drain(
+        let ok = Self::propagate_removals(
             &self.pattern,
             &self.in_adj,
             &mut cand,
@@ -189,7 +189,7 @@ impl IncrementalView {
 
     /// Shared removal-propagation loop; returns false if a candidate set
     /// empties (view extension becomes ∅).
-    fn drain(
+    fn propagate_removals(
         pattern: &Pattern,
         in_adj: &[Vec<NodeId>],
         cand: &mut [BitSet],
@@ -260,7 +260,7 @@ impl IncrementalView {
                 }
             }
         }
-        let ok = Self::drain(
+        let ok = Self::propagate_removals(
             &self.pattern,
             &self.in_adj,
             &mut self.cand,
@@ -403,7 +403,7 @@ impl IncrementalView {
                 }
             }
         }
-        let ok = Self::drain(
+        let ok = Self::propagate_removals(
             &self.pattern,
             &self.in_adj,
             &mut self.cand,

@@ -17,14 +17,22 @@
 //!   sets of edges below any non-singleton SCC are visited at most once
 //!   (Lemma 2). This is the default.
 //!
+//! The ranked refinement is written once (`ranked_fixpoint`) and serves
+//! every view join: `MatchJoin` on one thread or many
+//! ([`JoinStrategy::Parallel`] fans only its per-edge stages out), the
+//! bounded `BMatchJoin` after its distance filter, and `DualMatchJoin`
+//! (whose dual mode adds backward counters). One single-witness helper,
+//! `smallest_cover`, picks the extension every merge reads.
+//!
 //! Complexity: `O(|Qs||V(G)| + |V(G)|²)` — versus
 //! `O(|Qs|² + |Qs||G| + |G|²)` for evaluating `Qs` on `G` directly.
 
-use crate::containment::ContainmentPlan;
+use crate::containment::{ContainmentPlan, ViewEdgeRef};
+use crate::parallel::{auto_threads, par_map};
 use crate::view::ViewExtensions;
-use gpv_graph::NodeId;
+use gpv_graph::{BitSet, NodeId};
 use gpv_matching::result::MatchResult;
-use gpv_pattern::{Pattern, PatternNodeId};
+use gpv_pattern::{Pattern, PatternEdgeId, PatternNodeId};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -44,13 +52,25 @@ pub enum JoinStrategy {
     /// The unoptimized Fig. 2 fixpoint (`MatchJoin_nopt`): repeatedly rescan
     /// all match sets until nothing changes.
     NaiveFixpoint,
-    /// [`RankedBottomUp`](JoinStrategy::RankedBottomUp) with the per-edge
-    /// build and support-initialization phases fanned across worker threads
-    /// (thread count = available parallelism; see [`crate::parallel`]).
-    /// Deterministic: per-edge results merge in edge order and the final
-    /// fixpoint is confluent. With one thread it runs inline and matches
-    /// the sequential strategy exactly.
+    /// [`RankedBottomUp`](JoinStrategy::RankedBottomUp) with its per-edge
+    /// stages (CSR build, support counters, final filter) fanned across
+    /// worker threads (thread count = available parallelism; see
+    /// [`crate::parallel`]). The drain is the same sequential drain, so
+    /// answers and [`JoinStats`] equal the sequential strategy's at every
+    /// thread count; with one thread every stage runs inline.
     Parallel,
+}
+
+/// Which simulation the ranked refinement enforces.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Simulation {
+    /// Graph simulation: every match of `u` needs a witness for each
+    /// out-edge of `u`.
+    Plain,
+    /// Dual simulation (§VIII): each in-edge of `u` needs a witness as
+    /// well, so candidates also intersect in-edge targets and the drain
+    /// keeps backward counters.
+    Dual,
 }
 
 /// Instrumentation for the Lemma 2 / Fig. 8(f) experiments.
@@ -138,7 +158,7 @@ pub fn match_join_with(
     strategy: JoinStrategy,
 ) -> Result<(MatchResult, JoinStats), JoinError> {
     let merged = merge_step(q, plan, ext)?;
-    run_fixpoint(q, merged, strategy)
+    run_fixpoint(q, merged, strategy, 0)
 }
 
 /// Like [`match_join_with`] but initializing with the *literal* Fig. 2 merge
@@ -153,38 +173,91 @@ pub fn match_join_union_with(
     strategy: JoinStrategy,
 ) -> Result<(MatchResult, JoinStats), JoinError> {
     let merged = merge_step_union(q, plan, ext)?;
-    run_fixpoint(q, merged, strategy)
+    run_fixpoint(q, merged, strategy, 0)
 }
 
-/// Runs the default (ranked) fixpoint over caller-supplied merged sets.
-/// Used by the hybrid evaluator in [`crate::partial`], whose merge mixes
-/// view extensions and surgical `G` scans.
-pub(crate) fn run_fixpoint_public(
-    q: &Pattern,
-    merged: MergedSets<'_>,
-) -> Result<(MatchResult, JoinStats), JoinError> {
-    run_fixpoint(q, merged, JoinStrategy::RankedBottomUp)
-}
-
-/// Runs the fixpoint phase over caller-supplied merged sets with an
-/// explicit strategy — the execution backend behind both the λ-based entry
-/// points and the [`EdgeSource`](crate::plan::EdgeSource)-honoring engine
-/// path (whose merge is built by `partial::merged_from_sources`).
+/// Runs the fixpoint phase over caller-supplied merged sets — the
+/// execution backend behind both the λ-based entry points and the
+/// [`EdgeSource`](crate::plan::EdgeSource)-honoring engine path (whose
+/// merge is built by `partial::merged_from_sources`). `threads` is read
+/// only by [`JoinStrategy::Parallel`] (`0` = auto-detect).
 pub(crate) fn run_fixpoint(
     q: &Pattern,
     merged: MergedSets<'_>,
     strategy: JoinStrategy,
+    threads: usize,
 ) -> Result<(MatchResult, JoinStats), JoinError> {
+    let (sets, stats) = refine(q, merged, strategy, threads)?;
+    Ok((assemble(q, sets), stats))
+}
+
+/// Refines merged sets under `strategy`, returning the refined per-edge
+/// sets (`None` = empty result) and the join's stats. Shared by
+/// `MatchJoin` and `BMatchJoin`.
+pub(crate) fn refine(
+    q: &Pattern,
+    merged: MergedSets<'_>,
+    strategy: JoinStrategy,
+    threads: usize,
+) -> Result<(Option<RefinedSets>, JoinStats), JoinError> {
     let mut stats = JoinStats {
         merged_pairs: merged.iter().map(|s| s.len() as u64).sum(),
         ..JoinStats::default()
     };
     let sets = match strategy {
-        JoinStrategy::RankedBottomUp => ranked_fixpoint(q, merged, &mut stats),
         JoinStrategy::NaiveFixpoint => naive_fixpoint(q, merged, &mut stats),
-        JoinStrategy::Parallel => crate::parallel::par_ranked_fixpoint(q, merged, &mut stats, 0)?,
+        JoinStrategy::RankedBottomUp => {
+            ranked_fixpoint(q, merged, Simulation::Plain, 1, &mut stats)?
+        }
+        JoinStrategy::Parallel => {
+            let threads = if threads == 0 {
+                auto_threads()
+            } else {
+                threads
+            };
+            ranked_fixpoint(q, merged, Simulation::Plain, threads, &mut stats)?
+        }
     };
-    Ok((assemble(q, sets), stats))
+    Ok((sets, stats))
+}
+
+/// The covering view edge a merge reads, with its extension (`None` for
+/// an uncovered λ entry).
+pub(crate) type Cover<'a, T> = Option<(ViewEdgeRef, &'a [T])>;
+
+/// Refined per-edge match sets, in pattern-edge order.
+pub(crate) type RefinedSets = Vec<Vec<(NodeId, NodeId)>>;
+
+/// Checks that a per-edge plan (λ or source vector) of `entries` entries
+/// fits `q`.
+pub(crate) fn check_arity(q: &Pattern, entries: usize) -> Result<(), JoinError> {
+    if q.edge_count() == 0 {
+        return Err(JoinError::NoEdges);
+    }
+    if entries != q.edge_count() {
+        return Err(JoinError::PlanMismatch);
+    }
+    Ok(())
+}
+
+/// The single-witness pick behind every merge: validates each view index
+/// of a λ entry against `view_count`, then returns the entry with the
+/// smallest materialized extension (first minimum) together with that
+/// extension. `Ok(None)` for an empty (uncovered) entry. `edge_set` reads
+/// one view edge's extension — plain pairs, or the bounded triples that
+/// carry `I(V)` distances.
+pub(crate) fn smallest_cover<'a, T>(
+    entries: &[ViewEdgeRef],
+    view_count: usize,
+    edge_set: impl Fn(&ViewEdgeRef) -> &'a [T],
+) -> Result<Cover<'a, T>, JoinError> {
+    if let Some(r) = entries.iter().find(|r| r.view >= view_count) {
+        return Err(JoinError::ViewOutOfRange(r.view));
+    }
+    Ok(entries
+        .iter()
+        .map(|r| (*r, edge_set(r)))
+        .min_by_key(|(_, set)| set.len()))
 }
 
 /// Canonicalizes one edge's borrowed match set: sorted, duplicate-free.
@@ -223,28 +296,19 @@ pub(crate) fn merge_step<'a>(
     plan: &ContainmentPlan,
     ext: &'a ViewExtensions,
 ) -> Result<MergedSets<'a>, JoinError> {
-    if q.edge_count() == 0 {
-        return Err(JoinError::NoEdges);
-    }
-    if plan.lambda.len() != q.edge_count() {
-        return Err(JoinError::PlanMismatch);
-    }
-    let mut merged = Vec::with_capacity(q.edge_count());
-    for entries in &plan.lambda {
-        for r in entries {
-            if r.view >= ext.extensions.len() {
-                return Err(JoinError::ViewOutOfRange(r.view));
-            }
-        }
-        let best = entries
-            .iter()
-            .min_by_key(|r| ext.edge_set(r.view, r.edge).len())
+    check_arity(q, plan.lambda.len())?;
+    plan.lambda
+        .iter()
+        .map(|entries| {
+            let (_, set) = smallest_cover(entries, ext.extensions.len(), |r| {
+                ext.edge_set(r.view, r.edge)
+            })?
             .ok_or(JoinError::PlanMismatch)?;
-        // Arena regions are canonical by freeze — borrow the flat slice
-        // directly: the merge allocates nothing per pair.
-        merged.push(Cow::Borrowed(ext.edge_set(best.view, best.edge)));
-    }
-    Ok(merged)
+            // Arena regions are canonical by freeze — borrow the flat
+            // slice directly: the merge allocates nothing per pair.
+            Ok(Cow::Borrowed(set))
+        })
+        .collect()
 }
 
 /// The literal Fig. 2 merge: `Se := ⋃_{e' ∈ λ(e)} S_e'`. Exposed for the
@@ -255,12 +319,7 @@ pub fn merge_step_union<'a>(
     plan: &ContainmentPlan,
     ext: &'a ViewExtensions,
 ) -> Result<MergedSets<'a>, JoinError> {
-    if q.edge_count() == 0 {
-        return Err(JoinError::NoEdges);
-    }
-    if plan.lambda.len() != q.edge_count() {
-        return Err(JoinError::PlanMismatch);
-    }
+    check_arity(q, plan.lambda.len())?;
     let mut merged = Vec::with_capacity(q.edge_count());
     for entries in &plan.lambda {
         let mut set: Vec<(NodeId, NodeId)> = Vec::new();
@@ -281,7 +340,7 @@ pub fn merge_step_union<'a>(
 /// out-edges, the intersection of the sources of every out-edge set (a match
 /// must witness them all); for a sink, the union of targets of its in-edge
 /// sets (the only way it can appear in the result).
-pub(crate) fn initial_candidates<S: std::ops::Deref<Target = [(NodeId, NodeId)]>>(
+fn initial_candidates<S: std::ops::Deref<Target = [(NodeId, NodeId)]>>(
     q: &Pattern,
     merged: &[S],
 ) -> Vec<HashSet<NodeId>> {
@@ -309,27 +368,27 @@ pub(crate) fn initial_candidates<S: std::ops::Deref<Target = [(NodeId, NodeId)]>
 
 /// Per-edge compacted representation of a merged match set: dense-id pair
 /// list, endpoint presence bitsets, and forward/reverse CSR adjacency. Pure
-/// per-edge data, so both the sequential and the parallel executor build it
-/// — the latter one edge per worker (see [`crate::parallel`]).
+/// per-edge data, built one edge per work unit.
 #[derive(Debug)]
-pub(crate) struct EdgeCsr {
+struct EdgeCsr {
     /// Compacted `(src, tgt)` pairs, in merge order.
-    pub pairs: Vec<(u32, u32)>,
+    pairs: Vec<(u32, u32)>,
     /// Dense ids occurring as sources.
-    pub srcs: gpv_graph::BitSet,
+    srcs: BitSet,
     /// Dense ids occurring as targets.
-    pub tgts: gpv_graph::BitSet,
+    tgts: BitSet,
     /// Forward CSR: offsets by source, target payloads.
-    pub fwd: (Vec<u32>, Vec<u32>),
+    fwd: Csr,
     /// Reverse CSR: offsets by target, source payloads.
-    pub rev: (Vec<u32>, Vec<u32>),
+    rev: Csr,
 }
+
+/// One direction of an edge's adjacency: offsets by dense id, payloads.
+type Csr = (Vec<u32>, Vec<u32>);
 
 /// Dense-id compaction over every node mentioned in the merged sets (first
 /// occurrence order, hence deterministic).
-pub(crate) fn compact_index<S: std::ops::Deref<Target = [(NodeId, NodeId)]>>(
-    merged: &[S],
-) -> (HashMap<NodeId, u32>, Vec<NodeId>) {
+fn compact_index(merged: &MergedSets<'_>) -> (HashMap<NodeId, u32>, Vec<NodeId>) {
     let mut index: HashMap<NodeId, u32> = HashMap::new();
     for set in merged {
         for &(s, t) in set.iter() {
@@ -347,12 +406,7 @@ pub(crate) fn compact_index<S: std::ops::Deref<Target = [(NodeId, NodeId)]>>(
 }
 
 /// Builds one edge's [`EdgeCsr`] (pure function of that edge's set).
-pub(crate) fn build_edge_csr(
-    set: &[(NodeId, NodeId)],
-    index: &HashMap<NodeId, u32>,
-    m: usize,
-) -> EdgeCsr {
-    use gpv_graph::BitSet;
+fn build_edge_csr(set: &[(NodeId, NodeId)], index: &HashMap<NodeId, u32>, m: usize) -> EdgeCsr {
     let mut ps = Vec::with_capacity(set.len());
     let mut sb = BitSet::new(m);
     let mut tb = BitSet::new(m);
@@ -362,66 +416,56 @@ pub(crate) fn build_edge_csr(
         sb.insert(cs as usize);
         tb.insert(ct as usize);
     }
-    let mut fo = vec![0u32; m + 1];
-    for &(s, _) in &ps {
-        fo[s as usize + 1] += 1;
-    }
-    for i in 0..m {
-        fo[i + 1] += fo[i];
-    }
-    let mut cur = fo.clone();
-    let mut ft = vec![0u32; ps.len()];
-    for &(s, t) in &ps {
-        ft[cur[s as usize] as usize] = t;
-        cur[s as usize] += 1;
-    }
-    let mut ro = vec![0u32; m + 1];
-    for &(_, t) in &ps {
-        ro[t as usize + 1] += 1;
-    }
-    for i in 0..m {
-        ro[i + 1] += ro[i];
-    }
-    let mut cur = ro.clone();
-    let mut rs = vec![0u32; ps.len()];
-    for &(s, t) in &ps {
-        rs[cur[t as usize] as usize] = s;
-        cur[t as usize] += 1;
-    }
+    let fwd = build_csr(ps.iter().copied(), ps.len(), m);
+    let rev = build_csr(ps.iter().map(|&(s, t)| (t, s)), ps.len(), m);
     EdgeCsr {
         pairs: ps,
         srcs: sb,
         tgts: tb,
-        fwd: (fo, ft),
-        rev: (ro, rs),
+        fwd,
+        rev,
     }
 }
 
-/// Candidate sets per pattern node: intersection of out-edge sources
-/// (non-sinks) or union of in-edge targets (sinks). `None` when a node has
-/// no candidates (`Qs(G) = ∅`).
-pub(crate) fn build_candidates(
+/// Counting-sort CSR of `len` `(key, payload)` pairs over keys `0..m`.
+fn build_csr(pairs: impl Iterator<Item = (u32, u32)> + Clone, len: usize, m: usize) -> Csr {
+    let mut off = vec![0u32; m + 1];
+    for (k, _) in pairs.clone() {
+        off[k as usize + 1] += 1;
+    }
+    for i in 0..m {
+        off[i + 1] += off[i];
+    }
+    let mut cur = off.clone();
+    let mut data = vec![0u32; len];
+    for (k, v) in pairs {
+        data[cur[k as usize] as usize] = v;
+        cur[k as usize] += 1;
+    }
+    (off, data)
+}
+
+/// Candidate sets per pattern node: the intersection of out-edge sources
+/// (plus, under dual simulation, of in-edge targets); a plain sink takes
+/// the union of its in-edge targets. `None` when a node has no candidates
+/// (`Qs(G) = ∅`).
+fn build_candidates(
     q: &Pattern,
     csrs: &[EdgeCsr],
     m: usize,
-) -> Option<Vec<gpv_graph::BitSet>> {
-    use gpv_graph::BitSet;
+    sim: Simulation,
+) -> Option<Vec<BitSet>> {
     let mut cand: Vec<BitSet> = Vec::with_capacity(q.node_count());
     for u in q.nodes() {
-        let outs = q.out_edges(u);
-        let set = if !outs.is_empty() {
-            let mut it = outs.iter();
-            let mut set = csrs[it.next().expect("nonempty").1.index()].srcs.clone();
-            for &(_, e) in it {
-                set.intersect_with(&csrs[e.index()].srcs);
-            }
-            set
-        } else {
-            let mut set = BitSet::new(m);
-            for &(_, e) in q.in_edges(u) {
-                set.union_with(&csrs[e.index()].tgts);
-            }
-            set
+        let srcs = q.out_edges(u).iter().map(|&(_, e)| &csrs[e.index()].srcs);
+        let tgts = q.in_edges(u).iter().map(|&(_, e)| &csrs[e.index()].tgts);
+        let set = match sim {
+            Simulation::Dual => intersect(srcs.chain(tgts), m),
+            Simulation::Plain if !q.out_edges(u).is_empty() => intersect(srcs, m),
+            Simulation::Plain => tgts.fold(BitSet::new(m), |mut set, t| {
+                set.union_with(t);
+                set
+            }),
         };
         if set.is_empty() {
             return None;
@@ -431,161 +475,225 @@ pub(crate) fn build_candidates(
     Some(cand)
 }
 
-/// Initial support counters for one pattern edge `e = (u, t)`: for each
-/// candidate `v` of `u`, how many of `v`'s CSR successors are candidates of
-/// `t`. Returns the counter vector plus the zero-support seeds (candidates
-/// of `u` with no witness). Pure per-edge data.
-pub(crate) fn edge_support(
-    csr: &EdgeCsr,
-    cand_u: &gpv_graph::BitSet,
-    cand_t: &gpv_graph::BitSet,
-    m: usize,
-) -> (Vec<u32>, Vec<u32>) {
-    let (fo, ft) = &csr.fwd;
-    let mut support = vec![0u32; m];
-    let mut seeds = Vec::new();
-    for v in cand_u.iter() {
-        let (a, b) = (fo[v] as usize, fo[v + 1] as usize);
-        let cnt = ft[a..b]
-            .iter()
-            .filter(|&&t2| cand_t.contains(t2 as usize))
-            .count() as u32;
-        support[v] = cnt;
-        if cnt == 0 {
-            seeds.push(v as u32);
-        }
+/// Intersection of `sets` (empty when there are none).
+fn intersect<'a>(mut sets: impl Iterator<Item = &'a BitSet>, m: usize) -> BitSet {
+    let Some(first) = sets.next() else {
+        return BitSet::new(m);
+    };
+    let mut set = first.clone();
+    for s in sets {
+        set.intersect_with(s);
     }
-    (support, seeds)
+    set
 }
 
-/// The sequential bottom-up drain (Lemma 2) plus the final per-edge filter:
-/// removes zero-support candidates in ascending SCC rank, cascading through
-/// in-edges, then maps surviving compact pairs back to [`NodeId`]s. Shared
-/// verbatim by the sequential and parallel executors — only the stages
-/// *before* the drain are parallelized, so both produce identical results.
-pub(crate) fn drain_and_extract(
+/// Support counters over one direction of an edge, indexed by dense id.
+#[derive(Default)]
+struct Counters {
+    /// Witnesses left per candidate.
+    support: Vec<u32>,
+    /// Candidates that start with none (the drain's seeds).
+    zero: Vec<u32>,
+}
+
+/// Initial counters over one direction of an edge: for each candidate `v`
+/// in `from`, how many of `v`'s neighbours in `adj` are in `to`. Pure
+/// per-edge.
+fn edge_support(adj: &Csr, from: &BitSet, to: &BitSet, m: usize) -> Counters {
+    let (off, data) = adj;
+    let mut c = Counters {
+        support: vec![0u32; m],
+        zero: Vec::new(),
+    };
+    for v in from.iter() {
+        let (a, b) = (off[v] as usize, off[v + 1] as usize);
+        let cnt = data[a..b]
+            .iter()
+            .filter(|&&w| to.contains(w as usize))
+            .count() as u32;
+        c.support[v] = cnt;
+        if cnt == 0 {
+            c.zero.push(v as u32);
+        }
+    }
+    c
+}
+
+/// Support counters of one pattern edge `e = (u, t)`.
+struct EdgeSupport {
+    /// Per candidate `v` of `u`: successors of `v` along `e` among the
+    /// candidates of `t`.
+    fwd: Counters,
+    /// Dual simulation only (empty otherwise): per candidate `w` of `t`,
+    /// predecessors of `w` along `e` among the candidates of `u`.
+    bwd: Counters,
+}
+
+/// The ranked refinement every view join runs: support counters plus a
+/// rank-bucketed worklist over a *compacted* node domain — only nodes
+/// occurring in the merged sets get dense ids, so all hot-path structures
+/// are flat vectors and bitsets sized by `|V(G)|`, not `|G|`.
+///
+/// The per-edge stages (CSR build, support counters, final filter) run
+/// through [`par_map`] on `threads` workers, inline when `threads <= 1`;
+/// compaction, candidates and the drain are sequential. Per-edge results
+/// land in edge order, so the output and `stats` are the same at every
+/// thread count. Returns the refined per-edge sets (`None` = `Qs(G) = ∅`),
+/// or a caught worker panic.
+pub(crate) fn ranked_fixpoint(
+    q: &Pattern,
+    merged: MergedSets<'_>,
+    sim: Simulation,
+    threads: usize,
+    stats: &mut JoinStats,
+) -> Result<Option<RefinedSets>, JoinError> {
+    let ne = q.edge_count();
+    let (index, rev_index) = compact_index(&merged);
+    let m = index.len();
+
+    let csrs = par_map(ne, threads, |ei| build_edge_csr(&merged[ei], &index, m))?;
+    stats.edge_visits += ne as u64;
+
+    let Some(cand) = build_candidates(q, &csrs, m, sim) else {
+        return Ok(None);
+    };
+
+    let support = par_map(ne, threads, |ei| {
+        let (u, t) = q.edge(PatternEdgeId(ei as u32));
+        let (cu, ct) = (&cand[u.index()], &cand[t.index()]);
+        EdgeSupport {
+            fwd: edge_support(&csrs[ei].fwd, cu, ct, m),
+            bwd: match sim {
+                Simulation::Plain => Default::default(),
+                Simulation::Dual => edge_support(&csrs[ei].rev, ct, cu, m),
+            },
+        }
+    })?;
+    stats.edge_visits += ne as u64;
+
+    drain_and_extract(q, &csrs, cand, support, &rev_index, sim, threads, stats)
+}
+
+/// The bottom-up drain (Lemma 2) plus the final per-edge filter: removes
+/// zero-support candidates in ascending SCC rank, cascading through
+/// in-edges (and, under dual simulation, out-edges), then maps surviving
+/// compact pairs back to [`NodeId`]s. The only drain: the parallel
+/// strategy fans out the stages around it, never the drain itself.
+#[allow(clippy::too_many_arguments)] // the kernel's state, handed over whole
+fn drain_and_extract(
     q: &Pattern,
     csrs: &[EdgeCsr],
-    mut cand: Vec<gpv_graph::BitSet>,
-    mut support: Vec<Vec<u32>>,
-    seeds: &[(PatternNodeId, Vec<u32>)],
+    mut cand: Vec<BitSet>,
+    mut support: Vec<EdgeSupport>,
     rev_index: &[NodeId],
+    sim: Simulation,
+    threads: usize,
     stats: &mut JoinStats,
-) -> Option<Vec<Vec<(NodeId, NodeId)>>> {
-    use gpv_graph::BitSet;
+) -> Result<Option<RefinedSets>, JoinError> {
     let np = q.node_count();
     let ne = q.edge_count();
     let m = rev_index.len();
     let cond = q.condensation();
-    let max_rank = (0..np as u32).map(|u| cond.rank(u)).max().unwrap_or(0) as usize;
+    let rank = |u: PatternNodeId| cond.rank(u.0) as usize;
+    let max_rank = q.nodes().map(rank).max().unwrap_or(0);
 
     let mut buckets: Vec<VecDeque<(PatternNodeId, u32)>> = vec![VecDeque::new(); max_rank + 1];
     let mut scheduled: Vec<BitSet> = vec![BitSet::new(m); np];
-    // Seed in edge order: deterministic regardless of how the per-edge seed
-    // lists were computed.
-    for (u, vs) in seeds {
-        for &v in vs {
+    // Seed by pattern node, then edge: a fixed order, so the drain (and its
+    // stats) never depend on how the per-edge stages were scheduled.
+    for u in q.nodes() {
+        let fwd = q
+            .out_edges(u)
+            .iter()
+            .map(|&(_, e)| &support[e.index()].fwd.zero);
+        let bwd = q
+            .in_edges(u)
+            .iter()
+            .map(|&(_, e)| &support[e.index()].bwd.zero);
+        for &v in fwd.chain(bwd).flatten() {
             if scheduled[u.index()].insert(v as usize) {
-                buckets[cond.rank(u.0) as usize].push_back((*u, v));
+                buckets[rank(u)].push_back((u, v));
             }
         }
     }
 
     // Drain in ascending rank (bottom-up, Lemma 2).
-    #[allow(clippy::while_let_loop)] // the else-break reads better with the bucket scan
-    loop {
-        let Some(rank) = (0..buckets.len()).find(|&r| !buckets[r].is_empty()) else {
-            break;
-        };
-        let (u, v) = buckets[rank].pop_front().expect("nonempty bucket");
+    while let Some(r) = buckets.iter().position(|b| !b.is_empty()) {
+        let (u, v) = buckets[r].pop_front().expect("nonempty bucket");
         if !cand[u.index()].remove(v as usize) {
             continue;
         }
         stats.removals += 1;
         if cand[u.index()].is_empty() {
-            return None;
+            return Ok(None);
         }
+        // Forward counters of u's predecessors along each in-edge…
         for &(u0, e0) in q.in_edges(u) {
             stats.edge_visits += 1;
-            let (ro, rs) = &csrs[e0.index()].rev;
-            let (a, b) = (ro[v as usize] as usize, ro[v as usize + 1] as usize);
-            for &w in &rs[a..b] {
-                if cand[u0.index()].contains(w as usize)
-                    && !scheduled[u0.index()].contains(w as usize)
-                {
-                    let s = &mut support[e0.index()][w as usize];
-                    *s = s.saturating_sub(1);
-                    if *s == 0 {
-                        scheduled[u0.index()].insert(w as usize);
-                        buckets[cond.rank(u0.0) as usize].push_back((u0, w));
-                    }
-                }
+            let bucket = &mut buckets[rank(u0)];
+            release(
+                &csrs[e0.index()].rev,
+                v,
+                &mut support[e0.index()].fwd.support,
+                &cand[u0.index()],
+                &mut scheduled[u0.index()],
+                |w| bucket.push_back((u0, w)),
+            );
+        }
+        // …and, under dual simulation, backward counters of its successors.
+        if sim == Simulation::Dual {
+            for &(t, e) in q.out_edges(u) {
+                stats.edge_visits += 1;
+                let bucket = &mut buckets[rank(t)];
+                release(
+                    &csrs[e.index()].fwd,
+                    v,
+                    &mut support[e.index()].bwd.support,
+                    &cand[t.index()],
+                    &mut scheduled[t.index()],
+                    |w| bucket.push_back((t, w)),
+                );
             }
         }
     }
 
     // Final sets: pairs whose endpoints survived, mapped back to NodeIds.
-    let mut out = Vec::with_capacity(ne);
-    for (ei, csr) in csrs.iter().enumerate() {
-        stats.edge_visits += 1;
-        let (u, t) = q.edge(gpv_pattern::PatternEdgeId(ei as u32));
-        let filtered = filter_surviving(&csr.pairs, &cand[u.index()], &cand[t.index()], rev_index);
-        if filtered.is_empty() {
-            return None;
-        }
-        out.push(filtered);
-    }
-    Some(out)
+    let out = par_map(ne, threads, |ei| {
+        let (u, t) = q.edge(PatternEdgeId(ei as u32));
+        let (cu, ct) = (&cand[u.index()], &cand[t.index()]);
+        csrs[ei]
+            .pairs
+            .iter()
+            .filter(|&&(s, w)| cu.contains(s as usize) && ct.contains(w as usize))
+            .map(|&(s, w)| (rev_index[s as usize], rev_index[w as usize]))
+            .collect::<Vec<_>>()
+    })?;
+    stats.edge_visits += ne as u64;
+    Ok((!out.iter().any(Vec::is_empty)).then_some(out))
 }
 
-/// One edge's surviving pairs mapped back to [`NodeId`]s (pure per-edge).
-pub(crate) fn filter_surviving(
-    pairs: &[(u32, u32)],
-    cand_u: &gpv_graph::BitSet,
-    cand_t: &gpv_graph::BitSet,
-    rev_index: &[NodeId],
-) -> Vec<(NodeId, NodeId)> {
-    pairs
-        .iter()
-        .filter(|&&(s, w)| cand_u.contains(s as usize) && cand_t.contains(w as usize))
-        .map(|&(s, w)| (rev_index[s as usize], rev_index[w as usize]))
-        .collect()
-}
-
-/// The optimized fixpoint: support counters + rank-bucketed worklist over a
-/// *compacted* node domain — only nodes occurring in the merged sets get
-/// dense ids, so all hot-path structures are flat vectors and bitsets sized
-/// by `|V(G)|`, not `|G|`. Returns the refined per-edge sets; any empty set
-/// means `Qs(G) = ∅`.
-pub(crate) fn ranked_fixpoint(
-    q: &Pattern,
-    merged: MergedSets<'_>,
-    stats: &mut JoinStats,
-) -> Option<Vec<Vec<(NodeId, NodeId)>>> {
-    let ne = q.edge_count();
-    let (index, rev_index) = compact_index(&merged);
-    let m = index.len();
-
-    let mut csrs = Vec::with_capacity(ne);
-    for set in &merged {
-        stats.edge_visits += 1;
-        csrs.push(build_edge_csr(set, &index, m));
-    }
-
-    let cand = build_candidates(q, &csrs, m)?;
-
-    let mut support: Vec<Vec<u32>> = vec![Vec::new(); ne];
-    let mut seeds: Vec<(PatternNodeId, Vec<u32>)> = Vec::new();
-    for u in q.nodes() {
-        for &(t, e) in q.out_edges(u) {
-            stats.edge_visits += 1;
-            let (sup, zero) = edge_support(&csrs[e.index()], &cand[u.index()], &cand[t.index()], m);
-            support[e.index()] = sup;
-            seeds.push((u, zero));
+/// Withdraws a removed node `v` as a witness: each neighbour `w` of `v` in
+/// `adj` that is still a candidate and not yet scheduled loses one unit of
+/// support, and is scheduled once it has none left.
+fn release(
+    (off, data): &Csr,
+    v: u32,
+    support: &mut [u32],
+    cand: &BitSet,
+    scheduled: &mut BitSet,
+    mut schedule: impl FnMut(u32),
+) {
+    let (a, b) = (off[v as usize] as usize, off[v as usize + 1] as usize);
+    for &w in &data[a..b] {
+        if cand.contains(w as usize) && !scheduled.contains(w as usize) {
+            let s = &mut support[w as usize];
+            *s = s.saturating_sub(1);
+            if *s == 0 {
+                scheduled.insert(w as usize);
+                schedule(w);
+            }
         }
     }
-
-    drain_and_extract(q, &csrs, cand, support, &seeds, &rev_index, stats)
 }
 
 /// The literal Fig. 2 fixpoint: rescan every match set until stable.
@@ -593,11 +701,11 @@ pub(crate) fn ranked_fixpoint(
 /// Works over [`MergedSets`]: a borrowed (arena-backed) set is counted
 /// first and only copied-on-write when the rescan actually prunes it, so a
 /// pass that removes nothing allocates nothing.
-pub(crate) fn naive_fixpoint(
+fn naive_fixpoint(
     q: &Pattern,
     mut merged: MergedSets<'_>,
     stats: &mut JoinStats,
-) -> Option<Vec<Vec<(NodeId, NodeId)>>> {
+) -> Option<RefinedSets> {
     loop {
         // Recompute candidate sets from the current match sets.
         let cand = initial_candidates(q, &merged);
@@ -632,7 +740,7 @@ pub(crate) fn naive_fixpoint(
 }
 
 /// Builds the final [`MatchResult`] (or empty) from refined sets.
-pub(crate) fn assemble(q: &Pattern, sets: Option<Vec<Vec<(NodeId, NodeId)>>>) -> MatchResult {
+pub(crate) fn assemble(q: &Pattern, sets: Option<RefinedSets>) -> MatchResult {
     let Some(sets) = sets else {
         return MatchResult::empty();
     };

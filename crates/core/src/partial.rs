@@ -17,7 +17,10 @@
 use std::borrow::Cow;
 
 use crate::containment::{ContainmentPlan, ViewEdgeRef};
-use crate::matchjoin::{match_join_with, JoinError, JoinStats, JoinStrategy, MergedSets};
+use crate::matchjoin::{
+    check_arity, match_join_with, run_fixpoint, smallest_cover, Cover, JoinError, JoinStats,
+    JoinStrategy, MergedSets,
+};
 use crate::plan::EdgeSource;
 use crate::view::{ViewExtensions, ViewSet};
 use gpv_graph::{DataGraph, NodeId};
@@ -109,16 +112,6 @@ pub(crate) fn scan_edge_pairs(
     set
 }
 
-/// The smallest covering extension among a λ entry's candidates — the one
-/// the witness-narrowing merge reads, and therefore the one the planner
-/// pins into [`EdgeSource::View`] (same tie-break: first minimum).
-pub(crate) fn best_cover(entries: &[ViewEdgeRef], ext: &ViewExtensions) -> Option<ViewEdgeRef> {
-    entries
-        .iter()
-        .min_by_key(|r| ext.edge_set(r.view, r.edge).len())
-        .copied()
-}
-
 /// Derives the per-edge source vector a partial λ implies: covered edges
 /// read their smallest covering extension, uncovered edges scan `G`.
 /// (The engine's cost-based planner may instead emit `Graph` for a
@@ -131,19 +124,24 @@ pub fn sources_from_partial(
         .lambda
         .iter()
         .map(|entries| {
-            if entries.is_empty() {
-                return Ok(EdgeSource::Graph);
-            }
-            for r in entries {
-                if r.view >= ext.extensions.len() {
-                    return Err(JoinError::ViewOutOfRange(r.view));
-                }
-            }
-            Ok(EdgeSource::View(
-                best_cover(entries, ext).expect("nonempty entries"),
-            ))
+            Ok(match cover(entries, ext)? {
+                Some((r, _)) => EdgeSource::View(r),
+                None => EdgeSource::Graph,
+            })
         })
         .collect()
+}
+
+/// [`smallest_cover`] over plain extensions: the entry the
+/// witness-narrowing merge reads, and therefore the one the planner pins
+/// into [`EdgeSource::View`].
+pub(crate) fn cover<'a>(
+    entries: &[ViewEdgeRef],
+    ext: &'a ViewExtensions,
+) -> Result<Cover<'a, (NodeId, NodeId)>, JoinError> {
+    smallest_cover(entries, ext.extensions.len(), |r| {
+        ext.edge_set(r.view, r.edge)
+    })
 }
 
 /// The source-honoring merge step: builds each edge's initial match set
@@ -158,31 +156,25 @@ pub(crate) fn merged_from_sources<'a>(
     ext: &'a ViewExtensions,
     g: Option<&DataGraph>,
 ) -> Result<MergedSets<'a>, JoinError> {
-    if q.edge_count() == 0 {
-        return Err(JoinError::NoEdges);
-    }
-    if sources.len() != q.edge_count() {
-        return Err(JoinError::PlanMismatch);
-    }
-    let mut merged: MergedSets<'a> = Vec::with_capacity(q.edge_count());
-    for (ei, source) in sources.iter().enumerate() {
-        match source {
+    check_arity(q, sources.len())?;
+    sources
+        .iter()
+        .enumerate()
+        .map(|(ei, source)| match source {
+            // A pinned source is a one-entry cover. Arena slices are
+            // canonical by construction (`freeze` sorts + dedups), so the
+            // merge borrows them directly — zero per-pair copies on the
+            // view-covered edges.
             EdgeSource::View(r) => {
-                if r.view >= ext.extensions.len() {
-                    return Err(JoinError::ViewOutOfRange(r.view));
-                }
-                // Arena slices are canonical by construction (`freeze`
-                // sorts + dedups), so the merge borrows them directly —
-                // zero per-pair copies on the view-covered edges.
-                merged.push(Cow::Borrowed(ext.edge_set(r.view, r.edge)));
+                let (_, set) = cover(std::slice::from_ref(r), ext)?.expect("one entry");
+                Ok(Cow::Borrowed(set))
             }
             EdgeSource::Graph => {
                 let g = g.ok_or(JoinError::GraphRequired)?;
-                merged.push(Cow::Owned(scan_edge_pairs(q, PatternEdgeId(ei as u32), g)));
+                Ok(Cow::Owned(scan_edge_pairs(q, PatternEdgeId(ei as u32), g)))
             }
-        }
-    }
-    Ok(merged)
+        })
+        .collect()
 }
 
 /// Answers `q` using views for the covered edges and a surgical scan of `g`
@@ -195,16 +187,11 @@ pub fn hybrid_match_join(
     ext: &ViewExtensions,
     g: &DataGraph,
 ) -> Result<(MatchResult, JoinStats), JoinError> {
-    if q.edge_count() == 0 {
-        return Err(JoinError::NoEdges);
-    }
-    if partial.lambda.len() != q.edge_count() {
-        return Err(JoinError::PlanMismatch);
-    }
+    check_arity(q, partial.lambda.len())?;
     let sources = sources_from_partial(partial, ext)?;
     let merged = merged_from_sources(q, &sources, ext, Some(g))?;
     // Same refinement as MatchJoin from here on.
-    crate::matchjoin::run_fixpoint_public(q, merged)
+    run_fixpoint(q, merged, JoinStrategy::RankedBottomUp, 1)
 }
 
 /// Convenience: full pipeline — maximal coverage, then hybrid evaluation.

@@ -137,6 +137,17 @@ pub enum ExecStrategy {
     },
 }
 
+impl ExecStrategy {
+    /// The join strategy and worker count this executes as (the count is
+    /// read only by [`JoinStrategy::Parallel`]; `0` = auto-detect).
+    pub(crate) fn join(self) -> (JoinStrategy, usize) {
+        match self {
+            ExecStrategy::Sequential(s) => (s, 0),
+            ExecStrategy::Parallel { threads } => (JoinStrategy::Parallel, threads),
+        }
+    }
+}
+
 impl std::fmt::Display for ExecStrategy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

@@ -111,8 +111,9 @@ proptest! {
 
     /// The parallel executor is **bit-for-bit identical** to the
     /// sequential `RankedBottomUp` strategy across threads ∈ {1, 2, 4, 8}
-    /// (plus `GPV_TEST_THREADS`). Work units are fixed by edge index, so
-    /// the thread count may not leak into the answer.
+    /// (plus `GPV_TEST_THREADS`), answers and `JoinStats` alike. Work units
+    /// are fixed by edge index and the drain is shared, so the thread count
+    /// may not leak into either.
     #[test]
     fn parallel_is_bit_identical_to_ranked_bottom_up(
         g in arb_graph(),
@@ -120,22 +121,59 @@ proptest! {
         vseed in any::<u64>(),
     ) {
         let views = covering_views(std::slice::from_ref(&q), 3, vseed);
-        let sequential = QueryEngine::materialize(views.clone(), &g).with_config(EngineConfig {
-            force_exec: Some(ExecStrategy::Sequential(JoinStrategy::RankedBottomUp)),
-            ..EngineConfig::default()
-        });
-        let baseline = sequential.answer_from_views(&q).unwrap();
-        prop_assert_eq!(&baseline, &match_pattern(&q, &g));
-        for threads in sweep_threads() {
+        let run = |exec: ExecStrategy| {
             let engine = QueryEngine::materialize(views.clone(), &g).with_config(EngineConfig {
-                force_exec: Some(ExecStrategy::Parallel { threads }),
+                force_exec: Some(exec),
                 ..EngineConfig::default()
             });
-            prop_assert_eq!(
-                &engine.answer_from_views(&q).unwrap(),
-                &baseline,
-                "threads={}", threads
-            );
+            let plan = engine.plan(&q);
+            engine.execute(&q, &plan, None).unwrap()
+        };
+        let (baseline, base_stats) = run(ExecStrategy::Sequential(JoinStrategy::RankedBottomUp));
+        prop_assert_eq!(&baseline, &match_pattern(&q, &g));
+        for threads in sweep_threads() {
+            let (answer, stats) = run(ExecStrategy::Parallel { threads });
+            prop_assert_eq!(&answer, &baseline, "threads={}", threads);
+            prop_assert_eq!(stats, base_stats, "threads={}", threads);
+        }
+    }
+
+    /// The bounded twin: a forced `Parallel { threads }` plan makes
+    /// `answer_bounded` run `bmatch_join_threaded` on explicit workers
+    /// (these graphs are too small for `parallel_pays` to choose it). The
+    /// answer must equal `bmatch_pattern` and the sequential answer, with
+    /// the sequential `JoinStats`.
+    #[test]
+    fn bounded_parallel_is_bit_identical_to_ranked_bottom_up(
+        g in arb_graph(),
+        qb in arb_bounded_query(),
+        vseed in any::<u64>(),
+    ) {
+        use graph_views::views::{bmatch_join_threaded, bmaterialize};
+        let views = covering_bounded_views(std::slice::from_ref(&qb), 2, vseed);
+        let engine = |exec: ExecStrategy| {
+            QueryEngine::materialize(graph_views::views::ViewSet::default(), &g)
+                .with_bounded_views(views.clone(), &g)
+                .with_config(EngineConfig {
+                    force_exec: Some(exec),
+                    ..EngineConfig::default()
+                })
+        };
+        let sequential = engine(ExecStrategy::Sequential(JoinStrategy::RankedBottomUp));
+        let baseline = sequential.answer_bounded(&qb).unwrap();
+        prop_assert_eq!(&baseline, &bmatch_pattern(&qb, &g));
+        let plan = sequential.plan_bounded(&qb).unwrap().plan;
+        let ext = bmaterialize(&views, &g);
+        let (_, base_stats) =
+            bmatch_join_threaded(&qb, &plan, &ext, JoinStrategy::RankedBottomUp, 0).unwrap();
+        for threads in sweep_threads() {
+            let parallel = engine(ExecStrategy::Parallel { threads });
+            prop_assert_eq!(parallel.plan_bounded(&qb).unwrap().exec, ExecStrategy::Parallel { threads });
+            prop_assert_eq!(&parallel.answer_bounded(&qb).unwrap(), &baseline, "threads={}", threads);
+            let (answer, stats) =
+                bmatch_join_threaded(&qb, &plan, &ext, JoinStrategy::Parallel, threads).unwrap();
+            prop_assert_eq!(&answer, &baseline, "threads={}", threads);
+            prop_assert_eq!(stats, base_stats, "threads={}", threads);
         }
     }
 
