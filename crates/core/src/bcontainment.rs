@@ -16,218 +16,73 @@
 //! the paper's examples (e.g. Example 9 rejects V7 because
 //! `dist(C, D) = 3 > 2`).
 //!
+//! Only the view match is bounded: the matches fill the same view-match
+//! table as the plain case (see [`crate::containment`]), and `Bcontain`,
+//! `Bminimal` and `Bminimum` are the plain `contain`, `minimal` and
+//! `minimum` over it.
+//!
 //! Complexity: `O(|Qb|²|V|)` for `Bcontain`/`Bminimal` (Theorem 10), up from
 //! quadratic in the unweighted case.
 
 use crate::bview::BoundedViewSet;
-use crate::containment::{ContainmentPlan, ViewEdgeRef};
-use crate::minimal::Selection;
+use crate::containment::{ContainmentPlan, ViewMatchTable};
+use crate::minimal::{minimal_from_table, Selection};
+use crate::minimum::minimum_from_table;
 use gpv_matching::bounded_pattern_sim::simulate_bounded_pattern;
+use gpv_matching::pattern_sim::edge_match_sets;
 use gpv_pattern::{BoundedPattern, PatternEdgeId};
 
-/// The bounded view match `M^Qb_V`: covered query edges, with the witnessing
-/// λ entries.
+/// The bounded view match `M^Qb_V` as per-view-edge match sets: `S_eV`
+/// holds the query edges `e = (u, u')` with `u ∈ sim(x)`, `u' ∈ sim(x')`
+/// and `fe(e)` within `eV`'s bound (empty when `V` does not simulate into
+/// `Qb`).
 fn bounded_view_match_entries(
     view: &BoundedPattern,
     qb: &BoundedPattern,
-) -> Vec<(PatternEdgeId, PatternEdgeId)> {
+) -> Vec<Vec<PatternEdgeId>> {
     let Some(cand) = simulate_bounded_pattern(view, qb) else {
         return Vec::new();
     };
-    let qp = qb.pattern();
-    let vp = view.pattern();
-    let mut entries = Vec::new();
-    for (vei, &(x, x2)) in vp.edges().iter().enumerate() {
-        let vbound = view.bound(PatternEdgeId(vei as u32));
-        for (qei, &(u, u2)) in qp.edges().iter().enumerate() {
-            let qe = PatternEdgeId(qei as u32);
-            if cand[x.index()][u.index()]
-                && cand[x2.index()][u2.index()]
-                && qb.bound(qe).within(vbound)
-            {
-                entries.push((qe, PatternEdgeId(vei as u32)));
-            }
-        }
-    }
-    entries
+    edge_match_sets(view.pattern(), qb.pattern(), &cand, |ve, qe| {
+        qb.bound(qe).within(view.bound(ve))
+    })
 }
 
 /// `M^Qb_V` as a sorted set of covered query edges.
 pub fn bounded_view_match(view: &BoundedPattern, qb: &BoundedPattern) -> Vec<PatternEdgeId> {
-    let mut edges: Vec<PatternEdgeId> = bounded_view_match_entries(view, qb)
-        .into_iter()
-        .map(|(qe, _)| qe)
-        .collect();
+    let mut edges = bounded_view_match_entries(view, qb).concat();
     edges.sort_unstable();
     edges.dedup();
     edges
 }
 
-/// Per-view match table shared by the three algorithms (and built once per
-/// query by the engine's bounded planner).
-pub(crate) struct BTable {
-    covers: Vec<Vec<PatternEdgeId>>,
-    entries: Vec<Vec<(PatternEdgeId, ViewEdgeRef)>>,
-}
-
-impl BTable {
-    pub(crate) fn build(qb: &BoundedPattern, views: &BoundedViewSet) -> Self {
-        let mut covers = Vec::with_capacity(views.card());
-        let mut entries = Vec::with_capacity(views.card());
-        for (vi, vdef) in views.iter() {
-            let es = bounded_view_match_entries(&vdef.pattern, qb);
-            let mut cover: Vec<PatternEdgeId> = es.iter().map(|&(qe, _)| qe).collect();
-            cover.sort_unstable();
-            cover.dedup();
-            covers.push(cover);
-            entries.push(
-                es.into_iter()
-                    .map(|(qe, ve)| (qe, ViewEdgeRef { view: vi, edge: ve }))
-                    .collect(),
-            );
-        }
-        BTable { covers, entries }
-    }
-
-    fn plan_for(&self, qb: &BoundedPattern, selected: &[usize]) -> Option<ContainmentPlan> {
-        let mut lambda: Vec<Vec<ViewEdgeRef>> = vec![Vec::new(); qb.pattern().edge_count()];
-        for &vi in selected {
-            for &(qe, r) in &self.entries[vi] {
-                lambda[qe.index()].push(r);
-            }
-        }
-        if lambda.iter().any(Vec::is_empty) {
-            return None;
-        }
-        let mut used = selected.to_vec();
-        used.sort_unstable();
-        used.dedup();
-        Some(ContainmentPlan {
-            lambda,
-            used_views: used,
-        })
-    }
+/// The view-match table over bounded view matches: what `Bcontain`,
+/// `Bminimal` and `Bminimum` (and the engine's bounded planner) read.
+pub(crate) fn bounded_table(qb: &BoundedPattern, views: &BoundedViewSet) -> ViewMatchTable {
+    ViewMatchTable::from_edge_matches(
+        qb.pattern().edge_count(),
+        views
+            .iter()
+            .map(|(_, v)| bounded_view_match_entries(&v.pattern, qb)),
+    )
 }
 
 /// `Bcontain`: decides `Qb ⊑ V` (Proposition 11) and returns λ on success.
 pub fn bcontain(qb: &BoundedPattern, views: &BoundedViewSet) -> Option<ContainmentPlan> {
-    bcontain_from_table(qb, &BTable::build(qb, views))
+    bounded_table(qb, views).contain()
 }
 
-/// [`bcontain`] over an already-built table.
-pub(crate) fn bcontain_from_table(qb: &BoundedPattern, table: &BTable) -> Option<ContainmentPlan> {
-    let ne = qb.pattern().edge_count();
-    let mut covered = vec![false; ne];
-    for cover in &table.covers {
-        for e in cover {
-            covered[e.index()] = true;
-        }
-    }
-    if covered.iter().all(|&c| c) {
-        table.plan_for(qb, &(0..table.covers.len()).collect::<Vec<_>>())
-    } else {
-        None
-    }
-}
-
-/// `Bminimal`: minimal containing subset (Theorem 10(2)); mirrors `minimal`.
+/// `Bminimal`: minimal containing subset (Theorem 10(2)) — `minimal` over
+/// the bounded view matches.
 pub fn bminimal(qb: &BoundedPattern, views: &BoundedViewSet) -> Option<Selection> {
-    bminimal_from_table(qb, &BTable::build(qb, views))
-}
-
-/// [`bminimal`] over an already-built table.
-pub(crate) fn bminimal_from_table(qb: &BoundedPattern, table: &BTable) -> Option<Selection> {
-    let ne = qb.pattern().edge_count();
-    let view_count = table.covers.len();
-
-    let mut selected: Vec<usize> = Vec::new();
-    let mut covered = vec![false; ne];
-    let mut covered_count = 0usize;
-    let mut m: Vec<Vec<usize>> = vec![Vec::new(); ne];
-    for (vi, cover) in table.covers.iter().enumerate() {
-        if !cover.iter().any(|e| !covered[e.index()]) {
-            continue;
-        }
-        selected.push(vi);
-        for e in cover {
-            if !covered[e.index()] {
-                covered[e.index()] = true;
-                covered_count += 1;
-            }
-            m[e.index()].push(vi);
-        }
-        if covered_count == ne {
-            break;
-        }
-    }
-    if covered_count != ne {
-        return None;
-    }
-
-    let mut kept = vec![true; view_count];
-    for &vj in selected.clone().iter() {
-        let needed = table.covers[vj].iter().any(|e| {
-            m[e.index()].iter().filter(|&&v| kept[v]).count() == 1
-                && m[e.index()].iter().any(|&v| v == vj && kept[v])
-        });
-        if !needed {
-            kept[vj] = false;
-        }
-    }
-    let final_views: Vec<usize> = selected.into_iter().filter(|&v| kept[v]).collect();
-    let plan = table.plan_for(qb, &final_views).expect("still covers");
-    Some(Selection {
-        views: final_views,
-        plan,
-    })
+    minimal_from_table(&bounded_table(qb, views))
 }
 
 /// `Bminimum`: greedy set-cover approximation of the minimum containing
-/// subset (Theorem 10(3): NP-complete exactly, `O(log |Ep|)`-approximable).
+/// subset (Theorem 10(3): NP-complete exactly, `O(log |Ep|)`-approximable)
+/// — `minimum` over the bounded view matches.
 pub fn bminimum(qb: &BoundedPattern, views: &BoundedViewSet) -> Option<Selection> {
-    bminimum_from_table(qb, &BTable::build(qb, views))
-}
-
-/// [`bminimum`] over an already-built table.
-pub(crate) fn bminimum_from_table(qb: &BoundedPattern, table: &BTable) -> Option<Selection> {
-    let ne = qb.pattern().edge_count();
-    let mut covered = vec![false; ne];
-    let mut covered_count = 0usize;
-    let mut available: Vec<usize> = (0..table.covers.len()).collect();
-    let mut selected = Vec::new();
-
-    while covered_count < ne {
-        let (best_pos, best_gain) = available
-            .iter()
-            .enumerate()
-            .map(|(pos, &vi)| {
-                (
-                    pos,
-                    table.covers[vi]
-                        .iter()
-                        .filter(|e| !covered[e.index()])
-                        .count(),
-                )
-            })
-            .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))?;
-        if best_gain == 0 {
-            return None;
-        }
-        let vi = available.swap_remove(best_pos);
-        selected.push(vi);
-        for e in &table.covers[vi] {
-            if !covered[e.index()] {
-                covered[e.index()] = true;
-                covered_count += 1;
-            }
-        }
-    }
-    selected.sort_unstable();
-    let plan = table.plan_for(qb, &selected).expect("covers");
-    Some(Selection {
-        views: selected,
-        plan,
-    })
+    minimum_from_table(&bounded_table(qb, views))
 }
 
 /// Bounded query containment `Qb1 ⊑ Qb2` (single-view special case).
@@ -287,6 +142,20 @@ mod tests {
         ]);
         let plan = bcontain(&qb(), &views).expect("contained");
         assert_eq!(plan.used_views, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn used_views_lists_only_contributing_views() {
+        // View 1 (X -> Y) matches nothing in Qb: it contributes no λ entry,
+        // so it is not a used view.
+        let views = BoundedViewSet::new(vec![
+            bview(&[("A", "B", Some(3)), ("A", "C", Some(3))]),
+            bview(&[("X", "Y", Some(3))]),
+            bview(&[("B", "D", Some(3)), ("C", "D", Some(3))]),
+            bview(&[("B", "E", Some(2))]),
+        ]);
+        let plan = bcontain(&qb(), &views).expect("contained");
+        assert_eq!(plan.used_views, vec![0, 2, 3]);
     }
 
     #[test]

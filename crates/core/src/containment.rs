@@ -10,9 +10,13 @@
 //!
 //! Complexity: `O(card(V)·|Qs|² + |V|² + |Qs||V|)` (Theorem 3) — independent
 //! of `G` and of the materialized extensions.
+//!
+//! The view matches of all views live in one `ViewMatchTable`, built once
+//! per query; `contain`, `partial_contain`, `minimal`, `minimum` and their
+//! dual and bounded counterparts all read it, so the λ builder exists once.
 
 use crate::view::ViewSet;
-use gpv_matching::pattern_sim::simulate_pattern;
+use gpv_matching::pattern_sim::{simulate_pattern, PatternSimResult};
 use gpv_pattern::{Pattern, PatternEdgeId};
 use serde::{Deserialize, Serialize};
 
@@ -38,6 +42,19 @@ pub struct ContainmentPlan {
 }
 
 impl ContainmentPlan {
+    /// The plan a `λ` describes: `None` when some query edge has no entry
+    /// (`Qs` is not contained), otherwise `λ` with the ascending indices of
+    /// the views it reads as [`Self::used_views`].
+    pub(crate) fn from_lambda(lambda: Vec<Vec<ViewEdgeRef>>) -> Option<ContainmentPlan> {
+        if lambda.iter().any(Vec::is_empty) {
+            return None;
+        }
+        let mut used_views: Vec<usize> = lambda.iter().flatten().map(|r| r.view).collect();
+        used_views.sort_unstable();
+        used_views.dedup();
+        Some(ContainmentPlan { lambda, used_views })
+    }
+
     /// The view edges covering query edge `e`.
     pub fn covering(&self, e: PatternEdgeId) -> &[ViewEdgeRef] {
         &self.lambda[e.index()]
@@ -47,31 +64,118 @@ impl ContainmentPlan {
     /// `minimum` selection), dropping entries from other views. Returns
     /// `None` if some query edge loses all cover.
     pub fn restrict_to(&self, views: &[usize]) -> Option<ContainmentPlan> {
-        let keep: std::collections::HashSet<usize> = views.iter().copied().collect();
-        let lambda: Vec<Vec<ViewEdgeRef>> = self
+        let lambda = self
             .lambda
             .iter()
             .map(|entries| {
                 entries
                     .iter()
-                    .filter(|r| keep.contains(&r.view))
+                    .filter(|r| views.contains(&r.view))
                     .copied()
-                    .collect::<Vec<_>>()
+                    .collect()
             })
             .collect();
-        if lambda.iter().any(Vec::is_empty) {
-            return None;
+        ContainmentPlan::from_lambda(lambda)
+    }
+}
+
+/// The view matches of every view into one query: what `contain`,
+/// `partial_contain`, `minimal` and `minimum` — and their dual and bounded
+/// counterparts — all read. Built once per query from per-view match sets
+/// `S_eV`; only where those sets come from differs between the semantics:
+/// [`simulate_pattern`] (plain), `simulate_pattern_dual` (dual, §VIII) or
+/// the bounded view match of [`crate::bcontainment`] (§VI-B).
+#[derive(Debug)]
+pub(crate) struct ViewMatchTable {
+    /// `covers[vi]` = query edges in `M^Qs_Vi` (sorted).
+    pub covers: Vec<Vec<PatternEdgeId>>,
+    /// `entries[vi]` = the `(query edge, view edge)` pairs witnessing
+    /// `M^Qs_Vi`, ordered by view edge, then query edge.
+    pub entries: Vec<Vec<(PatternEdgeId, ViewEdgeRef)>>,
+    /// `|Ep|` of the query.
+    pub edge_count: usize,
+}
+
+impl ViewMatchTable {
+    /// The table over a query with `edge_count` edges, from each view's
+    /// match sets (`per_view[vi][eV]` = `S_eV`; empty when the view does not
+    /// simulate into the query).
+    pub fn from_edge_matches(
+        edge_count: usize,
+        per_view: impl IntoIterator<Item = Vec<Vec<PatternEdgeId>>>,
+    ) -> Self {
+        let mut table = ViewMatchTable {
+            covers: Vec::new(),
+            entries: Vec::new(),
+            edge_count,
+        };
+        for (view, sets) in per_view.into_iter().enumerate() {
+            let entries: Vec<(PatternEdgeId, ViewEdgeRef)> = sets
+                .iter()
+                .enumerate()
+                .flat_map(|(vei, qedges)| {
+                    let edge = PatternEdgeId(vei as u32);
+                    qedges
+                        .iter()
+                        .map(move |&qe| (qe, ViewEdgeRef { view, edge }))
+                })
+                .collect();
+            let mut cover: Vec<PatternEdgeId> = entries.iter().map(|&(qe, _)| qe).collect();
+            cover.sort_unstable();
+            cover.dedup();
+            table.covers.push(cover);
+            table.entries.push(entries);
         }
-        let mut used: Vec<usize> = lambda
-            .iter()
-            .flat_map(|v| v.iter().map(|r| r.view))
-            .collect();
-        used.sort_unstable();
-        used.dedup();
-        Some(ContainmentPlan {
-            lambda,
-            used_views: used,
-        })
+        table
+    }
+
+    /// The plain table: view matches by [`simulate_pattern`].
+    pub fn build(q: &Pattern, views: &ViewSet) -> Self {
+        Self::simulated(q, views, simulate_pattern)
+    }
+
+    /// The table with view matches computed by `sim` (plain or dual
+    /// pattern simulation).
+    pub fn simulated(
+        q: &Pattern,
+        views: &ViewSet,
+        sim: fn(&Pattern, &Pattern) -> Option<PatternSimResult>,
+    ) -> Self {
+        Self::from_edge_matches(
+            q.edge_count(),
+            views
+                .iter()
+                .map(|(_, v)| sim(&v.pattern, q).map_or_else(Vec::new, |s| s.edge_matches)),
+        )
+    }
+
+    /// Number of views in the table.
+    pub fn card(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// `λ` over the `selected` views (ascending): each query edge's entries
+    /// ordered by view, then view edge — the order `smallest_cover` breaks
+    /// ties by.
+    pub fn lambda(&self, selected: impl IntoIterator<Item = usize>) -> Vec<Vec<ViewEdgeRef>> {
+        let mut lambda = vec![Vec::new(); self.edge_count];
+        for vi in selected {
+            for &(qe, r) in &self.entries[vi] {
+                lambda[qe.index()].push(r);
+            }
+        }
+        lambda
+    }
+
+    /// `λ` over every view: the maximal coverage.
+    pub fn full_lambda(&self) -> Vec<Vec<ViewEdgeRef>> {
+        self.lambda(0..self.card())
+    }
+
+    /// Algorithm `contain` over the table: the full `λ`, when it covers
+    /// every query edge.
+    pub fn contain(&self) -> Option<ContainmentPlan> {
+        ContainmentPlan::from_lambda(self.full_lambda())
     }
 }
 
@@ -86,39 +190,7 @@ pub fn view_match(view: &Pattern, q: &Pattern) -> Vec<PatternEdgeId> {
 /// Algorithm `contain` (Section V-A): decides `Qs ⊑ V` and, on success,
 /// returns the mapping `λ` for `MatchJoin`.
 pub fn contain(q: &Pattern, views: &ViewSet) -> Option<ContainmentPlan> {
-    let ne = q.edge_count();
-    let mut lambda: Vec<Vec<ViewEdgeRef>> = vec![Vec::new(); ne];
-    let mut covered = vec![false; ne];
-
-    for (vi, vdef) in views.iter() {
-        let Some(sim) = simulate_pattern(&vdef.pattern, q) else {
-            continue;
-        };
-        for (vei, qedges) in sim.edge_matches.iter().enumerate() {
-            for &qe in qedges {
-                covered[qe.index()] = true;
-                lambda[qe.index()].push(ViewEdgeRef {
-                    view: vi,
-                    edge: PatternEdgeId(vei as u32),
-                });
-            }
-        }
-    }
-
-    if covered.iter().all(|&c| c) {
-        let mut used: Vec<usize> = lambda
-            .iter()
-            .flat_map(|v| v.iter().map(|r| r.view))
-            .collect();
-        used.sort_unstable();
-        used.dedup();
-        Some(ContainmentPlan {
-            lambda,
-            used_views: used,
-        })
-    } else {
-        None
-    }
+    ViewMatchTable::build(q, views).contain()
 }
 
 /// Classical query containment `Qs1 ⊑ Qs2` (Corollary 4): the special case

@@ -7,7 +7,9 @@
 //! added at each level:
 //!
 //! * view matches come from [`simulate_pattern_dual`] — a view covers a
-//!   query edge only when it dual-simulates into the query;
+//!   query edge only when it dual-simulates into the query; they fill the
+//!   same view-match table as the plain case, so `dual_contain` is the
+//!   plain `contain` over dual view matches;
 //! * extensions are materialized with `dual_match_pattern`;
 //! * `dual_match_join` runs the shared ranked kernel of
 //!   [`crate::matchjoin`] in its dual mode: candidates also intersect
@@ -20,48 +22,18 @@
 //! `DualMatchJoin(V(G)) == DualMatch(G)` both carry over (property-tested
 //! in `tests/`).
 
-use crate::containment::{ContainmentPlan, ViewEdgeRef};
+use crate::containment::{ContainmentPlan, ViewMatchTable};
 use crate::matchjoin::{assemble, merge_step, ranked_fixpoint, JoinError, JoinStats, Simulation};
 use crate::view::{ViewExtensions, ViewSet};
 use gpv_matching::dual::dual_match_pattern;
 use gpv_matching::pattern_sim::simulate_pattern_dual;
 use gpv_matching::result::MatchResult;
-use gpv_pattern::{Pattern, PatternEdgeId};
+use gpv_pattern::Pattern;
 
 /// `Dcontain`: decides whether `Qs` is contained in `V` under dual
 /// simulation, returning the witnessing λ.
 pub fn dual_contain(q: &Pattern, views: &ViewSet) -> Option<ContainmentPlan> {
-    let ne = q.edge_count();
-    let mut lambda: Vec<Vec<ViewEdgeRef>> = vec![Vec::new(); ne];
-    let mut covered = vec![false; ne];
-    for (vi, vdef) in views.iter() {
-        let Some(sim) = simulate_pattern_dual(&vdef.pattern, q) else {
-            continue;
-        };
-        for (vei, qedges) in sim.edge_matches.iter().enumerate() {
-            for &qe in qedges {
-                covered[qe.index()] = true;
-                lambda[qe.index()].push(ViewEdgeRef {
-                    view: vi,
-                    edge: PatternEdgeId(vei as u32),
-                });
-            }
-        }
-    }
-    if covered.iter().all(|&c| c) {
-        let mut used: Vec<usize> = lambda
-            .iter()
-            .flat_map(|v| v.iter().map(|r| r.view))
-            .collect();
-        used.sort_unstable();
-        used.dedup();
-        Some(ContainmentPlan {
-            lambda,
-            used_views: used,
-        })
-    } else {
-        None
-    }
+    ViewMatchTable::simulated(q, views, simulate_pattern_dual).contain()
 }
 
 /// Materializes views with the dual-simulation engine, freezing each result

@@ -30,11 +30,13 @@
 //! [`match_pattern`], touching `G`
 //! only when the views genuinely cannot cover the query.
 
+use crate::bcontainment::bounded_table;
 use crate::bview::{bmaterialize, BoundedViewExtensions, BoundedViewSet};
-use crate::containment::{ContainmentPlan, ViewEdgeRef};
+use crate::containment::{ContainmentPlan, ViewEdgeRef, ViewMatchTable};
 use crate::cost::{CostEstimate, CostLog, CostModel, CostSample, SharedCostLog};
 use crate::matchjoin::{run_fixpoint, JoinError, JoinStats, JoinStrategy};
-use crate::minimal::Selection;
+use crate::minimal::{minimal_from_table, Selection};
+use crate::minimum::minimum_from_table;
 use crate::parallel::auto_threads;
 use crate::partial::{cover, merged_from_sources, PartialPlan};
 use crate::plan::{EdgeSource, ExecStrategy, FallbackReason, QueryPlan, SelectionMode, ViewPlan};
@@ -500,8 +502,8 @@ impl QueryEngine {
         // One view-match sweep serves containment, partial coverage, and
         // both selection algorithms (they share the table instead of each
         // re-simulating every view against the query).
-        let table = crate::minimal::ViewMatchTable::build(q, &self.views);
-        match table.full_plan(q) {
+        let table = ViewMatchTable::build(q, &self.views);
+        match table.contain() {
             Some(full) => {
                 let chosen = self.select(q, full, &table);
                 let (sources, view_pairs, graph_edges) = self.source_edges(q, &chosen.plan.lambda);
@@ -531,7 +533,7 @@ impl QueryEngine {
                 }
             }
             None => {
-                let partial = table.partial_plan(q);
+                let partial = PartialPlan::from_lambda(table.full_lambda());
                 let direct_cost = cm.direct(q, &gstats);
                 if partial.uncovered.len() == q.edge_count() {
                     return QueryPlan::Direct {
@@ -570,20 +572,13 @@ impl QueryEngine {
     /// [`EngineConfig::force_selection`] computes only the forced candidate
     /// (falling back to the full `all` λ when the pinned algorithm cannot
     /// apply — it always can when containment holds).
-    fn select(
-        &self,
-        q: &Pattern,
-        full: ContainmentPlan,
-        table: &crate::minimal::ViewMatchTable,
-    ) -> ViewPlan {
-        use crate::minimal::minimal_from_table;
-        use crate::minimum::minimum_from_table;
+    fn select(&self, q: &Pattern, full: ContainmentPlan, table: &ViewMatchTable) -> ViewPlan {
         let cm = &self.config.cost;
         let (selection, sel, cost) = choose_selection(
             self.config.force_selection,
             full,
-            || minimal_from_table(q, table),
-            || minimum_from_table(q, table),
+            || minimal_from_table(table),
+            || minimum_from_table(table),
             |plan| cm.view_plan(q, plan, &self.ext),
             cm.selection_overhead(q, self.views.card()),
         );
@@ -699,19 +694,18 @@ impl QueryEngine {
     /// read (plus the selection premium), cheapest wins, pinned mode
     /// computes only the pinned candidate.
     pub fn plan_bounded(&self, qb: &BoundedPattern) -> Result<BoundedPlan, EngineError> {
-        use crate::bcontainment::{bcontain_from_table, bminimal_from_table, bminimum_from_table};
         let (views, ext) = self.bounded.as_ref().ok_or(EngineError::NoBoundedViews)?;
         let cm = &self.config.cost;
-        // As in `plan`: one bounded view-match sweep shared by containment
-        // and both selection algorithms.
-        let table = crate::bcontainment::BTable::build(qb, views);
-        let full = bcontain_from_table(qb, &table).ok_or(EngineError::BoundedNotContained)?;
+        // As in `plan`: one view-match table, here over bounded view
+        // matches, shared by containment and both selection algorithms.
+        let table = bounded_table(qb, views);
+        let full = table.contain().ok_or(EngineError::BoundedNotContained)?;
 
         let (selection, sel, cost) = choose_selection(
             self.config.force_selection,
             full,
-            || bminimal_from_table(qb, &table),
-            || bminimum_from_table(qb, &table),
+            || minimal_from_table(&table),
+            || minimum_from_table(&table),
             |plan| {
                 let pairs = cm.pairs_read_bounded(&plan.lambda, ext);
                 CostEstimate {

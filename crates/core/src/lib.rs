@@ -86,10 +86,7 @@ pub use minimal::{minimal, Selection};
 pub use minimize::{minimize, Minimized};
 pub use minimum::{alpha, minimum};
 pub use parallel::par_match_join;
-pub use partial::{
-    answer_with_partial_views, hybrid_match_join, partial_contain, sources_from_partial,
-    PartialPlan,
-};
+pub use partial::{hybrid_match_join, partial_contain, sources_from_partial, PartialPlan};
 pub use plan::{
     CacheDisposition, EdgeSource, ExecStrategy, FallbackReason, QueryPlan, SelectionMode, ViewPlan,
 };

@@ -4,11 +4,14 @@
 //! `V'` does. Quadratic time (Theorem 5): the cost is dominated by computing
 //! the view matches once per view; the redundancy-elimination pass is
 //! `O(card(V)·|Qs|)` using the edge→views index `M`.
+//!
+//! The pass reads only the per-view covers of the shared view-match table
+//! (see [`crate::containment`]), so the bounded `bminimal` (§VI-B) runs
+//! this same implementation over bounded view matches.
 
-use crate::containment::{ContainmentPlan, ViewEdgeRef};
+use crate::containment::{ContainmentPlan, ViewMatchTable};
 use crate::view::ViewSet;
-use gpv_matching::pattern_sim::simulate_pattern;
-use gpv_pattern::{Pattern, PatternEdgeId};
+use gpv_pattern::Pattern;
 
 /// Result of minimal/minimum containment selection.
 #[derive(Clone, Debug, PartialEq)]
@@ -19,118 +22,29 @@ pub struct Selection {
     pub plan: ContainmentPlan,
 }
 
-/// Per-view containment data computed once and shared by `minimal` /
-/// `minimum`.
-pub(crate) struct ViewMatchTable {
-    /// `covers[vi]` = query edges in `M^Qs_Vi` (sorted).
-    pub covers: Vec<Vec<PatternEdgeId>>,
-    /// `lambda_entries[vi][k]` = (query edge, view edge) witnessing pairs.
-    pub entries: Vec<Vec<(PatternEdgeId, ViewEdgeRef)>>,
-}
-
-impl ViewMatchTable {
-    pub fn build(q: &Pattern, views: &ViewSet) -> Self {
-        let mut covers = Vec::with_capacity(views.card());
-        let mut entries = Vec::with_capacity(views.card());
-        for (vi, vdef) in views.iter() {
-            match simulate_pattern(&vdef.pattern, q) {
-                Some(sim) => {
-                    covers.push(sim.view_match());
-                    let mut es = Vec::new();
-                    for (vei, qedges) in sim.edge_matches.iter().enumerate() {
-                        for &qe in qedges {
-                            es.push((
-                                qe,
-                                ViewEdgeRef {
-                                    view: vi,
-                                    edge: PatternEdgeId(vei as u32),
-                                },
-                            ));
-                        }
-                    }
-                    entries.push(es);
-                }
-                None => {
-                    covers.push(Vec::new());
-                    entries.push(Vec::new());
-                }
-            }
-        }
-        ViewMatchTable { covers, entries }
-    }
-
-    /// The full-λ plan over *all* views (the [`contain`](crate::containment::contain)
-    /// result), derived from the table instead of re-simulating: `lambda`
-    /// aggregates every entry, `used_views` keeps the contributing views.
-    /// `None` when some query edge is uncovered (`Qs ⋢ V`).
-    pub(crate) fn full_plan(&self, q: &Pattern) -> Option<ContainmentPlan> {
-        let mut lambda: Vec<Vec<ViewEdgeRef>> = vec![Vec::new(); q.edge_count()];
-        for es in &self.entries {
-            for &(qe, r) in es {
-                lambda[qe.index()].push(r);
-            }
-        }
-        if lambda.iter().any(Vec::is_empty) {
-            return None;
-        }
-        let used: Vec<usize> = (0..self.entries.len())
-            .filter(|&vi| !self.entries[vi].is_empty())
-            .collect();
-        Some(ContainmentPlan {
-            lambda,
-            used_views: used,
-        })
-    }
-
-    /// The maximal-coverage λ (the
-    /// [`partial_contain`](crate::partial::partial_contain) result), derived
-    /// from the table.
-    pub(crate) fn partial_plan(&self, q: &Pattern) -> crate::partial::PartialPlan {
-        let mut lambda: Vec<Vec<ViewEdgeRef>> = vec![Vec::new(); q.edge_count()];
-        for es in &self.entries {
-            for &(qe, r) in es {
-                lambda[qe.index()].push(r);
-            }
-        }
-        let uncovered = (0..q.edge_count())
-            .filter(|&e| lambda[e].is_empty())
-            .map(|e| PatternEdgeId(e as u32))
-            .collect();
-        crate::partial::PartialPlan { lambda, uncovered }
-    }
-
-    /// Assembles a [`ContainmentPlan`] over exactly `selected` views.
-    pub fn plan_for(&self, q: &Pattern, selected: &[usize]) -> Option<ContainmentPlan> {
-        let mut lambda: Vec<Vec<ViewEdgeRef>> = vec![Vec::new(); q.edge_count()];
-        for &vi in selected {
-            for &(qe, r) in &self.entries[vi] {
-                lambda[qe.index()].push(r);
-            }
-        }
-        if lambda.iter().any(Vec::is_empty) {
-            return None;
-        }
-        let mut used: Vec<usize> = selected.to_vec();
-        used.sort_unstable();
-        used.dedup();
-        Some(ContainmentPlan {
-            lambda,
-            used_views: used,
-        })
+impl Selection {
+    /// The selection of `views` (ascending) over `table`, with the plan
+    /// reading exactly their entries.
+    pub(crate) fn of(table: &ViewMatchTable, views: Vec<usize>) -> Selection {
+        let plan = ContainmentPlan::from_lambda(table.lambda(views.iter().copied()))
+            .expect("a selection covers Qs");
+        Selection { views, plan }
     }
 }
 
 /// Algorithm `minimal` (Fig. 5): returns a minimally containing subset and
 /// its plan, or `None` when `Qs ⋢ V`.
 pub fn minimal(q: &Pattern, views: &ViewSet) -> Option<Selection> {
-    minimal_from_table(q, &ViewMatchTable::build(q, views))
+    minimal_from_table(&ViewMatchTable::build(q, views))
 }
 
-/// [`minimal`] over an already-built table (the engine builds the table
-/// once and shares it across `contain`/`minimal`/`minimum`).
-pub(crate) fn minimal_from_table(q: &Pattern, table: &ViewMatchTable) -> Option<Selection> {
-    let ne = q.edge_count();
-    let view_count = table.covers.len();
+/// [`minimal`] over an already-built table — plain, dual or bounded: the
+/// engine builds the table once per query and shares it across
+/// `contain`/`minimal`/`minimum`, and `bminimal` is this same pass over the
+/// bounded view matches (Theorem 10).
+pub(crate) fn minimal_from_table(table: &ViewMatchTable) -> Option<Selection> {
+    let ne = table.edge_count;
+    let view_count = table.card();
 
     // Phase 1 (lines 2-7): greedily keep views contributing new edges,
     // stopping as soon as E = Ep.
@@ -163,7 +77,7 @@ pub(crate) fn minimal_from_table(q: &Pattern, table: &ViewMatchTable) -> Option<
     // Phase 2 (lines 9-11): eliminate redundant views. Removing Vj is safe
     // iff no edge in M^Qs_Vj would be left with an empty M(e).
     let mut kept: Vec<bool> = vec![true; view_count];
-    for &vj in selected.clone().iter() {
+    for &vj in &selected {
         let needed = table.covers[vj].iter().any(|e| {
             m[e.index()].iter().filter(|&&v| kept[v]).count() == 1
                 && m[e.index()].iter().any(|&v| v == vj && kept[v])
@@ -174,13 +88,7 @@ pub(crate) fn minimal_from_table(q: &Pattern, table: &ViewMatchTable) -> Option<
         }
     }
     let final_views: Vec<usize> = selected.into_iter().filter(|&v| kept[v]).collect();
-    let plan = table
-        .plan_for(q, &final_views)
-        .expect("kept views still cover Qs");
-    Some(Selection {
-        views: final_views,
-        plan,
-    })
+    Some(Selection::of(table, final_views))
 }
 
 #[cfg(test)]

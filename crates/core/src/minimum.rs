@@ -7,7 +7,8 @@
 //! query edges achieves the classic `O(log |Ep|)` approximation ratio, in
 //! `O(card(V)|Qs|² + |V|² + |Qs||V| + (|Qs|·card(V))^{3/2})` time.
 
-use crate::minimal::{Selection, ViewMatchTable};
+use crate::containment::ViewMatchTable;
+use crate::minimal::Selection;
 use crate::view::ViewSet;
 use gpv_pattern::Pattern;
 
@@ -15,17 +16,18 @@ use gpv_pattern::Pattern;
 /// when `Qs ⋢ V`; otherwise the selection satisfies
 /// `card(V') ≤ log(|Ep|) · card(V_OPT)`.
 pub fn minimum(q: &Pattern, views: &ViewSet) -> Option<Selection> {
-    minimum_from_table(q, &ViewMatchTable::build(q, views))
+    minimum_from_table(&ViewMatchTable::build(q, views))
 }
 
-/// [`minimum`] over an already-built table (the engine builds the table
-/// once and shares it across `contain`/`minimal`/`minimum`).
-pub(crate) fn minimum_from_table(q: &Pattern, table: &ViewMatchTable) -> Option<Selection> {
-    let ne = q.edge_count();
+/// [`minimum`] over an already-built table — plain, dual or bounded (the
+/// engine builds the table once per query; `bminimum` is this same greedy
+/// pass over the bounded view matches).
+pub(crate) fn minimum_from_table(table: &ViewMatchTable) -> Option<Selection> {
+    let ne = table.edge_count;
 
     let mut covered = vec![false; ne];
     let mut covered_count = 0usize;
-    let mut available: Vec<usize> = (0..table.covers.len()).collect();
+    let mut available: Vec<usize> = (0..table.card()).collect();
     let mut selected: Vec<usize> = Vec::new();
 
     while covered_count < ne {
@@ -58,11 +60,7 @@ pub(crate) fn minimum_from_table(q: &Pattern, table: &ViewMatchTable) -> Option<
     }
 
     selected.sort_unstable();
-    let plan = table.plan_for(q, &selected).expect("selection covers Qs");
-    Some(Selection {
-        views: selected,
-        plan,
-    })
+    Some(Selection::of(table, selected))
 }
 
 /// The paper's metric `α(V) = |M^Qs_V \ Ec| / |Ep|` for a single view given

@@ -16,15 +16,14 @@
 
 use std::borrow::Cow;
 
-use crate::containment::{ContainmentPlan, ViewEdgeRef};
+use crate::containment::{ContainmentPlan, ViewEdgeRef, ViewMatchTable};
 use crate::matchjoin::{
-    check_arity, match_join_with, run_fixpoint, smallest_cover, Cover, JoinError, JoinStats,
-    JoinStrategy, MergedSets,
+    check_arity, run_fixpoint, smallest_cover, Cover, JoinError, JoinStats, JoinStrategy,
+    MergedSets,
 };
 use crate::plan::EdgeSource;
 use crate::view::{ViewExtensions, ViewSet};
 use gpv_graph::{DataGraph, NodeId};
-use gpv_matching::pattern_sim::simulate_pattern;
 use gpv_matching::result::MatchResult;
 use gpv_pattern::{Pattern, PatternEdgeId};
 
@@ -38,6 +37,16 @@ pub struct PartialPlan {
 }
 
 impl PartialPlan {
+    /// The coverage a `λ` describes: query edges with no entry are the
+    /// uncovered ones.
+    pub(crate) fn from_lambda(lambda: Vec<Vec<ViewEdgeRef>>) -> PartialPlan {
+        let uncovered = (0..lambda.len())
+            .filter(|&e| lambda[e].is_empty())
+            .map(|e| PatternEdgeId(e as u32))
+            .collect();
+        PartialPlan { lambda, uncovered }
+    }
+
     /// Whether the coverage is total (equivalent to `contain` succeeding).
     pub fn is_total(&self) -> bool {
         self.uncovered.is_empty()
@@ -48,43 +57,15 @@ impl PartialPlan {
         if !self.is_total() {
             return None;
         }
-        let mut used: Vec<usize> = self
-            .lambda
-            .iter()
-            .flat_map(|v| v.iter().map(|r| r.view))
-            .collect();
-        used.sort_unstable();
-        used.dedup();
-        Some(ContainmentPlan {
-            lambda: self.lambda,
-            used_views: used,
-        })
+        ContainmentPlan::from_lambda(self.lambda)
     }
 }
 
 /// Computes the maximal coverage of `q` by `views` (never fails — an empty
-/// view set yields all edges uncovered).
+/// view set yields all edges uncovered): the full `λ` of the view-match
+/// table, plus the edges it leaves uncovered.
 pub fn partial_contain(q: &Pattern, views: &ViewSet) -> PartialPlan {
-    let ne = q.edge_count();
-    let mut lambda: Vec<Vec<ViewEdgeRef>> = vec![Vec::new(); ne];
-    for (vi, vdef) in views.iter() {
-        let Some(sim) = simulate_pattern(&vdef.pattern, q) else {
-            continue;
-        };
-        for (vei, qedges) in sim.edge_matches.iter().enumerate() {
-            for &qe in qedges {
-                lambda[qe.index()].push(ViewEdgeRef {
-                    view: vi,
-                    edge: PatternEdgeId(vei as u32),
-                });
-            }
-        }
-    }
-    let uncovered = (0..ne)
-        .filter(|&e| lambda[e].is_empty())
-        .map(|e| PatternEdgeId(e as u32))
-        .collect();
-    PartialPlan { lambda, uncovered }
+    PartialPlan::from_lambda(ViewMatchTable::build(q, views).full_lambda())
 }
 
 /// The surgical per-edge scan of `g` for one query edge `(u, t)`: exactly
@@ -194,21 +175,6 @@ pub fn hybrid_match_join(
     run_fixpoint(q, merged, JoinStrategy::RankedBottomUp, 1)
 }
 
-/// Convenience: full pipeline — maximal coverage, then hybrid evaluation.
-pub fn answer_with_partial_views(
-    q: &Pattern,
-    views: &ViewSet,
-    ext: &ViewExtensions,
-    g: &DataGraph,
-) -> Result<MatchResult, JoinError> {
-    let partial = partial_contain(q, views);
-    if partial.is_total() {
-        let plan = partial.clone().into_plan().expect("total");
-        return match_join_with(q, &plan, ext, JoinStrategy::RankedBottomUp).map(|(r, _)| r);
-    }
-    hybrid_match_join(q, &partial, ext, g).map(|(r, _)| r)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -284,7 +250,11 @@ mod tests {
         let ext = materialize(&views, &g);
         let p = partial_contain(&q, &views);
         assert!(p.is_total());
-        let r = answer_with_partial_views(&q, &views, &ext, &g).unwrap();
+        assert_eq!(
+            p.clone().into_plan(),
+            crate::containment::contain(&q, &views)
+        );
+        let (r, _) = hybrid_match_join(&q, &p, &ext, &g).unwrap();
         assert_eq!(r, match_pattern(&q, &g));
     }
 

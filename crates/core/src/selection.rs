@@ -12,7 +12,7 @@
 //! NP-complete cover-style problem (it generalizes MMCP: with a single
 //! query and budget `card(V)` it degenerates to minimum containment).
 
-use crate::minimal::ViewMatchTable;
+use crate::containment::ViewMatchTable;
 use crate::view::ViewSet;
 use gpv_pattern::Pattern;
 

@@ -24,12 +24,8 @@
 //!   exactly the answers that read *A* — answers reading only other views
 //!   keep hitting across the delta, which is the point of delta-maintained
 //!   serving: an update never colds the whole cache, let alone forces a
-//!   rebuild;
-//! * **remembers refusals**: a strict (`g = None`) call that fails with
-//!   [`ServiceError::NeedsGraph`] records a negative entry keyed by the
-//!   query fingerprint and stamped `(view-set fingerprint, max epoch)`, so
-//!   repeating the same refused query skips the plan cache and the planner
-//!   entirely until the store moves;
+//!   rebuild. Failures are not cached: a strict (`g = None`) call the
+//!   views cannot answer is refused again from its cached plan;
 //! * **deduplicates identical queries inside a batch**, executing each
 //!   distinct query once and fanning the result out;
 //! * executes against a lock-free
@@ -370,7 +366,9 @@ impl ServedAnswer {
     }
 }
 
-/// A point-in-time snapshot of the service counters.
+/// A point-in-time snapshot of the service counters. Only answers are
+/// cached, never failures: a repeated strict-mode
+/// [`ServiceError::NeedsGraph`] shows up as a plan-cache hit.
 #[derive(Clone, Debug)]
 pub struct ServiceStats {
     /// Queries served (including deduplicated ones).
@@ -399,12 +397,6 @@ pub struct ServiceStats {
     pub result_cache_hit_rate: f64,
     /// Answers evicted to stay within the byte budget.
     pub result_cache_evictions: u64,
-    /// Strict-mode queries refused straight from the negative
-    /// `NeedsGraph` cache — no plan-cache probe, no planning.
-    pub refusal_hits: u64,
-    /// Refusals currently remembered (bounded by a fixed cap, not the
-    /// byte budget — negative entries carry no answer payload).
-    pub refusal_cache_size: usize,
     /// Queries answered by intra-batch deduplication.
     pub dedup_saved: u64,
     /// Queries that actually planned and executed — the only ones that
@@ -445,8 +437,6 @@ struct Counters {
     dedup_saved: AtomicU64,
     /// Queries that planned and executed.
     executed: AtomicU64,
-    /// Strict-mode queries refused straight from the negative cache.
-    refusal_hits: AtomicU64,
     engine_rebuilds: AtomicU64,
     in_flight: AtomicU64,
     max_in_flight: AtomicU64,
@@ -578,16 +568,6 @@ struct ResultCacheEntry {
     last_used: AtomicU64,
 }
 
-/// Refusal entries older than this stamp can never hit; see
-/// [`ResultCache::refusals`].
-type RefusalStamp = (u64, u64);
-
-/// Hard cap on remembered refusals: unlike positive entries they carry no
-/// byte-accounted payload, so a flood of distinct uncovered queries is
-/// bounded by count instead (the map resets wholesale at the cap — a
-/// refusal costs one wasted replan, not a correctness risk).
-const REFUSAL_CACHE_CAP: usize = 4096;
-
 /// The cross-batch result cache: `(query fingerprint, view-set
 /// fingerprint)` → answer, bounded by an estimated-byte budget with LRU
 /// eviction.
@@ -604,19 +584,6 @@ const REFUSAL_CACHE_CAP: usize = 4096;
 #[derive(Debug, Default)]
 struct ResultCache {
     map: HashMap<(u64, u64), ResultCacheEntry>,
-    /// Negative entries: queries refused with
-    /// [`ServiceError::NeedsGraph`] in strict (`g = None`) mode, keyed by
-    /// query fingerprint with the canonical form as collision witness.
-    /// Valid only under [`Self::refusal_stamp`]; a repeat hit returns the
-    /// refusal without probing the plan cache or planning. Whether views
-    /// cover a query is decided by pattern containment — but the stamp
-    /// still folds in the max epoch, so any store movement (not just
-    /// membership change) conservatively re-plans refused queries once.
-    refusals: HashMap<u64, Arc<str>>,
-    /// `(view-set fingerprint, max epoch)` the current [`Self::refusals`]
-    /// entries were recorded under; the map is cleared whenever the basis
-    /// moves.
-    refusal_stamp: RefusalStamp,
     /// Estimated resident bytes across all entries.
     bytes: usize,
     /// Monotonic LRU clock (ticked under the read lock on hits).
@@ -638,7 +605,6 @@ impl ResultCache {
     /// stamp some consumed view (or the graph) has moved past. Called on
     /// engine rebuild. Entries whose stamps *are* still current survive:
     /// that is what keeps answers over untouched views warm across a delta.
-    /// Refusals are cleared when their stamp basis moved.
     fn purge_stale(&mut self, snap: &StoreSnapshot) {
         let mut freed = 0usize;
         self.map.retain(|&(_, vfp), entry| {
@@ -650,11 +616,6 @@ impl ResultCache {
             keep
         });
         self.bytes -= freed;
-        let basis = (snap.fingerprint, snap.max_epoch());
-        if self.refusal_stamp != basis {
-            self.refusals.clear();
-            self.refusal_stamp = basis;
-        }
     }
 
     /// Evicts least-recently-used entries until the resident estimate fits
@@ -959,58 +920,6 @@ impl ViewService {
         }
     }
 
-    /// Whether `qfp`/`qkey` is a remembered [`ServiceError::NeedsGraph`]
-    /// refusal still valid at this snapshot. Probed only for strict
-    /// (`g = None`) calls: a hit short-circuits the plan cache and the
-    /// planner — the refusal is replayed as-is. Counts a hit when it fires.
-    fn cached_refusal(&self, snap: &EngineSnapshot, qfp: u64, qkey: &str) -> bool {
-        if self.config.result_cache_bytes == 0 {
-            return false;
-        }
-        let basis = (snap.view_fingerprint, snap.store.max_epoch());
-        let hit = {
-            let cache = self
-                .result_cache
-                .read()
-                .expect("result cache lock poisoned");
-            cache.refusal_stamp == basis && cache.refusals.get(&qfp).is_some_and(|k| **k == *qkey)
-        };
-        if hit {
-            self.counters.refusal_hits.fetch_add(1, Ordering::Relaxed);
-        }
-        hit
-    }
-
-    /// Records a strict-mode [`ServiceError::NeedsGraph`] refusal so the
-    /// next identical strict call skips planning. Stamp-mismatched residue
-    /// from an older store state is cleared first; at
-    /// [`REFUSAL_CACHE_CAP`] the insert is dropped (bounded memory beats
-    /// remembering one more refusal).
-    fn cache_refusal(&self, snap: &EngineSnapshot, qfp: u64, qkey: &str) {
-        if self.config.result_cache_bytes == 0 {
-            return;
-        }
-        let basis = (snap.view_fingerprint, snap.store.max_epoch());
-        let mut cache = self
-            .result_cache
-            .write()
-            .expect("result cache lock poisoned");
-        if cache.refusal_stamp != basis {
-            // Entries from another basis can never hit; but only adopt the
-            // *currently published* basis — a stale in-flight snapshot must
-            // not clobber refusals recorded against a newer store.
-            let published = self.store.snapshot();
-            if basis != (published.fingerprint, published.max_epoch()) {
-                return;
-            }
-            cache.refusals.clear();
-            cache.refusal_stamp = basis;
-        }
-        if cache.refusals.len() < REFUSAL_CACHE_CAP {
-            cache.refusals.insert(qfp, Arc::from(qkey));
-        }
-    }
-
     /// Serves one query. `g` enables hybrid/direct fallback for queries the
     /// views do not fully cover; with `None` such queries fail with
     /// [`ServiceError::NeedsGraph`] (the strict Theorem-1 mode).
@@ -1097,18 +1006,6 @@ impl ViewService {
                         a
                     })
                 }
-                // Negative cache: a strict call repeating a remembered
-                // NeedsGraph refusal is refused without touching the plan
-                // cache or the planner at all.
-                None if g.is_none() && self.cached_refusal(&snap, qfp, &qkey) => {
-                    let micros = t0.elapsed().as_micros() as u64;
-                    self.record_latency(micros);
-                    let answer = Err(ServiceError::NeedsGraph);
-                    answered
-                        .entry(qfp)
-                        .or_insert_with(|| (qkey, answer.clone()));
-                    answer
-                }
                 // Cross-batch result cache: an identical query whose
                 // epoch-set stamp is unchanged at this snapshot returns the
                 // shared answer without planning or executing anything.
@@ -1177,18 +1074,13 @@ impl ViewService {
                             deduplicated: false,
                             latency_micros: 0,
                         });
-                        // Successful answers enter the result cache. A
-                        // strict-mode NeedsGraph refusal enters the
-                        // *negative* cache (keyed to strict calls only, so
-                        // a later call with the graph supplied still
-                        // executes); other failures (mismatches) are never
-                        // remembered.
-                        match &executed {
-                            Ok(a) => self.cache_result(&snap, qfp, &qkey, a),
-                            Err(ServiceError::NeedsGraph) if g.is_none() => {
-                                self.cache_refusal(&snap, qfp, &qkey)
-                            }
-                            Err(_) => {}
+                        // Successful answers enter the result cache;
+                        // failures are never remembered. A repeated strict
+                        // call that fails with NeedsGraph costs one
+                        // plan-cache probe: whether strict mode can answer
+                        // is a property of the cached plan.
+                        if let Ok(a) = &executed {
+                            self.cache_result(&snap, qfp, &qkey, a);
                         }
                         let micros = t0.elapsed().as_micros() as u64;
                         self.record_latency(micros);
@@ -1255,12 +1147,12 @@ impl ViewService {
         let misses = self.counters.plan_misses.load(Ordering::Relaxed);
         let rhits = self.counters.result_hits.load(Ordering::Relaxed);
         let rmisses = self.counters.result_misses.load(Ordering::Relaxed);
-        let (rsize, rbytes, refusals) = {
+        let (rsize, rbytes) = {
             let cache = self
                 .result_cache
                 .read()
                 .expect("result cache lock poisoned");
-            (cache.map.len(), cache.bytes, cache.refusals.len())
+            (cache.map.len(), cache.bytes)
         };
         let cost_model = self.config.engine.cost;
         let log = self.cost_log.snapshot();
@@ -1294,8 +1186,6 @@ impl ViewService {
                 0.0
             },
             result_cache_evictions: self.counters.result_evictions.load(Ordering::Relaxed),
-            refusal_hits: self.counters.refusal_hits.load(Ordering::Relaxed),
-            refusal_cache_size: refusals,
             dedup_saved: self.counters.dedup_saved.load(Ordering::Relaxed),
             executed_queries: self.counters.executed.load(Ordering::Relaxed),
             engine_rebuilds: self.counters.engine_rebuilds.load(Ordering::Relaxed),
@@ -1786,12 +1676,12 @@ mod tests {
         assert!(svc.serve(&qcd, None).unwrap().result_cached);
     }
 
-    /// The negative cache: a strict-mode `NeedsGraph` refusal is
-    /// remembered, so repeating the refused query skips the plan cache and
-    /// the planner entirely — and a membership change that makes the query
-    /// answerable re-arms it.
+    /// A strict call the views cannot answer fails with `NeedsGraph`
+    /// every time; the repeat is decided by the cached plan (one
+    /// plan-cache hit, no replanning) — and a membership change that makes
+    /// the query answerable re-plans it.
     #[test]
-    fn repeated_needs_graph_refusals_skip_planning() {
+    fn repeated_needs_graph_is_served_from_the_plan_cache() {
         let g = graph();
         let views = ViewSet::new(vec![ViewDef::new("vab", single("A", "B"))]);
         let store = Arc::new(ViewStore::materialize(views, &g, 2));
@@ -1799,29 +1689,28 @@ mod tests {
         let q = chain3();
         assert!(matches!(svc.serve(&q, None), Err(ServiceError::NeedsGraph)));
         let cold = svc.stats();
-        assert_eq!(cold.plan_cache_misses, 1, "the first refusal plans");
-        assert_eq!(cold.refusal_cache_size, 1);
-        assert_eq!(cold.refusal_hits, 0);
+        assert_eq!(cold.plan_cache_misses, 1, "the first call plans");
+        assert_eq!(cold.plan_cache_hits, 0);
 
         assert!(matches!(svc.serve(&q, None), Err(ServiceError::NeedsGraph)));
         let warm = svc.stats();
-        assert_eq!(warm.refusal_hits, 1);
         assert_eq!(warm.plan_cache_misses, 1, "the repeat never plans");
-        assert_eq!(warm.plan_cache_hits, 0, "…and never probes the plan cache");
+        assert_eq!(warm.plan_cache_hits, 1, "…it reads the cached plan");
+        assert_eq!(warm.executed_queries, 0);
 
-        // Refusals guard strict mode only: with the graph supplied the
-        // hybrid path still executes and answers.
+        // Strict mode only: with the graph supplied the hybrid path
+        // executes and answers.
         let a = svc.serve(&q, Some(&g)).unwrap();
         assert_eq!(*a.result, match_pattern(&q, &g));
 
-        // A membership change invalidates the refusal: with vbc registered
-        // the query is covered and strict mode now answers.
+        // A membership change moves the plan-cache key: with vbc
+        // registered the query is covered and strict mode now answers.
         svc.store()
             .insert(ViewDef::new("vbc", single("B", "C")), &g)
             .unwrap();
         let now = svc.serve(&q, None).unwrap();
+        assert!(!now.plan_cached);
         assert_eq!(*now.result, match_pattern(&q, &g));
-        assert_eq!(svc.stats().refusal_cache_size, 0, "stale refusals cleared");
     }
 
     #[test]

@@ -762,18 +762,6 @@ impl StoreSnapshot {
         &self.epochs
     }
 
-    /// The maximum epoch across all views and the graph epoch — the
-    /// coarsest still-exact staleness stamp (used e.g. to key the negative
-    /// `NeedsGraph` refusal cache, whose decisions depend on every view).
-    pub fn max_epoch(&self) -> u64 {
-        self.epochs
-            .iter()
-            .copied()
-            .chain(std::iter::once(self.graph_epoch))
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Stable ids in snapshot order: `ids()[i]` is the store id of the view
     /// a [`QueryPlan`](crate::plan::QueryPlan) calls view `i`.
     pub fn ids(&self) -> Vec<u64> {

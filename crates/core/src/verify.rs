@@ -26,10 +26,10 @@
 //! Every injected corruption class maps to a *distinct* code, so a failing
 //! `gpv check` names what rotted, not just that something did.
 
-use std::collections::HashMap;
 use std::path::Path;
 
 use crate::bview::BoundedViewSet;
+use crate::containment::ViewMatchTable;
 use crate::delta::ViewFootprint;
 use crate::engine::BoundedPlan;
 use crate::plan::{EdgeSource, QueryPlan};
@@ -37,7 +37,6 @@ use crate::shard::{decode_shard, ShardContents, ShardError, StoreMeta, SHARD_VER
 use crate::store::StoreSnapshot;
 use crate::view::ViewSet;
 use gpv_graph::DataGraph;
-use gpv_matching::pattern_sim::{simulate_pattern, PatternSimResult};
 use gpv_pattern::bounded::{BoundedPattern, EdgeBound};
 use gpv_pattern::{Pattern, PatternEdgeId};
 use serde::value::Value;
@@ -344,67 +343,71 @@ pub fn errors_only(diags: Vec<Diagnostic>) -> Vec<Diagnostic> {
 // ---------------------------------------------------------------------------
 
 /// Re-derives, per sourced view edge, whether it actually covers the query
-/// edge it is pinned for. Simulations are cached per view — the verifier
-/// costs one pattern simulation per *distinct* view the plan reads.
-struct CoverageWitness<'a> {
-    q: &'a Pattern,
-    views: &'a ViewSet,
-    sims: HashMap<usize, Option<PatternSimResult>>,
+/// edge it is pinned for: the view-match table is rebuilt from the views
+/// (plain or bounded), independently of the λ the planner produced, and an
+/// entry stands only if the table lists the same `(query edge, view edge)`
+/// pair.
+struct CoverageWitness {
+    table: ViewMatchTable,
+    /// Edge count of each registered view's pattern.
+    view_edges: Vec<usize>,
 }
 
-impl<'a> CoverageWitness<'a> {
-    fn new(q: &'a Pattern, views: &'a ViewSet) -> Self {
+impl CoverageWitness {
+    fn plain(q: &Pattern, views: &ViewSet) -> Self {
         CoverageWitness {
-            q,
-            views,
-            sims: HashMap::new(),
+            table: ViewMatchTable::build(q, views),
+            view_edges: views.iter().map(|(_, v)| v.pattern.edge_count()).collect(),
+        }
+    }
+
+    fn bounded(qb: &BoundedPattern, views: &BoundedViewSet) -> Self {
+        CoverageWitness {
+            table: crate::bcontainment::bounded_table(qb, views),
+            view_edges: views
+                .iter()
+                .map(|(_, v)| v.pattern.pattern().edge_count())
+                .collect(),
         }
     }
 
     /// Checks one `λ` entry / merge source: view index in range, view edge
     /// id in range, and the simulation witness `qe ∈ S_eV`.
     fn check(
-        &mut self,
+        &self,
         view: usize,
         vedge: PatternEdgeId,
         qe: usize,
         out: &mut Vec<Diagnostic>,
         what: &str,
     ) {
-        if view >= self.views.card() {
+        let Some(&edges) = self.view_edges.get(view) else {
             out.push(Diagnostic::new(
                 DiagCode::PlanViewOutOfRange,
                 Severity::Error,
                 format!(
                     "{what} references view {view} but only {} views are registered",
-                    self.views.card()
+                    self.view_edges.len()
                 ),
                 format!("query edge e{qe}"),
             ));
             return;
-        }
-        let vpat = &self.views.get(view).pattern;
-        if vedge.index() >= vpat.edge_count() {
+        };
+        if vedge.index() >= edges {
             out.push(Diagnostic::new(
                 DiagCode::PlanViewOutOfRange,
                 Severity::Error,
                 format!(
-                    "{what} references edge {} of view {view}, which has {} edges",
-                    vedge.index(),
-                    vpat.edge_count()
+                    "{what} references edge {} of view {view}, which has {edges} edges",
+                    vedge.index()
                 ),
                 format!("query edge e{qe}"),
             ));
             return;
         }
-        let (q, views) = (self.q, self.views);
-        let sim = self
-            .sims
-            .entry(view)
-            .or_insert_with(|| simulate_pattern(&views.get(view).pattern, q));
-        let covered = sim
-            .as_ref()
-            .is_some_and(|s| s.edge_matches[vedge.index()].contains(&PatternEdgeId(qe as u32)));
+        let covered = self.table.entries[view]
+            .iter()
+            .any(|&(e, r)| e.index() == qe && r.edge == vedge);
         if !covered {
             out.push(Diagnostic::new(
                 DiagCode::PlanEdgeNotCovered,
@@ -432,7 +435,7 @@ impl<'a> CoverageWitness<'a> {
 pub fn verify_plan(q: &Pattern, plan: &QueryPlan, views: &ViewSet) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let ne = q.edge_count();
-    let mut witness = CoverageWitness::new(q, views);
+    let witness = CoverageWitness::plain(q, views);
 
     // The merge-source vector: exactly one source per pattern edge.
     if let Some(sources) = plan.sources() {
@@ -484,12 +487,12 @@ pub fn verify_plan(q: &Pattern, plan: &QueryPlan, views: &ViewSet) -> Vec<Diagno
                     format!("query edge e{graph_sourced}"),
                 ));
             }
-            check_lambda(q, &vp.plan.lambda, true, &mut witness, &mut out);
+            check_lambda(q, &vp.plan.lambda, true, &witness, &mut out);
         }
         QueryPlan::Hybrid {
             partial, sources, ..
         } => {
-            check_lambda(q, &partial.lambda, false, &mut witness, &mut out);
+            check_lambda(q, &partial.lambda, false, &witness, &mut out);
             // An edge the λ leaves uncovered has no extension to read: its
             // merge source must be a graph scan.
             for &ue in &partial.uncovered {
@@ -518,7 +521,7 @@ fn check_lambda(
     q: &Pattern,
     lambda: &[Vec<crate::containment::ViewEdgeRef>],
     require_total: bool,
-    witness: &mut CoverageWitness<'_>,
+    witness: &CoverageWitness,
     out: &mut Vec<Diagnostic>,
 ) {
     let ne = q.edge_count();
@@ -546,9 +549,9 @@ fn check_lambda(
     }
 }
 
-/// The bounded-plan verifier: λ shape and view-index ranges against the
-/// bounded view set, coverage via [`crate::bcontainment::bounded_view_match`],
-/// and zero-hop bounds.
+/// The bounded-plan verifier: λ shape, zero-hop bounds, and every λ entry
+/// in range and re-witnessed against the bounded view matches — the same
+/// per-entry check [`verify_plan`] makes.
 pub fn verify_bounded_plan(
     qb: &BoundedPattern,
     plan: &BoundedPlan,
@@ -591,9 +594,7 @@ pub fn verify_bounded_plan(
         ));
         return out;
     }
-    // Coverage per distinct view, via the bounded view match (covered query
-    // edges of `V` into `Qb`), cached across λ entries.
-    let mut matches: HashMap<usize, Vec<PatternEdgeId>> = HashMap::new();
+    let witness = CoverageWitness::bounded(qb, views);
     for (ei, entries) in plan.plan.lambda.iter().enumerate() {
         if entries.is_empty() {
             out.push(Diagnostic::new(
@@ -602,38 +603,9 @@ pub fn verify_bounded_plan(
                 format!("bounded λ(e{ei}) is empty"),
                 format!("query edge e{ei}"),
             ));
-            continue;
         }
         for r in entries {
-            if r.view >= views.card() {
-                out.push(Diagnostic::new(
-                    DiagCode::PlanViewOutOfRange,
-                    Severity::Error,
-                    format!(
-                        "bounded λ entry references view {} but only {} views are \
-                         registered",
-                        r.view,
-                        views.card()
-                    ),
-                    format!("query edge e{ei}"),
-                ));
-                continue;
-            }
-            let covered = matches.entry(r.view).or_insert_with(|| {
-                crate::bcontainment::bounded_view_match(&views.get(r.view).pattern, qb)
-            });
-            if !covered.contains(&PatternEdgeId(ei as u32)) {
-                out.push(Diagnostic::new(
-                    DiagCode::PlanEdgeNotCovered,
-                    Severity::Error,
-                    format!(
-                        "bounded λ pins view {} for query edge e{ei}, but its bounded \
-                         view match does not cover it",
-                        r.view
-                    ),
-                    format!("query edge e{ei}"),
-                ));
-            }
+            witness.check(r.view, r.edge, ei, &mut out, "bounded λ entry");
         }
     }
     out

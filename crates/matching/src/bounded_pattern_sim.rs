@@ -8,17 +8,17 @@
 //! `eV = (x, x')` with bound `k` is witnessed by a query node pair `(u, u')`
 //! whose weighted distance is ≤ k; a `*` view edge is witnessed by
 //! reachability. Node conditions compare by predicate equivalence, exactly
-//! as in the unweighted case.
+//! as in the unweighted case. The fixpoint itself is the one of
+//! [`crate::pattern_sim`], with this distance test as its edge witness.
 
-use gpv_pattern::{BoundedPattern, EdgeBound, PatternNodeId};
+use crate::pattern_sim::pattern_fixpoint;
+use gpv_pattern::{BoundedPattern, EdgeBound};
 
 /// The maximum bounded simulation of view `v` into weighted query `qb`, as
 /// boolean candidate rows (`cand[x][u]`), or `None` when some view node has
 /// no query match.
 pub fn simulate_bounded_pattern(v: &BoundedPattern, qb: &BoundedPattern) -> Option<Vec<Vec<bool>>> {
-    let vp = v.pattern();
     let qp = qb.pattern();
-    let nv = vp.node_count();
     let nq = qp.node_count();
 
     // Precompute weighted distances / reachability between all query-node
@@ -31,69 +31,10 @@ pub fn simulate_bounded_pattern(v: &BoundedPattern, qb: &BoundedPattern) -> Opti
             reach[a.index()][b.index()] = qb.reaches(a, b);
         }
     }
-    let witnesses = |bound: EdgeBound, a: usize, b: usize| -> bool {
-        match bound {
-            EdgeBound::Hop(k) => wdist[a][b].is_some_and(|d| d <= k as u64),
-            EdgeBound::Unbounded => reach[a][b],
-        }
-    };
-
-    let mut cand: Vec<Vec<bool>> = Vec::with_capacity(nv);
-    for x in vp.nodes() {
-        let row: Vec<bool> = qp
-            .nodes()
-            .map(|u| vp.pred(x).equivalent(qp.pred(u)))
-            .collect();
-        if row.iter().all(|&b| !b) {
-            return None;
-        }
-        cand.push(row);
-    }
-
-    loop {
-        let mut changed = false;
-        for x in vp.nodes() {
-            for u in 0..nq {
-                if !cand[x.index()][u] {
-                    continue;
-                }
-                let ok = vp.out_edges(x).iter().all(|&(x2, ev)| {
-                    let bound = v.bound(ev);
-                    (0..nq).any(|u2| cand[x2.index()][u2] && witnesses(bound, u, u2))
-                });
-                if !ok {
-                    cand[x.index()][u] = false;
-                    changed = true;
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    if cand.iter().any(|row| row.iter().all(|&b| !b)) {
-        return None;
-    }
-    Some(cand)
-}
-
-/// Sorted node-match lists derived from [`simulate_bounded_pattern`].
-pub fn bounded_node_matches(
-    v: &BoundedPattern,
-    qb: &BoundedPattern,
-) -> Option<Vec<Vec<PatternNodeId>>> {
-    let cand = simulate_bounded_pattern(v, qb)?;
-    Some(
-        cand.iter()
-            .map(|row| {
-                row.iter()
-                    .enumerate()
-                    .filter(|&(_, &b)| b)
-                    .map(|(i, _)| PatternNodeId(i as u32))
-                    .collect()
-            })
-            .collect(),
-    )
+    pattern_fixpoint(v.pattern(), qp, false, |ev, u, u2| match v.bound(ev) {
+        EdgeBound::Hop(k) => wdist[u][u2].is_some_and(|d| d <= k as u64),
+        EdgeBound::Unbounded => reach[u][u2],
+    })
 }
 
 #[cfg(test)]
@@ -194,17 +135,5 @@ mod tests {
         vb.edge_unbounded(x, y);
         let v = vb.build_bounded().unwrap();
         assert!(simulate_bounded_pattern(&v, &q).is_some());
-    }
-
-    #[test]
-    fn node_match_lists() {
-        let mut vb = PatternBuilder::new();
-        let x = vb.node_labeled("B");
-        let y = vb.node_labeled("C");
-        vb.edge_bounded(x, y, 2);
-        let v = vb.build_bounded().unwrap();
-        let m = bounded_node_matches(&v, &qb()).unwrap();
-        assert_eq!(m[0], vec![PatternNodeId(1)]);
-        assert_eq!(m[1], vec![PatternNodeId(2)]);
     }
 }

@@ -25,7 +25,7 @@ pub mod simulation;
 pub mod strong;
 
 pub use bounded::{bmatch_pattern, bmatches, bounded_simulation_relation};
-pub use bounded_pattern_sim::{bounded_node_matches, simulate_bounded_pattern};
+pub use bounded_pattern_sim::simulate_bounded_pattern;
 pub use dual::{dual_match_pattern, dual_simulation_relation};
 pub use pattern_sim::{simulate_pattern, simulate_pattern_dual, PatternSimResult};
 pub use result::{BoundedMatchResult, MatchResult};

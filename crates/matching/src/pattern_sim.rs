@@ -9,6 +9,13 @@
 //! implication would let `MatchJoin` admit matches that satisfy the (weaker)
 //! view condition but not the query condition — which the join can never
 //! filter out since it does not access `G` (DESIGN.md §S3).
+//!
+//! One fixpoint serves every pattern-on-pattern simulation: the plain and
+//! dual view matches here and the bounded one in
+//! [`crate::bounded_pattern_sim`] differ only in what witnesses a view edge
+//! (a query edge, or a weighted distance within the bound) and in whether
+//! in-edges must be witnessed too (dual). [`edge_match_sets`] then derives
+//! every `S_eV` from the resulting candidate relation.
 
 use gpv_pattern::{Pattern, PatternEdgeId, PatternNodeId};
 
@@ -40,72 +47,31 @@ impl PatternSimResult {
 /// Returns `None` when `v ⋬sim q` (some view node has no query match), in
 /// which case `M^Qs_V = ∅`.
 pub fn simulate_pattern(v: &Pattern, q: &Pattern) -> Option<PatternSimResult> {
-    let nv = v.node_count();
+    simulate_edges(v, q, false)
+}
 
-    // Candidates by predicate equivalence.
-    let mut cand: Vec<Vec<bool>> = Vec::with_capacity(nv);
-    for x in v.nodes() {
-        let row: Vec<bool> = q.nodes().map(|u| v.pred(x).equivalent(q.pred(u))).collect();
-        if row.iter().all(|&b| !b) {
-            return None;
-        }
-        cand.push(row);
-    }
+/// Dual-simulation variant of [`simulate_pattern`]: view nodes must be
+/// matched both forward *and* backward (every view in-edge needs a witness
+/// query in-edge). Used by dual-simulation view matches (§VIII extension).
+pub fn simulate_pattern_dual(v: &Pattern, q: &Pattern) -> Option<PatternSimResult> {
+    simulate_edges(v, q, true)
+}
 
-    // Fixpoint refinement (patterns are small: simple iteration suffices and
-    // keeps this code obviously correct).
-    loop {
-        let mut changed = false;
-        for x in v.nodes() {
-            for u in q.nodes() {
-                if !cand[x.index()][u.index()] {
-                    continue;
-                }
-                let ok = v.out_edges(x).iter().all(|&(x2, _)| {
-                    q.out_edges(u)
-                        .iter()
-                        .any(|&(u2, _)| cand[x2.index()][u2.index()])
-                });
-                if !ok {
-                    cand[x.index()][u.index()] = false;
-                    changed = true;
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    if cand.iter().any(|row| row.iter().all(|&b| !b)) {
+/// [`simulate_pattern`] / [`simulate_pattern_dual`]: a view edge is
+/// witnessed by a query edge between the candidate endpoints.
+fn simulate_edges(v: &Pattern, q: &Pattern, dual: bool) -> Option<PatternSimResult> {
+    let cand = pattern_fixpoint(v, q, dual, |_, u, u2| {
+        q.edge_id(PatternNodeId(u as u32), PatternNodeId(u2 as u32))
+            .is_some()
+    })?;
+    let edge_matches = edge_match_sets(v, q, &cand, |_, _| true);
+    if edge_matches.iter().any(Vec::is_empty) {
+        // V ⊴sim Qs requires nonempty S_eV for every view edge.
         return None;
     }
-
-    // Edge match sets: S_eV for eV = (x, x') are query edges (u, u') with
-    // u ∈ sim(x), u' ∈ sim(x').
-    let mut edge_matches = Vec::with_capacity(v.edge_count());
-    for &(x, x2) in v.edges() {
-        let mut set = Vec::new();
-        for (ei, &(u, u2)) in q.edges().iter().enumerate() {
-            if cand[x.index()][u.index()] && cand[x2.index()][u2.index()] {
-                set.push(PatternEdgeId(ei as u32));
-            }
-        }
-        if set.is_empty() {
-            // V ⊴sim Qs requires nonempty S_eV for every view edge.
-            return None;
-        }
-        edge_matches.push(set);
-    }
-
     let node_matches = cand
         .iter()
-        .map(|row| {
-            row.iter()
-                .enumerate()
-                .filter(|&(_, &b)| b)
-                .map(|(i, _)| PatternNodeId(i as u32))
-                .collect()
-        })
+        .map(|row| q.nodes().filter(|u| row[u.index()]).collect())
         .collect();
     Some(PatternSimResult {
         node_matches,
@@ -113,40 +79,46 @@ pub fn simulate_pattern(v: &Pattern, q: &Pattern) -> Option<PatternSimResult> {
     })
 }
 
-/// Dual-simulation variant of [`simulate_pattern`]: view nodes must be
-/// matched both forward *and* backward (every view in-edge needs a witness
-/// query in-edge). Used by dual-simulation view matches (§VIII extension).
-pub fn simulate_pattern_dual(v: &Pattern, q: &Pattern) -> Option<PatternSimResult> {
-    let nv = v.node_count();
-
-    let mut cand: Vec<Vec<bool>> = Vec::with_capacity(nv);
+/// The one pattern-on-pattern fixpoint: the maximum relation `cand[x][u]`
+/// (view node `x`, query node `u`) in which node conditions are equivalent
+/// and every out-edge `eV = (x, x')` of `x` has some `u'` with
+/// `cand[x'][u']` and `witnesses(eV, u, u')` — with `dual`, every in-edge
+/// `(x0, x)` likewise needs some `u0` with `witnesses(eV, u0, u)`. `None`
+/// when some view node ends with no candidate.
+///
+/// Patterns are small, so the loop is deliberately naive: sweep every
+/// candidate until nothing changes, which keeps it obviously correct.
+pub(crate) fn pattern_fixpoint(
+    v: &Pattern,
+    q: &Pattern,
+    dual: bool,
+    witnesses: impl Fn(PatternEdgeId, usize, usize) -> bool,
+) -> Option<Vec<Vec<bool>>> {
+    let nq = q.node_count();
+    let mut cand: Vec<Vec<bool>> = Vec::with_capacity(v.node_count());
     for x in v.nodes() {
         let row: Vec<bool> = q.nodes().map(|u| v.pred(x).equivalent(q.pred(u))).collect();
-        if row.iter().all(|&b| !b) {
+        if !row.contains(&true) {
             return None;
         }
         cand.push(row);
     }
-
     loop {
         let mut changed = false;
         for x in v.nodes() {
-            for u in q.nodes() {
-                if !cand[x.index()][u.index()] {
+            for u in 0..nq {
+                if !cand[x.index()][u] {
                     continue;
                 }
-                let fwd_ok = v.out_edges(x).iter().all(|&(x2, _)| {
-                    q.out_edges(u)
-                        .iter()
-                        .any(|&(u2, _)| cand[x2.index()][u2.index()])
+                let fwd = v.out_edges(x).iter().all(|&(x2, ev)| {
+                    (0..nq).any(|u2| cand[x2.index()][u2] && witnesses(ev, u, u2))
                 });
-                let bwd_ok = v.in_edges(x).iter().all(|&(x0, _)| {
-                    q.in_edges(u)
-                        .iter()
-                        .any(|&(u0, _)| cand[x0.index()][u0.index()])
-                });
-                if !(fwd_ok && bwd_ok) {
-                    cand[x.index()][u.index()] = false;
+                let bwd = !dual
+                    || v.in_edges(x).iter().all(|&(x0, ev)| {
+                        (0..nq).any(|u0| cand[x0.index()][u0] && witnesses(ev, u0, u))
+                    });
+                if !(fwd && bwd) {
+                    cand[x.index()][u] = false;
                     changed = true;
                 }
             }
@@ -155,37 +127,37 @@ pub fn simulate_pattern_dual(v: &Pattern, q: &Pattern) -> Option<PatternSimResul
             break;
         }
     }
-    if cand.iter().any(|row| row.iter().all(|&b| !b)) {
+    if cand.iter().any(|row| !row.contains(&true)) {
         return None;
     }
+    Some(cand)
+}
 
-    let mut edge_matches = Vec::with_capacity(v.edge_count());
-    for &(x, x2) in v.edges() {
-        let mut set = Vec::new();
-        for (ei, &(u, u2)) in q.edges().iter().enumerate() {
-            if cand[x.index()][u.index()] && cand[x2.index()][u2.index()] {
-                set.push(PatternEdgeId(ei as u32));
-            }
-        }
-        if set.is_empty() {
-            return None;
-        }
-        edge_matches.push(set);
-    }
-    let node_matches = cand
+/// The match sets `S_eV` of every view edge `eV = (x, x')` under the
+/// candidate relation `cand`: the query edges `e = (u, u')` with
+/// `cand[x][u]`, `cand[x'][u']` and `admits(eV, e)`, in ascending edge
+/// order. The plain and dual view matches admit every such edge; the
+/// bounded view match (§VI-B) admits only those whose query bound fits
+/// the view edge's.
+pub fn edge_match_sets(
+    v: &Pattern,
+    q: &Pattern,
+    cand: &[Vec<bool>],
+    admits: impl Fn(PatternEdgeId, PatternEdgeId) -> bool,
+) -> Vec<Vec<PatternEdgeId>> {
+    v.edges()
         .iter()
-        .map(|row| {
-            row.iter()
+        .enumerate()
+        .map(|(vei, &(x, x2))| {
+            q.edges()
+                .iter()
                 .enumerate()
-                .filter(|&(_, &b)| b)
-                .map(|(i, _)| PatternNodeId(i as u32))
+                .filter(|&(_, &(u, u2))| cand[x.index()][u.index()] && cand[x2.index()][u2.index()])
+                .map(|(qei, _)| PatternEdgeId(qei as u32))
+                .filter(|&qe| admits(PatternEdgeId(vei as u32), qe))
                 .collect()
         })
-        .collect();
-    Some(PatternSimResult {
-        node_matches,
-        edge_matches,
-    })
+        .collect()
 }
 
 #[cfg(test)]

@@ -741,10 +741,6 @@ fn serve(a: &Args) -> Result<(), String> {
         stats.result_cache_evictions
     );
     println!(
-        "refusal cache: {} hits, {} refusals remembered",
-        stats.refusal_hits, stats.refusal_cache_size
-    );
-    println!(
         "latency: p50 {}, p99 {}; max queue depth {}",
         stats.latency.quantile_label(0.5),
         stats.latency.quantile_label(0.99),

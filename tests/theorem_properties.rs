@@ -13,7 +13,7 @@ use gpv_generator::{
 };
 use graph_views::prelude::*;
 use graph_views::views::matchjoin::merge_step_union;
-use graph_views::views::ContainmentPlan;
+use graph_views::views::{BoundedViewDef, BoundedViewSet, ContainmentPlan, ViewEdgeRef};
 use proptest::prelude::*;
 
 const LABELS: [&str; 4] = ["A", "B", "C", "D"];
@@ -34,8 +34,136 @@ fn arb_bounded_query() -> impl Strategy<Value = BoundedPattern> {
     })
 }
 
+/// Whether every query edge's λ entries are ordered by (view, view edge)
+/// — the order `smallest_cover`'s first-smallest tie-break depends on.
+fn lambda_ordered(lambda: &[Vec<ViewEdgeRef>]) -> bool {
+    lambda.iter().all(|entries| {
+        entries
+            .windows(2)
+            .all(|w| (w[0].view, w[0].edge) < (w[1].view, w[1].edge))
+    })
+}
+
+/// An engine config pinned to one selection mode.
+fn forced(mode: SelectionMode) -> EngineConfig {
+    EngineConfig {
+        force_selection: Some(mode),
+        ..EngineConfig::default()
+    }
+}
+
+/// A random view set for `q`: a random subset of a covering set plus
+/// random distractor views, so containment may or may not hold.
+fn mixed_views(q: &Pattern, vseed: u64, keep: &[bool]) -> ViewSet {
+    let cover = covering_views(std::slice::from_ref(q), 2, vseed);
+    let distractors = (0..3u64).map(|i| {
+        let p = random_pattern(2, 2, &LABELS, PatternShape::Any, vseed ^ (i + 1));
+        ViewDef::new(format!("d{i}"), p)
+    });
+    let mut defs: Vec<ViewDef> = cover.views().to_vec();
+    defs.extend(distractors);
+    ViewSet::new(kept(defs, keep))
+}
+
+/// The items whose `keep` flag is set (items past its end are kept).
+fn kept<T>(items: Vec<T>, keep: &[bool]) -> Vec<T> {
+    items
+        .into_iter()
+        .enumerate()
+        .filter(|&(i, _)| *keep.get(i).unwrap_or(&true))
+        .map(|(_, d)| d)
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// One view-match table behind every containment check: `contain` is
+    /// `partial_contain(..).into_plan()`, every λ is ordered by (view, view
+    /// edge), and the engine's pinned `All` / `Minimal` / `Minimum`
+    /// selections are exactly `contain` / `minimal` / `minimum`.
+    #[test]
+    fn containment_checks_agree(
+        g in arb_graph(),
+        q in arb_query(),
+        vseed in any::<u64>(),
+        keep in proptest::collection::vec(any::<bool>(), 16),
+    ) {
+        use graph_views::views::partial_contain;
+        let views = mixed_views(&q, vseed, &keep);
+        let partial = partial_contain(&q, &views);
+        prop_assert!(lambda_ordered(&partial.lambda));
+        let full = contain(&q, &views);
+        prop_assert_eq!(&full, &partial.into_plan());
+        let engine = QueryEngine::materialize(views.clone(), &g);
+        let Some(full) = full else {
+            prop_assert!(minimal(&q, &views).is_none());
+            prop_assert!(minimum(&q, &views).is_none());
+            prop_assert!(engine.plan(&q).needs_graph());
+            return Ok(());
+        };
+        prop_assert!(lambda_ordered(&full.lambda));
+        let mnl = minimal(&q, &views).expect("contained");
+        let min = minimum(&q, &views).expect("contained");
+        let expected = [
+            (SelectionMode::All, full.used_views.clone(), full),
+            (SelectionMode::Minimal, mnl.views, mnl.plan),
+            (SelectionMode::Minimum, min.views, min.plan),
+        ];
+        for (mode, views, plan) in expected {
+            prop_assert!(lambda_ordered(&plan.lambda));
+            prop_assert_eq!(&views, &plan.used_views);
+            let planned = engine.clone().with_config(forced(mode)).plan(&q);
+            let QueryPlan::ViewsOnly(vp) = planned else {
+                return Err(TestCaseError::fail(format!("{mode:?}: not views-only")));
+            };
+            prop_assert_eq!(vp.selection, mode);
+            prop_assert_eq!(vp.views, views);
+            prop_assert_eq!(vp.plan, plan);
+        }
+    }
+
+    /// The bounded twin: `plan_bounded`'s pinned selections are exactly
+    /// `bcontain` / `bminimal` / `bminimum`, and a bounded λ lists only
+    /// contributing views, ordered by (view, view edge).
+    #[test]
+    fn bounded_containment_checks_agree(
+        g in arb_graph(),
+        qb in arb_bounded_query(),
+        vseed in any::<u64>(),
+        keep in proptest::collection::vec(any::<bool>(), 16),
+    ) {
+        let cover = covering_bounded_views(std::slice::from_ref(&qb), 2, vseed);
+        let mut defs: Vec<BoundedViewDef> = cover.views().to_vec();
+        defs.extend((0..2u64).map(|i| {
+            let p = random_bounded_pattern(2, 1, &LABELS, 3, PatternShape::Any, vseed ^ (i + 1));
+            BoundedViewDef::new(format!("d{i}"), p)
+        }));
+        let views = BoundedViewSet::new(kept(defs, &keep));
+        let engine = QueryEngine::materialize(ViewSet::default(), &g)
+            .with_bounded_views(views.clone(), &g);
+        let Some(full) = bcontain(&qb, &views) else {
+            prop_assert!(bminimal(&qb, &views).is_none());
+            prop_assert!(bminimum(&qb, &views).is_none());
+            prop_assert!(engine.plan_bounded(&qb).is_err());
+            return Ok(());
+        };
+        let mnl = bminimal(&qb, &views).expect("contained");
+        let min = bminimum(&qb, &views).expect("contained");
+        let expected = [
+            (SelectionMode::All, full.used_views.clone(), full),
+            (SelectionMode::Minimal, mnl.views, mnl.plan),
+            (SelectionMode::Minimum, min.views, min.plan),
+        ];
+        for (mode, views, plan) in expected {
+            prop_assert!(lambda_ordered(&plan.lambda));
+            prop_assert_eq!(&views, &plan.used_views);
+            let bp = engine.clone().with_config(forced(mode)).plan_bounded(&qb).unwrap();
+            prop_assert_eq!(bp.selection, mode);
+            prop_assert_eq!(bp.views, views);
+            prop_assert_eq!(bp.plan, plan);
+        }
+    }
 
     /// Theorem 1: MatchJoin(V(G)) == Match(G) whenever Q ⊑ V.
     #[test]

@@ -9,11 +9,13 @@
 //! there would poison every future fuzz run).
 
 use graph_views::generator::Scenario;
+use graph_views::pattern::PatternEdgeId;
 use graph_views::prelude::*;
 use graph_views::views::store::ViewStore;
 use graph_views::views::{
-    check_snapshot, check_store_dir, has_errors, lint_query, lint_views, verify_plan, DiagCode,
-    Diagnostic, Severity,
+    check_snapshot, check_store_dir, has_errors, lint_query, lint_views, verify_bounded_plan,
+    verify_plan, BoundedPlan, BoundedViewDef, BoundedViewSet, DiagCode, Diagnostic, Severity,
+    ViewEdgeRef,
 };
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -267,6 +269,65 @@ fn each_corruption_class_has_a_distinct_code() {
             assert_ne!(ci, cj, "classes `{ni}` and `{nj}` share code {ci:?}");
         }
     }
+}
+
+/// A bounded query `A -[2]-> B, A -[2]-> C`, one bounded view with the
+/// same two edges (view edge `i` witnesses query edge `i` only), and the
+/// engine's plan for it.
+fn bounded_fixture() -> (BoundedPattern, BoundedViewSet, BoundedPlan) {
+    let fan = || {
+        let mut b = PatternBuilder::new();
+        let a = b.node_labeled("A");
+        let bb = b.node_labeled("B");
+        let c = b.node_labeled("C");
+        b.edge_bounded(a, bb, 2);
+        b.edge_bounded(a, c, 2);
+        b.build_bounded().unwrap()
+    };
+    let mut g = GraphBuilder::new();
+    let a = g.add_node(["A"]);
+    let bb = g.add_node(["B"]);
+    let c = g.add_node(["C"]);
+    g.add_edge(a, bb);
+    g.add_edge(a, c);
+    let g = g.build();
+    let views = BoundedViewSet::new(vec![BoundedViewDef::new("fan", fan())]);
+    let qb = fan();
+    let plan = QueryEngine::materialize(ViewSet::default(), &g)
+        .with_bounded_views(views.clone(), &g)
+        .plan_bounded(&qb)
+        .expect("the view contains the query");
+    assert!(verify_bounded_plan(&qb, &plan, &views).is_empty());
+    (qb, views, plan)
+}
+
+#[test]
+fn bounded_plan_with_out_of_range_view_edge_is_rejected() {
+    let (qb, views, mut plan) = bounded_fixture();
+    plan.plan.lambda[0] = vec![ViewEdgeRef {
+        view: 0,
+        edge: PatternEdgeId(9),
+    }];
+    let codes: Vec<DiagCode> = verify_bounded_plan(&qb, &plan, &views)
+        .iter()
+        .map(|d| d.code)
+        .collect();
+    assert_eq!(codes, vec![DiagCode::PlanViewOutOfRange]);
+}
+
+#[test]
+fn bounded_plan_with_non_witnessing_view_edge_is_rejected() {
+    // View edge 1 (A -> C) covers query edge 1, not query edge 0.
+    let (qb, views, mut plan) = bounded_fixture();
+    plan.plan.lambda[0] = vec![ViewEdgeRef {
+        view: 0,
+        edge: PatternEdgeId(1),
+    }];
+    let codes: Vec<DiagCode> = verify_bounded_plan(&qb, &plan, &views)
+        .iter()
+        .map(|d| d.code)
+        .collect();
+    assert_eq!(codes, vec![DiagCode::PlanEdgeNotCovered]);
 }
 
 proptest! {
