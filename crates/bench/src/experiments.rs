@@ -14,7 +14,7 @@ use gpv_generator::{
     amazon, amazon_predicate_pool, citation, citation_predicate_pool, covering_bounded_views,
     covering_views, densification_graph, random_graph, random_pattern, random_pattern_with_preds,
     uniform_bounded_pattern, uniform_bounded_pattern_with_preds, youtube, youtube_predicate_pool,
-    ExecKnob, GraphSource, PatternShape, QueryMode, Scenario, WeightsKnob, DEFAULT_ALPHABET,
+    ExecKnob, GraphSource, PatternShape, QueryMode, Scenario, DEFAULT_ALPHABET,
 };
 use gpv_graph::DataGraph;
 use gpv_matching::bounded::bmatch_pattern;
@@ -143,7 +143,6 @@ fn row_scenario(
         mode,
         exec: ExecKnob::Sequential,
         threads: 1,
-        weights: WeightsKnob::Default,
         result_cache_bytes: 64 << 20,
         plan_cache_capacity: 4096,
         shards,
@@ -916,13 +915,6 @@ pub fn fig8l(scale: Scale, seed: u64) -> ExperimentResult {
 /// beat the sequential one when the machine actually has spare cores
 /// (`threads=1` degrades to inline execution by design); the point of the
 /// experiment is recording that trajectory per host.
-///
-/// Each row also records the **calibration loop**: the mean relative
-/// estimate error (planner prediction vs measured wall µs) under the
-/// unit-free default weights, and again after
-/// [`CostModel::calibrate`](gpv_core::CostModel::calibrate) re-fits the
-/// weights from this row's recorded executions — the `est_err_*` series
-/// are dimensionless ratios, and calibration must drive the error down.
 pub fn engine_experiment(scale: Scale, seed: u64) -> ExperimentResult {
     use gpv_core::par_match_join;
     let queries: Vec<Pattern> = (0..3)
@@ -948,11 +940,6 @@ pub fn engine_experiment(scale: Scale, seed: u64) -> ExperimentResult {
             t_seq += secs(|| {
                 std::hint::black_box(engine.execute(q, &plan, None).unwrap());
             });
-            // Two more recorded (untimed) executions per query, so the
-            // calibration fit below has a few samples per plan shape.
-            for _ in 0..2 {
-                std::hint::black_box(engine.execute(q, &plan, None).unwrap());
-            }
             let gpv_core::QueryPlan::ViewsOnly(vp) = &plan else {
                 unreachable!("checked above");
             };
@@ -965,14 +952,6 @@ pub fn engine_experiment(scale: Scale, seed: u64) -> ExperimentResult {
             t_par4 += secs(|| {
                 std::hint::black_box(par_match_join(q, &vp.plan, engine.extensions(), 4).unwrap());
             });
-        }
-        // Feed the log some direct (graph-scan) executions too, via an
-        // empty-registry engine sharing the same cost log — the fit then
-        // has signal for `scan_edge`, not just the view-path weights.
-        let direct_engine = QueryEngine::materialize(ViewSet::default(), &g)
-            .with_cost_log(engine.cost_log_handle());
-        for q in &queries {
-            std::hint::black_box(direct_engine.answer(q, &g).unwrap());
         }
         // The columnar-arena series: read every cached pair the way the
         // join hot path does, through the flat arena vs the boxed
@@ -1064,12 +1043,6 @@ pub fn engine_experiment(scale: Scale, seed: u64) -> ExperimentResult {
                 boxed_resident,
             )
         };
-        let est_err_default = engine.estimate_error().expect("executions recorded");
-        let est_err_calibrated = if engine.apply_calibration() {
-            engine.estimate_error().expect("executions recorded")
-        } else {
-            est_err_default
-        };
         let c = queries.len() as f64;
         rows.push(Row {
             scenario: Some(row_scenario(
@@ -1088,8 +1061,6 @@ pub fn engine_experiment(scale: Scale, seed: u64) -> ExperimentResult {
                 ("MatchJoin_par_auto".into(), t_auto / c),
                 ("MatchJoin_par2".into(), t_par2 / c),
                 ("MatchJoin_par4".into(), t_par4 / c),
-                ("est_err_default".into(), est_err_default),
-                ("est_err_calibrated".into(), est_err_calibrated),
                 ("compact_scan".into(), t_flat_scan),
                 ("boxed_scan".into(), t_boxed_scan),
                 ("compact_resident_mb".into(), compact_resident as f64 / 1e6),
@@ -1249,7 +1220,6 @@ pub fn maintenance_experiment(scale: Scale, seed: u64) -> ExperimentResult {
             mode: QueryMode::Minimal,
             exec: ExecKnob::Sequential,
             threads: 1,
-            weights: WeightsKnob::Default,
             result_cache_bytes: 64 << 20,
             plan_cache_capacity: 4096,
             shards: 8,
@@ -1562,34 +1532,6 @@ mod tests {
         for row in &r.rows {
             let r2 = row.series[1].1;
             assert!(r2 > 0.0 && r2 <= 1.0 + 1e-9, "minimum never larger: {r2}");
-        }
-    }
-
-    #[test]
-    fn engine_calibration_reduces_estimate_error() {
-        let r = engine_experiment(tiny(), 42);
-        assert_eq!(r.rows.len(), 4);
-        for row in &r.rows {
-            let get = |name: &str| {
-                row.series
-                    .iter()
-                    .find(|(n, _)| n == name)
-                    .map(|(_, v)| *v)
-                    .unwrap()
-            };
-            let before = get("est_err_default");
-            let after = get("est_err_calibrated");
-            assert!(before.is_finite() && after.is_finite());
-            // The fit minimizes squared absolute error while the series
-            // reports mean *relative* error, so on noisy tiny-scale timings
-            // a strict `after <= before` could flake; the real signal —
-            // unit-free defaults are orders of magnitude off, measured
-            // weights are not — survives a generous slack.
-            assert!(
-                after <= before * 1.5,
-                "calibration must not materially worsen the estimate error \
-                 ({after} vs {before})"
-            );
         }
     }
 

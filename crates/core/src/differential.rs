@@ -15,7 +15,7 @@
 //! * Theorem 1's corollary — adding views never changes answers, only how
 //!   cheaply they can be produced. So one oracle answer per distinct query
 //!   stays valid across every `ViewStore::insert` between rounds.
-//! * Recalibration only rescales cost weights; plans may change shape, but
+//! * Configuration only changes plan shape (selection mode, executor);
 //!   by the contract every plan shape must produce the same match sets.
 //! * Edge deltas ([`DifferentialCase::deltas`]) *do* change answers — so
 //!   the checker tracks the evolving graph itself and drops every cached
@@ -76,8 +76,8 @@ pub struct DifferentialCase<'a> {
     pub deltas: &'a [EdgeDelta],
     /// Store shard count.
     pub shards: usize,
-    /// Engine configuration under test (executor, selection mode, cost
-    /// weights, threads).
+    /// Engine configuration under test (executor, selection mode,
+    /// threads).
     pub engine: EngineConfig,
     /// Service configuration under test (plan/result caches); its embedded
     /// engine config is what `serve_batch` uses.
@@ -323,14 +323,14 @@ pub fn check_plain(
                 pairs(&expected[qi]),
             ));
         }
-        if plan.graph_optional() {
+        if !plan.needs_graph() {
             let got = engine.answer_from_views(q).map_err(|e| {
                 Box::new(Divergence {
                     stage: "engine.answer_from_views",
                     round: None,
                     slot: None,
                     query: qi,
-                    detail: format!("graph-optional plan failed without the graph: {e:?}"),
+                    detail: format!("views-only plan failed without the graph: {e:?}"),
                 })
             })?;
             if got != expected[qi] {

@@ -13,17 +13,12 @@
 //!   coverage) — one shared view-match sweep per query;
 //! * **Select** — `all` vs [`minimal`](crate::minimal::minimal) vs
 //!   [`minimum`](crate::minimum::minimum) view selection, costed
-//!   by the [`CostModel`] against the actual extension sizes, plus the
-//!   per-edge [`EdgeSource`] decision (smallest covering extension vs
-//!   surgical graph scan — cost-based hybrid sourcing);
+//!   by the fixed [`CostModel`] against the actual extension sizes, plus
+//!   the per-edge [`EdgeSource`] (a covered edge reads its smallest
+//!   covering extension, an uncovered one scans `G`);
 //! * **Execute** — sequential or thread-parallel `MatchJoin` /
 //!   `BMatchJoin`, hybrid join, or direct `Match` fallback, honoring the
 //!   plan's per-edge sources verbatim.
-//!
-//! The engine is **adaptive**: every execution records a [`CostSample`]
-//! (estimate, executor stats, wall time) into a bounded [`CostLog`], and
-//! [`QueryEngine::apply_calibration`] least-squares-fits the cost weights
-//! from those measurements, closing the estimate→measure→re-fit loop.
 //!
 //! The contract (Theorem 1/8), now as an engine guarantee: for every query
 //! and graph, [`QueryEngine::answer`] equals
@@ -33,12 +28,12 @@
 use crate::bcontainment::bounded_table;
 use crate::bview::{bmaterialize, BoundedViewExtensions, BoundedViewSet};
 use crate::containment::{ContainmentPlan, ViewEdgeRef, ViewMatchTable};
-use crate::cost::{CostEstimate, CostLog, CostModel, CostSample, SharedCostLog};
+use crate::cost::{CostEstimate, CostModel};
 use crate::matchjoin::{run_fixpoint, JoinError, JoinStats, JoinStrategy};
 use crate::minimal::{minimal_from_table, Selection};
 use crate::minimum::minimum_from_table;
 use crate::parallel::auto_threads;
-use crate::partial::{cover, merged_from_sources, PartialPlan};
+use crate::partial::{merged_from_sources, sources_from_lambda, PartialPlan};
 use crate::plan::{EdgeSource, ExecStrategy, FallbackReason, QueryPlan, SelectionMode, ViewPlan};
 use crate::selection::{select_views_for_workload, WorkloadSelection};
 use crate::storage::graph_fingerprint;
@@ -50,13 +45,10 @@ use gpv_matching::result::{BoundedMatchResult, MatchResult};
 use gpv_matching::simulation::match_pattern;
 use gpv_pattern::{BoundedPattern, Pattern};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Engine tuning knobs.
 #[derive(Clone, Debug, Default)]
 pub struct EngineConfig {
-    /// The cost model the planner consults.
-    pub cost: CostModel,
     /// Worker threads for the parallel executor (`0` = auto-detect).
     pub threads: usize,
     /// Pin the view-selection mode instead of costing the alternatives.
@@ -177,11 +169,6 @@ pub struct QueryEngine {
     fingerprint: u64,
     graph_stats: Option<GraphStats>,
     config: EngineConfig,
-    /// Estimate-vs-actual feedback: every executed plan records a
-    /// [`CostSample`] here; [`Self::apply_calibration`] re-fits the cost
-    /// weights from it. Shared (`Arc`) so clones — and the serving layer
-    /// across engine rebuilds — accumulate into one history.
-    cost_log: SharedCostLog,
 }
 
 impl QueryEngine {
@@ -195,7 +182,6 @@ impl QueryEngine {
             fingerprint: graph_fingerprint(g),
             graph_stats: Some(gpv_graph::stats::stats(g)),
             config: EngineConfig::default(),
-            cost_log: SharedCostLog::default(),
         }
     }
 
@@ -216,7 +202,6 @@ impl QueryEngine {
             fingerprint: snap.graph_fingerprint,
             graph_stats: snap.graph_stats.clone(),
             config: EngineConfig::default(),
-            cost_log: SharedCostLog::default(),
         }
     }
 
@@ -230,59 +215,6 @@ impl QueryEngine {
     /// registry under different forced modes, without re-materializing).
     pub fn set_config(&mut self, config: EngineConfig) {
         self.config = config;
-    }
-
-    /// Shares an external [`CostLog`] handle — the serving layer passes the
-    /// same handle into every rebuilt engine so calibration sees the whole
-    /// measurement history, not just the current snapshot's.
-    pub fn with_cost_log(mut self, log: SharedCostLog) -> Self {
-        self.cost_log = log;
-        self
-    }
-
-    /// A point-in-time copy of the recorded estimate-vs-actual samples.
-    pub fn cost_log(&self) -> CostLog {
-        self.cost_log.snapshot()
-    }
-
-    /// The shared cost-log handle (records survive engine rebuilds when the
-    /// caller keeps it).
-    pub fn cost_log_handle(&self) -> SharedCostLog {
-        self.cost_log.clone()
-    }
-
-    /// The active cost model (default or calibrated).
-    pub fn cost_model(&self) -> &CostModel {
-        &self.config.cost
-    }
-
-    /// Least-squares re-fit of the cost weights from the recorded samples
-    /// ([`CostModel::calibrate`]), without installing it. `None` when the
-    /// log is too small or degenerate.
-    pub fn calibrate(&self) -> Option<CostModel> {
-        self.config.cost.calibrate(&self.cost_log.snapshot())
-    }
-
-    /// Calibrates and installs the fitted weights, so subsequent plans are
-    /// priced in measured units. Returns whether a fit was applied.
-    pub fn apply_calibration(&mut self) -> bool {
-        match self.calibrate() {
-            Some(cm) => {
-                self.config.cost = cm;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Mean relative estimate error of the *active* weights over the
-    /// recorded samples — the calibration-drift gauge (`None` with no
-    /// samples). Calibration should drive this down; it creeping back up
-    /// means the workload shifted and a re-fit is due.
-    pub fn estimate_error(&self) -> Option<f64> {
-        self.config
-            .cost
-            .mean_relative_error(&self.cost_log.snapshot())
     }
 
     /// Workload-aware view advisor (the ROADMAP's "wire
@@ -398,56 +330,18 @@ impl QueryEngine {
         } else {
             self.config.threads
         };
-        if self.config.cost.parallel_pays(pairs, threads) {
+        if CostModel::parallel_pays(pairs, threads) {
             ExecStrategy::Parallel { threads }
         } else {
             ExecStrategy::Sequential(JoinStrategy::RankedBottomUp)
         }
     }
 
-    /// Per-edge cost-based sourcing over a (full or partial) λ: every
-    /// covered edge picks the cheaper of its pinned smallest covering
-    /// extension and a surgical graph scan
-    /// ([`CostModel::edge_prefers_graph`]); uncovered edges scan `G`.
-    /// Returns the source vector plus the view pairs read and the number of
-    /// graph-sourced edges. With the default unit-free weights every
-    /// covered edge stays on its view (the paper's behaviour); calibrated
-    /// weights can demote bloated extensions to scans.
-    fn source_edges(
-        &self,
-        q: &Pattern,
-        lambda: &[Vec<ViewEdgeRef>],
-    ) -> (Vec<EdgeSource>, u64, usize) {
-        let cm = &self.config.cost;
-        let ne = q.edge_count();
-        let mut sources = Vec::with_capacity(lambda.len());
-        let mut pairs = 0u64;
-        let mut graph_edges = 0usize;
-        for entries in lambda {
-            // The λ comes from a sweep over the registered views, so every
-            // view index is in range.
-            match cover(entries, &self.ext).expect("λ over registered views") {
-                Some((r, set)) => {
-                    let size = set.len() as u64;
-                    let prefer_graph = self
-                        .graph_stats
-                        .as_ref()
-                        .is_some_and(|gs| cm.edge_prefers_graph(ne, size, gs));
-                    if prefer_graph {
-                        sources.push(EdgeSource::Graph);
-                        graph_edges += 1;
-                    } else {
-                        sources.push(EdgeSource::View(r));
-                        pairs += size;
-                    }
-                }
-                None => {
-                    sources.push(EdgeSource::Graph);
-                    graph_edges += 1;
-                }
-            }
-        }
-        (sources, pairs, graph_edges)
+    /// Per-edge sources for a (full or partial) λ ([`sources_from_lambda`]).
+    fn sources(&self, lambda: &[Vec<ViewEdgeRef>]) -> Vec<EdgeSource> {
+        // The λ comes from a sweep over the registered views, so every view
+        // index is in range.
+        sources_from_lambda(lambda, &self.ext).expect("λ over registered views")
     }
 
     /// **Analyze → Select**: produces the costed plan for `q` without
@@ -474,7 +368,6 @@ impl QueryEngine {
     }
 
     fn plan_unverified(&self, q: &Pattern) -> QueryPlan {
-        let cm = &self.config.cost;
         let zero_stats = GraphStats {
             nodes: 0,
             edges: 0,
@@ -489,13 +382,13 @@ impl QueryEngine {
         if q.edge_count() == 0 {
             return QueryPlan::Direct {
                 reason: FallbackReason::NoEdges,
-                cost: cm.direct(q, &gstats),
+                cost: CostModel::direct(q, &gstats),
             };
         }
         if self.views.card() == 0 {
             return QueryPlan::Direct {
                 reason: FallbackReason::NoViews,
-                cost: cm.direct(q, &gstats),
+                cost: CostModel::direct(q, &gstats),
             };
         }
 
@@ -506,43 +399,23 @@ impl QueryEngine {
         match table.contain() {
             Some(full) => {
                 let chosen = self.select(q, full, &table);
-                let (sources, view_pairs, graph_edges) = self.source_edges(q, &chosen.plan.lambda);
-                if graph_edges == 0 {
-                    let exec = self.exec_for(view_pairs);
-                    return QueryPlan::ViewsOnly(ViewPlan {
-                        exec,
-                        sources,
-                        ..chosen
-                    });
-                }
-                // Calibrated weights priced some covered edges cheaper from
-                // G: emit a cost-based hybrid. Always Hybrid (never Direct),
-                // even when every edge is demoted — the total-coverage λ
-                // rides along so execution can fall back to the views when
-                // no graph is supplied ([`QueryPlan::graph_optional`]).
-                let mut cost = cm.hybrid_plan(q, view_pairs, graph_edges, &gstats);
-                cost.planning = chosen.cost.planning;
-                QueryPlan::Hybrid {
-                    partial: PartialPlan {
-                        lambda: chosen.plan.lambda,
-                        uncovered: Vec::new(),
-                    },
-                    sources,
-                    reason: FallbackReason::CostBased,
-                    cost,
-                }
+                QueryPlan::ViewsOnly(ViewPlan {
+                    exec: self.exec_for(chosen.cost.pairs_read),
+                    sources: self.sources(&chosen.plan.lambda),
+                    ..chosen
+                })
             }
             None => {
                 let partial = PartialPlan::from_lambda(table.full_lambda());
-                let direct_cost = cm.direct(q, &gstats);
+                let direct_cost = CostModel::direct(q, &gstats);
                 if partial.uncovered.len() == q.edge_count() {
                     return QueryPlan::Direct {
                         reason: FallbackReason::NotContained,
                         cost: direct_cost,
                     };
                 }
-                let (sources, view_pairs, graph_edges) = self.source_edges(q, &partial.lambda);
-                let cost = cm.hybrid_plan(q, view_pairs, graph_edges, &gstats);
+                let view_pairs = CostModel::pairs_read(&partial.lambda, &self.ext);
+                let cost = CostModel::hybrid_plan(q, view_pairs, partial.uncovered.len(), &gstats);
                 // With known graph stats, take the direct baseline when the
                 // covered extensions are so bloated that the hybrid plan
                 // costs more than just scanning G (unknown stats keep the
@@ -554,8 +427,8 @@ impl QueryEngine {
                     }
                 } else {
                     QueryPlan::Hybrid {
+                        sources: self.sources(&partial.lambda),
                         partial,
-                        sources,
                         reason: FallbackReason::NotContained,
                         cost,
                     }
@@ -573,14 +446,13 @@ impl QueryEngine {
     /// (falling back to the full `all` λ when the pinned algorithm cannot
     /// apply — it always can when containment holds).
     fn select(&self, q: &Pattern, full: ContainmentPlan, table: &ViewMatchTable) -> ViewPlan {
-        let cm = &self.config.cost;
         let (selection, sel, cost) = choose_selection(
             self.config.force_selection,
             full,
             || minimal_from_table(table),
             || minimum_from_table(table),
-            |plan| cm.view_plan(q, plan, &self.ext),
-            cm.selection_overhead(q, self.views.card()),
+            |plan| CostModel::view_plan(q, plan, &self.ext),
+            CostModel::selection_overhead(q, self.views.card()),
         );
         // `sources` and `exec` are placeholders here: `plan` resolves the
         // per-edge sourcing and the executor for the winning candidate only.
@@ -601,10 +473,6 @@ impl QueryEngine {
     /// materialized against — extensions from one graph say nothing about
     /// another (use [`Self::validate_graph`] when in doubt; debug builds
     /// assert it).
-    ///
-    /// Every execution also records a [`CostSample`] (the plan's estimate,
-    /// the executor's [`JoinStats`], and the measured wall time) into the
-    /// engine's [`CostLog`] — the feedback half of the calibration loop.
     pub fn execute(
         &self,
         q: &Pattern,
@@ -618,49 +486,22 @@ impl QueryEngine {
                  view registry was materialized against"
             );
         }
-        let t0 = Instant::now();
-        // The view-source fallback below executes different sources than
-        // the plan priced; logging that run would pollute the calibration
-        // features (scan terms with no scan executed).
-        let mut record_sample = true;
-        let out = match plan {
+        Ok(match plan {
             QueryPlan::ViewsOnly(vp) => {
                 let merged = merged_from_sources(q, &vp.sources, &self.ext, None)?;
                 let (strategy, threads) = vp.exec.join();
                 run_fixpoint(q, merged, strategy, threads)?
             }
-            QueryPlan::Hybrid {
-                partial, sources, ..
-            } => {
-                let merged = match g {
-                    Some(g) => merged_from_sources(q, sources, &self.ext, Some(g))?,
-                    // No graph supplied: a *fully-covered* (cost-based)
-                    // hybrid falls back to its view sources — demoting an
-                    // edge to a scan is a performance preference and must
-                    // never cost availability ([`QueryPlan::graph_optional`]).
-                    None if partial.is_total() => {
-                        record_sample = false;
-                        let fallback = crate::partial::sources_from_partial(partial, &self.ext)?;
-                        merged_from_sources(q, &fallback, &self.ext, None)?
-                    }
-                    None => return Err(EngineError::NeedsGraph),
-                };
+            QueryPlan::Hybrid { sources, .. } => {
+                let g = g.ok_or(EngineError::NeedsGraph)?;
+                let merged = merged_from_sources(q, sources, &self.ext, Some(g))?;
                 run_fixpoint(q, merged, JoinStrategy::RankedBottomUp, 1)?
             }
             QueryPlan::Direct { .. } => {
                 let g = g.ok_or(EngineError::NeedsGraph)?;
                 (match_pattern(q, g), JoinStats::default())
             }
-        };
-        if record_sample {
-            self.cost_log.record(CostSample {
-                estimate: *plan.cost(),
-                stats: out.1,
-                edge_count: q.edge_count(),
-                wall_micros: t0.elapsed().as_secs_f64() * 1e6,
-            });
-        }
-        Ok(out)
+        })
     }
 
     /// Plans and executes `q`, allowing graph fallback: equals
@@ -679,14 +520,10 @@ impl QueryEngine {
     /// [`EngineError::NotContained`] when `Qs ⋢ V`.
     pub fn answer_from_views(&self, q: &Pattern) -> Result<MatchResult, EngineError> {
         let plan = self.plan(q);
-        if plan.graph_optional() {
-            // Views-only, or a fully-covered cost-based hybrid (which
-            // `execute` serves from its view-source fallback when no graph
-            // is supplied).
-            self.execute(q, &plan, None).map(|(r, _)| r)
-        } else {
-            Err(EngineError::NotContained)
+        if plan.needs_graph() {
+            return Err(EngineError::NotContained);
         }
+        self.execute(q, &plan, None).map(|(r, _)| r)
     }
 
     /// Plans a bounded query against the bounded-view registry. Same shape
@@ -695,7 +532,6 @@ impl QueryEngine {
     /// computes only the pinned candidate.
     pub fn plan_bounded(&self, qb: &BoundedPattern) -> Result<BoundedPlan, EngineError> {
         let (views, ext) = self.bounded.as_ref().ok_or(EngineError::NoBoundedViews)?;
-        let cm = &self.config.cost;
         // As in `plan`: one view-match table, here over bounded view
         // matches, shared by containment and both selection algorithms.
         let table = bounded_table(qb, views);
@@ -707,16 +543,14 @@ impl QueryEngine {
             || minimal_from_table(&table),
             || minimum_from_table(&table),
             |plan| {
-                let pairs = cm.pairs_read_bounded(&plan.lambda, ext);
+                let pairs = CostModel::pairs_read_bounded(&plan.lambda, ext);
                 CostEstimate {
                     pairs_read: pairs,
-                    graph_edges_scanned: 0,
-                    planning: 0.0,
-                    total: cm.join_exec_cost(qb.pattern().edge_count(), pairs),
-                    weights: *cm,
+                    total: CostModel::join_exec_cost(qb.pattern().edge_count(), pairs),
+                    ..CostEstimate::default()
                 }
             },
-            cm.selection_overhead(qb.pattern(), views.card()),
+            CostModel::selection_overhead(qb.pattern(), views.card()),
         );
         // The bounded merge reads each edge's smallest covering extension:
         // exactly the pairs the estimate counted.
@@ -926,9 +760,8 @@ mod tests {
             panic!("contained");
         };
         // Whatever mode won, its pairs_read is the minimum of the three.
-        let cm = CostModel::default();
         let full = crate::containment::contain(&q, engine.views()).unwrap();
-        let all_pairs = cm.pairs_read(&full.lambda, engine.extensions());
+        let all_pairs = CostModel::pairs_read(&full.lambda, engine.extensions());
         assert!(vp.cost.pairs_read <= all_pairs);
         assert_eq!(engine.answer(&q, &g).unwrap(), match_pattern(&q, &g));
     }

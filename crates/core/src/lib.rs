@@ -71,7 +71,7 @@ pub use bmatchjoin::{bmatch_join, bmatch_join_threaded, bmatch_join_with};
 pub use bview::{bmaterialize, BoundedViewDef, BoundedViewExtensions, BoundedViewSet};
 pub use compact::{CompactBoundedExtensions, CompactBoundedView, CompactExtensions, CompactView};
 pub use containment::{contain, query_contained, view_match, ContainmentPlan, ViewEdgeRef};
-pub use cost::{CostEstimate, CostLog, CostModel, CostSample, SharedCostLog};
+pub use cost::{CostEstimate, CostModel};
 pub use delta::{EdgeDelta, ViewFootprint, ViewFootprintIndex};
 pub use differential::{
     check_bounded, check_plain, BoundedOracle, DifferentialCase, DifferentialReport, Divergence,
@@ -86,7 +86,7 @@ pub use minimal::{minimal, Selection};
 pub use minimize::{minimize, Minimized};
 pub use minimum::{alpha, minimum};
 pub use parallel::par_match_join;
-pub use partial::{hybrid_match_join, partial_contain, sources_from_partial, PartialPlan};
+pub use partial::{hybrid_match_join, partial_contain, sources_from_lambda, PartialPlan};
 pub use plan::{
     CacheDisposition, EdgeSource, ExecStrategy, FallbackReason, QueryPlan, SelectionMode, ViewPlan,
 };

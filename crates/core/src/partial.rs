@@ -93,16 +93,14 @@ pub(crate) fn scan_edge_pairs(
     set
 }
 
-/// Derives the per-edge source vector a partial λ implies: covered edges
-/// read their smallest covering extension, uncovered edges scan `G`.
-/// (The engine's cost-based planner may instead emit `Graph` for a
-/// *covered* edge when calibrated weights price the scan cheaper.)
-pub fn sources_from_partial(
-    partial: &PartialPlan,
+/// Derives the per-edge source vector a (full or partial) λ implies:
+/// covered edges read their smallest covering extension, uncovered edges
+/// scan `G`. The engine's planner pins exactly these sources.
+pub fn sources_from_lambda(
+    lambda: &[Vec<ViewEdgeRef>],
     ext: &ViewExtensions,
 ) -> Result<Vec<EdgeSource>, JoinError> {
-    partial
-        .lambda
+    lambda
         .iter()
         .map(|entries| {
             Ok(match cover(entries, ext)? {
@@ -169,7 +167,7 @@ pub fn hybrid_match_join(
     g: &DataGraph,
 ) -> Result<(MatchResult, JoinStats), JoinError> {
     check_arity(q, partial.lambda.len())?;
-    let sources = sources_from_partial(partial, ext)?;
+    let sources = sources_from_lambda(&partial.lambda, ext)?;
     let merged = merged_from_sources(q, &sources, ext, Some(g))?;
     // Same refinement as MatchJoin from here on.
     run_fixpoint(q, merged, JoinStrategy::RankedBottomUp, 1)

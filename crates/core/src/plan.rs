@@ -10,10 +10,9 @@
 //!    [`contain`](crate::containment::contain), the irreducible subset from
 //!    [`minimal`](crate::minimal::minimal), or the greedy set-cover subset
 //!    from [`minimum`](crate::minimum::minimum), chosen by the
-//!    [`CostModel`](crate::cost::CostModel) — plus, per query edge, the
-//!    cost-based **source** decision ([`EdgeSource`]): read the smallest
-//!    covering extension, or scan `G` surgically when the calibrated
-//!    weights price the extension as more expensive than the scan;
+//!    [`CostModel`](crate::cost::CostModel) — plus, per query edge, its
+//!    **source** ([`EdgeSource`]): a covered edge reads its smallest
+//!    covering extension, an uncovered edge scans `G` surgically;
 //! 3. **Execute** — sequential or parallel `MatchJoin`, hybrid join, or
 //!    direct `Match` fallback. The merge honors the per-edge sources
 //!    verbatim (both executors), so EXPLAIN shows exactly what will run.
@@ -45,8 +44,7 @@ impl std::fmt::Display for SelectionMode {
     }
 }
 
-/// Where the merge step reads one query edge's initial match set from —
-/// the per-edge outcome of cost-based hybrid sourcing.
+/// Where the merge step reads one query edge's initial match set from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum EdgeSource {
     /// Read the materialized extension of this view edge (the smallest
@@ -78,22 +76,6 @@ pub(crate) fn fmt_sources(sources: &[EdgeSource]) -> String {
         })
         .collect::<Vec<_>>()
         .join(" ")
-}
-
-/// Renders the active cost weights for EXPLAIN output.
-pub(crate) fn fmt_weights(cost: &CostEstimate) -> String {
-    let w = &cost.weights;
-    format!(
-        "read_pair={:.3} refine_pair={:.3} scan_edge={:.3} ({})",
-        w.read_pair,
-        w.refine_pair,
-        w.scan_edge,
-        if w.calibrated {
-            "calibrated"
-        } else {
-            "default"
-        }
-    )
 }
 
 /// How the serving layer satisfied one query — the per-query cache
@@ -186,10 +168,6 @@ pub enum FallbackReason {
     /// The query has no edges; `MatchJoin` is defined via edge match sets,
     /// so node-only queries evaluate directly.
     NoEdges,
-    /// The views cover the query, but the (calibrated) cost model priced
-    /// some covered edges cheaper as surgical graph scans than as
-    /// extension reads.
-    CostBased,
 }
 
 /// The planner's decision for one query.
@@ -197,15 +175,14 @@ pub enum FallbackReason {
 pub enum QueryPlan {
     /// Answer from materialized views only (Theorem 1 path).
     ViewsOnly(ViewPlan),
-    /// Mixed sourcing: some edges read views, some scan `G` — either
-    /// because coverage is partial (the [`crate::partial`] hybrid) or
-    /// because the cost model priced a covered edge cheaper from `G`.
+    /// Mixed sourcing under partial coverage (the [`crate::partial`]
+    /// hybrid): covered edges read views, uncovered edges scan `G`.
     Hybrid {
         /// The maximal-coverage λ with its uncovered edges.
         partial: PartialPlan,
         /// Per-edge merge source (what the executor honors).
         sources: Vec<EdgeSource>,
-        /// Why views alone were insufficient (or not worth it).
+        /// Why views alone were insufficient.
         reason: FallbackReason,
         /// The planner's estimate for this plan.
         cost: CostEstimate,
@@ -234,21 +211,6 @@ impl QueryPlan {
     /// ```
     pub fn needs_graph(&self) -> bool {
         !matches!(self, QueryPlan::ViewsOnly(_))
-    }
-
-    /// Whether the plan can still execute when no graph is supplied:
-    /// views-only plans trivially, and cost-based hybrids whose coverage
-    /// is *total* — every graph-sourced edge there has a covering
-    /// extension to fall back to, so the demotion is a performance
-    /// preference, never an availability requirement. Strict Theorem-1
-    /// serving uses this to keep answering covered queries after a
-    /// calibration demotes some of their edges.
-    pub fn graph_optional(&self) -> bool {
-        match self {
-            QueryPlan::ViewsOnly(_) => true,
-            QueryPlan::Hybrid { partial, .. } => partial.is_total(),
-            QueryPlan::Direct { .. } => false,
-        }
     }
 
     /// The planner's cost estimate.
@@ -317,7 +279,7 @@ impl std::fmt::Display for QueryPlan {
                 if vp.cost.planning > 0.0 {
                     write!(f, " + {:.0} planning", vp.cost.planning)?;
                 }
-                write!(f, "\n  weights: {}", fmt_weights(&vp.cost))
+                Ok(())
             }
             QueryPlan::Hybrid {
                 sources,
@@ -339,8 +301,7 @@ impl std::fmt::Display for QueryPlan {
                     f,
                     "  cost   : {:.0} ({} pairs read, {} graph edges scanned)",
                     cost.total, cost.pairs_read, cost.graph_edges_scanned
-                )?;
-                write!(f, "\n  weights: {}", fmt_weights(cost))
+                )
             }
             QueryPlan::Direct { reason, cost } => {
                 writeln!(f, "Plan: direct Match on G ({reason:?})")?;
@@ -348,8 +309,7 @@ impl std::fmt::Display for QueryPlan {
                     f,
                     "  cost   : {:.0} ({} graph edges scanned)",
                     cost.total, cost.graph_edges_scanned
-                )?;
-                write!(f, "\n  weights: {}", fmt_weights(cost))
+                )
             }
         }
     }

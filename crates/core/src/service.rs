@@ -34,12 +34,10 @@
 //!   store version moves — a rebuild shares the snapshot's extensions by
 //!   `Arc` ([`QueryEngine::from_snapshot`]), so it costs O(card(V)) handle
 //!   clones, never a deep copy of the materialized pairs;
-//! * plans under one fixed cost model, `config.engine.cost` (the default
-//!   weights, or weights fitted offline with
-//!   [`QueryEngine::apply_calibration`]);
+//! * plans under the one fixed [`CostModel`](crate::cost::CostModel);
 //! * keeps service-level statistics: plan- and result-cache hit rates,
-//!   per-shard occupancy, in-flight queue depth, a log₂ latency histogram,
-//!   and the cost-model drift gauge (weights, sample count, estimate error).
+//!   per-shard occupancy, in-flight queue depth and a log₂ latency
+//!   histogram.
 //!
 //! Answers are **byte-identical** to calling
 //! [`QueryEngine::answer`] sequentially (asserted by `tests/service.rs`):
@@ -79,7 +77,6 @@
 //! ```
 
 use crate::compact::CompactView;
-use crate::cost::{CostModel, SharedCostLog};
 use crate::delta::EdgeDelta;
 use crate::engine::{EngineConfig, EngineError, QueryEngine};
 use crate::matchjoin::{JoinError, JoinStats};
@@ -399,8 +396,8 @@ pub struct ServiceStats {
     pub result_cache_evictions: u64,
     /// Queries answered by intra-batch deduplication.
     pub dedup_saved: u64,
-    /// Queries that actually planned and executed — the only ones that
-    /// record a [`CostSample`](crate::cost::CostSample).
+    /// Queries that actually planned and executed (no cache hit, no
+    /// in-batch deduplication).
     pub executed_queries: u64,
     /// Times the engine snapshot was rebuilt because the store changed.
     pub engine_rebuilds: u64,
@@ -412,15 +409,6 @@ pub struct ServiceStats {
     pub shard_occupancy: Vec<ShardOccupancy>,
     /// Log₂ latency histogram over all served queries.
     pub latency: LatencyHistogram,
-    /// The cost model the service plans under (`config.engine.cost`).
-    pub cost_model: CostModel,
-    /// Estimate-vs-actual samples currently retained in the cost log.
-    pub cost_samples: usize,
-    /// Calibration drift: mean relative error of the configured weights'
-    /// predictions against the measured executions (`None` before any
-    /// execution). Rising drift under offline-fitted weights means the
-    /// workload shifted and a fresh offline fit is due.
-    pub estimate_error: Option<f64>,
 }
 
 /// Internal atomic counters (one cache line of independently-updated
@@ -472,10 +460,6 @@ pub struct ViewService {
     /// stamp — the same collision-witness discipline as the plan cache,
     /// byte-budgeted ([`ServiceConfig::result_cache_bytes`]).
     result_cache: RwLock<ResultCache>,
-    /// The estimate-vs-actual history, shared into every rebuilt engine so
-    /// the drift gauge sees all measurements, not just the latest
-    /// snapshot's.
-    cost_log: SharedCostLog,
     counters: Counters,
 }
 
@@ -543,10 +527,9 @@ fn result_entry_bytes(compact: &CompactView, qkey: &str) -> usize {
 
 /// One cached answer. `qkey` is the canonical-JSON collision witness (same
 /// discipline as the plan cache: a fingerprint hit counts only when the
-/// canonical forms match). `graph_free` records whether this answer is
-/// servable without graph access — a plan that *may* read `G`
-/// ([`QueryPlan::graph_optional`] false) must not satisfy a strict
-/// views-only (`g = None`) call that would otherwise have failed with
+/// canonical forms match). An answer whose plan reads `G`
+/// ([`QueryPlan::needs_graph`]) must not satisfy a strict views-only
+/// (`g = None`) call that would otherwise have failed with
 /// [`ServiceError::NeedsGraph`]: the cache must never change which queries
 /// a serving mode accepts, only how fast it answers them.
 #[derive(Debug)]
@@ -557,7 +540,6 @@ struct ResultCacheEntry {
     compact: Arc<CompactView>,
     plan: Arc<QueryPlan>,
     join_stats: JoinStats,
-    graph_free: bool,
     /// The epoch-set stamp ([`plan_epoch_key`]) of the snapshot the answer
     /// was computed against. A probe recomputes the stamp from `plan`
     /// against the *current* snapshot and hits only on equality: every
@@ -655,7 +637,6 @@ impl ViewService {
             engine: RwLock::new(None),
             plan_cache: RwLock::new(PlanCache::default()),
             result_cache: RwLock::new(ResultCache::default()),
-            cost_log: SharedCostLog::default(),
             counters: Counters::default(),
         }
     }
@@ -701,9 +682,8 @@ impl ViewService {
             return snap.clone();
         }
         let store_snap = self.store.snapshot();
-        let engine = QueryEngine::from_snapshot(&store_snap)
-            .with_config(self.config.engine.clone())
-            .with_cost_log(self.cost_log.clone());
+        let engine =
+            QueryEngine::from_snapshot(&store_snap).with_config(self.config.engine.clone());
         let snap = EngineSnapshot {
             version: store_snap.version,
             view_fingerprint: store_snap.fingerprint,
@@ -825,7 +805,7 @@ impl ViewService {
                 .get(&(qfp, snap.view_fingerprint))
                 .filter(|e| {
                     *e.qkey == *qkey
-                        && (has_graph || e.graph_free)
+                        && (has_graph || !e.plan.needs_graph())
                         && plan_epoch_key(&e.plan, &snap.store) == e.epoch_key
                 })
                 .map(|e| {
@@ -906,7 +886,6 @@ impl ViewService {
                 compact,
                 plan: a.plan.clone(),
                 join_stats: a.join_stats,
-                graph_free: a.plan.graph_optional(),
                 epoch_key,
                 bytes,
                 last_used: AtomicU64::new(stamp),
@@ -1036,32 +1015,20 @@ impl ViewService {
                             self.plan_for(&snap.engine, snap.view_fingerprint, qfp, &qkey, q);
                         // Views-only plans execute with no graph at all;
                         // plans that do read G first validate it belongs to
-                        // this store (once per batch). A graph-*optional*
-                        // plan (a fully-covered cost-based hybrid) uses G
-                        // when supplied and falls back to its view sources
-                        // when not — fitted weights never cost strict-mode
-                        // availability.
-                        let exec = if plan.needs_graph() {
-                            match g {
-                                None if plan.graph_optional() => snap
-                                    .engine
-                                    .execute(q, &plan, None)
-                                    .map_err(ServiceError::from),
-                                None => Err(ServiceError::NeedsGraph),
-                                Some(g) => check_graph(g).and_then(|()| {
-                                    snap.engine
-                                        .execute(q, &plan, Some(g))
-                                        .map_err(ServiceError::from)
-                                }),
-                            }
-                        } else {
-                            snap.engine
+                        // this store (once per batch).
+                        let exec = match (plan.needs_graph(), g) {
+                            (false, _) => snap
+                                .engine
                                 .execute(q, &plan, None)
-                                .map_err(ServiceError::from)
+                                .map_err(ServiceError::from),
+                            (true, None) => Err(ServiceError::NeedsGraph),
+                            (true, Some(g)) => check_graph(g).and_then(|()| {
+                                snap.engine
+                                    .execute(q, &plan, Some(g))
+                                    .map_err(ServiceError::from)
+                            }),
                         };
                         if exec.is_ok() {
-                            // A real plan-and-execute: the only path that
-                            // records a CostSample.
                             self.counters.executed.fetch_add(1, Ordering::Relaxed);
                         }
                         let executed = exec.map(|(result, join_stats)| ServedAnswer {
@@ -1154,8 +1121,6 @@ impl ViewService {
                 .expect("result cache lock poisoned");
             (cache.map.len(), cache.bytes)
         };
-        let cost_model = self.config.engine.cost;
-        let log = self.cost_log.snapshot();
         let mut latency = LatencyHistogram::default();
         for (i, b) in self.counters.latency.iter().enumerate() {
             latency.buckets[i] = b.load(Ordering::Relaxed);
@@ -1193,9 +1158,6 @@ impl ViewService {
             max_in_flight: self.counters.max_in_flight.load(Ordering::Relaxed),
             shard_occupancy: self.store.occupancy(),
             latency,
-            cost_model,
-            cost_samples: log.len(),
-            estimate_error: cost_model.mean_relative_error(&log),
         }
     }
 }
@@ -1577,9 +1539,9 @@ mod tests {
         assert!(svc.serve(&uncovered, Some(&g)).unwrap().result_cached);
     }
 
-    /// A fully cached steady state executes nothing, records no cost
-    /// samples, and never rebuilds the engine: cache hits and dedup
-    /// fan-outs leave the executed-query count and the cost log untouched.
+    /// A fully cached steady state executes nothing and never rebuilds the
+    /// engine: cache hits and dedup fan-outs leave the executed-query count
+    /// untouched.
     #[test]
     fn hot_result_cache_never_rebuilds_the_engine() {
         let (svc, _) = service();
@@ -1604,7 +1566,6 @@ mod tests {
             hot.engine_rebuilds, warm.engine_rebuilds,
             "a hot cache must never rebuild the engine"
         );
-        assert_eq!(hot.cost_samples, warm.cost_samples, "no new measurements");
 
         // A fresh query (cache miss) executes again.
         let q2 = single("A", "B");

@@ -35,7 +35,7 @@ pub use patterns::{
 };
 pub use scenario::{
     check_scenario, check_scenario_with, ExecKnob, GraphSource, QueryMode, Scenario,
-    ScenarioInputs, WeightsKnob, CACHE_STATES,
+    ScenarioInputs, CACHE_STATES,
 };
 pub use synthetic::{densification_graph, random_graph, DEFAULT_ALPHABET};
 pub use views::{

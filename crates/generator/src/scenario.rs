@@ -6,8 +6,8 @@
 //! queries of what shape over how many labels, how the serving schedule
 //! repeats them (zipfian), what fraction of the covering view set is
 //! registered, how the store mutates between rounds, and the full engine/
-//! service configuration (selection mode, executor, threads, cost
-//! weights, cache budgets). Two invariants make it a fuzzing substrate:
+//! service configuration (selection mode, executor, threads, cache
+//! budgets). Two invariants make it a fuzzing substrate:
 //!
 //! * **One-seed determinism** — [`Scenario::sample`] is a pure function of
 //!   `(master_seed, index)`, and [`Scenario::materialize`] is a pure
@@ -19,9 +19,9 @@
 //!
 //! Config knobs are swept by *cycling* (`index` modulo small co-prime-ish
 //! periods) rather than sampled randomly, so a short run provably covers
-//! the whole configuration matrix: 5 query modes × 2 executors × 2 weight
-//! classes × 4 cache states are all hit within the first `lcm ≤ 60`
-//! iterations (and mostly within the first 5–12). Workload
+//! the whole configuration matrix: 5 query modes × 2 executors × 4 cache
+//! states are all hit within the first `lcm ≤ 60` iterations (and mostly
+//! within the first 5–12). Workload
 //! dimensions (graph source/scale, query shapes, zipf skew, coverage) are
 //! drawn from the seeded RNG for diversity.
 
@@ -38,7 +38,7 @@ use gpv_core::differential::{
     PlainOracle,
 };
 use gpv_core::{
-    BoundedViewSet, CostModel, EdgeDelta, EngineConfig, ExecStrategy, JoinStrategy, SelectionMode,
+    BoundedViewSet, EdgeDelta, EngineConfig, ExecStrategy, JoinStrategy, SelectionMode,
     ServiceConfig, ViewDef, ViewSet,
 };
 use gpv_graph::{DataGraph, NodeId};
@@ -112,19 +112,6 @@ pub enum ExecKnob {
     ParallelPerEdge,
 }
 
-/// Which cost-weight class the engine plans under.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum WeightsKnob {
-    /// The unit-free default weights.
-    Default,
-    /// Calibrated-style weights with graph scans priced very cheap
-    /// (pushes the planner toward hybrid/direct shapes).
-    CheapScan,
-    /// Calibrated-style weights with pair reads priced very expensive
-    /// (stresses the opposite plan shapes).
-    ExpensiveRead,
-}
-
 /// The result-cache states the sampler cycles through (bytes):
 /// default 64 MiB (hot), disabled, 4 KiB (eviction churn), 64 KiB.
 pub const CACHE_STATES: [usize; 4] = [64 << 20, 0, 4096, 64 << 10];
@@ -173,8 +160,6 @@ pub struct Scenario {
     pub exec: ExecKnob,
     /// Worker threads for the parallel executor.
     pub threads: usize,
-    /// Cost-weight class under test.
-    pub weights: WeightsKnob,
     /// Result-cache budget in bytes (0 disables).
     pub result_cache_bytes: usize,
     /// Plan-cache capacity (small values force churn).
@@ -219,11 +204,8 @@ impl Scenario {
     ///
     /// Configuration axes cycle with short periods so coverage is
     /// guaranteed, not probabilistic: query mode has period 5, executor 3
-    /// (sequential on multiples of 3, parallel otherwise — odd periods keep
-    /// the executor independent of the weight class's parity), weight
-    /// class 4 (default on even indices, the two calibrated classes
-    /// alternating on odd), cache state 4, threads 3 (offset so they
-    /// decorrelate from the other axes). Everything else is drawn from an
+    /// (sequential on multiples of 3, parallel otherwise), cache state 4,
+    /// threads 3 (offset so they decorrelate from the other axes). Everything else is drawn from an
     /// RNG seeded with `mix(master_seed, index)`.
     pub fn sample(master_seed: u64, index: u64) -> Scenario {
         let seed = mix(master_seed, index);
@@ -240,13 +222,6 @@ impl Scenario {
             ExecKnob::Sequential
         } else {
             ExecKnob::ParallelPerEdge
-        };
-        let weights = if index % 2 == 0 {
-            WeightsKnob::Default
-        } else if (index / 2) % 2 == 0 {
-            WeightsKnob::CheapScan
-        } else {
-            WeightsKnob::ExpensiveRead
         };
         let result_cache_bytes = CACHE_STATES[(index % 4) as usize];
         let threads = [2, 4, 8][((index / 3) % 3) as usize];
@@ -318,7 +293,6 @@ impl Scenario {
             mode,
             exec,
             threads,
-            weights,
             result_cache_bytes,
             plan_cache_capacity: [2, 8, 4096][rng.gen_range(0..3usize)],
             shards: rng.gen_range(1..=4),
@@ -465,29 +439,8 @@ impl Scenario {
         }
     }
 
-    /// The cost weights the scenario plans under.
-    pub fn cost_model(&self) -> CostModel {
-        match self.weights {
-            WeightsKnob::Default => CostModel::default(),
-            WeightsKnob::CheapScan => CostModel {
-                read_pair: 2.0,
-                refine_pair: 1.0,
-                scan_edge: 0.05,
-                calibrated: true,
-                ..CostModel::default()
-            },
-            WeightsKnob::ExpensiveRead => CostModel {
-                read_pair: 50.0,
-                refine_pair: 0.2,
-                scan_edge: 0.5,
-                calibrated: true,
-                ..CostModel::default()
-            },
-        }
-    }
-
     /// The engine configuration the scenario forces (executor, selection
-    /// mode, threads, weights).
+    /// mode, threads).
     pub fn engine_config(&self) -> EngineConfig {
         let force_exec = Some(match self.exec {
             ExecKnob::Sequential => ExecStrategy::Sequential(JoinStrategy::RankedBottomUp),
@@ -502,7 +455,6 @@ impl Scenario {
             QueryMode::Partial | QueryMode::Bounded => None,
         };
         EngineConfig {
-            cost: self.cost_model(),
             threads: self.threads,
             force_selection,
             force_exec,
@@ -658,30 +610,19 @@ mod tests {
     fn twenty_five_iterations_cover_the_matrix() {
         let mut modes = BTreeSet::new();
         let mut execs = BTreeSet::new();
-        let mut weights = BTreeSet::new();
         let mut caches = BTreeSet::new();
-        let mut exec_weights = BTreeSet::new();
         let mut exec_modes = BTreeSet::new();
         for i in 0..25 {
             let sc = Scenario::sample(42, i);
             let (mode, exec) = (format!("{:?}", sc.mode), format!("{:?}", sc.exec));
-            let calibrated = sc.cost_model().calibrated;
             modes.insert(mode.clone());
             execs.insert(exec.clone());
-            weights.insert(calibrated);
             caches.insert(sc.result_cache_bytes);
-            exec_weights.insert((exec.clone(), calibrated));
             exec_modes.insert((exec, mode));
         }
         assert_eq!(modes.len(), 5, "all five query modes: {modes:?}");
         assert_eq!(execs.len(), 2, "both executors: {execs:?}");
-        assert_eq!(weights.len(), 2, "default and calibrated weights");
         assert!(caches.len() >= 2, "≥ 2 cache states: {caches:?}");
-        assert_eq!(
-            exec_weights.len(),
-            4,
-            "every executor under both weight classes: {exec_weights:?}"
-        );
         assert_eq!(
             exec_modes.len(),
             10,
@@ -689,10 +630,11 @@ mod tests {
         );
     }
 
-    /// Repro lines saved before the chunked executor and the service's
-    /// online re-fit were removed carry their retired knob fields: they
-    /// still parse, whatever the field values (the fields are ignored). A
-    /// line naming the removed executor fails with the clean parse error.
+    /// Repro lines saved before the chunked executor, the service's online
+    /// re-fit and the cost-weight axis were removed carry their retired
+    /// knob fields: they still parse, whatever the field values (the fields
+    /// are ignored). A line naming the removed executor fails with the
+    /// clean parse error.
     #[test]
     fn retired_knobs_in_saved_descriptors() {
         // Verbatim from a `BENCH_service.json` row recorded before both
@@ -700,7 +642,12 @@ mod tests {
         let saved = r#"{"seed":42,"graph":{"Synthetic":{"nodes":8000,"edges":16000,"labels":10}},"queries":6,"query_nodes":4,"query_edges":6,"shape":"Any","max_bound":1,"zipf_s":0.0,"batch_len":24,"rounds":2,"updates_per_round":0,"delta_batch_len":0,"delete_ratio":0.0,"coverage":1.0,"max_fragment":3,"mode":"Minimal","exec":"Sequential","threads":1,"chunk_pairs":0,"weights":"Default","recalibrate_every":0,"result_cache_bytes":67108864,"plan_cache_capacity":4096,"shards":8}"#;
         let refit_every_batch = saved.replace(r#"_every":0"#, r#"_every":1"#);
         assert_ne!(refit_every_batch, saved);
-        for line in [saved, refit_every_batch.as_str()] {
+        let cheap_scan = saved.replace(r#""weights":"Default""#, r#""weights":"CheapScan""#);
+        let expensive_read =
+            saved.replace(r#""weights":"Default""#, r#""weights":"ExpensiveRead""#);
+        assert_ne!(cheap_scan, saved);
+        assert_ne!(expensive_read, saved);
+        for line in [saved, &*refit_every_batch, &*cheap_scan, &*expensive_read] {
             let sc = Scenario::from_json_line(line).expect("old descriptor parses");
             assert_eq!(sc.exec, ExecKnob::Sequential);
             assert_eq!(sc.shards, 8);

@@ -9,8 +9,7 @@
 //!   graph, producing view matches `M^Qs_V` (§V-A);
 //! * [`bounded_pattern_sim`] — the weighted-graph analogue for `M^Qb_V`
 //!   (§VI-B);
-//! * [`dual`] / [`strong`] — dual and strong simulation (the §VIII
-//!   extensions);
+//! * [`dual`] — dual simulation (the §VIII extension);
 //! * [`result`] — match results `{(e, Se)}` with the paper's `|Q(G)|`
 //!   size measure.
 
@@ -22,7 +21,6 @@ pub mod dual;
 pub mod pattern_sim;
 pub mod result;
 pub mod simulation;
-pub mod strong;
 
 pub use bounded::{bmatch_pattern, bmatches, bounded_simulation_relation};
 pub use bounded_pattern_sim::simulate_bounded_pattern;
@@ -30,4 +28,3 @@ pub use dual::{dual_match_pattern, dual_simulation_relation};
 pub use pattern_sim::{simulate_pattern, simulate_pattern_dual, PatternSimResult};
 pub use result::{BoundedMatchResult, MatchResult};
 pub use simulation::{match_pattern, matches, simulation_relation};
-pub use strong::{extract_ball, pattern_diameter, strong_simulation_matches};

@@ -7,12 +7,10 @@
 //! gpv minimal  --pattern Q.txt --view V1.txt ... (also: minimum)
 //! gpv answer   --graph G.txt --pattern Q.txt --view V1.txt ... [--bounded]
 //!              [--select auto|all|minimal|minimum] [--threads N]
-//! gpv plan     --graph G.txt --pattern Q.txt --view V1.txt ... [--calibrated]  # EXPLAIN
-//! gpv calibrate --graph G.txt --view V1.txt ... --pattern Q1.txt [--pattern Q2.txt ...]
-//!              [--repeat K]
+//! gpv plan     --graph G.txt --pattern Q.txt --view V1.txt ...  # EXPLAIN
 //! gpv serve    --graph G.txt --view V1.txt ... --pattern Q1.txt [--pattern Q2.txt ...]
 //!              [--shards N] [--clients N] [--repeat K] [--result-cache-mb M] [--explain]
-//!              [--store-dir D] [--updates-per-round N] [--calibrated]
+//!              [--store-dir D] [--updates-per-round N]
 //! gpv advise   --graph G.txt --view V1.txt ... --pattern Q1.txt [--pattern Q2.txt ...]
 //!              [--budget N]
 //! gpv minimize --pattern Q.txt
@@ -30,15 +28,8 @@
 //! The parallel executor fans one work unit per pattern edge. The EXPLAIN
 //! output shows the chosen executor and its worker count
 //! (`execute: parallel(8)`), the per-edge merge sources
-//! (`View`/`Graph`), and the active cost weights; `plan --calibrated` first
-//! executes the query a few times (`--repeat`, min 3) to fill the
-//! estimate-vs-actual log, re-fits the weights, and EXPLAINs under the
-//! calibrated model.
-//!
-//! `calibrate` runs a whole workload (`--pattern` repeated) `--repeat`
-//! times, least-squares-fits the cost weights against the measured wall
-//! times, and prints the fitted microsecond weights plus the estimate
-//! error before and after the fit.
+//! (`View`/`Graph`), and the cost estimate in pairs read and graph edges
+//! scanned.
 //!
 //! `serve` is the batch-serving front end over [`core::ViewService`]: it
 //! shards the materialized views into a [`core::ViewStore`] (`--shards`),
@@ -50,11 +41,6 @@
 //! is planned (plan cache) and executed. The command reports the answers
 //! once plus the service stats (plan- and result-cache hit rates, shard
 //! occupancy, queue depth, latency quantiles).
-//!
-//! `serve --calibrated` fits the cost weights once, before serving: it
-//! executes the batch `--repeat` times (min 3) on an engine over the store,
-//! re-fits exactly as `calibrate` does, and every batch then plans under
-//! the fitted weights.
 //!
 //! `serve --store-dir D` persists the sharded store as flat columnar
 //! shard files (one per shard, see `gpv_core::shard` for the byte
@@ -101,7 +87,7 @@
 //! each iteration samples a `gpv_generator::Scenario` — graph emulator +
 //! scale, query shapes, zipfian serving schedule, view coverage, store
 //! mutations, and the full engine/service configuration (query mode,
-//! executor, threads, cost weights, cache budgets) — deterministically
+//! executor, threads, cache budgets) — deterministically
 //! from `--seed`, runs it through `QueryEngine` *and* `ViewService`, and
 //! asserts bit-exact
 //! agreement with naive `match_pattern` / `bmatch_pattern` on every
@@ -136,7 +122,6 @@ struct Args {
     bounded: bool,
     dual: bool,
     explain: bool,
-    calibrated: bool,
     select: String,
     threads: usize,
     shards: usize,
@@ -156,10 +141,10 @@ struct Args {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: gpv <stats|match|contain|minimal|minimum|answer|plan|calibrate|serve|advise|minimize|lint|check|fuzz> \
+        "usage: gpv <stats|match|contain|minimal|minimum|answer|plan|serve|advise|minimize|lint|check|fuzz> \
          [--graph F] [--pattern F]... [--view F]... [--bounded] [--dual] \
          [--select auto|all|minimal|minimum] [--exec auto|seq|par] [--threads N] \
-         [--calibrated] [--shards N] [--clients N] [--repeat K] [--result-cache-mb M] [--explain] \
+         [--shards N] [--clients N] [--repeat K] [--result-cache-mb M] [--explain] \
          [--store-dir D] [--budget N] [--iterations N] [--seed S] [--repro JSON] \
          [--updates-per-round N] [--require-deltas] [--json]"
     );
@@ -174,7 +159,6 @@ fn parse_args(rest: &[String]) -> Result<Args, String> {
         bounded: false,
         dual: false,
         explain: false,
-        calibrated: false,
         select: "auto".into(),
         threads: 0,
         shards: 8,
@@ -297,10 +281,6 @@ fn parse_args(rest: &[String]) -> Result<Args, String> {
             }
             "--explain" => {
                 a.explain = true;
-                i += 1;
-            }
-            "--calibrated" => {
-                a.calibrated = true;
                 i += 1;
             }
             other => return Err(format!("unknown flag `{other}`")),
@@ -447,21 +427,9 @@ fn run() -> Result<(), String> {
             let q = require_plain(&qb, "pattern")?;
             let views = load_views(&a)?;
             let vs = plain_view_set(&views)?;
-            let mut engine = core::QueryEngine::materialize(vs, &g).with_config(engine_config(&a)?);
-            if a.calibrated {
-                match fit_cost_model(&mut engine, std::slice::from_ref(&q), &g, a.repeat)? {
-                    Some((before, after)) => println!(
-                        "# calibrated over {} runs: mean relative estimate error {before:.3} -> {after:.3}",
-                        engine.cost_log().len()
-                    ),
-                    None => eprintln!(
-                        "gpv: not enough measurements to calibrate; showing default weights"
-                    ),
-                }
-            }
+            let engine = core::QueryEngine::materialize(vs, &g).with_config(engine_config(&a)?);
             println!("{}", engine.explain(&q));
         }
-        "calibrate" => calibrate(&a)?,
         "serve" => serve(&a)?,
         "advise" => advise(&a)?,
         "lint" => lint(&a)?,
@@ -482,61 +450,6 @@ fn run() -> Result<(), String> {
         }
         _ => return Err(format!("unknown command `{cmd}`")),
     }
-    Ok(())
-}
-
-/// The one offline calibration routine behind `calibrate`, `plan
-/// --calibrated` and `serve --calibrated`: executes every query against `g`
-/// `max(repeat, 3)` times to fill the engine's estimate-vs-actual log, then
-/// installs the least-squares fit ([`core::QueryEngine::apply_calibration`]).
-/// Returns the mean relative estimate error before and after the fit, or
-/// `None` when the log is too small or degenerate to fit (the engine keeps
-/// its configured weights).
-fn fit_cost_model(
-    engine: &mut core::QueryEngine,
-    queries: &[gpv_pattern::Pattern],
-    g: &gpv_graph::DataGraph,
-    repeat: usize,
-) -> Result<Option<(f64, f64)>, String> {
-    for _ in 0..repeat.max(3) {
-        for q in queries {
-            let plan = engine.plan(q);
-            engine
-                .execute(q, &plan, Some(g))
-                .map_err(|e| e.to_string())?;
-        }
-    }
-    let before = engine.estimate_error();
-    if !engine.apply_calibration() {
-        return Ok(None);
-    }
-    Ok(before.zip(engine.estimate_error()))
-}
-
-/// The `calibrate` command: run a workload against the engine a few times,
-/// least-squares-fit the cost weights from the measured executions
-/// ([`core::CostModel::calibrate`]), and report the fitted microsecond
-/// weights plus the estimate error before/after the fit.
-fn calibrate(a: &Args) -> Result<(), String> {
-    let g = load_graph(a)?;
-    let views = load_views(a)?;
-    let vs = plain_view_set(&views)?;
-    if a.patterns.is_empty() {
-        return Err("missing --pattern".into());
-    }
-    let mut queries: Vec<gpv_pattern::Pattern> = Vec::new();
-    for p in &a.patterns {
-        queries.push(require_plain(&load_pattern(p)?, "pattern")?);
-    }
-    let mut engine = core::QueryEngine::materialize(vs, &g).with_config(engine_config(a)?);
-    let (before, after) = fit_cost_model(&mut engine, &queries, &g, a.repeat)?
-        .ok_or("not enough measurements to calibrate (add --pattern files or raise --repeat)")?;
-    let cm = engine.cost_model();
-    println!("samples    : {}", engine.cost_log().len());
-    println!("read_pair  : {:.6} us/pair", cm.read_pair);
-    println!("refine_pair: {:.6} us/pair", cm.refine_pair);
-    println!("scan_edge  : {:.6} us/edge", cm.scan_edge);
-    println!("est. error : {before:.3} -> {after:.3} (mean relative, lower is better)");
     Ok(())
 }
 
@@ -580,23 +493,10 @@ fn serve(a: &Args) -> Result<(), String> {
             store
         }
     };
-    // `--calibrated`: fit the cost weights once, up front, on an engine over
-    // the store snapshot, and serve every batch under the fitted model.
-    let mut engine = engine_config(a)?;
-    if a.calibrated {
-        let mut calib =
-            core::QueryEngine::from_snapshot(&store.snapshot()).with_config(engine.clone());
-        match fit_cost_model(&mut calib, &batch, &g, a.repeat)? {
-            Some(_) => engine.cost = *calib.cost_model(),
-            None => eprintln!(
-                "gpv: not enough measurements to calibrate; serving under default weights"
-            ),
-        }
-    }
     let service = core::ViewService::with_config(
         store,
         core::ServiceConfig {
-            engine,
+            engine: engine_config(a)?,
             result_cache_bytes: a.result_cache_mb << 20,
             ..core::ServiceConfig::default()
         },
@@ -747,21 +647,6 @@ fn serve(a: &Args) -> Result<(), String> {
         stats.max_in_flight
     );
     println!("executed: {} queries planned+run", stats.executed_queries);
-    println!(
-        "cost model: read={:.3} refine={:.3} scan={:.3} ({}), {} samples, est. error {}",
-        stats.cost_model.read_pair,
-        stats.cost_model.refine_pair,
-        stats.cost_model.scan_edge,
-        if stats.cost_model.calibrated {
-            "calibrated"
-        } else {
-            "default"
-        },
-        stats.cost_samples,
-        stats
-            .estimate_error
-            .map_or("n/a".into(), |e| format!("{e:.3}"))
-    );
     let occupied = stats.shard_occupancy.iter().filter(|o| o.views > 0).count();
     println!(
         "store: {} views over {} shards ({} occupied): {}",
@@ -1009,7 +894,6 @@ fn fuzz(a: &Args) -> Result<(), String> {
     let mut totals = DifferentialReport::default();
     let mut modes: BTreeSet<String> = BTreeSet::new();
     let mut execs: BTreeSet<String> = BTreeSet::new();
-    let mut weights: BTreeSet<String> = BTreeSet::new();
     let mut caches: BTreeSet<usize> = BTreeSet::new();
     for i in 0..a.iterations as u64 {
         let mut sc = Scenario::sample(a.seed, i);
@@ -1025,22 +909,13 @@ fn fuzz(a: &Args) -> Result<(), String> {
         }
         modes.insert(format!("{:?}", sc.mode));
         execs.insert(format!("{:?}", sc.exec));
-        weights.insert(
-            if sc.cost_model().calibrated {
-                "Calibrated"
-            } else {
-                "Default"
-            }
-            .to_string(),
-        );
         caches.insert(sc.result_cache_bytes);
         let r = run_one(&sc)?;
         totals.absorb(&r);
         println!(
-            "fuzz {i:>3}: mode={:?} exec={:?} weights={:?} cache={}B threads={} -- ok ({} answers, plans v/h/d {}/{}/{}, {} deltas)",
+            "fuzz {i:>3}: mode={:?} exec={:?} cache={}B threads={} -- ok ({} answers, plans v/h/d {}/{}/{}, {} deltas)",
             sc.mode,
             sc.exec,
-            sc.weights,
             sc.result_cache_bytes,
             sc.threads,
             r.served,
@@ -1057,10 +932,9 @@ fn fuzz(a: &Args) -> Result<(), String> {
         a.iterations, a.seed
     );
     println!(
-        "coverage: modes=[{}] execs=[{}] weights=[{}] caches={:?}",
+        "coverage: modes=[{}] execs=[{}] caches={:?}",
         join(&modes),
         join(&execs),
-        join(&weights),
         caches.iter().collect::<Vec<_>>()
     );
     println!(
@@ -1101,7 +975,6 @@ fn engine_config(a: &Args) -> Result<core::EngineConfig, String> {
         threads: a.threads,
         force_selection,
         force_exec,
-        ..core::EngineConfig::default()
     })
 }
 

@@ -381,8 +381,8 @@ fn bad_usage() {
 }
 
 /// Golden-file contract for `gpv plan` EXPLAIN output. The per-edge
-/// `View`/`Graph` sources and the active cost weights are part of the plan
-/// IR contract (the serving layer EXPLAINs cached plans with the same
+/// `View`/`Graph` sources and the cost estimate are part of the plan IR
+/// contract (the serving layer EXPLAINs cached plans with the same
 /// renderer), so format drift must be a deliberate edit to `tests/golden/`,
 /// not a side effect. CI runs this via `cargo test`.
 #[test]
@@ -430,8 +430,7 @@ fn plan_explain_matches_golden() {
 
 /// Golden-file contract for the parallel-executor EXPLAIN line: `--exec
 /// par` pins `parallel(T)`. The forced executor changes only the
-/// `execute:` line; sources, cost and weights stay identical to the auto
-/// plan.
+/// `execute:` line; sources and cost stay identical to the auto plan.
 #[test]
 fn plan_explain_parallel_matches_golden() {
     let g = write_tmp("goldp-g.txt", GRAPH);
@@ -455,129 +454,6 @@ fn plan_explain_parallel_matches_golden() {
         include_str!("golden/plan_parallel_per_edge.txt"),
         "parallel EXPLAIN drifted; update tests/golden/ deliberately"
     );
-}
-
-/// `gpv calibrate` fits measured weights and reports the error reduction.
-#[test]
-fn calibrate_command_reports_fit() {
-    let g = write_tmp("cal-g.txt", GRAPH);
-    let q = write_tmp("cal-q.txt", QUERY);
-    let v1 = write_tmp("cal-v1.txt", VIEW1);
-    let v2 = write_tmp("cal-v2.txt", VIEW2);
-    let out = gpv()
-        .args([
-            "calibrate",
-            "--graph",
-            g.to_str().unwrap(),
-            "--pattern",
-            q.to_str().unwrap(),
-            "--view",
-            v1.to_str().unwrap(),
-            "--view",
-            v2.to_str().unwrap(),
-            "--repeat",
-            "5",
-        ])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let s = String::from_utf8_lossy(&out.stdout);
-    assert!(s.contains("read_pair"), "{s}");
-    assert!(s.contains("est. error"), "{s}");
-}
-
-/// `gpv plan --calibrated` EXPLAINs under re-fitted weights.
-#[test]
-fn plan_calibrated_shows_fitted_weights() {
-    let g = write_tmp("pc-g.txt", GRAPH);
-    let q = write_tmp("pc-q.txt", QUERY);
-    let v1 = write_tmp("pc-v1.txt", VIEW1);
-    let v2 = write_tmp("pc-v2.txt", VIEW2);
-    let out = gpv()
-        .args([
-            "plan",
-            "--calibrated",
-            "--graph",
-            g.to_str().unwrap(),
-            "--pattern",
-            q.to_str().unwrap(),
-            "--view",
-            v1.to_str().unwrap(),
-            "--view",
-            v2.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let s = String::from_utf8_lossy(&out.stdout);
-    assert!(s.contains("sources:"), "{s}");
-    assert!(s.contains("(calibrated)"), "{s}");
-}
-
-/// `gpv serve --calibrated` fits the weights once before serving: the
-/// service reports the fitted model, and the answers are the ones the
-/// default weights serve (weights change plans, never answers).
-#[test]
-fn serve_calibrated_fits_once_and_keeps_answers() {
-    let g = write_tmp("sc-g.txt", GRAPH);
-    let q = write_tmp("sc-q.txt", QUERY);
-    let v1 = write_tmp("sc-v1.txt", VIEW1);
-    let v2 = write_tmp("sc-v2.txt", VIEW2);
-    let serve = |calibrated: bool| {
-        let mut cmd = gpv();
-        cmd.args([
-            "serve",
-            "--graph",
-            g.to_str().unwrap(),
-            "--view",
-            v1.to_str().unwrap(),
-            "--view",
-            v2.to_str().unwrap(),
-            "--pattern",
-            q.to_str().unwrap(),
-            "--repeat",
-            "2",
-        ]);
-        if calibrated {
-            cmd.arg("--calibrated");
-        }
-        let out = cmd.output().unwrap();
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        String::from_utf8_lossy(&out.stdout).to_string()
-    };
-    // `query i: N pairs` — the answer, without the plan-dependent sourcing
-    // and latency that follow it.
-    let answers = |stdout: &str| -> Vec<String> {
-        stdout
-            .lines()
-            .filter(|l| l.starts_with("query "))
-            .map(|l| l[..l.find(" pairs").map_or(l.len(), |i| i + 6)].to_string())
-            .collect()
-    };
-    let (plain, fitted) = (serve(false), serve(true));
-    let model = |s: &str| {
-        s.lines()
-            .find(|l| l.starts_with("cost model:"))
-            .unwrap_or_else(|| panic!("no cost-model line in: {s}"))
-            .to_string()
-    };
-    assert!(model(&fitted).contains("(calibrated)"), "{fitted}");
-    assert!(model(&plain).contains("(default)"), "{plain}");
-    let a = answers(&plain);
-    assert!(!a.is_empty() && a[0].ends_with(" pairs"), "{plain}");
-    assert_eq!(a, answers(&fitted), "fitted weights changed an answer");
 }
 
 /// `serve --store-dir` must save the sharded store on the first run, load
@@ -916,38 +792,46 @@ fn fuzz_injected_divergence_reproduces_from_printed_json() {
     );
 }
 
-/// Boundary flag values are structured errors, not silent clamps or
-/// panics: `--threads 0` and the retired chunk-size flag each print one
+/// Boundary flag values and retired inputs are structured errors, not
+/// silent clamps or panics: `--threads 0`, the retired chunk-size and
+/// calibration flags, and the retired `calibrate` command each print one
 /// clean `gpv:` line on stderr and exit nonzero.
 #[test]
 fn zero_thread_and_chunk_flags_error_cleanly() {
     let g = write_tmp("zero-g.txt", GRAPH);
     let q = write_tmp("zero-q.txt", QUERY);
     let v1 = write_tmp("zero-v1.txt", VIEW1);
-    for (flag, value, expected) in [
-        ("--threads", "0", "--threads must be at least 1"),
-        ("--chunk-pairs", "8", "unknown flag `--chunk-pairs`"),
-    ] {
-        let out = gpv()
-            .args([
-                "answer",
-                "--graph",
-                g.to_str().unwrap(),
-                "--pattern",
-                q.to_str().unwrap(),
-                "--view",
-                v1.to_str().unwrap(),
-                flag,
-                value,
-            ])
-            .output()
-            .unwrap();
-        assert!(!out.status.success(), "{flag} {value} must fail");
+    let check = |args: &[&str], expected: &str| {
+        let out = gpv().args(args).output().unwrap();
+        assert!(!out.status.success(), "{args:?} must fail");
         let err = String::from_utf8_lossy(&out.stderr);
-        assert!(err.contains(expected), "{flag}: {err}");
-        assert!(!err.contains("panicked"), "{flag}: {err}");
-        assert_eq!(err.lines().count(), 1, "{flag}: one clean line, got {err}");
+        assert!(err.contains(expected), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        assert_eq!(
+            err.lines().count(),
+            1,
+            "{args:?}: one clean line, got {err}"
+        );
+    };
+    let answer = [
+        "answer",
+        "--graph",
+        g.to_str().unwrap(),
+        "--pattern",
+        q.to_str().unwrap(),
+        "--view",
+        v1.to_str().unwrap(),
+    ];
+    for (flag, expected) in [
+        (&["--threads", "0"][..], "--threads must be at least 1"),
+        (&["--chunk-pairs", "8"][..], "unknown flag `--chunk-pairs`"),
+        (&["--calibrated"][..], "unknown flag `--calibrated`"),
+    ] {
+        check(&[&answer[..], flag].concat(), expected);
     }
+    let mut calibrate = answer;
+    calibrate[0] = "calibrate";
+    check(&calibrate, "unknown command `calibrate`");
 }
 
 /// A malformed `--repro` descriptor is a structured error: one clean

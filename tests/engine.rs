@@ -46,34 +46,6 @@ fn arb_bounded_query() -> impl Strategy<Value = BoundedPattern> {
     })
 }
 
-/// Cost-weight variants spanning the sourcing decisions the planner can
-/// make: the unit-free default (views always win), scan-cheap calibrations
-/// (bloated extensions demoted to graph scans), and read-expensive ones.
-fn cost_variants() -> Vec<CostModel> {
-    vec![
-        CostModel::default(),
-        CostModel {
-            scan_edge: 0.001,
-            refine_pair: 0.01,
-            calibrated: true,
-            ..CostModel::default()
-        },
-        CostModel {
-            read_pair: 50.0,
-            scan_edge: 0.5,
-            refine_pair: 0.2,
-            calibrated: true,
-            ..CostModel::default()
-        },
-        CostModel {
-            read_pair: 0.02,
-            scan_edge: 1_000.0,
-            calibrated: true,
-            ..CostModel::default()
-        },
-    ]
-}
-
 /// Configs that pin each selection mode, plus the cost-based default.
 fn mode_configs() -> Vec<EngineConfig> {
     let mut cfgs = vec![EngineConfig::default()];
@@ -96,6 +68,8 @@ proptest! {
     /// Covered queries: the engine must answer from views alone, matching
     /// the ground truth under every selection mode (the forced parallel
     /// executor is swept by `parallel_is_bit_identical_to_ranked_bottom_up`).
+    /// The plan's estimate is exact: the pairs it prices are the pairs the
+    /// merge step actually reads.
     #[test]
     fn engine_equals_match_when_contained(g in arb_graph(), q in arb_query(), vseed in any::<u64>()) {
         let views = covering_views(std::slice::from_ref(&q), 3, vseed);
@@ -104,6 +78,8 @@ proptest! {
             let engine = QueryEngine::materialize(views.clone(), &g).with_config(cfg);
             let plan = engine.plan(&q);
             prop_assert!(!plan.needs_graph(), "covering views contain q: {plan}");
+            let (_, stats) = engine.execute(&q, &plan, None).unwrap();
+            prop_assert_eq!(plan.cost().pairs_read, stats.merged_pairs, "plan: {}", plan);
             prop_assert_eq!(&engine.answer_from_views(&q).unwrap(), &direct);
             prop_assert_eq!(&engine.answer(&q, &g).unwrap(), &direct);
         }
@@ -249,10 +225,9 @@ proptest! {
     }
 
     /// Hybrid per-edge sourcing never changes answers: whatever
-    /// `EdgeSource` assignment the planner emits — under the default
-    /// weights or any calibrated variant, over full, partial, or no
-    /// coverage — `answer` equals `match_pattern`, and the emitted source
-    /// vector always has one entry per query edge.
+    /// `EdgeSource` assignment the planner emits — over full, partial, or
+    /// no coverage — `answer` equals `match_pattern`, and the emitted
+    /// source vector always has one entry per query edge.
     #[test]
     fn hybrid_sourcing_never_changes_answers(
         g in arb_graph(),
@@ -265,66 +240,12 @@ proptest! {
             .filter(|i| (keep_probe >> (i % 64)) & 1 == 1)
             .collect();
         let views = full.subset(&keep);
-        let direct = match_pattern(&q, &g);
-        for cost in cost_variants() {
-            let engine = QueryEngine::materialize(views.clone(), &g).with_config(EngineConfig {
-                cost,
-                ..EngineConfig::default()
-            });
-            let plan = engine.plan(&q);
-            if let Some(sources) = plan.sources() {
-                prop_assert_eq!(sources.len(), q.edge_count(), "plan: {}", plan);
-            }
-            prop_assert_eq!(&engine.answer(&q, &g).unwrap(), &direct, "plan: {}", plan);
+        let engine = QueryEngine::materialize(views, &g);
+        let plan = engine.plan(&q);
+        if let Some(sources) = plan.sources() {
+            prop_assert_eq!(sources.len(), q.edge_count(), "plan: {}", plan);
         }
-    }
-
-    /// Calibration recovers known weights from synthetic logs: samples
-    /// manufactured with random ground-truth weights are fitted back to
-    /// those weights within tolerance, and the fitted model predicts the
-    /// log better than the default one.
-    #[test]
-    fn calibrate_recovers_random_weights(
-        wr in 1u32..2_000, wf in 1u32..2_000, ws in 1u32..2_000,
-        jitter in any::<u64>(),
-    ) {
-        use graph_views::views::{CostEstimate, CostLog, CostSample, JoinStats};
-        let truth = (wr as f64 / 100.0, wf as f64 / 100.0, ws as f64 / 100.0);
-        let mut log = CostLog::new(128);
-        for i in 1..16u64 {
-            let j = (jitter >> (i % 32)) & 0x7;
-            for (pairs, merged, scanned, ne) in [
-                (100 * i + 13 * j, 80 * i + j, 0, 3),
-                (37 * i, 22 * i + 9 * j, 11 * i, 4),
-                (0, 0, 41 * i + j, 2),
-            ] {
-                let s = CostSample {
-                    estimate: CostEstimate {
-                        pairs_read: pairs,
-                        graph_edges_scanned: scanned,
-                        ..CostEstimate::default()
-                    },
-                    stats: JoinStats {
-                        merged_pairs: merged,
-                        ..JoinStats::default()
-                    },
-                    edge_count: ne,
-                    wall_micros: 0.0,
-                };
-                let [f0, f1, f2] = s.features();
-                log.push(CostSample {
-                    wall_micros: truth.0 * f0 + truth.1 * f1 + truth.2 * f2,
-                    ..s
-                });
-            }
-        }
-        let fitted = CostModel::default().calibrate(&log).expect("well-conditioned log");
-        prop_assert!(fitted.calibrated);
-        prop_assert!((fitted.read_pair - truth.0).abs() / truth.0 < 1e-2, "{} vs {}", fitted.read_pair, truth.0);
-        prop_assert!((fitted.refine_pair - truth.1).abs() / truth.1 < 1e-2, "{} vs {}", fitted.refine_pair, truth.1);
-        prop_assert!((fitted.scan_edge - truth.2).abs() / truth.2 < 1e-2, "{} vs {}", fitted.scan_edge, truth.2);
-        let fit_err = fitted.mean_relative_error(&log).unwrap();
-        prop_assert!(fit_err < 1e-3, "fitted error {fit_err}");
+        prop_assert_eq!(&engine.answer(&q, &g).unwrap(), &match_pattern(&q, &g), "plan: {}", plan);
     }
 
     /// The plan IR is stable through serialization (plans are cacheable).
@@ -339,37 +260,25 @@ proptest! {
     }
 }
 
-/// A calibrated model that prices scans cheap must actually demote a
-/// bloated covered extension to a graph scan (mixed sources, CostBased
-/// hybrid) — and the answer is still exactly `match_pattern`. This pins
-/// that the sourcing proptest genuinely exercises both `EdgeSource` arms.
+/// Partial coverage emits mixed sources: the covered edge reads its view,
+/// the uncovered edge scans `G` (a `NotContained` hybrid), and the answer
+/// is still exactly `match_pattern`. This pins that the sourcing proptest
+/// genuinely exercises both `EdgeSource` arms.
 #[test]
-fn cheap_scan_calibration_emits_mixed_sources() {
+fn partial_coverage_emits_mixed_sources() {
     use graph_views::views::FallbackReason;
+    // One A->B edge (the tight vab extension) and 20 B->C edges, which no
+    // view covers.
     let mut b = GraphBuilder::new();
-    // 20 A->B edges (bloated vab extension), one B->C edge (tight vbc).
-    let c = {
-        let mut last_b = None;
-        for _ in 0..20 {
-            let a = b.add_node(["A"]);
-            let bb = b.add_node(["B"]);
-            b.add_edge(a, bb);
-            last_b = Some(bb);
-        }
+    let a = b.add_node(["A"]);
+    let hub = b.add_node(["B"]);
+    b.add_edge(a, hub);
+    for _ in 0..20 {
         let c = b.add_node(["C"]);
-        b.add_edge(last_b.unwrap(), c);
-        c
-    };
-    let _ = c;
+        b.add_edge(hub, c);
+    }
     let g = b.build();
 
-    let single = |x: &str, y: &str| {
-        let mut p = PatternBuilder::new();
-        let u = p.node_labeled(x);
-        let v = p.node_labeled(y);
-        p.edge(u, v);
-        p.build().unwrap()
-    };
     let mut p = PatternBuilder::new();
     let ua = p.node_labeled("A");
     let ub = p.node_labeled("B");
@@ -377,49 +286,30 @@ fn cheap_scan_calibration_emits_mixed_sources() {
     p.edge(ua, ub);
     p.edge(ub, uc);
     let q = p.build().unwrap();
+    let mut v = PatternBuilder::new();
+    let (va, vb) = (v.node_labeled("A"), v.node_labeled("B"));
+    v.edge(va, vb);
+    let views = graph_views::views::ViewSet::new(vec![ViewDef::new("vab", v.build().unwrap())]);
 
-    let views = graph_views::views::ViewSet::new(vec![
-        ViewDef::new("vab", single("A", "B")),
-        ViewDef::new("vbc", single("B", "C")),
-    ]);
-    let cheap_scan = CostModel {
-        read_pair: 1.0,
-        scan_edge: 0.1,
-        refine_pair: 0.01,
-        calibrated: true,
-        ..CostModel::default()
-    };
-    let engine = QueryEngine::materialize(views.clone(), &g).with_config(EngineConfig {
-        cost: cheap_scan,
-        ..EngineConfig::default()
-    });
+    let engine = QueryEngine::materialize(views, &g);
     let plan = engine.plan(&q);
     let QueryPlan::Hybrid {
         sources, reason, ..
     } = &plan
     else {
-        panic!("expected a cost-based hybrid, got: {plan}");
+        panic!("expected a hybrid, got: {plan}");
     };
-    assert_eq!(*reason, FallbackReason::CostBased);
+    assert_eq!(*reason, FallbackReason::NotContained);
     assert!(
-        matches!(sources[0], EdgeSource::Graph),
-        "bloated extension demoted to a scan: {plan}"
+        matches!(sources[0], EdgeSource::View(_)),
+        "covered edge reads its view: {plan}"
     );
     assert!(
-        matches!(sources[1], EdgeSource::View(_)),
-        "tight extension stays on the view: {plan}"
+        matches!(sources[1], EdgeSource::Graph),
+        "uncovered edge scans G: {plan}"
     );
     assert_eq!(engine.answer(&q, &g).unwrap(), match_pattern(&q, &g));
-
-    // Strict Theorem-1 mode: the demotion is a performance preference, not
-    // an availability requirement — with no graph supplied the fully-covered
-    // hybrid falls back to its view sources and still answers.
-    assert!(plan.graph_optional());
-    assert_eq!(engine.answer_from_views(&q).unwrap(), match_pattern(&q, &g));
-
-    // Under the default weights the same registry stays views-only.
-    let default_engine = QueryEngine::materialize(views, &g);
-    assert!(!default_engine.plan(&q).needs_graph());
+    assert!(engine.answer_from_views(&q).is_err(), "hybrids need G");
 }
 
 proptest! {
@@ -427,7 +317,7 @@ proptest! {
 
     /// Scenario-driven differential sweep: a `Scenario` sampled from a
     /// random (master seed, index) pair bundles every knob — graph source,
-    /// query mode, executor, weights, cache state — and the differential
+    /// query mode, executor, cache state — and the differential
     /// checker asserts the engine and service agree bit-exactly with
     /// `match_pattern` on all of it. Failures print the scenario's
     /// one-line JSON and the exact `gpv fuzz --repro` command.

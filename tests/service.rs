@@ -383,39 +383,26 @@ fn plan_cache_lru_keeps_hot_entries_under_cold_flood() {
     );
 }
 
-/// Strict views-only serving survives calibration: a cost model that
-/// demotes covered edges to graph scans must not make a fully-covered
-/// query unanswerable when no graph is supplied — the service executes the
-/// hybrid's view-source fallback instead of failing with NeedsGraph.
+/// Strict views-only serving reuses answers computed with the graph: a
+/// covered query served once with `G` plans views-only, so its cached
+/// answer also satisfies a later strict (`g = None`) call — the result
+/// cache admits exactly the answers whose plans never read `G`.
 #[test]
-fn strict_mode_serves_cost_based_hybrids_without_graph() {
-    use graph_views::views::ServiceConfig;
+fn strict_mode_reuses_covered_answers_without_graph() {
     let g = random_graph(40, 120, &LABELS, 29);
     let q = random_pattern(3, 4, &LABELS, PatternShape::Any, 31);
     let views = covering_views(std::slice::from_ref(&q), 2, 33);
     let truth = match_pattern(&q, &g);
-    let cheap_scan = CostModel {
-        scan_edge: 0.0001,
-        refine_pair: 0.001,
-        calibrated: true,
-        ..CostModel::default()
-    };
-    let store = Arc::new(ViewStore::materialize(views, &g, 2));
-    let svc = ViewService::with_config(
-        store,
-        ServiceConfig {
-            engine: EngineConfig {
-                cost: cheap_scan,
-                ..EngineConfig::default()
-            },
-            ..ServiceConfig::default()
-        },
+    let svc = ViewService::new(Arc::new(ViewStore::materialize(views, &g, 2)));
+    let first = svc.serve(&q, Some(&g)).unwrap();
+    assert!(!first.plan.needs_graph(), "covering views contain q");
+    assert_eq!(*first.result, truth);
+    let strict = svc.serve(&q, None).unwrap();
+    assert!(
+        strict.result_cached,
+        "a views-only answer serves strict calls"
     );
-    // With the graph: the demoted plan executes as planned.
-    assert_eq!(*svc.serve(&q, Some(&g)).unwrap().result, truth);
-    // Without the graph: still answered (view-source fallback; the cached
-    // answer is graph-optional, so serving it strictly is sound).
-    assert_eq!(*svc.serve(&q, None).unwrap().result, truth);
+    assert_eq!(*strict.result, truth);
 }
 
 proptest! {
