@@ -14,6 +14,12 @@
 //! [`IncrementalView`](crate::maintenance::IncrementalView) and leaves every
 //! other extension (and every cached answer that reads only them) untouched.
 //!
+//! Producing the successor graph costs `O(|Δ| log |Δ|)` plus a copy of the
+//! edge arrays: [`EdgeDelta::apply_to`] splices the old CSRs instead of
+//! rebuilding them, and carries the graph's edge-set hash along so the
+//! successor's [`graph_fingerprint`](crate::storage::graph_fingerprint) is
+//! `O(1)`.
+//!
 //! # Soundness of the footprint test
 //!
 //! Edge deltas never change node labels or attributes, so each pattern
@@ -95,17 +101,17 @@ impl EdgeDelta {
         }
     }
 
-    /// Applies the batch to `g`, producing the post-delta graph. Node data
-    /// (labels, attributes, interned alphabets) is shared by clone; only the
-    /// edge CSRs are rebuilt.
+    /// Applies the batch to `g`, producing the post-delta graph by
+    /// splicing `g`'s CSR arrays ([`DataGraph::splice_edges`]): node data
+    /// (labels, attributes, interned alphabets) is shared by `Arc`, only
+    /// the rows of changed edges are merged, and the graph's edge-set hash
+    /// moves by exactly those edges. `O(|Δ| log |Δ|)` plus a copy of the
+    /// edge arrays; the batch need not be sorted or deduplicated.
     ///
     /// Call [`validate`](EdgeDelta::validate) first for untrusted input —
-    /// out-of-range endpoints panic in debug builds here.
+    /// out-of-range endpoints panic here.
     pub fn apply_to(&self, g: &DataGraph) -> DataGraph {
-        let dead: HashSet<(NodeId, NodeId)> = self.deletes.iter().copied().collect();
-        let mut edges: Vec<(NodeId, NodeId)> = g.edges().filter(|e| !dead.contains(e)).collect();
-        edges.extend_from_slice(&self.inserts);
-        g.with_edges(&edges)
+        g.splice_edges(&self.deletes, &self.inserts)
     }
 }
 

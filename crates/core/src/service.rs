@@ -915,10 +915,9 @@ impl ViewService {
     ///
     /// When `g` is supplied it must be the graph the store was
     /// materialized against — extensions from one graph say nothing about
-    /// another. This is *checked* before the first plan in the batch that
-    /// actually reads `G` (one `O(|E(G)|)` fingerprint, at most once per
-    /// batch, and not at all for views-only traffic): such queries fail
-    /// with [`ServiceError::GraphMismatch`] instead of computing garbage.
+    /// another. This is *checked* once per batch (one `O(1)` fingerprint
+    /// comparison): queries whose plans read `G` fail with
+    /// [`ServiceError::GraphMismatch`] instead of computing garbage.
     /// Views-only plans never touch `g`, so they answer correctly (for the
     /// store's graph) regardless of what was passed.
     ///
@@ -942,22 +941,17 @@ impl ViewService {
             .fetch_max(depth, Ordering::Relaxed);
 
         let snap = self.engine();
-        // Lazily-computed graph validation, shared by every graph-reading
-        // plan in this batch (views-only plans never pay for it).
-        let mut graph_check: Option<Result<(), ServiceError>> = None;
-        let mut check_graph = |g: &DataGraph| -> Result<(), ServiceError> {
-            graph_check
-                .get_or_insert_with(|| {
-                    let actual = crate::storage::graph_fingerprint(g);
-                    let expected = self.store.graph_fingerprint();
-                    if actual == expected {
-                        Ok(())
-                    } else {
-                        Err(ServiceError::GraphMismatch { expected, actual })
-                    }
-                })
-                .clone()
-        };
+        // The supplied graph's validation, checked by every graph-reading
+        // plan in this batch (views-only plans ignore it).
+        let graph_check = g.map(|g| {
+            let actual = crate::storage::graph_fingerprint(g);
+            let expected = self.store.graph_fingerprint();
+            if actual == expected {
+                Ok(g)
+            } else {
+                Err(ServiceError::GraphMismatch { expected, actual })
+            }
+        });
         // Fingerprint → (canonical form, answer). The canonical form is
         // compared on every hit so a colliding distinct query is computed
         // on its own instead of inheriting the wrong answer.
@@ -995,8 +989,8 @@ impl ViewService {
                         // graph fails with GraphMismatch there, and a warm
                         // cache must not mask that — caching changes
                         // latency, never which calls are accepted.
-                        let validated = match (hit.plan.needs_graph(), g) {
-                            (true, Some(g)) => check_graph(g).map(|()| hit),
+                        let validated = match (hit.plan.needs_graph(), &graph_check) {
+                            (true, Some(Err(e))) => Err(e.clone()),
                             _ => Ok(hit),
                         };
                         let micros = t0.elapsed().as_micros() as u64;
@@ -1016,17 +1010,17 @@ impl ViewService {
                         // Views-only plans execute with no graph at all;
                         // plans that do read G first validate it belongs to
                         // this store (once per batch).
-                        let exec = match (plan.needs_graph(), g) {
+                        let exec = match (plan.needs_graph(), &graph_check) {
                             (false, _) => snap
                                 .engine
                                 .execute(q, &plan, None)
                                 .map_err(ServiceError::from),
                             (true, None) => Err(ServiceError::NeedsGraph),
-                            (true, Some(g)) => check_graph(g).and_then(|()| {
-                                snap.engine
-                                    .execute(q, &plan, Some(g))
-                                    .map_err(ServiceError::from)
-                            }),
+                            (true, Some(Err(e))) => Err(e.clone()),
+                            (true, Some(Ok(g))) => snap
+                                .engine
+                                .execute(q, &plan, Some(g))
+                                .map_err(ServiceError::from),
                         };
                         if exec.is_ok() {
                             self.counters.executed.fetch_add(1, Ordering::Relaxed);

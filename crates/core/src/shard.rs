@@ -9,10 +9,10 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic "GPVSHARD"
-//! 8       4     format version (u32 LE, currently 1)
+//! 8       4     format version (u32 LE, currently 2)
 //! 12      8     FNV-1a checksum over everything after this field (u64 LE)
 //! 20      ...   payload:
-//!   8           graph fingerprint (u64 LE)
+//!   8           graph fingerprint (u64 LE; see crate::storage)
 //!   4           view count (u32 LE)
 //!   ...         interned name table: count (u32 LE), then per name
 //!               byte length (u32 LE) + UTF-8 bytes
@@ -47,7 +47,12 @@ pub const SHARD_MAGIC: [u8; 8] = *b"GPVSHARD";
 
 /// Current shard format version. Bump on any layout change; readers reject
 /// versions they do not understand instead of guessing.
-pub const SHARD_VERSION: u32 = 1;
+///
+/// Version 2 changed what the recorded graph fingerprint means (it now
+/// hashes the graph's edge-set hash, see [`crate::storage`]); the byte
+/// layout is v1's. A v1 store is rejected with [`ShardError::BadVersion`]
+/// and must be re-materialized.
+pub const SHARD_VERSION: u32 = 2;
 
 /// `meta.json` — the directory-level header tying the shard files together.
 #[derive(Clone, Debug, Serialize, Deserialize)]

@@ -120,8 +120,9 @@ impl std::error::Error for StoreError {}
 /// maintenance and which of those actually changed.
 #[derive(Debug)]
 pub struct DeltaReport {
-    /// The post-delta graph (node data `Arc`-free but cheap: interners and
-    /// label/attr columns cloned, edge CSRs rebuilt). The caller serves
+    /// The post-delta graph: node data (interners, label and attribute
+    /// columns) shared by `Arc` with the pre-delta graph, edge CSRs spliced
+    /// from its arrays (see [`EdgeDelta::apply_to`]). The caller serves
     /// subsequent graph-reading queries against this.
     pub graph: DataGraph,
     /// Store version after the delta (also the new
@@ -288,7 +289,7 @@ impl ViewStore {
             let ext = match_pattern(&def.pattern, g);
             store.insert_raw(def.clone(), Arc::new(CompactView::freeze(&ext)));
         }
-        store.publish();
+        store.publish(false);
         store
     }
 
@@ -362,7 +363,7 @@ impl ViewStore {
     pub fn insert_shared(&self, def: ViewDef, ext: Arc<CompactView>) -> u64 {
         let _writer = self.writer.lock().expect("writer lock poisoned");
         let id = self.insert_raw(def, ext);
-        self.publish();
+        self.publish(false);
         id
     }
 
@@ -477,7 +478,7 @@ impl ViewStore {
         store
             .next_id
             .store(meta.next_id.max(floor), Ordering::Relaxed);
-        store.publish();
+        store.publish(false);
         Ok(store)
     }
 
@@ -518,7 +519,7 @@ impl ViewStore {
         };
         writer.warm.remove(&id);
         self.version.fetch_add(1, Ordering::Release);
-        self.publish();
+        self.publish(false);
         Some(removed)
     }
 
@@ -563,20 +564,29 @@ impl ViewStore {
     /// Assembles and publishes a fresh snapshot from the shards. Called at
     /// the end of every mutation (under [`Self::writer`] for concurrent
     /// paths; bulk constructors call it once after loading).
-    fn publish(&self) {
+    /// `same_members` says the mutation kept every id and definition (an
+    /// edge delta): the previous snapshot's view-set fingerprint and
+    /// positional [`ViewSet`] are then reused instead of re-serializing
+    /// every pattern.
+    fn publish(&self, same_members: bool) {
         let version = self.version();
         let mut views: Vec<Arc<StoredView>> = Vec::with_capacity(self.len());
         for s in &self.shards {
             views.extend(s.read().expect("shard lock poisoned").views.iter().cloned());
         }
         views.sort_by_key(|v| v.id);
-        let fingerprint = view_set_fingerprint(&views);
         // Assembled once per publish (i.e. once per store version) and then
         // shared by `Arc` into every engine built from it: the positional
         // view set clones the (small) definitions, the extensions clone one
         // `Arc` per view — never the materialized pairs. A rebuild after a
         // mutation therefore costs O(card(V)), not O(|V(G)|).
-        let view_set = Arc::new(ViewSet::new(views.iter().map(|v| v.def.clone()).collect()));
+        let (fingerprint, view_set) = if same_members {
+            let prev = self.snapshot();
+            (prev.fingerprint, prev.view_set.clone())
+        } else {
+            let defs = views.iter().map(|v| v.def.clone()).collect();
+            (view_set_fingerprint(&views), Arc::new(ViewSet::new(defs)))
+        };
         let extensions = Arc::new(ViewExtensions {
             extensions: views.iter().map(|v| v.ext.clone()).collect(),
         });
@@ -602,11 +612,16 @@ impl ViewStore {
     /// maintains every affected view — the serving path never pays a full
     /// rebuild.
     ///
-    /// `current` must be the store's present graph (fingerprint-checked).
-    /// The pipeline, all under the writer mutex:
+    /// `current` must be the store's present graph. The pipeline, all under
+    /// the writer mutex:
     ///
-    /// 1. validate delta endpoints against the node set;
-    /// 2. detect affected views via the [`ViewFootprintIndex`];
+    /// 1. check `current`'s [`graph_fingerprint`] (`O(1)`) against the
+    ///    store's — so of two deltas racing against the same `current`,
+    ///    exactly one is applied and the other fails with
+    ///    [`StoreError::GraphMismatch`] — and validate delta endpoints
+    ///    against the node set;
+    /// 2. splice the post-delta graph ([`EdgeDelta::apply_to`]) and detect
+    ///    affected views via the [`ViewFootprintIndex`];
     /// 3. patch the adjacency mirror of every *unaffected* warm maintainer
     ///    (their results provably cannot change — see [`crate::delta`]);
     /// 4. route each affected view through its warm [`IncrementalView`]
@@ -622,14 +637,13 @@ impl ViewStore {
         delta: &EdgeDelta,
         current: &DataGraph,
     ) -> Result<DeltaReport, StoreError> {
+        let mut writer = self.writer.lock().expect("writer lock poisoned");
         let actual = graph_fingerprint(current);
         let expected = self.graph_fingerprint();
         if actual != expected {
             return Err(StoreError::GraphMismatch { expected, actual });
         }
         delta.validate(current)?;
-
-        let mut writer = self.writer.lock().expect("writer lock poisoned");
         let next = delta.apply_to(current);
 
         // Current membership, id-ordered (shards only read under the writer
@@ -694,7 +708,7 @@ impl ViewStore {
             .store(graph_fingerprint(&next), Ordering::Release);
         self.graph_epoch.store(new_version, Ordering::Release);
         self.version.store(new_version, Ordering::Release);
-        self.publish();
+        self.publish(true);
         let unaffected = resident.len() - affected.len();
         Ok(DeltaReport {
             graph: next,
@@ -1178,6 +1192,60 @@ mod tests {
             store.apply_delta(&ok, &other),
             Err(StoreError::GraphMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn racing_deltas_against_one_graph_admit_exactly_one() {
+        // Two writers each apply a different 1-edge delta to the same
+        // `current`. The graph check runs under the writer lock, so the
+        // second to take it sees the moved fingerprint and is refused
+        // instead of applying its delta to a stale graph.
+        let g = graph();
+        let deltas = [
+            EdgeDelta::new(vec![(NodeId(2), NodeId(0))], vec![]),
+            EdgeDelta::new(vec![], vec![(NodeId(0), NodeId(1))]),
+        ];
+        for _ in 0..10 {
+            let store = ViewStore::materialize(two_views(), &g, 2);
+            let barrier = std::sync::Barrier::new(2);
+            let results: Vec<_> = std::thread::scope(|s| {
+                let handles: Vec<_> = deltas
+                    .iter()
+                    .map(|d| {
+                        let (store, barrier, g) = (&store, &barrier, &g);
+                        s.spawn(move || {
+                            barrier.wait();
+                            store.apply_delta(d, g)
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            let winners: Vec<&DeltaReport> =
+                results.iter().filter_map(|r| r.as_ref().ok()).collect();
+            assert_eq!(winners.len(), 1, "exactly one racing delta is applied");
+            assert!(results
+                .iter()
+                .any(|r| matches!(r, Err(StoreError::GraphMismatch { .. }))));
+            assert_eq!(
+                store.graph_fingerprint(),
+                graph_fingerprint(&winners[0].graph)
+            );
+            assert_eq!(store.version(), winners[0].version);
+        }
+    }
+
+    #[test]
+    fn apply_delta_reuses_the_view_set_it_cannot_change() {
+        let g = graph();
+        let store = ViewStore::materialize(two_views(), &g, 2);
+        let before = store.snapshot();
+        let delta = EdgeDelta::new(vec![], vec![(NodeId(0), NodeId(1))]);
+        store.apply_delta(&delta, &g).unwrap();
+        let after = store.snapshot();
+        assert_eq!(after.fingerprint, before.fingerprint);
+        assert!(Arc::ptr_eq(&after.view_set(), &before.view_set()));
+        assert!(!Arc::ptr_eq(&after.extensions(), &before.extensions()));
     }
 
     #[test]

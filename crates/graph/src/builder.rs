@@ -3,6 +3,7 @@
 use crate::graph::{DataGraph, NodeId};
 use crate::interner::Interner;
 use crate::value::{AttrId, LabelId, StoredValue, Value};
+use std::sync::Arc;
 
 /// Builds a [`DataGraph`] incrementally, then freezes it into CSR form.
 ///
@@ -25,7 +26,7 @@ pub struct GraphBuilder {
     values: Interner,
     node_labels: Vec<Vec<LabelId>>,
     node_attrs: Vec<Vec<(AttrId, StoredValue)>>,
-    edges: Vec<(u32, u32)>,
+    edges: Vec<(NodeId, NodeId)>,
 }
 
 impl GraphBuilder {
@@ -100,7 +101,7 @@ impl GraphBuilder {
             v.index() < self.node_labels.len(),
             "edge target out of range"
         );
-        self.edges.push((u.0, v.0));
+        self.edges.push((u, v));
     }
 
     /// Number of nodes added so far.
@@ -116,38 +117,6 @@ impl GraphBuilder {
     /// Freezes the builder into an immutable CSR [`DataGraph`].
     pub fn build(mut self) -> DataGraph {
         let n = self.node_labels.len();
-
-        self.edges.sort_unstable();
-        self.edges.dedup();
-        let m = self.edges.len();
-
-        // Out-CSR (edges are sorted by source, then target).
-        let mut out_offsets = vec![0u32; n + 1];
-        for &(u, _) in &self.edges {
-            out_offsets[u as usize + 1] += 1;
-        }
-        for i in 0..n {
-            out_offsets[i + 1] += out_offsets[i];
-        }
-        let out_targets: Vec<NodeId> = self.edges.iter().map(|&(_, v)| NodeId(v)).collect();
-
-        // In-CSR via counting sort by target.
-        let mut in_offsets = vec![0u32; n + 1];
-        for &(_, v) in &self.edges {
-            in_offsets[v as usize + 1] += 1;
-        }
-        for i in 0..n {
-            in_offsets[i + 1] += in_offsets[i];
-        }
-        let mut cursor = in_offsets.clone();
-        let mut in_sources = vec![NodeId(0); m];
-        for &(u, v) in &self.edges {
-            let c = &mut cursor[v as usize];
-            in_sources[*c as usize] = NodeId(u);
-            *c += 1;
-        }
-        // Sources arrive in ascending order because `edges` is sorted by
-        // source, so each in-adjacency list is already sorted.
 
         // Label CSR.
         let mut label_offsets = Vec::with_capacity(n + 1);
@@ -167,19 +136,24 @@ impl GraphBuilder {
             attr_offsets.push(attr_data.len() as u32);
         }
 
-        DataGraph {
-            labels: self.labels,
-            attr_names: self.attr_names,
-            values: self.values,
-            label_offsets,
-            label_data,
-            attr_offsets,
-            attr_data,
-            out_offsets,
-            out_targets,
-            in_offsets,
-            in_sources,
-        }
+        // The node-only graph, then both edge CSRs from the sorted list.
+        let nodes = DataGraph {
+            labels: Arc::new(self.labels),
+            attr_names: Arc::new(self.attr_names),
+            values: Arc::new(self.values),
+            label_offsets: label_offsets.into(),
+            label_data: label_data.into(),
+            attr_offsets: attr_offsets.into(),
+            attr_data: attr_data.into(),
+            out_offsets: vec![0; n + 1],
+            out_targets: Vec::new(),
+            in_offsets: vec![0; n + 1],
+            in_sources: Vec::new(),
+            edge_hash: 0,
+        };
+        self.edges.sort_unstable();
+        self.edges.dedup();
+        nodes.with_sorted_edges(&self.edges)
     }
 }
 

@@ -3,6 +3,8 @@
 use crate::interner::{Interner, Sym};
 use crate::value::{AttrId, LabelId, StoredValue, ValueRef};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
+use std::sync::Arc;
 
 /// A node identifier: a dense index in `0..node_count`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -28,22 +30,42 @@ impl std::fmt::Display for NodeId {
 /// Construct with [`GraphBuilder`](crate::GraphBuilder). The representation is
 /// immutable after construction; all per-node queries are `O(1)` slice
 /// lookups and `has_edge` is a binary search over the sorted out-adjacency.
+///
+/// Node data (interners, label and attribute columns) sits behind `Arc`:
+/// edge-only successors ([`with_edges`](Self::with_edges),
+/// [`splice_edges`](Self::splice_edges)) share it and own only the four
+/// edge arrays.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct DataGraph {
-    pub(crate) labels: Interner,
-    pub(crate) attr_names: Interner,
-    pub(crate) values: Interner,
+    pub(crate) labels: Arc<Interner>,
+    pub(crate) attr_names: Arc<Interner>,
+    pub(crate) values: Arc<Interner>,
 
-    pub(crate) label_offsets: Vec<u32>,
-    pub(crate) label_data: Vec<LabelId>,
+    pub(crate) label_offsets: Arc<[u32]>,
+    pub(crate) label_data: Arc<[LabelId]>,
 
-    pub(crate) attr_offsets: Vec<u32>,
-    pub(crate) attr_data: Vec<(AttrId, StoredValue)>,
+    pub(crate) attr_offsets: Arc<[u32]>,
+    pub(crate) attr_data: Arc<[(AttrId, StoredValue)]>,
 
     pub(crate) out_offsets: Vec<u32>,
     pub(crate) out_targets: Vec<NodeId>,
     pub(crate) in_offsets: Vec<u32>,
     pub(crate) in_sources: Vec<NodeId>,
+
+    /// [`edge_set_hash`](Self::edge_set_hash), carried along every
+    /// construction path; recomputed by
+    /// [`rebuild_indices`](Self::rebuild_indices) after deserialization.
+    #[serde(skip)]
+    pub(crate) edge_hash: u64,
+}
+
+/// One edge's term in [`DataGraph::edge_set_hash`]: the splitmix64
+/// finalizer of `(u << 32) | v`.
+fn edge_term(u: NodeId, v: NodeId) -> u64 {
+    let mut z = ((u64::from(u.0) << 32) | u64::from(v.0)).wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
 impl DataGraph {
@@ -225,60 +247,145 @@ impl DataGraph {
         self.labels.len()
     }
 
-    /// Rebuilds interner lookup indices after deserialization.
+    /// An order-independent hash of the edge set: the wrapping sum of one
+    /// splitmix64 term per edge (an incremental multiset hash in the sense
+    /// of Clarke et al., ASIACRYPT 2003). Computed once at construction and
+    /// updated per changed edge by [`splice_edges`](Self::splice_edges), so
+    /// reading it is `O(1)`. Not cryptographic.
+    #[inline]
+    pub fn edge_set_hash(&self) -> u64 {
+        self.edge_hash
+    }
+
+    /// Rebuilds interner lookup indices and the
+    /// [`edge_set_hash`](Self::edge_set_hash) after deserialization, which
+    /// skips both.
     pub fn rebuild_indices(&mut self) {
-        self.labels.rebuild_index();
-        self.attr_names.rebuild_index();
-        self.values.rebuild_index();
+        Arc::make_mut(&mut self.labels).rebuild_index();
+        Arc::make_mut(&mut self.attr_names).rebuild_index();
+        Arc::make_mut(&mut self.values).rebuild_index();
+        self.edge_hash = self
+            .edges()
+            .fold(0, |h, (u, v)| h.wrapping_add(edge_term(u, v)));
     }
 
     /// Builds a new graph over the **same node set** (labels, attributes,
-    /// interned alphabets all shared by clone) but with `edges` as the full
+    /// interned alphabets all shared by `Arc`) but with `edges` as the full
     /// edge list. Duplicate edges are dropped; out- and in-adjacency are
     /// rebuilt sorted, so the result satisfies every CSR invariant of a
     /// [`GraphBuilder`](crate::GraphBuilder)-constructed graph.
     ///
-    /// This is the substrate for edge-delta application: the serving layers
-    /// treat `DataGraph` as immutable, so an update batch produces a new
-    /// version rather than mutating in place.
+    /// This is the from-scratch builder, `O(|E| log |E|)`; an edge delta
+    /// against an existing graph is [`splice_edges`](Self::splice_edges).
     ///
     /// # Panics
     ///
-    /// In debug builds, if any endpoint is `>= node_count()`. Callers that
-    /// accept untrusted deltas must validate ids first.
+    /// If any endpoint is `>= node_count()`. Callers that accept untrusted
+    /// deltas must validate ids first.
     pub fn with_edges(&self, edges: &[(NodeId, NodeId)]) -> DataGraph {
-        let n = self.node_count();
         let mut sorted: Vec<(NodeId, NodeId)> = edges.to_vec();
         sorted.sort_unstable();
         sorted.dedup();
+        self.with_sorted_edges(&sorted)
+    }
 
+    /// [`with_edges`](Self::with_edges) for an edge list already sorted by
+    /// `(source, target)` and deduplicated.
+    pub(crate) fn with_sorted_edges(&self, sorted: &[(NodeId, NodeId)]) -> DataGraph {
+        let n = self.node_count();
         let mut out_offsets = vec![0u32; n + 1];
-        for &(u, v) in &sorted {
-            debug_assert!(u.index() < n && v.index() < n, "edge endpoint out of range");
+        let mut in_offsets = vec![0u32; n + 1];
+        let mut edge_hash = 0u64;
+        for &(u, v) in sorted {
             out_offsets[u.index() + 1] += 1;
+            in_offsets[v.index() + 1] += 1;
+            edge_hash = edge_hash.wrapping_add(edge_term(u, v));
         }
         for i in 0..n {
             out_offsets[i + 1] += out_offsets[i];
+            in_offsets[i + 1] += in_offsets[i];
         }
         let out_targets: Vec<NodeId> = sorted.iter().map(|&(_, v)| v).collect();
 
         // In-CSR by counting sort over targets; sources come out sorted
         // because the edge list is sorted by (source, target).
-        let mut in_offsets = vec![0u32; n + 1];
-        for &(_, v) in &sorted {
-            in_offsets[v.index() + 1] += 1;
-        }
-        for i in 0..n {
-            in_offsets[i + 1] += in_offsets[i];
-        }
         let mut cursor = in_offsets.clone();
         let mut in_sources = vec![NodeId(0); sorted.len()];
-        for &(u, v) in &sorted {
+        for &(u, v) in sorted {
             let slot = cursor[v.index()] as usize;
             in_sources[slot] = u;
             cursor[v.index()] += 1;
         }
 
+        self.with_edge_arrays(out_offsets, out_targets, in_offsets, in_sources, edge_hash)
+    }
+
+    /// Applies an edge delta by splicing this graph's CSR arrays: `deletes`
+    /// are applied first, then `inserts`, so an edge in both lists ends up
+    /// present. Deleting an absent edge and inserting a present one are
+    /// no-ops. Either list may be unsorted and hold duplicates.
+    ///
+    /// Untouched row ranges are copied whole and their offsets shifted;
+    /// only the rows of edges that really change are merged. The work is
+    /// `O(|Δ| log |Δ|)` plus a copy of the edge arrays: no sort or hash
+    /// set over `E`. The [`edge_set_hash`](Self::edge_set_hash) moves by
+    /// exactly the edges that changed, so an insert followed by the
+    /// matching delete restores it bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// If any endpoint is `>= node_count()`.
+    pub fn splice_edges(
+        &self,
+        deletes: &[(NodeId, NodeId)],
+        inserts: &[(NodeId, NodeId)],
+    ) -> DataGraph {
+        let mut inserts = inserts.to_vec();
+        inserts.sort_unstable();
+        inserts.dedup();
+        let mut deletes = deletes.to_vec();
+        deletes.sort_unstable();
+        deletes.dedup();
+        // Reduce the batch to the edges that really change: `removed` are
+        // present and not re-inserted, `added` are absent. Both stay sorted
+        // by (source, target).
+        deletes.retain(|&(u, v)| self.has_edge(u, v) && inserts.binary_search(&(u, v)).is_err());
+        inserts.retain(|&(u, v)| !self.has_edge(u, v));
+        let (removed, added) = (deletes, inserts);
+
+        let mut edge_hash = self.edge_hash;
+        for &(u, v) in &added {
+            edge_hash = edge_hash.wrapping_add(edge_term(u, v));
+        }
+        for &(u, v) in &removed {
+            edge_hash = edge_hash.wrapping_sub(edge_term(u, v));
+        }
+
+        let (out_offsets, out_targets) =
+            splice_csr(&self.out_offsets, &self.out_targets, &removed, &added);
+        let by_target = |edges: &[(NodeId, NodeId)]| {
+            let mut t: Vec<(NodeId, NodeId)> = edges.iter().map(|&(u, v)| (v, u)).collect();
+            t.sort_unstable();
+            t
+        };
+        let (in_offsets, in_sources) = splice_csr(
+            &self.in_offsets,
+            &self.in_sources,
+            &by_target(&removed),
+            &by_target(&added),
+        );
+        self.with_edge_arrays(out_offsets, out_targets, in_offsets, in_sources, edge_hash)
+    }
+
+    /// A graph sharing this one's node data, with the given edge arrays.
+    fn with_edge_arrays(
+        &self,
+        out_offsets: Vec<u32>,
+        out_targets: Vec<NodeId>,
+        in_offsets: Vec<u32>,
+        in_sources: Vec<NodeId>,
+        edge_hash: u64,
+    ) -> DataGraph {
         DataGraph {
             labels: self.labels.clone(),
             attr_names: self.attr_names.clone(),
@@ -291,8 +398,75 @@ impl DataGraph {
             out_targets,
             in_offsets,
             in_sources,
+            edge_hash,
         }
     }
+}
+
+/// Splices one CSR (`offsets`, `data`): removes the `(row, x)` pairs of
+/// `removed` (each present) and adds those of `added` (each absent), both
+/// sorted. Rows neither list touches are copied whole.
+fn splice_csr(
+    offsets: &[u32],
+    data: &[NodeId],
+    mut removed: &[(NodeId, NodeId)],
+    mut added: &[(NodeId, NodeId)],
+) -> (Vec<u32>, Vec<NodeId>) {
+    let n = offsets.len() - 1;
+    let mut new_offsets = Vec::with_capacity(n + 1);
+    new_offsets.push(0u32);
+    let mut new_data = Vec::with_capacity(data.len() + added.len() - removed.len());
+    let mut done = 0;
+    loop {
+        let row = match (removed.first(), added.first()) {
+            (None, None) => break,
+            (Some(r), None) => r.0,
+            (None, Some(a)) => a.0,
+            (Some(r), Some(a)) => r.0.min(a.0),
+        };
+        let r = row.index();
+        copy_rows(offsets, data, done..r, &mut new_offsets, &mut new_data);
+        let (rm, rest) = removed.split_at(removed.partition_point(|e| e.0 == row));
+        removed = rest;
+        let (ad, rest) = added.split_at(added.partition_point(|e| e.0 == row));
+        added = rest;
+
+        let mut rm = rm.iter().map(|e| e.1).peekable();
+        let mut ad = ad.iter().map(|e| e.1).peekable();
+        for &x in &data[offsets[r] as usize..offsets[r + 1] as usize] {
+            while let Some(y) = ad.next_if(|&y| y < x) {
+                new_data.push(y);
+            }
+            if rm.next_if_eq(&x).is_none() {
+                new_data.push(x);
+            }
+        }
+        new_data.extend(ad);
+        debug_assert!(rm.next().is_none(), "removed edge absent from its row");
+        new_offsets.push(new_data.len() as u32);
+        done = r + 1;
+    }
+    copy_rows(offsets, data, done..n, &mut new_offsets, &mut new_data);
+    (new_offsets, new_data)
+}
+
+/// Copies CSR `rows` unchanged onto the end of (`new_offsets`, `new_data`),
+/// shifting their offsets by however far the data moved.
+fn copy_rows(
+    offsets: &[u32],
+    data: &[NodeId],
+    rows: Range<usize>,
+    new_offsets: &mut Vec<u32>,
+    new_data: &mut Vec<NodeId>,
+) {
+    let (s, e) = (offsets[rows.start], offsets[rows.end]);
+    let shift = (new_data.len() as u32).wrapping_sub(s);
+    new_data.extend_from_slice(&data[s as usize..e as usize]);
+    new_offsets.extend(
+        offsets[rows.start + 1..=rows.end]
+            .iter()
+            .map(|&o| o.wrapping_add(shift)),
+    );
 }
 
 /// Iterator over all edges of a [`DataGraph`].
@@ -424,6 +598,32 @@ mod tests {
         assert_eq!(h.label_alphabet_size(), g.label_alphabet_size());
         // The original graph is unchanged (immutability preserved).
         assert!(g.has_edge(NodeId(0), NodeId(1)));
+    }
+
+    #[test]
+    fn splice_edges_equals_with_edges_and_carries_the_hash() {
+        let g = diamond();
+        let e = |u, v| (NodeId(u), NodeId(v));
+        // Unsorted, duplicated; 1->3 is deleted and re-inserted, 2->0 was
+        // never there, 0->2 is already present.
+        let deletes = [e(1, 3), e(0, 1), e(2, 0), e(0, 1)];
+        let inserts = [e(3, 0), e(1, 3), e(0, 2), e(3, 0), e(3, 3)];
+        let h = g.splice_edges(&deletes, &inserts);
+        let oracle = g.with_edges(&[e(0, 2), e(1, 3), e(2, 3), e(3, 0), e(3, 3)]);
+        assert_eq!(h.out_offsets, oracle.out_offsets);
+        assert_eq!(h.out_targets, oracle.out_targets);
+        assert_eq!(h.in_offsets, oracle.in_offsets);
+        assert_eq!(h.in_sources, oracle.in_sources);
+        assert_eq!(h.edge_set_hash(), oracle.edge_set_hash());
+        assert!(
+            std::sync::Arc::ptr_eq(&h.labels, &g.labels),
+            "node data shared"
+        );
+        // Undoing the delta restores the hash bit for bit.
+        let back = h.splice_edges(&[e(3, 0), e(3, 3)], &[e(0, 1)]);
+        assert_eq!(back.edge_set_hash(), g.edge_set_hash());
+        assert_eq!(back.out_targets, g.out_targets);
+        assert_eq!(back.in_sources, g.in_sources);
     }
 
     #[test]

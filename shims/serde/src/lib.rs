@@ -48,6 +48,12 @@ impl<T: Deserialize> Deserialize for std::sync::Arc<T> {
     }
 }
 
+impl<T: Deserialize> Deserialize for std::sync::Arc<[T]> {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        Vec::<T>::from_value(v).map(Into::into)
+    }
+}
+
 macro_rules! int_impls {
     ($($t:ty),*) => {$(
         impl Serialize for $t {

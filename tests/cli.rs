@@ -993,3 +993,63 @@ fn check_command_passes_clean_store_and_flags_corruption() {
     assert!(s.contains("shard-checksum-mismatch"), "{s}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A store saved before shard format v2 (format_version 1 in `meta.json`)
+/// must be refused cleanly: `gpv check` reports GPV053 and exits nonzero,
+/// and `gpv serve --store-dir` fails with an error instead of panicking or
+/// serving against a fingerprint of the old meaning.
+#[test]
+fn v1_store_dir_is_refused_with_gpv053() {
+    let g = write_tmp("v1-g.txt", GRAPH);
+    let q = write_tmp("v1-q.txt", QUERY);
+    let v1 = write_tmp("v1-v1.txt", VIEW1);
+    let dir = std::env::temp_dir().join(format!("gpv-cli-v1-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let serve = || {
+        gpv()
+            .args([
+                "serve",
+                "--graph",
+                g.to_str().unwrap(),
+                "--pattern",
+                q.to_str().unwrap(),
+                "--view",
+                v1.to_str().unwrap(),
+                "--store-dir",
+                dir.to_str().unwrap(),
+            ])
+            .output()
+            .unwrap()
+    };
+    let save = serve();
+    assert!(
+        save.status.success(),
+        "{}",
+        String::from_utf8_lossy(&save.stderr)
+    );
+
+    let meta = dir.join("meta.json");
+    let json = std::fs::read_to_string(&meta).unwrap();
+    let v2 = format!("\"format_version\":{}", graph_views::views::SHARD_VERSION);
+    assert!(json.contains(&v2), "{json}");
+    std::fs::write(&meta, json.replace(&v2, "\"format_version\":1")).unwrap();
+
+    let check = gpv()
+        .args(["check", "--store-dir", dir.to_str().unwrap(), "--json"])
+        .output()
+        .unwrap();
+    assert!(!check.status.success(), "a v1 store must fail the check");
+    let out = String::from_utf8_lossy(&check.stdout);
+    assert!(out.contains("\"code\":\"GPV053\""), "{out}");
+
+    let reserve = serve();
+    assert!(!reserve.status.success(), "serve must refuse a v1 store");
+    assert_ne!(
+        reserve.status.code(),
+        Some(101),
+        "refusal must not be a panic"
+    );
+    let err = String::from_utf8_lossy(&reserve.stderr);
+    assert!(err.contains("format version 1"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}

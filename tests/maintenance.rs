@@ -1,18 +1,22 @@
 //! Property tests for incremental view maintenance: after any script of
 //! edge deletions and insertions, the incrementally maintained extension
 //! equals recomputation from scratch — both on small random scripts and
-//! on full delta streams sampled from [`gpv_generator::Scenario`]s.
+//! on full delta streams sampled from [`gpv_generator::Scenario`]s — and
+//! for the graph side of a delta: `EdgeDelta::apply_to` splices the CSRs
+//! and carries the edge-set hash, and must agree with the from-scratch
+//! `DataGraph::with_edges` oracle on both adjacencies and the fingerprint.
 
 use gpv_generator::{random_graph, random_pattern, PatternShape, Scenario};
 use graph_views::prelude::*;
-use graph_views::views::IncrementalView;
+use graph_views::views::storage::graph_fingerprint;
+use graph_views::views::{EdgeDelta, IncrementalView};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 const LABELS: [&str; 3] = ["A", "B", "C"];
 
 /// Rebuilds a graph applying an edit script to the original edge set.
 fn apply_script(g0: &DataGraph, script: &[(bool, u32, u32)]) -> DataGraph {
-    use std::collections::BTreeSet;
     let mut edges: BTreeSet<(u32, u32)> = g0.edges().map(|(u, v)| (u.0, v.0)).collect();
     for &(insert, a, b) in script {
         if insert {
@@ -32,8 +36,127 @@ fn apply_script(g0: &DataGraph, script: &[(bool, u32, u32)]) -> DataGraph {
     b.build()
 }
 
+/// Asserts `spliced` equals `oracle` (built from scratch) in both CSRs, in
+/// its carried edge-set hash and in its fingerprint.
+fn assert_same_graph(spliced: &DataGraph, oracle: &DataGraph) -> Result<(), TestCaseError> {
+    prop_assert_eq!(spliced.node_count(), oracle.node_count());
+    prop_assert_eq!(spliced.edge_count(), oracle.edge_count());
+    for v in oracle.nodes() {
+        prop_assert_eq!(spliced.out_neighbors(v), oracle.out_neighbors(v));
+        prop_assert_eq!(spliced.in_neighbors(v), oracle.in_neighbors(v));
+    }
+    prop_assert_eq!(spliced.edge_set_hash(), oracle.edge_set_hash());
+    prop_assert_eq!(graph_fingerprint(spliced), graph_fingerprint(oracle));
+    Ok(())
+}
+
+/// The oracle for one delta: the edge set with `deletes` removed, then
+/// `inserts` added, rebuilt from scratch.
+fn oracle_apply(g: &DataGraph, d: &EdgeDelta) -> DataGraph {
+    let mut edges: BTreeSet<(NodeId, NodeId)> = g.edges().collect();
+    for e in &d.deletes {
+        edges.remove(e);
+    }
+    edges.extend(d.inserts.iter().copied());
+    g.with_edges(&edges.into_iter().collect::<Vec<_>>())
+}
+
+fn pairs(raw: &[(u32, u32)]) -> Vec<(NodeId, NodeId)> {
+    raw.iter().map(|&(u, v)| (NodeId(u), NodeId(v))).collect()
+}
+
+#[test]
+fn splice_keeps_an_edge_in_both_lists() {
+    let g = random_graph(12, 30, &LABELS, 3);
+    let present = g.edges().next().expect("graph has edges");
+    let absent = (NodeId(0), NodeId(0));
+    assert!(
+        !g.has_edge(absent.0, absent.1),
+        "random_graph draws no self-loops"
+    );
+    // Unsorted and duplicated, as a struct literal (no normalization).
+    let d = EdgeDelta {
+        inserts: vec![absent, present, absent],
+        deletes: vec![present, absent, present],
+    };
+    let next = d.apply_to(&g);
+    assert!(next.has_edge(present.0, present.1));
+    assert!(next.has_edge(absent.0, absent.1));
+    assert_same_graph(&next, &oracle_apply(&g, &d)).unwrap();
+}
+
+#[test]
+fn splice_no_op_edges_leave_graph_and_fingerprint_unchanged() {
+    let g = random_graph(12, 30, &LABELS, 5);
+    let present: Vec<_> = g.edges().take(3).collect();
+    let absent: Vec<_> = (0..12)
+        .flat_map(|u| (0..12).map(move |v| (NodeId(u), NodeId(v))))
+        .filter(|&(u, v)| !g.has_edge(u, v))
+        .take(3)
+        .collect();
+    // Delete absent edges, insert present ones: nothing changes.
+    let d = EdgeDelta {
+        inserts: present.iter().rev().copied().collect(),
+        deletes: absent.clone(),
+    };
+    let next = d.apply_to(&g);
+    assert_same_graph(&next, &g).unwrap();
+    assert_eq!(graph_fingerprint(&next), graph_fingerprint(&g));
+}
+
+#[test]
+fn splice_insert_then_delete_restores_the_fingerprint_exactly() {
+    let g = random_graph(40, 80, &LABELS, 9);
+    let fp = graph_fingerprint(&g);
+    let absent: Vec<_> = (0..40)
+        .map(|u| (NodeId(u), NodeId((u * 7 + 3) % 40)))
+        .filter(|&(u, v)| !g.has_edge(u, v))
+        .collect();
+    for &e in &absent {
+        let grown = EdgeDelta::new(vec![e], vec![]).apply_to(&g);
+        assert_ne!(graph_fingerprint(&grown), fp);
+        let back = EdgeDelta::new(vec![], vec![e]).apply_to(&grown);
+        assert_eq!(graph_fingerprint(&back), fp);
+        assert_eq!(back.edge_set_hash(), g.edge_set_hash());
+        assert_same_graph(&back, &g).unwrap();
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A random chain of raw deltas — unsorted, duplicated, overlapping
+    /// lists built as struct literals — spliced one after another agrees
+    /// with the from-scratch oracle after every link, the carried hash
+    /// included.
+    #[test]
+    fn splice_chain_matches_with_edges_oracle(
+        gseed in any::<u64>(),
+        n in 1u32..24,
+        chain in proptest::collection::vec(
+            (
+                proptest::collection::vec((0u32..24, 0u32..24), 0..8),
+                proptest::collection::vec((0u32..24, 0u32..24), 0..8),
+            ),
+            1..6,
+        ),
+    ) {
+        let mut g = random_graph(n as usize, 2 * n as usize, &LABELS, gseed);
+        for (ins, del) in chain {
+            let clamp = |raw: Vec<(u32, u32)>| -> Vec<(u32, u32)> {
+                raw.into_iter().map(|(u, v)| (u % n, v % n)).collect()
+            };
+            let (ins, mut del) = (clamp(ins), clamp(del));
+            // Make the overlap cases common: delete some present edges,
+            // and delete one of the inserted edges too.
+            del.extend(g.edges().step_by(3).map(|(u, v)| (u.0, v.0)));
+            del.extend(ins.first().copied());
+            let d = EdgeDelta { inserts: pairs(&ins), deletes: pairs(&del) };
+            let next = d.apply_to(&g);
+            assert_same_graph(&next, &oracle_apply(&g, &d))?;
+            g = next;
+        }
+    }
 
     #[test]
     fn incremental_equals_recompute(

@@ -1,6 +1,7 @@
 //! Serde round-trips for the persistent types: graphs, patterns, view sets,
 //! match results. Interners skip their redundant lookup maps on the wire, so
-//! the graph test also exercises `rebuild_indices`.
+//! the graph test also exercises `rebuild_indices` (which also restores
+//! the graph's edge-set hash).
 
 use gpv_generator::{random_graph, random_pattern, PatternShape};
 use graph_views::prelude::*;
@@ -22,6 +23,13 @@ fn graph_json_roundtrip() {
 
     assert_eq!(g2.node_count(), g.node_count());
     assert_eq!(g2.edge_count(), g.edge_count());
+    // The edge-set hash is not on the wire; rebuild_indices restores it,
+    // and with it the graph fingerprint.
+    assert_eq!(g2.edge_set_hash(), g.edge_set_hash());
+    assert_eq!(
+        graph_views::views::storage::graph_fingerprint(&g2),
+        graph_views::views::storage::graph_fingerprint(&g)
+    );
     assert_eq!(g2.lookup_label("video"), g.lookup_label("video"));
     let c = g2.lookup_attr("C").unwrap();
     assert_eq!(

@@ -7,7 +7,9 @@
 use gpv_generator::{covering_views, random_graph, random_pattern, PatternShape};
 use graph_views::prelude::*;
 use graph_views::views::store::ViewStore;
-use graph_views::views::{CompactView, ExecStrategy, ViewService};
+use graph_views::views::{
+    CompactView, ExecStrategy, ShardError, StoreMeta, ViewService, SHARD_VERSION,
+};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -142,6 +144,63 @@ fn corrupt_shard_files_fail_cleanly() {
     // Restore: pristine still loads after the abuse.
     std::fs::write(&shard, &pristine).unwrap();
     assert!(ViewStore::load_from_dir(&dir).is_ok());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Marks a saved store's `meta.json` as format version 1, with a graph
+/// fingerprint of the old meaning (one that no longer matches the shards').
+fn downgrade_meta_to_v1(dir: &std::path::Path) {
+    let meta_path = dir.join("meta.json");
+    let mut meta: StoreMeta =
+        serde_json::from_str(&std::fs::read_to_string(&meta_path).unwrap()).unwrap();
+    meta.format_version = 1;
+    meta.graph_fingerprint ^= 1;
+    std::fs::write(&meta_path, serde_json::to_string(&meta).unwrap()).unwrap();
+}
+
+/// Marks every shard header of a saved store as format version 1. The
+/// version field (offset 8) sits before the checksummed region, so the
+/// checksum still holds.
+fn downgrade_shards_to_v1(dir: &std::path::Path, shards: usize) {
+    for i in 0..shards {
+        let shard = dir.join(format!("shard-{i:04}.bin"));
+        let mut bytes = std::fs::read(&shard).unwrap();
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        std::fs::write(&shard, bytes).unwrap();
+    }
+}
+
+/// Shard format v2 changed what the recorded graph fingerprint means. A
+/// v1 store must be rejected up front as `BadVersion(1)` — never loaded
+/// against the wrong fingerprint, never reported as a graph mismatch, never
+/// a panic — whether the version shows in `meta.json` or only in a shard.
+#[test]
+fn v1_store_fails_cleanly_with_bad_version() {
+    let g = random_graph(30, 80, &LABELS, 21);
+    let q = random_pattern(3, 3, &LABELS, PatternShape::Any, 22);
+    let views = covering_views(std::slice::from_ref(&q), 3, 23);
+    let store = ViewStore::materialize(views, &g, 2);
+    assert_eq!(SHARD_VERSION, 2);
+
+    // The whole directory says v1.
+    let dir = scratch_dir();
+    store.save_to_dir(&dir).unwrap();
+    downgrade_meta_to_v1(&dir);
+    downgrade_shards_to_v1(&dir, 2);
+    assert!(matches!(
+        ViewStore::load_from_dir(&dir),
+        Err(ShardError::BadVersion(1))
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // Only the shards say v1.
+    let dir = scratch_dir();
+    store.save_to_dir(&dir).unwrap();
+    downgrade_shards_to_v1(&dir, 2);
+    assert!(matches!(
+        ViewStore::load_from_dir(&dir),
+        Err(ShardError::BadVersion(1))
+    ));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
