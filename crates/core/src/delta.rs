@@ -37,10 +37,30 @@
 //! * some pattern node's label atom does not resolve against the graph's
 //!   alphabet → its base is empty *forever* (labels are immutable), the view
 //!   result is permanently empty, and the view is **never** affected.
+//!
+//! [`QueryFootprint`] is the edge-level refinement the serving layer uses
+//! for cached answers: `Q(G)` under simulation reads only the edges in
+//! `⋃ base(x) × base(y)` over pattern edges `(x, y)`. Every edge
+//! `simulation_relation` and `build_result` consult runs from `cand(x)`
+//! into `cand(y)` for some pattern edge `(x, y)`, with `cand ⊆ base`:
+//!
+//! * the initial support count of `(x, y)` at `v ∈ cand(x)` counts
+//!   out-edges `(v, w)` with `w ∈ cand(y)`;
+//! * removing `w` from `cand(y)` decrements, for each in-edge `(v, w)`,
+//!   the support of `v` only when `v ∈ cand(x)`;
+//! * the edge match set `S(x, y)` collects `(v, w)` with `v ∈ cand(x)` and
+//!   `w ∈ cand(y)`.
+//!
+//! So two graphs with the same nodes whose edge sets agree on that union
+//! run the same refinement and yield the same answer: a delta none of
+//! whose edges lands in it leaves `Q(G)` unchanged. Theorem 1 makes every
+//! plan's answer equal to `match_pattern(Q, G)`, so this holds whatever
+//! plan produced the answer.
 
 use crate::store::StoreError;
 use crate::view::ViewDef;
 use gpv_graph::{DataGraph, LabelId, NodeId};
+use gpv_pattern::{Pattern, ResolvedPredicate};
 use std::collections::{HashMap, HashSet};
 
 /// A batch of edge mutations against a [`DataGraph`].
@@ -158,6 +178,45 @@ impl ViewFootprint {
             labels.dedup();
             ViewFootprint::Labels(labels)
         }
+    }
+}
+
+/// The edges a pattern query's answer can depend on: one `(source, target)`
+/// predicate pair per pattern edge, resolved against a graph's interners.
+/// `Q(G)` reads only edges `(u, v)` with `u ⊨ source` and `v ⊨ target` for
+/// some pair — see the module docs for the argument.
+///
+/// Resolutions stay valid for every graph a delta chain derives from the
+/// resolution graph: successors share its interners, and deltas never
+/// change node data.
+#[derive(Clone, Debug)]
+pub struct QueryFootprint {
+    edges: Vec<(ResolvedPredicate, ResolvedPredicate)>,
+}
+
+impl QueryFootprint {
+    /// Resolves `q`'s pattern edges against `g`.
+    pub fn of(q: &Pattern, g: &DataGraph) -> QueryFootprint {
+        let preds: Vec<ResolvedPredicate> = q.preds().iter().map(|p| p.resolve(g)).collect();
+        QueryFootprint {
+            edges: q
+                .edges()
+                .iter()
+                .map(|&(x, y)| (preds[x.index()].clone(), preds[y.index()].clone()))
+                .collect(),
+        }
+    }
+
+    /// Whether some inserted or deleted edge `(u, v)` of `delta` lies in
+    /// the footprint: `u ⊨ source` and `v ⊨ target` for some pattern edge.
+    /// `g` is any graph sharing node data with the resolution graph (the
+    /// pre- or the post-delta graph); endpoints must be in range.
+    pub fn touched_by(&self, delta: &EdgeDelta, g: &DataGraph) -> bool {
+        delta.inserts.iter().chain(&delta.deletes).any(|&(u, v)| {
+            self.edges
+                .iter()
+                .any(|(src, dst)| src.satisfied_by(g, u) && dst.satisfied_by(g, v))
+        })
     }
 }
 

@@ -70,9 +70,10 @@ pub struct DifferentialCase<'a> {
     /// Edge deltas applied to the store after each round — *after* that
     /// round's view inserts (may be shorter than `rounds`; missing or
     /// empty entries mean the graph does not move that round). Each delta
-    /// routes through [`ViewStore::apply_delta`], so the serving layer's
-    /// incremental maintenance, per-view epochs, and snapshot publication
-    /// are what the oracle comparison actually exercises.
+    /// routes through [`ViewService::apply_delta`], so the store's
+    /// incremental maintenance, per-view epochs, snapshot publication and
+    /// the service's footprint refresh of cached graph-reading answers are
+    /// what the oracle comparison actually exercises.
     pub deltas: &'a [EdgeDelta],
     /// Store shard count.
     pub shards: usize,
@@ -141,6 +142,9 @@ pub struct DifferentialReport {
     pub plan_cache_hits: u64,
     /// Result-cache hits observed by the service.
     pub result_cache_hits: u64,
+    /// Result-cache hits for graph-reading plans served in the round right
+    /// after a delta: answers the delta's footprint refresh kept warm.
+    pub graph_hits_after_delta: u64,
 }
 
 impl DifferentialReport {
@@ -158,6 +162,7 @@ impl DifferentialReport {
         self.plans_direct += other.plans_direct;
         self.plan_cache_hits += other.plan_cache_hits;
         self.result_cache_hits += other.result_cache_hits;
+        self.graph_hits_after_delta += other.graph_hits_after_delta;
     }
 }
 
@@ -381,6 +386,7 @@ pub fn check_plain(
     let service = ViewService::with_config(Arc::clone(&store), case.service.clone());
     let mut current = case.graph.clone();
     let mut truth: Vec<Option<MatchResult>> = expected.into_iter().map(Some).collect();
+    let mut after_delta = false;
     for (round, schedule) in case.rounds.iter().enumerate() {
         let batch: Vec<Pattern> = schedule.iter().map(|&i| case.queries[i].clone()).collect();
         let answers = service.serve_batch(&batch, Some(&current));
@@ -389,6 +395,13 @@ pub fn check_plain(
             let want = truth[qi].get_or_insert_with(|| oracle(&case.queries[qi], &current));
             match ans {
                 Ok(sa) => {
+                    // In the round right after a delta, a graph-reading
+                    // result-cache hit (not a dedup copy of one) can only
+                    // come from an entry the delta's refresh re-stamped.
+                    if after_delta && sa.result_cached && !sa.deduplicated && sa.plan.needs_graph()
+                    {
+                        report.graph_hits_after_delta += 1;
+                    }
                     if *sa.result != *want {
                         return Err(Box::new(Divergence {
                             stage: "service.serve",
@@ -416,6 +429,7 @@ pub fn check_plain(
         }
         report.served += batch.len();
         report.rounds += 1;
+        after_delta = false;
         if let Some(upds) = case.updates.get(round) {
             for upd in upds {
                 store.insert(upd.clone(), &current).map_err(|e| {
@@ -431,9 +445,9 @@ pub fn check_plain(
             }
         }
         if let Some(delta) = case.deltas.get(round).filter(|d| !d.is_empty()) {
-            let applied = store.apply_delta(delta, &current).map_err(|e| {
+            let applied = service.apply_delta(delta, &current).map_err(|e| {
                 Box::new(Divergence {
-                    stage: "store.apply_delta",
+                    stage: "service.apply_delta",
                     round: Some(round),
                     slot: None,
                     query: 0,
@@ -441,6 +455,7 @@ pub fn check_plain(
                 })
             })?;
             current = applied.graph;
+            after_delta = true;
             report.edge_deltas += 1;
             report.views_maintained += applied.affected.len();
             // Store integrity after every applied delta: CSR canonicality,

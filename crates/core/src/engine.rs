@@ -34,7 +34,9 @@ use crate::minimal::{minimal_from_table, Selection};
 use crate::minimum::minimum_from_table;
 use crate::parallel::auto_threads;
 use crate::partial::{merged_from_sources, sources_from_lambda, PartialPlan};
-use crate::plan::{EdgeSource, ExecStrategy, FallbackReason, QueryPlan, SelectionMode, ViewPlan};
+use crate::plan::{
+    view_reads, EdgeSource, ExecStrategy, FallbackReason, QueryPlan, SelectionMode, ViewPlan,
+};
 use crate::selection::{select_views_for_workload, WorkloadSelection};
 use crate::storage::graph_fingerprint;
 use crate::store::StoreSnapshot;
@@ -399,9 +401,11 @@ impl QueryEngine {
         match table.contain() {
             Some(full) => {
                 let chosen = self.select(q, full, &table);
+                let sources = self.sources(&chosen.plan.lambda);
                 QueryPlan::ViewsOnly(ViewPlan {
                     exec: self.exec_for(chosen.cost.pairs_read),
-                    sources: self.sources(&chosen.plan.lambda),
+                    reads: view_reads(&chosen.views, &sources),
+                    sources,
                     ..chosen
                 })
             }
@@ -426,8 +430,10 @@ impl QueryEngine {
                         cost: direct_cost,
                     }
                 } else {
+                    let sources = self.sources(&partial.lambda);
                     QueryPlan::Hybrid {
-                        sources: self.sources(&partial.lambda),
+                        reads: view_reads(&[], &sources),
+                        sources,
                         partial,
                         reason: FallbackReason::NotContained,
                         cost,
@@ -454,13 +460,15 @@ impl QueryEngine {
             |plan| CostModel::view_plan(q, plan, &self.ext),
             CostModel::selection_overhead(q, self.views.card()),
         );
-        // `sources` and `exec` are placeholders here: `plan` resolves the
-        // per-edge sourcing and the executor for the winning candidate only.
+        // `sources`, `reads` and `exec` are placeholders here: `plan`
+        // resolves the per-edge sourcing and the executor for the winning
+        // candidate only.
         ViewPlan {
             selection,
             views: sel.views,
             plan: sel.plan,
             sources: Vec::new(),
+            reads: Vec::new(),
             exec: ExecStrategy::Sequential(JoinStrategy::RankedBottomUp),
             cost,
         }

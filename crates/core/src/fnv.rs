@@ -34,6 +34,18 @@ impl Fnv1a {
     }
 }
 
+/// Lets `std::hash::Hash` implementations feed the hasher directly (the
+/// structural [`query_fingerprint`](crate::service::query_fingerprint)).
+impl std::hash::Hasher for Fnv1a {
+    fn write(&mut self, bytes: &[u8]) {
+        Fnv1a::write(self, bytes);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// One-shot byte-wise FNV-1a.
 pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = Fnv1a::new();

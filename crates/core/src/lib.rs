@@ -72,7 +72,7 @@ pub use bview::{bmaterialize, BoundedViewDef, BoundedViewExtensions, BoundedView
 pub use compact::{CompactBoundedExtensions, CompactBoundedView, CompactExtensions, CompactView};
 pub use containment::{contain, query_contained, view_match, ContainmentPlan, ViewEdgeRef};
 pub use cost::{CostEstimate, CostModel};
-pub use delta::{EdgeDelta, ViewFootprint, ViewFootprintIndex};
+pub use delta::{EdgeDelta, QueryFootprint, ViewFootprint, ViewFootprintIndex};
 pub use differential::{
     check_bounded, check_plain, BoundedOracle, DifferentialCase, DifferentialReport, Divergence,
     PlainOracle,

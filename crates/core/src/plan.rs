@@ -152,6 +152,10 @@ pub struct ViewPlan {
     /// Per-edge merge source (all [`EdgeSource::View`] here — the pinned
     /// smallest covering extension per edge).
     pub sources: Vec<EdgeSource>,
+    /// Every view position the plan reads — `views` plus any view a merge
+    /// source pins — ascending and deduplicated, computed once when the
+    /// plan is built ([`QueryPlan::view_indices`]).
+    pub reads: Vec<usize>,
     /// Join execution strategy.
     pub exec: ExecStrategy,
     /// The planner's estimate for this plan.
@@ -182,6 +186,9 @@ pub enum QueryPlan {
         partial: PartialPlan,
         /// Per-edge merge source (what the executor honors).
         sources: Vec<EdgeSource>,
+        /// The view positions the view-sourced edges read, ascending and
+        /// deduplicated, computed once when the plan is built.
+        reads: Vec<usize>,
         /// Why views alone were insufficient.
         reason: FallbackReason,
         /// The planner's estimate for this plan.
@@ -237,30 +244,32 @@ impl QueryPlan {
     /// answer with. Views-only plans contribute their whole selected set
     /// (the λ may consult any of them during refinement); hybrids
     /// contribute the view-sourced edges; direct plans read no views.
-    pub fn view_indices(&self) -> Vec<usize> {
-        let mut ids: Vec<usize> = match self {
-            QueryPlan::ViewsOnly(vp) => vp
-                .views
-                .iter()
-                .copied()
-                .chain(vp.sources.iter().filter_map(|s| match s {
-                    EdgeSource::View(r) => Some(r.view),
-                    EdgeSource::Graph => None,
-                }))
-                .collect(),
-            QueryPlan::Hybrid { sources, .. } => sources
-                .iter()
-                .filter_map(|s| match s {
-                    EdgeSource::View(r) => Some(r.view),
-                    EdgeSource::Graph => None,
-                })
-                .collect(),
-            QueryPlan::Direct { .. } => Vec::new(),
-        };
-        ids.sort_unstable();
-        ids.dedup();
-        ids
+    /// Computed once when the plan is built, so reading it allocates
+    /// nothing.
+    pub fn view_indices(&self) -> &[usize] {
+        match self {
+            QueryPlan::ViewsOnly(vp) => &vp.reads,
+            QueryPlan::Hybrid { reads, .. } => reads,
+            QueryPlan::Direct { .. } => &[],
+        }
     }
+}
+
+/// The view positions a plan with these `selected` views and merge
+/// `sources` reads: their union, ascending and deduplicated. The planner
+/// stores it in the plan ([`ViewPlan::reads`], `QueryPlan::Hybrid::reads`).
+pub(crate) fn view_reads(selected: &[usize], sources: &[EdgeSource]) -> Vec<usize> {
+    let mut ids: Vec<usize> = selected
+        .iter()
+        .copied()
+        .chain(sources.iter().filter_map(|s| match s {
+            EdgeSource::View(r) => Some(r.view),
+            EdgeSource::Graph => None,
+        }))
+        .collect();
+    ids.sort_unstable();
+    ids.dedup();
+    ids
 }
 
 impl std::fmt::Display for QueryPlan {

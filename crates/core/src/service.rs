@@ -24,10 +24,16 @@
 //!   exactly the answers that read *A* — answers reading only other views
 //!   keep hitting across the delta, which is the point of delta-maintained
 //!   serving: an update never colds the whole cache, let alone forces a
-//!   rebuild. Failures are not cached: a strict (`g = None`) call the
-//!   views cannot answer is refused again from its cached plan;
+//!   rebuild. A graph-reading answer also keeps its query's **edge
+//!   footprint** ([`QueryFootprint`]): [`ViewService::apply_delta`] moves
+//!   the stamp of every such answer the delta's edges miss forward to the
+//!   post-delta snapshot, so a 1-edge delta re-runs only the graph-reading
+//!   queries it can change. Failures are not cached: a strict (`g = None`)
+//!   call the views cannot answer is refused again from its cached plan;
 //! * **deduplicates identical queries inside a batch**, executing each
-//!   distinct query once and fanning the result out;
+//!   distinct query once and fanning the result out. All three maps key
+//!   by a structural [`query_fingerprint`] and confirm a hit by comparing
+//!   the stored pattern with `==`;
 //! * executes against a lock-free
 //!   [`StoreSnapshot`] of the sharded
 //!   [`ViewStore`], rebuilding its internal [`QueryEngine`] only when the
@@ -77,48 +83,53 @@
 //! ```
 
 use crate::compact::CompactView;
-use crate::delta::EdgeDelta;
+use crate::delta::{EdgeDelta, QueryFootprint};
 use crate::engine::{EngineConfig, EngineError, QueryEngine};
 use crate::matchjoin::{JoinError, JoinStats};
 use crate::plan::{CacheDisposition, QueryPlan};
 use crate::store::{DeltaReport, ShardOccupancy, StoreError, StoreSnapshot, ViewStore};
-use gpv_graph::DataGraph;
+use gpv_graph::{DataGraph, Value};
 use gpv_matching::result::MatchResult;
-use gpv_pattern::Pattern;
+use gpv_pattern::{Atom, Pattern, Predicate};
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
-/// Canonical serialized form of a query — the equality witness stored next
-/// to every fingerprint-keyed cache entry (FNV-1a is not collision-proof,
-/// so a hash hit is confirmed by comparing this string).
-fn query_key(q: &Pattern) -> String {
-    serde_json::to_string(q).expect("patterns serialize")
-}
-
-/// A stable structural fingerprint of a pattern query: FNV-1a over its
-/// canonical JSON serialization. Structurally identical queries (same
-/// nodes, predicates, edges, bounds, in the same order) collide by
+/// A structural fingerprint of a pattern query: FNV-1a, fed through
+/// [`Hash`], over its node predicates and its (sorted, deduplicated) edge
+/// list — everything [`Pattern`]'s `==` compares. Structurally identical
+/// queries (same nodes, predicates, edges, in the same order) collide by
 /// construction — that is what lets the service recognize "the same query
 /// again" across clients. Distinct queries can collide (64-bit non-crypto
-/// hash); the service's caches therefore confirm every fingerprint hit
-/// with a structural equality check before reusing anything.
+/// hash); the service's caches therefore keep the pattern itself next to
+/// every fingerprint-keyed entry and confirm a hit with `==` before reusing
+/// anything. Stable within one build of the crate; never persisted.
 pub fn query_fingerprint(q: &Pattern) -> u64 {
-    crate::fnv::fnv1a(query_key(q).as_bytes())
+    let mut h = crate::fnv::Fnv1a::new();
+    q.preds().hash(&mut h);
+    q.edges().hash(&mut h);
+    Hasher::finish(&h)
 }
 
 /// The epoch-set stamp of an answer produced by `plan` against `snap`:
 /// the maximum epoch over every view the plan reads, folding in the graph
 /// epoch whenever the plan is not views-only (hybrid and direct executions
-/// may scan `G`). Two snapshots agreeing on this stamp agree on every byte
-/// the plan consumes, so the answer carries over; a delta touching a
-/// consumed view (or the graph, for graph-reading plans) moves the stamp
-/// and misses exactly — a delta to an *untouched* view leaves it valid.
+/// may scan `G`). A stamp claims that the answer equals the answer at
+/// every snapshot that computes the same stamp (under the same view-set
+/// fingerprint). Two snapshots agreeing on this stamp agree on every byte
+/// the plan consumes, so the claim holds when the answer is computed; a
+/// delta touching a consumed view (or the graph, for graph-reading plans)
+/// moves the stamp and misses exactly — a delta to an *untouched* view
+/// leaves it valid. [`ViewService::apply_delta`] re-stamps a graph-reading
+/// answer only when the delta misses its [`QueryFootprint`], so a refresh
+/// only ever makes a true claim. The view positions are computed once per
+/// plan ([`QueryPlan::view_indices`]): a stamp allocates nothing.
 fn plan_epoch_key(plan: &QueryPlan, snap: &StoreSnapshot) -> u64 {
     let epochs = snap.epochs();
     let mut key = 0u64;
-    for idx in plan.view_indices() {
+    for &idx in plan.view_indices() {
         // A position the snapshot does not have (membership skew — ruled
         // out by the view-set fingerprint in the cache key, but kept
         // defensive) poisons the stamp so the entry can never hit.
@@ -452,8 +463,8 @@ pub struct ViewService {
     config: ServiceConfig,
     engine: RwLock<Option<EngineSnapshot>>,
     /// Keyed by `(query fingerprint, view-set fingerprint)`; each entry
-    /// keeps the query's canonical JSON so a fingerprint collision is
-    /// detected by equality instead of silently serving the wrong plan.
+    /// keeps the query itself so a fingerprint collision is detected by
+    /// equality instead of silently serving the wrong plan.
     plan_cache: RwLock<PlanCache>,
     /// Cross-batch answers, keyed by `(query fingerprint, view-set
     /// fingerprint)` and validated per-hit against the entry's epoch-set
@@ -463,11 +474,11 @@ pub struct ViewService {
     counters: Counters,
 }
 
-/// One cached plan: the canonical query JSON (the fingerprint-collision
-/// witness), the shared plan, and an LRU stamp updated on hits.
+/// One cached plan: the query (the fingerprint-collision witness), the
+/// shared plan, and an LRU stamp updated on hits.
 #[derive(Debug)]
 struct PlanCacheEntry {
-    qkey: Arc<str>,
+    query: Arc<Pattern>,
     plan: Arc<QueryPlan>,
     last_used: AtomicU64,
 }
@@ -515,36 +526,70 @@ impl PlanCache {
 /// columns: the map entry, the `Arc` headers, the plan handle, the stats.
 const RESULT_ENTRY_OVERHEAD: usize = 128;
 
+/// Bytes charged per predicate atom: the atom itself in the witness, its
+/// resolved form in each footprint pair, and the `Vec` headers around them.
+const ATOM_BYTES: usize = 64;
+
 /// Resident bytes of one cached answer. Entries store the *frozen* columnar
 /// form, so this is [`CompactView::resident_bytes`] — the exact column
 /// bytes, no boxed per-set `Vec` headers or allocator scatter to guess at —
-/// plus the entry's own bookkeeping ([`RESULT_ENTRY_OVERHEAD`]) and its
-/// collision-witness key. The configured budget therefore bounds what the
-/// cache actually keeps resident, not just the logical pair count.
-fn result_entry_bytes(compact: &CompactView, qkey: &str) -> usize {
-    compact.resident_bytes() + qkey.len() + RESULT_ENTRY_OVERHEAD
+/// plus the entry's own bookkeeping ([`RESULT_ENTRY_OVERHEAD`]) and an
+/// estimate of its collision witness and footprint: [`ATOM_BYTES`] per
+/// atom plus the atom strings, and four node-id pairs per pattern edge
+/// (edge list, both adjacency lists, the footprint pair). The configured
+/// budget therefore bounds what the cache actually keeps resident, not
+/// just the logical pair count.
+fn result_entry_bytes(compact: &CompactView, q: &Pattern) -> usize {
+    let atoms: usize = q
+        .preds()
+        .iter()
+        .flat_map(Predicate::atoms)
+        .map(|a| {
+            ATOM_BYTES
+                + match a {
+                    Atom::Label(l) => l.len(),
+                    Atom::Cmp { attr, value, .. } => {
+                        attr.len()
+                            + match value {
+                                Value::Str(v) => v.len(),
+                                Value::Int(_) => 0,
+                            }
+                    }
+                }
+        })
+        .sum();
+    compact.resident_bytes()
+        + atoms
+        + q.edge_count() * 4 * std::mem::size_of::<(u32, u32)>()
+        + RESULT_ENTRY_OVERHEAD
 }
 
-/// One cached answer. `qkey` is the canonical-JSON collision witness (same
-/// discipline as the plan cache: a fingerprint hit counts only when the
-/// canonical forms match). An answer whose plan reads `G`
+/// One cached answer. `query` is the collision witness (same discipline
+/// as the plan cache: a fingerprint hit counts only when the stored
+/// pattern `==` the probe). An answer whose plan reads `G`
 /// ([`QueryPlan::needs_graph`]) must not satisfy a strict views-only
 /// (`g = None`) call that would otherwise have failed with
 /// [`ServiceError::NeedsGraph`]: the cache must never change which queries
 /// a serving mode accepts, only how fast it answers them.
 #[derive(Debug)]
 struct ResultCacheEntry {
-    qkey: Arc<str>,
+    query: Arc<Pattern>,
     /// The answer in frozen columnar form — half the footprint of the boxed
     /// result and exactly accounted by `bytes`; a hit thaws it back.
     compact: Arc<CompactView>,
     plan: Arc<QueryPlan>,
     join_stats: JoinStats,
+    /// The query's edge footprint, resolved against the batch's validated
+    /// graph — exactly when `plan` reads `G` (`None` for views-only
+    /// answers, which follow the view-epoch rule alone).
+    footprint: Option<QueryFootprint>,
     /// The epoch-set stamp ([`plan_epoch_key`]) of the snapshot the answer
-    /// was computed against. A probe recomputes the stamp from `plan`
-    /// against the *current* snapshot and hits only on equality: every
-    /// view (and, for graph-reading plans, the graph) this answer depends
-    /// on is then bit-identical, so the answer still holds.
+    /// was computed against, or moved forward by a delta that missed
+    /// `footprint` ([`ViewService::apply_delta`]). A probe recomputes the
+    /// stamp from `plan` against the *current* snapshot and hits only on
+    /// equality: every view (and, for graph-reading plans, every graph edge
+    /// the query can read) this answer depends on is then unchanged, so
+    /// the answer still holds.
     epoch_key: u64,
     bytes: usize,
     last_used: AtomicU64,
@@ -557,8 +602,10 @@ struct ResultCacheEntry {
 /// Invalidation is *exact at view granularity*: a hit additionally
 /// requires the entry's epoch-set stamp to match the current snapshot
 /// ([`ResultCacheEntry::epoch_key`]), so an [`EdgeDelta`] invalidates
-/// precisely the answers whose plans read a changed view (or the graph) —
-/// answers over untouched views survive the mutation. A view-set
+/// precisely the answers whose plans read a changed view — answers over
+/// untouched views survive the mutation. Graph-reading answers survive
+/// too unless the delta lands in their query's edge footprint:
+/// [`ViewService::apply_delta`] re-stamps the others. A view-set
 /// membership change changes the key itself. Dead entries are purged
 /// wholesale when the engine snapshot rebuilds ([`ViewService::engine`]),
 /// so an invalidation also releases its budget immediately instead of
@@ -653,14 +700,68 @@ impl ViewService {
     /// new world is published atomically: batches already in flight keep
     /// executing against their MVCC snapshot, the next batch picks the
     /// post-delta snapshot up lazily. Cached answers whose plans read only
-    /// views the delta never touched remain valid and keep hitting; the
-    /// caller should adopt [`DeltaReport::graph`] as the current graph.
+    /// views the delta never touched remain valid and keep hitting, and so
+    /// do graph-reading answers whose query's edge footprint
+    /// ([`QueryFootprint`]) the delta misses; the caller should adopt
+    /// [`DeltaReport::graph`] as the current graph. A delta applied
+    /// straight to [`ViewStore::apply_delta`] skips the refresh, so its
+    /// graph-reading answers miss.
     pub fn apply_delta(
         &self,
         delta: &EdgeDelta,
         g: &DataGraph,
     ) -> Result<DeltaReport, ServiceError> {
-        self.store.apply_delta(delta, g).map_err(ServiceError::from)
+        let before = self.store.snapshot();
+        let report = self
+            .store
+            .apply_delta(delta, g)
+            .map_err(ServiceError::from)?;
+        if self.config.result_cache_bytes > 0 {
+            self.refresh_untouched(delta, g, &before, report.version);
+        }
+        Ok(report)
+    }
+
+    /// Moves the stamp of every cached graph-reading answer that was valid
+    /// at `before` and whose [`QueryFootprint`] `delta` misses to the
+    /// post-delta snapshot: by the footprint argument ([`crate::delta`])
+    /// and Theorem 1 the answer is unchanged, so the new stamp makes a
+    /// true claim. Runs only when `delta` is the one mutation between
+    /// `before` and the published snapshot at `version` (membership
+    /// unchanged); otherwise the entries keep their old stamps and miss.
+    /// A rebuild racing this refresh may purge an entry first, which costs
+    /// a hit, never a wrong answer.
+    fn refresh_untouched(
+        &self,
+        delta: &EdgeDelta,
+        g: &DataGraph,
+        before: &StoreSnapshot,
+        version: u64,
+    ) {
+        let after = self.store.snapshot();
+        if version != before.version + 1
+            || after.version != version
+            || after.fingerprint != before.fingerprint
+        {
+            return;
+        }
+        let mut cache = self
+            .result_cache
+            .write()
+            .expect("result cache lock poisoned");
+        for (&(_, vfp), entry) in cache.map.iter_mut() {
+            // Views-only entries are most of a covered workload's cache:
+            // skip them before any stamp work.
+            let Some(footprint) = &entry.footprint else {
+                continue;
+            };
+            if vfp == before.fingerprint
+                && entry.epoch_key == plan_epoch_key(&entry.plan, before)
+                && !footprint.touched_by(delta, g)
+            {
+                entry.epoch_key = plan_epoch_key(&entry.plan, &after);
+            }
+        }
     }
 
     /// Current engine snapshot, rebuilding if the store version moved.
@@ -710,7 +811,7 @@ impl ViewService {
 
     /// The plan for `q` under view-set fingerprint `vfp`, from the cache
     /// when present. Returns `(plan, was_cached)`. A cache hit requires
-    /// both the fingerprint *and* the canonical form `qkey` to match — a
+    /// both the fingerprint *and* the stored query to match — a
     /// colliding distinct query is planned fresh (and left uncached, so
     /// the resident entry keeps working). At capacity the LRU entry is
     /// evicted (regression: the cache used to clear wholesale, so a
@@ -720,7 +821,6 @@ impl ViewService {
         engine: &QueryEngine,
         vfp: u64,
         qfp: u64,
-        qkey: &str,
         q: &Pattern,
     ) -> (Arc<QueryPlan>, bool) {
         if self.config.plan_cache_capacity == 0 {
@@ -731,7 +831,7 @@ impl ViewService {
         {
             let cache = self.plan_cache.read().expect("plan cache lock poisoned");
             if let Some(entry) = cache.map.get(&key) {
-                if *entry.qkey == *qkey {
+                if *entry.query == *q {
                     cache.touch(entry);
                     self.counters.plan_hits.fetch_add(1, Ordering::Relaxed);
                     return (entry.plan.clone(), true);
@@ -748,7 +848,7 @@ impl ViewService {
         // deterministic), so last-writer-wins is safe; prefer the resident
         // entry to keep `Arc` identity stable for callers comparing plans.
         let entry = match cache.map.get(&key) {
-            Some(e) if *e.qkey == *qkey => e.plan.clone(),
+            Some(e) if *e.query == *q => e.plan.clone(),
             Some(_) => plan, // collision: serve fresh, keep resident
             None => {
                 if cache.map.len() >= self.config.plan_cache_capacity {
@@ -758,7 +858,7 @@ impl ViewService {
                 cache.map.insert(
                     key,
                     PlanCacheEntry {
-                        qkey: Arc::from(qkey),
+                        query: Arc::new(q.clone()),
                         plan: plan.clone(),
                         last_used: AtomicU64::new(stamp),
                     },
@@ -774,9 +874,9 @@ impl ViewService {
         self.counters.latency[bucket_of(micros)].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Probes the cross-batch result cache for `qfp`/`qkey` at this engine
+    /// Probes the cross-batch result cache for `qfp`/`q` at this engine
     /// snapshot. A hit requires the key `(fingerprint, view-set
-    /// fingerprint)` *and* the canonical form to match, *and* the entry's
+    /// fingerprint)` *and* the stored query to match, *and* the entry's
     /// epoch-set stamp to still be current — every view
     /// (and, for graph-reading plans, the graph) the cached answer's plan
     /// consumed is then unchanged, so the answer holds even though the
@@ -789,7 +889,7 @@ impl ViewService {
         &self,
         snap: &EngineSnapshot,
         qfp: u64,
-        qkey: &str,
+        q: &Pattern,
         has_graph: bool,
     ) -> Option<ServedAnswer> {
         if self.config.result_cache_bytes == 0 {
@@ -804,7 +904,7 @@ impl ViewService {
                 .map
                 .get(&(qfp, snap.view_fingerprint))
                 .filter(|e| {
-                    *e.qkey == *qkey
+                    *e.query == *q
                         && (has_graph || !e.plan.needs_graph())
                         && plan_epoch_key(&e.plan, &snap.store) == e.epoch_key
                 })
@@ -834,13 +934,29 @@ impl ViewService {
     /// resident entry for the same query is replaced only when its
     /// epoch-set stamp went stale; a colliding distinct query is simply
     /// never cached, so the resident entry keeps serving its own query.
-    fn cache_result(&self, snap: &EngineSnapshot, qfp: u64, qkey: &str, a: &ServedAnswer) {
+    /// `g` is the batch's validated graph; a graph-reading answer keeps
+    /// its query's footprint resolved against it.
+    fn cache_result(
+        &self,
+        snap: &EngineSnapshot,
+        qfp: u64,
+        q: &Pattern,
+        a: &ServedAnswer,
+        g: Option<&DataGraph>,
+    ) {
         let budget = self.config.result_cache_bytes;
         if budget == 0 {
             return;
         }
+        let footprint = match (a.plan.needs_graph(), g) {
+            (false, _) => None,
+            (true, Some(g)) => Some(QueryFootprint::of(q, g)),
+            // Unreachable: a graph-reading plan only executes with a
+            // validated graph. Not caching is the safe answer anyway.
+            (true, None) => return,
+        };
         let compact = Arc::new(CompactView::freeze(&a.result));
-        let bytes = result_entry_bytes(&compact, qkey);
+        let bytes = result_entry_bytes(&compact, q);
         if bytes > budget {
             return;
         }
@@ -867,7 +983,7 @@ impl ViewService {
         match cache.map.get(&key) {
             // A distinct colliding query or a still-fresh duplicate: keep
             // the resident entry (first writer wins on identical stamps).
-            Some(e) if *e.qkey != *qkey || e.epoch_key == epoch_key => return,
+            Some(e) if *e.query != *q || e.epoch_key == epoch_key => return,
             // Same query, stale stamp (a delta moved one of its views and
             // the answer was recomputed): replace, releasing the old bytes.
             Some(e) => {
@@ -882,10 +998,11 @@ impl ViewService {
         cache.map.insert(
             key,
             ResultCacheEntry {
-                qkey: Arc::from(qkey),
+                query: Arc::new(q.clone()),
                 compact,
                 plan: a.plan.clone(),
                 join_stats: a.join_stats,
+                footprint,
                 epoch_key,
                 bytes,
                 last_used: AtomicU64::new(stamp),
@@ -927,6 +1044,21 @@ impl ViewService {
         queries: &[Pattern],
         g: Option<&DataGraph>,
     ) -> Vec<Result<ServedAnswer, ServiceError>> {
+        let fingerprints: Vec<u64> = queries.iter().map(query_fingerprint).collect();
+        self.serve_fingerprinted(queries, &fingerprints, g)
+    }
+
+    /// [`Self::serve_batch`] with the query fingerprints supplied:
+    /// `fingerprints[i]` keys `queries[i]` in the dedup map and both
+    /// caches. Correct for *any* fingerprints — every keyed hit is
+    /// confirmed by comparing patterns — which is what lets the tests forge
+    /// collisions.
+    fn serve_fingerprinted(
+        &self,
+        queries: &[Pattern],
+        fingerprints: &[u64],
+        g: Option<&DataGraph>,
+    ) -> Vec<Result<ServedAnswer, ServiceError>> {
         self.counters.batches.fetch_add(1, Ordering::Relaxed);
         self.counters
             .queries
@@ -952,19 +1084,18 @@ impl ViewService {
                 Err(ServiceError::GraphMismatch { expected, actual })
             }
         });
-        // Fingerprint → (canonical form, answer). The canonical form is
-        // compared on every hit so a colliding distinct query is computed
-        // on its own instead of inheriting the wrong answer.
-        let mut answered: HashMap<u64, (String, Result<ServedAnswer, ServiceError>)> =
+        let validated = graph_check.as_ref().and_then(|c| c.as_ref().ok().copied());
+        // Fingerprint → (query, answer). The query is compared on every hit
+        // so a colliding distinct query is computed on its own instead of
+        // inheriting the wrong answer.
+        let mut answered: HashMap<u64, (&Pattern, Result<ServedAnswer, ServiceError>)> =
             HashMap::with_capacity(queries.len());
         let mut out = Vec::with_capacity(queries.len());
-        for q in queries {
+        for (q, &qfp) in queries.iter().zip(fingerprints) {
             let t0 = Instant::now();
-            let qkey = query_key(q);
-            let qfp = crate::fnv::fnv1a(qkey.as_bytes());
             let dedup_hit = answered
                 .get(&qfp)
-                .filter(|(prev_key, _)| *prev_key == qkey)
+                .filter(|(prev_q, _)| *prev_q == q)
                 .map(|(_, prev)| prev.clone());
             let answer = match dedup_hit {
                 Some(prev) => {
@@ -982,7 +1113,7 @@ impl ViewService {
                 // Cross-batch result cache: an identical query whose
                 // epoch-set stamp is unchanged at this snapshot returns the
                 // shared answer without planning or executing anything.
-                None => match self.cached_result(&snap, qfp, &qkey, g.is_some()) {
+                None => match self.cached_result(&snap, qfp, q, g.is_some()) {
                     Some(hit) => {
                         // Mirror the uncached path's graph validation: a
                         // graph-reading plan supplied with the *wrong*
@@ -999,14 +1130,12 @@ impl ViewService {
                             a.latency_micros = micros;
                             a
                         });
-                        answered
-                            .entry(qfp)
-                            .or_insert_with(|| (qkey, answer.clone()));
+                        answered.entry(qfp).or_insert_with(|| (q, answer.clone()));
                         answer
                     }
                     None => {
                         let (plan, plan_cached) =
-                            self.plan_for(&snap.engine, snap.view_fingerprint, qfp, &qkey, q);
+                            self.plan_for(&snap.engine, snap.view_fingerprint, qfp, q);
                         // Views-only plans execute with no graph at all;
                         // plans that do read G first validate it belongs to
                         // this store (once per batch).
@@ -1041,7 +1170,7 @@ impl ViewService {
                         // plan-cache probe: whether strict mode can answer
                         // is a property of the cached plan.
                         if let Ok(a) = &executed {
-                            self.cache_result(&snap, qfp, &qkey, a);
+                            self.cache_result(&snap, qfp, q, a, validated);
                         }
                         let micros = t0.elapsed().as_micros() as u64;
                         self.record_latency(micros);
@@ -1051,9 +1180,7 @@ impl ViewService {
                         });
                         // First occurrence wins the dedup slot; a colliding
                         // later query simply never dedups.
-                        answered
-                            .entry(qfp)
-                            .or_insert_with(|| (qkey, executed.clone()));
+                        answered.entry(qfp).or_insert_with(|| (q, executed.clone()));
                         executed
                     }
                 },
@@ -1070,8 +1197,7 @@ impl ViewService {
     /// cross-batch result cache would serve this query right now.
     pub fn explain(&self, q: &Pattern) -> String {
         let snap = self.engine();
-        let qkey = query_key(q);
-        let qfp = crate::fnv::fnv1a(qkey.as_bytes());
+        let qfp = query_fingerprint(q);
         // Observability must not perturb what it observes: probe both
         // caches read-only (no hit/miss counters, no insertion, no LRU
         // touch) and plan fresh on a miss.
@@ -1081,7 +1207,7 @@ impl ViewService {
             .expect("plan cache lock poisoned")
             .map
             .get(&(qfp, snap.view_fingerprint))
-            .filter(|entry| *entry.qkey == *qkey)
+            .filter(|entry| *entry.query == *q)
             .map(|entry| entry.plan.clone());
         let plan_cached = cached_plan.is_some();
         let result_cached = self
@@ -1091,7 +1217,7 @@ impl ViewService {
             .map
             .get(&(qfp, snap.view_fingerprint))
             .is_some_and(|entry| {
-                *entry.qkey == *qkey && plan_epoch_key(&entry.plan, &snap.store) == entry.epoch_key
+                *entry.query == *q && plan_epoch_key(&entry.plan, &snap.store) == entry.epoch_key
             });
         let plan = cached_plan.unwrap_or_else(|| Arc::new(snap.engine.plan(q)));
         format!(
@@ -1344,7 +1470,7 @@ mod tests {
         let store = Arc::new(ViewStore::materialize(views, &g, 2));
         // A budget of ~2 small answers (frozen-column accounting).
         let small = CompactView::freeze(&match_pattern(&single("A", "B"), &g));
-        let budget = 2 * result_entry_bytes(&small, &query_key(&single("A", "B"))) + 32;
+        let budget = 2 * result_entry_bytes(&small, &single("A", "B")) + 32;
         let svc = ViewService::with_config(
             store,
             ServiceConfig {
@@ -1666,6 +1792,193 @@ mod tests {
         let now = svc.serve(&q, None).unwrap();
         assert!(!now.plan_cached);
         assert_eq!(*now.result, match_pattern(&q, &g));
+    }
+
+    /// Nodes a(A) b(B) c(C) d(D) e(E) c2(C); edges a→b, b→c, d→e. With
+    /// only `vab` registered, `chain3` plans hybrid (B→C scans `G`), and
+    /// D/E edges lie outside its footprint while b→c2 lies inside.
+    fn footprint_service() -> (ViewService, DataGraph) {
+        let mut b = GraphBuilder::new();
+        let a = b.add_node(["A"]);
+        let bb = b.add_node(["B"]);
+        let c = b.add_node(["C"]);
+        let d = b.add_node(["D"]);
+        let e = b.add_node(["E"]);
+        b.add_node(["C"]);
+        b.add_edge(a, bb);
+        b.add_edge(bb, c);
+        b.add_edge(d, e);
+        let g = b.build();
+        let views = ViewSet::new(vec![ViewDef::new("vab", single("A", "B"))]);
+        let store = Arc::new(ViewStore::materialize(views, &g, 2));
+        (ViewService::new(store), g)
+    }
+
+    /// E→D: misses chain3's footprint {A→B, B→C}.
+    fn miss() -> EdgeDelta {
+        EdgeDelta::new(vec![(gpv_graph::NodeId(4), gpv_graph::NodeId(3))], vec![])
+    }
+
+    /// b→c2: lands in chain3's B→C footprint and adds a match.
+    fn hit() -> EdgeDelta {
+        EdgeDelta::new(vec![(gpv_graph::NodeId(1), gpv_graph::NodeId(5))], vec![])
+    }
+
+    /// A delta that misses a graph-reading answer's footprint re-stamps
+    /// it: the next call hits and equals the oracle on the new graph. The
+    /// refresh changes latency only — strict mode and the pre-delta graph
+    /// are refused exactly as on the uncached path.
+    #[test]
+    fn delta_missing_the_footprint_keeps_a_graph_reading_answer() {
+        let (svc, g) = footprint_service();
+        let q = chain3();
+        let first = svc.serve(&q, Some(&g)).unwrap();
+        assert!(
+            matches!(&*first.plan, QueryPlan::Hybrid { .. }),
+            "{}",
+            first.plan
+        );
+        let g2 = svc.apply_delta(&miss(), &g).unwrap().graph;
+        let rebuilds = svc.stats().engine_rebuilds;
+        let kept = svc.serve(&q, Some(&g2)).unwrap();
+        assert!(
+            kept.result_cached,
+            "a delta outside the footprint keeps the answer"
+        );
+        assert!(
+            svc.stats().engine_rebuilds > rebuilds,
+            "the version did move"
+        );
+        assert_eq!(*kept.result, match_pattern(&q, &g2));
+        assert!(matches!(svc.serve(&q, None), Err(ServiceError::NeedsGraph)));
+        assert!(matches!(
+            svc.serve(&q, Some(&g)),
+            Err(ServiceError::GraphMismatch { .. })
+        ));
+    }
+
+    /// A delta inside the footprint leaves the stamp behind: the answer is
+    /// recomputed on the new graph.
+    #[test]
+    fn delta_hitting_the_footprint_recomputes_the_answer() {
+        let (svc, g) = footprint_service();
+        let q = chain3();
+        let old = svc.serve(&q, Some(&g)).unwrap();
+        let g2 = svc.apply_delta(&hit(), &g).unwrap().graph;
+        let fresh = svc.serve(&q, Some(&g2)).unwrap();
+        assert!(!fresh.result_cached);
+        assert_eq!(*fresh.result, match_pattern(&q, &g2));
+        assert_ne!(*fresh.result, *old.result, "the delta changed the answer");
+    }
+
+    /// Only `ViewService::apply_delta` refreshes: a delta sent straight to
+    /// the store leaves graph-reading answers behind, and so does a miss
+    /// that follows an unserved hit (the entry was no longer valid).
+    #[test]
+    fn refresh_needs_the_service_path_and_a_valid_entry() {
+        let q = chain3();
+        let (svc, g) = footprint_service();
+        svc.serve(&q, Some(&g)).unwrap();
+        let g2 = svc.store().apply_delta(&miss(), &g).unwrap().graph;
+        let a = svc.serve(&q, Some(&g2)).unwrap();
+        assert!(!a.result_cached, "the store path skips the refresh");
+        assert_eq!(*a.result, match_pattern(&q, &g2));
+
+        let (svc, g) = footprint_service();
+        svc.serve(&q, Some(&g)).unwrap();
+        let g2 = svc.apply_delta(&hit(), &g).unwrap().graph;
+        let g3 = svc.apply_delta(&miss(), &g2).unwrap().graph;
+        let a = svc.serve(&q, Some(&g3)).unwrap();
+        assert!(!a.result_cached, "a miss cannot revive a stale entry");
+        assert_eq!(*a.result, match_pattern(&q, &g3));
+    }
+
+    /// The stamp read from a plan's precomputed view positions equals the
+    /// stamp the positions computed on every call used to give, on
+    /// views-only, hybrid and direct plans, before and after a delta.
+    #[test]
+    fn epoch_stamp_matches_the_recomputed_view_positions() {
+        fn recomputed(plan: &QueryPlan, snap: &StoreSnapshot) -> u64 {
+            let view_sources = |sources: &[EdgeSource]| -> Vec<usize> {
+                sources
+                    .iter()
+                    .filter_map(|s| match s {
+                        EdgeSource::View(r) => Some(r.view),
+                        EdgeSource::Graph => None,
+                    })
+                    .collect()
+            };
+            let mut ids: Vec<usize> = match plan {
+                QueryPlan::ViewsOnly(vp) => {
+                    let mut ids = vp.views.clone();
+                    ids.extend(view_sources(&vp.sources));
+                    ids
+                }
+                QueryPlan::Hybrid { sources, .. } => view_sources(sources),
+                QueryPlan::Direct { .. } => Vec::new(),
+            };
+            ids.sort_unstable();
+            ids.dedup();
+            let mut key = ids
+                .iter()
+                .map(|&i| snap.epochs().get(i).copied().unwrap_or(u64::MAX))
+                .max()
+                .unwrap_or(0);
+            if plan.needs_graph() {
+                key = key.max(snap.graph_epoch);
+            }
+            key
+        }
+        use crate::plan::EdgeSource;
+        let (svc, g) = footprint_service();
+        let plans: Vec<Arc<QueryPlan>> = [single("A", "B"), chain3(), single("D", "E")]
+            .iter()
+            .map(|q| svc.serve(q, Some(&g)).unwrap().plan)
+            .collect();
+        assert!(matches!(&*plans[0], QueryPlan::ViewsOnly(_)));
+        assert!(matches!(&*plans[1], QueryPlan::Hybrid { .. }));
+        assert!(matches!(&*plans[2], QueryPlan::Direct { .. }));
+        let before = svc.store().snapshot();
+        let delta = EdgeDelta::new(vec![], vec![(gpv_graph::NodeId(0), gpv_graph::NodeId(1))]);
+        svc.apply_delta(&delta, &g).unwrap();
+        let after = svc.store().snapshot();
+        assert!(after.epochs()[0] > before.epochs()[0], "vab changed");
+        for snap in [&before, &after] {
+            for plan in &plans {
+                assert_eq!(plan_epoch_key(plan, snap), recomputed(plan, snap), "{plan}");
+            }
+        }
+    }
+
+    /// Forged fingerprint collisions in all three maps: a distinct query
+    /// served under another query's fingerprint finds that query's dedup
+    /// slot, plan-cache entry and result-cache entry under its key, and
+    /// must still be planned, executed and answered on its own.
+    #[test]
+    fn forged_fingerprint_collisions_never_share_answers() {
+        let (svc, g) = service();
+        let (q1, q2) = (single("A", "B"), chain3());
+        let forged = query_fingerprint(&q1);
+        let batch = [q1.clone(), q2.clone()];
+        let answers = svc.serve_fingerprinted(&batch, &[forged, forged], None);
+        for (q, a) in batch.iter().zip(&answers) {
+            assert_eq!(*a.as_ref().unwrap().result, match_pattern(q, &g));
+        }
+        let a2 = answers[1].as_ref().unwrap();
+        assert!(!a2.deduplicated && !a2.result_cached && !a2.plan_cached);
+        assert_eq!(svc.stats().dedup_saved, 0);
+
+        // Across batches, q1 still owns both cache slots and q2 is planned
+        // and executed again.
+        let again = svc
+            .serve_fingerprinted(std::slice::from_ref(&q2), &[forged], None)
+            .pop()
+            .unwrap()
+            .unwrap();
+        assert!(!again.result_cached && !again.plan_cached);
+        assert_eq!(*again.result, match_pattern(&q2, &g));
+        assert!(svc.serve(&q1, None).unwrap().result_cached);
+        assert_eq!(svc.stats().executed_queries, 3);
     }
 
     #[test]

@@ -339,16 +339,32 @@ impl ViewStore {
         (shard_hash(id) % self.shards.len() as u64) as usize
     }
 
+    /// `Err(GraphMismatch)` unless `actual` is the fingerprint of the
+    /// store's current graph.
+    fn check_graph(&self, actual: u64) -> Result<(), StoreError> {
+        let expected = self.graph_fingerprint();
+        if actual == expected {
+            Ok(())
+        } else {
+            Err(StoreError::GraphMismatch { expected, actual })
+        }
+    }
+
     /// Materializes `def` over `g` and registers it, returning its stable
-    /// id. The materialization work runs before any lock is taken.
+    /// id. The materialization work runs before any lock is taken; the
+    /// graph is checked again under the writer lock, so a delta that lands
+    /// meanwhile makes the insert fail with
+    /// [`StoreError::GraphMismatch`] instead of registering a view of the
+    /// old graph.
     pub fn insert(&self, def: ViewDef, g: &DataGraph) -> Result<u64, StoreError> {
         let actual = graph_fingerprint(g);
-        let expected = self.graph_fingerprint();
-        if actual != expected {
-            return Err(StoreError::GraphMismatch { expected, actual });
-        }
-        let ext = match_pattern(&def.pattern, g);
-        Ok(self.insert_materialized(def, ext))
+        self.check_graph(actual)?;
+        let ext = Arc::new(CompactView::freeze(&match_pattern(&def.pattern, g)));
+        let _writer = self.writer.lock().expect("writer lock poisoned");
+        self.check_graph(actual)?;
+        let id = self.insert_raw(def, ext);
+        self.publish(false);
+        Ok(id)
     }
 
     /// Registers an already-materialized extension (e.g. from a loaded
@@ -638,11 +654,7 @@ impl ViewStore {
         current: &DataGraph,
     ) -> Result<DeltaReport, StoreError> {
         let mut writer = self.writer.lock().expect("writer lock poisoned");
-        let actual = graph_fingerprint(current);
-        let expected = self.graph_fingerprint();
-        if actual != expected {
-            return Err(StoreError::GraphMismatch { expected, actual });
-        }
+        self.check_graph(graph_fingerprint(current))?;
         delta.validate(current)?;
         let next = delta.apply_to(current);
 
@@ -1233,6 +1245,51 @@ mod tests {
             );
             assert_eq!(store.version(), winners[0].version);
         }
+    }
+
+    #[test]
+    fn insert_racing_a_delta_never_registers_a_stale_view() {
+        // One thread registers an A→B view over `g` while another deletes
+        // an A→B edge from it. Materializing 20k nodes leaves the delta
+        // time to land between the insert's first graph check and its
+        // registration; the check repeated under the writer lock refuses
+        // the stale extension. So the insert either fails with
+        // GraphMismatch or its extension is the final graph's answer.
+        let mut b = GraphBuilder::new();
+        for _ in 0..10_000 {
+            let a = b.add_node(["A"]);
+            let x = b.add_node(["B"]);
+            b.add_edge(a, x);
+        }
+        let g = b.build();
+        let delta = EdgeDelta::new(vec![], vec![(NodeId(0), NodeId(1))]);
+        let (mut refused, mut admitted) = (0, 0);
+        for _ in 0..10 {
+            let store = ViewStore::materialize(ViewSet::new(Vec::new()), &g, 2);
+            let barrier = std::sync::Barrier::new(2);
+            let (inserted, report) = std::thread::scope(|s| {
+                let insert = s.spawn(|| {
+                    barrier.wait();
+                    store.insert(ViewDef::new("vab", single("A", "B")), &g)
+                });
+                let apply = s.spawn(|| {
+                    barrier.wait();
+                    store.apply_delta(&delta, &g)
+                });
+                (insert.join().unwrap(), apply.join().unwrap())
+            });
+            let last = report.expect("the only delta applies").graph;
+            match inserted {
+                Err(StoreError::GraphMismatch { .. }) => refused += 1,
+                Err(e) => panic!("unexpected insert error: {e:?}"),
+                Ok(id) => {
+                    admitted += 1;
+                    let ext = store.get(id).expect("registered view").ext.thaw();
+                    assert_eq!(ext, match_pattern(&single("A", "B"), &last));
+                }
+            }
+        }
+        assert_eq!(refused + admitted, 10);
     }
 
     #[test]

@@ -619,7 +619,7 @@ pub fn verify_bounded_plan(
 pub fn verify_plan_epochs(plan: &QueryPlan, snap: &StoreSnapshot) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let epochs = snap.epochs();
-    for idx in plan.view_indices() {
+    for &idx in plan.view_indices() {
         match epochs.get(idx) {
             None => out.push(Diagnostic::new(
                 DiagCode::PlanEpochMisaligned,

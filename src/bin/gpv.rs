@@ -938,7 +938,7 @@ fn fuzz(a: &Args) -> Result<(), String> {
         caches.iter().collect::<Vec<_>>()
     );
     println!(
-        "checked: {} distinct queries, {} served answers, {} rounds, {} store mutations, {} bounded queries; plans views-only/hybrid/direct = {}/{}/{}; cache hits plan/result = {}/{}; {} edge deltas maintained {} views",
+        "checked: {} distinct queries, {} served answers, {} rounds, {} store mutations, {} bounded queries; plans views-only/hybrid/direct = {}/{}/{}; cache hits plan/result = {}/{}; {} edge deltas maintained {} views; {} graph-plan cache hits after a delta",
         totals.queries,
         totals.served,
         totals.rounds,
@@ -950,7 +950,8 @@ fn fuzz(a: &Args) -> Result<(), String> {
         totals.plan_cache_hits,
         totals.result_cache_hits,
         totals.edge_deltas,
-        totals.views_maintained
+        totals.views_maintained,
+        totals.graph_hits_after_delta
     );
     Ok(())
 }

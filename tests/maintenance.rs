@@ -5,11 +5,13 @@
 //! for the graph side of a delta: `EdgeDelta::apply_to` splices the CSRs
 //! and carries the edge-set hash, and must agree with the from-scratch
 //! `DataGraph::with_edges` oracle on both adjacencies and the fingerprint.
+//! And for cached answers: a delta that misses a query's edge footprint
+//! (`QueryFootprint::touched_by`) leaves `match_pattern` unchanged.
 
 use gpv_generator::{random_graph, random_pattern, PatternShape, Scenario};
 use graph_views::prelude::*;
 use graph_views::views::storage::graph_fingerprint;
-use graph_views::views::{EdgeDelta, IncrementalView};
+use graph_views::views::{EdgeDelta, IncrementalView, QueryFootprint};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -63,6 +65,68 @@ fn oracle_apply(g: &DataGraph, d: &EdgeDelta) -> DataGraph {
 
 fn pairs(raw: &[(u32, u32)]) -> Vec<(NodeId, NodeId)> {
     raw.iter().map(|&(u, v)| (NodeId(u), NodeId(v))).collect()
+}
+
+/// Four labels, so a 3-node pattern's footprint leaves many edges out.
+const FOOTPRINT_LABELS: [&str; 4] = ["A", "B", "C", "D"];
+
+/// One footprint case: a 20-node graph, a 3-node pattern and a delta built
+/// from `script` — `(true, a, b)` inserts `a → b`, `(false, a, b)` deletes
+/// the present edge that `a * 20 + b` picks. Checks that a delta missing
+/// the footprint leaves `match_pattern` unchanged and returns whether the
+/// delta touched the footprint.
+fn footprint_case(
+    gseed: u64,
+    qseed: u64,
+    script: &[(bool, u32, u32)],
+) -> Result<bool, TestCaseError> {
+    let g = random_graph(20, 40, &FOOTPRINT_LABELS, gseed);
+    let q = random_pattern(3, 3, &FOOTPRINT_LABELS, PatternShape::Any, qseed);
+    let present: Vec<(NodeId, NodeId)> = g.edges().collect();
+    let (mut inserts, mut deletes) = (Vec::new(), Vec::new());
+    for &(insert, a, b) in script {
+        if insert {
+            inserts.push((NodeId(a), NodeId(b)));
+        } else {
+            deletes.push(present[(a * 20 + b) as usize % present.len()]);
+        }
+    }
+    let delta = EdgeDelta::new(inserts, deletes);
+    let touched = QueryFootprint::of(&q, &g).touched_by(&delta, &g);
+    if !touched {
+        prop_assert_eq!(
+            match_pattern(&q, &g),
+            match_pattern(&q, &delta.apply_to(&g)),
+            "a delta missing the footprint changed the answer: {:?}",
+            delta
+        );
+    }
+    Ok(touched)
+}
+
+/// The footprint property over a fixed sweep, asserting that both outcomes
+/// occur: the proptest below is not vacuous on this generator.
+#[test]
+fn footprint_sweep_sees_deltas_that_touch_and_miss() {
+    let (mut touched, mut missed) = (0, 0);
+    for seed in 0u64..64 {
+        let len = 1 + (seed % 3) as u32;
+        let script: Vec<(bool, u32, u32)> = (0..len)
+            .map(|i| {
+                let x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (8 * i);
+                (x & 1 == 0, (x >> 1) as u32 % 20, (x >> 9) as u32 % 20)
+            })
+            .collect();
+        if footprint_case(seed, seed ^ 0x5eed, &script).unwrap() {
+            touched += 1;
+        } else {
+            missed += 1;
+        }
+    }
+    assert!(
+        touched > 0 && missed > 0,
+        "touched {touched}, missed {missed}"
+    );
 }
 
 #[test]
@@ -156,6 +220,18 @@ proptest! {
             assert_same_graph(&next, &oracle_apply(&g, &d))?;
             g = next;
         }
+    }
+
+    /// A 1–3-edge delta that misses the query's edge footprint leaves
+    /// `match_pattern(Q, G)` unchanged — the claim the service's result
+    /// cache relies on to keep a graph-reading answer across a delta.
+    #[test]
+    fn deltas_missing_the_footprint_keep_the_answer(
+        gseed in any::<u64>(),
+        qseed in any::<u64>(),
+        script in proptest::collection::vec((any::<bool>(), 0u32..20, 0u32..20), 1..4),
+    ) {
+        footprint_case(gseed, qseed, &script)?;
     }
 
     #[test]

@@ -7,7 +7,7 @@ use gpv_generator::{covering_views, random_graph, random_pattern, PatternShape};
 use graph_views::prelude::*;
 use graph_views::views::service::query_fingerprint;
 use graph_views::views::store::ViewStore;
-use graph_views::views::{ServiceError, ViewService};
+use graph_views::views::{EdgeDelta, ServiceError, ViewService};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -295,6 +295,83 @@ proptest! {
                 "no reuse at cache budget {}", rcb
             );
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Delta chains served twice, with the result cache on and off: every
+    /// answer is identical (and equals `match_pattern` on the current
+    /// graph), and the cached service does hit. The first delta joins two
+    /// `Z` nodes, which no query or view mentions, so it misses every
+    /// footprint and the next round must be answered from the cache — the
+    /// graph-reading answers through `ViewService::apply_delta`'s refresh.
+    #[test]
+    fn delta_chains_answer_the_same_with_the_result_cache_on_and_off(
+        edges in proptest::collection::vec((0u32..30, 0u32..30), 20..90),
+        qseeds in proptest::collection::vec(any::<u64>(), 1..4),
+        vseed in any::<u64>(),
+        keep_probe in any::<u64>(),
+        chain in proptest::collection::vec((any::<bool>(), 0u32..30, 0u32..30), 1..5),
+    ) {
+        // Node i is labeled A, B, C, D or Z by i mod 5; nodes 4 and 9 are Z.
+        let mut b = GraphBuilder::new();
+        for i in 0..30 {
+            b.add_node([["A", "B", "C", "D", "Z"][i % 5]]);
+        }
+        for &(u, v) in &edges {
+            b.add_edge(NodeId(u), NodeId(v));
+        }
+        let g = b.build();
+        // Two- and three-node queries, so answers are often nonempty and
+        // a delta inside a footprint often changes one.
+        let queries: Vec<Pattern> = qseeds
+            .iter()
+            .map(|&s| random_pattern(2 + (s % 2) as usize, 3, &LABELS, PatternShape::Any, s))
+            .collect();
+        // A random subset of covering views, so graph-reading plans occur.
+        let full = covering_views(&queries, 2, vseed);
+        let keep: Vec<usize> = (0..full.card())
+            .filter(|i| (keep_probe >> (i % 64)) & 1 == 1)
+            .collect();
+        let views = full.subset(&keep);
+        let services = [64usize << 20, 0].map(|bytes| {
+            ViewService::with_config(
+                Arc::new(ViewStore::materialize(views.clone(), &g, 2)),
+                graph_views::views::ServiceConfig {
+                    result_cache_bytes: bytes,
+                    ..Default::default()
+                },
+            )
+        });
+        let mut current = g;
+        let first = EdgeDelta::new(vec![(NodeId(4), NodeId(9))], vec![]);
+        for round in 0..=chain.len() {
+            // `(true, u, v)` inserts u→v; `(false, u, v)` deletes the
+            // present edge that `u * 30 + v` picks.
+            let delta = match round.checked_sub(1).map(|i| chain[i]) {
+                None => first.clone(),
+                Some((true, u, v)) => EdgeDelta::new(vec![(NodeId(u), NodeId(v))], vec![]),
+                Some((false, u, v)) => {
+                    let present: Vec<(NodeId, NodeId)> = current.edges().collect();
+                    let e = present[(u * 30 + v) as usize % present.len()];
+                    EdgeDelta::new(vec![], vec![e])
+                }
+            };
+            let [cached, uncached] = services.each_ref().map(|s| s.serve_batch(&queries, Some(&current)));
+            for (slot, q) in queries.iter().enumerate() {
+                let (a, b) = (cached[slot].as_ref().unwrap(), uncached[slot].as_ref().unwrap());
+                prop_assert_eq!(&*a.result, &*b.result, "round {} slot {}", round, slot);
+                prop_assert_eq!(&*a.result, &match_pattern(q, &current));
+            }
+            let next = services[0].apply_delta(&delta, &current).unwrap().graph;
+            services[1].apply_delta(&delta, &current).unwrap();
+            current = next;
+        }
+        let [on, off] = services.each_ref().map(|s| s.stats().result_cache_hits);
+        prop_assert!(on > 0, "the cached service never hit");
+        prop_assert_eq!(off, 0);
     }
 }
 
