@@ -20,25 +20,53 @@
 //!   extension is currently empty has no warm state to extend and falls
 //!   back to one refinement from the cached predicate-candidate sets.
 //!
+//! # Memory: the view's edge footprint, not the graph
+//!
+//! A maintainer holds only the subgraph its view can ever read. Simulation
+//! of a pattern consults only the edges in `⋃ base(x) × base(y)` over
+//! pattern edges `(x, y)`, and deltas never change the base sets — the
+//! argument is in [`crate::delta`]'s soundness section. So an
+//! [`IncrementalView`] keeps a dense local id space (the sorted union of
+//! its base sets, its *universe*), the footprint edges over those ids, and
+//! candidate bitsets, support counters and per-mutation scratch sized by
+//! the universe. Memory is `O(|universe| + |footprint edges|)`, independent
+//! of `|V|` and `|E|`; a pattern node with no label atom has base ≈ V and
+//! costs what a full mirror would. Every mutation first drops the edges
+//! outside the footprint: they are no-ops.
+//!
 //! The invariant `self.result() == match_pattern(pattern, current_graph)`
 //! is enforced by the tests below and by property tests in `tests/`.
 
 use gpv_graph::{BitSet, DataGraph, NodeId};
 use gpv_matching::result::MatchResult;
 use gpv_pattern::{Pattern, PatternNodeId};
+use std::mem::size_of;
 
-/// A materialized simulation view that tracks a mutating edge set.
+/// A materialized simulation view that tracks a mutating edge set, holding
+/// only its footprint subgraph (see the module docs).
+///
+/// Internally every node is a *local id*: an index into `universe`, the
+/// sorted union of the base sets. Local order equals global order, so
+/// extracted node sets come out sorted.
 #[derive(Clone, Debug)]
 pub struct IncrementalView {
     pattern: Pattern,
-    /// Mutable adjacency (the maintained copy of the graph's edges).
-    out_adj: Vec<Vec<NodeId>>,
-    in_adj: Vec<Vec<NodeId>>,
-    /// Predicate-satisfying candidates (static: node labels/attrs are fixed).
+    /// `|V|` of the maintained graph.
+    node_count: usize,
+    /// Local id → graph node: the sorted union of the base sets (empty when
+    /// some base set is empty, since the view is then empty forever).
+    universe: Vec<NodeId>,
+    /// Footprint adjacency over local ids: `(a, b)` is stored iff the graph
+    /// has the edge and some pattern edge `(u, t)` has `a ∈ base(u)` and
+    /// `b ∈ base(t)`.
+    out_adj: Vec<Vec<u32>>,
+    in_adj: Vec<Vec<u32>>,
+    /// Predicate-satisfying candidates over local ids (static: node
+    /// labels/attrs are fixed).
     base: Vec<BitSet>,
     /// Current maximum simulation relation (empty vec when no match).
     cand: Vec<BitSet>,
-    /// support[e][v] for v ∈ cand(src(e)).
+    /// support[e][v] for local v ∈ cand(src(e)).
     support: Vec<Vec<u32>>,
     /// Whether the view extension is currently empty.
     empty: bool,
@@ -51,26 +79,67 @@ pub struct IncrementalView {
 }
 
 impl IncrementalView {
-    /// Adjacency mirror + predicate base sets, with no relation yet.
+    /// Base sets, universe and footprint adjacency, with no relation yet.
+    /// Reads `g.out_neighbors` of base nodes only — never all of `E`.
     fn cold(pattern: Pattern, g: &DataGraph) -> Self {
-        let n = g.node_count();
-        let out_adj: Vec<Vec<NodeId>> = g.nodes().map(|v| g.out_neighbors(v).to_vec()).collect();
-        let in_adj: Vec<Vec<NodeId>> = g.nodes().map(|v| g.in_neighbors(v).to_vec()).collect();
+        let global: Vec<Vec<NodeId>> = pattern
+            .preds()
+            .iter()
+            .map(|p| {
+                let resolved = p.resolve(g);
+                g.nodes().filter(|&v| resolved.satisfied_by(g, v)).collect()
+            })
+            .collect();
+        let mut universe: Vec<NodeId> = if global.iter().any(Vec::is_empty) {
+            Vec::new() // some base is empty forever: so is the view
+        } else {
+            global.iter().flatten().copied().collect()
+        };
+        universe.sort_unstable();
+        universe.dedup();
+        universe.shrink_to_fit();
+        let n = universe.len();
+        let local = |v: &NodeId| universe.binary_search(v).ok();
 
-        let mut base = Vec::with_capacity(pattern.node_count());
-        for u in pattern.nodes() {
-            let resolved = pattern.pred(u).resolve(g);
-            let mut set = BitSet::new(n);
-            for v in g.nodes() {
-                if resolved.satisfied_by(g, v) {
-                    set.insert(v.index());
+        let base: Vec<BitSet> = global
+            .iter()
+            .map(|nodes| {
+                let mut set = BitSet::new(n);
+                for i in nodes.iter().filter_map(local) {
+                    set.insert(i);
+                }
+                set
+            })
+            .collect();
+
+        let mut out_adj: Vec<Vec<u32>> = vec![Vec::new(); n];
+        for &(u, t) in pattern.edges() {
+            let bt = &base[t.index()];
+            for a in base[u.index()].iter() {
+                for b in g.out_neighbors(universe[a]).iter().filter_map(local) {
+                    if bt.contains(b) {
+                        out_adj[a].push(b as u32);
+                    }
                 }
             }
-            base.push(set);
+        }
+        let mut in_adj: Vec<Vec<u32>> = vec![Vec::new(); n];
+        for (a, targets) in out_adj.iter_mut().enumerate() {
+            targets.sort_unstable();
+            targets.dedup();
+            targets.shrink_to_fit();
+            for &b in targets.iter() {
+                in_adj[b as usize].push(a as u32);
+            }
+        }
+        for sources in &mut in_adj {
+            sources.shrink_to_fit();
         }
 
         IncrementalView {
             pattern,
+            node_count: g.node_count(),
+            universe,
             out_adj,
             in_adj,
             base,
@@ -101,13 +170,17 @@ impl IncrementalView {
         if result.is_empty() {
             return view;
         }
-        let n = view.node_count();
+        let n = view.universe.len();
         let ne = view.pattern.edge_count();
         let mut cand = Vec::with_capacity(view.pattern.node_count());
         for u in view.pattern.nodes() {
             let mut set = BitSet::new(n);
-            for &v in result.node_set(u) {
-                set.insert(v.index());
+            for v in result.node_set(u) {
+                let i = view.local(*v);
+                debug_assert!(i.is_some(), "matched node {v} outside every base set");
+                if let Some(i) = i {
+                    set.insert(i);
+                }
             }
             cand.push(set);
         }
@@ -115,10 +188,7 @@ impl IncrementalView {
         for (ei, &(u, t)) in view.pattern.edges().iter().enumerate() {
             let ct = &cand[t.index()];
             for v in cand[u.index()].iter() {
-                support[ei][v] = view.out_adj[v]
-                    .iter()
-                    .filter(|w| ct.contains(w.index()))
-                    .count() as u32;
+                support[ei][v] = count_in(&view.out_adj[v], ct);
             }
         }
         view.cand = cand;
@@ -135,14 +205,86 @@ impl IncrementalView {
         std::mem::take(&mut self.dirty)
     }
 
-    /// Number of nodes of the maintained graph.
+    /// Number of nodes of the maintained graph (`|V|`, not the size of the
+    /// footprint this view holds).
     pub fn node_count(&self) -> usize {
-        self.out_adj.len()
+        self.node_count
+    }
+
+    /// Estimated heap and inline bytes this maintainer holds: the universe,
+    /// the footprint adjacency, the base and candidate bitsets and the
+    /// support counters. Independent of `|V|` and `|E|` outside the
+    /// view's footprint.
+    pub fn resident_bytes(&self) -> usize {
+        fn adj(lists: &Vec<Vec<u32>>) -> usize {
+            lists.capacity() * size_of::<Vec<u32>>()
+                + lists
+                    .iter()
+                    .map(|l| l.capacity() * size_of::<u32>())
+                    .sum::<usize>()
+        }
+        fn bits(sets: &Vec<BitSet>) -> usize {
+            sets.capacity() * size_of::<BitSet>()
+                + sets
+                    .iter()
+                    .map(|s| s.capacity().div_ceil(64) * size_of::<u64>())
+                    .sum::<usize>()
+        }
+        size_of::<Self>()
+            + self.universe.capacity() * size_of::<NodeId>()
+            + adj(&self.out_adj)
+            + adj(&self.in_adj)
+            + bits(&self.base)
+            + bits(&self.cand)
+            + adj(&self.support)
+    }
+
+    /// The local id of graph node `v`, or `None` when `v` lies in no base
+    /// set (including ids `>= node_count()`).
+    fn local(&self, v: NodeId) -> Option<usize> {
+        self.universe.binary_search(&v).ok()
+    }
+
+    /// The local ids of `(a, b)` when the edge lies in the view's footprint:
+    /// some pattern edge `(u, t)` has `a ∈ base(u)` and `b ∈ base(t)`.
+    fn footprint_edge(&self, a: NodeId, b: NodeId) -> Option<(usize, usize)> {
+        let (la, lb) = (self.local(a)?, self.local(b)?);
+        self.pattern
+            .edges()
+            .iter()
+            .any(|&(u, t)| self.base[u.index()].contains(la) && self.base[t.index()].contains(lb))
+            .then_some((la, lb))
+    }
+
+    /// Removes footprint edge `(la, lb)` from the adjacency; returns whether
+    /// it was present.
+    fn unlink(&mut self, la: usize, lb: usize) -> bool {
+        let Some(pos) = self.out_adj[la].iter().position(|&x| x as usize == lb) else {
+            return false;
+        };
+        self.out_adj[la].swap_remove(pos);
+        let pos = self.in_adj[lb]
+            .iter()
+            .position(|&x| x as usize == la)
+            .expect("in/out adjacency consistent");
+        self.in_adj[lb].swap_remove(pos);
+        true
+    }
+
+    /// Adds footprint edge `(la, lb)` to the adjacency; returns whether it
+    /// was new.
+    fn link(&mut self, la: usize, lb: usize) -> bool {
+        if self.out_adj[la].contains(&(lb as u32)) {
+            return false;
+        }
+        self.out_adj[la].push(lb as u32);
+        self.in_adj[lb].push(la as u32);
+        true
     }
 
     /// Full refinement from the cached base candidate sets.
     fn recompute(&mut self) {
-        let n = self.node_count();
+        let n = self.universe.len();
         let np = self.pattern.node_count();
         let ne = self.pattern.edge_count();
         let mut cand = self.base.clone();
@@ -153,18 +295,15 @@ impl IncrementalView {
             return;
         }
         let mut support = vec![vec![0u32; n]; ne];
-        let mut worklist: Vec<(PatternNodeId, NodeId)> = Vec::new();
+        let mut worklist: Vec<(PatternNodeId, usize)> = Vec::new();
         let mut scheduled = vec![BitSet::new(n); np];
         for (ei, &(u, t)) in self.pattern.edges().iter().enumerate() {
-            let ct = cand[t.index()].clone();
+            let ct = &cand[t.index()];
             for v in cand[u.index()].iter() {
-                let cnt = self.out_adj[v]
-                    .iter()
-                    .filter(|w| ct.contains(w.index()))
-                    .count() as u32;
+                let cnt = count_in(&self.out_adj[v], ct);
                 support[ei][v] = cnt;
                 if cnt == 0 && scheduled[u.index()].insert(v) {
-                    worklist.push((u, NodeId(v as u32)));
+                    worklist.push((u, v));
                 }
             }
         }
@@ -187,35 +326,34 @@ impl IncrementalView {
         }
     }
 
-    /// Shared removal-propagation loop; returns false if a candidate set
-    /// empties (view extension becomes ∅).
+    /// Shared removal-propagation loop over local ids; returns false if a
+    /// candidate set empties (view extension becomes ∅).
     fn propagate_removals(
         pattern: &Pattern,
-        in_adj: &[Vec<NodeId>],
+        in_adj: &[Vec<u32>],
         cand: &mut [BitSet],
         support: &mut [Vec<u32>],
         scheduled: &mut [BitSet],
-        mut worklist: Vec<(PatternNodeId, NodeId)>,
+        mut worklist: Vec<(PatternNodeId, usize)>,
     ) -> bool {
         let mut head = 0;
         while head < worklist.len() {
             let (u, v) = worklist[head];
             head += 1;
-            if !cand[u.index()].remove(v.index()) {
+            if !cand[u.index()].remove(v) {
                 continue;
             }
             if cand[u.index()].is_empty() {
                 return false;
             }
             for &(u0, e0) in pattern.in_edges(u) {
-                for &w in &in_adj[v.index()] {
-                    if cand[u0.index()].contains(w.index())
-                        && !scheduled[u0.index()].contains(w.index())
-                    {
-                        let s = &mut support[e0.index()][w.index()];
+                for &w in &in_adj[v] {
+                    let w = w as usize;
+                    if cand[u0.index()].contains(w) && !scheduled[u0.index()].contains(w) {
+                        let s = &mut support[e0.index()][w];
                         *s = s.saturating_sub(1);
                         if *s == 0 {
-                            scheduled[u0.index()].insert(w.index());
+                            scheduled[u0.index()].insert(w);
                             worklist.push((u0, w));
                         }
                     }
@@ -226,39 +364,42 @@ impl IncrementalView {
     }
 
     /// Deletes edge `(a, b)` and incrementally repairs the view.
-    /// Returns `true` if the edge existed.
+    ///
+    /// Returns `true` if the edge existed *within the view's footprint*.
+    /// Edges outside it — including endpoints `>= node_count()` — cannot
+    /// change the view and are no-ops that return `false`.
     pub fn delete_edge(&mut self, a: NodeId, b: NodeId) -> bool {
-        let Some(pos) = self.out_adj[a.index()].iter().position(|&x| x == b) else {
+        let (Some(la), Some(lb)) = (self.local(a), self.local(b)) else {
             return false;
         };
-        self.out_adj[a.index()].remove(pos);
-        let pos = self.in_adj[b.index()]
-            .iter()
-            .position(|&x| x == a)
-            .expect("in/out adjacency consistent");
-        self.in_adj[b.index()].remove(pos);
-
+        if !self.unlink(la, lb) {
+            return false;
+        }
         if self.empty {
             return true; // Deletions cannot revive matches.
         }
 
         // Decrement supports for pattern edges whose endpoints currently
         // admit (a, b); propagate zero-support removals.
-        let np = self.pattern.node_count();
-        let n = self.node_count();
-        let mut scheduled = vec![BitSet::new(n); np];
-        let mut worklist: Vec<(PatternNodeId, NodeId)> = Vec::new();
+        let mut worklist: Vec<(PatternNodeId, usize)> = Vec::new();
         for (ei, &(u, t)) in self.pattern.edges().iter().enumerate() {
-            if self.cand[u.index()].contains(a.index()) && self.cand[t.index()].contains(b.index())
-            {
+            if self.cand[u.index()].contains(la) && self.cand[t.index()].contains(lb) {
                 // Pair (a, b) leaves edge ei's match set: the result changed.
                 self.dirty = true;
-                let s = &mut self.support[ei][a.index()];
+                let s = &mut self.support[ei][la];
                 *s = s.saturating_sub(1);
-                if *s == 0 && scheduled[u.index()].insert(a.index()) {
-                    worklist.push((u, a));
+                if *s == 0 && !worklist.contains(&(u, la)) {
+                    worklist.push((u, la));
                 }
             }
+        }
+        if worklist.is_empty() {
+            return true;
+        }
+        let n = self.universe.len();
+        let mut scheduled = vec![BitSet::new(n); self.pattern.node_count()];
+        for &(u, v) in &worklist {
+            scheduled[u.index()].insert(v);
         }
         let ok = Self::propagate_removals(
             &self.pattern,
@@ -277,18 +418,24 @@ impl IncrementalView {
     }
 
     /// Inserts edge `(a, b)` and incrementally repairs the view (see
-    /// [`insert_batch`](Self::insert_batch)). Returns `true` if the edge
-    /// was new.
+    /// [`insert_batch`](Self::insert_batch)).
+    ///
+    /// Returns `true` if the edge was new *within the view's footprint*.
+    /// Edges outside it — including endpoints `>= node_count()` — cannot
+    /// change the view and are no-ops that return `false`.
     pub fn insert_edge(&mut self, a: NodeId, b: NodeId) -> bool {
-        if self.out_adj[a.index()].contains(&b) {
-            return false;
+        match self.footprint_edge(a, b) {
+            Some((la, lb)) if !self.out_adj[la].contains(&(lb as u32)) => {
+                self.insert_batch(&[(a, b)]);
+                true
+            }
+            _ => false,
         }
-        self.insert_batch(&[(a, b)]);
-        true
     }
 
     /// Inserts a batch of edges and incrementally revives exactly the
-    /// affected region.
+    /// affected region. Edges outside the view's footprint are dropped
+    /// first.
     ///
     /// Insertion is upward-monotone: the new maximum simulation relation is
     /// a superset of the current one, and every *newly* admitted node must
@@ -308,12 +455,12 @@ impl IncrementalView {
     ///    supports only ever grow, so the drain can only remove revival
     ///    candidates — the relation never shrinks below its old value.
     pub fn insert_batch(&mut self, inserts: &[(NodeId, NodeId)]) {
-        let mut added: Vec<(NodeId, NodeId)> = Vec::with_capacity(inserts.len());
+        let mut added: Vec<(usize, usize)> = Vec::with_capacity(inserts.len());
         for &(a, b) in inserts {
-            if !self.out_adj[a.index()].contains(&b) {
-                self.out_adj[a.index()].push(b);
-                self.in_adj[b.index()].push(a);
-                added.push((a, b));
+            if let Some((la, lb)) = self.footprint_edge(a, b) {
+                if self.link(la, lb) {
+                    added.push((la, lb));
+                }
             }
         }
         if added.is_empty() {
@@ -327,27 +474,25 @@ impl IncrementalView {
             }
             return;
         }
-        let n = self.node_count();
+        let n = self.universe.len();
         let np = self.pattern.node_count();
 
         // Seeds + direct support bumps.
         let mut revive = vec![BitSet::new(n); np];
-        let mut queue: Vec<(PatternNodeId, NodeId)> = Vec::new();
+        let mut queue: Vec<(PatternNodeId, usize)> = Vec::new();
         for &(a, b) in &added {
             for (ei, &(u, t)) in self.pattern.edges().iter().enumerate() {
-                if !self.base[u.index()].contains(a.index())
-                    || !self.base[t.index()].contains(b.index())
-                {
+                if !self.base[u.index()].contains(a) || !self.base[t.index()].contains(b) {
                     continue;
                 }
-                let a_in = self.cand[u.index()].contains(a.index());
-                let b_in = self.cand[t.index()].contains(b.index());
+                let a_in = self.cand[u.index()].contains(a);
+                let b_in = self.cand[t.index()].contains(b);
                 if a_in && b_in {
                     // Pair (a, b) joins edge ei's match set immediately.
                     self.dirty = true;
-                    self.support[ei][a.index()] += 1;
+                    self.support[ei][a] += 1;
                 }
-                if !a_in && revive[u.index()].insert(a.index()) {
+                if !a_in && revive[u.index()].insert(a) {
                     queue.push((u, a));
                 }
             }
@@ -359,10 +504,11 @@ impl IncrementalView {
             let (t, x) = queue[head];
             head += 1;
             for &(u0, _) in self.pattern.in_edges(t) {
-                for &w in &self.in_adj[x.index()] {
-                    if self.base[u0.index()].contains(w.index())
-                        && !self.cand[u0.index()].contains(w.index())
-                        && revive[u0.index()].insert(w.index())
+                for &w in &self.in_adj[x] {
+                    let w = w as usize;
+                    if self.base[u0.index()].contains(w)
+                        && !self.cand[u0.index()].contains(w)
+                        && revive[u0.index()].insert(w)
                     {
                         queue.push((u0, w));
                     }
@@ -376,29 +522,23 @@ impl IncrementalView {
         // Admit revivals, recompute their supports locally, credit
         // pre-existing members for edges into revived targets, then drain.
         for &(u, v) in &queue {
-            self.cand[u.index()].insert(v.index());
+            self.cand[u.index()].insert(v);
         }
         let mut scheduled = vec![BitSet::new(n); np];
-        let mut worklist: Vec<(PatternNodeId, NodeId)> = Vec::new();
+        let mut worklist: Vec<(PatternNodeId, usize)> = Vec::new();
         for (ei, &(u, t)) in self.pattern.edges().iter().enumerate() {
             for v in revive[u.index()].iter() {
-                let ct = &self.cand[t.index()];
-                let cnt = self.out_adj[v]
-                    .iter()
-                    .filter(|w| ct.contains(w.index()))
-                    .count() as u32;
+                let cnt = count_in(&self.out_adj[v], &self.cand[t.index()]);
                 self.support[ei][v] = cnt;
                 if cnt == 0 && scheduled[u.index()].insert(v) {
-                    worklist.push((u, NodeId(v as u32)));
+                    worklist.push((u, v));
                 }
             }
             for x in revive[t.index()].iter() {
-                for w_idx in 0..self.in_adj[x].len() {
-                    let w = self.in_adj[x][w_idx];
-                    if self.cand[u.index()].contains(w.index())
-                        && !revive[u.index()].contains(w.index())
-                    {
-                        self.support[ei][w.index()] += 1;
+                for &w in &self.in_adj[x] {
+                    let w = w as usize;
+                    if self.cand[u.index()].contains(w) && !revive[u.index()].contains(w) {
+                        self.support[ei][w] += 1;
                     }
                 }
             }
@@ -419,10 +559,7 @@ impl IncrementalView {
             return;
         }
         // Any revival that survived the drain grew the relation.
-        if queue
-            .iter()
-            .any(|&(u, v)| self.cand[u.index()].contains(v.index()))
-        {
+        if queue.iter().any(|&(u, v)| self.cand[u.index()].contains(v)) {
             self.dirty = true;
         }
     }
@@ -439,8 +576,10 @@ impl IncrementalView {
     /// pass. Neither side ever recomputes from scratch while the view has a
     /// live relation to extend.
     ///
-    /// Endpoints must be `< node_count()`; the store boundary validates
-    /// untrusted deltas before calling this.
+    /// Edges outside the view's footprint are skipped, so any endpoint is
+    /// accepted: an id `>= node_count()` lies in no base set and never
+    /// panics. The store boundary still validates untrusted deltas, since
+    /// the graph itself would reject them.
     pub fn apply_batch(&mut self, deletes: &[(NodeId, NodeId)], inserts: &[(NodeId, NodeId)]) {
         for &(a, b) in deletes {
             self.delete_edge(a, b);
@@ -448,31 +587,24 @@ impl IncrementalView {
         self.insert_batch(inserts);
     }
 
-    /// Updates only the maintained adjacency mirror, leaving candidate and
-    /// support state untouched.
+    /// Updates only the footprint adjacency, leaving candidate and support
+    /// state untouched; edges outside the footprint are skipped.
     ///
-    /// This is the cheap path for views the affected-view detector proves
-    /// *unaffected* by a delta: no mutated endpoint can appear in any
-    /// candidate set, so supports and results are provably unchanged — but
-    /// the adjacency must keep mirroring the evolving graph for later
-    /// mutations to apply cleanly. Calling this with edges that *do* touch
-    /// candidates desynchronizes the view; use
-    /// [`apply_batch`](Self::apply_batch) for those.
+    /// Calling this with edges that *do* touch candidates desynchronizes
+    /// the view; use [`apply_batch`](Self::apply_batch) for those. A view
+    /// the affected-view detector proves *unaffected* by a delta has no
+    /// footprint edge in it (see
+    /// [`ViewStore`](crate::store::ViewStore)'s writer state), so this is
+    /// then a no-op and the store does not call it.
     pub fn patch_adjacency(&mut self, deletes: &[(NodeId, NodeId)], inserts: &[(NodeId, NodeId)]) {
         for &(a, b) in deletes {
-            if let Some(pos) = self.out_adj[a.index()].iter().position(|&x| x == b) {
-                self.out_adj[a.index()].remove(pos);
-                let pos = self.in_adj[b.index()]
-                    .iter()
-                    .position(|&x| x == a)
-                    .expect("in/out adjacency consistent");
-                self.in_adj[b.index()].remove(pos);
+            if let (Some(la), Some(lb)) = (self.local(a), self.local(b)) {
+                self.unlink(la, lb);
             }
         }
         for &(a, b) in inserts {
-            if !self.out_adj[a.index()].contains(&b) {
-                self.out_adj[a.index()].push(b);
-                self.in_adj[b.index()].push(a);
+            if let Some((la, lb)) = self.footprint_edge(a, b) {
+                self.link(la, lb);
             }
         }
     }
@@ -482,14 +614,15 @@ impl IncrementalView {
         if self.empty {
             return MatchResult::empty();
         }
+        let global = |i: usize| self.universe[i];
         let mut edge_matches = Vec::with_capacity(self.pattern.edge_count());
         for &(u, t) in self.pattern.edges() {
             let (cu, ct) = (&self.cand[u.index()], &self.cand[t.index()]);
             let mut set = Vec::new();
             for v in cu.iter() {
                 for &w in &self.out_adj[v] {
-                    if ct.contains(w.index()) {
-                        set.push((NodeId(v as u32), w));
+                    if ct.contains(w as usize) {
+                        set.push((global(v), global(w as usize)));
                     }
                 }
             }
@@ -501,10 +634,18 @@ impl IncrementalView {
         let node_matches = self
             .cand
             .iter()
-            .map(|s| s.iter().map(|i| NodeId(i as u32)).collect())
+            .map(|s| s.iter().map(global).collect())
             .collect();
         MatchResult::new(&self.pattern, node_matches, edge_matches)
     }
+}
+
+/// How many of `targets` (local ids) lie in `set`.
+fn count_in(targets: &[u32], set: &BitSet) -> u32 {
+    targets
+        .iter()
+        .filter(|&&w| set.contains(w as usize))
+        .count() as u32
 }
 
 #[cfg(test)]
@@ -658,6 +799,64 @@ mod tests {
         // An affecting delete afterwards still propagates correctly.
         view.delete_edge(b1, c1);
         assert!(view.result().is_empty());
+    }
+
+    #[test]
+    fn out_of_range_endpoints_are_no_ops() {
+        let g = graph();
+        let mut view = IncrementalView::new(pattern_abc(), &g);
+        let before = view.result();
+        let far = NodeId(g.node_count() as u32 + 7);
+        for (a, b) in [(NodeId(0), far), (far, NodeId(1)), (far, far)] {
+            assert!(!view.delete_edge(a, b));
+            assert!(!view.insert_edge(a, b));
+            view.apply_batch(&[(a, b)], &[(a, b)]);
+            view.patch_adjacency(&[(a, b)], &[(a, b)]);
+        }
+        assert_eq!(view.result(), before);
+        assert!(!view.take_dirty());
+    }
+
+    #[test]
+    fn edges_outside_the_footprint_are_no_ops() {
+        // a1 ∈ base(A) and c1 ∈ base(C), but no pattern edge runs A → C:
+        // the edge is outside the footprint although both ends are in the
+        // universe.
+        let g = graph();
+        let mut view = IncrementalView::new(pattern_abc(), &g);
+        let (before, bytes) = (view.result(), view.resident_bytes());
+        assert!(!view.insert_edge(NodeId(0), NodeId(2)));
+        assert!(!view.delete_edge(NodeId(0), NodeId(2)));
+        view.patch_adjacency(&[], &[(NodeId(0), NodeId(2)), (NodeId(2), NodeId(1))]);
+        assert_eq!(view.resident_bytes(), bytes);
+        assert_eq!(view.result(), before);
+        // A footprint edge is still seen.
+        assert!(view.insert_edge(NodeId(0), NodeId(4)));
+    }
+
+    #[test]
+    fn resident_bytes_ignore_nodes_outside_the_footprint() {
+        let g = graph();
+        let mut b = GraphBuilder::new();
+        for v in g.nodes() {
+            let labels: Vec<&str> = g.labels_of(v).iter().map(|&l| g.label_name(l)).collect();
+            b.add_node(labels.iter().copied());
+        }
+        for (u, v) in g.edges() {
+            b.add_edge(u, v);
+        }
+        let extra: Vec<NodeId> = (0..20_000).map(|_| b.add_node(["Z"])).collect();
+        for (i, &z) in extra.iter().enumerate() {
+            b.add_edge(z, extra[(i * 7 + 1) % extra.len()]);
+            b.add_edge(z, NodeId((i % g.node_count()) as u32));
+        }
+        let big = b.build();
+        let q = pattern_abc();
+        let small_view = IncrementalView::from_result(q.clone(), &g, &match_pattern(&q, &g));
+        let big_view = IncrementalView::from_result(q.clone(), &big, &match_pattern(&q, &big));
+        assert_eq!(big_view.node_count(), g.node_count() + 20_000);
+        assert_eq!(big_view.result(), small_view.result());
+        assert_eq!(big_view.resident_bytes(), small_view.resident_bytes());
     }
 
     #[test]

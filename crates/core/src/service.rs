@@ -418,6 +418,9 @@ pub struct ServiceStats {
     pub max_in_flight: u64,
     /// Per-shard occupancy of the backing store.
     pub shard_occupancy: Vec<ShardOccupancy>,
+    /// Estimated resident bytes of the store's warm incremental
+    /// maintainers ([`ViewStore::maintainer_bytes`]).
+    pub maintainer_bytes: usize,
     /// Log₂ latency histogram over all served queries.
     pub latency: LatencyHistogram,
 }
@@ -1277,6 +1280,7 @@ impl ViewService {
             in_flight: self.counters.in_flight.load(Ordering::Relaxed),
             max_in_flight: self.counters.max_in_flight.load(Ordering::Relaxed),
             shard_occupancy: self.store.occupancy(),
+            maintainer_bytes: self.store.maintainer_bytes(),
             latency,
         }
     }
@@ -1724,11 +1728,15 @@ mod tests {
         assert!(svc.serve(&qcd, None).unwrap().result_cached);
         let before = svc.store().snapshot();
         let rebuilds = svc.stats().engine_rebuilds;
+        assert_eq!(svc.stats().maintainer_bytes, 0, "nothing promoted yet");
 
         // Delete C→D: both endpoints hold labels only vcd's footprint has.
         let delta = EdgeDelta::new(vec![], vec![(c, d)]);
         let report = svc.apply_delta(&delta, &g).unwrap();
         assert_eq!(report.affected, vec![1], "only vcd routed to maintenance");
+        let warm = svc.stats().maintainer_bytes;
+        assert!(warm > 0, "vcd's maintainer is warm");
+        assert_eq!(warm, svc.store().maintainer_bytes());
         let g2 = report.graph;
 
         // vab's answer survives the delta: the engine did rebuild, but the

@@ -231,9 +231,16 @@ pub struct ViewStore {
 #[derive(Debug, Default)]
 struct WriterState {
     /// Warm maintainers, promoted lazily the first time a delta affects a
-    /// view. Invariant: every warm maintainer's adjacency mirrors the
-    /// store's *current* graph — unaffected views get adjacency-only
-    /// patches on every delta.
+    /// view. Invariant: every warm maintainer mirrors the store's *current*
+    /// graph's edges within its footprint (see [`crate::maintenance`]).
+    ///
+    /// Only affected views need a mutation to keep that invariant. A view
+    /// the [`ViewFootprintIndex`] reports unaffected has every pattern node
+    /// label-constrained, and no touched endpoint holds one of those
+    /// labels. An edge inside the view's footprint has both endpoints in
+    /// base sets, and each base set lies inside the holders of its pattern
+    /// node's label, so no edge of the delta lies in the footprint: the
+    /// unaffected maintainer's state is already the post-delta state.
     warm: HashMap<u64, IncrementalView>,
 }
 
@@ -566,6 +573,18 @@ impl ViewStore {
             .collect()
     }
 
+    /// Estimated resident bytes of the warm maintainers, summed
+    /// ([`IncrementalView::resident_bytes`]). Takes the writer lock, so it
+    /// waits out an in-progress delta.
+    pub fn maintainer_bytes(&self) -> usize {
+        let writer = self.writer.lock().expect("writer lock poisoned");
+        writer
+            .warm
+            .values()
+            .map(IncrementalView::resident_bytes)
+            .sum()
+    }
+
     /// The current published MVCC snapshot: `Arc` handles to every resident
     /// view, ordered by stable id. This is a pointer clone — no shard lock
     /// is touched, and a writer mid-mutation never tears what readers see
@@ -638,13 +657,13 @@ impl ViewStore {
     ///    against the node set;
     /// 2. splice the post-delta graph ([`EdgeDelta::apply_to`]) and detect
     ///    affected views via the [`ViewFootprintIndex`];
-    /// 3. patch the adjacency mirror of every *unaffected* warm maintainer
-    ///    (their results provably cannot change — see [`crate::delta`]);
-    /// 4. route each affected view through its warm [`IncrementalView`]
-    ///    (promoting a cold one directly from the post-delta graph),
+    /// 3. route each affected view through its warm [`IncrementalView`]
+    ///    (promoting a cold one from its stored pre-delta extension),
     ///    re-freezing only extensions whose content actually changed and
-    ///    stamping those with the new version as their epoch;
-    /// 5. bump the version, move the graph fingerprint and
+    ///    stamping those with the new version as their epoch. Unaffected
+    ///    warm maintainers are left alone: no delta edge lies in their
+    ///    footprint (the argument is on the writer state's `warm` map);
+    /// 4. bump the version, move the graph fingerprint and
     ///    [`graph_epoch`](Self::graph_epoch), and publish one new snapshot.
     ///
     /// In-flight readers keep serving the previous snapshot throughout.
@@ -671,14 +690,6 @@ impl ViewStore {
         let index = ViewFootprintIndex::build(resident.iter().map(|v| (v.id, &v.def)), current);
         let affected = index.affected(delta, current);
         let affected_set: HashSet<u64> = affected.iter().copied().collect();
-
-        // Unaffected warm maintainers still track the evolving edge set —
-        // adjacency-only, no candidate/support work.
-        for (id, m) in writer.warm.iter_mut() {
-            if !affected_set.contains(id) {
-                m.patch_adjacency(&delta.deletes, &delta.inserts);
-            }
-        }
 
         let new_version = self.version.load(Ordering::Acquire) + 1;
         let mut changed = Vec::new();
@@ -1156,6 +1167,60 @@ mod tests {
             graph_fingerprint(&g),
             "round trip"
         );
+    }
+
+    #[test]
+    fn warm_maintainer_stays_exact_across_many_unaffecting_deltas() {
+        // vabc is warmed by one delta, then sits unaffected (and, since the
+        // store no longer patches unaffected maintainers, untouched) while
+        // D → D edges churn, and is finally affected again.
+        let mut b = GraphBuilder::new();
+        let [a0, a1] = [b.add_node(["A"]), b.add_node(["A"])];
+        let [b0, b1] = [b.add_node(["B"]), b.add_node(["B"])];
+        let c0 = b.add_node(["C"]);
+        let ds: Vec<NodeId> = (0..4).map(|_| b.add_node(["D"])).collect();
+        for (u, v) in [(a0, b0), (b0, c0), (a1, b1), (b1, c0), (ds[0], ds[1])] {
+            b.add_edge(u, v);
+        }
+        let g = b.build();
+        let mut pb = PatternBuilder::new();
+        let (x, y, z) = (
+            pb.node_labeled("A"),
+            pb.node_labeled("B"),
+            pb.node_labeled("C"),
+        );
+        pb.edge(x, y);
+        pb.edge(y, z);
+        let abc = pb.build().unwrap();
+        let views = ViewSet::new(vec![
+            ViewDef::new("vabc", abc.clone()),
+            ViewDef::new("vdd", single("D", "D")),
+        ]);
+        let store = ViewStore::materialize(views, &g, 2);
+        assert_eq!(store.maintainer_bytes(), 0, "no maintainer is warm yet");
+
+        let warm = EdgeDelta::new(vec![], vec![(b0, c0)]);
+        let mut current = store.apply_delta(&warm, &g).unwrap().graph;
+        assert!(store.maintainer_bytes() > 0, "vabc was promoted");
+        for i in 0..24usize {
+            let e = (ds[i % 4], ds[(i * 3 + 1) % 4]);
+            let d = if current.has_edge(e.0, e.1) {
+                EdgeDelta::new(vec![], vec![e])
+            } else {
+                EdgeDelta::new(vec![e], vec![])
+            };
+            let r = store.apply_delta(&d, &current).unwrap();
+            assert!(!r.affected.contains(&0), "D-only delta {i} affected vabc");
+            current = r.graph;
+        }
+        let last = EdgeDelta::new(vec![(b0, c0)], vec![(a1, b1)]);
+        let r = store.apply_delta(&last, &current).unwrap();
+        assert!(r.affected.contains(&0));
+        let snap = store.snapshot();
+        for (i, q) in [abc, single("D", "D")].iter().enumerate() {
+            let oracle = CompactView::freeze(&gpv_matching::simulation::match_pattern(q, &r.graph));
+            assert!(snap.views()[i].ext.content_eq(&oracle), "view {i}");
+        }
     }
 
     #[test]

@@ -660,6 +660,10 @@ fn serve(a: &Args) -> Result<(), String> {
             .collect::<Vec<_>>()
             .join(" ")
     );
+    println!(
+        "maintainers: {:.1} KiB resident",
+        stats.maintainer_bytes as f64 / 1024.0
+    );
     if let Some(m) = maintenance {
         println!("{m}");
     }

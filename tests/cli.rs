@@ -335,6 +335,11 @@ fn serve_updates_per_round_applies_deltas_between_rounds() {
     // The stats block keeps its grep-stable lines in update mode.
     assert!(s.contains("plan cache:"), "{s}");
     assert!(s.contains("result cache:"), "{s}");
+    assert!(
+        s.lines()
+            .any(|l| l.starts_with("maintainers: ") && l.ends_with(" KiB resident")),
+        "{s}"
+    );
 }
 
 #[test]

@@ -6,7 +6,9 @@
 //! and carries the edge-set hash, and must agree with the from-scratch
 //! `DataGraph::with_edges` oracle on both adjacencies and the fingerprint.
 //! And for cached answers: a delta that misses a query's edge footprint
-//! (`QueryFootprint::touched_by`) leaves `match_pattern` unchanged.
+//! (`QueryFootprint::touched_by`) leaves `match_pattern` unchanged — the
+//! same footprint a maintainer restricts itself to, so out-of-footprint
+//! edges patched into a maintainer must not move its result either.
 
 use gpv_generator::{random_graph, random_pattern, PatternShape, Scenario};
 use graph_views::prelude::*;
@@ -61,6 +63,21 @@ fn oracle_apply(g: &DataGraph, d: &EdgeDelta) -> DataGraph {
     }
     edges.extend(d.inserts.iter().copied());
     g.with_edges(&edges.into_iter().collect::<Vec<_>>())
+}
+
+/// `q` with node `at`'s predicate replaced by `pred`.
+fn with_pred(q: &Pattern, at: usize, pred: Predicate) -> Pattern {
+    let mut b = PatternBuilder::new();
+    let nodes: Vec<_> = q
+        .preds()
+        .iter()
+        .enumerate()
+        .map(|(i, p)| b.node(if i == at { pred.clone() } else { p.clone() }))
+        .collect();
+    for &(x, y) in q.edges() {
+        b.edge(nodes[x.index()], nodes[y.index()]);
+    }
+    b.build().expect("same shape as q")
 }
 
 fn pairs(raw: &[(u32, u32)]) -> Vec<(NodeId, NodeId)> {
@@ -234,26 +251,51 @@ proptest! {
         footprint_case(gseed, qseed, &script)?;
     }
 
+    /// A chain of single-edge deltas, checked against `match_pattern` on
+    /// the current graph after every step. `special` swaps one pattern
+    /// node's predicate: 1 drops its label atom (base ≈ V, the footprint's
+    /// worst case), 2 names a label the graph lacks (base empty forever).
+    /// Between steps, `noise` edges that miss the footprint go through
+    /// `patch_adjacency` and into the graph: the result must not move.
     #[test]
     fn incremental_equals_recompute(
         gseed in any::<u64>(),
         qseed in any::<u64>(),
+        special in 0usize..3,
+        at in 0usize..3,
         raw_script in proptest::collection::vec((any::<bool>(), 0u32..20, 0u32..20), 0..25),
+        noise in proptest::collection::vec((any::<bool>(), 0u32..20, 0u32..20), 0..25),
     ) {
         let g = random_graph(20, 40, &LABELS, gseed);
         let q = random_pattern(3, 3, &LABELS, PatternShape::Any, qseed);
+        let q = match special {
+            1 => with_pred(&q, at, Predicate::any()),
+            2 => with_pred(&q, at, Predicate::label("Z")),
+            _ => q,
+        };
+        let footprint = QueryFootprint::of(&q, &g);
         let mut inc = IncrementalView::new(q.clone(), &g);
 
         // Normalize the script: drop self-referential no-ops that the
         // builder would dedup anyway (self-loops are fine).
         let mut applied: Vec<(bool, u32, u32)> = Vec::new();
-        for (insert, a, b) in raw_script {
+        for (i, (insert, a, b)) in raw_script.into_iter().enumerate() {
             if insert {
                 inc.insert_edge(NodeId(a), NodeId(b));
             } else {
                 inc.delete_edge(NodeId(a), NodeId(b));
             }
             applied.push((insert, a, b));
+            if let Some(&(ins, x, y)) = noise.get(i) {
+                let e = [(NodeId(x), NodeId(y))];
+                let d = if ins { EdgeDelta::new(e.to_vec(), vec![]) } else { EdgeDelta::new(vec![], e.to_vec()) };
+                if !footprint.touched_by(&d, &g) {
+                    let before = inc.result();
+                    inc.patch_adjacency(&d.deletes, &d.inserts);
+                    prop_assert_eq!(inc.result(), before, "out-of-footprint patch moved the result");
+                    applied.push((ins, x, y));
+                }
+            }
             // Check after *every* step, not just at the end, so ordering
             // bugs can't cancel out.
             let oracle_graph = apply_script(&g, &applied);
