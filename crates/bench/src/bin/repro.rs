@@ -3,7 +3,7 @@
 //! ```text
 //! repro all                 # every figure at the default scale
 //! repro fig8a fig8g         # selected figures
-//! repro engine              # QueryEngine planner/parallel-executor bench
+//! repro engine              # QueryEngine planner/MatchJoin bench
 //! repro service             # ViewService concurrent-serving bench
 //! repro maintenance         # delta maintenance vs full-rebuild bench
 //! repro examples            # the paper's worked Examples 1-9

@@ -8,13 +8,13 @@ use gpv_core::engine::{EngineConfig, QueryEngine};
 use gpv_core::matchjoin::{match_join_with, JoinStrategy};
 use gpv_core::minimal::{minimal, Selection};
 use gpv_core::minimum::minimum;
-use gpv_core::plan::{ExecStrategy, SelectionMode};
+use gpv_core::plan::SelectionMode;
 use gpv_core::view::{materialize, ViewSet};
 use gpv_generator::{
     amazon, amazon_predicate_pool, citation, citation_predicate_pool, covering_bounded_views,
     covering_views, densification_graph, random_graph, random_pattern, random_pattern_with_preds,
     uniform_bounded_pattern, uniform_bounded_pattern_with_preds, youtube, youtube_predicate_pool,
-    ExecKnob, GraphSource, PatternShape, QueryMode, Scenario, DEFAULT_ALPHABET,
+    GraphSource, PatternShape, QueryMode, Scenario, DEFAULT_ALPHABET,
 };
 use gpv_graph::DataGraph;
 use gpv_matching::bounded::bmatch_pattern;
@@ -59,15 +59,12 @@ pub struct Row {
 
 /// Host metadata attached to the performance-tracking experiments
 /// (`engine`, `service`), so a recorded `BENCH_*.json` is self-describing:
-/// parallel-series numbers from a 1-core container cannot be misread as a
-/// scaling result when the row says `cores: 1` next to them.
+/// multi-client serving numbers from a 1-core container cannot be misread
+/// as a scaling result when the row says `cores: 1` next to them.
 #[derive(Clone, Copy, Debug, Serialize)]
 pub struct HostInfo {
     /// `std::thread::available_parallelism()` on the measuring host.
     pub cores: usize,
-    /// What `gpv_core::auto_threads()` resolves to (the executor's default
-    /// worker count — cached `available_parallelism`).
-    pub auto_threads: usize,
 }
 
 impl HostInfo {
@@ -75,7 +72,6 @@ impl HostInfo {
     pub fn probe() -> Self {
         HostInfo {
             cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            auto_threads: gpv_core::parallel::auto_threads(),
         }
     }
 }
@@ -141,8 +137,6 @@ fn row_scenario(
         coverage: 1.0,
         max_fragment: 3,
         mode,
-        exec: ExecKnob::Sequential,
-        threads: 1,
         result_cache_bytes: 64 << 20,
         plan_cache_capacity: 4096,
         shards,
@@ -297,15 +291,12 @@ fn dataset_queries(
         .collect()
 }
 
-/// An [`EngineConfig`] pinning the figure's selection mode and the
-/// sequential ranked executor, so the fig8 series measure exactly the
-/// paper's comparison on any machine (planner auto-tuning is benched
-/// separately by [`engine_experiment`]).
+/// An [`EngineConfig`] pinning the figure's selection mode, so the fig8
+/// series measure exactly the paper's comparison on any machine (planner
+/// auto-tuning is benched separately by [`engine_experiment`]).
 fn figure_config(selection: SelectionMode) -> EngineConfig {
     EngineConfig {
         force_selection: Some(selection),
-        force_exec: Some(ExecStrategy::Sequential(JoinStrategy::RankedBottomUp)),
-        ..EngineConfig::default()
     }
 }
 
@@ -910,13 +901,9 @@ pub fn fig8l(scale: Scale, seed: u64) -> ExperimentResult {
 }
 
 /// Engine bench: the unified `QueryEngine` on a fig8(d)-style synthetic
-/// workload — planner overhead, sequential `MatchJoin`, and the parallel
-/// executor at auto / 2 / 4 workers, varying |G|. The parallel series only
-/// beat the sequential one when the machine actually has spare cores
-/// (`threads=1` degrades to inline execution by design); the point of the
-/// experiment is recording that trajectory per host.
+/// workload — planner overhead and `MatchJoin` execution, plus the
+/// columnar-arena scan and resident-bytes series, varying |G|.
 pub fn engine_experiment(scale: Scale, seed: u64) -> ExperimentResult {
-    use gpv_core::par_match_join;
     let queries: Vec<Pattern> = (0..3)
         .map(|i| random_pattern(4, 6, &DEFAULT_ALPHABET, PatternShape::Any, seed + i))
         .collect();
@@ -930,7 +917,7 @@ pub fn engine_experiment(scale: Scale, seed: u64) -> ExperimentResult {
         let g = random_graph(n, 2 * n, &DEFAULT_ALPHABET, seed + step as u64);
         let mut engine = QueryEngine::materialize(views.clone(), &g);
         engine.set_config(figure_config(SelectionMode::Minimum));
-        let (mut t_plan, mut t_seq, mut t_auto, mut t_par2, mut t_par4) = (0.0, 0.0, 0.0, 0.0, 0.0);
+        let (mut t_plan, mut t_seq) = (0.0, 0.0);
         for q in &queries {
             t_plan += secs(|| {
                 std::hint::black_box(engine.plan(q));
@@ -939,18 +926,6 @@ pub fn engine_experiment(scale: Scale, seed: u64) -> ExperimentResult {
             assert!(!plan.needs_graph(), "covering views contain q");
             t_seq += secs(|| {
                 std::hint::black_box(engine.execute(q, &plan, None).unwrap());
-            });
-            let gpv_core::QueryPlan::ViewsOnly(vp) = &plan else {
-                unreachable!("checked above");
-            };
-            t_auto += secs(|| {
-                std::hint::black_box(par_match_join(q, &vp.plan, engine.extensions(), 0).unwrap());
-            });
-            t_par2 += secs(|| {
-                std::hint::black_box(par_match_join(q, &vp.plan, engine.extensions(), 2).unwrap());
-            });
-            t_par4 += secs(|| {
-                std::hint::black_box(par_match_join(q, &vp.plan, engine.extensions(), 4).unwrap());
             });
         }
         // The columnar-arena series: read every cached pair the way the
@@ -1058,9 +1033,6 @@ pub fn engine_experiment(scale: Scale, seed: u64) -> ExperimentResult {
             series: vec![
                 ("plan".into(), t_plan / c),
                 ("MatchJoin_seq".into(), t_seq / c),
-                ("MatchJoin_par_auto".into(), t_auto / c),
-                ("MatchJoin_par2".into(), t_par2 / c),
-                ("MatchJoin_par4".into(), t_par4 / c),
                 ("compact_scan".into(), t_flat_scan),
                 ("boxed_scan".into(), t_boxed_scan),
                 ("compact_resident_mb".into(), compact_resident as f64 / 1e6),
@@ -1071,7 +1043,7 @@ pub fn engine_experiment(scale: Scale, seed: u64) -> ExperimentResult {
     ExperimentResult {
         host: Some(host),
         id: "engine".into(),
-        title: "QueryEngine: planner overhead + sequential vs parallel MatchJoin".into(),
+        title: "QueryEngine: planner overhead + MatchJoin execution".into(),
         unit: "s".into(),
         rows,
     }
@@ -1218,8 +1190,6 @@ pub fn maintenance_experiment(scale: Scale, seed: u64) -> ExperimentResult {
             coverage: 1.0,
             max_fragment: 3,
             mode: QueryMode::Minimal,
-            exec: ExecKnob::Sequential,
-            threads: 1,
             result_cache_bytes: 64 << 20,
             plan_cache_capacity: 4096,
             shards: 8,
@@ -1536,23 +1506,19 @@ mod tests {
     }
 
     /// The perf-tracking experiments must be self-describing: host core
-    /// count + auto thread count on the result, and the parallel-executor
-    /// timings in every row — so 1-core container numbers cannot be misread
-    /// as scaling results.
+    /// count on the result and the `MatchJoin` timing in every row — so
+    /// 1-core container numbers cannot be misread as scaling results.
     #[test]
     fn perf_experiments_record_host_metadata() {
         let r = engine_experiment(tiny(), 42);
         let host = r.host.expect("engine experiment records host metadata");
         assert!(host.cores >= 1);
-        assert!(host.auto_threads >= 1);
         for row in &r.rows {
-            for series in ["MatchJoin_par_auto", "MatchJoin_par4"] {
-                assert!(
-                    row.series.iter().any(|(n, _)| n == series),
-                    "row {} missing {series}",
-                    row.x
-                );
-            }
+            assert!(
+                row.series.iter().any(|(n, _)| n == "MatchJoin_seq"),
+                "row {} missing MatchJoin_seq",
+                row.x
+            );
         }
         let s = service_experiment(tiny(), 42);
         assert!(s.host.is_some(), "service experiment records host metadata");

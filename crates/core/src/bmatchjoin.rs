@@ -31,25 +31,24 @@ pub fn bmatch_join(
     bmatch_join_with(qb, plan, ext, JoinStrategy::RankedBottomUp).map(|(r, _)| r)
 }
 
+/// Runs as [`bmatch_join_with`], ignoring `threads`. Exists only for
+/// perfbench; goes with ROADMAP's "Pending benchmark change".
+pub fn bmatch_join_threaded(
+    qb: &BoundedPattern,
+    plan: &ContainmentPlan,
+    ext: &BoundedViewExtensions,
+    strategy: JoinStrategy,
+    _threads: usize,
+) -> Result<(BoundedMatchResult, JoinStats), JoinError> {
+    bmatch_join_with(qb, plan, ext, strategy)
+}
+
 /// Answers `Qb` using bounded views with an explicit strategy.
 pub fn bmatch_join_with(
     qb: &BoundedPattern,
     plan: &ContainmentPlan,
     ext: &BoundedViewExtensions,
     strategy: JoinStrategy,
-) -> Result<(BoundedMatchResult, JoinStats), JoinError> {
-    bmatch_join_threaded(qb, plan, ext, strategy, 0)
-}
-
-/// Like [`bmatch_join_with`], with an explicit worker count for
-/// [`JoinStrategy::Parallel`] (`0` = auto-detect; ignored by the
-/// sequential strategies).
-pub fn bmatch_join_threaded(
-    qb: &BoundedPattern,
-    plan: &ContainmentPlan,
-    ext: &BoundedViewExtensions,
-    strategy: JoinStrategy,
-    threads: usize,
 ) -> Result<(BoundedMatchResult, JoinStats), JoinError> {
     let q = qb.pattern();
     check_arity(q, plan.lambda.len())?;
@@ -95,7 +94,7 @@ pub fn bmatch_join_threaded(
         with_dist.push(filtered);
     }
 
-    let (sets, stats) = refine(q, merged, strategy, threads)?;
+    let (sets, stats) = refine(q, merged, strategy);
     let Some(sets) = sets else {
         return Ok((BoundedMatchResult::empty(), stats));
     };

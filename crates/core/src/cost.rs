@@ -83,11 +83,6 @@ impl CostModel {
     /// Planning cost of one view-match simulation, per view per query edge
     /// pair.
     pub const CONTAINMENT_UNIT: f64 = 0.25;
-    /// Fixed overhead of spawning one worker thread.
-    pub const THREAD_SPAWN: f64 = 2_000.0;
-    /// Relative weight of the sequential stitch barrier per worker, as a
-    /// fraction of [`Self::THREAD_SPAWN`].
-    const STITCH_UNIT: f64 = 0.5;
 
     /// Pairs the witness-narrowing merge reads for the *covered* edges of a
     /// λ (a full [`ContainmentPlan::lambda`] or a partial one): empty
@@ -172,32 +167,6 @@ impl CostModel {
         let qsq = (q.edge_count() * q.edge_count()) as f64;
         Self::CONTAINMENT_UNIT * view_count as f64 * qsq
     }
-
-    /// Whether the parallel executor is worth its overhead for a plan
-    /// reading `pairs` pairs on `threads` workers. The overhead side prices
-    /// both the spawn cost *and* the merge/stitch barrier the staged
-    /// pipeline pays (per-worker results are combined sequentially in fixed
-    /// index order between stages — see [`crate::parallel`]), so a job has
-    /// to amortize the whole coordination bill, not just thread creation.
-    ///
-    /// ```
-    /// use gpv_core::cost::CostModel;
-    /// assert!(!CostModel::parallel_pays(100, 4)); // tiny job: spawn cost dominates
-    /// assert!(CostModel::parallel_pays(1_000_000, 4)); // big merge: fan out
-    /// ```
-    pub fn parallel_pays(pairs: u64, threads: usize) -> bool {
-        if threads < 2 {
-            return false;
-        }
-        let serial = Self::READ_PAIR * pairs as f64;
-        // Spawn plus the per-stage stitch: each worker's results are merged
-        // back sequentially, costing roughly half a spawn's worth of
-        // coordination per worker per stage (not load-bearing — the gate
-        // only has to keep tiny jobs inline).
-        let overhead = (1.0 + Self::STITCH_UNIT) * Self::THREAD_SPAWN * threads as f64;
-        // Parallelizing saves up to (1 - 1/t) of the per-pair build work.
-        serial * (1.0 - 1.0 / threads as f64) > overhead
-    }
 }
 
 // A scan never undercuts a read: an extension holds at most `|E(G)|`
@@ -269,22 +238,6 @@ mod tests {
         let direct = CostModel::direct(&q, &some_stats());
         // A view plan reading 10k pairs must be far cheaper.
         assert!(direct.total > CostModel::READ_PAIR * 10_000.0 * 10.0);
-    }
-
-    #[test]
-    fn parallel_gate() {
-        assert!(
-            !CostModel::parallel_pays(100, 1),
-            "never parallel on one thread"
-        );
-        assert!(
-            !CostModel::parallel_pays(100, 4),
-            "tiny jobs stay sequential"
-        );
-        assert!(
-            CostModel::parallel_pays(1_000_000, 4),
-            "large jobs parallelize"
-        );
     }
 
     /// Regression for the `unwrap_or(0)` bug: a partial λ (some entry

@@ -77,8 +77,7 @@ pub struct DifferentialCase<'a> {
     pub deltas: &'a [EdgeDelta],
     /// Store shard count.
     pub shards: usize,
-    /// Engine configuration under test (executor, selection mode,
-    /// threads).
+    /// Engine configuration under test (selection mode).
     pub engine: EngineConfig,
     /// Service configuration under test (plan/result caches); its embedded
     /// engine config is what `serve_batch` uses.

@@ -63,7 +63,7 @@ pub fn dual_match_join(
     ext: &ViewExtensions,
 ) -> Result<MatchResult, JoinError> {
     let merged = merge_step(q, plan, ext)?;
-    let sets = ranked_fixpoint(q, merged, Simulation::Dual, 1, &mut JoinStats::default())?;
+    let sets = ranked_fixpoint(q, merged, Simulation::Dual, &mut JoinStats::default());
     Ok(assemble(q, sets))
 }
 

@@ -16,9 +16,9 @@
 //!   by the fixed [`CostModel`] against the actual extension sizes, plus
 //!   the per-edge [`EdgeSource`] (a covered edge reads its smallest
 //!   covering extension, an uncovered one scans `G`);
-//! * **Execute** — sequential or thread-parallel `MatchJoin` /
-//!   `BMatchJoin`, hybrid join, or direct `Match` fallback, honoring the
-//!   plan's per-edge sources verbatim.
+//! * **Execute** — single-threaded `MatchJoin` / `BMatchJoin`, hybrid
+//!   join, or direct `Match` fallback, honoring the plan's per-edge sources
+//!   verbatim.
 //!
 //! The contract (Theorem 1/8), now as an engine guarantee: for every query
 //! and graph, [`QueryEngine::answer`] equals
@@ -32,7 +32,6 @@ use crate::cost::{CostEstimate, CostModel};
 use crate::matchjoin::{run_fixpoint, JoinError, JoinStats, JoinStrategy};
 use crate::minimal::{minimal_from_table, Selection};
 use crate::minimum::minimum_from_table;
-use crate::parallel::auto_threads;
 use crate::partial::{merged_from_sources, sources_from_lambda, PartialPlan};
 use crate::plan::{
     view_reads, EdgeSource, ExecStrategy, FallbackReason, QueryPlan, SelectionMode, ViewPlan,
@@ -48,16 +47,14 @@ use gpv_matching::simulation::match_pattern;
 use gpv_pattern::{BoundedPattern, Pattern};
 use std::sync::Arc;
 
+/// The one execution strategy the planner emits.
+const SEQUENTIAL: ExecStrategy = ExecStrategy::Sequential(JoinStrategy::RankedBottomUp);
+
 /// Engine tuning knobs.
 #[derive(Clone, Debug, Default)]
 pub struct EngineConfig {
-    /// Worker threads for the parallel executor (`0` = auto-detect).
-    pub threads: usize,
     /// Pin the view-selection mode instead of costing the alternatives.
     pub force_selection: Option<SelectionMode>,
-    /// Pin the execution strategy instead of letting the cost model gate
-    /// parallelism.
-    pub force_exec: Option<ExecStrategy>,
 }
 
 /// Errors from engine planning/execution.
@@ -320,25 +317,6 @@ impl QueryEngine {
         }
     }
 
-    /// Execution-strategy decision from the number of pairs the plan's
-    /// merge will read: [`CostModel::parallel_pays`] gates parallelism;
-    /// [`EngineConfig::force_exec`] pins the whole strategy.
-    fn exec_for(&self, pairs: u64) -> ExecStrategy {
-        if let Some(exec) = self.config.force_exec {
-            return exec;
-        }
-        let threads = if self.config.threads == 0 {
-            auto_threads()
-        } else {
-            self.config.threads
-        };
-        if CostModel::parallel_pays(pairs, threads) {
-            ExecStrategy::Parallel { threads }
-        } else {
-            ExecStrategy::Sequential(JoinStrategy::RankedBottomUp)
-        }
-    }
-
     /// Per-edge sources for a (full or partial) λ ([`sources_from_lambda`]).
     fn sources(&self, lambda: &[Vec<ViewEdgeRef>]) -> Vec<EdgeSource> {
         // The λ comes from a sweep over the registered views, so every view
@@ -403,7 +381,6 @@ impl QueryEngine {
                 let chosen = self.select(q, full, &table);
                 let sources = self.sources(&chosen.plan.lambda);
                 QueryPlan::ViewsOnly(ViewPlan {
-                    exec: self.exec_for(chosen.cost.pairs_read),
                     reads: view_reads(&chosen.views, &sources),
                     sources,
                     ..chosen
@@ -460,23 +437,22 @@ impl QueryEngine {
             |plan| CostModel::view_plan(q, plan, &self.ext),
             CostModel::selection_overhead(q, self.views.card()),
         );
-        // `sources`, `reads` and `exec` are placeholders here: `plan`
-        // resolves the per-edge sourcing and the executor for the winning
-        // candidate only.
+        // `sources` and `reads` are placeholders here: `plan` resolves the
+        // per-edge sourcing for the winning candidate only.
         ViewPlan {
             selection,
             views: sel.views,
             plan: sel.plan,
             sources: Vec::new(),
             reads: Vec::new(),
-            exec: ExecStrategy::Sequential(JoinStrategy::RankedBottomUp),
+            exec: SEQUENTIAL,
             cost,
         }
     }
 
     /// **Execute**: runs a previously-produced plan, honoring its per-edge
-    /// [`EdgeSource`]s verbatim (both executors read exactly what the
-    /// planner pinned). `g` is required for hybrid/direct plans
+    /// [`EdgeSource`]s verbatim (the join reads exactly what the planner
+    /// pinned). `g` is required for hybrid/direct plans
     /// ([`QueryPlan::needs_graph`]) and must be the graph this registry was
     /// materialized against — extensions from one graph say nothing about
     /// another (use [`Self::validate_graph`] when in doubt; debug builds
@@ -497,13 +473,12 @@ impl QueryEngine {
         Ok(match plan {
             QueryPlan::ViewsOnly(vp) => {
                 let merged = merged_from_sources(q, &vp.sources, &self.ext, None)?;
-                let (strategy, threads) = vp.exec.join();
-                run_fixpoint(q, merged, strategy, threads)?
+                run_fixpoint(q, merged, vp.exec.join())
             }
             QueryPlan::Hybrid { sources, .. } => {
                 let g = g.ok_or(EngineError::NeedsGraph)?;
                 let merged = merged_from_sources(q, sources, &self.ext, Some(g))?;
-                run_fixpoint(q, merged, JoinStrategy::RankedBottomUp, 1)?
+                run_fixpoint(q, merged, JoinStrategy::RankedBottomUp)
             }
             QueryPlan::Direct { .. } => {
                 let g = g.ok_or(EngineError::NeedsGraph)?;
@@ -566,7 +541,7 @@ impl QueryEngine {
             selection,
             views: sel.views,
             plan: sel.plan,
-            exec: self.exec_for(cost.pairs_read),
+            exec: SEQUENTIAL,
             cost,
         })
     }
@@ -576,9 +551,7 @@ impl QueryEngine {
     pub fn answer_bounded(&self, qb: &BoundedPattern) -> Result<BoundedMatchResult, EngineError> {
         let plan = self.plan_bounded(qb)?;
         let (_, ext) = self.bounded.as_ref().expect("plan_bounded checked");
-        let (strategy, threads) = plan.exec.join();
-        let (r, _) =
-            crate::bmatchjoin::bmatch_join_threaded(qb, &plan.plan, ext, strategy, threads)?;
+        let (r, _) = crate::bmatchjoin::bmatch_join_with(qb, &plan.plan, ext, plan.exec.join())?;
         Ok(r)
     }
 
@@ -771,28 +744,6 @@ mod tests {
         let full = crate::containment::contain(&q, engine.views()).unwrap();
         let all_pairs = CostModel::pairs_read(&full.lambda, engine.extensions());
         assert!(vp.cost.pairs_read <= all_pairs);
-        assert_eq!(engine.answer(&q, &g).unwrap(), match_pattern(&q, &g));
-    }
-
-    #[test]
-    fn forced_selection_and_exec_respected() {
-        let g = graph();
-        let q = chain3();
-        let views = ViewSet::new(vec![
-            ViewDef::new("vab", single("A", "B")),
-            ViewDef::new("vbc", single("B", "C")),
-        ]);
-        let forced = ExecStrategy::Parallel { threads: 2 };
-        let engine = QueryEngine::materialize(views, &g).with_config(EngineConfig {
-            force_selection: Some(SelectionMode::Minimum),
-            force_exec: Some(forced),
-            ..EngineConfig::default()
-        });
-        let QueryPlan::ViewsOnly(vp) = engine.plan(&q) else {
-            panic!("contained");
-        };
-        assert_eq!(vp.selection, SelectionMode::Minimum);
-        assert_eq!(vp.exec, forced);
         assert_eq!(engine.answer(&q, &g).unwrap(), match_pattern(&q, &g));
     }
 

@@ -85,7 +85,6 @@ pub use matchjoin::{match_join, match_join_with, JoinError, JoinStats, JoinStrat
 pub use minimal::{minimal, Selection};
 pub use minimize::{minimize, Minimized};
 pub use minimum::{alpha, minimum};
-pub use parallel::par_match_join;
 pub use partial::{hybrid_match_join, partial_contain, sources_from_lambda, PartialPlan};
 pub use plan::{
     CacheDisposition, EdgeSource, ExecStrategy, FallbackReason, QueryPlan, SelectionMode, ViewPlan,

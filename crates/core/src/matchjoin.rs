@@ -17,18 +17,17 @@
 //!   sets of edges below any non-singleton SCC are visited at most once
 //!   (Lemma 2). This is the default.
 //!
-//! The ranked refinement is written once (`ranked_fixpoint`) and serves
-//! every view join: `MatchJoin` on one thread or many
-//! ([`JoinStrategy::Parallel`] fans only its per-edge stages out), the
-//! bounded `BMatchJoin` after its distance filter, and `DualMatchJoin`
-//! (whose dual mode adds backward counters). One single-witness helper,
-//! `smallest_cover`, picks the extension every merge reads.
+//! The ranked refinement is written once (`ranked_fixpoint` plus
+//! `drain_and_extract`, single-threaded) and serves every view join:
+//! `MatchJoin`, the bounded `BMatchJoin` after its distance filter, and
+//! `DualMatchJoin` (whose dual mode adds backward counters). One
+//! single-witness helper, `smallest_cover`, picks the extension every
+//! merge reads.
 //!
 //! Complexity: `O(|Qs||V(G)| + |V(G)|²)` — versus
 //! `O(|Qs|² + |Qs||G| + |G|²)` for evaluating `Qs` on `G` directly.
 
 use crate::containment::{ContainmentPlan, ViewEdgeRef};
-use crate::parallel::{auto_threads, par_map};
 use crate::view::ViewExtensions;
 use gpv_graph::{BitSet, NodeId};
 use gpv_matching::result::MatchResult;
@@ -52,12 +51,8 @@ pub enum JoinStrategy {
     /// The unoptimized Fig. 2 fixpoint (`MatchJoin_nopt`): repeatedly rescan
     /// all match sets until nothing changes.
     NaiveFixpoint,
-    /// [`RankedBottomUp`](JoinStrategy::RankedBottomUp) with its per-edge
-    /// stages (CSR build, support counters, final filter) fanned across
-    /// worker threads (thread count = available parallelism; see
-    /// [`crate::parallel`]). The drain is the same sequential drain, so
-    /// answers and [`JoinStats`] equal the sequential strategy's at every
-    /// thread count; with one thread every stage runs inline.
+    /// Runs as [`RankedBottomUp`](JoinStrategy::RankedBottomUp). Exists
+    /// only for perfbench; goes with ROADMAP's "Pending benchmark change".
     Parallel,
 }
 
@@ -97,24 +92,6 @@ pub enum JoinError {
     /// A plan source is [`EdgeSource::Graph`](crate::plan::EdgeSource) but
     /// no data graph was supplied to the executor.
     GraphRequired,
-    /// A parallel worker panicked while processing the given pattern-edge
-    /// index (caught and resurfaced instead of aborting the process).
-    WorkerPanicked(usize),
-    /// A parallel worker thread died outside the per-item panic catch, so
-    /// no failing edge index is known. Distinct from
-    /// [`WorkerPanicked`](Self::WorkerPanicked) — this used to be encoded
-    /// as `WorkerPanicked(usize::MAX)`, which callers reported as a
-    /// nonsense edge index.
-    WorkerLost,
-}
-
-impl From<crate::parallel::ParError> for JoinError {
-    fn from(e: crate::parallel::ParError) -> Self {
-        match e {
-            crate::parallel::ParError::Panicked(i) => JoinError::WorkerPanicked(i),
-            crate::parallel::ParError::Lost => JoinError::WorkerLost,
-        }
-    }
 }
 
 impl std::fmt::Display for JoinError {
@@ -125,15 +102,6 @@ impl std::fmt::Display for JoinError {
             JoinError::NoEdges => write!(f, "query has no edges"),
             JoinError::GraphRequired => {
                 write!(f, "plan sources an edge from G but no graph was supplied")
-            }
-            JoinError::WorkerPanicked(e) => {
-                write!(
-                    f,
-                    "parallel worker panicked while processing pattern edge {e}"
-                )
-            }
-            JoinError::WorkerLost => {
-                write!(f, "parallel worker lost (failing pattern edge unknown)")
             }
         }
     }
@@ -158,7 +126,7 @@ pub fn match_join_with(
     strategy: JoinStrategy,
 ) -> Result<(MatchResult, JoinStats), JoinError> {
     let merged = merge_step(q, plan, ext)?;
-    run_fixpoint(q, merged, strategy, 0)
+    Ok(run_fixpoint(q, merged, strategy))
 }
 
 /// Like [`match_join_with`] but initializing with the *literal* Fig. 2 merge
@@ -173,22 +141,20 @@ pub fn match_join_union_with(
     strategy: JoinStrategy,
 ) -> Result<(MatchResult, JoinStats), JoinError> {
     let merged = merge_step_union(q, plan, ext)?;
-    run_fixpoint(q, merged, strategy, 0)
+    Ok(run_fixpoint(q, merged, strategy))
 }
 
 /// Runs the fixpoint phase over caller-supplied merged sets — the
 /// execution backend behind both the λ-based entry points and the
 /// [`EdgeSource`](crate::plan::EdgeSource)-honoring engine path (whose
-/// merge is built by `partial::merged_from_sources`). `threads` is read
-/// only by [`JoinStrategy::Parallel`] (`0` = auto-detect).
+/// merge is built by `partial::merged_from_sources`).
 pub(crate) fn run_fixpoint(
     q: &Pattern,
     merged: MergedSets<'_>,
     strategy: JoinStrategy,
-    threads: usize,
-) -> Result<(MatchResult, JoinStats), JoinError> {
-    let (sets, stats) = refine(q, merged, strategy, threads)?;
-    Ok((assemble(q, sets), stats))
+) -> (MatchResult, JoinStats) {
+    let (sets, stats) = refine(q, merged, strategy);
+    (assemble(q, sets), stats)
 }
 
 /// Refines merged sets under `strategy`, returning the refined per-edge
@@ -198,27 +164,18 @@ pub(crate) fn refine(
     q: &Pattern,
     merged: MergedSets<'_>,
     strategy: JoinStrategy,
-    threads: usize,
-) -> Result<(Option<RefinedSets>, JoinStats), JoinError> {
+) -> (Option<RefinedSets>, JoinStats) {
     let mut stats = JoinStats {
         merged_pairs: merged.iter().map(|s| s.len() as u64).sum(),
         ..JoinStats::default()
     };
     let sets = match strategy {
         JoinStrategy::NaiveFixpoint => naive_fixpoint(q, merged, &mut stats),
-        JoinStrategy::RankedBottomUp => {
-            ranked_fixpoint(q, merged, Simulation::Plain, 1, &mut stats)?
-        }
-        JoinStrategy::Parallel => {
-            let threads = if threads == 0 {
-                auto_threads()
-            } else {
-                threads
-            };
-            ranked_fixpoint(q, merged, Simulation::Plain, threads, &mut stats)?
+        JoinStrategy::RankedBottomUp | JoinStrategy::Parallel => {
+            ranked_fixpoint(q, merged, Simulation::Plain, &mut stats)
         }
     };
-    Ok((sets, stats))
+    (sets, stats)
 }
 
 /// The covering view edge a merge reads, with its extension (`None` for
@@ -368,7 +325,7 @@ fn initial_candidates<S: std::ops::Deref<Target = [(NodeId, NodeId)]>>(
 
 /// Per-edge compacted representation of a merged match set: dense-id pair
 /// list, endpoint presence bitsets, and forward/reverse CSR adjacency. Pure
-/// per-edge data, built one edge per work unit.
+/// per-edge data.
 #[derive(Debug)]
 struct EdgeCsr {
     /// Compacted `(src, tgt)` pairs, in merge order.
@@ -534,52 +491,51 @@ struct EdgeSupport {
 /// occurring in the merged sets get dense ids, so all hot-path structures
 /// are flat vectors and bitsets sized by `|V(G)|`, not `|G|`.
 ///
-/// The per-edge stages (CSR build, support counters, final filter) run
-/// through [`par_map`] on `threads` workers, inline when `threads <= 1`;
-/// compaction, candidates and the drain are sequential. Per-edge results
-/// land in edge order, so the output and `stats` are the same at every
-/// thread count. Returns the refined per-edge sets (`None` = `Qs(G) = ∅`),
-/// or a caught worker panic.
+/// Builds each edge's CSR, the candidates and the initial support
+/// counters, then hands them to [`drain_and_extract`]. Returns the refined
+/// per-edge sets (`None` = `Qs(G) = ∅`).
 pub(crate) fn ranked_fixpoint(
     q: &Pattern,
     merged: MergedSets<'_>,
     sim: Simulation,
-    threads: usize,
     stats: &mut JoinStats,
-) -> Result<Option<RefinedSets>, JoinError> {
+) -> Option<RefinedSets> {
     let ne = q.edge_count();
     let (index, rev_index) = compact_index(&merged);
     let m = index.len();
 
-    let csrs = par_map(ne, threads, |ei| build_edge_csr(&merged[ei], &index, m))?;
+    let csrs: Vec<EdgeCsr> = merged
+        .iter()
+        .map(|set| build_edge_csr(set, &index, m))
+        .collect();
     stats.edge_visits += ne as u64;
 
-    let Some(cand) = build_candidates(q, &csrs, m, sim) else {
-        return Ok(None);
-    };
+    let cand = build_candidates(q, &csrs, m, sim)?;
 
-    let support = par_map(ne, threads, |ei| {
-        let (u, t) = q.edge(PatternEdgeId(ei as u32));
-        let (cu, ct) = (&cand[u.index()], &cand[t.index()]);
-        EdgeSupport {
-            fwd: edge_support(&csrs[ei].fwd, cu, ct, m),
-            bwd: match sim {
-                Simulation::Plain => Default::default(),
-                Simulation::Dual => edge_support(&csrs[ei].rev, ct, cu, m),
-            },
-        }
-    })?;
+    let support: Vec<EdgeSupport> = csrs
+        .iter()
+        .enumerate()
+        .map(|(ei, csr)| {
+            let (u, t) = q.edge(PatternEdgeId(ei as u32));
+            let (cu, ct) = (&cand[u.index()], &cand[t.index()]);
+            EdgeSupport {
+                fwd: edge_support(&csr.fwd, cu, ct, m),
+                bwd: match sim {
+                    Simulation::Plain => Default::default(),
+                    Simulation::Dual => edge_support(&csr.rev, ct, cu, m),
+                },
+            }
+        })
+        .collect();
     stats.edge_visits += ne as u64;
 
-    drain_and_extract(q, &csrs, cand, support, &rev_index, sim, threads, stats)
+    drain_and_extract(q, &csrs, cand, support, &rev_index, sim, stats)
 }
 
 /// The bottom-up drain (Lemma 2) plus the final per-edge filter: removes
 /// zero-support candidates in ascending SCC rank, cascading through
 /// in-edges (and, under dual simulation, out-edges), then maps surviving
-/// compact pairs back to [`NodeId`]s. The only drain: the parallel
-/// strategy fans out the stages around it, never the drain itself.
-#[allow(clippy::too_many_arguments)] // the kernel's state, handed over whole
+/// compact pairs back to [`NodeId`]s.
 fn drain_and_extract(
     q: &Pattern,
     csrs: &[EdgeCsr],
@@ -587,9 +543,8 @@ fn drain_and_extract(
     mut support: Vec<EdgeSupport>,
     rev_index: &[NodeId],
     sim: Simulation,
-    threads: usize,
     stats: &mut JoinStats,
-) -> Result<Option<RefinedSets>, JoinError> {
+) -> Option<RefinedSets> {
     let np = q.node_count();
     let ne = q.edge_count();
     let m = rev_index.len();
@@ -599,8 +554,7 @@ fn drain_and_extract(
 
     let mut buckets: Vec<VecDeque<(PatternNodeId, u32)>> = vec![VecDeque::new(); max_rank + 1];
     let mut scheduled: Vec<BitSet> = vec![BitSet::new(m); np];
-    // Seed by pattern node, then edge: a fixed order, so the drain (and its
-    // stats) never depend on how the per-edge stages were scheduled.
+    // Seed by pattern node, then edge.
     for u in q.nodes() {
         let fwd = q
             .out_edges(u)
@@ -625,7 +579,7 @@ fn drain_and_extract(
         }
         stats.removals += 1;
         if cand[u.index()].is_empty() {
-            return Ok(None);
+            return None;
         }
         // Forward counters of u's predecessors along each in-edge…
         for &(u0, e0) in q.in_edges(u) {
@@ -658,18 +612,21 @@ fn drain_and_extract(
     }
 
     // Final sets: pairs whose endpoints survived, mapped back to NodeIds.
-    let out = par_map(ne, threads, |ei| {
-        let (u, t) = q.edge(PatternEdgeId(ei as u32));
-        let (cu, ct) = (&cand[u.index()], &cand[t.index()]);
-        csrs[ei]
-            .pairs
-            .iter()
-            .filter(|&&(s, w)| cu.contains(s as usize) && ct.contains(w as usize))
-            .map(|&(s, w)| (rev_index[s as usize], rev_index[w as usize]))
-            .collect::<Vec<_>>()
-    })?;
+    let out: RefinedSets = csrs
+        .iter()
+        .enumerate()
+        .map(|(ei, csr)| {
+            let (u, t) = q.edge(PatternEdgeId(ei as u32));
+            let (cu, ct) = (&cand[u.index()], &cand[t.index()]);
+            csr.pairs
+                .iter()
+                .filter(|&&(s, w)| cu.contains(s as usize) && ct.contains(w as usize))
+                .map(|&(s, w)| (rev_index[s as usize], rev_index[w as usize]))
+                .collect()
+        })
+        .collect();
     stats.edge_visits += ne as u64;
-    Ok((!out.iter().any(Vec::is_empty)).then_some(out))
+    (!out.iter().any(Vec::is_empty)).then_some(out)
 }
 
 /// Withdraws a removed node `v` as a witness: each neighbour `w` of `v` in

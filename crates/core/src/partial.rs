@@ -125,9 +125,9 @@ pub(crate) fn cover<'a>(
 
 /// The source-honoring merge step: builds each edge's initial match set
 /// from exactly the source the plan pinned — the materialized extension for
-/// [`EdgeSource::View`], a surgical scan for [`EdgeSource::Graph`]. Both
-/// the sequential and the parallel executor consume this, so the planner's
-/// per-edge decision is what actually runs. `g` may be `None` only for
+/// [`EdgeSource::View`], a surgical scan for [`EdgeSource::Graph`]. The
+/// executor consumes this, so the planner's per-edge decision is what
+/// actually runs. `g` may be `None` only for
 /// all-view source vectors ([`JoinError::GraphRequired`] otherwise).
 pub(crate) fn merged_from_sources<'a>(
     q: &Pattern,
@@ -170,7 +170,7 @@ pub fn hybrid_match_join(
     let sources = sources_from_lambda(&partial.lambda, ext)?;
     let merged = merged_from_sources(q, &sources, ext, Some(g))?;
     // Same refinement as MatchJoin from here on.
-    run_fixpoint(q, merged, JoinStrategy::RankedBottomUp, 1)
+    Ok(run_fixpoint(q, merged, JoinStrategy::RankedBottomUp))
 }
 
 #[cfg(test)]

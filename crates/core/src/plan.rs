@@ -13,9 +13,9 @@
 //!    [`CostModel`](crate::cost::CostModel) — plus, per query edge, its
 //!    **source** ([`EdgeSource`]): a covered edge reads its smallest
 //!    covering extension, an uncovered edge scans `G` surgically;
-//! 3. **Execute** — sequential or parallel `MatchJoin`, hybrid join, or
-//!    direct `Match` fallback. The merge honors the per-edge sources
-//!    verbatim (both executors), so EXPLAIN shows exactly what will run.
+//! 3. **Execute** — `MatchJoin`, hybrid join, or direct `Match`
+//!    fallback. The merge honors the per-edge sources verbatim, so EXPLAIN
+//!    shows exactly what will run.
 
 use crate::containment::{ContainmentPlan, ViewEdgeRef};
 use crate::cost::CostEstimate;
@@ -106,37 +106,34 @@ impl std::fmt::Display for CacheDisposition {
     }
 }
 
-/// How the join executes.
+/// How the join executes. The planner always emits
+/// `Sequential(JoinStrategy::RankedBottomUp)`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ExecStrategy {
     /// Single-threaded, with the given worklist discipline.
     Sequential(JoinStrategy),
-    /// The parallel executor ([`crate::parallel`]) on `threads` workers,
-    /// one work unit per pattern edge.
+    /// Runs as `Sequential(JoinStrategy::RankedBottomUp)`; the planner
+    /// never produces it. Exists only for perfbench; goes with ROADMAP's
+    /// "Pending benchmark change".
     Parallel {
-        /// Worker count (`0` = auto-detect at execution time).
+        /// Ignored.
         threads: usize,
     },
 }
 
 impl ExecStrategy {
-    /// The join strategy and worker count this executes as (the count is
-    /// read only by [`JoinStrategy::Parallel`]; `0` = auto-detect).
-    pub(crate) fn join(self) -> (JoinStrategy, usize) {
+    /// The worklist discipline this executes as.
+    pub(crate) fn join(self) -> JoinStrategy {
         match self {
-            ExecStrategy::Sequential(s) => (s, 0),
-            ExecStrategy::Parallel { threads } => (JoinStrategy::Parallel, threads),
+            ExecStrategy::Sequential(s) => s,
+            ExecStrategy::Parallel { .. } => JoinStrategy::RankedBottomUp,
         }
     }
 }
 
 impl std::fmt::Display for ExecStrategy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ExecStrategy::Sequential(s) => write!(f, "sequential({s:?})"),
-            ExecStrategy::Parallel { threads: 0 } => f.write_str("parallel(auto)"),
-            ExecStrategy::Parallel { threads } => write!(f, "parallel({threads})"),
-        }
+        write!(f, "sequential({:?})", self.join())
     }
 }
 
@@ -328,21 +325,13 @@ impl std::fmt::Display for QueryPlan {
 mod tests {
     use super::*;
 
-    /// EXPLAIN must name the chosen executor and its worker count — the
-    /// `execute:` line is how `gpv plan` / `gpv serve --explain` surface it.
+    /// EXPLAIN must name the chosen worklist discipline — the `execute:`
+    /// line is how `gpv plan` / `gpv serve --explain` surface it.
     #[test]
-    fn exec_strategy_display_names_threads() {
+    fn exec_strategy_display_names_the_discipline() {
         assert_eq!(
             ExecStrategy::Sequential(JoinStrategy::RankedBottomUp).to_string(),
             "sequential(RankedBottomUp)"
-        );
-        assert_eq!(
-            ExecStrategy::Parallel { threads: 0 }.to_string(),
-            "parallel(auto)"
-        );
-        assert_eq!(
-            ExecStrategy::Parallel { threads: 8 }.to_string(),
-            "parallel(8)"
         );
     }
 }

@@ -34,8 +34,8 @@ pub use patterns::{
     uniform_bounded_pattern_with_preds, PatternShape,
 };
 pub use scenario::{
-    check_scenario, check_scenario_with, ExecKnob, GraphSource, QueryMode, Scenario,
-    ScenarioInputs, CACHE_STATES,
+    check_scenario, check_scenario_with, GraphSource, QueryMode, Scenario, ScenarioInputs,
+    CACHE_STATES,
 };
 pub use synthetic::{densification_graph, random_graph, DEFAULT_ALPHABET};
 pub use views::{

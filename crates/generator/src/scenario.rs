@@ -6,8 +6,8 @@
 //! queries of what shape over how many labels, how the serving schedule
 //! repeats them (zipfian), what fraction of the covering view set is
 //! registered, how the store mutates between rounds, and the full engine/
-//! service configuration (selection mode, executor, threads, cache
-//! budgets). Two invariants make it a fuzzing substrate:
+//! service configuration (selection mode, cache budgets). Two invariants
+//! make it a fuzzing substrate:
 //!
 //! * **One-seed determinism** — [`Scenario::sample`] is a pure function of
 //!   `(master_seed, index)`, and [`Scenario::materialize`] is a pure
@@ -19,9 +19,8 @@
 //!
 //! Config knobs are swept by *cycling* (`index` modulo small co-prime-ish
 //! periods) rather than sampled randomly, so a short run provably covers
-//! the whole configuration matrix: 5 query modes × 2 executors × 4 cache
-//! states are all hit within the first `lcm ≤ 60` iterations (and mostly
-//! within the first 5–12). Workload
+//! the whole configuration matrix: 5 query modes × 4 cache states are all
+//! hit within the first 20 iterations. Workload
 //! dimensions (graph source/scale, query shapes, zipf skew, coverage) are
 //! drawn from the seeded RNG for diversity.
 
@@ -38,8 +37,7 @@ use gpv_core::differential::{
     PlainOracle,
 };
 use gpv_core::{
-    BoundedViewSet, EdgeDelta, EngineConfig, ExecStrategy, JoinStrategy, SelectionMode,
-    ServiceConfig, ViewDef, ViewSet,
+    BoundedViewSet, EdgeDelta, EngineConfig, SelectionMode, ServiceConfig, ViewDef, ViewSet,
 };
 use gpv_graph::{DataGraph, NodeId};
 use gpv_matching::{bmatch_pattern, match_pattern};
@@ -103,15 +101,6 @@ pub enum QueryMode {
     Bounded,
 }
 
-/// Which executor the engine is forced to use.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ExecKnob {
-    /// Single-threaded ranked-bottom-up.
-    Sequential,
-    /// Parallel, one work unit per pattern edge.
-    ParallelPerEdge,
-}
-
 /// The result-cache states the sampler cycles through (bytes):
 /// default 64 MiB (hot), disabled, 4 KiB (eviction churn), 64 KiB.
 pub const CACHE_STATES: [usize; 4] = [64 << 20, 0, 4096, 64 << 10];
@@ -156,10 +145,6 @@ pub struct Scenario {
     pub max_fragment: usize,
     /// Query mode under test.
     pub mode: QueryMode,
-    /// Executor under test.
-    pub exec: ExecKnob,
-    /// Worker threads for the parallel executor.
-    pub threads: usize,
     /// Result-cache budget in bytes (0 disables).
     pub result_cache_bytes: usize,
     /// Plan-cache capacity (small values force churn).
@@ -203,10 +188,9 @@ impl Scenario {
     /// seeded with `master_seed`.
     ///
     /// Configuration axes cycle with short periods so coverage is
-    /// guaranteed, not probabilistic: query mode has period 5, executor 3
-    /// (sequential on multiples of 3, parallel otherwise), cache state 4,
-    /// threads 3 (offset so they decorrelate from the other axes). Everything else is drawn from an
-    /// RNG seeded with `mix(master_seed, index)`.
+    /// guaranteed, not probabilistic: query mode has period 5, cache state
+    /// 4. Everything else is drawn from an RNG seeded with
+    /// `mix(master_seed, index)`.
     pub fn sample(master_seed: u64, index: u64) -> Scenario {
         let seed = mix(master_seed, index);
         let mut rng = StdRng::seed_from_u64(seed);
@@ -218,13 +202,7 @@ impl Scenario {
             3 => QueryMode::Partial,
             _ => QueryMode::Bounded,
         };
-        let exec = if index % 3 == 0 {
-            ExecKnob::Sequential
-        } else {
-            ExecKnob::ParallelPerEdge
-        };
         let result_cache_bytes = CACHE_STATES[(index % 4) as usize];
-        let threads = [2, 4, 8][((index / 3) % 3) as usize];
 
         let labels = rng.gen_range(2..=6);
         // Bounded mode needs label-alphabet graphs (the bounded generator
@@ -291,8 +269,6 @@ impl Scenario {
             coverage,
             max_fragment: rng.gen_range(2..=3),
             mode,
-            exec,
-            threads,
             result_cache_bytes,
             plan_cache_capacity: [2, 8, 4096][rng.gen_range(0..3usize)],
             shards: rng.gen_range(1..=4),
@@ -439,26 +415,15 @@ impl Scenario {
         }
     }
 
-    /// The engine configuration the scenario forces (executor, selection
-    /// mode, threads).
+    /// The engine configuration the scenario forces (selection mode).
     pub fn engine_config(&self) -> EngineConfig {
-        let force_exec = Some(match self.exec {
-            ExecKnob::Sequential => ExecStrategy::Sequential(JoinStrategy::RankedBottomUp),
-            ExecKnob::ParallelPerEdge => ExecStrategy::Parallel {
-                threads: self.threads,
-            },
-        });
         let force_selection = match self.mode {
             QueryMode::Contain => Some(SelectionMode::All),
             QueryMode::Minimal => Some(SelectionMode::Minimal),
             QueryMode::Minimum => Some(SelectionMode::Minimum),
             QueryMode::Partial | QueryMode::Bounded => None,
         };
-        EngineConfig {
-            threads: self.threads,
-            force_selection,
-            force_exec,
-        }
+        EngineConfig { force_selection }
     }
 
     /// The service configuration (cache budgets) wrapping
@@ -603,38 +568,34 @@ mod tests {
         }
     }
 
-    /// Marginal coverage is not enough: an executor axis whose period
-    /// divides another axis's would pin each executor to one half of that
-    /// axis and still hit every value. Assert the joint pairs too.
+    /// Marginal coverage is not enough: a cache axis whose period divided
+    /// the mode axis's would pin each cache state to some of the modes and
+    /// still hit every value. Assert the joint pairs too.
     #[test]
     fn twenty_five_iterations_cover_the_matrix() {
         let mut modes = BTreeSet::new();
-        let mut execs = BTreeSet::new();
         let mut caches = BTreeSet::new();
-        let mut exec_modes = BTreeSet::new();
+        let mut cache_modes = BTreeSet::new();
         for i in 0..25 {
             let sc = Scenario::sample(42, i);
-            let (mode, exec) = (format!("{:?}", sc.mode), format!("{:?}", sc.exec));
+            let mode = format!("{:?}", sc.mode);
             modes.insert(mode.clone());
-            execs.insert(exec.clone());
             caches.insert(sc.result_cache_bytes);
-            exec_modes.insert((exec, mode));
+            cache_modes.insert((sc.result_cache_bytes, mode));
         }
         assert_eq!(modes.len(), 5, "all five query modes: {modes:?}");
-        assert_eq!(execs.len(), 2, "both executors: {execs:?}");
-        assert!(caches.len() >= 2, "≥ 2 cache states: {caches:?}");
+        assert_eq!(caches.len(), 4, "all four cache states: {caches:?}");
         assert_eq!(
-            exec_modes.len(),
-            10,
-            "every executor in every query mode: {exec_modes:?}"
+            cache_modes.len(),
+            20,
+            "every cache state in every query mode: {cache_modes:?}"
         );
     }
 
-    /// Repro lines saved before the chunked executor, the service's online
-    /// re-fit and the cost-weight axis were removed carry their retired
-    /// knob fields: they still parse, whatever the field values (the fields
-    /// are ignored). A line naming the removed executor fails with the
-    /// clean parse error.
+    /// Repro lines saved before the executor axis (`exec`, `threads`), the
+    /// service's online re-fit and the cost-weight axis were removed carry
+    /// their retired knob fields: they still parse, whatever the field
+    /// values (the fields are ignored).
     #[test]
     fn retired_knobs_in_saved_descriptors() {
         // Verbatim from a `BENCH_service.json` row recorded before both
@@ -647,14 +608,19 @@ mod tests {
             saved.replace(r#""weights":"Default""#, r#""weights":"ExpensiveRead""#);
         assert_ne!(cheap_scan, saved);
         assert_ne!(expensive_read, saved);
-        for line in [saved, &*refit_every_batch, &*cheap_scan, &*expensive_read] {
+        let executors = ["ParallelPerEdge", "ParallelChunked"].map(|exec| {
+            saved
+                .replace(r#""exec":"Sequential""#, &format!(r#""exec":"{exec}""#))
+                .replace(r#""threads":1"#, r#""threads":4"#)
+        });
+        assert!(executors.iter().all(|line| line != saved));
+        let mut lines = vec![saved, &*refit_every_batch, &*cheap_scan, &*expensive_read];
+        lines.extend(executors.iter().map(String::as_str));
+        for line in lines {
             let sc = Scenario::from_json_line(line).expect("old descriptor parses");
-            assert_eq!(sc.exec, ExecKnob::Sequential);
+            assert_eq!(sc.mode, QueryMode::Minimal);
             assert_eq!(sc.shards, 8);
         }
-        let chunked = saved.replace(r#""exec":"Sequential""#, r#""exec":"ParallelChunked""#);
-        let err = Scenario::from_json_line(&chunked).expect_err("removed executor");
-        assert!(err.starts_with("bad scenario JSON"), "{err}");
     }
 
     #[test]

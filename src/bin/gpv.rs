@@ -6,7 +6,7 @@
 //! gpv contain  --pattern Q.txt --view V1.txt --view V2.txt [--bounded]
 //! gpv minimal  --pattern Q.txt --view V1.txt ... (also: minimum)
 //! gpv answer   --graph G.txt --pattern Q.txt --view V1.txt ... [--bounded]
-//!              [--select auto|all|minimal|minimum] [--threads N]
+//!              [--select auto|all|minimal|minimum]
 //! gpv plan     --graph G.txt --pattern Q.txt --view V1.txt ...  # EXPLAIN
 //! gpv serve    --graph G.txt --view V1.txt ... --pattern Q1.txt [--pattern Q2.txt ...]
 //!              [--shards N] [--clients N] [--repeat K] [--result-cache-mb M] [--explain]
@@ -23,13 +23,10 @@
 //! `answer` and `plan` go through the unified [`core::QueryEngine`]: the
 //! engine analyzes containment, costs the candidate view selections against
 //! the materialized extension sizes (`--select auto`, the default), and
-//! picks a sequential or parallel executor (omit `--threads` to
-//! auto-detect the worker count).
-//! The parallel executor fans one work unit per pattern edge. The EXPLAIN
-//! output shows the chosen executor and its worker count
-//! (`execute: parallel(8)`), the per-edge merge sources
-//! (`View`/`Graph`), and the cost estimate in pairs read and graph edges
-//! scanned.
+//! runs the single-threaded `MatchJoin`. The EXPLAIN output shows the
+//! worklist discipline (`execute: sequential(RankedBottomUp)`), the
+//! per-edge merge sources (`View`/`Graph`), and the cost estimate in pairs
+//! read and graph edges scanned.
 //!
 //! `serve` is the batch-serving front end over [`core::ViewService`]: it
 //! shards the materialized views into a [`core::ViewStore`] (`--shards`),
@@ -87,7 +84,7 @@
 //! each iteration samples a `gpv_generator::Scenario` — graph emulator +
 //! scale, query shapes, zipfian serving schedule, view coverage, store
 //! mutations, and the full engine/service configuration (query mode,
-//! executor, threads, cache budgets) — deterministically
+//! cache budgets) — deterministically
 //! from `--seed`, runs it through `QueryEngine` *and* `ViewService`, and
 //! asserts bit-exact
 //! agreement with naive `match_pattern` / `bmatch_pattern` on every
@@ -99,12 +96,6 @@
 //! smoke pass in this mode. Setting `GPV_FUZZ_INJECT=1` corrupts the
 //! oracle on purpose (test-only) to prove the harness catches and
 //! reproduces divergences.
-//!
-//! `--exec auto|seq|par` (answer/plan/serve/advise) overrides the cost
-//! model's executor choice: `seq` forces the sequential executor, `par`
-//! forces the parallel one. This is how the golden EXPLAIN test pins a
-//! `parallel(T)` plan on a fixture far too small for the cost gate to pick
-//! it.
 //!
 //! Graphs use the `gpv-graph` text format (`node <id> <labels> [k=v ...]` /
 //! `edge <src> <dst>`); patterns use the `gpv-pattern` format
@@ -123,14 +114,12 @@ struct Args {
     dual: bool,
     explain: bool,
     select: String,
-    threads: usize,
     shards: usize,
     clients: usize,
     repeat: usize,
     result_cache_mb: usize,
     store_dir: Option<String>,
     budget: Option<usize>,
-    exec: String,
     iterations: usize,
     seed: u64,
     repro: Option<String>,
@@ -143,7 +132,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: gpv <stats|match|contain|minimal|minimum|answer|plan|serve|advise|minimize|lint|check|fuzz> \
          [--graph F] [--pattern F]... [--view F]... [--bounded] [--dual] \
-         [--select auto|all|minimal|minimum] [--exec auto|seq|par] [--threads N] \
+         [--select auto|all|minimal|minimum] \
          [--shards N] [--clients N] [--repeat K] [--result-cache-mb M] [--explain] \
          [--store-dir D] [--budget N] [--iterations N] [--seed S] [--repro JSON] \
          [--updates-per-round N] [--require-deltas] [--json]"
@@ -160,14 +149,12 @@ fn parse_args(rest: &[String]) -> Result<Args, String> {
         dual: false,
         explain: false,
         select: "auto".into(),
-        threads: 0,
         shards: 8,
         clients: 1,
         repeat: 1,
         result_cache_mb: 64,
         store_dir: None,
         budget: None,
-        exec: "auto".into(),
         iterations: 25,
         seed: 42,
         repro: None,
@@ -201,16 +188,6 @@ fn parse_args(rest: &[String]) -> Result<Args, String> {
                 a.select = rest.get(i + 1).ok_or("--select needs a mode")?.clone();
                 i += 2;
             }
-            "--threads" => {
-                let n = uint("--threads", rest.get(i + 1))?;
-                if n == 0 {
-                    return Err(
-                        "--threads must be at least 1 (omit the flag to auto-detect)".into(),
-                    );
-                }
-                a.threads = n;
-                i += 2;
-            }
             "--shards" => {
                 a.shards = uint("--shards", rest.get(i + 1))?.max(1);
                 i += 2;
@@ -237,10 +214,6 @@ fn parse_args(rest: &[String]) -> Result<Args, String> {
             }
             "--budget" => {
                 a.budget = Some(uint("--budget", rest.get(i + 1))?);
-                i += 2;
-            }
-            "--exec" => {
-                a.exec = rest.get(i + 1).ok_or("--exec needs a mode")?.clone();
                 i += 2;
             }
             "--iterations" => {
@@ -897,7 +870,6 @@ fn fuzz(a: &Args) -> Result<(), String> {
 
     let mut totals = DifferentialReport::default();
     let mut modes: BTreeSet<String> = BTreeSet::new();
-    let mut execs: BTreeSet<String> = BTreeSet::new();
     let mut caches: BTreeSet<usize> = BTreeSet::new();
     for i in 0..a.iterations as u64 {
         let mut sc = Scenario::sample(a.seed, i);
@@ -912,16 +884,13 @@ fn fuzz(a: &Args) -> Result<(), String> {
             sc.rounds = sc.rounds.max(2);
         }
         modes.insert(format!("{:?}", sc.mode));
-        execs.insert(format!("{:?}", sc.exec));
         caches.insert(sc.result_cache_bytes);
         let r = run_one(&sc)?;
         totals.absorb(&r);
         println!(
-            "fuzz {i:>3}: mode={:?} exec={:?} cache={}B threads={} -- ok ({} answers, plans v/h/d {}/{}/{}, {} deltas)",
+            "fuzz {i:>3}: mode={:?} cache={}B -- ok ({} answers, plans v/h/d {}/{}/{}, {} deltas)",
             sc.mode,
-            sc.exec,
             sc.result_cache_bytes,
-            sc.threads,
             r.served,
             r.plans_views_only,
             r.plans_hybrid,
@@ -929,16 +898,14 @@ fn fuzz(a: &Args) -> Result<(), String> {
             r.edge_deltas
         );
     }
-    let join = |s: &BTreeSet<String>| s.iter().cloned().collect::<Vec<_>>().join(",");
     println!("---");
     println!(
         "fuzz: {} scenarios from seed {} -- engine and service matched match_pattern on every sample",
         a.iterations, a.seed
     );
     println!(
-        "coverage: modes=[{}] execs=[{}] caches={:?}",
-        join(&modes),
-        join(&execs),
+        "coverage: modes=[{}] caches={:?}",
+        modes.into_iter().collect::<Vec<_>>().join(","),
         caches.iter().collect::<Vec<_>>()
     );
     println!(
@@ -968,19 +935,7 @@ fn engine_config(a: &Args) -> Result<core::EngineConfig, String> {
         "minimum" => Some(core::SelectionMode::Minimum),
         other => return Err(format!("unknown --select mode `{other}`")),
     };
-    let force_exec = match a.exec.as_str() {
-        "auto" => None,
-        "seq" => Some(core::ExecStrategy::Sequential(
-            core::JoinStrategy::RankedBottomUp,
-        )),
-        "par" => Some(core::ExecStrategy::Parallel { threads: a.threads }),
-        other => return Err(format!("unknown --exec mode `{other}`")),
-    };
-    Ok(core::EngineConfig {
-        threads: a.threads,
-        force_selection,
-        force_exec,
-    })
+    Ok(core::EngineConfig { force_selection })
 }
 
 fn plain_view_set(views: &[(String, BoundedPattern)]) -> Result<core::ViewSet, String> {

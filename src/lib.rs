@@ -51,7 +51,7 @@
 //! assert_eq!(via_views, result);
 //!
 //! // Or let the QueryEngine make every decision (containment analysis,
-//! // cost-based view selection, sequential vs parallel execution):
+//! // cost-based view selection, execution):
 //! let engine = QueryEngine::materialize(views, &g);
 //! let via_engine = engine.answer_from_views(&q).expect("Qs ⊑ V");
 //! assert_eq!(via_engine, result);

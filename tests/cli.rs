@@ -433,34 +433,6 @@ fn plan_explain_matches_golden() {
     );
 }
 
-/// Golden-file contract for the parallel-executor EXPLAIN line: `--exec
-/// par` pins `parallel(T)`. The forced executor changes only the
-/// `execute:` line; sources and cost stay identical to the auto plan.
-#[test]
-fn plan_explain_parallel_matches_golden() {
-    let g = write_tmp("goldp-g.txt", GRAPH);
-    let q = write_tmp("goldp-q.txt", QUERY);
-    let v1 = write_tmp("goldp-v1.txt", VIEW1);
-    let v2 = write_tmp("goldp-v2.txt", VIEW2);
-    let mut cmd = gpv();
-    cmd.args(["plan", "--graph", g.to_str().unwrap()]);
-    cmd.args(["--pattern", q.to_str().unwrap()]);
-    cmd.args(["--view", v1.to_str().unwrap()]);
-    cmd.args(["--view", v2.to_str().unwrap()]);
-    cmd.args(["--exec", "par", "--threads", "8"]);
-    let out = cmd.output().unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert_eq!(
-        String::from_utf8(out.stdout).unwrap(),
-        include_str!("golden/plan_parallel_per_edge.txt"),
-        "parallel EXPLAIN drifted; update tests/golden/ deliberately"
-    );
-}
-
 /// `serve --store-dir` must save the sharded store on the first run, load
 /// it on the second — announcing which happened — and serve identical
 /// answers either way (the store-dir round trip may not perturb results).
@@ -798,7 +770,7 @@ fn fuzz_injected_divergence_reproduces_from_printed_json() {
 }
 
 /// Boundary flag values and retired inputs are structured errors, not
-/// silent clamps or panics: `--threads 0`, the retired chunk-size and
+/// silent clamps or panics: the retired executor, chunk-size and
 /// calibration flags, and the retired `calibrate` command each print one
 /// clean `gpv:` line on stderr and exit nonzero.
 #[test]
@@ -828,7 +800,8 @@ fn zero_thread_and_chunk_flags_error_cleanly() {
         v1.to_str().unwrap(),
     ];
     for (flag, expected) in [
-        (&["--threads", "0"][..], "--threads must be at least 1"),
+        (&["--threads", "4"][..], "unknown flag `--threads`"),
+        (&["--exec", "par"][..], "unknown flag `--exec`"),
         (&["--chunk-pairs", "8"][..], "unknown flag `--chunk-pairs`"),
         (&["--calibrated"][..], "unknown flag `--calibrated`"),
     ] {

@@ -1,34 +1,18 @@
 //! Engine-contract property tests (seeded): on random graph / view /
 //! pattern triples, `QueryEngine::answer(q, g)` must equal the
 //! `match_pattern(q, g)` ground truth for *every* plan shape the planner
-//! can pick — views-only under all three selection modes, the parallel
-//! executor, hybrid partial coverage, direct fallback, and bounded plans.
+//! can pick — views-only under all three selection modes, hybrid partial
+//! coverage, direct fallback, and bounded plans.
 
 use gpv_generator::{
     covering_bounded_views, covering_views, random_bounded_pattern, random_graph, random_pattern,
     PatternShape,
 };
 use graph_views::prelude::*;
-use graph_views::views::{EdgeSource, ExecStrategy, QueryPlan};
+use graph_views::views::{EdgeSource, QueryPlan};
 use proptest::prelude::*;
 
 const LABELS: [&str; 4] = ["A", "B", "C", "D"];
-
-/// Thread counts the parallel-equivalence sweep exercises. CI extends the
-/// matrix through `GPV_TEST_THREADS` (the counts are explicit worker
-/// counts, not `available_parallelism`, so they fan out real threads on
-/// 1-core runners too).
-fn sweep_threads() -> Vec<usize> {
-    let mut ts = vec![1usize, 2, 4, 8];
-    if let Ok(v) = std::env::var("GPV_TEST_THREADS") {
-        if let Ok(n) = v.parse::<usize>() {
-            if !ts.contains(&n) {
-                ts.push(n);
-            }
-        }
-    }
-    ts
-}
 
 fn arb_graph() -> impl Strategy<Value = DataGraph> {
     (5usize..60, 10usize..150, any::<u64>())
@@ -56,7 +40,6 @@ fn mode_configs() -> Vec<EngineConfig> {
     ] {
         cfgs.push(EngineConfig {
             force_selection: Some(m),
-            ..EngineConfig::default()
         });
     }
     cfgs
@@ -66,10 +49,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Covered queries: the engine must answer from views alone, matching
-    /// the ground truth under every selection mode (the forced parallel
-    /// executor is swept by `parallel_is_bit_identical_to_ranked_bottom_up`).
-    /// The plan's estimate is exact: the pairs it prices are the pairs the
-    /// merge step actually reads.
+    /// the ground truth under every selection mode. The plan's estimate is
+    /// exact: the pairs it prices are the pairs the merge step actually
+    /// reads.
     #[test]
     fn engine_equals_match_when_contained(g in arb_graph(), q in arb_query(), vseed in any::<u64>()) {
         let views = covering_views(std::slice::from_ref(&q), 3, vseed);
@@ -83,97 +65,6 @@ proptest! {
             prop_assert_eq!(&engine.answer_from_views(&q).unwrap(), &direct);
             prop_assert_eq!(&engine.answer(&q, &g).unwrap(), &direct);
         }
-    }
-
-    /// The parallel executor is **bit-for-bit identical** to the
-    /// sequential `RankedBottomUp` strategy across threads ∈ {1, 2, 4, 8}
-    /// (plus `GPV_TEST_THREADS`), answers and `JoinStats` alike. Work units
-    /// are fixed by edge index and the drain is shared, so the thread count
-    /// may not leak into either.
-    #[test]
-    fn parallel_is_bit_identical_to_ranked_bottom_up(
-        g in arb_graph(),
-        q in arb_query(),
-        vseed in any::<u64>(),
-    ) {
-        let views = covering_views(std::slice::from_ref(&q), 3, vseed);
-        let run = |exec: ExecStrategy| {
-            let engine = QueryEngine::materialize(views.clone(), &g).with_config(EngineConfig {
-                force_exec: Some(exec),
-                ..EngineConfig::default()
-            });
-            let plan = engine.plan(&q);
-            engine.execute(&q, &plan, None).unwrap()
-        };
-        let (baseline, base_stats) = run(ExecStrategy::Sequential(JoinStrategy::RankedBottomUp));
-        prop_assert_eq!(&baseline, &match_pattern(&q, &g));
-        for threads in sweep_threads() {
-            let (answer, stats) = run(ExecStrategy::Parallel { threads });
-            prop_assert_eq!(&answer, &baseline, "threads={}", threads);
-            prop_assert_eq!(stats, base_stats, "threads={}", threads);
-        }
-    }
-
-    /// The bounded twin: a forced `Parallel { threads }` plan makes
-    /// `answer_bounded` run `bmatch_join_threaded` on explicit workers
-    /// (these graphs are too small for `parallel_pays` to choose it). The
-    /// answer must equal `bmatch_pattern` and the sequential answer, with
-    /// the sequential `JoinStats`.
-    #[test]
-    fn bounded_parallel_is_bit_identical_to_ranked_bottom_up(
-        g in arb_graph(),
-        qb in arb_bounded_query(),
-        vseed in any::<u64>(),
-    ) {
-        use graph_views::views::{bmatch_join_threaded, bmaterialize};
-        let views = covering_bounded_views(std::slice::from_ref(&qb), 2, vseed);
-        let engine = |exec: ExecStrategy| {
-            QueryEngine::materialize(graph_views::views::ViewSet::default(), &g)
-                .with_bounded_views(views.clone(), &g)
-                .with_config(EngineConfig {
-                    force_exec: Some(exec),
-                    ..EngineConfig::default()
-                })
-        };
-        let sequential = engine(ExecStrategy::Sequential(JoinStrategy::RankedBottomUp));
-        let baseline = sequential.answer_bounded(&qb).unwrap();
-        prop_assert_eq!(&baseline, &bmatch_pattern(&qb, &g));
-        let plan = sequential.plan_bounded(&qb).unwrap().plan;
-        let ext = bmaterialize(&views, &g);
-        let (_, base_stats) =
-            bmatch_join_threaded(&qb, &plan, &ext, JoinStrategy::RankedBottomUp, 0).unwrap();
-        for threads in sweep_threads() {
-            let parallel = engine(ExecStrategy::Parallel { threads });
-            prop_assert_eq!(parallel.plan_bounded(&qb).unwrap().exec, ExecStrategy::Parallel { threads });
-            prop_assert_eq!(&parallel.answer_bounded(&qb).unwrap(), &baseline, "threads={}", threads);
-            let (answer, stats) =
-                bmatch_join_threaded(&qb, &plan, &ext, JoinStrategy::Parallel, threads).unwrap();
-            prop_assert_eq!(&answer, &baseline, "threads={}", threads);
-            prop_assert_eq!(stats, base_stats, "threads={}", threads);
-        }
-    }
-
-    /// The union-merge ablation path under the parallel strategy:
-    /// `match_join_union_with(Parallel)` runs the parallel fixpoint over
-    /// the per-edge unions, which leave it real pruning work, and must
-    /// equal the sequential `RankedBottomUp` union join.
-    #[test]
-    fn parallel_union_join_matches_sequential(
-        g in arb_graph(),
-        q in arb_query(),
-        vseed in any::<u64>(),
-    ) {
-        use graph_views::views::matchjoin::match_join_union_with;
-        use graph_views::views::{contain, materialize};
-        let views = covering_views(std::slice::from_ref(&q), 3, vseed);
-        let Some(plan) = contain(&q, &views) else {
-            return Ok(()); // covering_views should contain q; skip if not
-        };
-        let ext = materialize(&views, &g);
-        let (seq, _) =
-            match_join_union_with(&q, &plan, &ext, JoinStrategy::RankedBottomUp).unwrap();
-        let (par, _) = match_join_union_with(&q, &plan, &ext, JoinStrategy::Parallel).unwrap();
-        prop_assert_eq!(par, seq);
     }
 
     /// Partially-covered queries: the planner picks hybrid (or direct) and

@@ -1,15 +1,13 @@
 //! Persistence contract tests for the columnar shard format: a store
 //! saved to disk and reloaded must serve **bit-identical** answers to the
-//! boxed `match_pattern` ground truth across every query mode × executor
-//! × thread count the planner can pick, and corrupt shard files must load
-//! as clean errors — never panics — in both debug and release builds.
+//! boxed `match_pattern` ground truth across every query mode the planner
+//! can pick, and corrupt shard files must load as clean errors — never
+//! panics — in both debug and release builds.
 
 use gpv_generator::{covering_views, random_graph, random_pattern, PatternShape};
 use graph_views::prelude::*;
 use graph_views::views::store::ViewStore;
-use graph_views::views::{
-    CompactView, ExecStrategy, ShardError, StoreMeta, ViewService, SHARD_VERSION,
-};
+use graph_views::views::{CompactView, ShardError, StoreMeta, ViewService, SHARD_VERSION};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -35,9 +33,8 @@ fn arb_query() -> impl Strategy<Value = Pattern> {
         .prop_map(|(nv, ne, seed)| random_pattern(nv, ne, &LABELS, PatternShape::Any, seed))
 }
 
-/// Five query modes (cost-based auto + the three pinned selections + the
-/// pinned sequential executor) plus the parallel executor at two thread
-/// counts: every plan shape a reloaded store can serve under.
+/// Four query modes (cost-based auto + the three pinned selections):
+/// every plan shape a reloaded store can serve under.
 fn all_configs() -> Vec<EngineConfig> {
     let mut cfgs = vec![EngineConfig::default()];
     for m in [
@@ -47,17 +44,6 @@ fn all_configs() -> Vec<EngineConfig> {
     ] {
         cfgs.push(EngineConfig {
             force_selection: Some(m),
-            ..EngineConfig::default()
-        });
-    }
-    cfgs.push(EngineConfig {
-        force_exec: Some(ExecStrategy::Sequential(JoinStrategy::RankedBottomUp)),
-        ..EngineConfig::default()
-    });
-    for threads in [2usize, 4] {
-        cfgs.push(EngineConfig {
-            force_exec: Some(ExecStrategy::Parallel { threads }),
-            ..EngineConfig::default()
         });
     }
     cfgs
@@ -93,8 +79,8 @@ proptest! {
         let served = service.serve_batch(std::slice::from_ref(&q), Some(&g));
         prop_assert_eq!(&*served[0].as_ref().unwrap().result, &direct);
 
-        // ...and through engines pinned to every mode × executor × thread
-        // count, views-only (no graph access at all).
+        // ...and through engines pinned to every mode, views-only (no
+        // graph access at all).
         let snap = loaded.snapshot();
         for cfg in all_configs() {
             let engine = QueryEngine::from_snapshot(&snap).with_config(cfg);

@@ -48,7 +48,6 @@ fn lambda_ordered(lambda: &[Vec<ViewEdgeRef>]) -> bool {
 fn forced(mode: SelectionMode) -> EngineConfig {
     EngineConfig {
         force_selection: Some(mode),
-        ..EngineConfig::default()
     }
 }
 
