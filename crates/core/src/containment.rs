@@ -202,13 +202,13 @@ pub fn query_contained(q1: &Pattern, q2: &Pattern) -> bool {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::view::ViewDef;
     use gpv_pattern::{PatternBuilder, PatternNodeId};
 
     /// Paper Fig. 1(c).
-    fn fig1c() -> Pattern {
+    pub(crate) fn fig1c() -> Pattern {
         let mut b = PatternBuilder::new();
         let pm = b.node_labeled("PM");
         let dba1 = b.node_labeled("DBA");
@@ -224,7 +224,8 @@ mod tests {
         b.build().unwrap()
     }
 
-    fn fig1_views() -> ViewSet {
+    /// Paper Fig. 1(d): V1 = PM -> {DBA, PRG}, V2 = DBA <-> PRG.
+    pub(crate) fn fig1_views() -> ViewSet {
         let mut b = PatternBuilder::new();
         let pm = b.node_labeled("PM");
         let dba = b.node_labeled("DBA");

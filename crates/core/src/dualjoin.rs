@@ -10,7 +10,8 @@
 //!   query edge only when it dual-simulates into the query; they fill the
 //!   same view-match table as the plain case, so `dual_contain` is the
 //!   plain `contain` over dual view matches;
-//! * extensions are materialized with `dual_match_pattern`;
+//! * extensions are materialized by the same kernel in its dual mode, with
+//!   every edge read from a [`GraphSource`](crate::partial::GraphSource);
 //! * `dual_match_join` runs the shared ranked kernel of
 //!   [`crate::matchjoin`] in its dual mode: candidates also intersect
 //!   in-edge targets, and each edge keeps *two* support counters (forward
@@ -24,8 +25,7 @@
 
 use crate::containment::{ContainmentPlan, ViewMatchTable};
 use crate::matchjoin::{assemble, merge_step, ranked_fixpoint, JoinError, JoinStats, Simulation};
-use crate::view::{ViewExtensions, ViewSet};
-use gpv_matching::dual::dual_match_pattern;
+use crate::view::{materialize_as, ViewExtensions, ViewSet};
 use gpv_matching::pattern_sim::simulate_pattern_dual;
 use gpv_matching::result::MatchResult;
 use gpv_pattern::Pattern;
@@ -36,20 +36,11 @@ pub fn dual_contain(q: &Pattern, views: &ViewSet) -> Option<ContainmentPlan> {
     ViewMatchTable::simulated(q, views, simulate_pattern_dual).contain()
 }
 
-/// Materializes views with the dual-simulation engine, freezing each result
-/// into its columnar arena region.
+/// Materializes views under dual simulation, freezing each result into its
+/// columnar arena region: the shared kernel in its dual mode, with every
+/// edge read from one [`GraphSource`](crate::partial::GraphSource).
 pub fn dual_materialize(views: &ViewSet, g: &gpv_graph::DataGraph) -> ViewExtensions {
-    ViewExtensions {
-        extensions: views
-            .views()
-            .iter()
-            .map(|v| {
-                std::sync::Arc::new(crate::compact::CompactView::freeze(&dual_match_pattern(
-                    &v.pattern, g,
-                )))
-            })
-            .collect(),
-    }
+    materialize_as(views, g, Simulation::Dual)
 }
 
 /// `DualMatchJoin`: computes the dual-simulation result of `q` from dual
@@ -64,7 +55,7 @@ pub fn dual_match_join(
 ) -> Result<MatchResult, JoinError> {
     let merged = merge_step(q, plan, ext)?;
     let sets = ranked_fixpoint(q, merged, Simulation::Dual, &mut JoinStats::default());
-    Ok(assemble(q, sets))
+    Ok(assemble(q, sets, |_| None))
 }
 
 #[cfg(test)]
@@ -72,6 +63,7 @@ mod tests {
     use super::*;
     use crate::view::ViewDef;
     use gpv_graph::{GraphBuilder, NodeId};
+    use gpv_matching::dual::dual_match_pattern;
     use gpv_pattern::PatternBuilder;
 
     /// G where dual prunes more than plain: A1 -> B1 (B1 lacks a C pred),

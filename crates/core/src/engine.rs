@@ -16,23 +16,26 @@
 //!   by the fixed [`CostModel`] against the actual extension sizes, plus
 //!   the per-edge [`EdgeSource`] (a covered edge reads its smallest
 //!   covering extension, an uncovered one scans `G`);
-//! * **Execute** — single-threaded `MatchJoin` / `BMatchJoin`, hybrid
-//!   join, or direct `Match` fallback, honoring the plan's per-edge sources
-//!   verbatim.
+//! * **Execute** — single-threaded `MatchJoin` / `BMatchJoin`, honoring
+//!   the plan's per-edge sources verbatim. Every plain plan runs the same
+//!   ranked kernel: views-only plans read extensions, hybrid plans read
+//!   the uncovered edges from a [`GraphSource`], and the direct fallback
+//!   reads every edge from one (`G` is read nowhere else).
 //!
 //! The contract (Theorem 1/8), now as an engine guarantee: for every query
-//! and graph, [`QueryEngine::answer`] equals
-//! [`match_pattern`], touching `G`
-//! only when the views genuinely cannot cover the query.
+//! and graph, [`QueryEngine::answer`] equals `Match(Qs, G)` — the
+//! independent `gpv_matching` simulators are the test oracle that checks
+//! it — touching `G` only when the views genuinely cannot cover the query.
 
 use crate::bcontainment::bounded_table;
 use crate::bview::{bmaterialize, BoundedViewExtensions, BoundedViewSet};
+use crate::compact::CompactView;
 use crate::containment::{ContainmentPlan, ViewEdgeRef, ViewMatchTable};
 use crate::cost::{CostEstimate, CostModel};
-use crate::matchjoin::{run_fixpoint, JoinError, JoinStats, JoinStrategy};
+use crate::matchjoin::{run_fixpoint, JoinError, JoinStats, JoinStrategy, Simulation};
 use crate::minimal::{minimal_from_table, Selection};
 use crate::minimum::minimum_from_table;
-use crate::partial::{merged_from_sources, sources_from_lambda, PartialPlan};
+use crate::partial::{merged_from_sources, sources_from_lambda, GraphSource, PartialPlan};
 use crate::plan::{
     view_reads, EdgeSource, ExecStrategy, FallbackReason, QueryPlan, SelectionMode, ViewPlan,
 };
@@ -43,7 +46,6 @@ use crate::view::{materialize, ViewDef, ViewExtensions, ViewSet};
 use gpv_graph::stats::GraphStats;
 use gpv_graph::DataGraph;
 use gpv_matching::result::{BoundedMatchResult, MatchResult};
-use gpv_matching::simulation::match_pattern;
 use gpv_pattern::{BoundedPattern, Pattern};
 use std::sync::Arc;
 
@@ -291,16 +293,10 @@ impl QueryEngine {
                 actual,
             });
         }
-        let single = ViewSet::new(vec![def.clone()]);
-        let ext = materialize(&single, g);
+        let (ext, _) = GraphSource::new(g).simulate(&def.pattern, Simulation::Plain);
         // Copy-on-write: an engine sharing its registry with a snapshot
         // detaches (cloning `Arc` handles, not pairs) before mutating.
-        Arc::make_mut(&mut self.ext).push_shared(
-            ext.extensions
-                .into_iter()
-                .next()
-                .expect("one view in, one out"),
-        );
+        Arc::make_mut(&mut self.ext).push_shared(Arc::new(CompactView::freeze(&ext)));
         Ok(Arc::make_mut(&mut self.views).push(def))
     }
 
@@ -482,7 +478,7 @@ impl QueryEngine {
             }
             QueryPlan::Direct { .. } => {
                 let g = g.ok_or(EngineError::NeedsGraph)?;
-                (match_pattern(q, g), JoinStats::default())
+                GraphSource::new(g).simulate(q, Simulation::Plain)
             }
         })
     }
@@ -621,12 +617,13 @@ fn choose_selection(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use gpv_graph::GraphBuilder;
+    use gpv_matching::simulation::match_pattern;
     use gpv_pattern::PatternBuilder;
 
-    fn single(x: &str, y: &str) -> Pattern {
+    pub(crate) fn single(x: &str, y: &str) -> Pattern {
         let mut b = PatternBuilder::new();
         let u = b.node_labeled(x);
         let v = b.node_labeled(y);
@@ -634,7 +631,7 @@ mod tests {
         b.build().unwrap()
     }
 
-    fn chain3() -> Pattern {
+    pub(crate) fn chain3() -> Pattern {
         let mut b = PatternBuilder::new();
         let a = b.node_labeled("A");
         let bb = b.node_labeled("B");
@@ -644,7 +641,8 @@ mod tests {
         b.build().unwrap()
     }
 
-    fn graph() -> DataGraph {
+    /// `a1 -> b1 -> c1` plus `a2 -> b2`, whose `b2` has no C successor.
+    pub(crate) fn graph() -> DataGraph {
         let mut b = GraphBuilder::new();
         let a1 = b.add_node(["A"]);
         let b1 = b.add_node(["B"]);

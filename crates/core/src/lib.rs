@@ -81,11 +81,13 @@ pub use dualjoin::{dual_contain, dual_match_join, dual_materialize};
 pub use engine::{BoundedPlan, EngineConfig, EngineError, QueryEngine};
 pub use lint::{lint_query, lint_views};
 pub use maintenance::IncrementalView;
-pub use matchjoin::{match_join, match_join_with, JoinError, JoinStats, JoinStrategy};
+pub use matchjoin::{match_join, match_join_with, JoinError, JoinStats, JoinStrategy, Simulation};
 pub use minimal::{minimal, Selection};
 pub use minimize::{minimize, Minimized};
 pub use minimum::{alpha, minimum};
-pub use partial::{hybrid_match_join, partial_contain, sources_from_lambda, PartialPlan};
+pub use partial::{
+    hybrid_match_join, partial_contain, sources_from_lambda, GraphSource, PartialPlan,
+};
 pub use plan::{
     CacheDisposition, EdgeSource, ExecStrategy, FallbackReason, QueryPlan, SelectionMode, ViewPlan,
 };

@@ -27,7 +27,9 @@
 //! pattern edges `(x, y)`, and deltas never change the base sets — the
 //! argument is in [`crate::delta`]'s soundness section. So an
 //! [`IncrementalView`] keeps a dense local id space (the sorted union of
-//! its base sets, its *universe*), the footprint edges over those ids, and
+//! its base sets, its *universe*; the base sets come from the
+//! [`GraphSource`] every production read of `G` goes through), the
+//! footprint edges over those ids, and
 //! candidate bitsets, support counters and per-mutation scratch sized by
 //! the universe. Memory is `O(|universe| + |footprint edges|)`, independent
 //! of `|V|` and `|E|`; a pattern node with no label atom has base ≈ V and
@@ -37,6 +39,7 @@
 //! The invariant `self.result() == match_pattern(pattern, current_graph)`
 //! is enforced by the tests below and by property tests in `tests/`.
 
+use crate::partial::GraphSource;
 use gpv_graph::{BitSet, DataGraph, NodeId};
 use gpv_matching::result::MatchResult;
 use gpv_pattern::{Pattern, PatternNodeId};
@@ -80,23 +83,19 @@ pub struct IncrementalView {
 
 impl IncrementalView {
     /// Base sets, universe and footprint adjacency, with no relation yet.
-    /// Reads `g.out_neighbors` of base nodes only — never all of `E`.
+    /// The base sets come from a [`GraphSource`]; the adjacency reads
+    /// `g.out_neighbors` of base nodes only — never all of `E`.
     fn cold(pattern: Pattern, g: &DataGraph) -> Self {
-        let global: Vec<Vec<NodeId>> = pattern
-            .preds()
-            .iter()
-            .map(|p| {
-                let resolved = p.resolve(g);
-                g.nodes().filter(|&v| resolved.satisfied_by(g, v)).collect()
-            })
-            .collect();
-        let mut universe: Vec<NodeId> = if global.iter().any(Vec::is_empty) {
-            Vec::new() // some base is empty forever: so is the view
-        } else {
-            global.iter().flatten().copied().collect()
-        };
-        universe.sort_unstable();
-        universe.dedup();
+        let mut source = GraphSource::new(g);
+        let global = source.bases(&pattern);
+        let mut all = BitSet::new(g.node_count());
+        // An empty base set empties the view for good: it keeps no universe.
+        if !global.iter().any(|b| b.is_empty()) {
+            for b in &global {
+                all.union_with(b);
+            }
+        }
+        let mut universe: Vec<NodeId> = all.iter().map(|v| NodeId(v as u32)).collect();
         universe.shrink_to_fit();
         let n = universe.len();
         let local = |v: &NodeId| universe.binary_search(v).ok();
@@ -105,7 +104,7 @@ impl IncrementalView {
             .iter()
             .map(|nodes| {
                 let mut set = BitSet::new(n);
-                for i in nodes.iter().filter_map(local) {
+                for i in nodes.iter().filter_map(|v| local(&NodeId(v as u32))) {
                     set.insert(i);
                 }
                 set

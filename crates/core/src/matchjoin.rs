@@ -20,9 +20,11 @@
 //! The ranked refinement is written once (`ranked_fixpoint` plus
 //! `drain_and_extract`, single-threaded) and serves every view join:
 //! `MatchJoin`, the bounded `BMatchJoin` after its distance filter, and
-//! `DualMatchJoin` (whose dual mode adds backward counters). One
-//! single-witness helper, `smallest_cover`, picks the extension every
-//! merge reads.
+//! `DualMatchJoin` (whose dual mode adds backward counters). It also
+//! serves `Match` itself: hybrid and direct plans and view materialization
+//! feed it edge sets read from `G` by
+//! [`GraphSource`](crate::partial::GraphSource). One single-witness
+//! helper, `smallest_cover`, picks the extension every merge reads.
 //!
 //! Complexity: `O(|Qs||V(G)| + |V(G)|²)` — versus
 //! `O(|Qs|² + |Qs||G| + |G|²)` for evaluating `Qs` on `G` directly.
@@ -34,7 +36,7 @@ use gpv_matching::result::MatchResult;
 use gpv_pattern::{Pattern, PatternEdgeId, PatternNodeId};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 
 /// Merged per-edge match sets, the fixpoint's working input. Sets sourced
 /// from a view borrow the extension arena's canonical flat slice
@@ -58,7 +60,7 @@ pub enum JoinStrategy {
 
 /// Which simulation the ranked refinement enforces.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Simulation {
+pub enum Simulation {
     /// Graph simulation: every match of `u` needs a witness for each
     /// out-edge of `u`.
     Plain,
@@ -154,7 +156,7 @@ pub(crate) fn run_fixpoint(
     strategy: JoinStrategy,
 ) -> (MatchResult, JoinStats) {
     let (sets, stats) = refine(q, merged, strategy);
-    (assemble(q, sets), stats)
+    (assemble(q, sets, |_| None), stats)
 }
 
 /// Refines merged sets under `strategy`, returning the refined per-edge
@@ -215,25 +217,6 @@ pub(crate) fn smallest_cover<'a, T>(
         .iter()
         .map(|r| (*r, edge_set(r)))
         .min_by_key(|(_, set)| set.len()))
-}
-
-/// Canonicalizes one edge's borrowed match set: sorted, duplicate-free.
-///
-/// Since the columnar-arena refactor, sets read from [`ViewExtensions`] are
-/// canonical by construction ([`CompactView::freeze`](crate::compact::CompactView::freeze)
-/// sorts + dedups defensively at freeze time), so the merge borrows them
-/// verbatim and no production path re-normalizes. This survives as the test
-/// oracle asserting that arena slices really are in canonical form —
-/// duplicates there would inflate [`JoinStats::merged_pairs`], CSR sizes,
-/// and the support counters.
-#[cfg(test)]
-pub(crate) fn canonical_pairs(set: &[(NodeId, NodeId)]) -> Vec<(NodeId, NodeId)> {
-    let mut v = set.to_vec();
-    if !v.windows(2).all(|w| w[0] < w[1]) {
-        v.sort_unstable();
-        v.dedup();
-    }
-    v
 }
 
 /// Lines 1-4 of Fig. 2, with a witness-narrowing optimization.
@@ -344,31 +327,35 @@ struct EdgeCsr {
 type Csr = (Vec<u32>, Vec<u32>);
 
 /// Dense-id compaction over every node mentioned in the merged sets (first
-/// occurrence order, hence deterministic).
-fn compact_index(merged: &MergedSets<'_>) -> (HashMap<NodeId, u32>, Vec<NodeId>) {
-    let mut index: HashMap<NodeId, u32> = HashMap::new();
-    for set in merged {
-        for &(s, t) in set.iter() {
-            let next = index.len() as u32;
-            index.entry(s).or_insert(next);
-            let next = index.len() as u32;
-            index.entry(t).or_insert(next);
+/// occurrence order, hence deterministic). The index is a flat vector
+/// sized by the largest node id, holding dense id + 1 (0 = absent): it is
+/// zero-allocated, so pages no merged node falls on are never written.
+fn compact_index(merged: &MergedSets<'_>) -> (Vec<u32>, Vec<NodeId>) {
+    let pairs = || merged.iter().flat_map(|set| set.iter());
+    let Some(max) = pairs().map(|&(s, t)| s.max(t)).max() else {
+        return (Vec::new(), Vec::new());
+    };
+    let mut index = vec![0u32; max.index() + 1];
+    let mut rev_index = Vec::new();
+    for &(s, t) in pairs() {
+        for v in [s, t] {
+            let slot = &mut index[v.index()];
+            if *slot == 0 {
+                rev_index.push(v);
+                *slot = rev_index.len() as u32;
+            }
         }
-    }
-    let mut rev_index = vec![NodeId(0); index.len()];
-    for (&node, &i) in &index {
-        rev_index[i as usize] = node;
     }
     (index, rev_index)
 }
 
 /// Builds one edge's [`EdgeCsr`] (pure function of that edge's set).
-fn build_edge_csr(set: &[(NodeId, NodeId)], index: &HashMap<NodeId, u32>, m: usize) -> EdgeCsr {
+fn build_edge_csr(set: &[(NodeId, NodeId)], index: &[u32], m: usize) -> EdgeCsr {
     let mut ps = Vec::with_capacity(set.len());
     let mut sb = BitSet::new(m);
     let mut tb = BitSet::new(m);
     for &(s, t) in set {
-        let (cs, ct) = (index[&s], index[&t]);
+        let (cs, ct) = (index[s.index()] - 1, index[t.index()] - 1);
         ps.push((cs, ct));
         sb.insert(cs as usize);
         tb.insert(ct as usize);
@@ -404,8 +391,9 @@ fn build_csr(pairs: impl Iterator<Item = (u32, u32)> + Clone, len: usize, m: usi
 
 /// Candidate sets per pattern node: the intersection of out-edge sources
 /// (plus, under dual simulation, of in-edge targets); a plain sink takes
-/// the union of its in-edge targets. `None` when a node has no candidates
-/// (`Qs(G) = ∅`).
+/// the union of its in-edge targets. `None` when a node with edges has no
+/// candidates (`Qs(G) = ∅`); a node with no edges constrains nothing here,
+/// and its matches are the caller's to supply.
 fn build_candidates(
     q: &Pattern,
     csrs: &[EdgeCsr],
@@ -424,7 +412,7 @@ fn build_candidates(
                 set
             }),
         };
-        if set.is_empty() {
+        if set.is_empty() && !(q.out_edges(u).is_empty() && q.in_edges(u).is_empty()) {
             return None;
         }
         cand.push(set);
@@ -486,10 +474,11 @@ struct EdgeSupport {
     bwd: Counters,
 }
 
-/// The ranked refinement every view join runs: support counters plus a
+/// The ranked refinement every join runs: support counters plus a
 /// rank-bucketed worklist over a *compacted* node domain — only nodes
-/// occurring in the merged sets get dense ids, so all hot-path structures
-/// are flat vectors and bitsets sized by `|V(G)|`, not `|G|`.
+/// occurring in the merged sets get dense ids, so every hot-path structure
+/// but the id index is a flat vector or bitset sized by the merged node
+/// count, not `|G|`.
 ///
 /// Builds each edge's CSR, the candidates and the initial support
 /// counters, then hands them to [`drain_and_extract`]. Returns the refined
@@ -502,7 +491,7 @@ pub(crate) fn ranked_fixpoint(
 ) -> Option<RefinedSets> {
     let ne = q.edge_count();
     let (index, rev_index) = compact_index(&merged);
-    let m = index.len();
+    let m = rev_index.len();
 
     let csrs: Vec<EdgeCsr> = merged
         .iter()
@@ -696,13 +685,17 @@ fn naive_fixpoint(
     }
 }
 
-/// Builds the final [`MatchResult`] (or empty) from refined sets.
-pub(crate) fn assemble(q: &Pattern, sets: Option<RefinedSets>) -> MatchResult {
+/// Builds the final [`MatchResult`] (or empty) from refined sets. A node's
+/// matches are the nodes it takes in surviving pairs (sources of out-edges,
+/// targets of in-edges), except where `whole` names its entire relation.
+pub(crate) fn assemble<'a>(
+    q: &Pattern,
+    sets: Option<RefinedSets>,
+    whole: impl Fn(PatternNodeId) -> Option<&'a BitSet>,
+) -> MatchResult {
     let Some(sets) = sets else {
         return MatchResult::empty();
     };
-    // Node matches = nodes appearing in surviving sets in the role dictated
-    // by the pattern (sources of out-edges / targets of in-edges).
     let mut node_sets: Vec<HashSet<NodeId>> = vec![HashSet::new(); q.node_count()];
     for (ei, set) in sets.iter().enumerate() {
         let (u, t) = q.edge(gpv_pattern::PatternEdgeId(ei as u32));
@@ -711,23 +704,25 @@ pub(crate) fn assemble(q: &Pattern, sets: Option<RefinedSets>) -> MatchResult {
             node_sets[t.index()].insert(w);
         }
     }
-    if node_sets.iter().any(HashSet::is_empty) {
+    let node_sets: Vec<Vec<NodeId>> = q
+        .nodes()
+        .zip(node_sets)
+        .map(|(u, set)| match whole(u) {
+            Some(all) => all.iter().map(|v| NodeId(v as u32)).collect(),
+            None => set.into_iter().collect(),
+        })
+        .collect();
+    if node_sets.iter().any(Vec::is_empty) {
         return MatchResult::empty();
     }
-    MatchResult::new(
-        q,
-        node_sets
-            .into_iter()
-            .map(|s| s.into_iter().collect())
-            .collect(),
-        sets,
-    )
+    MatchResult::new(q, node_sets, sets)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::containment::contain;
+    use crate::containment::tests::{fig1_views, fig1c};
     use crate::view::{materialize, ViewDef, ViewSet};
     use gpv_graph::{DataGraph, GraphBuilder};
     use gpv_matching::simulation::match_pattern;
@@ -760,39 +755,6 @@ mod tests {
         b.add_edge(bob, jean);
         b.add_edge(jean, emmy);
         b.build()
-    }
-
-    fn fig1c() -> Pattern {
-        let mut b = PatternBuilder::new();
-        let pm = b.node_labeled("PM");
-        let dba1 = b.node_labeled("DBA");
-        let prg1 = b.node_labeled("PRG");
-        let dba2 = b.node_labeled("DBA");
-        let prg2 = b.node_labeled("PRG");
-        b.edge(pm, dba1);
-        b.edge(pm, prg2);
-        b.edge(dba1, prg1);
-        b.edge(prg1, dba2);
-        b.edge(dba2, prg2);
-        b.edge(prg2, dba1);
-        b.build().unwrap()
-    }
-
-    fn fig1_views() -> ViewSet {
-        let mut b = PatternBuilder::new();
-        let pm = b.node_labeled("PM");
-        let dba = b.node_labeled("DBA");
-        let prg = b.node_labeled("PRG");
-        b.edge(pm, dba);
-        b.edge(pm, prg);
-        let v1 = b.build().unwrap();
-        let mut b = PatternBuilder::new();
-        let dba = b.node_labeled("DBA");
-        let prg = b.node_labeled("PRG");
-        b.edge(dba, prg);
-        b.edge(prg, dba);
-        let v2 = b.build().unwrap();
-        ViewSet::new(vec![ViewDef::new("V1", v1), ViewDef::new("V2", v2)])
     }
 
     /// Paper Fig. 3(a) graph and Fig. 3(b) views.
@@ -1059,10 +1021,10 @@ mod tests {
             s_dirty, s_clean,
             "duplicates must not inflate merged_pairs / visits / removals"
         );
-        // And the canonical helper is a plain copy on already-canonical
-        // input (the hot path pays one linear scan, no sort).
+        // And arena slices really are canonical: the merge borrows them
+        // verbatim, so duplicates would inflate the counters above.
         let set = clean.edge_set(0, gpv_pattern::PatternEdgeId(0));
-        assert_eq!(canonical_pairs(set), set.to_vec());
+        assert!(set.windows(2).all(|w| w[0] < w[1]));
     }
 
     use crate::view::ViewExtensions;

@@ -8,24 +8,28 @@
 //! [`hybrid_match_join`] answers the query by initializing covered edges
 //! from the cached extensions and only the uncovered edges from `G`.
 //!
-//! The access to `G` is surgical: for an uncovered edge `(u, u')` only the
-//! candidate pairs satisfying the two node conditions are scanned — exactly
-//! the per-edge work `Match` would do, but limited to the uncovered part.
-//! When every edge is covered this degenerates to `MatchJoin` (no `G`
-//! access); when nothing is covered it degenerates to `Match`.
+//! The access to `G` is surgical and goes through one [`GraphSource`]: for
+//! an uncovered edge `(u, u')` only the graph edges between the base sets
+//! of the two node conditions are read — the per-edge work `Match` would
+//! do, limited to the uncovered part. When every edge is covered this
+//! degenerates to `MatchJoin` (no `G` access); when nothing is covered
+//! every edge is graph-sourced, which is how the engine's direct plans,
+//! view materialization and the `gpv match` command evaluate `Match`
+//! itself — on the same ranked kernel.
 
 use std::borrow::Cow;
 
 use crate::containment::{ContainmentPlan, ViewEdgeRef, ViewMatchTable};
 use crate::matchjoin::{
-    check_arity, run_fixpoint, smallest_cover, Cover, JoinError, JoinStats, JoinStrategy,
-    MergedSets,
+    assemble, check_arity, ranked_fixpoint, run_fixpoint, smallest_cover, Cover, JoinError,
+    JoinStats, JoinStrategy, MergedSets, Simulation,
 };
 use crate::plan::EdgeSource;
 use crate::view::{ViewExtensions, ViewSet};
-use gpv_graph::{DataGraph, NodeId};
+use gpv_graph::{BitSet, DataGraph, NodeId};
 use gpv_matching::result::MatchResult;
-use gpv_pattern::{Pattern, PatternEdgeId};
+use gpv_pattern::{Pattern, PatternEdgeId, PatternNodeId, Predicate};
+use std::collections::HashMap;
 
 /// Maximal-coverage result: which query edges the views can supply.
 #[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -68,34 +72,89 @@ pub fn partial_contain(q: &Pattern, views: &ViewSet) -> PartialPlan {
     PartialPlan::from_lambda(ViewMatchTable::build(q, views).full_lambda())
 }
 
-/// The surgical per-edge scan of `g` for one query edge `(u, t)`: exactly
-/// the candidate pairs satisfying the two node conditions — the per-edge
-/// work `Match` would do, limited to this edge.
-pub(crate) fn scan_edge_pairs(
-    q: &Pattern,
-    e: PatternEdgeId,
-    g: &DataGraph,
-) -> Vec<(NodeId, NodeId)> {
-    let (u, t) = q.edge(e);
-    let pu = q.pred(u).resolve(g);
-    let pt = q.pred(t).resolve(g);
-    let mut set = Vec::new();
-    for v in g.nodes() {
-        if !pu.satisfied_by(g, v) {
-            continue;
-        }
-        for &w in g.out_neighbors(v) {
-            if pt.satisfied_by(g, w) {
-                set.push((v, w));
-            }
+/// The one path production code reads `G` through for simulation. It
+/// resolves each distinct node predicate to its *base set* (a bitset of
+/// the nodes satisfying it) once, on first use, so a query with repeated
+/// labels — or a batch of views sharing one source — scans `V` once per
+/// predicate. A graph-sourced pattern edge `(u, t)` reads the
+/// `out_neighbors` of `base(u)`, keeping those in `base(t)`.
+pub struct GraphSource<'g> {
+    g: &'g DataGraph,
+    bases: HashMap<Predicate, BitSet>,
+}
+
+impl<'g> GraphSource<'g> {
+    /// A source over `g` with no predicate resolved yet.
+    pub fn new(g: &'g DataGraph) -> Self {
+        GraphSource {
+            g,
+            bases: HashMap::new(),
         }
     }
-    set
+
+    /// The base set of every node of `q`, in node order.
+    pub(crate) fn bases(&mut self, q: &Pattern) -> Vec<&BitSet> {
+        let g = self.g;
+        for p in q.preds() {
+            if self.bases.contains_key(p) {
+                continue;
+            }
+            let resolved = p.resolve(g);
+            let mut set = BitSet::new(g.node_count());
+            for v in g.nodes().filter(|&v| resolved.satisfied_by(g, v)) {
+                set.insert(v.index());
+            }
+            self.bases.insert(p.clone(), set);
+        }
+        q.preds().iter().map(|p| &self.bases[p]).collect()
+    }
+
+    /// The graph-sourced match set of pattern edge `e`: the graph edges
+    /// from `base(u)` to `base(t)`, sorted.
+    fn edge_pairs(&mut self, q: &Pattern, e: PatternEdgeId) -> Vec<(NodeId, NodeId)> {
+        let g = self.g;
+        let (u, t) = q.edge(e);
+        let bases = self.bases(q);
+        let (from, to) = (bases[u.index()], bases[t.index()]);
+        let mut pairs = Vec::new();
+        for v in from.iter().map(|v| NodeId(v as u32)) {
+            let succ = g.out_neighbors(v).iter().filter(|w| to.contains(w.index()));
+            pairs.extend(succ.map(|&w| (v, w)));
+        }
+        pairs
+    }
+
+    /// `Match(q, G)` (or its dual-simulation counterpart): the ranked
+    /// `MatchJoin` kernel with every edge graph-sourced. A node with no
+    /// edges (all of an edgeless query's) matches its base set. So, under
+    /// plain simulation, does a node with no out-edges: refinement removes
+    /// none of its candidates, and `Match` reports them all. A maintainer
+    /// promoted from a stored result seeds its relation from these sets.
+    pub fn simulate(&mut self, q: &Pattern, sim: Simulation) -> (MatchResult, JoinStats) {
+        if self.bases(q).iter().any(|b| b.is_empty()) {
+            return (MatchResult::empty(), JoinStats::default());
+        }
+        let merged: MergedSets<'_> = (0..q.edge_count())
+            .map(|e| Cow::Owned(self.edge_pairs(q, PatternEdgeId(e as u32))))
+            .collect();
+        let mut stats = JoinStats {
+            merged_pairs: merged.iter().map(|s| s.len() as u64).sum(),
+            ..JoinStats::default()
+        };
+        let sets = ranked_fixpoint(q, merged, sim, &mut stats);
+        let bases = self.bases(q);
+        let whole = |u: PatternNodeId| {
+            let free =
+                q.out_edges(u).is_empty() && (sim == Simulation::Plain || q.in_edges(u).is_empty());
+            free.then(|| bases[u.index()])
+        };
+        (assemble(q, sets, whole), stats)
+    }
 }
 
 /// Derives the per-edge source vector a (full or partial) λ implies:
 /// covered edges read their smallest covering extension, uncovered edges
-/// scan `G`. The engine's planner pins exactly these sources.
+/// read `G`. The engine's planner pins exactly these sources.
 pub fn sources_from_lambda(
     lambda: &[Vec<ViewEdgeRef>],
     ext: &ViewExtensions,
@@ -125,7 +184,7 @@ pub(crate) fn cover<'a>(
 
 /// The source-honoring merge step: builds each edge's initial match set
 /// from exactly the source the plan pinned — the materialized extension for
-/// [`EdgeSource::View`], a surgical scan for [`EdgeSource::Graph`]. The
+/// [`EdgeSource::View`], the [`GraphSource`] for [`EdgeSource::Graph`]. The
 /// executor consumes this, so the planner's per-edge decision is what
 /// actually runs. `g` may be `None` only for
 /// all-view source vectors ([`JoinError::GraphRequired`] otherwise).
@@ -136,6 +195,7 @@ pub(crate) fn merged_from_sources<'a>(
     g: Option<&DataGraph>,
 ) -> Result<MergedSets<'a>, JoinError> {
     check_arity(q, sources.len())?;
+    let mut g = g.map(GraphSource::new);
     sources
         .iter()
         .enumerate()
@@ -149,14 +209,14 @@ pub(crate) fn merged_from_sources<'a>(
                 Ok(Cow::Borrowed(set))
             }
             EdgeSource::Graph => {
-                let g = g.ok_or(JoinError::GraphRequired)?;
-                Ok(Cow::Owned(scan_edge_pairs(q, PatternEdgeId(ei as u32), g)))
+                let g = g.as_mut().ok_or(JoinError::GraphRequired)?;
+                Ok(Cow::Owned(g.edge_pairs(q, PatternEdgeId(ei as u32))))
             }
         })
         .collect()
 }
 
-/// Answers `q` using views for the covered edges and a surgical scan of `g`
+/// Answers `q` using views for the covered edges and the [`GraphSource`]
 /// for the uncovered ones. Equivalent to `Match(q, g)` on every graph (the
 /// property tests assert it), with `G` access proportional to the uncovered
 /// part only.
@@ -176,41 +236,10 @@ pub fn hybrid_match_join(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::tests::{chain3, graph, single};
     use crate::view::{materialize, ViewDef};
     use gpv_graph::GraphBuilder;
     use gpv_matching::simulation::match_pattern;
-    use gpv_pattern::PatternBuilder;
-
-    fn single(x: &str, y: &str) -> Pattern {
-        let mut b = PatternBuilder::new();
-        let u = b.node_labeled(x);
-        let v = b.node_labeled(y);
-        b.edge(u, v);
-        b.build().unwrap()
-    }
-
-    fn chain3() -> Pattern {
-        let mut b = PatternBuilder::new();
-        let a = b.node_labeled("A");
-        let bb = b.node_labeled("B");
-        let c = b.node_labeled("C");
-        b.edge(a, bb);
-        b.edge(bb, c);
-        b.build().unwrap()
-    }
-
-    fn graph() -> gpv_graph::DataGraph {
-        let mut b = GraphBuilder::new();
-        let a1 = b.add_node(["A"]);
-        let b1 = b.add_node(["B"]);
-        let c1 = b.add_node(["C"]);
-        let a2 = b.add_node(["A"]);
-        let b2 = b.add_node(["B"]);
-        b.add_edge(a1, b1);
-        b.add_edge(b1, c1);
-        b.add_edge(a2, b2); // b2 has no C successor
-        b.build()
-    }
 
     #[test]
     fn coverage_reported() {
@@ -266,6 +295,25 @@ mod tests {
         assert_eq!(p.uncovered.len(), 2);
         let (r, _) = hybrid_match_join(&q, &p, &ext, &g).unwrap();
         assert_eq!(r, match_pattern(&q, &g));
+    }
+
+    /// Node sets too equal `Match`'s: a sink's whole base set, an isolated
+    /// node's, and every node of an edgeless query.
+    #[test]
+    fn graph_sourced_node_sets_equal_match() {
+        // Node 2 is in B's base set, but no A points to it.
+        let g =
+            gpv_graph::io::parse_graph("node 0 A\nnode 1 B\nnode 2 B\nnode 3 C\nedge 0 1").unwrap();
+        for text in [
+            "node a A\nnode b B\nnode c C\nedge a b",
+            "node a A\nnode c C",
+        ] {
+            let q = gpv_pattern::parse_pattern(text).unwrap();
+            let (r, _) = GraphSource::new(&g).simulate(&q, Simulation::Plain);
+            let oracle = match_pattern(&q, &g);
+            assert!(!oracle.node_matches.is_empty());
+            assert_eq!((&r.node_matches, &r), (&oracle.node_matches, &oracle));
+        }
     }
 
     #[test]

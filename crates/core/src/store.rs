@@ -45,13 +45,14 @@
 use crate::compact::CompactView;
 use crate::delta::{EdgeDelta, ViewFootprintIndex};
 use crate::maintenance::IncrementalView;
+use crate::matchjoin::Simulation;
+use crate::partial::GraphSource;
 use crate::shard::{decode_shard, encode_shard, ShardError, StoreMeta, SHARD_VERSION};
 use crate::storage::graph_fingerprint;
-use crate::view::{ViewDef, ViewExtensions, ViewSet};
+use crate::view::{materialize, ViewDef, ViewExtensions, ViewSet};
 use gpv_graph::stats::GraphStats;
 use gpv_graph::{DataGraph, NodeId};
 use gpv_matching::result::MatchResult;
-use gpv_matching::simulation::match_pattern;
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -292,9 +293,8 @@ impl ViewStore {
     /// the public [`Self::insert`] path keeps the check.)
     pub fn materialize(views: ViewSet, g: &DataGraph, shards: usize) -> Self {
         let store = Self::for_graph(g, shards);
-        for (_, def) in views.iter() {
-            let ext = match_pattern(&def.pattern, g);
-            store.insert_raw(def.clone(), Arc::new(CompactView::freeze(&ext)));
+        for (def, ext) in views.views().iter().zip(materialize(&views, g).extensions) {
+            store.insert_raw(def.clone(), ext);
         }
         store.publish(false);
         store
@@ -366,7 +366,8 @@ impl ViewStore {
     pub fn insert(&self, def: ViewDef, g: &DataGraph) -> Result<u64, StoreError> {
         let actual = graph_fingerprint(g);
         self.check_graph(actual)?;
-        let ext = Arc::new(CompactView::freeze(&match_pattern(&def.pattern, g)));
+        let (ext, _) = GraphSource::new(g).simulate(&def.pattern, Simulation::Plain);
+        let ext = Arc::new(CompactView::freeze(&ext));
         let _writer = self.writer.lock().expect("writer lock poisoned");
         self.check_graph(actual)?;
         let id = self.insert_raw(def, ext);
@@ -825,6 +826,7 @@ impl StoreSnapshot {
 mod tests {
     use super::*;
     use gpv_graph::GraphBuilder;
+    use gpv_matching::simulation::match_pattern;
     use gpv_pattern::PatternBuilder;
 
     fn single(x: &str, y: &str) -> gpv_pattern::Pattern {

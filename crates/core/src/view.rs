@@ -7,8 +7,9 @@
 //! from `V(G) = {V1(G), ..., Vn(G)}` alone, never touching `G`.
 
 use crate::compact::CompactView;
+use crate::matchjoin::Simulation;
+use crate::partial::GraphSource;
 use gpv_graph::DataGraph;
-use gpv_matching::simulation::match_pattern;
 use gpv_pattern::Pattern;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -103,16 +104,22 @@ impl From<Vec<ViewDef>> for ViewSet {
 /// [`MatchResult`](gpv_matching::result::MatchResult)s).
 pub type ViewExtensions = crate::compact::CompactExtensions;
 
-/// Materializes every view of `views` over `g` using the `Match` engine —
-/// the "pick and cache previous query results" step of the paper — and
-/// freezes each result into its columnar arena region.
+/// Materializes every view of `views` over `g` — the "pick and cache
+/// previous query results" step of the paper — and freezes each result
+/// into its columnar arena region.
 pub fn materialize(views: &ViewSet, g: &DataGraph) -> ViewExtensions {
+    materialize_as(views, g, Simulation::Plain)
+}
+
+/// [`materialize`] under `sim`: each view is evaluated by the `MatchJoin`
+/// kernel with every edge read from one shared [`GraphSource`], so a
+/// predicate the views share is resolved once.
+pub(crate) fn materialize_as(views: &ViewSet, g: &DataGraph, sim: Simulation) -> ViewExtensions {
+    let mut source = GraphSource::new(g);
+    let mut freeze =
+        |v: &ViewDef| Arc::new(CompactView::freeze(&source.simulate(&v.pattern, sim).0));
     ViewExtensions {
-        extensions: views
-            .views()
-            .iter()
-            .map(|v| Arc::new(CompactView::freeze(&match_pattern(&v.pattern, g))))
-            .collect(),
+        extensions: views.views().iter().map(&mut freeze).collect(),
     }
 }
 

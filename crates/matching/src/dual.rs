@@ -6,146 +6,31 @@
 //! edge `(u'', u)` there is a graph edge `(v'', v)` with `(u'', v'') ∈ S`.
 //! The paper notes its view-based techniques "can be readily extended to
 //! revisions of simulation such as dual and strong simulation ... retaining
-//! the same complexity"; this module provides the dual-simulation engine
-//! those extensions build on.
+//! the same complexity"; this module provides the dual-simulation oracle
+//! those extensions are checked against: the plain refinement of
+//! [`crate::simulation`] with its backward counters switched on.
 
 use crate::result::MatchResult;
-use gpv_graph::{BitSet, DataGraph, NodeId};
-use gpv_pattern::{Pattern, PatternNodeId};
+use crate::simulation::{build_result, relation};
+use gpv_graph::{BitSet, DataGraph};
+use gpv_pattern::Pattern;
 
 /// Computes the maximum dual-simulation relation, or `None` when empty.
 pub fn dual_simulation_relation(q: &Pattern, g: &DataGraph) -> Option<Vec<BitSet>> {
-    let n = g.node_count();
-    let np = q.node_count();
-
-    let mut cand: Vec<BitSet> = Vec::with_capacity(np);
-    for u in q.nodes() {
-        let resolved = q.pred(u).resolve(g);
-        let mut set = BitSet::new(n);
-        for v in g.nodes() {
-            if resolved.satisfied_by(g, v) {
-                set.insert(v.index());
-            }
-        }
-        if set.is_empty() {
-            return None;
-        }
-        cand.push(set);
-    }
-
-    // Forward counters per edge (source side) and backward counters per edge
-    // (target side).
-    let ne = q.edge_count();
-    let mut fwd: Vec<Vec<u32>> = vec![vec![0; n]; ne];
-    let mut bwd: Vec<Vec<u32>> = vec![vec![0; n]; ne];
-    let mut worklist: Vec<(PatternNodeId, NodeId)> = Vec::new();
-    let mut scheduled = vec![BitSet::new(n); np];
-
-    for (ei, &(u, t)) in q.edges().iter().enumerate() {
-        let (cu, ct) = (cand[u.index()].clone(), cand[t.index()].clone());
-        for v in cu.iter() {
-            let cnt = g
-                .out_neighbors(NodeId(v as u32))
-                .iter()
-                .filter(|w| ct.contains(w.index()))
-                .count() as u32;
-            fwd[ei][v] = cnt;
-            if cnt == 0 && scheduled[u.index()].insert(v) {
-                worklist.push((u, NodeId(v as u32)));
-            }
-        }
-        for v in ct.iter() {
-            let cnt = g
-                .in_neighbors(NodeId(v as u32))
-                .iter()
-                .filter(|w| cu.contains(w.index()))
-                .count() as u32;
-            bwd[ei][v] = cnt;
-            if cnt == 0 && scheduled[t.index()].insert(v) {
-                worklist.push((t, NodeId(v as u32)));
-            }
-        }
-    }
-
-    let mut head = 0;
-    while head < worklist.len() {
-        let (u, v) = worklist[head];
-        head += 1;
-        if !cand[u.index()].remove(v.index()) {
-            continue;
-        }
-        if cand[u.index()].is_empty() {
-            return None;
-        }
-        // Forward propagation: predecessors lose a witness.
-        for &(u0, e0) in q.in_edges(u) {
-            for &w in g.in_neighbors(v) {
-                if cand[u0.index()].contains(w.index())
-                    && !scheduled[u0.index()].contains(w.index())
-                {
-                    let s = &mut fwd[e0.index()][w.index()];
-                    *s = s.saturating_sub(1);
-                    if *s == 0 {
-                        scheduled[u0.index()].insert(w.index());
-                        worklist.push((u0, w));
-                    }
-                }
-            }
-        }
-        // Backward propagation: successors lose a witness.
-        for &(t2, e2) in q.out_edges(u) {
-            for &w in g.out_neighbors(v) {
-                if cand[t2.index()].contains(w.index())
-                    && !scheduled[t2.index()].contains(w.index())
-                {
-                    let s = &mut bwd[e2.index()][w.index()];
-                    *s = s.saturating_sub(1);
-                    if *s == 0 {
-                        scheduled[t2.index()].insert(w.index());
-                        worklist.push((t2, w));
-                    }
-                }
-            }
-        }
-    }
-    Some(cand)
+    relation(q, g, true)
 }
 
 /// Computes the dual-simulation result of `q` over `g` (edge match sets
 /// derived exactly as for plain simulation).
 pub fn dual_match_pattern(q: &Pattern, g: &DataGraph) -> MatchResult {
-    let Some(cand) = dual_simulation_relation(q, g) else {
-        return MatchResult::empty();
-    };
-    let mut edge_matches = Vec::with_capacity(q.edge_count());
-    for &(u, t) in q.edges() {
-        let (cu, ct) = (&cand[u.index()], &cand[t.index()]);
-        let mut set = Vec::new();
-        for v in cu.iter() {
-            let v = NodeId(v as u32);
-            for &w in g.out_neighbors(v) {
-                if ct.contains(w.index()) {
-                    set.push((v, w));
-                }
-            }
-        }
-        if set.is_empty() {
-            return MatchResult::empty();
-        }
-        edge_matches.push(set);
-    }
-    let node_matches = cand
-        .iter()
-        .map(|s| s.iter().map(|i| NodeId(i as u32)).collect())
-        .collect();
-    MatchResult::new(q, node_matches, edge_matches)
+    build_result(q, g, dual_simulation_relation(q, g))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::simulation::simulation_relation;
-    use gpv_graph::GraphBuilder;
+    use gpv_graph::{GraphBuilder, NodeId};
     use gpv_pattern::PatternBuilder;
 
     /// G where plain and dual simulation differ:

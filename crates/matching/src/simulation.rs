@@ -12,7 +12,12 @@
 //! when it hits zero the candidate is removed and the removal propagates to
 //! its predecessors through a worklist. Runs in
 //! `O(|Vp||V| + |Ep||E|)` time — within the paper's
-//! `O(|Qs|² + |Qs||G| + |G|²)` bound.
+//! `O(|Qs|² + |Qs||G| + |G|²)` bound. Dual simulation ([`crate::dual`])
+//! is the same fixpoint with backward counters switched on.
+//!
+//! This is the test oracle for the view-based answers: it works on `G`
+//! directly with dense per-graph bitsets and shares no code with the
+//! `MatchJoin` kernel that production answers run on.
 
 use crate::result::MatchResult;
 use gpv_graph::{BitSet, DataGraph, NodeId};
@@ -20,20 +25,23 @@ use gpv_pattern::{Pattern, PatternNodeId};
 
 /// Computes `Qs(G)` by graph simulation (the `Match` baseline).
 pub fn match_pattern(q: &Pattern, g: &DataGraph) -> MatchResult {
-    match simulation_relation(q, g) {
-        Some(cand) => build_result(q, g, &cand),
-        None => MatchResult::empty(),
-    }
+    build_result(q, g, simulation_relation(q, g))
 }
 
 /// Computes only the maximum simulation relation as per-pattern-node
 /// candidate bitsets, or `None` if some pattern node has no match.
 pub fn simulation_relation(q: &Pattern, g: &DataGraph) -> Option<Vec<BitSet>> {
-    let n = g.node_count();
-    let np = q.node_count();
+    relation(q, g, false)
+}
 
-    // Candidate sets from node conditions.
-    let mut cand: Vec<BitSet> = Vec::with_capacity(np);
+/// The counter-based refinement behind both simulations. Counters are
+/// dense per (direction, pattern edge, node): forward ones count, for a
+/// candidate of an edge's source, its successors among the target's
+/// candidates; with `dual` set, backward ones count, for a candidate of the
+/// target, its predecessors among the source's candidates.
+pub(crate) fn relation(q: &Pattern, g: &DataGraph, dual: bool) -> Option<Vec<BitSet>> {
+    let n = g.node_count();
+    let mut cand: Vec<BitSet> = Vec::with_capacity(q.node_count());
     for u in q.nodes() {
         let resolved = q.pred(u).resolve(g);
         let mut set = BitSet::new(n);
@@ -48,35 +56,31 @@ pub fn simulation_relation(q: &Pattern, g: &DataGraph) -> Option<Vec<BitSet>> {
         cand.push(set);
     }
 
-    // Support counters: support[e][v] = |post(v) ∩ cand(target(e))| for v a
-    // candidate of source(e). Dense per edge; `u32::MAX` marks non-candidates.
-    let ne = q.edge_count();
-    let mut support: Vec<Vec<u32>> = vec![vec![0; n]; ne];
+    let dirs = if dual { 2 } else { 1 };
+    let mut counters = vec![vec![vec![0u32; n]; q.edge_count()]; dirs];
+    // `scheduled` guards against scheduling the same removal twice.
+    let mut scheduled = vec![BitSet::new(n); q.node_count()];
     let mut worklist: Vec<(PatternNodeId, NodeId)> = Vec::new();
-    // in_worklist guards against duplicate scheduling of the same removal.
     for (ei, &(u, t)) in q.edges().iter().enumerate() {
-        let (cu, ct) = (&cand[u.index()], &cand[t.index()]);
-        for v in cu.iter() {
-            let cnt = g
-                .out_neighbors(NodeId(v as u32))
-                .iter()
-                .filter(|w| ct.contains(w.index()))
-                .count() as u32;
-            support[ei][v] = cnt;
-            if cnt == 0 {
-                worklist.push((u, NodeId(v as u32)));
+        for (d, counters) in counters.iter_mut().enumerate() {
+            let (x, y) = if d == 0 { (u, t) } else { (t, u) };
+            for v in cand[x.index()].iter().map(|v| NodeId(v as u32)) {
+                let (cy, adj) = (&cand[y.index()], neighbors(g, v, d));
+                let cnt = adj.iter().filter(|w| cy.contains(w.index())).count() as u32;
+                counters[ei][v.index()] = cnt;
+                if cnt == 0 && scheduled[x.index()].insert(v.index()) {
+                    worklist.push((x, v));
+                }
             }
         }
     }
 
-    // Refinement: remove unsupported candidates and propagate.
-    let mut removed = vec![BitSet::new(n); np];
-    for &(u, v) in &worklist {
-        removed[u.index()].insert(v.index());
-    }
+    // Refinement: a removed v withdraws its witness from the forward
+    // counters of its in-neighbours along u's in-edges and, under dual
+    // simulation, the backward counters of its out-neighbours along u's
+    // out-edges.
     let mut head = 0;
-    while head < worklist.len() {
-        let (u, v) = worklist[head];
+    while let Some(&(u, v)) = worklist.get(head) {
         head += 1;
         if !cand[u.index()].remove(v.index()) {
             continue;
@@ -84,19 +88,21 @@ pub fn simulation_relation(q: &Pattern, g: &DataGraph) -> Option<Vec<BitSet>> {
         if cand[u.index()].is_empty() {
             return None;
         }
-        // v no longer matches u: every in-pattern-edge e0 = (u0, u) loses the
-        // witness v for each in-neighbor w of v that is a candidate of u0.
-        for &(u0, e0) in q.in_edges(u) {
-            let ei = e0.index();
-            for &w in g.in_neighbors(v) {
-                if cand[u0.index()].contains(w.index()) && !removed[u0.index()].contains(w.index())
+        let fwd = q.in_edges(u).iter().map(|&(x, e)| (0, x, e));
+        let bwd = q
+            .out_edges(u)
+            .iter()
+            .filter(|_| dual)
+            .map(|&(x, e)| (1, x, e));
+        for (d, x, e) in fwd.chain(bwd) {
+            for &w in neighbors(g, v, 1 - d) {
+                if cand[x.index()].contains(w.index()) && !scheduled[x.index()].contains(w.index())
                 {
-                    let s = &mut support[ei][w.index()];
-                    debug_assert!(*s > 0, "support underflow");
-                    *s -= 1;
+                    let s = &mut counters[d][e.index()][w.index()];
+                    *s = s.saturating_sub(1);
                     if *s == 0 {
-                        removed[u0.index()].insert(w.index());
-                        worklist.push((u0, w));
+                        scheduled[x.index()].insert(w.index());
+                        worklist.push((x, w));
                     }
                 }
             }
@@ -105,8 +111,21 @@ pub fn simulation_relation(q: &Pattern, g: &DataGraph) -> Option<Vec<BitSet>> {
     Some(cand)
 }
 
-/// Derives the edge match sets `{(e, Se)}` from a simulation relation.
-fn build_result(q: &Pattern, g: &DataGraph, cand: &[BitSet]) -> MatchResult {
+/// `v`'s successors (`d = 0`) or predecessors (`d = 1`).
+fn neighbors(g: &DataGraph, v: NodeId, d: usize) -> &[NodeId] {
+    if d == 0 {
+        g.out_neighbors(v)
+    } else {
+        g.in_neighbors(v)
+    }
+}
+
+/// Derives the result `{(e, Se)}` of a (plain or dual) simulation relation:
+/// `Se` holds the graph edges between candidates of `e`'s endpoints.
+pub(crate) fn build_result(q: &Pattern, g: &DataGraph, cand: Option<Vec<BitSet>>) -> MatchResult {
+    let Some(cand) = cand else {
+        return MatchResult::empty();
+    };
     let mut edge_matches = Vec::with_capacity(q.edge_count());
     for &(u, t) in q.edges() {
         let (cu, ct) = (&cand[u.index()], &cand[t.index()]);
@@ -119,7 +138,9 @@ fn build_result(q: &Pattern, g: &DataGraph, cand: &[BitSet]) -> MatchResult {
                 }
             }
         }
-        debug_assert!(!set.is_empty(), "maximum simulation has nonempty Se");
+        if set.is_empty() {
+            return MatchResult::empty();
+        }
         edge_matches.push(set);
     }
     let node_matches = cand

@@ -330,11 +330,15 @@ fn run() -> Result<(), String> {
                 print_bounded_result(qb.pattern(), &r);
             } else if a.dual {
                 let q = require_plain(&qb, "pattern")?;
-                let r = gpv_matching::dual::dual_match_pattern(&q, &g);
+                let r = core::GraphSource::new(&g)
+                    .simulate(&q, core::Simulation::Dual)
+                    .0;
                 print_result(&q, &r);
             } else {
                 let q = require_plain(&qb, "pattern")?;
-                let r = gpv_matching::simulation::match_pattern(&q, &g);
+                let r = core::GraphSource::new(&g)
+                    .simulate(&q, core::Simulation::Plain)
+                    .0;
                 print_result(&q, &r);
             }
         }

@@ -319,6 +319,12 @@ proptest! {
         // holds since the fragment's edges are q's own).
         if let Some(plan) = dual_contain(&q, &views) {
             let ext = dual_materialize(&views, &g);
+            // Each extension is the view's dual result, node sets included.
+            for (i, v) in views.iter() {
+                let (thawed, oracle) = (ext.extensions[i].thaw(), dual_match_pattern(&v.pattern, &g));
+                prop_assert_eq!(&thawed.node_matches, &oracle.node_matches);
+                prop_assert_eq!(thawed, oracle);
+            }
             let joined = dual_match_join(&q, &plan, &ext).unwrap();
             let direct = dual_match_pattern(&q, &g);
             prop_assert_eq!(joined, direct);
