@@ -21,6 +21,10 @@
 //! `Bminimal` and `Bminimum` are the plain `contain`, `minimal` and
 //! `minimum` over it.
 //!
+//! The weighted distances and reachability between query nodes depend on
+//! `Qb` alone, so one table computes both matrices once
+//! ([`QueryDistances`]) and every view's simulation reads them.
+//!
 //! Complexity: `O(|Qb|²|V|)` for `Bcontain`/`Bminimal` (Theorem 10), up from
 //! quadratic in the unweighted case.
 
@@ -28,7 +32,7 @@ use crate::bview::BoundedViewSet;
 use crate::containment::{ContainmentPlan, ViewMatchTable};
 use crate::minimal::{minimal_from_table, Selection};
 use crate::minimum::minimum_from_table;
-use gpv_matching::bounded_pattern_sim::simulate_bounded_pattern;
+use gpv_matching::bounded_pattern_sim::{simulate_bounded_pattern_with, QueryDistances};
 use gpv_matching::pattern_sim::edge_match_sets;
 use gpv_pattern::{BoundedPattern, PatternEdgeId};
 
@@ -39,8 +43,9 @@ use gpv_pattern::{BoundedPattern, PatternEdgeId};
 fn bounded_view_match_entries(
     view: &BoundedPattern,
     qb: &BoundedPattern,
+    dists: &QueryDistances,
 ) -> Vec<Vec<PatternEdgeId>> {
-    let Some(cand) = simulate_bounded_pattern(view, qb) else {
+    let Some(cand) = simulate_bounded_pattern_with(view, qb, dists) else {
         return Vec::new();
     };
     edge_match_sets(view.pattern(), qb.pattern(), &cand, |ve, qe| {
@@ -50,20 +55,22 @@ fn bounded_view_match_entries(
 
 /// `M^Qb_V` as a sorted set of covered query edges.
 pub fn bounded_view_match(view: &BoundedPattern, qb: &BoundedPattern) -> Vec<PatternEdgeId> {
-    let mut edges = bounded_view_match_entries(view, qb).concat();
+    let mut edges = bounded_view_match_entries(view, qb, &QueryDistances::new(qb)).concat();
     edges.sort_unstable();
     edges.dedup();
     edges
 }
 
 /// The view-match table over bounded view matches: what `Bcontain`,
-/// `Bminimal` and `Bminimum` (and the engine's bounded planner) read.
+/// `Bminimal` and `Bminimum` (and the engine's bounded planner) read. The
+/// query's distance matrices are computed once and shared by every view.
 pub(crate) fn bounded_table(qb: &BoundedPattern, views: &BoundedViewSet) -> ViewMatchTable {
+    let dists = QueryDistances::new(qb);
     ViewMatchTable::from_edge_matches(
         qb.pattern().edge_count(),
         views
             .iter()
-            .map(|(_, v)| bounded_view_match_entries(&v.pattern, qb)),
+            .map(|(_, v)| bounded_view_match_entries(&v.pattern, qb, &dists)),
     )
 }
 

@@ -3,24 +3,32 @@
 //!
 //! Differences from `MatchJoin`:
 //!
-//! * the merge step filters each borrowed pair by the *query* edge's own
-//!   bound, using the distance index `I(V)` baked into the bounded
-//!   extensions (a covering view edge may have a looser bound than the
-//!   query edge, so pairs at distance `fe(e) < d ≤ k` must be dropped);
-//! * after that filter, validity is pure structure over node pairs, so the
+//! * the merge step must drop the pairs the *query* edge's own bound
+//!   rejects, using the distance index `I(V)` stored beside each view
+//!   edge's pairs (a covering view edge may have a looser bound than the
+//!   query edge, so pairs at distance `fe(e) < d ≤ k` must go). When the
+//!   region's largest distance is within the bound there is nothing to
+//!   drop, and the merge borrows the arena's pair column as the plain
+//!   merge does; otherwise it filters pairs and distances once, into owned
+//!   columns;
+//! * after that, validity is pure structure over node pairs, so the
 //!   refinement fixpoint is shared with `MatchJoin` — and so is the
 //!   `O(|Qb||V(G)| + |V(G)|²)` bound (Theorem 9), versus the cubic
-//!   `O(|Qb||G|²)` of direct `BMatch`.
+//!   `O(|Qb||G|²)` of direct `BMatch`;
+//! * distances are re-attached to the survivors. Both fixpoints return
+//!   each edge's survivors as a subsequence of its merged column, in merge
+//!   order, so one forward walk over the distance column finds them.
 
 use crate::bview::BoundedViewExtensions;
+use crate::compact::{BoundedColumns, BoundedEdgeSet};
 use crate::containment::ContainmentPlan;
 use crate::matchjoin::{
-    check_arity, refine, smallest_cover, JoinError, JoinStats, JoinStrategy, MergedSets,
+    check_arity, node_sets, refine, smallest_cover, JoinError, JoinStats, JoinStrategy, MergedSets,
 };
 use gpv_graph::NodeId;
 use gpv_matching::result::BoundedMatchResult;
 use gpv_pattern::{BoundedPattern, PatternEdgeId};
-use std::collections::HashSet;
+use std::borrow::Cow;
 
 /// Answers `Qb` using bounded views with the default (optimized) strategy.
 pub fn bmatch_join(
@@ -53,85 +61,83 @@ pub fn bmatch_join_with(
     let q = qb.pattern();
     check_arity(q, plan.lambda.len())?;
 
-    // Merge step with the distance filter d ≤ fe(e) (I(V) lookups are the
-    // `d` fields riding along with every cached pair). As in the plain
-    // `merge_step`, a single witnessing view edge per query edge suffices
-    // (simulations compose; see `matchjoin::merge_step`), so we read only
-    // the smallest covering extension. `with_dist[ei]` stays sorted by
-    // pair, enabling binary-search distance reattachment after the
-    // fixpoint — no per-pair hashing.
-    // The distance filter projects owned sets out of the arena (the shared
-    // fixpoint takes them as `Cow::Owned`; the zero-copy borrow only applies
-    // to the unbounded join, where no per-pair filtering happens).
-    let mut with_dist: Vec<Vec<(NodeId, NodeId, u32)>> = Vec::with_capacity(q.edge_count());
-    let mut merged: MergedSets<'_> = Vec::with_capacity(q.edge_count());
-    for (ei, entries) in plan.lambda.iter().enumerate() {
-        let bound = qb.bound(PatternEdgeId(ei as u32));
-        let (_, set) = smallest_cover(entries, ext.extensions.len(), |r| {
-            ext.edge_set(r.view, r.edge)
-        })?
-        .ok_or(JoinError::PlanMismatch)?;
-        let mut filtered: Vec<(NodeId, NodeId, u32)> = set
-            .iter()
-            .copied()
-            .filter(|&(_, _, d)| bound.admits(d))
-            .collect();
-        // Canonicalize (same choke point as the plain `merge_step`): a
-        // stored extension with duplicate pairs must not inflate the
-        // working set, and the binary-search distance reattachment below
-        // requires strictly-sorted pairs. Ties on a pair keep the smallest
-        // distance (the shortest witnessing path, `I(V)`'s semantics).
-        if !filtered
-            .windows(2)
-            .all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1))
-        {
-            filtered.sort_unstable();
-            filtered.dedup_by_key(|&mut (v, w, _)| (v, w));
-        }
-        merged.push(std::borrow::Cow::Owned(
-            filtered.iter().map(|&(v, w, _)| (v, w)).collect(),
-        ));
-        with_dist.push(filtered);
-    }
+    // As in the plain `merge_step`, a single witnessing view edge per query
+    // edge suffices (simulations compose; see `matchjoin::merge_step`), so
+    // the merge reads only the smallest covering extension.
+    let covers = plan
+        .lambda
+        .iter()
+        .map(|entries| {
+            let (r, _) = smallest_cover(entries, ext.extensions.len(), |r| {
+                ext.edge_set(r.view, r.edge)
+            })?
+            .ok_or(JoinError::PlanMismatch)?;
+            Ok(r)
+        })
+        .collect::<Result<Vec<_>, JoinError>>()?;
+    // The distance filter `d ≤ fe(e)`, only where a region holds a pair the
+    // bound rejects.
+    let filtered: Vec<Option<BoundedEdgeSet>> = covers
+        .iter()
+        .enumerate()
+        .map(|(ei, r)| {
+            let bound = qb.bound(PatternEdgeId(ei as u32));
+            (!bound.admits(ext.max_dist(r.view, r.edge))).then(|| {
+                let pairs = ext.edge_set(r.view, r.edge).iter();
+                pairs
+                    .zip(ext.edge_dists(r.view, r.edge))
+                    .filter(|&(_, &d)| bound.admits(d))
+                    .unzip()
+            })
+        })
+        .collect();
+    let columns: Vec<BoundedColumns<'_>> = covers
+        .iter()
+        .zip(&filtered)
+        .map(|(r, own)| match own {
+            Some((pairs, dists)) => (&pairs[..], &dists[..]),
+            None => (ext.edge_set(r.view, r.edge), ext.edge_dists(r.view, r.edge)),
+        })
+        .collect();
+    let merged: MergedSets<'_> = columns.iter().map(|&(p, _)| Cow::Borrowed(p)).collect();
 
     let (sets, stats) = refine(q, merged, strategy);
-    let Some(sets) = sets else {
-        return Ok((BoundedMatchResult::empty(), stats));
-    };
-    // Re-attach distances (binary search in the sorted merged slice) and
-    // build node sets.
-    let mut node_sets: Vec<HashSet<NodeId>> = vec![HashSet::new(); q.node_count()];
-    let mut edge_matches = Vec::with_capacity(sets.len());
-    for (ei, set) in sets.into_iter().enumerate() {
-        let (u, t) = q.edge(PatternEdgeId(ei as u32));
-        let src = &with_dist[ei];
-        let with_d: Vec<(NodeId, NodeId, u32)> = set
+    let result = sets.and_then(|sets| {
+        let nodes = node_sets(q, &sets, |_| None)?;
+        let edges = sets
             .into_iter()
-            .map(|(v, w)| {
-                node_sets[u.index()].insert(v);
-                node_sets[t.index()].insert(w);
-                let i = src
-                    .binary_search_by_key(&(v, w), |&(a, b, _)| (a, b))
-                    .expect("surviving pair came from the merged slice");
-                (v, w, src[i].2)
+            .zip(&columns)
+            .map(|(set, &(pairs, dists))| {
+                let d = survivor_dists(&set, pairs, dists);
+                set.into_iter()
+                    .zip(d)
+                    .map(|((v, w), d)| (v, w, d))
+                    .collect()
             })
             .collect();
-        edge_matches.push(with_d);
-    }
-    if node_sets.iter().any(HashSet::is_empty) {
-        return Ok((BoundedMatchResult::empty(), stats));
-    }
-    Ok((
-        BoundedMatchResult::new(
-            q,
-            node_sets
-                .into_iter()
-                .map(|s| s.into_iter().collect())
-                .collect(),
-            edge_matches,
-        ),
-        stats,
-    ))
+        Some(BoundedMatchResult::new(q, nodes, edges))
+    });
+    Ok((result.unwrap_or_else(BoundedMatchResult::empty), stats))
+}
+
+/// The distances of `survivors`, a subsequence (in order) of `pairs` with
+/// `dists` parallel to `pairs`: one forward walk, no search.
+pub(crate) fn survivor_dists(
+    survivors: &[(NodeId, NodeId)],
+    pairs: &[(NodeId, NodeId)],
+    dists: &[u32],
+) -> Vec<u32> {
+    let mut j = 0;
+    survivors
+        .iter()
+        .map(|p| {
+            while pairs[j] != *p {
+                j += 1;
+            }
+            j += 1;
+            dists[j - 1]
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -255,6 +261,11 @@ mod tests {
         let direct = bmatch_pattern(&qb, &g);
         assert_eq!(r, direct);
         assert_eq!(r.edge_set(PatternEdgeId(0)), &[(a2, b2, 1)]);
+        // The view's region holds the distance-2 pair, so the merge
+        // filtered it; its pair and distance columns hold both pairs.
+        assert_eq!(ext.edge_set(0, PatternEdgeId(0)), &[(a1, b1), (a2, b2)]);
+        assert_eq!(ext.edge_dists(0, PatternEdgeId(0)), &[2, 1]);
+        assert_eq!(ext.max_dist(0, PatternEdgeId(0)), 2);
     }
 
     #[test]
@@ -311,5 +322,7 @@ mod tests {
         let r = bmatch_join(&qb, &plan, &ext).unwrap();
         assert_eq!(r, bmatch_pattern(&qb, &g));
         assert_eq!(r.edge_set(PatternEdgeId(0)), &[(a, z, 2)]);
+        assert_eq!(ext.edge_set(0, PatternEdgeId(0)), &[(a, z)]);
+        assert_eq!(ext.edge_dists(0, PatternEdgeId(0)), &[2]);
     }
 }

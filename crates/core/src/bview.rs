@@ -5,11 +5,24 @@
 //! view edge, the shortest witnessing distance `d` — "for each match (v, v')
 //! in V(G) of some edge in V, I(V) includes a pair ⟨(v, v'), d⟩". The size
 //! of `I(V)` is bounded by `|V(G)|`, and `BMatchJoin` queries it in `O(1)`.
+//!
+//! [`bmaterialize`] runs the `MatchJoin` kernel over edge sets read from
+//! `G`. Base sets come from one [`GraphSource`]. A view edge
+//! `(u, t)` with bound `k` reads, for each node of `base(u)`, a bounded BFS
+//! truncated at `k` (not truncated for `*`), keeping the nodes in `base(t)`
+//! with their shortest distances. Those candidate pairs go through the
+//! shared refinement, and the survivors get their distances back by one
+//! forward walk, as in `BMatchJoin`.
 
-use crate::compact::CompactBoundedView;
-use gpv_graph::DataGraph;
-use gpv_matching::bounded::bmatch_pattern;
-use gpv_pattern::BoundedPattern;
+use crate::bmatchjoin::survivor_dists;
+use crate::compact::{BoundedEdgeSet, CompactBoundedView};
+use crate::matchjoin::{node_sets, refine, JoinStrategy, MergedSets};
+use crate::partial::GraphSource;
+use gpv_graph::traverse::{bounded_bfs, BfsScratch, Direction};
+use gpv_graph::{BitSet, DataGraph, NodeId};
+use gpv_pattern::{BoundedPattern, EdgeBound, PatternEdgeId, PatternNodeId, Predicate};
+use std::borrow::Cow;
+use std::collections::HashMap;
 
 /// A named bounded view definition.
 #[derive(Clone, Debug, PartialEq)]
@@ -76,23 +89,122 @@ impl BoundedViewSet {
 }
 
 /// Materialized bounded extensions: each `Vi(G)` carries per-pair shortest
-/// distances — the extension and the index `I(V)` in one structure. Since
-/// the columnar-arena refactor this is the flat
-/// [`CompactBoundedExtensions`](crate::compact::CompactBoundedExtensions);
-/// the JSON wire shape is unchanged.
+/// distances — the extension and the index `I(V)` in one structure: the
+/// flat [`CompactBoundedExtensions`](crate::compact::CompactBoundedExtensions),
+/// a pair column and a distance column per view.
 pub type BoundedViewExtensions = crate::compact::CompactBoundedExtensions;
 
-/// Materializes bounded views with the `BMatch` engine, recording shortest
-/// distances (building `I(V)` as a side effect), frozen into columnar
-/// arena regions.
+/// Materializes bounded views through the `MatchJoin` kernel over `G`,
+/// recording shortest distances (building `I(V)` as a side effect), frozen
+/// into columnar arena regions. Views sharing an edge's predicates and
+/// bound share its read of `G`.
 pub fn bmaterialize(views: &BoundedViewSet, g: &DataGraph) -> BoundedViewExtensions {
+    let mut reader = BoundedReader {
+        g,
+        source: GraphSource::new(g),
+        scratch: BfsScratch::new(g.node_count()),
+        reads: HashMap::new(),
+    };
     BoundedViewExtensions {
         extensions: views
             .views()
             .iter()
-            .map(|v| CompactBoundedView::freeze(&bmatch_pattern(&v.pattern, g)))
+            .map(|v| reader.materialize(&v.pattern))
             .collect(),
     }
+}
+
+/// What one read of `G` depends on: `(pred(u), pred(t), bound)` of a view
+/// edge `(u, t)`.
+type ReadKey = (Predicate, Predicate, EdgeBound);
+
+/// Reads bounded view edges from `G` for one [`bmaterialize`] call.
+struct BoundedReader<'g> {
+    g: &'g DataGraph,
+    source: GraphSource<'g>,
+    scratch: BfsScratch,
+    reads: HashMap<ReadKey, BoundedEdgeSet>,
+}
+
+impl BoundedReader<'_> {
+    /// `Qb(G)` for one view `vb`. Node sets follow `BMatch`: a node with
+    /// no out-edges — a sink, or a node with no edges at all — keeps its
+    /// whole base set, since refinement removes none of its candidates.
+    fn materialize(&mut self, vb: &BoundedPattern) -> CompactBoundedView {
+        let q = vb.pattern();
+        if q.edge_count() == 0 || self.source.bases(q).iter().any(|b| b.is_empty()) {
+            return CompactBoundedView::empty();
+        }
+        let keys: Vec<ReadKey> = q
+            .edges()
+            .iter()
+            .enumerate()
+            .map(|(ei, &(u, t))| {
+                let bound = vb.bound(PatternEdgeId(ei as u32));
+                (q.pred(u).clone(), q.pred(t).clone(), bound)
+            })
+            .collect();
+        for (key, &(u, t)) in keys.iter().zip(q.edges()) {
+            if !self.reads.contains_key(key) {
+                let bases = self.source.bases(q);
+                let read = read_bounded(
+                    self.g,
+                    bases[u.index()],
+                    bases[t.index()],
+                    key.2,
+                    &mut self.scratch,
+                );
+                self.reads.insert(key.clone(), read);
+            }
+        }
+        let columns: Vec<&BoundedEdgeSet> = keys.iter().map(|k| &self.reads[k]).collect();
+        let merged: MergedSets<'_> = columns.iter().map(|(p, _)| Cow::Borrowed(&p[..])).collect();
+        let (sets, _) = refine(q, merged, JoinStrategy::RankedBottomUp);
+        let bases = self.source.bases(q);
+        let whole = |u: PatternNodeId| q.out_edges(u).is_empty().then(|| bases[u.index()]);
+        let Some((nodes, sets)) = sets.and_then(|sets| Some((node_sets(q, &sets, whole)?, sets)))
+        else {
+            return CompactBoundedView::empty();
+        };
+        let edges = sets
+            .into_iter()
+            .zip(columns)
+            .map(|(set, (pairs, dists))| {
+                let d = survivor_dists(&set, pairs, dists);
+                (set, d)
+            })
+            .collect();
+        CompactBoundedView::from_sets(edges, nodes)
+    }
+}
+
+/// The pairs `(v, w)` with `v ∈ from`, `w ∈ to` and a nonempty path of at
+/// most `bound` hops from `v` to `w`, with its shortest length: one
+/// bounded BFS per node of `from`. Sorted by pair.
+fn read_bounded(
+    g: &DataGraph,
+    from: &BitSet,
+    to: &BitSet,
+    bound: EdgeBound,
+    scratch: &mut BfsScratch,
+) -> BoundedEdgeSet {
+    let hops = bound.hops().unwrap_or(u32::MAX);
+    let (mut pairs, mut dists) = (Vec::new(), Vec::new());
+    let mut row: Vec<(NodeId, u32)> = Vec::new();
+    for v in from.iter().map(|v| NodeId(v as u32)) {
+        bounded_bfs(g, v, hops, Direction::Out, scratch);
+        row.clear();
+        row.extend(
+            scratch
+                .visited
+                .iter()
+                .filter(|(w, _)| to.contains(w.index())),
+        );
+        row.sort_unstable();
+        pairs.extend(row.iter().map(|&(w, _)| (v, w)));
+        dists.extend(row.iter().map(|&(_, d)| d));
+    }
+    (pairs, dists)
 }
 
 #[cfg(test)]
@@ -135,10 +247,8 @@ mod tests {
         let vs = BoundedViewSet::new(vec![view_a2b(2)]);
         let ext = bmaterialize(&vs, &g);
         // A reaches B directly (d=1) — shortest wins over the 2-hop path.
-        assert_eq!(
-            ext.edge_set(0, PatternEdgeId(0)),
-            &[(NodeId(0), NodeId(2), 1)]
-        );
+        assert_eq!(ext.edge_set(0, PatternEdgeId(0)), &[(NodeId(0), NodeId(2))]);
+        assert_eq!(ext.edge_dists(0, PatternEdgeId(0)), &[1]);
         assert_eq!(ext.size(), 1);
     }
 
@@ -153,5 +263,6 @@ mod tests {
         let ext = bmaterialize(&vs, &g);
         assert_eq!(ext.size(), 0);
         assert_eq!(ext.edge_set(0, PatternEdgeId(0)), &[]);
+        assert_eq!(ext.edge_dists(0, PatternEdgeId(0)), &[] as &[u32]);
     }
 }

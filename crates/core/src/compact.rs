@@ -23,6 +23,11 @@
 //! store mutation re-freezes only the touched view's region, every other
 //! region is shared untouched between snapshots.
 //!
+//! [`CompactBoundedView`] is the bounded twin: the same columns plus a
+//! distance column parallel to `pairs` and one largest distance per edge
+//! region (see its docs), so `BMatchJoin` borrows pair slices as the plain
+//! join does.
+//!
 //! Conversion is explicit: [`CompactView::freeze`] flattens a boxed
 //! [`MatchResult`] (canonicalizing defensively — sets are sorted and
 //! deduplicated if they are not already), [`CompactView::thaw`] rebuilds
@@ -335,116 +340,140 @@ impl CompactExtensions {
     }
 }
 
-/// One bounded view's extension with per-pair shortest distances, in the
-/// same flat layout as [`CompactView`] but over `(v, v', d)` triples — the
-/// extension and the paper's index `I(V)` in one arena region.
-#[derive(Clone, Debug)]
+/// One bounded view's extension with per-pair shortest distances: the
+/// extension and the paper's index `I(V)` in one arena region. The layout
+/// is a [`CompactView`] plus a distance column parallel to its pairs and
+/// one largest distance per edge region:
+///
+/// ```text
+/// view     : CompactView              pairs (sorted, unique) and node sets
+/// dists    : [u32; |V(G)|]            shortest distance of `pairs[i]`
+/// max_dist : [u32; ne]                largest distance in each edge region
+/// ```
+///
+/// A pair costs 12 bytes, as it did as a `(v, v', d)` triple, but
+/// [`edge_set`](Self::edge_set) hands `BMatchJoin` the pair slice it
+/// borrows when a query bound admits `max_dist` — no per-pair work.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CompactBoundedView {
-    edge_offsets: Box<[u32]>,
-    triples: Box<[(NodeId, NodeId, u32)]>,
-    node_offsets: Box<[u32]>,
-    nodes: Box<[NodeId]>,
+    view: CompactView,
+    dists: Box<[u32]>,
+    max_dist: Box<[u32]>,
 }
 
-impl PartialEq for CompactBoundedView {
-    fn eq(&self, other: &Self) -> bool {
-        self.edge_offsets == other.edge_offsets && self.triples == other.triples
-    }
-}
+/// One edge's match set as parallel columns: pairs sorted and unique, and
+/// each pair's shortest distance.
+pub(crate) type BoundedEdgeSet = (Vec<(NodeId, NodeId)>, Vec<u32>);
 
-impl Eq for CompactBoundedView {}
+/// A borrowed [`BoundedEdgeSet`]: a pair column and its distance column.
+pub(crate) type BoundedColumns<'a> = (&'a [(NodeId, NodeId)], &'a [u32]);
 
 impl CompactBoundedView {
     /// The empty extension.
     pub fn empty() -> Self {
-        CompactBoundedView {
-            edge_offsets: vec![0].into_boxed_slice(),
-            triples: Box::new([]),
-            node_offsets: vec![0].into_boxed_slice(),
-            nodes: Box::new([]),
-        }
+        CompactBoundedView::from_sets(Vec::new(), Vec::new())
     }
 
     /// Flattens a boxed [`BoundedMatchResult`], canonicalizing defensively
-    /// like [`CompactView::freeze`].
+    /// like [`CompactView::freeze`]: a pair listed twice keeps its smallest
+    /// distance (the shortest witnessing path, `I(V)`'s semantics).
     pub fn freeze(r: &BoundedMatchResult) -> Self {
-        if r.is_empty() {
-            return CompactBoundedView::empty();
-        }
-        let mut edge_offsets = Vec::with_capacity(r.edge_matches.len() + 1);
-        let mut triples = Vec::with_capacity(r.size());
-        edge_offsets.push(0u32);
-        for set in &r.edge_matches {
-            extend_canonical(&mut triples, set);
-            edge_offsets.push(u32::try_from(triples.len()).expect("pair count fits u32"));
-        }
-        let mut node_offsets = Vec::with_capacity(r.node_matches.len() + 1);
-        let mut nodes = Vec::new();
-        node_offsets.push(0u32);
-        for set in &r.node_matches {
-            extend_canonical(&mut nodes, set);
-            node_offsets.push(u32::try_from(nodes.len()).expect("node count fits u32"));
-        }
+        let edges = r.edge_matches.iter().map(|set| {
+            let mut set = set.clone();
+            if !set.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)) {
+                set.sort_unstable();
+                set.dedup_by_key(|&mut (v, w, _)| (v, w));
+            }
+            set.into_iter().map(|(v, w, d)| ((v, w), d)).unzip()
+        });
+        CompactBoundedView::from_sets(edges.collect(), r.node_matches.clone())
+    }
+
+    /// Lays out per-edge columns, each edge's pairs strictly sorted with
+    /// one distance per pair; node sets are canonicalized as
+    /// [`CompactView::freeze`] does. An empty `edges` is the empty
+    /// extension.
+    pub(crate) fn from_sets(edges: Vec<BoundedEdgeSet>, nodes: Vec<Vec<NodeId>>) -> Self {
+        let max_dist = edges
+            .iter()
+            .map(|(_, d)| d.iter().copied().max().unwrap_or(0));
+        let max_dist = max_dist.collect();
+        let (edge_matches, dists): (Vec<_>, Vec<_>) = edges.into_iter().unzip();
+        debug_assert!(edge_matches
+            .iter()
+            .all(|p| p.windows(2).all(|w| w[0] < w[1])));
+        let view = CompactView::freeze(&MatchResult {
+            node_matches: nodes,
+            edge_matches,
+        });
         CompactBoundedView {
-            edge_offsets: edge_offsets.into_boxed_slice(),
-            triples: triples.into_boxed_slice(),
-            node_offsets: node_offsets.into_boxed_slice(),
-            nodes: nodes.into_boxed_slice(),
+            view,
+            dists: dists.concat().into_boxed_slice(),
+            max_dist,
         }
     }
 
     /// Rebuilds the boxed [`BoundedMatchResult`].
     pub fn thaw(&self) -> BoundedMatchResult {
-        if self.is_empty() {
-            return BoundedMatchResult::empty();
-        }
+        let edge_set = |e: usize| {
+            let e = PatternEdgeId(e as u32);
+            let pairs = self.edge_set(e).iter().zip(self.edge_dists(e));
+            pairs.map(|(&(v, w), &d)| (v, w, d)).collect()
+        };
         BoundedMatchResult {
             node_matches: (0..self.node_count())
                 .map(|u| self.node_set(PatternNodeId(u as u32)).to_vec())
                 .collect(),
-            edge_matches: (0..self.edge_count())
-                .map(|e| self.edge_set(PatternEdgeId(e as u32)).to_vec())
-                .collect(),
+            edge_matches: (0..self.edge_count()).map(edge_set).collect(),
         }
     }
 
     /// Whether the extension is empty.
     pub fn is_empty(&self) -> bool {
-        self.edge_count() == 0
+        self.view.is_empty()
     }
 
     /// Number of edge match sets.
     pub fn edge_count(&self) -> usize {
-        self.edge_offsets.len() - 1
+        self.view.edge_count()
     }
 
     /// Number of node match sets.
     pub fn node_count(&self) -> usize {
-        self.node_offsets.len() - 1
+        self.view.node_count()
     }
 
-    /// Match set of edge `e` with distances, borrowed from the arena.
-    pub fn edge_set(&self, e: PatternEdgeId) -> &[(NodeId, NodeId, u32)] {
-        let i = e.index();
-        &self.triples[self.edge_offsets[i] as usize..self.edge_offsets[i + 1] as usize]
+    /// Match set of edge `e` (sorted pairs), borrowed from the arena.
+    pub fn edge_set(&self, e: PatternEdgeId) -> &[(NodeId, NodeId)] {
+        self.view.edge_set(e)
+    }
+
+    /// Shortest distances of edge `e`'s pairs, parallel to
+    /// [`edge_set`](Self::edge_set).
+    pub fn edge_dists(&self, e: PatternEdgeId) -> &[u32] {
+        let offsets = &self.view.edge_offsets;
+        &self.dists[offsets[e.index()] as usize..offsets[e.index() + 1] as usize]
+    }
+
+    /// The largest distance in edge `e`'s region (0 when it is empty).
+    pub fn max_dist(&self, e: PatternEdgeId) -> u32 {
+        self.max_dist[e.index()]
     }
 
     /// Matches of node `u`, borrowed from the arena.
     pub fn node_set(&self, u: PatternNodeId) -> &[NodeId] {
-        let i = u.index();
-        &self.nodes[self.node_offsets[i] as usize..self.node_offsets[i + 1] as usize]
+        self.view.node_set(u)
     }
 
-    /// `|Vi(G)|` for this view: total triples.
+    /// `|Vi(G)|` for this view: total pairs.
     pub fn size(&self) -> usize {
-        self.triples.len()
+        self.view.size()
     }
 
     /// Heap bytes resident for this view's columns.
     pub fn resident_bytes(&self) -> usize {
-        self.triples.len() * std::mem::size_of::<(NodeId, NodeId, u32)>()
-            + self.nodes.len() * std::mem::size_of::<NodeId>()
-            + (self.edge_offsets.len() + self.node_offsets.len()) * std::mem::size_of::<u32>()
+        self.view.resident_bytes()
+            + (self.dists.len() + self.max_dist.len()) * std::mem::size_of::<u32>()
     }
 }
 
@@ -462,15 +491,28 @@ impl CompactBoundedExtensions {
         self.extensions.iter().map(CompactBoundedView::size).sum()
     }
 
-    /// Match set with distances of edge `eV` of view `i` (empty slice when
-    /// the extension is empty).
-    pub fn edge_set(&self, view: usize, e: PatternEdgeId) -> &[(NodeId, NodeId, u32)] {
+    /// View `i`'s extension, `None` when it is empty (it then has no edge
+    /// regions to index).
+    fn nonempty(&self, view: usize) -> Option<&CompactBoundedView> {
         let ext = &self.extensions[view];
-        if ext.is_empty() {
-            &[]
-        } else {
-            ext.edge_set(e)
-        }
+        (!ext.is_empty()).then_some(ext)
+    }
+
+    /// Match set of edge `eV` of view `i` (empty slice when the extension
+    /// is empty): what `smallest_cover` and the cost model read.
+    pub fn edge_set(&self, view: usize, e: PatternEdgeId) -> &[(NodeId, NodeId)] {
+        self.nonempty(view).map_or(&[], |ext| ext.edge_set(e))
+    }
+
+    /// Shortest distances of edge `eV` of view `i`, parallel to
+    /// [`edge_set`](Self::edge_set).
+    pub fn edge_dists(&self, view: usize, e: PatternEdgeId) -> &[u32] {
+        self.nonempty(view).map_or(&[], |ext| ext.edge_dists(e))
+    }
+
+    /// The largest distance of edge `eV` of view `i` (0 when empty).
+    pub fn max_dist(&self, view: usize, e: PatternEdgeId) -> u32 {
+        self.nonempty(view).map_or(0, |ext| ext.max_dist(e))
     }
 }
 
@@ -545,10 +587,32 @@ mod tests {
         let c = CompactBoundedView::freeze(&r);
         assert_eq!(
             c.edge_set(PatternEdgeId(0)),
-            &[(NodeId(0), NodeId(1), 1), (NodeId(0), NodeId(2), 2)]
+            &[(NodeId(0), NodeId(1)), (NodeId(0), NodeId(2))]
         );
+        assert_eq!(c.edge_dists(PatternEdgeId(0)), &[1, 2]);
+        assert_eq!(c.max_dist(PatternEdgeId(0)), 2);
         assert_eq!(c.thaw(), r);
         assert!(CompactBoundedView::freeze(&BoundedMatchResult::empty()).is_empty());
+    }
+
+    #[test]
+    fn bounded_freeze_keeps_the_shortest_distance_of_a_repeated_pair() {
+        let dirty = BoundedMatchResult {
+            node_matches: vec![vec![NodeId(0)], vec![NodeId(2), NodeId(1)]],
+            edge_matches: vec![vec![
+                (NodeId(0), NodeId(2), 3),
+                (NodeId(0), NodeId(1), 2),
+                (NodeId(0), NodeId(2), 1),
+            ]],
+        };
+        let c = CompactBoundedView::freeze(&dirty);
+        assert_eq!(
+            c.edge_set(PatternEdgeId(0)),
+            &[(NodeId(0), NodeId(1)), (NodeId(0), NodeId(2))]
+        );
+        assert_eq!(c.edge_dists(PatternEdgeId(0)), &[2, 1]);
+        assert_eq!(c.max_dist(PatternEdgeId(0)), 2);
+        assert_eq!(c.node_set(PatternNodeId(1)), &[NodeId(1), NodeId(2)]);
     }
 
     #[test]

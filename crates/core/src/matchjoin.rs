@@ -685,37 +685,59 @@ fn naive_fixpoint(
     }
 }
 
-/// Builds the final [`MatchResult`] (or empty) from refined sets. A node's
-/// matches are the nodes it takes in surviving pairs (sources of out-edges,
-/// targets of in-edges), except where `whole` names its entire relation.
+/// Builds the final [`MatchResult`] (or empty) from refined sets, with
+/// [`node_sets`] for the node matches.
 pub(crate) fn assemble<'a>(
     q: &Pattern,
     sets: Option<RefinedSets>,
     whole: impl Fn(PatternNodeId) -> Option<&'a BitSet>,
 ) -> MatchResult {
-    let Some(sets) = sets else {
-        return MatchResult::empty();
-    };
-    let mut node_sets: Vec<HashSet<NodeId>> = vec![HashSet::new(); q.node_count()];
+    match sets.and_then(|sets| Some((node_sets(q, &sets, whole)?, sets))) {
+        Some((nodes, sets)) => MatchResult::new(q, nodes, sets),
+        None => MatchResult::empty(),
+    }
+}
+
+/// The node sets of refined edge sets, shared by every join's result: a
+/// node's matches are the nodes it takes in surviving pairs (sources of
+/// out-edges, targets of in-edges), except where `whole` names its entire
+/// relation. One bitset per pattern node, sized by the largest surviving
+/// id, so each set comes out sorted. `None` when some node has no match.
+pub(crate) fn node_sets<'a>(
+    q: &Pattern,
+    sets: &[Vec<(NodeId, NodeId)>],
+    whole: impl Fn(PatternNodeId) -> Option<&'a BitSet>,
+) -> Option<Vec<Vec<NodeId>>> {
+    let whole: Vec<Option<&BitSet>> = q.nodes().map(whole).collect();
+    let m = sets
+        .iter()
+        .flatten()
+        .map(|&(s, w)| s.max(w).index() + 1)
+        .max()
+        .unwrap_or(0);
+    let mut seen: Vec<BitSet> = whole
+        .iter()
+        .map(|w| BitSet::new(if w.is_some() { 0 } else { m }))
+        .collect();
     for (ei, set) in sets.iter().enumerate() {
-        let (u, t) = q.edge(gpv_pattern::PatternEdgeId(ei as u32));
+        let (u, t) = q.edge(PatternEdgeId(ei as u32));
         for &(s, w) in set {
-            node_sets[u.index()].insert(s);
-            node_sets[t.index()].insert(w);
+            if whole[u.index()].is_none() {
+                seen[u.index()].insert(s.index());
+            }
+            if whole[t.index()].is_none() {
+                seen[t.index()].insert(w.index());
+            }
         }
     }
-    let node_sets: Vec<Vec<NodeId>> = q
-        .nodes()
-        .zip(node_sets)
-        .map(|(u, set)| match whole(u) {
-            Some(all) => all.iter().map(|v| NodeId(v as u32)).collect(),
-            None => set.into_iter().collect(),
+    whole
+        .iter()
+        .zip(&seen)
+        .map(|(w, seen)| {
+            let set: Vec<NodeId> = w.unwrap_or(seen).iter().map(|v| NodeId(v as u32)).collect();
+            (!set.is_empty()).then_some(set)
         })
-        .collect();
-    if node_sets.iter().any(Vec::is_empty) {
-        return MatchResult::empty();
-    }
-    MatchResult::new(q, node_sets, sets)
+        .collect()
 }
 
 #[cfg(test)]

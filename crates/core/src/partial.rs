@@ -28,7 +28,7 @@ use crate::plan::EdgeSource;
 use crate::view::{ViewExtensions, ViewSet};
 use gpv_graph::{BitSet, DataGraph, NodeId};
 use gpv_matching::result::MatchResult;
-use gpv_pattern::{Pattern, PatternEdgeId, PatternNodeId, Predicate};
+use gpv_pattern::{Atom, Pattern, PatternEdgeId, PatternNodeId, Predicate};
 use std::collections::HashMap;
 
 /// Maximal-coverage result: which query edges the views can supply.
@@ -75,9 +75,11 @@ pub fn partial_contain(q: &Pattern, views: &ViewSet) -> PartialPlan {
 /// The one path production code reads `G` through for simulation. It
 /// resolves each distinct node predicate to its *base set* (a bitset of
 /// the nodes satisfying it) once, on first use, so a query with repeated
-/// labels — or a batch of views sharing one source — scans `V` once per
-/// predicate. A graph-sourced pattern edge `(u, t)` reads the
-/// `out_neighbors` of `base(u)`, keeping those in `base(t)`.
+/// labels — or a batch of views sharing one source — resolves each
+/// predicate once. A predicate with a label atom tests only the nodes
+/// [`DataGraph::nodes_with_label`] lists for it; one without scans `V`.
+/// A graph-sourced pattern edge `(u, t)` reads the `out_neighbors` of
+/// `base(u)`, keeping those in `base(t)`.
 pub struct GraphSource<'g> {
     g: &'g DataGraph,
     bases: HashMap<Predicate, BitSet>,
@@ -101,8 +103,22 @@ impl<'g> GraphSource<'g> {
             }
             let resolved = p.resolve(g);
             let mut set = BitSet::new(g.node_count());
-            for v in g.nodes().filter(|&v| resolved.satisfied_by(g, v)) {
-                set.insert(v.index());
+            let mut add = |v: NodeId| {
+                if resolved.satisfied_by(g, v) {
+                    set.insert(v.index());
+                }
+            };
+            // Only the nodes carrying the first label atom's label can
+            // satisfy the conjunction; without a label atom, scan V.
+            match p.atoms().iter().find_map(|a| match a {
+                Atom::Label(l) => Some(l),
+                _ => None,
+            }) {
+                Some(l) => {
+                    let nodes = g.lookup_label(l).map_or(&[][..], |l| g.nodes_with_label(l));
+                    nodes.iter().copied().for_each(&mut add);
+                }
+                None => g.nodes().for_each(&mut add),
             }
             self.bases.insert(p.clone(), set);
         }

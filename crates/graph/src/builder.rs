@@ -150,6 +150,7 @@ impl GraphBuilder {
             in_offsets: vec![0; n + 1],
             in_sources: Vec::new(),
             edge_hash: 0,
+            label_index: Default::default(),
         };
         self.edges.sort_unstable();
         self.edges.dedup();

@@ -4,7 +4,7 @@ use crate::interner::{Interner, Sym};
 use crate::value::{AttrId, LabelId, StoredValue, ValueRef};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A node identifier: a dense index in `0..node_count`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -31,8 +31,8 @@ impl std::fmt::Display for NodeId {
 /// immutable after construction; all per-node queries are `O(1)` slice
 /// lookups and `has_edge` is a binary search over the sorted out-adjacency.
 ///
-/// Node data (interners, label and attribute columns) sits behind `Arc`:
-/// edge-only successors ([`with_edges`](Self::with_edges),
+/// Node data (interners, label and attribute columns, the label index)
+/// sits behind `Arc`: edge-only successors ([`with_edges`](Self::with_edges),
 /// [`splice_edges`](Self::splice_edges)) share it and own only the four
 /// edge arrays.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -57,6 +57,42 @@ pub struct DataGraph {
     /// [`rebuild_indices`](Self::rebuild_indices) after deserialization.
     #[serde(skip)]
     pub(crate) edge_hash: u64,
+
+    /// [`nodes_with_label`](Self::nodes_with_label)'s index, built on
+    /// first use (so a deserialized graph needs no extra step). Edge deltas
+    /// never change labels, so every successor shares it.
+    #[serde(skip)]
+    pub(crate) label_index: Arc<OnceLock<LabelIndex>>,
+}
+
+/// Label → nodes CSR: `offsets[l]..offsets[l + 1]` delimits the nodes
+/// carrying label `l` in `nodes`, each list sorted ascending.
+#[derive(Debug, Default)]
+pub(crate) struct LabelIndex {
+    offsets: Vec<u32>,
+    nodes: Vec<NodeId>,
+}
+
+impl LabelIndex {
+    /// Counting sort of the label column by label id.
+    fn build(g: &DataGraph) -> LabelIndex {
+        let mut offsets = vec![0u32; g.labels.len() + 1];
+        for &l in g.label_data.iter() {
+            offsets[l.0 as usize + 1] += 1;
+        }
+        for i in 0..g.labels.len() {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut cursor = offsets.clone();
+        let mut nodes = vec![NodeId(0); g.label_data.len()];
+        for v in g.nodes() {
+            for &l in g.labels_of(v) {
+                nodes[cursor[l.0 as usize] as usize] = v;
+                cursor[l.0 as usize] += 1;
+            }
+        }
+        LabelIndex { offsets, nodes }
+    }
 }
 
 /// One edge's term in [`DataGraph::edge_set_hash`]: the splitmix64
@@ -152,6 +188,17 @@ impl DataGraph {
     #[inline]
     pub fn has_label(&self, v: NodeId, l: LabelId) -> bool {
         self.labels_of(v).binary_search(&l).is_ok()
+    }
+
+    /// The nodes carrying label `l`, sorted ascending (empty for a label
+    /// outside the alphabet). The label → nodes index behind it is built
+    /// once per node set, on first call.
+    pub fn nodes_with_label(&self, l: LabelId) -> &[NodeId] {
+        let index = self.label_index.get_or_init(|| LabelIndex::build(self));
+        match index.offsets.get(l.0 as usize..l.0 as usize + 2) {
+            Some(&[a, b]) => &index.nodes[a as usize..b as usize],
+            _ => &[],
+        }
     }
 
     /// The attribute value of `v` under attribute `a`, if set.
@@ -399,6 +446,7 @@ impl DataGraph {
             in_offsets,
             in_sources,
             edge_hash,
+            label_index: self.label_index.clone(),
         }
     }
 }
@@ -624,6 +672,32 @@ mod tests {
         assert_eq!(back.edge_set_hash(), g.edge_set_hash());
         assert_eq!(back.out_targets, g.out_targets);
         assert_eq!(back.in_sources, g.in_sources);
+    }
+
+    #[test]
+    fn label_index_lists_nodes_and_survives_a_splice() {
+        let g = diamond();
+        let (a, b, c) = (
+            g.lookup_label("A").unwrap(),
+            g.lookup_label("B").unwrap(),
+            g.lookup_label("C").unwrap(),
+        );
+        let by_scan = |l| g.nodes().filter(|&v| g.has_label(v, l)).collect::<Vec<_>>();
+        for l in [a, b, c] {
+            assert_eq!(g.nodes_with_label(l), by_scan(l));
+        }
+        assert_eq!(g.nodes_with_label(b), &[NodeId(1), NodeId(2)]);
+        assert!(g.nodes_with_label(crate::LabelId(99)).is_empty());
+        // A splice shares the index (labels never change under edge
+        // deltas) and answers the same.
+        let h = g.splice_edges(&[(NodeId(0), NodeId(1))], &[(NodeId(3), NodeId(0))]);
+        assert!(std::sync::Arc::ptr_eq(&h.label_index, &g.label_index));
+        for l in [a, b, c] {
+            assert_eq!(h.nodes_with_label(l), g.nodes_with_label(l));
+        }
+        // A graph whose index was never built gets its own on first use.
+        let fresh = diamond().with_edges(&[]);
+        assert_eq!(fresh.nodes_with_label(b), &[NodeId(1), NodeId(2)]);
     }
 
     #[test]

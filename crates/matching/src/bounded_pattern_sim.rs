@@ -14,26 +14,52 @@
 use crate::pattern_sim::pattern_fixpoint;
 use gpv_pattern::{BoundedPattern, EdgeBound};
 
+/// The weighted distances and reachability between every pair of query
+/// nodes: what each view's bounded simulation into `Qb` tests its edges
+/// against. Computed once per query and shared by all its views.
+#[derive(Clone, Debug)]
+pub struct QueryDistances {
+    wdist: Vec<Vec<Option<u64>>>,
+    reach: Vec<Vec<bool>>,
+}
+
+impl QueryDistances {
+    /// Both `|Vp| × |Vp|` matrices of `qb` (patterns are small; `|Vp|²`
+    /// Dijkstras are cheap).
+    pub fn new(qb: &BoundedPattern) -> Self {
+        let qp = qb.pattern();
+        let nq = qp.node_count();
+        let mut wdist = vec![vec![None; nq]; nq];
+        let mut reach = vec![vec![false; nq]; nq];
+        for a in qp.nodes() {
+            for b in qp.nodes() {
+                wdist[a.index()][b.index()] = qb.weighted_distance(a, b);
+                reach[a.index()][b.index()] = qb.reaches(a, b);
+            }
+        }
+        QueryDistances { wdist, reach }
+    }
+}
+
 /// The maximum bounded simulation of view `v` into weighted query `qb`, as
 /// boolean candidate rows (`cand[x][u]`), or `None` when some view node has
 /// no query match.
 pub fn simulate_bounded_pattern(v: &BoundedPattern, qb: &BoundedPattern) -> Option<Vec<Vec<bool>>> {
-    let qp = qb.pattern();
-    let nq = qp.node_count();
+    simulate_bounded_pattern_with(v, qb, &QueryDistances::new(qb))
+}
 
-    // Precompute weighted distances / reachability between all query-node
-    // pairs (patterns are small; |Vp|² Dijkstras are cheap).
-    let mut wdist = vec![vec![None; nq]; nq];
-    let mut reach = vec![vec![false; nq]; nq];
-    for a in qp.nodes() {
-        for b in qp.nodes() {
-            wdist[a.index()][b.index()] = qb.weighted_distance(a, b);
-            reach[a.index()][b.index()] = qb.reaches(a, b);
+/// [`simulate_bounded_pattern`] against `qb`'s precomputed distances.
+pub fn simulate_bounded_pattern_with(
+    v: &BoundedPattern,
+    qb: &BoundedPattern,
+    dists: &QueryDistances,
+) -> Option<Vec<Vec<bool>>> {
+    let QueryDistances { wdist, reach } = dists;
+    pattern_fixpoint(v.pattern(), qb.pattern(), false, |ev, u, u2| {
+        match v.bound(ev) {
+            EdgeBound::Hop(k) => wdist[u][u2].is_some_and(|d| d <= k as u64),
+            EdgeBound::Unbounded => reach[u][u2],
         }
-    }
-    pattern_fixpoint(v.pattern(), qp, false, |ev, u, u2| match v.bound(ev) {
-        EdgeBound::Hop(k) => wdist[u][u2].is_some_and(|d| d <= k as u64),
-        EdgeBound::Unbounded => reach[u][u2],
     })
 }
 

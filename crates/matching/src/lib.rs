@@ -23,7 +23,9 @@ pub mod result;
 pub mod simulation;
 
 pub use bounded::{bmatch_pattern, bmatches, bounded_simulation_relation};
-pub use bounded_pattern_sim::simulate_bounded_pattern;
+pub use bounded_pattern_sim::{
+    simulate_bounded_pattern, simulate_bounded_pattern_with, QueryDistances,
+};
 pub use dual::{dual_match_pattern, dual_simulation_relation};
 pub use pattern_sim::{simulate_pattern, simulate_pattern_dual, PatternSimResult};
 pub use result::{BoundedMatchResult, MatchResult};

@@ -9,7 +9,7 @@ use gpv_generator::{
     PatternShape,
 };
 use graph_views::prelude::*;
-use graph_views::views::{EdgeSource, QueryPlan};
+use graph_views::views::{BoundedViewDef, BoundedViewSet, EdgeSource, QueryPlan};
 use proptest::prelude::*;
 
 const LABELS: [&str; 4] = ["A", "B", "C", "D"];
@@ -106,16 +106,30 @@ proptest! {
     }
 
     /// Bounded queries: engine plans over the bounded registry equal
-    /// `bmatch_pattern` (Theorem 8), under every selection mode.
+    /// `bmatch_pattern` (Theorem 8), under every selection mode. A second
+    /// leg loosens every view bound, to `k + 1` and to `*`, so the views
+    /// hold pairs the query's bounds reject and the merge must filter.
     #[test]
     fn engine_bounded_equals_bmatch(g in arb_graph(), qb in arb_bounded_query(), vseed in any::<u64>()) {
         let views = covering_bounded_views(std::slice::from_ref(&qb), 2, vseed);
         let direct = bmatch_pattern(&qb, &g);
-        for cfg in mode_configs() {
-            let engine = QueryEngine::materialize(graph_views::views::ViewSet::default(), &g)
-                .with_bounded_views(views.clone(), &g)
-                .with_config(cfg);
-            prop_assert_eq!(&engine.answer_bounded(&qb).unwrap(), &direct);
+        let loose = |f: fn(EdgeBound) -> EdgeBound| {
+            let defs = views.views().iter().map(|v| {
+                let bounds = v.pattern.bounds().iter().map(|&b| f(b)).collect();
+                let pattern = BoundedPattern::new(v.pattern.pattern().clone(), bounds).unwrap();
+                BoundedViewDef::new(v.name.clone(), pattern)
+            });
+            BoundedViewSet::new(defs.collect())
+        };
+        let plus_one = loose(|b| b.hops().map_or(EdgeBound::Unbounded, |k| EdgeBound::Hop(k + 1)));
+        let star = loose(|_| EdgeBound::Unbounded);
+        for vs in [&views, &plus_one, &star] {
+            for cfg in mode_configs() {
+                let engine = QueryEngine::materialize(graph_views::views::ViewSet::default(), &g)
+                    .with_bounded_views(vs.clone(), &g)
+                    .with_config(cfg);
+                prop_assert_eq!(&engine.answer_bounded(&qb).unwrap(), &direct);
+            }
         }
     }
 

@@ -34,6 +34,34 @@ fn arb_bounded_query() -> impl Strategy<Value = BoundedPattern> {
     })
 }
 
+/// A bounded view for the `bmaterialize` oracle check: 2–4 nodes over
+/// `LABELS` plus `Z`, which no graph node carries (an empty base set);
+/// 1–4 edges with bounds 1–3 or `*` (bound code 0); and, when `isolated`,
+/// one more node with no edges.
+fn arb_bounded_view() -> impl Strategy<Value = BoundedPattern> {
+    (
+        proptest::collection::vec(0usize..13, 2..5),
+        proptest::collection::vec((0usize..4, 0usize..4, 0u32..4), 1..5),
+        any::<bool>(),
+    )
+        .prop_map(|(labels, edges, isolated)| {
+            let label = |l: usize| if l == 12 { "Z" } else { LABELS[l % 4] };
+            let mut b = PatternBuilder::new();
+            let ids: Vec<_> = labels.iter().map(|&l| b.node_labeled(label(l))).collect();
+            for (x, y, k) in edges {
+                let (x, y) = (ids[x % ids.len()], ids[y % ids.len()]);
+                match k {
+                    0 => b.edge_unbounded(x, y),
+                    k => b.edge_bounded(x, y, k),
+                }
+            }
+            if isolated {
+                b.node_labeled(label(labels[0]));
+            }
+            b.build_bounded().unwrap()
+        })
+}
+
 /// Whether every query edge's λ entries are ordered by (view, view edge)
 /// — the order `smallest_cover`'s first-smallest tie-break depends on.
 fn lambda_ordered(lambda: &[Vec<ViewEdgeRef>]) -> bool {
@@ -251,6 +279,26 @@ proptest! {
         let joined = bmatch_join(&qb, &plan, &ext).unwrap();
         let direct = bmatch_pattern(&qb, &g);
         prop_assert_eq!(joined, direct);
+    }
+
+    /// Kernel materialization equals `BMatch` view by view, node sets and
+    /// distances included: `*` edges, isolated nodes (which keep their
+    /// whole base set) and empty base sets (an empty extension).
+    #[test]
+    fn bmaterialize_equals_bmatch(
+        g in arb_graph(),
+        vs in proptest::collection::vec(arb_bounded_view(), 1..4),
+    ) {
+        let views = BoundedViewSet::new(
+            vs.into_iter().map(|v| BoundedViewDef::new("V", v)).collect(),
+        );
+        let ext = graph_views::views::bmaterialize(&views, &g);
+        for (i, v) in views.iter() {
+            let oracle = bmatch_pattern(&v.pattern, &g);
+            let stored = ext.extensions[i].thaw();
+            prop_assert_eq!(&stored.node_matches, &oracle.node_matches);
+            prop_assert_eq!(&stored.edge_matches, &oracle.edge_matches);
+        }
     }
 
     /// Bounded minimal / minimum behave like their plain counterparts.
