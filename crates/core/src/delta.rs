@@ -14,11 +14,12 @@
 //! [`IncrementalView`](crate::maintenance::IncrementalView) and leaves every
 //! other extension (and every cached answer that reads only them) untouched.
 //!
-//! Producing the successor graph costs `O(|Δ| log |Δ|)` plus a copy of the
-//! edge arrays: [`EdgeDelta::apply_to`] splices the old CSRs instead of
-//! rebuilding them, and carries the graph's edge-set hash along so the
-//! successor's [`graph_fingerprint`](crate::storage::graph_fingerprint) is
-//! `O(1)`.
+//! Producing the successor graph costs `O(|Δ| log |Δ|)`, one `Arc` bump
+//! per adjacency page and a copy of the pages the delta touches:
+//! [`EdgeDelta::apply_to`] splices the old paged CSRs, sharing every
+//! untouched page with the predecessor, and carries the graph's edge-set
+//! hash along so the successor's
+//! [`graph_fingerprint`](crate::storage::graph_fingerprint) is `O(1)`.
 //!
 //! # Soundness of the footprint test
 //!
@@ -122,11 +123,12 @@ impl EdgeDelta {
     }
 
     /// Applies the batch to `g`, producing the post-delta graph by
-    /// splicing `g`'s CSR arrays ([`DataGraph::splice_edges`]): node data
-    /// (labels, attributes, interned alphabets) is shared by `Arc`, only
-    /// the rows of changed edges are merged, and the graph's edge-set hash
-    /// moves by exactly those edges. `O(|Δ| log |Δ|)` plus a copy of the
-    /// edge arrays; the batch need not be sorted or deduplicated.
+    /// splicing `g`'s paged CSRs ([`DataGraph::splice_edges`]): node data
+    /// (labels, attributes, interned alphabets) and every adjacency page
+    /// no changed edge lands in are shared by `Arc`, only the pages of
+    /// changed rows are rebuilt, and the graph's edge-set hash moves by
+    /// exactly those edges. No copy of `E`; the batch need not be sorted
+    /// or deduplicated.
     ///
     /// Call [`validate`](EdgeDelta::validate) first for untrusted input —
     /// out-of-range endpoints panic here.
@@ -221,8 +223,9 @@ impl QueryFootprint {
 }
 
 /// An interned-label index over stored view definitions: the affected-view
-/// detector. Build once per store snapshot (cheap — proportional to total
-/// pattern size), query per delta.
+/// detector. Build once per view set (cheap — proportional to total
+/// pattern size), query per delta: edge deltas never change labels, so it
+/// stays valid along a delta chain.
 #[derive(Clone, Debug, Default)]
 pub struct ViewFootprintIndex {
     by_label: HashMap<LabelId, Vec<u64>>,

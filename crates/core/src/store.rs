@@ -53,7 +53,7 @@ use crate::view::{materialize, ViewDef, ViewExtensions, ViewSet};
 use gpv_graph::stats::GraphStats;
 use gpv_graph::{DataGraph, NodeId};
 use gpv_matching::result::MatchResult;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -243,6 +243,12 @@ struct WriterState {
     /// node's label, so no edge of the delta lies in the footprint: the
     /// unaffected maintainer's state is already the post-delta state.
     warm: HashMap<u64, IncrementalView>,
+    /// The affected-view detector and the view set it indexes. Rebuilt
+    /// only when the published snapshot's `view_set` is another `Arc`:
+    /// every membership change publishes a new one, while an edge delta
+    /// reuses it (and never changes labels), so one index serves a whole
+    /// delta chain.
+    footprints: Option<(Arc<ViewSet>, ViewFootprintIndex)>,
 }
 
 /// FNV-1a over a view id: decorrelates consecutive ids so round-robin
@@ -657,7 +663,8 @@ impl ViewStore {
     ///    [`StoreError::GraphMismatch`] — and validate delta endpoints
     ///    against the node set;
     /// 2. splice the post-delta graph ([`EdgeDelta::apply_to`]) and detect
-    ///    affected views via the [`ViewFootprintIndex`];
+    ///    affected views via the [`ViewFootprintIndex`], which is built
+    ///    once per view set and kept in the writer state;
     /// 3. route each affected view through its warm [`IncrementalView`]
     ///    (promoting a cold one from its stored pre-delta extension),
     ///    re-freezing only extensions whose content actually changed and
@@ -674,27 +681,31 @@ impl ViewStore {
         current: &DataGraph,
     ) -> Result<DeltaReport, StoreError> {
         let mut writer = self.writer.lock().expect("writer lock poisoned");
+        let writer = &mut *writer;
         self.check_graph(graph_fingerprint(current))?;
         delta.validate(current)?;
         let next = delta.apply_to(current);
 
-        // Current membership, id-ordered (shards only read under the writer
-        // mutex, so this is a consistent view).
-        let mut resident: Vec<Arc<StoredView>> = Vec::with_capacity(self.len());
-        for s in &self.shards {
-            resident.extend(s.read().expect("shard lock poisoned").views.iter().cloned());
-        }
-        resident.sort_by_key(|v| v.id);
-        let resident_ids: HashSet<u64> = resident.iter().map(|v| v.id).collect();
-        writer.warm.retain(|id, _| resident_ids.contains(id));
-
-        let index = ViewFootprintIndex::build(resident.iter().map(|v| (v.id, &v.def)), current);
+        // Every mutation publishes under the writer mutex, so the
+        // published snapshot is the current membership, id-ordered.
+        let snap = self.snapshot();
+        let resident = snap.views();
+        let position = |id: &u64| resident.binary_search_by_key(id, |v| v.id);
+        writer.warm.retain(|id, _| position(id).is_ok());
+        let index = match &writer.footprints {
+            Some((set, index)) if Arc::ptr_eq(set, &snap.view_set) => index,
+            _ => {
+                let index =
+                    ViewFootprintIndex::build(resident.iter().map(|v| (v.id, &v.def)), current);
+                &writer.footprints.insert((snap.view_set.clone(), index)).1
+            }
+        };
         let affected = index.affected(delta, current);
-        let affected_set: HashSet<u64> = affected.iter().copied().collect();
 
         let new_version = self.version.load(Ordering::Acquire) + 1;
         let mut changed = Vec::new();
-        for v in resident.iter().filter(|v| affected_set.contains(&v.id)) {
+        for id in &affected {
+            let v = &resident[position(id).expect("affected view is resident")];
             // Cold maintainers are promoted straight from the stored
             // (pre-delta) extension — the relation is already known, so no
             // refinement fixpoint runs even on the first delta.

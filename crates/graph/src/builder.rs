@@ -3,7 +3,6 @@
 use crate::graph::{DataGraph, NodeId};
 use crate::interner::Interner;
 use crate::value::{AttrId, LabelId, StoredValue, Value};
-use std::sync::Arc;
 
 /// Builds a [`DataGraph`] incrementally, then freezes it into CSR form.
 ///
@@ -136,25 +135,14 @@ impl GraphBuilder {
             attr_offsets.push(attr_data.len() as u32);
         }
 
-        // The node-only graph, then both edge CSRs from the sorted list.
-        let nodes = DataGraph {
-            labels: Arc::new(self.labels),
-            attr_names: Arc::new(self.attr_names),
-            values: Arc::new(self.values),
-            label_offsets: label_offsets.into(),
-            label_data: label_data.into(),
-            attr_offsets: attr_offsets.into(),
-            attr_data: attr_data.into(),
-            out_offsets: vec![0; n + 1],
-            out_targets: Vec::new(),
-            in_offsets: vec![0; n + 1],
-            in_sources: Vec::new(),
-            edge_hash: 0,
-            label_index: Default::default(),
-        };
         self.edges.sort_unstable();
         self.edges.dedup();
-        nodes.with_sorted_edges(&self.edges)
+        DataGraph::from_parts(
+            (self.labels, self.attr_names, self.values),
+            (label_offsets, label_data),
+            (attr_offsets, attr_data),
+            &self.edges,
+        )
     }
 }
 

@@ -32,10 +32,11 @@ impl std::fmt::Display for NodeId {
 /// lookups and `has_edge` is a binary search over the sorted out-adjacency.
 ///
 /// Node data (interners, label and attribute columns, the label index)
-/// sits behind `Arc`: edge-only successors ([`with_edges`](Self::with_edges),
-/// [`splice_edges`](Self::splice_edges)) share it and own only the four
-/// edge arrays.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// sits behind `Arc`, and each adjacency is a paged CSR whose pages sit
+/// behind `Arc` too. Edge-only successors ([`with_edges`](Self::with_edges),
+/// [`splice_edges`](Self::splice_edges)) share the node data; a splice also
+/// shares every adjacency page its delta does not touch.
+#[derive(Clone, Debug)]
 pub struct DataGraph {
     pub(crate) labels: Arc<Interner>,
     pub(crate) attr_names: Arc<Interner>,
@@ -47,22 +48,231 @@ pub struct DataGraph {
     pub(crate) attr_offsets: Arc<[u32]>,
     pub(crate) attr_data: Arc<[(AttrId, StoredValue)]>,
 
-    pub(crate) out_offsets: Vec<u32>,
-    pub(crate) out_targets: Vec<NodeId>,
-    pub(crate) in_offsets: Vec<u32>,
-    pub(crate) in_sources: Vec<NodeId>,
+    /// Out-adjacency: row `u` lists the targets of `u`.
+    out: Csr,
+    /// In-adjacency: row `v` lists the sources of `v`.
+    inn: Csr,
 
     /// [`edge_set_hash`](Self::edge_set_hash), carried along every
     /// construction path; recomputed by
     /// [`rebuild_indices`](Self::rebuild_indices) after deserialization.
-    #[serde(skip)]
     pub(crate) edge_hash: u64,
 
     /// [`nodes_with_label`](Self::nodes_with_label)'s index, built on
     /// first use (so a deserialized graph needs no extra step). Edge deltas
     /// never change labels, so every successor shares it.
-    #[serde(skip)]
     pub(crate) label_index: Arc<OnceLock<LabelIndex>>,
+}
+
+/// Rows per [`Page`] of a [`Csr`].
+const PAGE_ROWS: usize = 1024;
+
+/// One adjacency, paged: page `p` holds rows `p * PAGE_ROWS ..` (the last
+/// page may be short). Pages are immutable and `Arc`-shared, so a splice
+/// copies only the pages holding a changed row and shares the rest with
+/// its predecessor (path copying, Driscoll et al., JCSS 1989).
+#[derive(Clone, Debug)]
+struct Csr {
+    rows: usize,
+    /// Total entries over all pages.
+    len: usize,
+    pages: Vec<Arc<Page>>,
+}
+
+/// `PAGE_ROWS` rows (or fewer) of a [`Csr`]: page-local `offsets`
+/// (`rows + 1` entries, starting at 0) into `data`.
+#[derive(Debug)]
+struct Page {
+    offsets: Vec<u32>,
+    data: Vec<NodeId>,
+}
+
+impl Csr {
+    /// Counting sort of `(row, x)` pairs into pages. Each row lists its
+    /// `x`s in the order the iterator yields them, so pairs sorted by `x`
+    /// within each row give sorted rows. The iterator runs twice.
+    fn from_pairs<I>(rows: usize, pairs: I) -> Csr
+    where
+        I: Iterator<Item = (NodeId, NodeId)> + Clone,
+    {
+        let mut counts = vec![0u32; rows];
+        for (r, _) in pairs.clone() {
+            counts[r.index()] += 1;
+        }
+        let mut pages: Vec<Page> = counts
+            .chunks(PAGE_ROWS)
+            .map(|page| {
+                let mut offsets = Vec::with_capacity(page.len() + 1);
+                offsets.push(0u32);
+                let mut end = 0;
+                for &c in page {
+                    end += c;
+                    offsets.push(end);
+                }
+                Page {
+                    offsets,
+                    data: vec![NodeId(0); end as usize],
+                }
+            })
+            .collect();
+        // `counts` becomes each row's write cursor, page-local.
+        for (page, chunk) in pages.iter().zip(counts.chunks_mut(PAGE_ROWS)) {
+            chunk.copy_from_slice(&page.offsets[..chunk.len()]);
+        }
+        let mut len = 0;
+        for (r, x) in pairs {
+            let slot = &mut counts[r.index()];
+            pages[r.index() / PAGE_ROWS].data[*slot as usize] = x;
+            *slot += 1;
+            len += 1;
+        }
+        Csr {
+            rows,
+            len,
+            pages: pages.into_iter().map(Arc::new).collect(),
+        }
+    }
+
+    /// Row `v`: its page, then the page-local slice.
+    #[inline]
+    fn row(&self, v: usize) -> &[NodeId] {
+        let page = &self.pages[v / PAGE_ROWS];
+        let r = v % PAGE_ROWS;
+        &page.data[page.offsets[r] as usize..page.offsets[r + 1] as usize]
+    }
+
+    /// The CSR as one flat `(offsets, data)` pair: the serialized form.
+    fn to_flat(&self) -> (Vec<u32>, Vec<NodeId>) {
+        let mut offsets = Vec::with_capacity(self.rows + 1);
+        offsets.push(0u32);
+        let mut data = Vec::with_capacity(self.len);
+        for page in &self.pages {
+            let base = data.len() as u32;
+            offsets.extend(page.offsets[1..].iter().map(|&o| base + o));
+            data.extend_from_slice(&page.data);
+        }
+        (offsets, data)
+    }
+
+    /// Pages a flat `(offsets, data)` pair, rejecting offsets that are not
+    /// a monotone cover of `data`.
+    fn from_flat(offsets: &[u32], data: &[NodeId]) -> Result<Csr, &'static str> {
+        let (Some(&0), Some(&last)) = (offsets.first(), offsets.last()) else {
+            return Err("CSR offsets must start at 0");
+        };
+        if last as usize != data.len() || offsets.windows(2).any(|w| w[0] > w[1]) {
+            return Err("CSR offsets must be monotone and end at the data length");
+        }
+        let rows = offsets.len() - 1;
+        let pairs = (0..rows).flat_map(|v| {
+            data[offsets[v] as usize..offsets[v + 1] as usize]
+                .iter()
+                .map(move |&x| (NodeId(v as u32), x))
+        });
+        Ok(Csr::from_pairs(rows, pairs))
+    }
+
+    /// Removes the `(row, x)` pairs of `removed` (each present) and adds
+    /// those of `added` (each absent), both sorted. The page vector is
+    /// cloned (one `Arc` bump per page) and only pages holding a changed
+    /// row are rebuilt.
+    fn splice(&self, mut removed: &[(NodeId, NodeId)], mut added: &[(NodeId, NodeId)]) -> Csr {
+        let mut pages = self.pages.clone();
+        let len = self.len + added.len() - removed.len();
+        loop {
+            let row = match (removed.first(), added.first()) {
+                (None, None) => break,
+                (Some(r), None) => r.0,
+                (None, Some(a)) => a.0,
+                (Some(r), Some(a)) => r.0.min(a.0),
+            };
+            let p = row.index() / PAGE_ROWS;
+            let base = p * PAGE_ROWS;
+            let in_page = |e: &(NodeId, NodeId)| e.0.index() < base + PAGE_ROWS;
+            let (rm, rest) = removed.split_at(removed.partition_point(in_page));
+            removed = rest;
+            let (ad, rest) = added.split_at(added.partition_point(in_page));
+            added = rest;
+            pages[p] = Arc::new(splice_page(&pages[p], base, rm, ad));
+        }
+        Csr {
+            rows: self.rows,
+            len,
+            pages,
+        }
+    }
+}
+
+/// The graph's serialized form: every adjacency as one flat CSR, so the
+/// JSON does not depend on the page size (`tests/serde_roundtrip.rs` pins
+/// it with a golden).
+#[derive(Serialize, Deserialize)]
+struct FlatGraph {
+    labels: Arc<Interner>,
+    attr_names: Arc<Interner>,
+    values: Arc<Interner>,
+    label_offsets: Arc<[u32]>,
+    label_data: Arc<[LabelId]>,
+    attr_offsets: Arc<[u32]>,
+    attr_data: Arc<[(AttrId, StoredValue)]>,
+    out_offsets: Vec<u32>,
+    out_targets: Vec<NodeId>,
+    in_offsets: Vec<u32>,
+    in_sources: Vec<NodeId>,
+}
+
+impl Serialize for DataGraph {
+    fn to_value(&self) -> serde::value::Value {
+        let (out_offsets, out_targets) = self.out.to_flat();
+        let (in_offsets, in_sources) = self.inn.to_flat();
+        FlatGraph {
+            labels: self.labels.clone(),
+            attr_names: self.attr_names.clone(),
+            values: self.values.clone(),
+            label_offsets: self.label_offsets.clone(),
+            label_data: self.label_data.clone(),
+            attr_offsets: self.attr_offsets.clone(),
+            attr_data: self.attr_data.clone(),
+            out_offsets,
+            out_targets,
+            in_offsets,
+            in_sources,
+        }
+        .to_value()
+    }
+}
+
+impl Deserialize for DataGraph {
+    /// The edge-set hash and interner lookups are not on the wire: call
+    /// [`DataGraph::rebuild_indices`] after deserializing.
+    fn from_value(v: &serde::value::Value) -> Result<Self, serde::value::Error> {
+        let f = FlatGraph::from_value(v)?;
+        let csr = |offsets: &[u32], data: &[NodeId]| {
+            Csr::from_flat(offsets, data).map_err(serde::value::Error::custom)
+        };
+        let (out, inn) = (
+            csr(&f.out_offsets, &f.out_targets)?,
+            csr(&f.in_offsets, &f.in_sources)?,
+        );
+        if out.rows != inn.rows || out.len != inn.len {
+            return Err(serde::value::Error::custom(
+                "out- and in-adjacency disagree on node or edge count",
+            ));
+        }
+        Ok(DataGraph {
+            labels: f.labels,
+            attr_names: f.attr_names,
+            values: f.values,
+            label_offsets: f.label_offsets,
+            label_data: f.label_data,
+            attr_offsets: f.attr_offsets,
+            attr_data: f.attr_data,
+            out,
+            inn,
+            edge_hash: 0,
+            label_index: Default::default(),
+        })
+    }
 }
 
 /// Label → nodes CSR: `offsets[l]..offsets[l + 1]` delimits the nodes
@@ -108,13 +318,13 @@ impl DataGraph {
     /// Number of nodes `|V|`.
     #[inline]
     pub fn node_count(&self) -> usize {
-        self.out_offsets.len() - 1
+        self.out.rows
     }
 
     /// Number of directed edges `|E|`.
     #[inline]
     pub fn edge_count(&self) -> usize {
-        self.out_targets.len()
+        self.out.len
     }
 
     /// The paper's size measure `|G|`: number of nodes plus edges.
@@ -131,21 +341,13 @@ impl DataGraph {
     /// Out-neighbours of `v` (sorted ascending).
     #[inline]
     pub fn out_neighbors(&self, v: NodeId) -> &[NodeId] {
-        let (s, e) = (
-            self.out_offsets[v.index()] as usize,
-            self.out_offsets[v.index() + 1] as usize,
-        );
-        &self.out_targets[s..e]
+        self.out.row(v.index())
     }
 
     /// In-neighbours of `v` (sorted ascending).
     #[inline]
     pub fn in_neighbors(&self, v: NodeId) -> &[NodeId] {
-        let (s, e) = (
-            self.in_offsets[v.index()] as usize,
-            self.in_offsets[v.index() + 1] as usize,
-        );
-        &self.in_sources[s..e]
+        self.inn.row(v.index())
     }
 
     /// Out-degree of `v`.
@@ -170,7 +372,7 @@ impl DataGraph {
         EdgeIter {
             graph: self,
             node: 0,
-            pos: 0,
+            row: [].iter(),
         }
     }
 
@@ -333,51 +535,23 @@ impl DataGraph {
         let mut sorted: Vec<(NodeId, NodeId)> = edges.to_vec();
         sorted.sort_unstable();
         sorted.dedup();
-        self.with_sorted_edges(&sorted)
+        let (out, inn, edge_hash) = adjacency_of(self.node_count(), &sorted);
+        self.with_adjacency(out, inn, edge_hash)
     }
 
-    /// [`with_edges`](Self::with_edges) for an edge list already sorted by
-    /// `(source, target)` and deduplicated.
-    pub(crate) fn with_sorted_edges(&self, sorted: &[(NodeId, NodeId)]) -> DataGraph {
-        let n = self.node_count();
-        let mut out_offsets = vec![0u32; n + 1];
-        let mut in_offsets = vec![0u32; n + 1];
-        let mut edge_hash = 0u64;
-        for &(u, v) in sorted {
-            out_offsets[u.index() + 1] += 1;
-            in_offsets[v.index() + 1] += 1;
-            edge_hash = edge_hash.wrapping_add(edge_term(u, v));
-        }
-        for i in 0..n {
-            out_offsets[i + 1] += out_offsets[i];
-            in_offsets[i + 1] += in_offsets[i];
-        }
-        let out_targets: Vec<NodeId> = sorted.iter().map(|&(_, v)| v).collect();
-
-        // In-CSR by counting sort over targets; sources come out sorted
-        // because the edge list is sorted by (source, target).
-        let mut cursor = in_offsets.clone();
-        let mut in_sources = vec![NodeId(0); sorted.len()];
-        for &(u, v) in sorted {
-            let slot = cursor[v.index()] as usize;
-            in_sources[slot] = u;
-            cursor[v.index()] += 1;
-        }
-
-        self.with_edge_arrays(out_offsets, out_targets, in_offsets, in_sources, edge_hash)
-    }
-
-    /// Applies an edge delta by splicing this graph's CSR arrays: `deletes`
+    /// Applies an edge delta by splicing this graph's paged CSRs: `deletes`
     /// are applied first, then `inserts`, so an edge in both lists ends up
     /// present. Deleting an absent edge and inserting a present one are
     /// no-ops. Either list may be unsorted and hold duplicates.
     ///
-    /// Untouched row ranges are copied whole and their offsets shifted;
-    /// only the rows of edges that really change are merged. The work is
-    /// `O(|Δ| log |Δ|)` plus a copy of the edge arrays: no sort or hash
-    /// set over `E`. The [`edge_set_hash`](Self::edge_set_hash) moves by
-    /// exactly the edges that changed, so an insert followed by the
-    /// matching delete restores it bit for bit.
+    /// The successor shares every adjacency page that holds no changed row
+    /// with this graph; only the pages of edges that really change are
+    /// rebuilt, each by merging its changed rows. The work is
+    /// `O(|Δ| log |Δ| + |V| / PAGE_ROWS)` plus the size of the touched
+    /// pages: no copy of `E`, and no sort or hash set over it. The
+    /// [`edge_set_hash`](Self::edge_set_hash) moves by exactly the edges
+    /// that changed, so an insert followed by the matching delete restores
+    /// it bit for bit.
     ///
     /// # Panics
     ///
@@ -408,31 +582,18 @@ impl DataGraph {
             edge_hash = edge_hash.wrapping_sub(edge_term(u, v));
         }
 
-        let (out_offsets, out_targets) =
-            splice_csr(&self.out_offsets, &self.out_targets, &removed, &added);
         let by_target = |edges: &[(NodeId, NodeId)]| {
             let mut t: Vec<(NodeId, NodeId)> = edges.iter().map(|&(u, v)| (v, u)).collect();
             t.sort_unstable();
             t
         };
-        let (in_offsets, in_sources) = splice_csr(
-            &self.in_offsets,
-            &self.in_sources,
-            &by_target(&removed),
-            &by_target(&added),
-        );
-        self.with_edge_arrays(out_offsets, out_targets, in_offsets, in_sources, edge_hash)
+        let out = self.out.splice(&removed, &added);
+        let inn = self.inn.splice(&by_target(&removed), &by_target(&added));
+        self.with_adjacency(out, inn, edge_hash)
     }
 
-    /// A graph sharing this one's node data, with the given edge arrays.
-    fn with_edge_arrays(
-        &self,
-        out_offsets: Vec<u32>,
-        out_targets: Vec<NodeId>,
-        in_offsets: Vec<u32>,
-        in_sources: Vec<NodeId>,
-        edge_hash: u64,
-    ) -> DataGraph {
+    /// A graph sharing this one's node data, with the given adjacency.
+    fn with_adjacency(&self, out: Csr, inn: Csr, edge_hash: u64) -> DataGraph {
         DataGraph {
             labels: self.labels.clone(),
             attr_names: self.attr_names.clone(),
@@ -441,25 +602,62 @@ impl DataGraph {
             label_data: self.label_data.clone(),
             attr_offsets: self.attr_offsets.clone(),
             attr_data: self.attr_data.clone(),
-            out_offsets,
-            out_targets,
-            in_offsets,
-            in_sources,
+            out,
+            inn,
             edge_hash,
             label_index: self.label_index.clone(),
         }
     }
+
+    /// A graph over the given node data (interners, then the label and
+    /// attribute CSRs) with `sorted` as its edges: sorted by
+    /// `(source, target)` and deduplicated.
+    pub(crate) fn from_parts(
+        (labels, attr_names, values): (Interner, Interner, Interner),
+        (label_offsets, label_data): (Vec<u32>, Vec<LabelId>),
+        (attr_offsets, attr_data): (Vec<u32>, Vec<(AttrId, StoredValue)>),
+        sorted: &[(NodeId, NodeId)],
+    ) -> DataGraph {
+        let (out, inn, edge_hash) = adjacency_of(label_offsets.len() - 1, sorted);
+        DataGraph {
+            labels: Arc::new(labels),
+            attr_names: Arc::new(attr_names),
+            values: Arc::new(values),
+            label_offsets: label_offsets.into(),
+            label_data: label_data.into(),
+            attr_offsets: attr_offsets.into(),
+            attr_data: attr_data.into(),
+            out,
+            inn,
+            edge_hash,
+            label_index: Default::default(),
+        }
+    }
 }
 
-/// Splices one CSR (`offsets`, `data`): removes the `(row, x)` pairs of
-/// `removed` (each present) and adds those of `added` (each absent), both
-/// sorted. Rows neither list touches are copied whole.
-fn splice_csr(
-    offsets: &[u32],
-    data: &[NodeId],
+/// Both adjacencies of `n` nodes and their edge-set hash, from an edge
+/// list sorted by `(source, target)` and deduplicated. In-rows come out
+/// sorted because the list is sorted by source.
+fn adjacency_of(n: usize, sorted: &[(NodeId, NodeId)]) -> (Csr, Csr, u64) {
+    let edge_hash = sorted
+        .iter()
+        .fold(0u64, |h, &(u, v)| h.wrapping_add(edge_term(u, v)));
+    let out = Csr::from_pairs(n, sorted.iter().copied());
+    let inn = Csr::from_pairs(n, sorted.iter().map(|&(u, v)| (v, u)));
+    (out, inn, edge_hash)
+}
+
+/// Splices one page of a CSR whose first row is `base`: removes the
+/// `(row, x)` pairs of `removed` (each present) and adds those of `added`
+/// (each absent), both sorted and inside the page. Rows neither list
+/// touches are copied whole.
+fn splice_page(
+    page: &Page,
+    base: usize,
     mut removed: &[(NodeId, NodeId)],
     mut added: &[(NodeId, NodeId)],
-) -> (Vec<u32>, Vec<NodeId>) {
+) -> Page {
+    let (offsets, data) = (&page.offsets, &page.data);
     let n = offsets.len() - 1;
     let mut new_offsets = Vec::with_capacity(n + 1);
     new_offsets.push(0u32);
@@ -472,7 +670,7 @@ fn splice_csr(
             (None, Some(a)) => a.0,
             (Some(r), Some(a)) => r.0.min(a.0),
         };
-        let r = row.index();
+        let r = row.index() - base;
         copy_rows(offsets, data, done..r, &mut new_offsets, &mut new_data);
         let (rm, rest) = removed.split_at(removed.partition_point(|e| e.0 == row));
         removed = rest;
@@ -495,7 +693,10 @@ fn splice_csr(
         done = r + 1;
     }
     copy_rows(offsets, data, done..n, &mut new_offsets, &mut new_data);
-    (new_offsets, new_data)
+    Page {
+        offsets: new_offsets,
+        data: new_data,
+    }
 }
 
 /// Copies CSR `rows` unchanged onto the end of (`new_offsets`, `new_data`),
@@ -520,36 +721,43 @@ fn copy_rows(
 /// Iterator over all edges of a [`DataGraph`].
 pub struct EdgeIter<'a> {
     graph: &'a DataGraph,
+    /// The next row to load.
     node: u32,
-    pos: usize,
+    /// The rest of row `node - 1`.
+    row: std::slice::Iter<'a, NodeId>,
 }
 
 impl Iterator for EdgeIter<'_> {
     type Item = (NodeId, NodeId);
 
     fn next(&mut self) -> Option<(NodeId, NodeId)> {
-        let n = self.graph.node_count() as u32;
-        while self.node < n {
-            let end = self.graph.out_offsets[self.node as usize + 1] as usize;
-            if self.pos < end {
-                let e = (NodeId(self.node), self.graph.out_targets[self.pos]);
-                self.pos += 1;
-                return Some(e);
+        loop {
+            if let Some(&v) = self.row.next() {
+                return Some((NodeId(self.node - 1), v));
             }
+            if self.node as usize >= self.graph.node_count() {
+                return None;
+            }
+            self.row = self.graph.out_neighbors(NodeId(self.node)).iter();
             self.node += 1;
-            if self.node < n {
-                self.pos = self.graph.out_offsets[self.node as usize] as usize;
-            }
         }
-        None
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::PAGE_ROWS;
     use crate::builder::GraphBuilder;
     use crate::value::Value;
-    use crate::NodeId;
+    use crate::{DataGraph, NodeId};
+    use std::sync::Arc;
+
+    /// Both adjacencies as flat `(offsets, data)` CSRs.
+    fn flat(g: &DataGraph) -> Flat {
+        (g.out.to_flat(), g.inn.to_flat())
+    }
+
+    type Flat = ((Vec<u32>, Vec<NodeId>), (Vec<u32>, Vec<NodeId>));
 
     fn diamond() -> crate::DataGraph {
         // 0 -> 1 -> 3, 0 -> 2 -> 3
@@ -658,20 +866,13 @@ mod tests {
         let inserts = [e(3, 0), e(1, 3), e(0, 2), e(3, 0), e(3, 3)];
         let h = g.splice_edges(&deletes, &inserts);
         let oracle = g.with_edges(&[e(0, 2), e(1, 3), e(2, 3), e(3, 0), e(3, 3)]);
-        assert_eq!(h.out_offsets, oracle.out_offsets);
-        assert_eq!(h.out_targets, oracle.out_targets);
-        assert_eq!(h.in_offsets, oracle.in_offsets);
-        assert_eq!(h.in_sources, oracle.in_sources);
+        assert_eq!(flat(&h), flat(&oracle));
         assert_eq!(h.edge_set_hash(), oracle.edge_set_hash());
-        assert!(
-            std::sync::Arc::ptr_eq(&h.labels, &g.labels),
-            "node data shared"
-        );
+        assert!(Arc::ptr_eq(&h.labels, &g.labels), "node data shared");
         // Undoing the delta restores the hash bit for bit.
         let back = h.splice_edges(&[e(3, 0), e(3, 3)], &[e(0, 1)]);
         assert_eq!(back.edge_set_hash(), g.edge_set_hash());
-        assert_eq!(back.out_targets, g.out_targets);
-        assert_eq!(back.in_sources, g.in_sources);
+        assert_eq!(flat(&back), flat(&g));
     }
 
     #[test]
@@ -691,13 +892,128 @@ mod tests {
         // A splice shares the index (labels never change under edge
         // deltas) and answers the same.
         let h = g.splice_edges(&[(NodeId(0), NodeId(1))], &[(NodeId(3), NodeId(0))]);
-        assert!(std::sync::Arc::ptr_eq(&h.label_index, &g.label_index));
+        assert!(Arc::ptr_eq(&h.label_index, &g.label_index));
         for l in [a, b, c] {
             assert_eq!(h.nodes_with_label(l), g.nodes_with_label(l));
         }
         // A graph whose index was never built gets its own on first use.
         let fresh = diamond().with_edges(&[]);
         assert_eq!(fresh.nodes_with_label(b), &[NodeId(1), NodeId(2)]);
+    }
+
+    /// A deterministic xorshift64 stream.
+    fn xorshift(seed: u64) -> impl FnMut() -> usize {
+        let mut x = seed | 1;
+        move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x as usize
+        }
+    }
+
+    /// `n` nodes and `m` random edges (before deduplication).
+    fn random_graph(n: usize, m: usize, seed: u64) -> DataGraph {
+        let mut b = GraphBuilder::new();
+        for _ in 0..n {
+            b.add_node(["A"]);
+        }
+        let mut next = xorshift(seed);
+        for _ in 0..m {
+            b.add_edge(NodeId((next() % n) as u32), NodeId((next() % n) as u32));
+        }
+        b.build()
+    }
+
+    /// Delta chains over graphs of three pages, aimed at the rows on page
+    /// seams and at the last node, agree with a from-scratch rebuild
+    /// after every link.
+    #[test]
+    fn multi_page_splice_chain_matches_with_edges_oracle() {
+        let n = 2 * PAGE_ROWS + 300;
+        let last = n - 1;
+        // Consecutive entries two apart sit on different pages, so every
+        // link below changes rows on at least two pages.
+        let seams = [PAGE_ROWS - 1, PAGE_ROWS, 2 * PAGE_ROWS - 1, last, 0];
+        for seed in 1..=4u64 {
+            let mut g = random_graph(n, 3 * n, seed);
+            assert_eq!(g.out.pages.len(), 3);
+            let mut next = xorshift(seed * 0x9e37);
+            for link in 0..24 {
+                let (a, b) = (seams[link % 5], seams[(link + 2) % 5]);
+                let mut any = || next() % n;
+                let mut inserts = vec![(a, any()), (any(), b), (a, b), (any(), any())];
+                // Present edges out of and into the seam rows, a random
+                // (mostly absent) edge, and one of the inserts.
+                let mut deletes: Vec<(usize, usize)> = [a, b]
+                    .iter()
+                    .filter_map(|&u| {
+                        g.out_neighbors(NodeId(u as u32))
+                            .first()
+                            .map(|v| (u, v.index()))
+                    })
+                    .chain([a, b].iter().filter_map(|&v| {
+                        g.in_neighbors(NodeId(v as u32))
+                            .last()
+                            .map(|u| (u.index(), v))
+                    }))
+                    .collect();
+                deletes.extend([(any(), any()), inserts[link % 4]]);
+                if link % 3 == 0 {
+                    inserts.reverse(); // unsorted lists
+                }
+                let ids = |es: &[(usize, usize)]| -> Vec<(NodeId, NodeId)> {
+                    es.iter()
+                        .map(|&(u, v)| (NodeId(u as u32), NodeId(v as u32)))
+                        .collect()
+                };
+                let (deletes, inserts) = (ids(&deletes), ids(&inserts));
+                let h = g.splice_edges(&deletes, &inserts);
+
+                let mut edges: std::collections::BTreeSet<_> = g.edges().collect();
+                for e in &deletes {
+                    edges.remove(e);
+                }
+                edges.extend(inserts.iter().copied());
+                let oracle = g.with_edges(&edges.into_iter().collect::<Vec<_>>());
+                assert_eq!(flat(&h), flat(&oracle), "seed {seed}, link {link}");
+                assert_eq!(h.edge_count(), oracle.edge_count());
+                assert_eq!(h.edge_set_hash(), oracle.edge_set_hash());
+                g = h;
+            }
+        }
+    }
+
+    /// A 1-edge splice rebuilds one out-page and one in-page and shares
+    /// every other page with its predecessor; a no-op splice shares all.
+    #[test]
+    fn one_edge_splice_shares_every_untouched_page() {
+        let n = 3 * PAGE_ROWS + 5;
+        let last = n - 1;
+        let g = random_graph(n, 3 * n, 7);
+        assert_eq!(g.out.pages.len(), 4);
+        let rebuilt = |a: &super::Csr, b: &super::Csr| {
+            assert_eq!(a.pages.len(), b.pages.len());
+            a.pages
+                .iter()
+                .zip(&b.pages)
+                .filter(|(x, y)| !Arc::ptr_eq(x, y))
+                .count()
+        };
+        let pairs = [
+            (0, last),
+            (PAGE_ROWS, PAGE_ROWS - 1),
+            (last, 2 * PAGE_ROWS),
+            (5, 6),
+        ];
+        for (u, v) in pairs {
+            let e = (NodeId(u as u32), NodeId(v as u32));
+            for h in [g.splice_edges(&[e], &[]), g.splice_edges(&[], &[e])] {
+                let changed = usize::from(h.has_edge(e.0, e.1) != g.has_edge(e.0, e.1));
+                assert_eq!(rebuilt(&g.out, &h.out), changed, "out-pages, edge {e:?}");
+                assert_eq!(rebuilt(&g.inn, &h.inn), changed, "in-pages, edge {e:?}");
+            }
+        }
     }
 
     #[test]

@@ -9,10 +9,13 @@
 //! (`QueryFootprint::touched_by`) leaves `match_pattern` unchanged — the
 //! same footprint a maintainer restricts itself to, so out-of-footprint
 //! edges patched into a maintainer must not move its result either.
+//! And for the store: the footprint index it caches across deltas follows
+//! views inserted and removed between them.
 
 use gpv_generator::{random_graph, random_pattern, PatternShape, Scenario};
 use graph_views::prelude::*;
 use graph_views::views::storage::graph_fingerprint;
+use graph_views::views::store::ViewStore;
 use graph_views::views::{EdgeDelta, IncrementalView, QueryFootprint};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -201,6 +204,49 @@ fn splice_insert_then_delete_restores_the_fingerprint_exactly() {
         assert_eq!(back.edge_set_hash(), g.edge_set_hash());
         assert_same_graph(&back, &g).unwrap();
     }
+}
+
+/// The store's footprint index is cached across deltas but follows
+/// membership: a view registered after a delta is affected by the next
+/// one, and a retired view is never reported again.
+#[test]
+fn store_deltas_see_views_inserted_and_removed_between_them() {
+    // A -> B -> C.
+    let mut b = GraphBuilder::new();
+    let (a, x, c) = (b.add_node(["A"]), b.add_node(["B"]), b.add_node(["C"]));
+    b.add_edge(a, x);
+    b.add_edge(x, c);
+    let g = b.build();
+    let single = |from: &str, to: &str| {
+        let mut pb = PatternBuilder::new();
+        let (u, v) = (pb.node_labeled(from), pb.node_labeled(to));
+        pb.edge(u, v);
+        pb.build().unwrap()
+    };
+    let store = ViewStore::for_graph(&g, 2);
+    let vab = store
+        .insert(ViewDef::new("vab", single("A", "B")), &g)
+        .unwrap();
+    // The first delta builds the index over {vab}.
+    let first = EdgeDelta::new(vec![(a, a)], vec![]);
+    let g1 = store.apply_delta(&first, &g).unwrap().graph;
+    assert_eq!(store.apply_delta(&first, &g1).unwrap().affected, vec![vab]);
+
+    let vbc = store
+        .insert(ViewDef::new("vbc", single("B", "C")), &g1)
+        .unwrap();
+    let cut = EdgeDelta::new(vec![], vec![(x, c)]);
+    let report = store.apply_delta(&cut, &g1).unwrap();
+    assert_eq!(report.affected, vec![vab, vbc]);
+    assert_eq!(report.changed, vec![vbc]);
+    let ext = store.get(vbc).expect("registered view").ext.thaw();
+    assert_eq!(ext, match_pattern(&single("B", "C"), &report.graph));
+
+    store.remove(vbc).expect("resident view");
+    let back = EdgeDelta::new(vec![(x, c)], vec![]);
+    let report = store.apply_delta(&back, &report.graph).unwrap();
+    assert_eq!(report.affected, vec![vab]);
+    assert_eq!(report.unaffected, 0);
 }
 
 proptest! {

@@ -45,6 +45,68 @@ fn graph_json_roundtrip() {
     assert_eq!(match_pattern(&q, &g), match_pattern(&q, &g2));
 }
 
+/// The graph's JSON form, pinned: adjacency goes on the wire as flat
+/// CSRs under these field names, whatever the in-memory layout.
+#[test]
+fn graph_json_golden() {
+    let mut b = GraphBuilder::new();
+    let v = b.add_node(["video"]);
+    b.set_attr(v, "C", Value::str("Music"));
+    b.set_attr(v, "V", Value::int(10_000));
+    let w = b.add_node(["video", "Sports"]);
+    let x = b.add_node(["user"]);
+    b.add_edge(v, w);
+    b.add_edge(x, v);
+    b.add_edge(x, w);
+    b.add_edge(w, w);
+    let g = b.build();
+    let golden = concat!(
+        r#"{"labels":{"strings":["video","Sports","user"]},"#,
+        r#""attr_names":{"strings":["C","V"]},"values":{"strings":["Music"]},"#,
+        r#""label_offsets":[0,1,3,4],"label_data":[0,0,1,2],"#,
+        r#""attr_offsets":[0,2,2,2],"attr_data":[[0,{"Sym":0}],[1,{"Int":10000}]],"#,
+        r#""out_offsets":[0,1,2,4],"out_targets":[1,1,0,1],"#,
+        r#""in_offsets":[0,1,4,4],"in_sources":[2,0,1,2]}"#,
+    );
+    assert_eq!(serde_json::to_string(&g).unwrap(), golden);
+    let mut back: DataGraph = serde_json::from_str(golden).unwrap();
+    back.rebuild_indices();
+    assert_eq!(serde_json::to_string(&back).unwrap(), golden);
+    assert_eq!(back.edge_set_hash(), g.edge_set_hash());
+
+    // Offsets that do not cover the edge list are refused, not paged.
+    let bad = golden.replace(r#""out_offsets":[0,1,2,4]"#, r#""out_offsets":[0,1,2,5]"#);
+    assert!(serde_json::from_str::<DataGraph>(&bad).is_err());
+}
+
+/// A graph of several adjacency pages round-trips, and a spliced graph
+/// serializes exactly as the same edge set rebuilt from scratch.
+#[test]
+fn multi_page_graph_json_roundtrip_and_splice() {
+    let g = random_graph(3000, 9000, &["A", "B", "C"], 17);
+    let json = serde_json::to_string(&g).unwrap();
+    let mut back: DataGraph = serde_json::from_str(&json).unwrap();
+    back.rebuild_indices();
+    assert_eq!(serde_json::to_string(&back).unwrap(), json);
+    assert_eq!(back.edge_set_hash(), g.edge_set_hash());
+    assert_eq!(
+        back.edges().collect::<Vec<_>>(),
+        g.edges().collect::<Vec<_>>()
+    );
+
+    let e = |u: u32, v: u32| (NodeId(u), NodeId(v));
+    let present: Vec<_> = g.edges().step_by(997).collect();
+    let inserts = vec![e(0, 2999), e(2999, 1024), e(1023, 2048), e(2047, 0)];
+    let spliced = g.splice_edges(&present, &inserts);
+    let mut edges: Vec<_> = g.edges().filter(|x| !present.contains(x)).collect();
+    edges.extend(inserts);
+    let rebuilt = g.with_edges(&edges);
+    assert_eq!(
+        serde_json::to_string(&spliced).unwrap(),
+        serde_json::to_string(&rebuilt).unwrap()
+    );
+}
+
 #[test]
 fn pattern_json_roundtrip() {
     let q = random_pattern(5, 8, &["A", "B", "C"], PatternShape::Cyclic, 9);
