@@ -4,18 +4,15 @@
 //! repro all                 # every figure at the default scale
 //! repro fig8a fig8g         # selected figures
 //! repro engine              # QueryEngine planner/MatchJoin bench
-//! repro service             # ViewService concurrent-serving bench
-//! repro maintenance         # delta maintenance vs full-rebuild bench
 //! repro examples            # the paper's worked Examples 1-9
 //! repro summary             # headline claims (speedups, ratios)
 //! repro all --scale=0.05 --seed=42 --json=out.json --md=EXPERIMENTS.data.md
 //! ```
 //!
-//! Whenever the `engine`, `service`, or `maintenance` experiment runs
-//! (directly or via `all`), its result is also written to
-//! `BENCH_engine.json` / `BENCH_service.json` / `BENCH_maintenance.json`,
-//! so each layer's performance trajectory is recorded per machine across
-//! revisions.
+//! Whenever the `engine` experiment runs (directly or via `all`), its
+//! result is also written to `BENCH_engine.json`, so the engine's
+//! performance trajectory is recorded per machine across revisions.
+//! Serving and delta maintenance at scale are measured by `perfbench/`.
 
 use gpv_bench::experiments::{run_all, run_one, ExperimentResult, Scale};
 use gpv_bench::report::{render_markdown, render_table, to_json};
@@ -24,7 +21,7 @@ use std::io::Write as _;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
-        eprintln!("usage: repro <all|examples|summary|engine|service|maintenance|fig8a..fig8l>... [--scale=F] [--seed=N] [--json=PATH] [--md=PATH]");
+        eprintln!("usage: repro <all|examples|summary|engine|fig8a..fig8l>... [--scale=F] [--seed=N] [--json=PATH] [--md=PATH]");
         std::process::exit(2);
     }
     let mut scale = Scale::default_scale();
@@ -74,16 +71,11 @@ fn main() {
         }
     }
 
-    for (id, path) in [
-        ("engine", "BENCH_engine.json"),
-        ("service", "BENCH_service.json"),
-        ("maintenance", "BENCH_maintenance.json"),
-    ] {
-        if let Some(result) = results.iter().find(|r| r.id == id) {
-            std::fs::write(path, to_json(std::slice::from_ref(result)))
-                .unwrap_or_else(|e| panic!("write {path}: {e}"));
-            eprintln!("# wrote {path}");
-        }
+    if let Some(result) = results.iter().find(|r| r.id == "engine") {
+        let path = "BENCH_engine.json";
+        std::fs::write(path, to_json(std::slice::from_ref(result)))
+            .unwrap_or_else(|e| panic!("write {path}: {e}"));
+        eprintln!("# wrote {path}");
     }
 
     if let Some(p) = json_path {

@@ -1049,269 +1049,6 @@ pub fn engine_experiment(scale: Scale, seed: u64) -> ExperimentResult {
     }
 }
 
-/// Service bench: concurrent batch serving through the
-/// [`ViewService`](gpv_core::service::ViewService) facade over a sharded
-/// [`ViewStore`](gpv_core::store::ViewStore). For each client count
-/// (1/2/4/8), every client thread submits the same duplicated query batch
-/// **twice** (two separate batches — the repeat is what exercises the
-/// cross-batch result cache; in-batch duplicates only exercise dedup)
-/// concurrently against a fresh service; the rows record wall-clock,
-/// throughput, and the plan-/result-cache hit and miss counts. On a 1-core
-/// host the client threads time-slice one core, so throughput cannot scale
-/// with clients — the experiment still exercises (and records) contention
-/// on the shared caches and store; see CHANGES.md.
-pub fn service_experiment(scale: Scale, seed: u64) -> ExperimentResult {
-    use gpv_core::service::ViewService;
-    use gpv_core::store::ViewStore;
-    use std::sync::Arc;
-
-    let n = scale.nodes(400_000);
-    let g = random_graph(n, 2 * n, &DEFAULT_ALPHABET, seed);
-    let queries: Vec<Pattern> = (0..6)
-        .map(|i| random_pattern(4, 6, &DEFAULT_ALPHABET, PatternShape::Any, seed + i))
-        .collect();
-    let views = selective_views(&queries, seed);
-    let store = Arc::new(ViewStore::materialize(views, &g, 8));
-    // Each query appears 4 times per batch: realistic repeated traffic,
-    // which is what the plan cache and intra-batch dedup are for.
-    let batch: Vec<Pattern> = queries
-        .iter()
-        .flat_map(|q| std::iter::repeat_n(q, 4))
-        .cloned()
-        .collect();
-    const ROUNDS: usize = 2;
-
-    let mut rows = Vec::new();
-    for clients in [1usize, 2, 4, 8] {
-        // A fresh service per row: stats and cache state start cold, so
-        // rows are comparable.
-        let service = ViewService::new(store.clone());
-        let wall = secs(|| {
-            std::thread::scope(|s| {
-                let handles: Vec<_> = (0..clients)
-                    .map(|_| {
-                        s.spawn(|| {
-                            for _ in 0..ROUNDS {
-                                for r in service.serve_batch(&batch, Some(&g)) {
-                                    std::hint::black_box(r.expect("batch serves"));
-                                }
-                            }
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    h.join().expect("client thread panicked");
-                }
-            });
-        });
-        let stats = service.stats();
-        let served = (clients * ROUNDS * batch.len()) as f64;
-        rows.push(Row {
-            scenario: Some(row_scenario(
-                n,
-                queries.len(),
-                batch.len(),
-                ROUNDS,
-                QueryMode::Minimal,
-                8,
-                seed,
-            )),
-            x: format!("{clients}"),
-            series: vec![
-                ("wall_s".into(), wall),
-                ("throughput_qps".into(), served / wall.max(1e-9)),
-                ("plan_cache_hit_rate".into(), stats.plan_cache_hit_rate),
-                ("result_cache_hits".into(), stats.result_cache_hits as f64),
-                (
-                    "result_cache_misses".into(),
-                    stats.result_cache_misses as f64,
-                ),
-                ("result_cache_hit_rate".into(), stats.result_cache_hit_rate),
-                ("dedup_saved".into(), stats.dedup_saved as f64),
-                ("max_queue_depth".into(), stats.max_in_flight as f64),
-            ],
-        });
-    }
-    ExperimentResult {
-        host: Some(HostInfo::probe()),
-        id: "service".into(),
-        title: "ViewService: concurrent batch serving, varying client threads".into(),
-        unit: "mixed".into(),
-        rows,
-    }
-}
-
-/// Maintenance bench: sustained edge-update throughput interleaved with
-/// serving. Each row fixes a delta batch size and replays the same
-/// scenario twice: the **delta** series routes every update batch through
-/// [`ViewService::apply_delta`](gpv_core::service::ViewService::apply_delta)
-/// (footprint detection, warm incremental maintainers, selective
-/// re-freeze, MVCC publish), while the **rebuild** baseline does what the
-/// pre-delta pipeline had to — rematerialize the whole store from the
-/// post-delta graph and restart serving on a cold service. The workload
-/// (graph, views, serve schedule, delta stream) is a [`Scenario`], and its
-/// one-line JSON rides on the row so `gpv fuzz --repro` replays the exact
-/// configuration class as a differential check.
-pub fn maintenance_experiment(scale: Scale, seed: u64) -> ExperimentResult {
-    use gpv_core::service::ViewService;
-    use gpv_core::store::ViewStore;
-    use gpv_graph::NodeId;
-    use std::collections::BTreeSet;
-    use std::sync::Arc;
-
-    let n = scale.nodes(200_000);
-    // Enough rounds that the one-time warm-up (cold maintainer promotion on
-    // the first delta that touches each view) amortizes and the row measures
-    // sustained maintenance throughput, not start-up cost.
-    const ROUNDS: usize = 12;
-    let mut rows = Vec::new();
-    // Three mixed rows sweep batch size at a 50/50 insert/delete mix; the
-    // final row is delete-only, the truly-incremental case (deletions
-    // propagate through warm supports without any recompute).
-    for (delta_batch_len, delete_ratio) in [(1usize, 0.5), (8, 0.5), (64, 0.5), (64, 1.0)] {
-        let sc = Scenario {
-            seed: seed + delta_batch_len as u64,
-            graph: GraphSource::Synthetic {
-                nodes: n,
-                edges: 2 * n,
-                labels: DEFAULT_ALPHABET.len(),
-            },
-            queries: 6,
-            query_nodes: 4,
-            query_edges: 6,
-            shape: PatternShape::Any,
-            max_bound: 1,
-            zipf_s: 0.0,
-            batch_len: 8,
-            rounds: ROUNDS,
-            updates_per_round: 0,
-            delta_batch_len,
-            delete_ratio,
-            coverage: 1.0,
-            max_fragment: 3,
-            mode: QueryMode::Minimal,
-            result_cache_bytes: 64 << 20,
-            plan_cache_capacity: 4096,
-            shards: 8,
-        };
-        let inputs = sc.materialize();
-        let round_batch = |r: usize| -> Vec<Pattern> {
-            inputs.rounds[r]
-                .iter()
-                .map(|&qi| inputs.queries[qi].clone())
-                .collect()
-        };
-        let updates: usize = inputs
-            .deltas
-            .iter()
-            .map(|d| d.inserts.len() + d.deletes.len())
-            .sum();
-
-        // Delta series: one long-lived service; every update batch goes
-        // through the incremental pipeline, caches survive across rounds.
-        let mut refrozen = 0usize;
-        let mut delta_update_s = 0.0f64;
-        let delta_wall = {
-            let store = Arc::new(ViewStore::materialize(
-                inputs.views.clone(),
-                &inputs.graph,
-                sc.shards,
-            ));
-            let service = ViewService::new(store);
-            let mut current = inputs.graph.clone();
-            secs(|| {
-                for r in 0..ROUNDS {
-                    let batch = round_batch(r);
-                    for res in service.serve_batch(&batch, Some(&current)) {
-                        std::hint::black_box(res.expect("batch serves"));
-                    }
-                    if let Some(d) = inputs.deltas.get(r).filter(|d| !d.is_empty()) {
-                        let t = Instant::now();
-                        let rep = service.apply_delta(d, &current).expect("delta applies");
-                        delta_update_s += t.elapsed().as_secs_f64();
-                        refrozen += rep.changed.len();
-                        current = rep.graph;
-                    }
-                }
-            })
-        };
-
-        // Rebuild baseline: the same rounds and deltas, but every update
-        // batch pays a full store rematerialization from the post-delta
-        // graph plus a cold service (no surviving caches) — the only
-        // option before the delta pipeline existed.
-        let mut rebuild_update_s = 0.0f64;
-        let rebuild_wall = {
-            let mut current = inputs.graph.clone();
-            let mut service = ViewService::new(Arc::new(ViewStore::materialize(
-                inputs.views.clone(),
-                &current,
-                sc.shards,
-            )));
-            secs(|| {
-                for r in 0..ROUNDS {
-                    let batch = round_batch(r);
-                    for res in service.serve_batch(&batch, Some(&current)) {
-                        std::hint::black_box(res.expect("batch serves"));
-                    }
-                    if let Some(d) = inputs.deltas.get(r).filter(|d| !d.is_empty()) {
-                        let t = Instant::now();
-                        let mut edges: BTreeSet<(NodeId, NodeId)> = current.edges().collect();
-                        for e in &d.deletes {
-                            edges.remove(e);
-                        }
-                        for e in &d.inserts {
-                            edges.insert(*e);
-                        }
-                        let edges: Vec<(NodeId, NodeId)> = edges.into_iter().collect();
-                        current = current.with_edges(&edges);
-                        service = ViewService::new(Arc::new(ViewStore::materialize(
-                            inputs.views.clone(),
-                            &current,
-                            sc.shards,
-                        )));
-                        rebuild_update_s += t.elapsed().as_secs_f64();
-                    }
-                }
-            })
-        };
-
-        rows.push(Row {
-            scenario: Some(sc.to_json_line()),
-            x: if delete_ratio >= 1.0 {
-                format!("{delta_batch_len}-del")
-            } else {
-                format!("{delta_batch_len}")
-            },
-            series: vec![
-                ("delta_wall_s".into(), delta_wall),
-                ("rebuild_wall_s".into(), rebuild_wall),
-                (
-                    "delta_updates_per_s".into(),
-                    updates as f64 / delta_update_s.max(1e-9),
-                ),
-                (
-                    "rebuild_updates_per_s".into(),
-                    updates as f64 / rebuild_update_s.max(1e-9),
-                ),
-                ("updates_applied".into(), updates as f64),
-                ("views_refrozen".into(), refrozen as f64),
-                (
-                    "maintenance_speedup".into(),
-                    rebuild_update_s / delta_update_s.max(1e-9),
-                ),
-            ],
-        });
-    }
-    ExperimentResult {
-        host: Some(HostInfo::probe()),
-        id: "maintenance".into(),
-        title: "Delta maintenance: incremental apply_delta vs full store rebuild".into(),
-        unit: "mixed".into(),
-        rows,
-    }
-}
-
 /// Checks that a bounded workload is contained (used by tests).
 pub fn sanity_bounded(qb: &BoundedPattern, views: &BoundedViewSet) -> bool {
     bcontain(qb, views).is_some()
@@ -1441,8 +1178,6 @@ pub fn run_all(scale: Scale, seed: u64) -> Vec<ExperimentResult> {
         fig8k(scale, seed),
         fig8l(scale, seed),
         engine_experiment(scale, seed),
-        service_experiment(scale, seed),
-        maintenance_experiment(scale, seed),
     ]
 }
 
@@ -1462,8 +1197,6 @@ pub fn run_one(id: &str, scale: Scale, seed: u64) -> Option<ExperimentResult> {
         "fig8k" => fig8k(scale, seed),
         "fig8l" => fig8l(scale, seed),
         "engine" => engine_experiment(scale, seed),
-        "service" => service_experiment(scale, seed),
-        "maintenance" => maintenance_experiment(scale, seed),
         _ => return None,
     })
 }
@@ -1520,8 +1253,6 @@ mod tests {
                 row.x
             );
         }
-        let s = service_experiment(tiny(), 42);
-        assert!(s.host.is_some(), "service experiment records host metadata");
         assert!(
             fig8g(tiny(), 1).host.is_none(),
             "figure reproductions carry no host block"
@@ -1543,16 +1274,6 @@ mod tests {
             assert!(matches!(sc.graph, GraphSource::Synthetic { .. }));
             assert_eq!(sc.mode, QueryMode::Minimum);
         }
-        let s = service_experiment(tiny(), 42);
-        for row in &s.rows {
-            let json = row
-                .scenario
-                .as_deref()
-                .expect("service rows describe themselves");
-            let sc = Scenario::from_json_line(json).expect("descriptor parses as a Scenario");
-            assert_eq!(sc.rounds, 2);
-            assert_eq!(sc.shards, 8);
-        }
         let fig = fig8g(tiny(), 7);
         assert!(
             fig.rows.iter().all(|row| row.scenario.is_none()),
@@ -1563,79 +1284,6 @@ mod tests {
     #[test]
     fn run_one_dispatch() {
         assert!(run_one("fig8g", tiny(), 1).is_some());
-        assert!(run_one("service", tiny(), 1).is_some());
-        assert!(run_one("maintenance", tiny(), 1).is_some());
         assert!(run_one("nope", tiny(), 1).is_none());
-    }
-
-    /// The maintenance bench must contrast the delta pipeline with the
-    /// full-rebuild baseline on every row, actually apply updates, and
-    /// carry a replayable update-heavy scenario descriptor.
-    #[test]
-    fn maintenance_rows_contrast_delta_with_rebuild() {
-        let r = maintenance_experiment(tiny(), 42);
-        assert_eq!(r.id, "maintenance");
-        assert!(r.host.is_some(), "maintenance records host metadata");
-        let xs: Vec<&str> = r.rows.iter().map(|row| row.x.as_str()).collect();
-        assert_eq!(xs, ["1", "8", "64", "64-del"]);
-        let del_only = Scenario::from_json_line(r.rows[3].scenario.as_deref().unwrap()).unwrap();
-        assert_eq!(
-            del_only.delete_ratio, 1.0,
-            "last row is the delete-only (truly incremental) case"
-        );
-        for row in &r.rows {
-            let get = |name: &str| {
-                row.series
-                    .iter()
-                    .find(|(n, _)| n == name)
-                    .map(|(_, v)| *v)
-                    .unwrap_or_else(|| panic!("row {} missing series {name}", row.x))
-            };
-            assert!(get("delta_wall_s") >= 0.0 && get("delta_wall_s").is_finite());
-            assert!(get("rebuild_wall_s") >= 0.0 && get("rebuild_wall_s").is_finite());
-            assert!(get("updates_applied") > 0.0, "deltas must carry updates");
-            assert!(get("delta_updates_per_s") > 0.0);
-            assert!(get("rebuild_updates_per_s") > 0.0);
-            let sc = Scenario::from_json_line(row.scenario.as_deref().expect("descriptor"))
-                .expect("descriptor parses as a Scenario");
-            assert!(sc.delta_batch_len > 0, "update-heavy scenario");
-            assert!(sc.delete_ratio > 0.0, "deletes are part of the stream");
-        }
-    }
-
-    #[test]
-    fn service_rows_cover_client_counts() {
-        let r = service_experiment(tiny(), 42);
-        assert_eq!(r.id, "service");
-        let clients: Vec<&str> = r.rows.iter().map(|row| row.x.as_str()).collect();
-        assert_eq!(clients, ["1", "2", "4", "8"]);
-        for row in &r.rows {
-            let get = |name: &str| {
-                row.series
-                    .iter()
-                    .find(|(n, _)| n == name)
-                    .map(|(_, v)| *v)
-                    .unwrap()
-            };
-            assert!(get("wall_s") >= 0.0 && get("wall_s").is_finite());
-            assert!(get("throughput_qps") > 0.0);
-            // 6 distinct queries repeated 4x per batch: the duplicates hit
-            // either the intra-batch dedup or the plan cache.
-            assert!(get("plan_cache_hit_rate") >= 0.0);
-            assert!(get("dedup_saved") >= 18.0 - 1e-9, "per-client dedup");
-            // Every client's second round repeats the first at an
-            // unchanged store version: the result cache must hit (the
-            // CI-level guard against a silent always-miss regression).
-            assert!(
-                get("result_cache_hits") >= 6.0 - 1e-9,
-                "second round must be served from the result cache"
-            );
-            let hits = get("result_cache_hits");
-            let misses = get("result_cache_misses");
-            assert!(
-                (get("result_cache_hit_rate") - hits / (hits + misses)).abs() < 1e-9,
-                "hit rate consistent with the raw counts"
-            );
-        }
     }
 }

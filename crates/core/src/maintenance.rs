@@ -6,14 +6,16 @@
 //! a working maintenance engine for plain-simulation views:
 //!
 //! * **edge deletions** are handled truly incrementally: deletion is
-//!   downward-monotone for simulation, so the same support-counter /
-//!   worklist machinery used by `Match` propagates exactly the invalidated
-//!   candidates — cost proportional to the affected area, not `|G|`;
+//!   downward-monotone for simulation, so decrementing the deleted pair's
+//!   support counter and calling the `MatchJoin` kernel's drain
+//!   ([`crate::matchjoin`], the one `Match` runs too) removes exactly the
+//!   invalidated candidates, in ascending SCC rank — cost proportional to
+//!   the affected area, not `|G|`;
 //! * **edge insertions** are upward-monotone (matches can only appear):
 //!   insertion collects *revival candidates* — nodes outside the current
 //!   relation that an inserted edge could newly support — by a backward
 //!   closure seeded at the inserted edges' sources, recomputes supports
-//!   only for that region, and lets the standard removal drain prune the
+//!   only for that region, and lets the same drain prune the
 //!   over-approximation. Nodes already in the relation can never be
 //!   removed by this (their supports only grow), so the cost is
 //!   proportional to the revived region, not `|G|`. A view whose
@@ -39,6 +41,7 @@
 //! The invariant `self.result() == match_pattern(pattern, current_graph)`
 //! is enforced by the tests below and by property tests in `tests/`.
 
+use crate::matchjoin::{drain, initial_support, ranks, JoinStats, Relation};
 use crate::partial::GraphSource;
 use gpv_graph::{BitSet, DataGraph, NodeId};
 use gpv_matching::result::MatchResult;
@@ -67,10 +70,11 @@ pub struct IncrementalView {
     /// Predicate-satisfying candidates over local ids (static: node
     /// labels/attrs are fixed).
     base: Vec<BitSet>,
-    /// Current maximum simulation relation (empty vec when no match).
-    cand: Vec<BitSet>,
-    /// support[e][v] for local v ∈ cand(src(e)).
-    support: Vec<Vec<u32>>,
+    /// The pattern's per-node SCC ranks, the order the drain removes in.
+    rank: Vec<usize>,
+    /// Current maximum simulation relation and its forward support
+    /// counters over local ids (default when no match).
+    rel: Relation,
     /// Whether the view extension is currently empty.
     empty: bool,
     /// Whether a mutation changed the extension since the last
@@ -136,14 +140,14 @@ impl IncrementalView {
         }
 
         IncrementalView {
+            rank: ranks(&pattern),
             pattern,
             node_count: g.node_count(),
             universe,
             out_adj,
             in_adj,
             base,
-            cand: Vec::new(),
-            support: Vec::new(),
+            rel: Relation::default(),
             empty: true,
             dirty: false,
         }
@@ -170,7 +174,6 @@ impl IncrementalView {
             return view;
         }
         let n = view.universe.len();
-        let ne = view.pattern.edge_count();
         let mut cand = Vec::with_capacity(view.pattern.node_count());
         for u in view.pattern.nodes() {
             let mut set = BitSet::new(n);
@@ -183,16 +186,8 @@ impl IncrementalView {
             }
             cand.push(set);
         }
-        let mut support = vec![vec![0u32; n]; ne];
-        for (ei, &(u, t)) in view.pattern.edges().iter().enumerate() {
-            let ct = &cand[t.index()];
-            for v in cand[u.index()].iter() {
-                support[ei][v] = count_in(&view.out_adj[v], ct);
-            }
-        }
-        view.cand = cand;
-        view.support = support;
-        view.empty = false;
+        // The relation is exact, so no candidate lacks support: no drain.
+        view.count_supports(cand);
         view
     }
 
@@ -234,8 +229,9 @@ impl IncrementalView {
             + adj(&self.out_adj)
             + adj(&self.in_adj)
             + bits(&self.base)
-            + bits(&self.cand)
-            + adj(&self.support)
+            + self.rank.capacity() * size_of::<usize>()
+            + bits(&self.rel.cand)
+            + adj(&self.rel.fwd)
     }
 
     /// The local id of graph node `v`, or `None` when `v` lies in no base
@@ -281,85 +277,57 @@ impl IncrementalView {
         true
     }
 
-    /// Full refinement from the cached base candidate sets.
+    /// Full refinement from the cached base candidate sets, for a view
+    /// that has no relation yet (it stays empty when a base set is).
     fn recompute(&mut self) {
-        let n = self.universe.len();
-        let np = self.pattern.node_count();
-        let ne = self.pattern.edge_count();
-        let mut cand = self.base.clone();
-        if cand.iter().any(BitSet::is_empty) {
-            self.empty = true;
-            self.cand = Vec::new();
-            self.support = Vec::new();
-            return;
-        }
-        let mut support = vec![vec![0u32; n]; ne];
-        let mut worklist: Vec<(PatternNodeId, usize)> = Vec::new();
-        let mut scheduled = vec![BitSet::new(n); np];
-        for (ei, &(u, t)) in self.pattern.edges().iter().enumerate() {
-            let ct = &cand[t.index()];
-            for v in cand[u.index()].iter() {
-                let cnt = count_in(&self.out_adj[v], ct);
-                support[ei][v] = cnt;
-                if cnt == 0 && scheduled[u.index()].insert(v) {
-                    worklist.push((u, v));
-                }
-            }
-        }
-        let ok = Self::propagate_removals(
-            &self.pattern,
-            &self.in_adj,
-            &mut cand,
-            &mut support,
-            &mut scheduled,
-            worklist,
-        );
-        if ok {
-            self.cand = cand;
-            self.support = support;
-            self.empty = false;
-        } else {
-            self.cand = Vec::new();
-            self.support = Vec::new();
-            self.empty = true;
+        if !self.base.iter().any(BitSet::is_empty) {
+            let seeds = self.count_supports(self.base.clone());
+            self.settle(seeds);
         }
     }
 
-    /// Shared removal-propagation loop over local ids; returns false if a
-    /// candidate set empties (view extension becomes ∅).
-    fn propagate_removals(
-        pattern: &Pattern,
-        in_adj: &[Vec<u32>],
-        cand: &mut [BitSet],
-        support: &mut [Vec<u32>],
-        scheduled: &mut [BitSet],
-        mut worklist: Vec<(PatternNodeId, usize)>,
-    ) -> bool {
-        let mut head = 0;
-        while head < worklist.len() {
-            let (u, v) = worklist[head];
-            head += 1;
-            if !cand[u.index()].remove(v) {
-                continue;
-            }
-            if cand[u.index()].is_empty() {
-                return false;
-            }
-            for &(u0, e0) in pattern.in_edges(u) {
-                for &w in &in_adj[v] {
-                    let w = w as usize;
-                    if cand[u0.index()].contains(w) && !scheduled[u0.index()].contains(w) {
-                        let s = &mut support[e0.index()][w];
-                        *s = s.saturating_sub(1);
-                        if *s == 0 {
-                            scheduled[u0.index()].insert(w);
-                            worklist.push((u0, w));
-                        }
-                    }
-                }
-            }
+    /// Installs `cand` as the relation with its forward support counters
+    /// over the footprint, and returns the candidates left with no support
+    /// on some out-edge (the drain's seeds).
+    fn count_supports(&mut self, cand: Vec<BitSet>) -> Vec<(PatternNodeId, u32)> {
+        let n = self.universe.len();
+        let mut rel = Relation {
+            cand,
+            fwd: vec![vec![0u32; n]; self.pattern.edge_count()],
+            bwd: Vec::new(),
+        };
+        let mut seeds = Vec::new();
+        for (ei, &(u, t)) in self.pattern.edges().iter().enumerate() {
+            let (cu, ct) = (&rel.cand[u.index()], &rel.cand[t.index()]);
+            let zero = initial_support(cu, ct, |v| &self.out_adj[v], &mut rel.fwd[ei]);
+            seeds.extend(zero.into_iter().map(|v| (u, v)));
         }
-        true
+        self.rel = rel;
+        self.empty = false;
+        seeds
+    }
+
+    /// Runs the kernel's support-counter [`drain`] over the relation from
+    /// `seeds`, reading predecessors from the footprint adjacency — one
+    /// union over pattern edges, so every edge reads the same row — and
+    /// marks the view empty when a candidate set empties. Returns whether
+    /// the view has a match.
+    fn settle(&mut self, seeds: Vec<(PatternNodeId, u32)>) -> bool {
+        let in_adj = &self.in_adj;
+        let stats = &mut JoinStats::default();
+        let live = drain(
+            &self.pattern,
+            &self.rank,
+            &mut self.rel,
+            seeds,
+            |_, _, v| &in_adj[v as usize],
+            stats,
+        );
+        if !live {
+            self.rel = Relation::default();
+        }
+        self.empty = !live;
+        live
     }
 
     /// Deletes edge `(a, b)` and incrementally repairs the view.
@@ -379,39 +347,22 @@ impl IncrementalView {
         }
 
         // Decrement supports for pattern edges whose endpoints currently
-        // admit (a, b); propagate zero-support removals.
-        let mut worklist: Vec<(PatternNodeId, usize)> = Vec::new();
+        // admit (a, b); drain zero-support removals.
+        let mut seeds: Vec<(PatternNodeId, u32)> = Vec::new();
         for (ei, &(u, t)) in self.pattern.edges().iter().enumerate() {
-            if self.cand[u.index()].contains(la) && self.cand[t.index()].contains(lb) {
+            let cand = &self.rel.cand;
+            if cand[u.index()].contains(la) && cand[t.index()].contains(lb) {
                 // Pair (a, b) leaves edge ei's match set: the result changed.
                 self.dirty = true;
-                let s = &mut self.support[ei][la];
+                let s = &mut self.rel.fwd[ei][la];
                 *s = s.saturating_sub(1);
-                if *s == 0 && !worklist.contains(&(u, la)) {
-                    worklist.push((u, la));
+                if *s == 0 {
+                    seeds.push((u, la as u32));
                 }
             }
         }
-        if worklist.is_empty() {
-            return true;
-        }
-        let n = self.universe.len();
-        let mut scheduled = vec![BitSet::new(n); self.pattern.node_count()];
-        for &(u, v) in &worklist {
-            scheduled[u.index()].insert(v);
-        }
-        let ok = Self::propagate_removals(
-            &self.pattern,
-            &self.in_adj,
-            &mut self.cand,
-            &mut self.support,
-            &mut scheduled,
-            worklist,
-        );
-        if !ok {
-            self.cand = Vec::new();
-            self.support = Vec::new();
-            self.empty = true;
+        if !seeds.is_empty() {
+            self.settle(seeds);
         }
         true
     }
@@ -449,7 +400,7 @@ impl IncrementalView {
     ///    predecessor of a revival candidate joins it;
     /// 3. revived nodes enter the candidate sets, their supports are
     ///    recomputed locally (and pre-existing members gain support for
-    ///    edges into revived targets), and the standard removal drain
+    ///    edges into revived targets), and the kernel's removal drain
     ///    prunes revivals that don't pan out. Pre-existing members'
     ///    supports only ever grow, so the drain can only remove revival
     ///    candidates — the relation never shrinks below its old value.
@@ -484,12 +435,12 @@ impl IncrementalView {
                 if !self.base[u.index()].contains(a) || !self.base[t.index()].contains(b) {
                     continue;
                 }
-                let a_in = self.cand[u.index()].contains(a);
-                let b_in = self.cand[t.index()].contains(b);
+                let a_in = self.rel.cand[u.index()].contains(a);
+                let b_in = self.rel.cand[t.index()].contains(b);
                 if a_in && b_in {
                     // Pair (a, b) joins edge ei's match set immediately.
                     self.dirty = true;
-                    self.support[ei][a] += 1;
+                    self.rel.fwd[ei][a] += 1;
                 }
                 if !a_in && revive[u.index()].insert(a) {
                     queue.push((u, a));
@@ -506,7 +457,7 @@ impl IncrementalView {
                 for &w in &self.in_adj[x] {
                     let w = w as usize;
                     if self.base[u0.index()].contains(w)
-                        && !self.cand[u0.index()].contains(w)
+                        && !self.rel.cand[u0.index()].contains(w)
                         && revive[u0.index()].insert(w)
                     {
                         queue.push((u0, w));
@@ -521,44 +472,29 @@ impl IncrementalView {
         // Admit revivals, recompute their supports locally, credit
         // pre-existing members for edges into revived targets, then drain.
         for &(u, v) in &queue {
-            self.cand[u.index()].insert(v);
+            self.rel.cand[u.index()].insert(v);
         }
-        let mut scheduled = vec![BitSet::new(n); np];
-        let mut worklist: Vec<(PatternNodeId, usize)> = Vec::new();
+        let mut seeds: Vec<(PatternNodeId, u32)> = Vec::new();
         for (ei, &(u, t)) in self.pattern.edges().iter().enumerate() {
-            for v in revive[u.index()].iter() {
-                let cnt = count_in(&self.out_adj[v], &self.cand[t.index()]);
-                self.support[ei][v] = cnt;
-                if cnt == 0 && scheduled[u.index()].insert(v) {
-                    worklist.push((u, v));
-                }
-            }
+            let rel = &mut self.rel;
+            let (ru, ct) = (&revive[u.index()], &rel.cand[t.index()]);
+            let zero = initial_support(ru, ct, |v| &self.out_adj[v], &mut rel.fwd[ei]);
+            seeds.extend(zero.into_iter().map(|v| (u, v)));
             for x in revive[t.index()].iter() {
                 for &w in &self.in_adj[x] {
                     let w = w as usize;
-                    if self.cand[u.index()].contains(w) && !revive[u.index()].contains(w) {
-                        self.support[ei][w] += 1;
+                    if rel.cand[u.index()].contains(w) && !ru.contains(w) {
+                        rel.fwd[ei][w] += 1;
                     }
                 }
             }
         }
-        let ok = Self::propagate_removals(
-            &self.pattern,
-            &self.in_adj,
-            &mut self.cand,
-            &mut self.support,
-            &mut scheduled,
-            worklist,
-        );
-        if !ok {
-            self.cand = Vec::new();
-            self.support = Vec::new();
-            self.empty = true;
-            self.dirty = true;
-            return;
-        }
-        // Any revival that survived the drain grew the relation.
-        if queue.iter().any(|&(u, v)| self.cand[u.index()].contains(v)) {
+        // The relation changed if it emptied or a revival survived the drain.
+        if !self.settle(seeds)
+            || queue
+                .iter()
+                .any(|&(u, v)| self.rel.cand[u.index()].contains(v))
+        {
             self.dirty = true;
         }
     }
@@ -616,7 +552,7 @@ impl IncrementalView {
         let global = |i: usize| self.universe[i];
         let mut edge_matches = Vec::with_capacity(self.pattern.edge_count());
         for &(u, t) in self.pattern.edges() {
-            let (cu, ct) = (&self.cand[u.index()], &self.cand[t.index()]);
+            let (cu, ct) = (&self.rel.cand[u.index()], &self.rel.cand[t.index()]);
             let mut set = Vec::new();
             for v in cu.iter() {
                 for &w in &self.out_adj[v] {
@@ -631,20 +567,13 @@ impl IncrementalView {
             edge_matches.push(set);
         }
         let node_matches = self
+            .rel
             .cand
             .iter()
             .map(|s| s.iter().map(global).collect())
             .collect();
         MatchResult::new(&self.pattern, node_matches, edge_matches)
     }
-}
-
-/// How many of `targets` (local ids) lie in `set`.
-fn count_in(targets: &[u32], set: &BitSet) -> u32 {
-    targets
-        .iter()
-        .filter(|&&w| set.contains(w as usize))
-        .count() as u32
 }
 
 #[cfg(test)]

@@ -17,14 +17,21 @@
 //!   sets of edges below any non-singleton SCC are visited at most once
 //!   (Lemma 2). This is the default.
 //!
-//! The ranked refinement is written once (`ranked_fixpoint` plus
-//! `drain_and_extract`, single-threaded) and serves every view join:
-//! `MatchJoin`, the bounded `BMatchJoin` after its distance filter, and
-//! `DualMatchJoin` (whose dual mode adds backward counters). It also
-//! serves `Match` itself: hybrid and direct plans and view materialization
-//! feed it edge sets read from `G` by
-//! [`GraphSource`](crate::partial::GraphSource). One single-witness
+//! The ranked refinement is written once (`ranked_fixpoint`,
+//! single-threaded) and serves every view join: `MatchJoin`, the bounded
+//! `BMatchJoin` after its distance filter, and `DualMatchJoin` (whose dual
+//! mode adds backward counters). It also serves `Match` itself: hybrid and
+//! direct plans and view materialization feed it edge sets read from `G`
+//! by [`GraphSource`](crate::partial::GraphSource). One single-witness
 //! helper, `smallest_cover`, picks the extension every merge reads.
+//!
+//! Its support-counter step — withdraw a removed node as a witness,
+//! decrement counters, schedule what reaches zero — is one function,
+//! `drain`, with `initial_support` counting the counters it starts from.
+//! Two callers share them: `ranked_fixpoint`, which reads neighbours from
+//! each edge's CSR, and the incremental maintainer
+//! ([`IncrementalView`](crate::maintenance::IncrementalView)), which reads
+//! them from its footprint adjacency after every edge delete or insert.
 //!
 //! Complexity: `O(|Qs||V(G)| + |V(G)|²)` — versus
 //! `O(|Qs|² + |Qs||G| + |G|²)` for evaluating `Qs` on `G` directly.
@@ -432,46 +439,9 @@ fn intersect<'a>(mut sets: impl Iterator<Item = &'a BitSet>, m: usize) -> BitSet
     set
 }
 
-/// Support counters over one direction of an edge, indexed by dense id.
-#[derive(Default)]
-struct Counters {
-    /// Witnesses left per candidate.
-    support: Vec<u32>,
-    /// Candidates that start with none (the drain's seeds).
-    zero: Vec<u32>,
-}
-
-/// Initial counters over one direction of an edge: for each candidate `v`
-/// in `from`, how many of `v`'s neighbours in `adj` are in `to`. Pure
-/// per-edge.
-fn edge_support(adj: &Csr, from: &BitSet, to: &BitSet, m: usize) -> Counters {
-    let (off, data) = adj;
-    let mut c = Counters {
-        support: vec![0u32; m],
-        zero: Vec::new(),
-    };
-    for v in from.iter() {
-        let (a, b) = (off[v] as usize, off[v + 1] as usize);
-        let cnt = data[a..b]
-            .iter()
-            .filter(|&&w| to.contains(w as usize))
-            .count() as u32;
-        c.support[v] = cnt;
-        if cnt == 0 {
-            c.zero.push(v as u32);
-        }
-    }
-    c
-}
-
-/// Support counters of one pattern edge `e = (u, t)`.
-struct EdgeSupport {
-    /// Per candidate `v` of `u`: successors of `v` along `e` among the
-    /// candidates of `t`.
-    fwd: Counters,
-    /// Dual simulation only (empty otherwise): per candidate `w` of `t`,
-    /// predecessors of `w` along `e` among the candidates of `u`.
-    bwd: Counters,
+/// One node's row of an edge's CSR direction.
+fn row((off, data): &Csr, v: usize) -> &[u32] {
+    &data[off[v] as usize..off[v + 1] as usize]
 }
 
 /// The ranked refinement every join runs: support counters plus a
@@ -481,7 +451,8 @@ struct EdgeSupport {
 /// count, not `|G|`.
 ///
 /// Builds each edge's CSR, the candidates and the initial support
-/// counters, then hands them to [`drain_and_extract`]. Returns the refined
+/// counters, runs the shared [`drain`] over the CSR rows, then maps the
+/// surviving compact pairs back to [`NodeId`]s. Returns the refined
 /// per-edge sets (`None` = `Qs(G) = ∅`).
 pub(crate) fn ranked_fixpoint(
     q: &Pattern,
@@ -501,103 +472,50 @@ pub(crate) fn ranked_fixpoint(
 
     let cand = build_candidates(q, &csrs, m, sim)?;
 
-    let support: Vec<EdgeSupport> = csrs
-        .iter()
-        .enumerate()
-        .map(|(ei, csr)| {
-            let (u, t) = q.edge(PatternEdgeId(ei as u32));
-            let (cu, ct) = (&cand[u.index()], &cand[t.index()]);
-            EdgeSupport {
-                fwd: edge_support(&csr.fwd, cu, ct, m),
-                bwd: match sim {
-                    Simulation::Plain => Default::default(),
-                    Simulation::Dual => edge_support(&csr.rev, ct, cu, m),
-                },
-            }
-        })
-        .collect();
-    stats.edge_visits += ne as u64;
-
-    drain_and_extract(q, &csrs, cand, support, &rev_index, sim, stats)
-}
-
-/// The bottom-up drain (Lemma 2) plus the final per-edge filter: removes
-/// zero-support candidates in ascending SCC rank, cascading through
-/// in-edges (and, under dual simulation, out-edges), then maps surviving
-/// compact pairs back to [`NodeId`]s.
-fn drain_and_extract(
-    q: &Pattern,
-    csrs: &[EdgeCsr],
-    mut cand: Vec<BitSet>,
-    mut support: Vec<EdgeSupport>,
-    rev_index: &[NodeId],
-    sim: Simulation,
-    stats: &mut JoinStats,
-) -> Option<RefinedSets> {
-    let np = q.node_count();
-    let ne = q.edge_count();
-    let m = rev_index.len();
-    let cond = q.condensation();
-    let rank = |u: PatternNodeId| cond.rank(u.0) as usize;
-    let max_rank = q.nodes().map(rank).max().unwrap_or(0);
-
-    let mut buckets: Vec<VecDeque<(PatternNodeId, u32)>> = vec![VecDeque::new(); max_rank + 1];
-    let mut scheduled: Vec<BitSet> = vec![BitSet::new(m); np];
-    // Seed by pattern node, then edge.
-    for u in q.nodes() {
-        let fwd = q
-            .out_edges(u)
-            .iter()
-            .map(|&(_, e)| &support[e.index()].fwd.zero);
-        let bwd = q
-            .in_edges(u)
-            .iter()
-            .map(|&(_, e)| &support[e.index()].bwd.zero);
-        for &v in fwd.chain(bwd).flatten() {
-            if scheduled[u.index()].insert(v as usize) {
-                buckets[rank(u)].push_back((u, v));
-            }
+    // Initial counters, keeping each edge's zero-support candidates.
+    let mut rel = Relation {
+        cand,
+        fwd: Vec::with_capacity(ne),
+        bwd: Vec::new(),
+    };
+    let (mut fwd_zero, mut bwd_zero) = (Vec::with_capacity(ne), vec![Vec::new(); ne]);
+    for (ei, csr) in csrs.iter().enumerate() {
+        let (u, t) = q.edge(PatternEdgeId(ei as u32));
+        let (cu, ct) = (&rel.cand[u.index()], &rel.cand[t.index()]);
+        let mut fwd = vec![0u32; m];
+        fwd_zero.push(initial_support(cu, ct, |v| row(&csr.fwd, v), &mut fwd));
+        rel.fwd.push(fwd);
+        if sim == Simulation::Dual {
+            let mut bwd = vec![0u32; m];
+            bwd_zero[ei] = initial_support(ct, cu, |w| row(&csr.rev, w), &mut bwd);
+            rel.bwd.push(bwd);
         }
     }
+    stats.edge_visits += ne as u64;
 
-    // Drain in ascending rank (bottom-up, Lemma 2).
-    while let Some(r) = buckets.iter().position(|b| !b.is_empty()) {
-        let (u, v) = buckets[r].pop_front().expect("nonempty bucket");
-        if !cand[u.index()].remove(v as usize) {
-            continue;
-        }
-        stats.removals += 1;
-        if cand[u.index()].is_empty() {
-            return None;
-        }
-        // Forward counters of u's predecessors along each in-edge…
-        for &(u0, e0) in q.in_edges(u) {
-            stats.edge_visits += 1;
-            let bucket = &mut buckets[rank(u0)];
-            release(
-                &csrs[e0.index()].rev,
-                v,
-                &mut support[e0.index()].fwd.support,
-                &cand[u0.index()],
-                &mut scheduled[u0.index()],
-                |w| bucket.push_back((u0, w)),
-            );
-        }
-        // …and, under dual simulation, backward counters of its successors.
-        if sim == Simulation::Dual {
-            for &(t, e) in q.out_edges(u) {
-                stats.edge_visits += 1;
-                let bucket = &mut buckets[rank(t)];
-                release(
-                    &csrs[e.index()].fwd,
-                    v,
-                    &mut support[e.index()].bwd.support,
-                    &cand[t.index()],
-                    &mut scheduled[t.index()],
-                    |w| bucket.push_back((t, w)),
-                );
+    // Seed by pattern node, then edge.
+    let mut seeds = Vec::new();
+    for u in q.nodes() {
+        let fwd = q.out_edges(u).iter().map(|&(_, e)| &fwd_zero[e.index()]);
+        let bwd = q.in_edges(u).iter().map(|&(_, e)| &bwd_zero[e.index()]);
+        seeds.extend(fwd.chain(bwd).flatten().map(|&v| (u, v)));
+    }
+    let drained = drain(
+        q,
+        &ranks(q),
+        &mut rel,
+        seeds,
+        |e, along, v| {
+            let csr = &csrs[e.index()];
+            match along {
+                Along::Sources => row(&csr.rev, v as usize),
+                Along::Targets => row(&csr.fwd, v as usize),
             }
-        }
+        },
+        stats,
+    );
+    if !drained {
+        return None;
     }
 
     // Final sets: pairs whose endpoints survived, mapped back to NodeIds.
@@ -606,7 +524,7 @@ fn drain_and_extract(
         .enumerate()
         .map(|(ei, csr)| {
             let (u, t) = q.edge(PatternEdgeId(ei as u32));
-            let (cu, ct) = (&cand[u.index()], &cand[t.index()]);
+            let (cu, ct) = (&rel.cand[u.index()], &rel.cand[t.index()]);
             csr.pairs
                 .iter()
                 .filter(|&&(s, w)| cu.contains(s as usize) && ct.contains(w as usize))
@@ -618,28 +536,134 @@ fn drain_and_extract(
     (!out.iter().any(Vec::is_empty)).then_some(out)
 }
 
-/// Withdraws a removed node `v` as a witness: each neighbour `w` of `v` in
-/// `adj` that is still a candidate and not yet scheduled loses one unit of
-/// support, and is scheduled once it has none left.
-fn release(
-    (off, data): &Csr,
-    v: u32,
+/// Candidates and support counters over one dense id space: the state the
+/// support-counter [`drain`] refines in place. The kernel builds one per
+/// join; an [`IncrementalView`](crate::maintenance::IncrementalView) keeps
+/// one across mutations.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Relation {
+    /// Candidates per pattern node.
+    pub cand: Vec<BitSet>,
+    /// Per pattern edge `e = (u, t)`, by candidate `v` of `u`: successors
+    /// of `v` along `e` among the candidates of `t`.
+    pub fwd: Vec<Vec<u32>>,
+    /// Dual simulation only (empty otherwise): per pattern edge, by
+    /// candidate `w` of `t`: predecessors of `w` along `e` among the
+    /// candidates of `u`.
+    pub bwd: Vec<Vec<u32>>,
+}
+
+/// Which neighbours of a removed node the [`drain`] reads along a pattern
+/// edge.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Along {
+    /// Sources of the edge's pairs into the node: they lose forward
+    /// support.
+    Sources,
+    /// Targets of the edge's pairs out of the node: under dual simulation
+    /// they lose backward support.
+    Targets,
+}
+
+/// Initial support over one direction of a pattern edge: for each
+/// candidate `v` in `from`, writes to `support[v]` how many of `v`'s
+/// neighbours lie in `to`, and returns the candidates left with none (the
+/// drain's seeds). Shared by the kernel and the incremental maintainer.
+pub(crate) fn initial_support<'a>(
+    from: &BitSet,
+    to: &BitSet,
+    neighbours: impl Fn(usize) -> &'a [u32],
     support: &mut [u32],
-    cand: &BitSet,
-    scheduled: &mut BitSet,
-    mut schedule: impl FnMut(u32),
-) {
-    let (a, b) = (off[v as usize] as usize, off[v as usize + 1] as usize);
-    for &w in &data[a..b] {
-        if cand.contains(w as usize) && !scheduled.contains(w as usize) {
-            let s = &mut support[w as usize];
-            *s = s.saturating_sub(1);
-            if *s == 0 {
-                scheduled.insert(w as usize);
-                schedule(w);
+) -> Vec<u32> {
+    let mut zero = Vec::new();
+    for v in from.iter() {
+        let cnt = neighbours(v)
+            .iter()
+            .filter(|&&w| to.contains(w as usize))
+            .count() as u32;
+        support[v] = cnt;
+        if cnt == 0 {
+            zero.push(v as u32);
+        }
+    }
+    zero
+}
+
+/// Per-pattern-node SCC ranks (Section III), the order the [`drain`]
+/// removes candidates in.
+pub(crate) fn ranks(q: &Pattern) -> Vec<usize> {
+    let cond = q.condensation();
+    q.nodes().map(|u| cond.rank(u.0) as usize).collect()
+}
+
+/// The support-counter drain (Lemma 2), written once for every
+/// refinement: the kernel's joins and the incremental maintainer's
+/// mutations. Schedules each `(u, v)` of `seeds` once, then removes
+/// scheduled candidates in ascending SCC `rank`. A removed `v` of `u` is
+/// withdrawn as a witness: along each in-edge `e0 = (u0, u)` its
+/// [`Sources`](Along::Sources) lose forward support and, under dual
+/// simulation (`rel.bwd` nonempty), along each out-edge `e = (u, t)` its
+/// [`Targets`](Along::Targets) lose backward support; a neighbour left
+/// with none is scheduled in turn. `adj(e, along, v)` reads `v`'s
+/// neighbours along `e`. Returns `false` as soon as a candidate set
+/// empties (`Qs(G) = ∅`).
+pub(crate) fn drain<'a>(
+    q: &Pattern,
+    rank: &[usize],
+    rel: &mut Relation,
+    seeds: impl IntoIterator<Item = (PatternNodeId, u32)>,
+    adj: impl Fn(PatternEdgeId, Along, u32) -> &'a [u32],
+    stats: &mut JoinStats,
+) -> bool {
+    let m = rel.cand.first().map_or(0, BitSet::capacity);
+    let max_rank = rank.iter().copied().max().unwrap_or(0);
+    let mut buckets: Vec<VecDeque<(PatternNodeId, u32)>> = vec![VecDeque::new(); max_rank + 1];
+    let mut scheduled: Vec<BitSet> = vec![BitSet::new(m); rel.cand.len()];
+    for (u, v) in seeds {
+        if scheduled[u.index()].insert(v as usize) {
+            buckets[rank[u.index()]].push_back((u, v));
+        }
+    }
+
+    while let Some(r) = buckets.iter().position(|b| !b.is_empty()) {
+        let (u, v) = buckets[r].pop_front().expect("nonempty bucket");
+        if !rel.cand[u.index()].remove(v as usize) {
+            continue;
+        }
+        stats.removals += 1;
+        if rel.cand[u.index()].is_empty() {
+            return false;
+        }
+        // Withdraw v: forward counters of u's predecessors along each
+        // in-edge and, under dual simulation, backward counters of its
+        // successors along each out-edge. A scheduled node's counter
+        // freezes, so each node is queued at most once.
+        let outs: &[_] = if rel.bwd.is_empty() {
+            &[]
+        } else {
+            q.out_edges(u)
+        };
+        let ins = q.in_edges(u).iter().map(|&(x, e)| (x, e, Along::Sources));
+        for (x, e, along) in ins.chain(outs.iter().map(|&(x, e)| (x, e, Along::Targets))) {
+            stats.edge_visits += 1;
+            let support = match along {
+                Along::Sources => &mut rel.fwd[e.index()],
+                Along::Targets => &mut rel.bwd[e.index()],
+            };
+            let (cand, sched) = (&rel.cand[x.index()], &mut scheduled[x.index()]);
+            for &w in adj(e, along, v) {
+                if cand.contains(w as usize) && !sched.contains(w as usize) {
+                    let s = &mut support[w as usize];
+                    *s = s.saturating_sub(1);
+                    if *s == 0 {
+                        sched.insert(w as usize);
+                        buckets[rank[x.index()]].push_back((x, w));
+                    }
+                }
             }
         }
     }
+    true
 }
 
 /// The literal Fig. 2 fixpoint: rescan every match set until stable.
@@ -1047,6 +1071,32 @@ mod tests {
         // verbatim, so duplicates would inflate the counters above.
         let set = clean.edge_set(0, gpv_pattern::PatternEdgeId(0));
         assert!(set.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    /// The drain withdraws a removed node along *every* in-edge of its
+    /// pattern node. `c` (node 2) loses its only D witness, so its A
+    /// predecessor `a` (0) and its B predecessor `b` (1) must both fall —
+    /// and each sits in an A → B pair (`a → b2`, `a2 → b`) that survives if
+    /// the cascade skips its in-edge.
+    #[test]
+    fn drain_cascades_along_every_in_edge() {
+        let g = gpv_graph::io::parse_graph(
+            "node 0 A\nnode 1 B\nnode 2 C\nnode 3 D\n\
+             node 4 A\nnode 5 B\nnode 6 C\nnode 7 D\nnode 8 E\n\
+             edge 0 5\nedge 0 2\nedge 1 2\nedge 2 3\n\
+             edge 4 5\nedge 4 6\nedge 5 6\nedge 6 7\nedge 7 8\nedge 4 1",
+        )
+        .unwrap();
+        let q = gpv_pattern::parse_pattern(
+            "node a A\nnode b B\nnode c C\nnode d D\nnode e E\n\
+             edge a b\nedge a c\nedge b c\nedge c d\nedge d e",
+        )
+        .unwrap();
+        let (r, stats) = crate::partial::GraphSource::new(&g).simulate(&q, Simulation::Plain);
+        assert_eq!(r, match_pattern(&q, &g));
+        let expect = [4, 5, 6, 7, 8].map(|v| vec![NodeId(v)]);
+        assert_eq!(r.node_matches, expect, "only the second chain matches");
+        assert_eq!(stats.removals, 3, "c, then both of its predecessors");
     }
 
     use crate::view::ViewExtensions;

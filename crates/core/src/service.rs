@@ -1411,7 +1411,10 @@ mod tests {
         assert_eq!(stats.result_cache_misses, 1);
         assert_eq!(stats.result_cache_size, 1);
         assert!(stats.result_cache_bytes > 0);
-        assert!(stats.result_cache_hit_rate > 0.0);
+        assert_eq!(
+            stats.result_cache_hit_rate, 0.5,
+            "hit rate consistent with the raw counts"
+        );
     }
 
     /// A view-set *membership* change must invalidate cached answers: the

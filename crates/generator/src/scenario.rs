@@ -598,8 +598,8 @@ mod tests {
     /// values (the fields are ignored).
     #[test]
     fn retired_knobs_in_saved_descriptors() {
-        // Verbatim from a `BENCH_service.json` row recorded before both
-        // removals.
+        // Verbatim from a service-bench row (`BENCH_service.json`, since
+        // retired) recorded before both removals.
         let saved = r#"{"seed":42,"graph":{"Synthetic":{"nodes":8000,"edges":16000,"labels":10}},"queries":6,"query_nodes":4,"query_edges":6,"shape":"Any","max_bound":1,"zipf_s":0.0,"batch_len":24,"rounds":2,"updates_per_round":0,"delta_batch_len":0,"delete_ratio":0.0,"coverage":1.0,"max_fragment":3,"mode":"Minimal","exec":"Sequential","threads":1,"chunk_pairs":0,"weights":"Default","recalibrate_every":0,"result_cache_bytes":67108864,"plan_cache_capacity":4096,"shards":8}"#;
         let refit_every_batch = saved.replace(r#"_every":0"#, r#"_every":1"#);
         assert_ne!(refit_every_batch, saved);

@@ -54,3 +54,89 @@ fn core_production_code_names_no_simulation_oracle() {
         "production code names an oracle: {offenders:#?}"
     );
 }
+
+/// The production part of each `crates/core/src` file, by file name.
+fn core_production_sources() -> Vec<(String, String)> {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/core/src");
+    let mut sources: Vec<(String, String)> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "rs"))
+        .map(|p| {
+            let src = std::fs::read_to_string(&p).unwrap();
+            let production = src.split("#[cfg(test)]").next().unwrap_or_default();
+            let file = p.file_name().unwrap().to_string_lossy().into_owned();
+            (file, production.to_string())
+        })
+        .collect();
+    sources.sort();
+    sources
+}
+
+/// Splits production code into `(fn name, text up to the next fn)` chunks,
+/// comments dropped.
+fn fn_chunks(src: &str) -> Vec<(String, String)> {
+    let mut chunks: Vec<(String, String)> = Vec::new();
+    for line in src.lines().map(str::trim_start) {
+        if line.starts_with("//") {
+            continue;
+        }
+        let header = line
+            .split_once("fn ")
+            .filter(|(before, _)| {
+                before.is_empty() || before.ends_with("pub ") || before.ends_with(") ")
+            })
+            .map(|(_, rest)| rest.split(['(', '<']).next().unwrap_or_default());
+        match header {
+            Some(name) if !name.is_empty() => chunks.push((name.to_string(), String::new())),
+            _ => {}
+        }
+        if let Some((_, body)) = chunks.last_mut() {
+            body.push_str(line);
+            body.push('\n');
+        }
+    }
+    chunks
+}
+
+/// The support-counter drain (`MatchJoin`'s refinement step, which the
+/// incremental maintainer shares) is written once: the only production
+/// function in `gpv-core` that pops a worklist and removes the popped node
+/// from a candidate set is `matchjoin.rs`'s `drain`, the maintainer calls
+/// it, and the retired second copy stays gone.
+#[test]
+fn core_production_code_defines_one_support_counter_drain() {
+    let pops = |body: &str| {
+        body.contains("pop_front()") || body.contains(".pop()") || body.contains("head += 1")
+    };
+    let removes_candidate = |body: &str| {
+        body.lines()
+            .any(|l| l.contains("cand") && l.contains(".remove("))
+    };
+    let sources = core_production_sources();
+    assert!(sources.len() > 20, "only {} core sources", sources.len());
+    let (mut drains, mut retired) = (Vec::new(), Vec::new());
+    for (file, src) in &sources {
+        for (name, body) in fn_chunks(src) {
+            if pops(&body) && removes_candidate(&body) {
+                drains.push(format!("{file}::{name}"));
+            }
+            if ["propagate_removals", "count_in", "drain_and_extract"].contains(&name.as_str()) {
+                retired.push(format!("{file}::{name}"));
+            }
+        }
+    }
+    assert_eq!(drains, ["matchjoin.rs::drain"], "support-counter drains");
+    assert!(retired.is_empty(), "retired drain copies: {retired:?}");
+    let maintenance = &sources
+        .iter()
+        .find(|(f, _)| f == "maintenance.rs")
+        .unwrap()
+        .1;
+    for call in ["drain(", "initial_support("] {
+        assert!(
+            maintenance.contains(call),
+            "the maintainer must call the kernel's `{call}..)`"
+        );
+    }
+}

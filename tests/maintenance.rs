@@ -303,17 +303,23 @@ proptest! {
     /// worst case), 2 names a label the graph lacks (base empty forever).
     /// Between steps, `noise` edges that miss the footprint go through
     /// `patch_adjacency` and into the graph: the result must not move.
+    /// `cyclic` forces a directed cycle into the pattern, so deletions
+    /// cascade through a non-singleton SCC — and, when the third node feeds
+    /// it, on into a higher rank: the drain empties the cycle's bucket
+    /// before it touches that node, where a FIFO drain would interleave.
     #[test]
     fn incremental_equals_recompute(
         gseed in any::<u64>(),
         qseed in any::<u64>(),
+        cyclic in any::<bool>(),
         special in 0usize..3,
         at in 0usize..3,
         raw_script in proptest::collection::vec((any::<bool>(), 0u32..20, 0u32..20), 0..25),
         noise in proptest::collection::vec((any::<bool>(), 0u32..20, 0u32..20), 0..25),
     ) {
         let g = random_graph(20, 40, &LABELS, gseed);
-        let q = random_pattern(3, 3, &LABELS, PatternShape::Any, qseed);
+        let shape = if cyclic { PatternShape::Cyclic } else { PatternShape::Any };
+        let q = random_pattern(3, 3, &LABELS, shape, qseed);
         let q = match special {
             1 => with_pred(&q, at, Predicate::any()),
             2 => with_pred(&q, at, Predicate::label("Z")),
