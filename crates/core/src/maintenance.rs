@@ -29,24 +29,107 @@
 //! pattern edges `(x, y)`, and deltas never change the base sets — the
 //! argument is in [`crate::delta`]'s soundness section. So an
 //! [`IncrementalView`] keeps a dense local id space (the sorted union of
-//! its base sets, its *universe*; the base sets come from the
-//! [`GraphSource`] every production read of `G` goes through), the
-//! footprint edges over those ids, and
+//! its base sets, its *universe*), the footprint edges over those ids, and
 //! candidate bitsets, support counters and per-mutation scratch sized by
-//! the universe. Memory is `O(|universe| + |footprint edges|)`, independent
-//! of `|V|` and `|E|`; a pattern node with no label atom has base ≈ V and
-//! costs what a full mirror would. Every mutation first drops the edges
-//! outside the footprint: they are no-ops.
+//! the universe. The base sets come from a `BaseSets` cache: a
+//! [`ViewStore`](crate::store::ViewStore) keeps one beside its warm
+//! maintainers, so views sharing a predicate resolve it once.
+//!
+//! The footprint adjacency is one offset-indexed row array per direction
+//! (`off` + `vals`, rows sorted), built by one pass with no per-row
+//! allocation; `link`/`unlink` edit it in place. A maintainer of a pattern
+//! with `|E_Q|` edges and `|V_Q|` nodes therefore costs, besides a fixed
+//! few hundred bytes:
+//!
+//! * per universe node, `12 + 4·|E_Q|` bytes plus `2·|V_Q|` bits: 4 for
+//!   the universe entry, 4 per direction for the row offset, 4 per pattern
+//!   edge for the support counter, and one base and one candidate bit per
+//!   pattern node (21 bytes for a 3-node path);
+//! * per footprint edge, 8 bytes (4 per direction), up to twice that
+//!   after insertions grow the value arrays.
+//!
+//! That is `O(|universe| + |footprint edges|)`, independent of `|V|` and
+//! `|E|`; a pattern node with no label atom has base ≈ V and costs what a
+//! full mirror would. Every mutation first drops the edges outside the
+//! footprint: they are no-ops.
 //!
 //! The invariant `self.result() == match_pattern(pattern, current_graph)`
 //! is enforced by the tests below and by property tests in `tests/`.
 
 use crate::matchjoin::{drain, initial_support, ranks, JoinStats, Relation};
-use crate::partial::GraphSource;
+use crate::partial::BaseSets;
 use gpv_graph::{BitSet, DataGraph, NodeId};
 use gpv_matching::result::MatchResult;
 use gpv_pattern::{Pattern, PatternNodeId};
 use std::mem::size_of;
+
+/// One direction of the footprint adjacency over local ids, offset-indexed:
+/// row `a` is `vals[off[a]..off[a + 1]]`, kept sorted. A row read is O(1);
+/// an edit moves the later values and offsets in place.
+#[derive(Clone, Debug)]
+struct Rows {
+    off: Vec<u32>,
+    vals: Vec<u32>,
+}
+
+impl Rows {
+    fn row(&self, a: usize) -> &[u32] {
+        &self.vals[self.off[a] as usize..self.off[a + 1] as usize]
+    }
+
+    /// The reverse adjacency over the same `n` ids, by one counting pass;
+    /// rows come out sorted because `self`'s are scanned in id order.
+    fn transpose(&self, n: usize) -> Rows {
+        let mut off = vec![0u32; n + 1];
+        for &b in &self.vals {
+            off[b as usize + 1] += 1;
+        }
+        for i in 0..n {
+            off[i + 1] += off[i];
+        }
+        let mut next = off.clone();
+        let mut vals = vec![0u32; self.vals.len()];
+        for a in 0..n {
+            for &b in self.row(a) {
+                vals[next[b as usize] as usize] = a as u32;
+                next[b as usize] += 1;
+            }
+        }
+        Rows { off, vals }
+    }
+
+    /// Adds `b` to row `a`; returns whether it was new.
+    fn insert(&mut self, a: usize, b: u32) -> bool {
+        let Err(i) = self.row(a).binary_search(&b) else {
+            return false;
+        };
+        self.vals.insert(self.off[a] as usize + i, b);
+        for o in &mut self.off[a + 1..] {
+            *o += 1;
+        }
+        true
+    }
+
+    /// Removes `b` from row `a`; returns whether it was present.
+    fn remove(&mut self, a: usize, b: u32) -> bool {
+        let Ok(i) = self.row(a).binary_search(&b) else {
+            return false;
+        };
+        self.vals.remove(self.off[a] as usize + i);
+        for o in &mut self.off[a + 1..] {
+            *o -= 1;
+        }
+        true
+    }
+
+    fn contains(&self, a: usize, b: u32) -> bool {
+        self.row(a).binary_search(&b).is_ok()
+    }
+
+    fn bytes(&self) -> usize {
+        (self.off.capacity() + self.vals.capacity()) * size_of::<u32>()
+    }
+}
 
 /// A materialized simulation view that tracks a mutating edge set, holding
 /// only its footprint subgraph (see the module docs).
@@ -62,11 +145,11 @@ pub struct IncrementalView {
     /// Local id → graph node: the sorted union of the base sets (empty when
     /// some base set is empty, since the view is then empty forever).
     universe: Vec<NodeId>,
-    /// Footprint adjacency over local ids: `(a, b)` is stored iff the graph
-    /// has the edge and some pattern edge `(u, t)` has `a ∈ base(u)` and
-    /// `b ∈ base(t)`.
-    out_adj: Vec<Vec<u32>>,
-    in_adj: Vec<Vec<u32>>,
+    /// Footprint adjacency over local ids, by source and by target: `(a,
+    /// b)` is stored iff the graph has the edge and some pattern edge `(u,
+    /// t)` has `a ∈ base(u)` and `b ∈ base(t)`.
+    out_rows: Rows,
+    in_rows: Rows,
     /// Predicate-satisfying candidates over local ids (static: node
     /// labels/attrs are fixed).
     base: Vec<BitSet>,
@@ -87,11 +170,11 @@ pub struct IncrementalView {
 
 impl IncrementalView {
     /// Base sets, universe and footprint adjacency, with no relation yet.
-    /// The base sets come from a [`GraphSource`]; the adjacency reads
-    /// `g.out_neighbors` of base nodes only — never all of `E`.
-    fn cold(pattern: Pattern, g: &DataGraph) -> Self {
-        let mut source = GraphSource::new(g);
-        let global = source.bases(&pattern);
+    /// The base sets come from `bases`; the adjacency reads
+    /// `g.out_neighbors` of base nodes only — never all of `E` — and is
+    /// built row by row into one value array, with no per-row allocation.
+    fn cold(pattern: Pattern, g: &DataGraph, bases: &mut BaseSets) -> Self {
+        let global = bases.of(g, &pattern);
         let mut all = BitSet::new(g.node_count());
         // An empty base set empties the view for good: it keeps no universe.
         if !global.iter().any(|b| b.is_empty()) {
@@ -115,37 +198,41 @@ impl IncrementalView {
             })
             .collect();
 
-        let mut out_adj: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for &(u, t) in pattern.edges() {
-            let bt = &base[t.index()];
-            for a in base[u.index()].iter() {
-                for b in g.out_neighbors(universe[a]).iter().filter_map(local) {
-                    if bt.contains(b) {
-                        out_adj[a].push(b as u32);
-                    }
+        let mut out_rows = Rows {
+            off: Vec::with_capacity(n + 1),
+            vals: Vec::new(),
+        };
+        out_rows.off.push(0);
+        let mut row: Vec<u32> = Vec::new();
+        for (a, v) in universe.iter().enumerate() {
+            for &(u, t) in pattern.edges() {
+                if base[u.index()].contains(a) {
+                    let bt = global[t.index()];
+                    let succ = g.out_neighbors(*v).iter();
+                    // Every node of a base set is in the universe.
+                    row.extend(
+                        succ.filter(|w| bt.contains(w.index()))
+                            .filter_map(local)
+                            .map(|b| b as u32),
+                    );
                 }
             }
+            row.sort_unstable();
+            row.dedup();
+            out_rows.vals.extend_from_slice(&row);
+            out_rows.off.push(out_rows.vals.len() as u32);
+            row.clear();
         }
-        let mut in_adj: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for (a, targets) in out_adj.iter_mut().enumerate() {
-            targets.sort_unstable();
-            targets.dedup();
-            targets.shrink_to_fit();
-            for &b in targets.iter() {
-                in_adj[b as usize].push(a as u32);
-            }
-        }
-        for sources in &mut in_adj {
-            sources.shrink_to_fit();
-        }
+        out_rows.vals.shrink_to_fit();
+        let in_rows = out_rows.transpose(n);
 
         IncrementalView {
             rank: ranks(&pattern),
             pattern,
             node_count: g.node_count(),
             universe,
-            out_adj,
-            in_adj,
+            out_rows,
+            in_rows,
             base,
             rel: Relation::default(),
             empty: true,
@@ -153,11 +240,29 @@ impl IncrementalView {
         }
     }
 
+    /// The one constructor: a maintainer of `pattern` over `g`, with base
+    /// sets read through `bases` (which resolves only the predicates it
+    /// has not seen). With `result`, which must be exactly
+    /// `match_pattern(&pattern, g)`, the relation is installed from it and
+    /// no refinement runs; without, the view refines from its base sets.
+    pub(crate) fn promote(
+        pattern: Pattern,
+        g: &DataGraph,
+        bases: &mut BaseSets,
+        result: Option<&MatchResult>,
+    ) -> Self {
+        let mut view = Self::cold(pattern, g, bases);
+        match result {
+            None => view.recompute(),
+            Some(result) if !result.is_empty() => view.install(result),
+            Some(_) => {}
+        }
+        view
+    }
+
     /// Materializes `pattern` over `g` and prepares maintenance state.
     pub fn new(pattern: Pattern, g: &DataGraph) -> Self {
-        let mut view = Self::cold(pattern, g);
-        view.recompute();
-        view
+        Self::promote(pattern, g, &mut BaseSets::default(), None)
     }
 
     /// Promotes a maintainer from an already-materialized extension.
@@ -169,16 +274,19 @@ impl IncrementalView {
     /// the base sets. This is how a store warms maintainers on the first
     /// delta without re-deriving what materialization already computed.
     pub fn from_result(pattern: Pattern, g: &DataGraph, result: &MatchResult) -> Self {
-        let mut view = Self::cold(pattern, g);
-        if result.is_empty() {
-            return view;
-        }
-        let n = view.universe.len();
-        let mut cand = Vec::with_capacity(view.pattern.node_count());
-        for u in view.pattern.nodes() {
+        Self::promote(pattern, g, &mut BaseSets::default(), Some(result))
+    }
+
+    /// Installs the nonempty exact relation `result` with its support
+    /// counters. The relation is exact, so no candidate lacks support: no
+    /// drain.
+    fn install(&mut self, result: &MatchResult) {
+        let n = self.universe.len();
+        let mut cand = Vec::with_capacity(self.pattern.node_count());
+        for u in self.pattern.nodes() {
             let mut set = BitSet::new(n);
             for v in result.node_set(u) {
-                let i = view.local(*v);
+                let i = self.local(*v);
                 debug_assert!(i.is_some(), "matched node {v} outside every base set");
                 if let Some(i) = i {
                     set.insert(i);
@@ -186,9 +294,7 @@ impl IncrementalView {
             }
             cand.push(set);
         }
-        // The relation is exact, so no candidate lacks support: no drain.
-        view.count_supports(cand);
-        view
+        self.count_supports(cand);
     }
 
     /// Returns whether any mutation since the previous call changed the
@@ -208,9 +314,10 @@ impl IncrementalView {
     /// Estimated heap and inline bytes this maintainer holds: the universe,
     /// the footprint adjacency, the base and candidate bitsets and the
     /// support counters. Independent of `|V|` and `|E|` outside the
-    /// view's footprint.
+    /// view's footprint (see the module docs for the bytes per universe
+    /// node and per footprint edge).
     pub fn resident_bytes(&self) -> usize {
-        fn adj(lists: &Vec<Vec<u32>>) -> usize {
+        fn counters(lists: &Vec<Vec<u32>>) -> usize {
             lists.capacity() * size_of::<Vec<u32>>()
                 + lists
                     .iter()
@@ -226,12 +333,12 @@ impl IncrementalView {
         }
         size_of::<Self>()
             + self.universe.capacity() * size_of::<NodeId>()
-            + adj(&self.out_adj)
-            + adj(&self.in_adj)
+            + self.out_rows.bytes()
+            + self.in_rows.bytes()
             + bits(&self.base)
             + self.rank.capacity() * size_of::<usize>()
             + bits(&self.rel.cand)
-            + adj(&self.rel.fwd)
+            + counters(&self.rel.fwd)
     }
 
     /// The local id of graph node `v`, or `None` when `v` lies in no base
@@ -254,26 +361,21 @@ impl IncrementalView {
     /// Removes footprint edge `(la, lb)` from the adjacency; returns whether
     /// it was present.
     fn unlink(&mut self, la: usize, lb: usize) -> bool {
-        let Some(pos) = self.out_adj[la].iter().position(|&x| x as usize == lb) else {
+        if !self.out_rows.remove(la, lb as u32) {
             return false;
-        };
-        self.out_adj[la].swap_remove(pos);
-        let pos = self.in_adj[lb]
-            .iter()
-            .position(|&x| x as usize == la)
-            .expect("in/out adjacency consistent");
-        self.in_adj[lb].swap_remove(pos);
+        }
+        let present = self.in_rows.remove(lb, la as u32);
+        assert!(present, "in/out adjacency consistent");
         true
     }
 
     /// Adds footprint edge `(la, lb)` to the adjacency; returns whether it
     /// was new.
     fn link(&mut self, la: usize, lb: usize) -> bool {
-        if self.out_adj[la].contains(&(lb as u32)) {
+        if !self.out_rows.insert(la, lb as u32) {
             return false;
         }
-        self.out_adj[la].push(lb as u32);
-        self.in_adj[lb].push(la as u32);
+        self.in_rows.insert(lb, la as u32);
         true
     }
 
@@ -299,7 +401,7 @@ impl IncrementalView {
         let mut seeds = Vec::new();
         for (ei, &(u, t)) in self.pattern.edges().iter().enumerate() {
             let (cu, ct) = (&rel.cand[u.index()], &rel.cand[t.index()]);
-            let zero = initial_support(cu, ct, |v| &self.out_adj[v], &mut rel.fwd[ei]);
+            let zero = initial_support(cu, ct, |v| self.out_rows.row(v), &mut rel.fwd[ei]);
             seeds.extend(zero.into_iter().map(|v| (u, v)));
         }
         self.rel = rel;
@@ -313,14 +415,14 @@ impl IncrementalView {
     /// marks the view empty when a candidate set empties. Returns whether
     /// the view has a match.
     fn settle(&mut self, seeds: Vec<(PatternNodeId, u32)>) -> bool {
-        let in_adj = &self.in_adj;
+        let in_rows = &self.in_rows;
         let stats = &mut JoinStats::default();
         let live = drain(
             &self.pattern,
             &self.rank,
             &mut self.rel,
             seeds,
-            |_, _, v| &in_adj[v as usize],
+            |_, _, v| in_rows.row(v as usize),
             stats,
         );
         if !live {
@@ -375,7 +477,7 @@ impl IncrementalView {
     /// change the view and are no-ops that return `false`.
     pub fn insert_edge(&mut self, a: NodeId, b: NodeId) -> bool {
         match self.footprint_edge(a, b) {
-            Some((la, lb)) if !self.out_adj[la].contains(&(lb as u32)) => {
+            Some((la, lb)) if !self.out_rows.contains(la, lb as u32) => {
                 self.insert_batch(&[(a, b)]);
                 true
             }
@@ -454,7 +556,7 @@ impl IncrementalView {
             let (t, x) = queue[head];
             head += 1;
             for &(u0, _) in self.pattern.in_edges(t) {
-                for &w in &self.in_adj[x] {
+                for &w in self.in_rows.row(x) {
                     let w = w as usize;
                     if self.base[u0.index()].contains(w)
                         && !self.rel.cand[u0.index()].contains(w)
@@ -478,10 +580,10 @@ impl IncrementalView {
         for (ei, &(u, t)) in self.pattern.edges().iter().enumerate() {
             let rel = &mut self.rel;
             let (ru, ct) = (&revive[u.index()], &rel.cand[t.index()]);
-            let zero = initial_support(ru, ct, |v| &self.out_adj[v], &mut rel.fwd[ei]);
+            let zero = initial_support(ru, ct, |v| self.out_rows.row(v), &mut rel.fwd[ei]);
             seeds.extend(zero.into_iter().map(|v| (u, v)));
             for x in revive[t.index()].iter() {
-                for &w in &self.in_adj[x] {
+                for &w in self.in_rows.row(x) {
                     let w = w as usize;
                     if rel.cand[u.index()].contains(w) && !ru.contains(w) {
                         rel.fwd[ei][w] += 1;
@@ -555,7 +657,7 @@ impl IncrementalView {
             let (cu, ct) = (&self.rel.cand[u.index()], &self.rel.cand[t.index()]);
             let mut set = Vec::new();
             for v in cu.iter() {
-                for &w in &self.out_adj[v] {
+                for &w in self.out_rows.row(v) {
                     if ct.contains(w as usize) {
                         set.push((global(v), global(w as usize)));
                     }
@@ -785,6 +887,121 @@ mod tests {
         assert_eq!(big_view.node_count(), g.node_count() + 20_000);
         assert_eq!(big_view.result(), small_view.result());
         assert_eq!(big_view.resident_bytes(), small_view.resident_bytes());
+    }
+
+    /// The memory claim of the module docs: a maintainer whose base sets
+    /// hold thousands of nodes but whose footprint holds four edges costs a
+    /// few bytes per universe node — no per-node row headers.
+    #[test]
+    fn resident_bytes_are_a_few_bytes_per_universe_node() {
+        const PER_LABEL: usize = 3_000;
+        let mut b = GraphBuilder::new();
+        let nodes: Vec<Vec<NodeId>> = ["A", "B", "C"]
+            .iter()
+            .map(|l| (0..PER_LABEL).map(|_| b.add_node([*l])).collect())
+            .collect();
+        let (a, bb, c) = (&nodes[0], &nodes[1], &nodes[2]);
+        for i in [0, PER_LABEL - 1] {
+            b.add_edge(a[i], bb[i]);
+            b.add_edge(bb[i], c[i]);
+        }
+        // Edges outside the footprint: C → A matches no pattern edge.
+        for i in 0..PER_LABEL {
+            b.add_edge(c[i], a[(i * 7 + 1) % PER_LABEL]);
+        }
+        let g = b.build();
+        let q = pattern_abc();
+        let view = IncrementalView::new(q.clone(), &g);
+        assert_eq!(view.result(), match_pattern(&q, &g));
+        let (universe, footprint_edges) = (3 * PER_LABEL, 4);
+        let bound = 24 * universe + 16 * footprint_edges + 4096;
+        assert!(
+            view.resident_bytes() <= bound,
+            "{} resident bytes for {universe} universe nodes and {footprint_edges} \
+             footprint edges (bound {bound})",
+            view.resident_bytes()
+        );
+    }
+
+    /// Both row directions hold sorted rows and mirror each other.
+    fn assert_rows_consistent(view: &IncrementalView) {
+        let n = view.universe.len();
+        for rows in [&view.out_rows, &view.in_rows] {
+            assert_eq!(rows.off.len(), n + 1);
+            assert_eq!(rows.off[n] as usize, rows.vals.len());
+            assert!((0..n).all(|a| rows.row(a).windows(2).all(|w| w[0] < w[1])));
+        }
+        let mirrored = view.out_rows.transpose(n);
+        assert_eq!(mirrored.off, view.in_rows.off);
+        assert_eq!(mirrored.vals, view.in_rows.vals);
+    }
+
+    /// Row edits through `apply_batch` and `patch_adjacency` at the rows of
+    /// the first and the last local id, re-inserts, duplicates and absent
+    /// deletes: the rows stay sorted and mirrored, and the result equals
+    /// `match_pattern` on the mutated graph after every step.
+    #[test]
+    fn row_edits_keep_rows_and_result_exact() {
+        // Local ids equal global ids 0..=5: a1 is the first, b2 the last;
+        // the D node lies outside the universe.
+        let mut b = GraphBuilder::new();
+        let a1 = b.add_node(["A"]);
+        let b1 = b.add_node(["B"]);
+        let c1 = b.add_node(["C"]);
+        let a2 = b.add_node(["A"]);
+        let c2 = b.add_node(["C"]);
+        let b2 = b.add_node(["B"]);
+        let d = b.add_node(["D"]);
+        for (x, y) in [(a1, b1), (b1, c1), (a2, b2), (b2, c2), (d, a1)] {
+            b.add_edge(x, y);
+        }
+        let g = b.build();
+        let q = pattern_abc();
+        let mut view = IncrementalView::new(q.clone(), &g);
+        let mut edges: Vec<(NodeId, NodeId)> = g.edges().collect();
+        let mut step = |view: &mut IncrementalView, del: &[(NodeId, NodeId)], ins: &[_]| {
+            view.apply_batch(del, ins);
+            edges.retain(|e| !del.contains(e));
+            edges.extend(
+                ins.iter()
+                    .filter(|e| !edges.contains(e))
+                    .collect::<Vec<_>>(),
+            );
+            assert_rows_consistent(view);
+            let current = g.with_edges(&edges);
+            assert_eq!(view.result(), match_pattern(&q, &current), "{edges:?}");
+        };
+        step(&mut view, &[(a1, b1)], &[]); // the first row empties
+        step(&mut view, &[], &[(a1, b1)]); // re-insert the deleted edge
+        view.take_dirty();
+        let bytes = view.resident_bytes();
+        step(&mut view, &[], &[(a1, b1)]); // duplicate insert
+        assert!(!view.take_dirty(), "a duplicate insert changes nothing");
+        assert_eq!(view.resident_bytes(), bytes);
+        step(&mut view, &[(a1, b2)], &[]); // absent edge
+        assert!(!view.take_dirty(), "an absent delete changes nothing");
+        step(&mut view, &[(b2, c2)], &[]); // the last row empties
+        step(&mut view, &[], &[(b2, c2), (b2, c1)]); // re-insert, then grow it
+        step(&mut view, &[], &[(a1, b2), (a2, b1)]); // at a row's end and start
+        step(&mut view, &[(a2, b2), (b2, c1)], &[]); // from a row's end and start
+        step(&mut view, &[(b1, c1)], &[(d, a2)]); // cascade; an edge outside
+        assert!(!view.delete_edge(b1, c1), "already deleted");
+        assert!(!view.insert_edge(a1, b2), "already present");
+
+        // Unlink then relink the first and the last rows' edges: the
+        // adjacency returns to where it was, and later mutations stay exact.
+        let (out, inn) = (view.out_rows.clone(), view.in_rows.clone());
+        let both = [(a1, b2), (b2, c2)];
+        view.patch_adjacency(&both, &both);
+        assert_eq!(
+            (&view.out_rows.off, &view.out_rows.vals),
+            (&out.off, &out.vals)
+        );
+        assert_eq!(
+            (&view.in_rows.off, &view.in_rows.vals),
+            (&inn.off, &inn.vals)
+        );
+        step(&mut view, &[(b2, c2)], &[(a1, b1), (b1, c1)]);
     }
 
     #[test]

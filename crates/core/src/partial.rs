@@ -72,33 +72,23 @@ pub fn partial_contain(q: &Pattern, views: &ViewSet) -> PartialPlan {
     PartialPlan::from_lambda(ViewMatchTable::build(q, views).full_lambda())
 }
 
-/// The one path production code reads `G` through for simulation. It
-/// resolves each distinct node predicate to its *base set* (a bitset of
-/// the nodes satisfying it) once, on first use, so a query with repeated
-/// labels — or a batch of views sharing one source — resolves each
-/// predicate once. A predicate with a label atom tests only the nodes
+/// Base sets resolved once per distinct node predicate: the bitset of the
+/// nodes satisfying it. A predicate with a label atom tests only the nodes
 /// [`DataGraph::nodes_with_label`] lists for it; one without scans `V`.
-/// A graph-sourced pattern edge `(u, t)` reads the `out_neighbors` of
-/// `base(u)`, keeping those in `base(t)`.
-pub struct GraphSource<'g> {
-    g: &'g DataGraph,
-    bases: HashMap<Predicate, BitSet>,
-}
+/// The sets depend on node data only, which edge deltas never change, so
+/// one cache stays valid for every graph an edge-delta chain passes
+/// through: [`GraphSource`] owns one per read, and
+/// [`ViewStore`](crate::store::ViewStore)'s writer state keeps one for the
+/// lifetime of its warm maintainers.
+#[derive(Debug, Default)]
+pub(crate) struct BaseSets(HashMap<Predicate, BitSet>);
 
-impl<'g> GraphSource<'g> {
-    /// A source over `g` with no predicate resolved yet.
-    pub fn new(g: &'g DataGraph) -> Self {
-        GraphSource {
-            g,
-            bases: HashMap::new(),
-        }
-    }
-
-    /// The base set of every node of `q`, in node order.
-    pub(crate) fn bases(&mut self, q: &Pattern) -> Vec<&BitSet> {
-        let g = self.g;
+impl BaseSets {
+    /// The base set of every node of `q` over `g`, in node order,
+    /// resolving the predicates not seen before.
+    pub(crate) fn of(&mut self, g: &DataGraph, q: &Pattern) -> Vec<&BitSet> {
         for p in q.preds() {
-            if self.bases.contains_key(p) {
+            if self.0.contains_key(p) {
                 continue;
             }
             let resolved = p.resolve(g);
@@ -120,9 +110,50 @@ impl<'g> GraphSource<'g> {
                 }
                 None => g.nodes().for_each(&mut add),
             }
-            self.bases.insert(p.clone(), set);
+            self.0.insert(p.clone(), set);
         }
-        q.preds().iter().map(|p| &self.bases[p]).collect()
+        q.preds().iter().map(|p| &self.0[p]).collect()
+    }
+
+    /// Drops the sets of predicates no pattern of `keep` uses.
+    pub(crate) fn retain_used<'p>(&mut self, keep: impl IntoIterator<Item = &'p Pattern>) {
+        let used: std::collections::HashSet<&Predicate> =
+            keep.into_iter().flat_map(|q| q.preds()).collect();
+        self.0.retain(|p, _| used.contains(p));
+    }
+
+    /// Heap bytes of the resolved sets.
+    pub(crate) fn resident_bytes(&self) -> usize {
+        self.0
+            .values()
+            .map(|s| s.capacity().div_ceil(64) * std::mem::size_of::<u64>())
+            .sum()
+    }
+}
+
+/// The one path production code reads `G` through for simulation. It
+/// resolves each distinct node predicate to its base set once, on first
+/// use (a `BaseSets` cache), so a query with repeated labels — or a batch of
+/// views sharing one source — resolves each predicate once. A
+/// graph-sourced pattern edge `(u, t)` reads the `out_neighbors` of
+/// `base(u)`, keeping those in `base(t)`.
+pub struct GraphSource<'g> {
+    g: &'g DataGraph,
+    bases: BaseSets,
+}
+
+impl<'g> GraphSource<'g> {
+    /// A source over `g` with no predicate resolved yet.
+    pub fn new(g: &'g DataGraph) -> Self {
+        GraphSource {
+            g,
+            bases: BaseSets::default(),
+        }
+    }
+
+    /// The base set of every node of `q`, in node order.
+    pub(crate) fn bases(&mut self, q: &Pattern) -> Vec<&BitSet> {
+        self.bases.of(self.g, q)
     }
 
     /// The graph-sourced match set of pattern edge `e`: the graph edges

@@ -419,7 +419,8 @@ pub struct ServiceStats {
     /// Per-shard occupancy of the backing store.
     pub shard_occupancy: Vec<ShardOccupancy>,
     /// Estimated resident bytes of the store's warm incremental
-    /// maintainers ([`ViewStore::maintainer_bytes`]).
+    /// maintainers and the base sets they share
+    /// ([`ViewStore::maintainer_bytes`]).
     pub maintainer_bytes: usize,
     /// Log₂ latency histogram over all served queries.
     pub latency: LatencyHistogram,

@@ -46,7 +46,7 @@ use crate::compact::CompactView;
 use crate::delta::{EdgeDelta, ViewFootprintIndex};
 use crate::maintenance::IncrementalView;
 use crate::matchjoin::Simulation;
-use crate::partial::GraphSource;
+use crate::partial::{BaseSets, GraphSource};
 use crate::shard::{decode_shard, encode_shard, ShardError, StoreMeta, SHARD_VERSION};
 use crate::storage::graph_fingerprint;
 use crate::view::{materialize, ViewDef, ViewExtensions, ViewSet};
@@ -249,6 +249,12 @@ struct WriterState {
     /// reuses it (and never changes labels), so one index serves a whole
     /// delta chain.
     footprints: Option<(Arc<ViewSet>, ViewFootprintIndex)>,
+    /// The base sets every promotion reads, resolved once per distinct
+    /// predicate and shared by the maintainers that use it. Valid for the
+    /// store's lifetime: its graph changes only by edge deltas, which never
+    /// change node data. Pruned to the resident views' predicates when the
+    /// footprint index is rebuilt for a new membership.
+    bases: BaseSets,
 }
 
 /// FNV-1a over a view id: decorrelates consecutive ids so round-robin
@@ -581,15 +587,17 @@ impl ViewStore {
     }
 
     /// Estimated resident bytes of the warm maintainers, summed
-    /// ([`IncrementalView::resident_bytes`]). Takes the writer lock, so it
-    /// waits out an in-progress delta.
+    /// ([`IncrementalView::resident_bytes`]), plus the base sets they were
+    /// promoted from. Takes the writer lock, so it waits out an
+    /// in-progress delta.
     pub fn maintainer_bytes(&self) -> usize {
         let writer = self.writer.lock().expect("writer lock poisoned");
-        writer
+        let warm: usize = writer
             .warm
             .values()
             .map(IncrementalView::resident_bytes)
-            .sum()
+            .sum();
+        warm + writer.bases.resident_bytes()
     }
 
     /// The current published MVCC snapshot: `Arc` handles to every resident
@@ -697,6 +705,9 @@ impl ViewStore {
             _ => {
                 let index =
                     ViewFootprintIndex::build(resident.iter().map(|v| (v.id, &v.def)), current);
+                writer
+                    .bases
+                    .retain_used(resident.iter().map(|v| &v.def.pattern));
                 &writer.footprints.insert((snap.view_set.clone(), index)).1
             }
         };
@@ -708,9 +719,12 @@ impl ViewStore {
             let v = &resident[position(id).expect("affected view is resident")];
             // Cold maintainers are promoted straight from the stored
             // (pre-delta) extension — the relation is already known, so no
-            // refinement fixpoint runs even on the first delta.
+            // refinement fixpoint runs even on the first delta — and share
+            // the writer's base sets.
             let m = writer.warm.entry(v.id).or_insert_with(|| {
-                IncrementalView::from_result(v.def.pattern.clone(), current, &v.ext.thaw())
+                let result = v.ext.thaw();
+                let pattern = v.def.pattern.clone();
+                IncrementalView::promote(pattern, current, &mut writer.bases, Some(&result))
             });
             m.apply_batch(&delta.deletes, &delta.inserts);
             if !m.take_dirty() {

@@ -13,6 +13,7 @@
 //! views inserted and removed between them.
 
 use gpv_generator::{random_graph, random_pattern, PatternShape, Scenario};
+use graph_views::pattern::CmpOp;
 use graph_views::prelude::*;
 use graph_views::views::storage::graph_fingerprint;
 use graph_views::views::store::ViewStore;
@@ -247,6 +248,111 @@ fn store_deltas_see_views_inserted_and_removed_between_them() {
     let report = store.apply_delta(&back, &report.graph).unwrap();
     assert_eq!(report.affected, vec![vab]);
     assert_eq!(report.unaffected, 0);
+}
+
+/// Promotions share the store's base sets, resolved once per distinct
+/// predicate. Views here share predicates, and some predicates share a
+/// label but differ in an attribute atom, so a promotion that read a set
+/// resolved for another predicate would admit the wrong nodes. Views are
+/// promoted over several deltas, one is registered between deltas, and
+/// every extension must equal its rematerialization after every delta.
+#[test]
+fn store_promotions_share_base_sets_per_predicate() {
+    let labels = ["A", "B", "C"];
+    let n = 42u32;
+    let mut b = GraphBuilder::new();
+    let nodes: Vec<NodeId> = (0..n)
+        .map(|i| {
+            let v = b.add_node([labels[i as usize % 3]]);
+            b.set_attr(v, "w", Value::Int(i64::from(i * 7 % 4)));
+            v
+        })
+        .collect();
+    let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+    let mut next = move |m: u32| {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        (rng % u64::from(m)) as u32
+    };
+    for _ in 0..2 * n {
+        b.add_edge(nodes[next(n) as usize], nodes[next(n) as usize]);
+    }
+    let g = b.build();
+
+    let a = Predicate::label("A");
+    let heavy_a = Predicate::label("A").and(Predicate::cmp("w", CmpOp::Ge, 2i64));
+    let light_b = Predicate::label("B").and(Predicate::cmp("w", CmpOp::Lt, 2i64));
+    let heavy = Predicate::cmp("w", CmpOp::Ge, 1i64);
+    let chain = |preds: &[&Predicate]| {
+        let mut pb = PatternBuilder::new();
+        let ids: Vec<_> = preds.iter().map(|p| pb.node((*p).clone())).collect();
+        for w in ids.windows(2) {
+            pb.edge(w[0], w[1]);
+        }
+        pb.build().unwrap()
+    };
+    let (lb, lc) = (Predicate::label("B"), Predicate::label("C"));
+    let defs = [
+        ("ab", chain(&[&a, &lb])),
+        ("heavy-a b", chain(&[&heavy_a, &lb])),
+        ("bc", chain(&[&lb, &lc])),
+        ("light-b c", chain(&[&light_b, &lc])),
+        ("abc", chain(&[&a, &lb, &lc])),
+        ("heavy-a heavy", chain(&[&heavy_a, &heavy])),
+    ];
+    let views = ViewSet::new(
+        defs.iter()
+            .map(|(n, q)| ViewDef::new(*n, q.clone()))
+            .collect(),
+    );
+    let store = ViewStore::materialize(views, &g, 2);
+    let check = |store: &ViewStore, g: &DataGraph| {
+        for v in store.snapshot().views() {
+            let expected = match_pattern(&v.def.pattern, g);
+            assert_eq!(v.ext.thaw(), expected, "view {} after a delta", v.def.name);
+        }
+    };
+
+    // An A → A edge touches label A only: the views without an A or an
+    // unlabeled node stay cold until a later delta touches them.
+    let (a0, a1) = (nodes[0], nodes[3]);
+    let first = EdgeDelta::new(vec![(a0, a1)], vec![]);
+    let report = store.apply_delta(&first, &g).unwrap();
+    let all = store.snapshot().ids();
+    assert!(!report.affected.is_empty() && report.affected.len() < all.len());
+    let mut g = report.graph;
+    check(&store, &g);
+    let (c0, c1) = (nodes[2], nodes[5]);
+    g = store
+        .apply_delta(&EdgeDelta::new(vec![(c0, c1)], vec![]), &g)
+        .unwrap()
+        .graph;
+    check(&store, &g);
+    store
+        .insert(
+            ViewDef::new("heavy-a light-b", chain(&[&heavy_a, &light_b])),
+            &g,
+        )
+        .unwrap();
+
+    for round in 0..40 {
+        let mut inserts = Vec::new();
+        let mut deletes = Vec::new();
+        for _ in 0..1 + round % 3 {
+            let e = (nodes[next(n) as usize], nodes[next(n) as usize]);
+            if g.has_edge(e.0, e.1) {
+                deletes.push(e);
+            } else {
+                inserts.push(e);
+            }
+        }
+        g = store
+            .apply_delta(&EdgeDelta::new(inserts, deletes), &g)
+            .unwrap()
+            .graph;
+        check(&store, &g);
+    }
 }
 
 proptest! {
