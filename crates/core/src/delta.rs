@@ -57,11 +57,47 @@
 //! whose edges lands in it leaves `Q(G)` unchanged. Theorem 1 makes every
 //! plan's answer equal to `match_pattern(Q, G)`, so this holds whatever
 //! plan produced the answer.
+//!
+//! # Soundness of the answer-level test
+//!
+//! [`QueryFootprint::may_change`] goes one step further for edges inside
+//! the footprint: it reads the cached answer itself. Let `R` be the
+//! maximum simulation on `G` and `R'` the one on `G'`, `sim(x)` be `R(x)`,
+//! and say a pattern edge `e = (x, y)` *fits* `(u, v)` when `u ⊨ x` and
+//! `v ⊨ y`. For a non-empty answer, `sim(x)` is the source column of
+//! `S_(x, z)` for any out-edge of `x` (every member of `R(x)` has a
+//! witness), and a sink's `sim(y)` is all of `base(y)`.
+//!
+//! * **Delete `(u, v)`.** Deleting edges only shrinks the maximum
+//!   simulation. If `(u, v)` is in no `S_e`, no witness `R` uses is gone,
+//!   so `R` is still a simulation on `G'` and `R' = R`; the `S_e` do not
+//!   contain the edge either. An empty answer stays empty.
+//! * **Insert `(u, v)` into a non-empty answer.** Inserting only grows the
+//!   maximum simulation, and the only pairs that can use the new edge as a
+//!   witness are `(x, u)` for fitting `e`. A pair with `u ∈ R(x)` already
+//!   has witnesses in `R`. Suppose every fitting `e` has `v ∉ sim(y)` and
+//!   either `u ∈ sim(x)` or no fitting source reachable from `y` (reflexive
+//!   reachability). If `R' ≠ R`, some new pair `(x, u)` needs the new
+//!   edge, so `(y, v) ∈ R' \ R` for its fitting `e`, and `u ∉ sim(x)`, so
+//!   no fitting source is reachable from `y`. The new pairs over nodes
+//!   reachable from `y`, joined with `R`, then form a simulation on `G`:
+//!   their witnesses are in `R` or again reachable from `y`, and none of
+//!   them is a pair that could use the new edge. So they lie in `R`, which
+//!   contradicts `(y, v) ∉ R`. Hence `R' = R`, and `(u, v)` enters no `S_e`
+//!   because `v ∉ sim(y)`. An edge into a sink's base always fails the
+//!   test, as does any footprint insert into an empty answer.
+//!
+//! A batch applies its edges one at a time, deletes first. Each edge that
+//! passes the test leaves the answer as it was, so the next edge is tested
+//! against the same answer; the rules read the answer and node data only,
+//! never the intermediate graph's edges. If every edge passes, the batch
+//! leaves the answer unchanged.
 
+use crate::compact::CompactView;
 use crate::store::StoreError;
 use crate::view::ViewDef;
 use gpv_graph::{DataGraph, LabelId, NodeId};
-use gpv_pattern::{Pattern, ResolvedPredicate};
+use gpv_pattern::{Pattern, PatternEdgeId, PatternNodeId, ResolvedPredicate};
 use std::collections::{HashMap, HashSet};
 
 /// A batch of edge mutations against a [`DataGraph`].
@@ -183,43 +219,150 @@ impl ViewFootprint {
     }
 }
 
-/// The edges a pattern query's answer can depend on: one `(source, target)`
-/// predicate pair per pattern edge, resolved against a graph's interners.
-/// `Q(G)` reads only edges `(u, v)` with `u ⊨ source` and `v ⊨ target` for
-/// some pair — see the module docs for the argument.
+/// The edges a pattern query's answer can depend on, and what the answer
+/// must look like for an edge of them to leave it unchanged. `Q(G)` reads
+/// only edges `(u, v)` with `u ⊨ x` and `v ⊨ y` for some pattern edge
+/// `(x, y)` — the edge *fits* `(u, v)`; [`touched_by`](Self::touched_by)
+/// tests that, [`may_change`](Self::may_change) tests the cached answer
+/// itself. See the module docs for both arguments.
 ///
 /// Resolutions stay valid for every graph a delta chain derives from the
 /// resolution graph: successors share its interners, and deltas never
 /// change node data.
 #[derive(Clone, Debug)]
 pub struct QueryFootprint {
-    edges: Vec<(ResolvedPredicate, ResolvedPredicate)>,
+    /// Each pattern node's predicate, resolved.
+    preds: Vec<ResolvedPredicate>,
+    /// Pattern edge `e` as `(source, target)`.
+    edges: Vec<(PatternNodeId, PatternNodeId)>,
+    /// Each pattern node's first out-edge, `None` for a sink: `sim(x)` is
+    /// the source column of that edge's match set.
+    first_out: Vec<Option<PatternEdgeId>>,
+    /// `reach[y * words..][..words]`: the pattern nodes reachable from `y`,
+    /// `y` itself included, one bit each.
+    reach: Vec<u64>,
+    words: usize,
 }
 
 impl QueryFootprint {
-    /// Resolves `q`'s pattern edges against `g`.
+    /// Resolves `q` against `g` and computes its pattern reachability.
     pub fn of(q: &Pattern, g: &DataGraph) -> QueryFootprint {
-        let preds: Vec<ResolvedPredicate> = q.preds().iter().map(|p| p.resolve(g)).collect();
+        let n = q.node_count();
+        let words = n.div_ceil(64);
+        let mut reach = vec![0u64; n * words];
+        let mut stack = Vec::new();
+        for y in q.nodes() {
+            let row = &mut reach[y.index() * words..][..words];
+            stack.push(y);
+            while let Some(x) = stack.pop() {
+                let (w, bit) = (x.index() / 64, 1u64 << (x.index() % 64));
+                if row[w] & bit == 0 {
+                    row[w] |= bit;
+                    stack.extend(q.out_edges(x).iter().map(|&(z, _)| z));
+                }
+            }
+        }
         QueryFootprint {
-            edges: q
-                .edges()
-                .iter()
-                .map(|&(x, y)| (preds[x.index()].clone(), preds[y.index()].clone()))
+            preds: q.preds().iter().map(|p| p.resolve(g)).collect(),
+            edges: q.edges().to_vec(),
+            first_out: q
+                .nodes()
+                .map(|x| q.out_edges(x).first().map(|&(_, e)| e))
                 .collect(),
+            reach,
+            words,
         }
     }
 
-    /// Whether some inserted or deleted edge `(u, v)` of `delta` lies in
-    /// the footprint: `u ⊨ source` and `v ⊨ target` for some pattern edge.
-    /// `g` is any graph sharing node data with the resolution graph (the
-    /// pre- or the post-delta graph); endpoints must be in range.
+    /// The pattern edges that fit `(u, v)`: `u ⊨ x` and `v ⊨ y`.
+    fn fitting<'a>(
+        &'a self,
+        g: &'a DataGraph,
+        (u, v): (NodeId, NodeId),
+    ) -> impl Iterator<Item = PatternEdgeId> + 'a {
+        self.edges
+            .iter()
+            .enumerate()
+            .filter_map(move |(e, &(x, y))| {
+                (self.preds[x.index()].satisfied_by(g, u)
+                    && self.preds[y.index()].satisfied_by(g, v))
+                .then_some(PatternEdgeId(e as u32))
+            })
+    }
+
+    /// Whether some inserted or deleted edge of `delta` lies in the
+    /// footprint: some pattern edge fits it. `g` is any graph sharing node
+    /// data with the resolution graph (the pre- or the post-delta graph);
+    /// endpoints must be in range.
     pub fn touched_by(&self, delta: &EdgeDelta, g: &DataGraph) -> bool {
-        delta.inserts.iter().chain(&delta.deletes).any(|&(u, v)| {
-            self.edges
+        delta
+            .inserts
+            .iter()
+            .chain(&delta.deletes)
+            .any(|&uv| self.fitting(g, uv).next().is_some())
+    }
+
+    /// Whether `delta` may change `answer`, the query's plain-simulation
+    /// answer on the pre-delta graph. `false` is a proof that the answer
+    /// on the post-delta graph has the same edge sets, and so the same
+    /// simulation relation; `true` only means the test cannot tell. The
+    /// batch is tested edge by edge, deletes first, each against `answer`
+    /// (see the module docs for the rules and why they hold). `g` is as
+    /// for [`touched_by`](Self::touched_by).
+    pub fn may_change(&self, delta: &EdgeDelta, answer: &CompactView, g: &DataGraph) -> bool {
+        if answer.is_empty() {
+            // Deletes only shrink an empty simulation further.
+            return delta
+                .inserts
                 .iter()
-                .any(|(src, dst)| src.satisfied_by(g, u) && dst.satisfied_by(g, v))
+                .any(|&uv| self.fitting(g, uv).next().is_some());
+        }
+        if answer.edge_count() != self.edges.len() {
+            // Not an answer to this query: nothing can be proved.
+            return true;
+        }
+        let deletes = delta.deletes.iter().any(|&uv| {
+            self.fitting(g, uv)
+                .any(|e| answer.edge_set(e).binary_search(&uv).is_ok())
+        });
+        deletes
+            || delta
+                .inserts
+                .iter()
+                .any(|&uv| self.insert_may_change(answer, g, uv))
+    }
+
+    /// The insert rule for a non-empty `answer`: `(u, v)` leaves it
+    /// unchanged when, for every fitting `e = (x, y)`, `v ∉ sim(y)` and
+    /// either `u ∈ sim(x)` or no fitting source is reachable from `y`.
+    fn insert_may_change(
+        &self,
+        answer: &CompactView,
+        g: &DataGraph,
+        (u, v): (NodeId, NodeId),
+    ) -> bool {
+        let mut sources = vec![0u64; self.words];
+        for e in self.fitting(g, (u, v)) {
+            let x = self.edges[e.index()].0.index();
+            sources[x / 64] |= 1 << (x % 64);
+        }
+        self.fitting(g, (u, v)).any(|e| {
+            let y = self.edges[e.index()].1.index();
+            // A sink's `sim` is its whole base set, which `v` is in.
+            let v_in_sim_y = self.first_out[y].is_none_or(|f| is_source(answer.edge_set(f), v));
+            let reaches_source = self.reach[y * self.words..][..self.words]
+                .iter()
+                .zip(&sources)
+                .any(|(r, s)| r & s != 0);
+            v_in_sim_y || (!is_source(answer.edge_set(e), u) && reaches_source)
         })
     }
+}
+
+/// Whether `w` is a source of the sorted match set `set`.
+fn is_source(set: &[(NodeId, NodeId)], w: NodeId) -> bool {
+    let i = set.partition_point(|&(a, _)| a < w);
+    set.get(i).is_some_and(|&(a, _)| a == w)
 }
 
 /// An interned-label index over stored view definitions: the affected-view
@@ -381,6 +524,123 @@ mod tests {
         assert_eq!(idx.affected(&a_b, &g), vec![0, 1]);
         // Empty delta affects nothing.
         assert!(idx.affected(&EdgeDelta::default(), &g).is_empty());
+    }
+
+    /// `q` over `g`, its footprint and its frozen answer; `may_change` of
+    /// `delta`, checked against recomputation whenever it claims `false`.
+    fn may_change(q: &Pattern, g: &DataGraph, delta: EdgeDelta) -> bool {
+        let before = match_pattern(q, g);
+        let changes = QueryFootprint::of(q, g).may_change(&delta, &CompactView::freeze(&before), g);
+        if !changes {
+            let after = match_pattern(q, &delta.apply_to(g));
+            assert_eq!(after, before, "{delta:?} changed the answer");
+            assert_eq!(after.node_matches, before.node_matches);
+        }
+        changes
+    }
+
+    /// `A ⇄ B`: the 2-cycle pattern, every node reaches every other.
+    fn cycle() -> Pattern {
+        let mut pb = PatternBuilder::new();
+        let x = pb.node_labeled("A");
+        let y = pb.node_labeled("B");
+        pb.edge(x, y);
+        pb.edge(y, x);
+        pb.build().unwrap()
+    }
+
+    /// Nodes a1(A) b1(B) a2(A) b2(B); edges a1⇄b1 and `extra`.
+    fn cycle_graph(extra: &[(u32, u32)]) -> DataGraph {
+        let mut b = GraphBuilder::new();
+        for l in ["A", "B", "A", "B"] {
+            b.add_node([l]);
+        }
+        for &(u, v) in [(0, 1), (1, 0)].iter().chain(extra) {
+            b.add_edge(NodeId(u), NodeId(v));
+        }
+        b.build()
+    }
+
+    fn insert(u: u32, v: u32) -> EdgeDelta {
+        EdgeDelta::new(vec![(NodeId(u), NodeId(v))], vec![])
+    }
+
+    #[test]
+    fn insert_closing_a_cycle_outside_sim_may_change() {
+        // b2→a2 exists; a2→b2 closes a second A⇄B cycle. Neither endpoint
+        // is in `sim`, and A is reachable from B.
+        let g = cycle_graph(&[(3, 2)]);
+        assert!(may_change(&cycle(), &g, insert(2, 3)));
+    }
+
+    #[test]
+    fn insert_from_a_source_in_sim_to_a_node_outside_sim_keeps_the_answer() {
+        // a1 ∈ sim(A), b2 ∉ sim(B): the new edge witnesses nothing new,
+        // even though A is reachable from B.
+        let g = cycle_graph(&[]);
+        assert!(!may_change(&cycle(), &g, insert(0, 3)));
+        // An edge from a2 into b1 ∈ sim(B) puts a2 into sim(A).
+        let g = cycle_graph(&[(2, 3)]);
+        assert!(may_change(&cycle(), &g, insert(2, 1)));
+    }
+
+    #[test]
+    fn insert_outside_sim_with_no_fitting_source_downstream_keeps_the_answer() {
+        // A→B→C with a1→b1→c1, and a2(A), b2(B) outside `sim`: nothing
+        // downstream of B is an A, so a2→b2 changes nothing.
+        let mut pb = PatternBuilder::new();
+        let (x, y, z) = (
+            pb.node_labeled("A"),
+            pb.node_labeled("B"),
+            pb.node_labeled("C"),
+        );
+        pb.edge(x, y);
+        pb.edge(y, z);
+        let q = pb.build().unwrap();
+        let mut b = GraphBuilder::new();
+        for l in ["A", "B", "C", "A", "B"] {
+            b.add_node([l]);
+        }
+        b.add_edge(NodeId(0), NodeId(1));
+        b.add_edge(NodeId(1), NodeId(2));
+        let g = b.build();
+        assert!(!may_change(&q, &g, insert(3, 4)));
+        // b2→c1 puts b2 into sim(B): then a2→b2 does change the answer.
+        assert!(may_change(
+            &q,
+            &g,
+            EdgeDelta::new(vec![(NodeId(3), NodeId(4)), (NodeId(4), NodeId(2))], vec![])
+        ));
+    }
+
+    #[test]
+    fn insert_into_a_sink_always_may_change() {
+        // A→B with a→b1 and an isolated b2: b2 ∈ sim(B) = base(B), so
+        // a→b2 adds a pair although no match set holds b2.
+        let mut b = GraphBuilder::new();
+        for l in ["A", "B", "B"] {
+            b.add_node([l]);
+        }
+        b.add_edge(NodeId(0), NodeId(1));
+        let g = b.build();
+        assert!(may_change(&single("A", "B"), &g, insert(0, 2)));
+    }
+
+    #[test]
+    fn deletes_outside_the_match_sets_and_empty_answers() {
+        let g = cycle_graph(&[(2, 3)]);
+        // a2→b2 is in no S_e (b2 has no way back to an A).
+        let del = |u, v| EdgeDelta::new(vec![], vec![(NodeId(u), NodeId(v))]);
+        assert!(!may_change(&cycle(), &g, del(2, 3)));
+        assert!(may_change(&cycle(), &g, del(0, 1)));
+        // An empty answer survives any delete, but not a fitting insert.
+        let g = graph();
+        let q = single("C", "A");
+        assert!(match_pattern(&q, &g).is_empty());
+        assert!(!may_change(&q, &g, del(1, 2)));
+        assert!(may_change(&q, &g, insert(2, 0)));
+        // An insert outside the footprint passes even on an empty answer.
+        assert!(!may_change(&q, &g, insert(0, 1)));
     }
 
     #[test]

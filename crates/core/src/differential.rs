@@ -29,7 +29,7 @@
 //! `DifferentialCase` inputs from a one-line JSON descriptor; the `gpv
 //! fuzz` subcommand drives sampled scenarios through these checks.
 
-use crate::delta::EdgeDelta;
+use crate::delta::{EdgeDelta, QueryFootprint};
 use crate::engine::{EngineConfig, QueryEngine};
 use crate::plan::QueryPlan;
 use crate::service::{ServiceConfig, ViewService};
@@ -144,6 +144,11 @@ pub struct DifferentialReport {
     /// Result-cache hits for graph-reading plans served in the round right
     /// after a delta: answers the delta's footprint refresh kept warm.
     pub graph_hits_after_delta: u64,
+    /// Result-cache hits for graph-reading plans served after a delta
+    /// that touched the query's footprint, since the answer was last
+    /// computed: answers only the answer-level test
+    /// ([`QueryFootprint::may_change`]) could keep warm.
+    pub graph_hits_after_touching_delta: u64,
 }
 
 impl DifferentialReport {
@@ -162,6 +167,7 @@ impl DifferentialReport {
         self.plan_cache_hits += other.plan_cache_hits;
         self.result_cache_hits += other.result_cache_hits;
         self.graph_hits_after_delta += other.graph_hits_after_delta;
+        self.graph_hits_after_touching_delta += other.graph_hits_after_touching_delta;
     }
 }
 
@@ -386,6 +392,9 @@ pub fn check_plain(
     let mut current = case.graph.clone();
     let mut truth: Vec<Option<MatchResult>> = expected.into_iter().map(Some).collect();
     let mut after_delta = false;
+    // Per query: whether a delta touched its footprint since its answer
+    // was last computed.
+    let mut touched = vec![false; case.queries.len()];
     for (round, schedule) in case.rounds.iter().enumerate() {
         let batch: Vec<Pattern> = schedule.iter().map(|&i| case.queries[i].clone()).collect();
         let answers = service.serve_batch(&batch, Some(&current));
@@ -396,10 +405,15 @@ pub fn check_plain(
                 Ok(sa) => {
                     // In the round right after a delta, a graph-reading
                     // result-cache hit (not a dedup copy of one) can only
-                    // come from an entry the delta's refresh re-stamped.
-                    if after_delta && sa.result_cached && !sa.deduplicated && sa.plan.needs_graph()
-                    {
-                        report.graph_hits_after_delta += 1;
+                    // come from an entry the delta's refresh re-stamped;
+                    // after a delta that touched the query's footprint,
+                    // only from one the answer-level test kept.
+                    if sa.result_cached && !sa.deduplicated && sa.plan.needs_graph() {
+                        report.graph_hits_after_delta += u64::from(after_delta);
+                        report.graph_hits_after_touching_delta += u64::from(touched[qi]);
+                    }
+                    if !sa.result_cached && !sa.deduplicated {
+                        touched[qi] = false;
                     }
                     if *sa.result != *want {
                         return Err(Box::new(Divergence {
@@ -453,6 +467,9 @@ pub fn check_plain(
                     detail: format!("store rejected a valid edge delta: {e:?}"),
                 })
             })?;
+            for (t, q) in touched.iter_mut().zip(case.queries) {
+                *t |= QueryFootprint::of(q, &current).touched_by(delta, &current);
+            }
             current = applied.graph;
             after_delta = true;
             report.edge_deltas += 1;

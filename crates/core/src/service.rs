@@ -24,12 +24,15 @@
 //!   exactly the answers that read *A* — answers reading only other views
 //!   keep hitting across the delta, which is the point of delta-maintained
 //!   serving: an update never colds the whole cache, let alone forces a
-//!   rebuild. A graph-reading answer also keeps its query's **edge
-//!   footprint** ([`QueryFootprint`]): [`ViewService::apply_delta`] moves
-//!   the stamp of every such answer the delta's edges miss forward to the
-//!   post-delta snapshot, so a 1-edge delta re-runs only the graph-reading
-//!   queries it can change. Failures are not cached: a strict (`g = None`)
-//!   call the views cannot answer is refused again from its cached plan;
+//!   rebuild. An answer computed with the graph supplied also keeps its
+//!   query's **footprint** ([`QueryFootprint`]): [`ViewService::apply_delta`]
+//!   moves the stamp of every such answer forward to the post-delta
+//!   snapshot when the delta's edges miss the footprint, or when the
+//!   answer-level test ([`QueryFootprint::may_change`]) proves the answer
+//!   unchanged, so a 1-edge delta re-runs only the queries it does change
+//!   (and inserts into empty answers). Failures are not cached: a strict
+//!   (`g = None`) call the views cannot answer is refused again from its
+//!   cached plan;
 //! * **deduplicates identical queries inside a batch**, executing each
 //!   distinct query once and fanning the result out. All three maps key
 //!   by a structural [`query_fingerprint`] and confirm a hit by comparing
@@ -122,10 +125,10 @@ pub fn query_fingerprint(q: &Pattern) -> u64 {
 /// the plan consumes, so the claim holds when the answer is computed; a
 /// delta touching a consumed view (or the graph, for graph-reading plans)
 /// moves the stamp and misses exactly — a delta to an *untouched* view
-/// leaves it valid. [`ViewService::apply_delta`] re-stamps a graph-reading
-/// answer only when the delta misses its [`QueryFootprint`], so a refresh
-/// only ever makes a true claim. The view positions are computed once per
-/// plan ([`QueryPlan::view_indices`]): a stamp allocates nothing.
+/// leaves it valid. [`ViewService::apply_delta`] re-stamps an answer only
+/// when its [`QueryFootprint`] proves the delta leaves it unchanged, so a
+/// refresh only ever makes a true claim. The view positions are computed
+/// once per plan ([`QueryPlan::view_indices`]): a stamp allocates nothing.
 fn plan_epoch_key(plan: &QueryPlan, snap: &StoreSnapshot) -> u64 {
     let epochs = snap.epochs();
     let mut key = 0u64;
@@ -405,6 +408,13 @@ pub struct ServiceStats {
     pub result_cache_hit_rate: f64,
     /// Answers evicted to stay within the byte budget.
     pub result_cache_evictions: u64,
+    /// Cached answers a delta kept valid because it missed their query's
+    /// footprint ([`QueryFootprint::touched_by`]).
+    pub result_kept_untouched: u64,
+    /// Cached answers a delta touched but kept valid because the
+    /// answer-level test proved them unchanged
+    /// ([`QueryFootprint::may_change`]).
+    pub result_kept_unchanged: u64,
     /// Queries answered by intra-batch deduplication.
     pub dedup_saved: u64,
     /// Queries that actually planned and executed (no cache hit, no
@@ -444,6 +454,9 @@ struct Counters {
     in_flight: AtomicU64,
     max_in_flight: AtomicU64,
     latency: [AtomicU64; LATENCY_BUCKETS],
+    /// Entries re-stamped by a delta, per test (written only by deltas).
+    kept_untouched: AtomicU64,
+    kept_unchanged: AtomicU64,
 }
 
 /// The engine snapshot the service executes against, tagged with the store
@@ -539,8 +552,10 @@ const ATOM_BYTES: usize = 64;
 /// bytes, no boxed per-set `Vec` headers or allocator scatter to guess at —
 /// plus the entry's own bookkeeping ([`RESULT_ENTRY_OVERHEAD`]) and an
 /// estimate of its collision witness and footprint: [`ATOM_BYTES`] per
-/// atom plus the atom strings, and four node-id pairs per pattern edge
-/// (edge list, both adjacency lists, the footprint pair). The configured
+/// atom plus the atom strings, four node-id pairs per pattern edge (edge
+/// list, both adjacency lists, the footprint pair) and two words per
+/// pattern node (the footprint's first out-edge and reachability row; one
+/// row word covers 64 nodes). The configured
 /// budget therefore bounds what the cache actually keeps resident, not
 /// just the logical pair count.
 fn result_entry_bytes(compact: &CompactView, q: &Pattern) -> usize {
@@ -565,6 +580,7 @@ fn result_entry_bytes(compact: &CompactView, q: &Pattern) -> usize {
     compact.resident_bytes()
         + atoms
         + q.edge_count() * 4 * std::mem::size_of::<(u32, u32)>()
+        + q.node_count() * 2 * std::mem::size_of::<u64>()
         + RESULT_ENTRY_OVERHEAD
 }
 
@@ -583,17 +599,18 @@ struct ResultCacheEntry {
     compact: Arc<CompactView>,
     plan: Arc<QueryPlan>,
     join_stats: JoinStats,
-    /// The query's edge footprint, resolved against the batch's validated
-    /// graph — exactly when `plan` reads `G` (`None` for views-only
+    /// The query's footprint, resolved against the batch's validated
+    /// graph — whenever the batch carried one (`None` for strict-mode
     /// answers, which follow the view-epoch rule alone).
     footprint: Option<QueryFootprint>,
     /// The epoch-set stamp ([`plan_epoch_key`]) of the snapshot the answer
-    /// was computed against, or moved forward by a delta that missed
-    /// `footprint` ([`ViewService::apply_delta`]). A probe recomputes the
-    /// stamp from `plan` against the *current* snapshot and hits only on
-    /// equality: every view (and, for graph-reading plans, every graph edge
-    /// the query can read) this answer depends on is then unchanged, so
-    /// the answer still holds.
+    /// was computed against, or moved forward by a delta that `footprint`
+    /// proves leaves the answer unchanged ([`ViewService::apply_delta`]).
+    /// A probe recomputes the stamp from `plan` against the *current*
+    /// snapshot and hits only on equality: every view (and, for
+    /// graph-reading plans, every graph edge the query can read) this
+    /// answer depends on is then unchanged, or the footprint proved the
+    /// delta between left the answer as it is.
     epoch_key: u64,
     bytes: usize,
     last_used: AtomicU64,
@@ -607,9 +624,9 @@ struct ResultCacheEntry {
 /// requires the entry's epoch-set stamp to match the current snapshot
 /// ([`ResultCacheEntry::epoch_key`]), so an [`EdgeDelta`] invalidates
 /// precisely the answers whose plans read a changed view — answers over
-/// untouched views survive the mutation. Graph-reading answers survive
-/// too unless the delta lands in their query's edge footprint:
-/// [`ViewService::apply_delta`] re-stamps the others. A view-set
+/// untouched views survive the mutation. Answers with a footprint survive
+/// too when the delta misses it or provably leaves them unchanged:
+/// [`ViewService::apply_delta`] re-stamps them. A view-set
 /// membership change changes the key itself. Dead entries are purged
 /// wholesale when the engine snapshot rebuilds ([`ViewService::engine`]),
 /// so an invalidation also releases its budget immediately instead of
@@ -705,8 +722,8 @@ impl ViewService {
     /// executing against their MVCC snapshot, the next batch picks the
     /// post-delta snapshot up lazily. Cached answers whose plans read only
     /// views the delta never touched remain valid and keep hitting, and so
-    /// do graph-reading answers whose query's edge footprint
-    /// ([`QueryFootprint`]) the delta misses; the caller should adopt
+    /// do answers whose query's footprint ([`QueryFootprint`]) proves the
+    /// delta leaves them unchanged; the caller should adopt
     /// [`DeltaReport::graph`] as the current graph. A delta applied
     /// straight to [`ViewStore::apply_delta`] skips the refresh, so its
     /// graph-reading answers miss.
@@ -726,15 +743,18 @@ impl ViewService {
         Ok(report)
     }
 
-    /// Moves the stamp of every cached graph-reading answer that was valid
-    /// at `before` and whose [`QueryFootprint`] `delta` misses to the
-    /// post-delta snapshot: by the footprint argument ([`crate::delta`])
-    /// and Theorem 1 the answer is unchanged, so the new stamp makes a
-    /// true claim. Runs only when `delta` is the one mutation between
-    /// `before` and the published snapshot at `version` (membership
-    /// unchanged); otherwise the entries keep their old stamps and miss.
-    /// A rebuild racing this refresh may purge an entry first, which costs
-    /// a hit, never a wrong answer.
+    /// Moves the stamp of every cached answer that was valid at `before`
+    /// and that `delta` provably leaves unchanged to the post-delta
+    /// snapshot: either `delta` misses the entry's [`QueryFootprint`], or
+    /// [`QueryFootprint::may_change`] proves the answer's edge sets stay
+    /// the same. By the arguments in [`crate::delta`] and Theorem 1 the
+    /// answer is then the post-delta `Q(G)`, so the new stamp makes a true
+    /// claim. Entries whose stamp the delta does not move are left alone.
+    /// Runs only when `delta` is the one mutation between `before` and the
+    /// published snapshot at `version` (membership unchanged); otherwise
+    /// the entries keep their old stamps and miss. A rebuild racing this
+    /// refresh may purge an entry first, which costs a hit, never a wrong
+    /// answer.
     fn refresh_untouched(
         &self,
         delta: &EdgeDelta,
@@ -749,23 +769,40 @@ impl ViewService {
         {
             return;
         }
+        let (mut untouched, mut unchanged) = (0u64, 0u64);
         let mut cache = self
             .result_cache
             .write()
             .expect("result cache lock poisoned");
         for (&(_, vfp), entry) in cache.map.iter_mut() {
-            // Views-only entries are most of a covered workload's cache:
-            // skip them before any stamp work.
+            // Strict-mode entries carry no footprint and follow the
+            // view-epoch rule alone.
             let Some(footprint) = &entry.footprint else {
                 continue;
             };
-            if vfp == before.fingerprint
-                && entry.epoch_key == plan_epoch_key(&entry.plan, before)
-                && !footprint.touched_by(delta, g)
-            {
-                entry.epoch_key = plan_epoch_key(&entry.plan, &after);
+            if vfp != before.fingerprint || entry.epoch_key != plan_epoch_key(&entry.plan, before) {
+                continue;
             }
+            let next = plan_epoch_key(&entry.plan, &after);
+            if next == entry.epoch_key {
+                continue;
+            }
+            if !footprint.touched_by(delta, g) {
+                untouched += 1;
+            } else if !footprint.may_change(delta, &entry.compact, g) {
+                unchanged += 1;
+            } else {
+                continue;
+            }
+            entry.epoch_key = next;
         }
+        drop(cache);
+        self.counters
+            .kept_untouched
+            .fetch_add(untouched, Ordering::Relaxed);
+        self.counters
+            .kept_unchanged
+            .fetch_add(unchanged, Ordering::Relaxed);
     }
 
     /// Current engine snapshot, rebuilding if the store version moved.
@@ -938,8 +975,8 @@ impl ViewService {
     /// resident entry for the same query is replaced only when its
     /// epoch-set stamp went stale; a colliding distinct query is simply
     /// never cached, so the resident entry keeps serving its own query.
-    /// `g` is the batch's validated graph; a graph-reading answer keeps
-    /// its query's footprint resolved against it.
+    /// `g` is the batch's validated graph; when there is one, the answer
+    /// keeps its query's footprint resolved against it.
     fn cache_result(
         &self,
         snap: &EngineSnapshot,
@@ -953,8 +990,8 @@ impl ViewService {
             return;
         }
         let footprint = match (a.plan.needs_graph(), g) {
-            (false, _) => None,
-            (true, Some(g)) => Some(QueryFootprint::of(q, g)),
+            (_, Some(g)) => Some(QueryFootprint::of(q, g)),
+            (false, None) => None,
             // Unreachable: a graph-reading plan only executes with a
             // validated graph. Not caching is the safe answer anyway.
             (true, None) => return,
@@ -1275,6 +1312,8 @@ impl ViewService {
                 0.0
             },
             result_cache_evictions: self.counters.result_evictions.load(Ordering::Relaxed),
+            result_kept_untouched: self.counters.kept_untouched.load(Ordering::Relaxed),
+            result_kept_unchanged: self.counters.kept_unchanged.load(Ordering::Relaxed),
             dedup_saved: self.counters.dedup_saved.load(Ordering::Relaxed),
             executed_queries: self.counters.executed.load(Ordering::Relaxed),
             engine_rebuilds: self.counters.engine_rebuilds.load(Ordering::Relaxed),
@@ -1881,6 +1920,72 @@ mod tests {
         assert!(!fresh.result_cached);
         assert_eq!(*fresh.result, match_pattern(&q, &g2));
         assert_ne!(*fresh.result, *old.result, "the delta changed the answer");
+    }
+
+    /// Nodes a(A) b(B) c(C) b2(B); edges a→b, b→c. Inserting a→b2 lands
+    /// in chain3's A→B footprint but leaves its answer unchanged: `a` is
+    /// already in `sim(A)` and `b2` has no C successor, so `b2 ∉ sim(B)`.
+    fn unchanged_service(views: Vec<ViewDef>) -> (ViewService, DataGraph, EdgeDelta) {
+        let mut b = GraphBuilder::new();
+        let a = b.add_node(["A"]);
+        let bb = b.add_node(["B"]);
+        let c = b.add_node(["C"]);
+        let b2 = b.add_node(["B"]);
+        b.add_edge(a, bb);
+        b.add_edge(bb, c);
+        let g = b.build();
+        let store = Arc::new(ViewStore::materialize(ViewSet::new(views), &g, 2));
+        (
+            ViewService::new(store),
+            g,
+            EdgeDelta::new(vec![(a, b2)], vec![]),
+        )
+    }
+
+    /// A delta inside a graph-reading answer's footprint that provably
+    /// leaves the answer unchanged re-stamps it, and the stats say which
+    /// test kept it.
+    #[test]
+    fn delta_touching_the_footprint_keeps_an_unchanged_answer() {
+        let (svc, g, delta) = unchanged_service(vec![ViewDef::new("vab", single("A", "B"))]);
+        let q = chain3();
+        let first = svc.serve(&q, Some(&g)).unwrap();
+        assert!(first.plan.needs_graph(), "{}", first.plan);
+        let g2 = svc.apply_delta(&delta, &g).unwrap().graph;
+        let stats = svc.stats();
+        assert_eq!(stats.result_kept_untouched, 0);
+        assert_eq!(stats.result_kept_unchanged, 1);
+        let kept = svc.serve(&q, Some(&g2)).unwrap();
+        assert!(kept.result_cached, "an unchanged answer survives");
+        assert_eq!(*kept.result, match_pattern(&q, &g2));
+    }
+
+    /// A views-only answer whose view the delta changes is kept too when
+    /// the batch carried the graph, since it then has a footprint; a
+    /// strict-mode answer has none and follows the view-epoch rule.
+    #[test]
+    fn views_only_answers_with_a_footprint_survive_a_changed_view() {
+        let views = || {
+            vec![
+                ViewDef::new("vab", single("A", "B")),
+                ViewDef::new("vbc", single("B", "C")),
+            ]
+        };
+        let q = chain3();
+        let (svc, g, delta) = unchanged_service(views());
+        assert!(!svc.serve(&q, Some(&g)).unwrap().plan.needs_graph());
+        let report = svc.apply_delta(&delta, &g).unwrap();
+        assert!(!report.changed.is_empty(), "vab gained a→b2");
+        let kept = svc.serve(&q, Some(&report.graph)).unwrap();
+        assert!(kept.result_cached);
+        assert_eq!(*kept.result, match_pattern(&q, &report.graph));
+        assert_eq!(svc.stats().result_kept_unchanged, 1);
+
+        let (svc, g, delta) = unchanged_service(views());
+        svc.serve(&q, None).unwrap();
+        svc.apply_delta(&delta, &g).unwrap();
+        assert!(!svc.serve(&q, None).unwrap().result_cached);
+        assert_eq!(svc.stats().result_kept_unchanged, 0);
     }
 
     /// Only `ViewService::apply_delta` refreshes: a delta sent straight to

@@ -25,6 +25,9 @@ pub enum ParseError {
     Malformed(usize, String),
     /// Node ids are not dense `0..n`.
     NonDenseIds,
+    /// A node id of `u32::MAX` or more (node ids are `u32`, and one value
+    /// is kept free so that `n` itself fits).
+    NodeIdOutOfRange(usize, u64),
     /// An edge references a node id that was never declared.
     DanglingEdge(usize, u32),
 }
@@ -35,6 +38,13 @@ impl std::fmt::Display for ParseError {
             ParseError::UnknownRecord(l, s) => write!(f, "line {l}: unknown record kind `{s}`"),
             ParseError::Malformed(l, s) => write!(f, "line {l}: malformed record: {s}"),
             ParseError::NonDenseIds => write!(f, "node ids are not dense 0..n"),
+            ParseError::NodeIdOutOfRange(l, id) => {
+                write!(
+                    f,
+                    "line {l}: node id {id} is out of range (ids must be below {})",
+                    u32::MAX
+                )
+            }
             ParseError::DanglingEdge(l, id) => {
                 write!(f, "line {l}: edge references undeclared node {id}")
             }
@@ -50,7 +60,9 @@ pub fn parse_graph(text: &str) -> Result<DataGraph, ParseError> {
         labels: Vec<String>,
         attrs: Vec<(String, Value)>,
     }
-    let mut decls: Vec<Option<NodeDecl>> = Vec::new();
+    // `(id, decl)` records in file order; nothing is allocated by id until
+    // the ids are known to be dense.
+    let mut decls: Vec<(u32, NodeDecl)> = Vec::new();
     let mut edges: Vec<(usize, u32, u32)> = Vec::new();
 
     for (lineno, raw) in text.lines().enumerate() {
@@ -62,10 +74,14 @@ pub fn parse_graph(text: &str) -> Result<DataGraph, ParseError> {
         let kind = tokens.next().unwrap_or_default();
         match kind.as_str() {
             "node" => {
-                let id: usize = tokens
+                let id: u64 = tokens
                     .next()
                     .and_then(|t| t.parse().ok())
                     .ok_or_else(|| ParseError::Malformed(lineno + 1, raw.to_string()))?;
+                let id = u32::try_from(id)
+                    .ok()
+                    .filter(|&id| id < u32::MAX)
+                    .ok_or(ParseError::NodeIdOutOfRange(lineno + 1, id))?;
                 let label_tok = tokens.next().unwrap_or_else(|| "-".to_string());
                 let labels: Vec<String> = if label_tok == "-" {
                     Vec::new()
@@ -83,10 +99,7 @@ pub fn parse_graph(text: &str) -> Result<DataGraph, ParseError> {
                     };
                     attrs.push((k.to_string(), value));
                 }
-                if decls.len() <= id {
-                    decls.resize_with(id + 1, || None);
-                }
-                decls[id] = Some(NodeDecl { labels, attrs });
+                decls.push((id, NodeDecl { labels, attrs }));
             }
             "edge" => {
                 let u: u32 = tokens
@@ -103,9 +116,19 @@ pub fn parse_graph(text: &str) -> Result<DataGraph, ParseError> {
         }
     }
 
+    // A later declaration of the same id replaces the earlier one: keep the
+    // last record per id, then require the ids to be exactly `0..n`.
+    decls.reverse();
+    decls.sort_by_key(|&(id, _)| id);
+    decls.dedup_by_key(|&mut (id, _)| id);
+    if decls
+        .last()
+        .is_some_and(|&(id, _)| id as usize != decls.len() - 1)
+    {
+        return Err(ParseError::NonDenseIds);
+    }
     let mut b = GraphBuilder::with_capacity(decls.len(), edges.len());
-    for d in &decls {
-        let d = d.as_ref().ok_or(ParseError::NonDenseIds)?;
+    for (_, d) in &decls {
         let v = b.add_node(d.labels.iter().map(String::as_str));
         for (k, val) in &d.attrs {
             b.set_attr(v, k, val.clone());
@@ -254,6 +277,30 @@ mod tests {
             parse_graph("node 1 A\n"),
             Err(ParseError::NonDenseIds)
         ));
+    }
+
+    #[test]
+    fn huge_node_ids_error_without_allocating_by_id() {
+        for id in [u64::MAX, u64::from(u32::MAX)] {
+            assert_eq!(
+                parse_graph(&format!("node 0 A\nnode {id} A\n")).err(),
+                Some(ParseError::NodeIdOutOfRange(2, id))
+            );
+        }
+        // Below the limit but sparse: refused by the density check, which
+        // runs before anything is sized by id.
+        assert_eq!(
+            parse_graph("node 4000000000 A\n").err(),
+            Some(ParseError::NonDenseIds)
+        );
+    }
+
+    #[test]
+    fn ids_in_any_order_and_redeclared_ids_keep_the_last_declaration() {
+        let g = parse_graph("node 1 B\nnode 0 A\nnode 1 C\nedge 0 1\n").unwrap();
+        assert_eq!(g.node_count(), 2);
+        assert_eq!(g.label_name(g.labels_of(NodeId(1))[0]), "C");
+        assert_eq!(g.label_name(g.labels_of(NodeId(0))[0]), "A");
     }
 
     #[test]

@@ -618,6 +618,10 @@ fn serve(a: &Args) -> Result<(), String> {
         stats.result_cache_evictions
     );
     println!(
+        "kept across deltas: {} untouched (footprint missed), {} unchanged (answer-level test)",
+        stats.result_kept_untouched, stats.result_kept_unchanged
+    );
+    println!(
         "latency: p50 {}, p99 {}; max queue depth {}",
         stats.latency.quantile_label(0.5),
         stats.latency.quantile_label(0.99),
@@ -913,7 +917,7 @@ fn fuzz(a: &Args) -> Result<(), String> {
         caches.iter().collect::<Vec<_>>()
     );
     println!(
-        "checked: {} distinct queries, {} served answers, {} rounds, {} store mutations, {} bounded queries; plans views-only/hybrid/direct = {}/{}/{}; cache hits plan/result = {}/{}; {} edge deltas maintained {} views; {} graph-plan cache hits after a delta",
+        "checked: {} distinct queries, {} served answers, {} rounds, {} store mutations, {} bounded queries; plans views-only/hybrid/direct = {}/{}/{}; cache hits plan/result = {}/{}; {} edge deltas maintained {} views; {} graph-plan cache hits after a delta, {} after a footprint-touching delta",
         totals.queries,
         totals.served,
         totals.rounds,
@@ -926,7 +930,8 @@ fn fuzz(a: &Args) -> Result<(), String> {
         totals.result_cache_hits,
         totals.edge_deltas,
         totals.views_maintained,
-        totals.graph_hits_after_delta
+        totals.graph_hits_after_delta,
+        totals.graph_hits_after_touching_delta
     );
     Ok(())
 }

@@ -336,6 +336,12 @@ fn serve_updates_per_round_applies_deltas_between_rounds() {
     assert!(s.contains("plan cache:"), "{s}");
     assert!(s.contains("result cache:"), "{s}");
     assert!(
+        s.lines().any(|l| l.starts_with("kept across deltas: ")
+            && l.contains(" untouched (footprint missed), ")
+            && l.ends_with(" unchanged (answer-level test)")),
+        "{s}"
+    );
+    assert!(
         s.lines()
             .any(|l| l.starts_with("maintainers: ") && l.ends_with(" KiB resident")),
         "{s}"
@@ -383,6 +389,42 @@ fn bad_usage() {
     assert_eq!(out.status.code(), Some(2));
     let out = gpv().args(["frobnicate"]).output().unwrap();
     assert!(!out.status.success());
+}
+
+/// A node id of `u64::MAX` in a graph file is a clean error naming the
+/// line, not a panic.
+#[test]
+fn graph_with_an_out_of_range_node_id_errors_cleanly() {
+    let g = write_tmp("huge-id-g.txt", "node 18446744073709551615 A\n");
+    let out = gpv()
+        .args(["stats", "--graph", g.to_str().unwrap()])
+        .output()
+        .unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+    assert!(
+        err.contains("line 1: node id 18446744073709551615 is out of range"),
+        "{err}"
+    );
+}
+
+/// A sparse node id below the limit is refused by the density check
+/// before anything is sized by id: under a 1 GB address-space limit the
+/// parser must still exit cleanly, where one slot per id value would need
+/// well over 100 GB.
+#[test]
+fn graph_with_a_sparse_huge_node_id_errors_without_allocating_by_id() {
+    let g = write_tmp("sparse-id-g.txt", "node 4000000000 A\n");
+    let out = Command::new("sh")
+        .args(["-c", "ulimit -v 1000000 && exec \"$0\" \"$@\""])
+        .arg(env!("CARGO_BIN_EXE_gpv"))
+        .args(["stats", "--graph", g.to_str().unwrap()])
+        .output()
+        .unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains("node ids are not dense"), "{err}");
 }
 
 /// Golden-file contract for `gpv plan` EXPLAIN output. The per-edge
@@ -710,6 +752,39 @@ fn fuzz_require_deltas_exercises_maintenance_on_every_scenario() {
     assert!(
         deltas > 0,
         "update-heavy sweep applied no deltas: {checked}"
+    );
+}
+
+/// The update-heavy sweep must serve, and check against the oracle,
+/// graph-reading answers that the answer-level test kept across a delta
+/// touching their query's footprint (the same sweep CI greps): if the
+/// test fell back to the footprint alone, this count would read 0.
+#[test]
+fn fuzz_serves_answers_kept_across_footprint_touching_deltas() {
+    let out = gpv()
+        .args([
+            "fuzz",
+            "--iterations",
+            "200",
+            "--seed",
+            "11",
+            "--require-deltas",
+        ])
+        .env_remove("GPV_FUZZ_INJECT")
+        .output()
+        .unwrap();
+    let s = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{s}");
+    let kept: u64 = s
+        .lines()
+        .find(|l| l.starts_with("checked: "))
+        .and_then(|l| l.split(", ").last())
+        .and_then(|p| p.strip_suffix(" after a footprint-touching delta"))
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no footprint-touching count in: {s}"));
+    assert!(
+        kept > 0,
+        "no answer survived a footprint-touching delta: {s}"
     );
 }
 

@@ -5,9 +5,10 @@
 
 use gpv_generator::{covering_views, random_graph, random_pattern, PatternShape};
 use graph_views::prelude::*;
+use graph_views::views::compact::CompactView;
 use graph_views::views::service::query_fingerprint;
 use graph_views::views::store::ViewStore;
-use graph_views::views::{EdgeDelta, ServiceError, ViewService};
+use graph_views::views::{EdgeDelta, QueryFootprint, ServiceError, ViewService};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -503,5 +504,112 @@ proptest! {
                 sc.repro_command()
             )));
         }
+    }
+}
+
+/// What one [`answer_level_case`] saw.
+#[derive(Clone, Copy)]
+struct AnswerLevelCase {
+    /// The delta touched the query's footprint.
+    touched: bool,
+    /// `may_change` proved the answer unchanged.
+    kept: bool,
+    /// The pre-delta answer was empty.
+    empty: bool,
+}
+
+/// The exactness contract of `QueryFootprint::may_change` on one case: a
+/// 12-node graph over three labels, a DAG, cyclic or mixed query of two
+/// or three nodes (so sinks occur), and a delta built from `script`. Op
+/// `k % 4` of each step inserts a fresh random edge, re-inserts a present
+/// edge, deletes a present edge or deletes a random (often absent) one.
+/// Whenever `may_change` says `false`, `match_pattern` on the post-delta
+/// graph must equal the cached answer, node sets included (`==` compares
+/// edge sets only).
+fn answer_level_case(
+    gseed: u64,
+    qseed: u64,
+    script: &[(u8, u32, u32)],
+) -> Result<AnswerLevelCase, TestCaseError> {
+    let g = random_graph(12, 24, &LABELS[..3], gseed);
+    let shape = [PatternShape::Dag, PatternShape::Cyclic, PatternShape::Any][(qseed % 3) as usize];
+    let nodes = 2 + (qseed / 3 % 2) as usize;
+    let q = random_pattern(
+        nodes,
+        nodes + (qseed / 6 % 2) as usize,
+        &LABELS[..3],
+        shape,
+        qseed,
+    );
+    let present: Vec<(NodeId, NodeId)> = g.edges().collect();
+    let (mut inserts, mut deletes) = (Vec::new(), Vec::new());
+    for &(k, a, b) in script {
+        let pick = present[(a * 12 + b) as usize % present.len()];
+        match k % 4 {
+            0 => inserts.push((NodeId(a), NodeId(b))),
+            1 => inserts.push(pick),
+            2 => deletes.push(pick),
+            _ => deletes.push((NodeId(a), NodeId(b))),
+        }
+    }
+    let delta = EdgeDelta::new(inserts, deletes);
+    let before = match_pattern(&q, &g);
+    let footprint = QueryFootprint::of(&q, &g);
+    let kept = !footprint.may_change(&delta, &CompactView::freeze(&before), &g);
+    if kept {
+        let after = match_pattern(&q, &delta.apply_to(&g));
+        prop_assert_eq!(&after, &before, "{:?} changed the answer to {:?}", delta, q);
+        prop_assert_eq!(
+            &after.node_matches,
+            &before.node_matches,
+            "node sets moved under {:?}",
+            delta
+        );
+    }
+    Ok(AnswerLevelCase {
+        touched: footprint.touched_by(&delta, &g),
+        kept,
+        empty: before.is_empty(),
+    })
+}
+
+/// A fixed sweep of [`answer_level_case`], asserting the test is not
+/// vacuous: touched answers, empty and non-empty, are kept, and touched
+/// answers are also sent back for recomputation.
+#[test]
+fn answer_level_sweep_keeps_touched_answers_exactly() {
+    let (mut kept_full, mut kept_empty, mut recomputed) = (0, 0, 0);
+    for seed in 0u64..600 {
+        let x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let script: Vec<(u8, u32, u32)> = (0..1 + seed % 4)
+            .map(|i| {
+                let y = x.rotate_left(16 * i as u32);
+                (y as u8, (y >> 8) as u32 % 12, (y >> 20) as u32 % 12)
+            })
+            .collect();
+        let c = answer_level_case(seed, seed / 7, &script).unwrap();
+        match (c.touched, c.kept, c.empty) {
+            (true, true, false) => kept_full += 1,
+            (true, true, true) => kept_empty += 1,
+            (true, false, _) => recomputed += 1,
+            _ => {}
+        }
+    }
+    assert!(kept_full > 0, "no non-empty touched answer was kept");
+    assert!(kept_empty > 0, "no empty touched answer was kept");
+    assert!(recomputed > 0, "no touched answer was recomputed");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// [`answer_level_case`] on random graphs, queries and deltas.
+    #[test]
+    fn answer_level_test_is_exact(
+        gseed in any::<u64>(),
+        qseed in any::<u64>(),
+        script in proptest::collection::vec((any::<u8>(), 0u32..12, 0u32..12), 1..6),
+    ) {
+        answer_level_case(gseed, qseed, &script)?;
     }
 }
