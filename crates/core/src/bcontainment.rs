@@ -67,7 +67,7 @@ pub fn bounded_view_match(view: &BoundedPattern, qb: &BoundedPattern) -> Vec<Pat
 pub(crate) fn bounded_table(qb: &BoundedPattern, views: &BoundedViewSet) -> ViewMatchTable {
     let dists = QueryDistances::new(qb);
     ViewMatchTable::from_edge_matches(
-        qb.pattern().edge_count(),
+        qb.pattern(),
         views
             .iter()
             .map(|(_, v)| bounded_view_match_entries(&v.pattern, qb, &dists)),

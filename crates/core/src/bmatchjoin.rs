@@ -102,8 +102,8 @@ pub fn bmatch_join_with(
     let merged: MergedSets<'_> = columns.iter().map(|&(p, _)| Cow::Borrowed(p)).collect();
 
     let (sets, stats) = refine(q, merged, strategy);
-    let result = sets.and_then(|sets| {
-        let nodes = node_sets(q, &sets, |_| None)?;
+    let result = sets.map(|sets| {
+        let nodes = node_sets(q, &sets);
         let edges = sets
             .into_iter()
             .zip(&columns)
@@ -115,7 +115,7 @@ pub fn bmatch_join_with(
                     .collect()
             })
             .collect();
-        Some(BoundedMatchResult::new(q, nodes, edges))
+        BoundedMatchResult::new(q, nodes, edges)
     });
     Ok((result.unwrap_or_else(BoundedMatchResult::empty), stats))
 }

@@ -16,11 +16,11 @@
 
 use crate::bmatchjoin::survivor_dists;
 use crate::compact::{BoundedEdgeSet, CompactBoundedView};
-use crate::matchjoin::{node_sets, refine, JoinStrategy, MergedSets};
+use crate::matchjoin::{refine, JoinStrategy, MergedSets};
 use crate::partial::GraphSource;
 use gpv_graph::traverse::{bounded_bfs, BfsScratch, Direction};
 use gpv_graph::{BitSet, DataGraph, NodeId};
-use gpv_pattern::{BoundedPattern, EdgeBound, PatternEdgeId, PatternNodeId, Predicate};
+use gpv_pattern::{BoundedPattern, EdgeBound, PatternEdgeId, Predicate};
 use std::borrow::Cow;
 use std::collections::HashMap;
 
@@ -127,12 +127,11 @@ struct BoundedReader<'g> {
 }
 
 impl BoundedReader<'_> {
-    /// `Qb(G)` for one view `vb`. Node sets follow `BMatch`: a node with
-    /// no out-edges — a sink, or a node with no edges at all — keeps its
-    /// whole base set, since refinement removes none of its candidates.
+    /// `Qb(G)` for one view `vb`, node sets by
+    /// [`GraphSource::node_sets`].
     fn materialize(&mut self, vb: &BoundedPattern) -> CompactBoundedView {
         let q = vb.pattern();
-        if q.edge_count() == 0 || self.source.bases(q).iter().any(|b| b.is_empty()) {
+        if self.source.bases(q).iter().any(|b| b.is_empty()) {
             return CompactBoundedView::empty();
         }
         let keys: Vec<ReadKey> = q
@@ -160,12 +159,10 @@ impl BoundedReader<'_> {
         let columns: Vec<&BoundedEdgeSet> = keys.iter().map(|k| &self.reads[k]).collect();
         let merged: MergedSets<'_> = columns.iter().map(|(p, _)| Cow::Borrowed(&p[..])).collect();
         let (sets, _) = refine(q, merged, JoinStrategy::RankedBottomUp);
-        let bases = self.source.bases(q);
-        let whole = |u: PatternNodeId| q.out_edges(u).is_empty().then(|| bases[u.index()]);
-        let Some((nodes, sets)) = sets.and_then(|sets| Some((node_sets(q, &sets, whole)?, sets)))
-        else {
+        let Some(sets) = sets else {
             return CompactBoundedView::empty();
         };
+        let nodes = self.source.node_sets(q, &sets);
         let edges = sets
             .into_iter()
             .zip(columns)

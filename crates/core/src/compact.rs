@@ -67,12 +67,9 @@ fn extend_canonical<T: Copy + Ord>(dst: &mut Vec<T>, set: &[T]) {
 }
 
 /// One view's extension `V(G)` in flat columnar form. See the
-/// [module docs](self) for the layout.
-///
-/// Equality compares the edge columns only, mirroring [`MatchResult`]:
-/// the paper defines `Qs(G)` as `{(e, Se)}` and the node sets are
-/// auxiliary.
-#[derive(Clone, Debug)]
+/// [module docs](self) for the layout. Equality compares all four
+/// columns, node sets included, as [`MatchResult`]'s does.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CompactView {
     /// `edge_offsets[e]..edge_offsets[e + 1]` delimits edge `e`'s pairs.
     edge_offsets: Box<[u32]>,
@@ -83,14 +80,6 @@ pub struct CompactView {
     /// All node match sets, concatenated in node order (each set sorted).
     nodes: Box<[NodeId]>,
 }
-
-impl PartialEq for CompactView {
-    fn eq(&self, other: &Self) -> bool {
-        self.edge_offsets == other.edge_offsets && self.pairs == other.pairs
-    }
-}
-
-impl Eq for CompactView {}
 
 impl CompactView {
     /// The empty extension (`V(G) = ∅`).
@@ -111,9 +100,6 @@ impl CompactView {
     /// construction — executors can borrow its slices without
     /// re-normalizing.
     pub fn freeze(r: &MatchResult) -> Self {
-        if r.is_empty() {
-            return CompactView::empty();
-        }
         let mut edge_offsets = Vec::with_capacity(r.edge_matches.len() + 1);
         let mut pairs = Vec::with_capacity(r.size());
         edge_offsets.push(0u32);
@@ -139,9 +125,6 @@ impl CompactView {
     /// Rebuilds the boxed [`MatchResult`] (for the JSON wire and for
     /// callers that need owned per-edge `Vec`s).
     pub fn thaw(&self) -> MatchResult {
-        if self.is_empty() {
-            return MatchResult::empty();
-        }
         MatchResult {
             node_matches: (0..self.node_count())
                 .map(|u| self.node_set(PatternNodeId(u as u32)).to_vec())
@@ -199,13 +182,13 @@ impl CompactView {
             + (self.edge_offsets.len() + self.node_offsets.len()) * std::mem::size_of::<u32>()
     }
 
-    /// Full-content equality over all four columns — node sets included,
-    /// unlike `==`, which compares only the edge columns. The delta pipeline
-    /// uses this to detect that an affected view's re-frozen extension is
-    /// bit-identical to the resident one, so the old arena region (and its
-    /// epoch, and every cached answer keyed on it) can be kept.
+    /// Full-content equality over all four columns, the same as `==`. The
+    /// delta pipeline uses this to detect that an affected view's re-frozen
+    /// extension is bit-identical to the resident one, so the old arena
+    /// region (and its epoch, and every cached answer keyed on it) can be
+    /// kept.
     pub fn content_eq(&self, other: &CompactView) -> bool {
-        self.columns() == other.columns()
+        self == other
     }
 
     /// The raw columns `(edge_offsets, pairs, node_offsets, nodes)` — the

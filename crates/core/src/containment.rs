@@ -94,20 +94,23 @@ pub(crate) struct ViewMatchTable {
     pub entries: Vec<Vec<(PatternEdgeId, ViewEdgeRef)>>,
     /// `|Ep|` of the query.
     pub edge_count: usize,
+    /// Whether some query node has no incident edge. Views cover edges
+    /// only, so no view set contains such a query.
+    pub isolated: bool,
 }
 
 impl ViewMatchTable {
-    /// The table over a query with `edge_count` edges, from each view's
-    /// match sets (`per_view[vi][eV]` = `S_eV`; empty when the view does not
-    /// simulate into the query).
+    /// The table over `q`, from each view's match sets (`per_view[vi][eV]`
+    /// = `S_eV`; empty when the view does not simulate into the query).
     pub fn from_edge_matches(
-        edge_count: usize,
+        q: &Pattern,
         per_view: impl IntoIterator<Item = Vec<Vec<PatternEdgeId>>>,
     ) -> Self {
         let mut table = ViewMatchTable {
             covers: Vec::new(),
             entries: Vec::new(),
-            edge_count,
+            edge_count: q.edge_count(),
+            isolated: q.nodes().any(|u| q.is_isolated(u)),
         };
         for (view, sets) in per_view.into_iter().enumerate() {
             let entries: Vec<(PatternEdgeId, ViewEdgeRef)> = sets
@@ -142,7 +145,7 @@ impl ViewMatchTable {
         sim: fn(&Pattern, &Pattern) -> Option<PatternSimResult>,
     ) -> Self {
         Self::from_edge_matches(
-            q.edge_count(),
+            q,
             views
                 .iter()
                 .map(|(_, v)| sim(&v.pattern, q).map_or_else(Vec::new, |s| s.edge_matches)),
@@ -173,9 +176,9 @@ impl ViewMatchTable {
     }
 
     /// Algorithm `contain` over the table: the full `λ`, when it covers
-    /// every query edge.
+    /// every query edge and the query has no isolated node.
     pub fn contain(&self) -> Option<ContainmentPlan> {
-        ContainmentPlan::from_lambda(self.full_lambda())
+        ContainmentPlan::from_lambda(self.full_lambda()).filter(|_| !self.isolated)
     }
 }
 

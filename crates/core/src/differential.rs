@@ -185,7 +185,7 @@ fn mismatch(stage: &'static str, query: usize, got: usize, want: usize) -> Box<D
         round: None,
         slot: None,
         query,
-        detail: format!("answered {got} match pairs, oracle says {want} (match sets differ)"),
+        detail: format!("answered {got} match pairs, oracle says {want} (sets differ)"),
     })
 }
 
@@ -422,7 +422,7 @@ pub fn check_plain(
                             slot: Some(slot),
                             query: qi,
                             detail: format!(
-                                "served {} match pairs, oracle says {} (match sets differ)",
+                                "served {} match pairs, oracle says {} (sets differ)",
                                 pairs(&sa.result),
                                 pairs(want)
                             ),
@@ -530,7 +530,7 @@ pub fn check_bounded(
                 slot: None,
                 query: qi,
                 detail: format!(
-                    "answered {} match pairs, oracle says {} (match sets differ)",
+                    "answered {} match pairs, oracle says {} (sets differ)",
                     bpairs(&got),
                     bpairs(&want)
                 ),

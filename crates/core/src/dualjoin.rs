@@ -55,7 +55,7 @@ pub fn dual_match_join(
 ) -> Result<MatchResult, JoinError> {
     let merged = merge_step(q, plan, ext)?;
     let sets = ranked_fixpoint(q, merged, Simulation::Dual, &mut JoinStats::default());
-    Ok(assemble(q, sets, |_| None))
+    Ok(assemble(q, sets))
 }
 
 #[cfg(test)]

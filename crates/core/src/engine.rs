@@ -355,7 +355,7 @@ impl QueryEngine {
         };
         let gstats = self.graph_stats.clone().unwrap_or(zero_stats);
 
-        if q.edge_count() == 0 {
+        if q.nodes().any(|u| q.is_isolated(u)) {
             return QueryPlan::Direct {
                 reason: FallbackReason::NoEdges,
                 cost: CostModel::direct(q, &gstats),

@@ -56,7 +56,7 @@
 //! The invariant `self.result() == match_pattern(pattern, current_graph)`
 //! is enforced by the tests below and by property tests in `tests/`.
 
-use crate::matchjoin::{drain, initial_support, ranks, JoinStats, Relation};
+use crate::matchjoin::{drain, initial_support, node_sets, ranks, JoinStats, Relation};
 use crate::partial::BaseSets;
 use gpv_graph::{BitSet, DataGraph, NodeId};
 use gpv_matching::result::MatchResult;
@@ -277,13 +277,17 @@ impl IncrementalView {
         Self::promote(pattern, g, &mut BaseSets::default(), Some(result))
     }
 
-    /// Installs the nonempty exact relation `result` with its support
-    /// counters. The relation is exact, so no candidate lacks support: no
-    /// drain.
+    /// Installs the relation of the nonempty exact `result` with its
+    /// support counters: no candidate lacks support, so no drain. A node
+    /// with out-edges takes its node set; a sink keeps its base set.
     fn install(&mut self, result: &MatchResult) {
         let n = self.universe.len();
         let mut cand = Vec::with_capacity(self.pattern.node_count());
         for u in self.pattern.nodes() {
+            if self.pattern.out_edges(u).is_empty() {
+                cand.push(self.base[u.index()].clone());
+                continue;
+            }
             let mut set = BitSet::new(n);
             for v in result.node_set(u) {
                 let i = self.local(*v);
@@ -668,12 +672,15 @@ impl IncrementalView {
             }
             edge_matches.push(set);
         }
-        let node_matches = self
-            .rel
-            .cand
-            .iter()
-            .map(|s| s.iter().map(global).collect())
-            .collect();
+        // An isolated node's candidates are its whole base set.
+        let mut node_matches = node_sets(&self.pattern, &edge_matches);
+        for u in self
+            .pattern
+            .nodes()
+            .filter(|&u| self.pattern.is_isolated(u))
+        {
+            node_matches[u.index()] = self.rel.cand[u.index()].iter().map(global).collect();
+        }
         MatchResult::new(&self.pattern, node_matches, edge_matches)
     }
 }

@@ -96,7 +96,9 @@ pub enum JoinError {
     PlanMismatch,
     /// λ references a view index beyond the extensions.
     ViewOutOfRange(usize),
-    /// The query has no edges; `Qs(G)` is defined via edge match sets.
+    /// Some query node has no incident edge (every node of an edgeless
+    /// query). A join reads node sets off edge match sets, so only a graph
+    /// read can answer it.
     NoEdges,
     /// A plan source is [`EdgeSource::Graph`](crate::plan::EdgeSource) but
     /// no data graph was supplied to the executor.
@@ -108,7 +110,7 @@ impl std::fmt::Display for JoinError {
         match self {
             JoinError::PlanMismatch => write!(f, "containment plan does not match the query"),
             JoinError::ViewOutOfRange(i) => write!(f, "plan references missing view {i}"),
-            JoinError::NoEdges => write!(f, "query has no edges"),
+            JoinError::NoEdges => write!(f, "query has a node with no edges"),
             JoinError::GraphRequired => {
                 write!(f, "plan sources an edge from G but no graph was supplied")
             }
@@ -163,7 +165,7 @@ pub(crate) fn run_fixpoint(
     strategy: JoinStrategy,
 ) -> (MatchResult, JoinStats) {
     let (sets, stats) = refine(q, merged, strategy);
-    (assemble(q, sets, |_| None), stats)
+    (assemble(q, sets), stats)
 }
 
 /// Refines merged sets under `strategy`, returning the refined per-edge
@@ -195,9 +197,9 @@ pub(crate) type Cover<'a, T> = Option<(ViewEdgeRef, &'a [T])>;
 pub(crate) type RefinedSets = Vec<Vec<(NodeId, NodeId)>>;
 
 /// Checks that a per-edge plan (λ or source vector) of `entries` entries
-/// fits `q`.
+/// fits `q`, and that every node of `q` has an edge to be joined on.
 pub(crate) fn check_arity(q: &Pattern, entries: usize) -> Result<(), JoinError> {
-    if q.edge_count() == 0 {
+    if q.nodes().any(|u| q.is_isolated(u)) {
         return Err(JoinError::NoEdges);
     }
     if entries != q.edge_count() {
@@ -711,56 +713,34 @@ fn naive_fixpoint(
 
 /// Builds the final [`MatchResult`] (or empty) from refined sets, with
 /// [`node_sets`] for the node matches.
-pub(crate) fn assemble<'a>(
-    q: &Pattern,
-    sets: Option<RefinedSets>,
-    whole: impl Fn(PatternNodeId) -> Option<&'a BitSet>,
-) -> MatchResult {
-    match sets.and_then(|sets| Some((node_sets(q, &sets, whole)?, sets))) {
-        Some((nodes, sets)) => MatchResult::new(q, nodes, sets),
-        None => MatchResult::empty(),
-    }
+pub(crate) fn assemble(q: &Pattern, sets: Option<RefinedSets>) -> MatchResult {
+    sets.map_or_else(MatchResult::empty, |sets| {
+        MatchResult::new(q, node_sets(q, &sets), sets)
+    })
 }
 
-/// The node sets of refined edge sets, shared by every join's result: a
-/// node's matches are the nodes it takes in surviving pairs (sources of
-/// out-edges, targets of in-edges), except where `whole` names its entire
-/// relation. One bitset per pattern node, sized by the largest surviving
-/// id, so each set comes out sorted. `None` when some node has no match.
-pub(crate) fn node_sets<'a>(
-    q: &Pattern,
-    sets: &[Vec<(NodeId, NodeId)>],
-    whole: impl Fn(PatternNodeId) -> Option<&'a BitSet>,
-) -> Option<Vec<Vec<NodeId>>> {
-    let whole: Vec<Option<&BitSet>> = q.nodes().map(whole).collect();
+/// The node sets of nonempty refined edge sets, the one definition every
+/// result uses: a node's matches are the endpoints it takes in surviving
+/// pairs (sources of out-edges, targets of in-edges). One bitset per
+/// pattern node, sized by the largest surviving id, so each set comes out
+/// sorted. A node with no incident edge takes none; only a graph reader
+/// admits one, and gives it its base set.
+pub(crate) fn node_sets(q: &Pattern, sets: &[Vec<(NodeId, NodeId)>]) -> Vec<Vec<NodeId>> {
     let m = sets
         .iter()
         .flatten()
         .map(|&(s, w)| s.max(w).index() + 1)
         .max()
         .unwrap_or(0);
-    let mut seen: Vec<BitSet> = whole
-        .iter()
-        .map(|w| BitSet::new(if w.is_some() { 0 } else { m }))
-        .collect();
-    for (ei, set) in sets.iter().enumerate() {
-        let (u, t) = q.edge(PatternEdgeId(ei as u32));
+    let mut seen = vec![BitSet::new(m); q.node_count()];
+    for (&(u, t), set) in q.edges().iter().zip(sets) {
         for &(s, w) in set {
-            if whole[u.index()].is_none() {
-                seen[u.index()].insert(s.index());
-            }
-            if whole[t.index()].is_none() {
-                seen[t.index()].insert(w.index());
-            }
+            seen[u.index()].insert(s.index());
+            seen[t.index()].insert(w.index());
         }
     }
-    whole
-        .iter()
-        .zip(&seen)
-        .map(|(w, seen)| {
-            let set: Vec<NodeId> = w.unwrap_or(seen).iter().map(|v| NodeId(v as u32)).collect();
-            (!set.is_empty()).then_some(set)
-        })
+    seen.iter()
+        .map(|set| set.iter().map(|v| NodeId(v as u32)).collect())
         .collect()
 }
 

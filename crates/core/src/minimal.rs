@@ -24,11 +24,12 @@ pub struct Selection {
 
 impl Selection {
     /// The selection of `views` (ascending) over `table`, with the plan
-    /// reading exactly their entries.
-    pub(crate) fn of(table: &ViewMatchTable, views: Vec<usize>) -> Selection {
+    /// reading exactly their entries. `None` when the query has an
+    /// isolated node, which no selection contains.
+    pub(crate) fn of(table: &ViewMatchTable, views: Vec<usize>) -> Option<Selection> {
         let plan = ContainmentPlan::from_lambda(table.lambda(views.iter().copied()))
             .expect("a selection covers Qs");
-        Selection { views, plan }
+        (!table.isolated).then_some(Selection { views, plan })
     }
 }
 
@@ -88,7 +89,7 @@ pub(crate) fn minimal_from_table(table: &ViewMatchTable) -> Option<Selection> {
         }
     }
     let final_views: Vec<usize> = selected.into_iter().filter(|&v| kept[v]).collect();
-    Some(Selection::of(table, final_views))
+    Selection::of(table, final_views)
 }
 
 #[cfg(test)]

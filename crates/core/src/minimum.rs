@@ -60,7 +60,7 @@ pub(crate) fn minimum_from_table(table: &ViewMatchTable) -> Option<Selection> {
     }
 
     selected.sort_unstable();
-    Some(Selection::of(table, selected))
+    Selection::of(table, selected)
 }
 
 /// The paper's metric `α(V) = |M^Qs_V \ Ec| / |Ep|` for a single view given

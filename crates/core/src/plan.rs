@@ -166,8 +166,9 @@ pub enum FallbackReason {
     NotContained,
     /// The engine holds no views at all.
     NoViews,
-    /// The query has no edges; `MatchJoin` is defined via edge match sets,
-    /// so node-only queries evaluate directly.
+    /// Some query node has no incident edge (every node of an edgeless
+    /// query). Views cover edges, and `MatchJoin` reads node sets off edge
+    /// match sets, so such a node matches its base set only through `G`.
     NoEdges,
 }
 

@@ -554,7 +554,7 @@ const ATOM_BYTES: usize = 64;
 /// estimate of its collision witness and footprint: [`ATOM_BYTES`] per
 /// atom plus the atom strings, four node-id pairs per pattern edge (edge
 /// list, both adjacency lists, the footprint pair) and two words per
-/// pattern node (the footprint's first out-edge and reachability row; one
+/// pattern node (the footprint's sink flag and reachability row; one
 /// row word covers 64 nodes). The configured
 /// budget therefore bounds what the cache actually keeps resident, not
 /// just the logical pair count.

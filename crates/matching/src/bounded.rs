@@ -16,9 +16,10 @@
 //! and is precisely the cost that `BMatchJoin` avoids.
 
 use crate::result::BoundedMatchResult;
+use crate::simulation::node_matches;
 use gpv_graph::traverse::{bounded_bfs, BfsScratch, Direction};
 use gpv_graph::{BitSet, DataGraph, NodeId};
-use gpv_pattern::{BoundedPattern, EdgeBound, PatternNodeId};
+use gpv_pattern::{BoundedPattern, EdgeBound, PatternEdgeId, PatternNodeId};
 
 fn bound_to_u32(b: EdgeBound) -> u32 {
     match b {
@@ -114,7 +115,8 @@ pub fn bounded_simulation_relation(qb: &BoundedPattern, g: &DataGraph) -> Option
     Some(cand)
 }
 
-/// Derives `{(e, Se)}` with shortest witness distances from the relation.
+/// Derives `{(e, Se)}` with shortest witness distances from the relation,
+/// and node sets as plain simulation's result does.
 fn build_result(qb: &BoundedPattern, g: &DataGraph, cand: &[BitSet]) -> BoundedMatchResult {
     let q = qb.pattern();
     let mut scratch = BfsScratch::new(g.node_count());
@@ -135,11 +137,8 @@ fn build_result(qb: &BoundedPattern, g: &DataGraph, cand: &[BitSet]) -> BoundedM
         debug_assert!(!set.is_empty());
         edge_matches.push(set);
     }
-    let node_matches = cand
-        .iter()
-        .map(|s| s.iter().map(|i| NodeId(i as u32)).collect())
-        .collect();
-    BoundedMatchResult::new(q, node_matches, edge_matches)
+    let targets = |e: PatternEdgeId| edge_matches[e.index()].iter().map(|&(_, w, _)| w);
+    BoundedMatchResult::new(q, node_matches(q, cand, targets), edge_matches)
 }
 
 /// Checks `Qb ⊴Bsim G` without materializing match sets.

@@ -3,8 +3,12 @@
 //! The paper defines the result of a pattern query as the set
 //! `{(e, Se) | e ∈ Ep}` derived from the unique maximum match relation,
 //! where `Se` is the match set of pattern edge `e`; the result is `∅` when
-//! `G` does not match `Qs`. We additionally expose the node match sets
-//! (the maximum relation itself), which the proofs and tests use.
+//! `G` does not match `Qs`. We additionally expose per-node match sets,
+//! read off the result graph the edge sets form: a node's matches are the
+//! endpoints it takes in its edges' pairs (sources of out-edges, targets
+//! of in-edges). A node with no incident edge matches its whole base set.
+//! So the node sets follow from the edge sets and the base sets, whatever
+//! plan computed them, and `==` compares both.
 
 use gpv_graph::NodeId;
 use gpv_pattern::{Pattern, PatternEdgeId, PatternNodeId};
@@ -14,25 +18,15 @@ use serde::{Deserialize, Serialize};
 ///
 /// Invariants (enforced by the constructors in this crate):
 /// * either *all* node/edge match sets are nonempty, or the result is empty;
-/// * all sets are sorted and deduplicated.
-///
-/// Equality compares **edge match sets only** — the paper defines `Qs(G)` as
-/// `{(e, Se)}`. The node sets are auxiliary: `Match` reports the full maximum
-/// simulation relation, while `MatchJoin` can only see nodes that occur in
-/// some match pair (a simulation-relation member that appears in no `Se` is
-/// invisible from views), so comparing them would be too strict.
-#[derive(Clone, Debug, Eq, Serialize, Deserialize)]
+/// * all sets are sorted and deduplicated;
+/// * node sets are the endpoints of the edge sets (see the
+///   [module docs](self)).
+#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MatchResult {
     /// `node_matches[u]` = matches of pattern node `u` (sorted).
     pub node_matches: Vec<Vec<NodeId>>,
     /// `edge_matches[e]` = the match set `Se` (sorted pairs).
     pub edge_matches: Vec<Vec<(NodeId, NodeId)>>,
-}
-
-impl PartialEq for MatchResult {
-    fn eq(&self, other: &Self) -> bool {
-        self.edge_matches == other.edge_matches
-    }
 }
 
 impl MatchResult {
@@ -94,21 +88,14 @@ impl MatchResult {
 ///
 /// Each edge match carries the *shortest* hop distance `d` of a witnessing
 /// nonempty path (`1 ≤ d ≤ fe(e)` for bounded edges). Distances feed the
-/// paper's index `I(V)` used by `BMatchJoin`.
-///
-/// Like [`MatchResult`], equality compares edge match sets only.
-#[derive(Clone, Debug, Eq, Serialize, Deserialize)]
+/// paper's index `I(V)` used by `BMatchJoin`. Node sets are defined as
+/// for [`MatchResult`].
+#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BoundedMatchResult {
     /// `node_matches[u]` = matches of pattern node `u` (sorted).
     pub node_matches: Vec<Vec<NodeId>>,
     /// `edge_matches[e]` = `{(v, v', d)}` sorted by `(v, v')`.
     pub edge_matches: Vec<Vec<(NodeId, NodeId, u32)>>,
-}
-
-impl PartialEq for BoundedMatchResult {
-    fn eq(&self, other: &Self) -> bool {
-        self.edge_matches == other.edge_matches
-    }
 }
 
 impl BoundedMatchResult {

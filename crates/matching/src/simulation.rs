@@ -21,7 +21,7 @@
 
 use crate::result::MatchResult;
 use gpv_graph::{BitSet, DataGraph, NodeId};
-use gpv_pattern::{Pattern, PatternNodeId};
+use gpv_pattern::{Pattern, PatternEdgeId, PatternNodeId};
 
 /// Computes `Qs(G)` by graph simulation (the `Match` baseline).
 pub fn match_pattern(q: &Pattern, g: &DataGraph) -> MatchResult {
@@ -143,11 +143,32 @@ pub(crate) fn build_result(q: &Pattern, g: &DataGraph, cand: Option<Vec<BitSet>>
         }
         edge_matches.push(set);
     }
-    let node_matches = cand
-        .iter()
-        .map(|s| s.iter().map(|i| NodeId(i as u32)).collect())
-        .collect();
-    MatchResult::new(q, node_matches, edge_matches)
+    let targets = |e: PatternEdgeId| edge_matches[e.index()].iter().map(|&(_, w)| w);
+    MatchResult::new(q, node_matches(q, &cand, targets), edge_matches)
+}
+
+/// The node sets of a result over the relation `cand`: a node's matches
+/// are the endpoints it takes in its edge sets, whose targets `targets(e)`
+/// lists. Every candidate of a node with out-edges is a source of each of
+/// them, and a node with no edges keeps its candidates, so only a sink's
+/// set is built: the targets its in-edges reach, marked in a mask.
+pub(crate) fn node_matches<I: Iterator<Item = NodeId>>(
+    q: &Pattern,
+    cand: &[BitSet],
+    targets: impl Fn(PatternEdgeId) -> I,
+) -> Vec<Vec<NodeId>> {
+    let node_set = |u: PatternNodeId| {
+        let c = &cand[u.index()];
+        if !q.out_edges(u).is_empty() || q.in_edges(u).is_empty() {
+            return c.iter().map(|v| NodeId(v as u32)).collect();
+        }
+        let mut mask = BitSet::new(c.capacity());
+        for w in q.in_edges(u).iter().flat_map(|&(_, e)| targets(e)) {
+            mask.insert(w.index());
+        }
+        mask.iter().map(|v| NodeId(v as u32)).collect()
+    };
+    q.nodes().map(node_set).collect()
 }
 
 /// Checks `Qs ⊴sim G` without materializing edge match sets.
@@ -437,8 +458,9 @@ mod tests {
         pb.edge(u, w);
         let q = pb.build().unwrap();
         let r = match_pattern(&q, &g);
-        // u matches x (has successor); w matches both.
+        // u matches x (has successor); w, a sink, matches the target it
+        // takes in (u, w)'s only pair.
         assert_eq!(r.node_set(u), &[x]);
-        assert_eq!(r.node_set(w), &[x, y]);
+        assert_eq!(r.node_set(w), &[y]);
     }
 }

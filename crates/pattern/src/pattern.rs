@@ -177,6 +177,12 @@ impl Pattern {
         self.edge_id(u, u).is_some()
     }
 
+    /// Whether `u` has no incident edge (every node of an edgeless
+    /// pattern).
+    pub fn is_isolated(&self, u: PatternNodeId) -> bool {
+        self.out_adj[u.index()].is_empty() && self.in_adj[u.index()].is_empty()
+    }
+
     /// Whether the pattern is acyclic (a DAG pattern in the paper's
     /// terminology; self-loops count as cycles).
     pub fn is_dag(&self) -> bool {

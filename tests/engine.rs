@@ -30,6 +30,20 @@ fn arb_bounded_query() -> impl Strategy<Value = BoundedPattern> {
     })
 }
 
+/// `q` with one more node, labelled `LABELS[label]`, that has no edges:
+/// no view covers it, so only a graph-reading plan answers `q`.
+fn with_isolated(q: &Pattern, label: usize) -> Pattern {
+    let mut preds = q.preds().to_vec();
+    preds.push(Predicate::label(LABELS[label]));
+    let edges = q.edges().iter().map(|&(u, t)| (u.0, t.0)).collect();
+    Pattern::from_parts(preds, edges).unwrap()
+}
+
+/// The label of a node to append with [`with_isolated`], or `None`.
+fn arb_isolated() -> impl Strategy<Value = Option<usize>> {
+    (any::<bool>(), 0usize..4).prop_map(|(append, label)| append.then_some(label))
+}
+
 /// Configs that pin each selection mode, plus the cost-based default.
 fn mode_configs() -> Vec<EngineConfig> {
     let mut cfgs = vec![EngineConfig::default()];
@@ -69,13 +83,15 @@ proptest! {
 
     /// Partially-covered queries: the planner picks hybrid (or direct) and
     /// `answer` still equals the ground truth; strict views-only answering
-    /// refuses.
+    /// refuses. With `isolated`, the query gains a node with no edges,
+    /// which no view covers: the plan reads `G` directly.
     #[test]
     fn engine_equals_match_under_partial_coverage(
         g in arb_graph(),
         q in arb_query(),
         vseed in any::<u64>(),
         keep_probe in any::<u64>(),
+        isolated in arb_isolated(),
     ) {
         // Drop some of the covering views so coverage is partial (or, for
         // single-edge queries, possibly empty).
@@ -84,6 +100,7 @@ proptest! {
             .filter(|i| (keep_probe >> (i % 64)) & 1 == 1)
             .collect();
         let views = full.subset(&keep);
+        let q = isolated.map_or(q.clone(), |l| with_isolated(&q, l));
         let engine = QueryEngine::materialize(views, &g);
         let direct = match_pattern(&q, &g);
         let plan = engine.plan(&q);
@@ -91,27 +108,37 @@ proptest! {
         if plan.needs_graph() {
             prop_assert!(engine.answer_from_views(&q).is_err());
         }
+        if isolated.is_some() {
+            let direct_plan = matches!(plan, QueryPlan::Direct { reason: FallbackReason::NoEdges, .. });
+            prop_assert!(direct_plan, "plan was: {}", plan);
+        }
     }
 
-    /// No views at all: the engine falls back to direct evaluation, whose
-    /// node sets also equal `Match`'s (they seed maintainers promoted from
-    /// a stored result, and `MatchResult`'s equality ignores them).
+    /// No views at all: the engine falls back to direct evaluation.
     #[test]
     fn engine_direct_fallback(g in arb_graph(), q in arb_query()) {
         let engine = QueryEngine::materialize(graph_views::views::ViewSet::default(), &g);
         prop_assert!(matches!(engine.plan(&q), QueryPlan::Direct { .. }));
-        let (answer, direct) = (engine.answer(&q, &g).unwrap(), match_pattern(&q, &g));
-        prop_assert_eq!(&answer.node_matches, &direct.node_matches);
-        prop_assert_eq!(answer, direct);
+        prop_assert_eq!(engine.answer(&q, &g).unwrap(), match_pattern(&q, &g));
     }
 
     /// Bounded queries: engine plans over the bounded registry equal
     /// `bmatch_pattern` (Theorem 8), under every selection mode. A second
     /// leg loosens every view bound, to `k + 1` and to `*`, so the views
     /// hold pairs the query's bounds reject and the merge must filter.
+    /// With `isolated`, the query gains a node with no edges, which no
+    /// view covers: the bounded planner refuses it.
     #[test]
-    fn engine_bounded_equals_bmatch(g in arb_graph(), qb in arb_bounded_query(), vseed in any::<u64>()) {
+    fn engine_bounded_equals_bmatch(
+        g in arb_graph(),
+        qb in arb_bounded_query(),
+        vseed in any::<u64>(),
+        isolated in arb_isolated(),
+    ) {
         let views = covering_bounded_views(std::slice::from_ref(&qb), 2, vseed);
+        let qb = isolated.map_or(qb.clone(), |l| {
+            BoundedPattern::new(with_isolated(qb.pattern(), l), qb.bounds().to_vec()).unwrap()
+        });
         let direct = bmatch_pattern(&qb, &g);
         let loose = |f: fn(EdgeBound) -> EdgeBound| {
             let defs = views.views().iter().map(|v| {
@@ -128,7 +155,12 @@ proptest! {
                 let engine = QueryEngine::materialize(graph_views::views::ViewSet::default(), &g)
                     .with_bounded_views(vs.clone(), &g)
                     .with_config(cfg);
-                prop_assert_eq!(&engine.answer_bounded(&qb).unwrap(), &direct);
+                let answer = engine.answer_bounded(&qb);
+                if isolated.is_some() {
+                    prop_assert!(matches!(answer, Err(EngineError::BoundedNotContained)));
+                } else {
+                    prop_assert_eq!(&answer.unwrap(), &direct);
+                }
             }
         }
     }
@@ -241,4 +273,63 @@ proptest! {
             )));
         }
     }
+}
+
+/// A query node with no edges matches its whole base set, which no view
+/// holds: views cover edges only. So containment refuses such a query,
+/// views-only answering errors, and the planner reads `G` directly, both
+/// where the views cover every edge and where they cover some.
+#[test]
+fn isolated_query_node_is_answered_from_the_graph() {
+    use graph_views::graph::io::parse_graph;
+    use graph_views::pattern::parse_pattern;
+    let g = parse_graph("node 0 A\nnode 1 B\nnode 2 C\nnode 3 D\nedge 0 1\nedge 1 2").unwrap();
+    let vab = parse_pattern("node a A\nnode b B\nedge a b").unwrap();
+    let views = graph_views::views::ViewSet::new(vec![ViewDef::new("vab", vab)]);
+    let engine = QueryEngine::materialize(views.clone(), &g);
+    for text in [
+        "node x A\nnode y B\nnode z C\nedge x y",
+        "node x A\nnode y B\nnode z C\nnode w D\nedge x y\nedge y z",
+    ] {
+        let q = parse_pattern(text).unwrap();
+        assert!(contain(&q, &views).is_none(), "{text}");
+        let plan = engine.plan(&q);
+        assert!(
+            matches!(
+                plan,
+                QueryPlan::Direct {
+                    reason: FallbackReason::NoEdges,
+                    ..
+                }
+            ),
+            "{text}: {plan}"
+        );
+        let direct = match_pattern(&q, &g);
+        assert!(!direct.is_empty(), "{text}");
+        assert_eq!(engine.answer(&q, &g).unwrap(), direct, "{text}");
+        assert!(
+            matches!(engine.answer_from_views(&q), Err(EngineError::NotContained)),
+            "{text}"
+        );
+    }
+}
+
+/// The bounded twin: a bounded query with an isolated node is not
+/// contained in bounded views, so the bounded planner refuses it.
+#[test]
+fn isolated_bounded_query_node_is_not_contained() {
+    use graph_views::graph::io::parse_graph;
+    use graph_views::pattern::parse_bounded_pattern;
+    let g = parse_graph("node 0 A\nnode 1 B\nnode 2 C\nedge 0 1").unwrap();
+    let vab = parse_bounded_pattern("node a A\nnode b B\nedge a b 2").unwrap();
+    let views = BoundedViewSet::new(vec![BoundedViewDef::new("vab", vab)]);
+    let qb = parse_bounded_pattern("node x A\nnode y B\nnode z C\nedge x y 2").unwrap();
+    assert!(!bmatch_pattern(&qb, &g).is_empty());
+    assert!(bcontain(&qb, &views).is_none());
+    let engine = QueryEngine::materialize(graph_views::views::ViewSet::default(), &g)
+        .with_bounded_views(views, &g);
+    assert!(matches!(
+        engine.answer_bounded(&qb),
+        Err(EngineError::BoundedNotContained)
+    ));
 }

@@ -524,8 +524,7 @@ struct AnswerLevelCase {
 /// `k % 4` of each step inserts a fresh random edge, re-inserts a present
 /// edge, deletes a present edge or deletes a random (often absent) one.
 /// Whenever `may_change` says `false`, `match_pattern` on the post-delta
-/// graph must equal the cached answer, node sets included (`==` compares
-/// edge sets only).
+/// graph must equal the cached answer, node sets included.
 fn answer_level_case(
     gseed: u64,
     qseed: u64,
@@ -559,12 +558,6 @@ fn answer_level_case(
     if kept {
         let after = match_pattern(&q, &delta.apply_to(&g));
         prop_assert_eq!(&after, &before, "{:?} changed the answer to {:?}", delta, q);
-        prop_assert_eq!(
-            &after.node_matches,
-            &before.node_matches,
-            "node sets moved under {:?}",
-            delta
-        );
     }
     Ok(AnswerLevelCase {
         touched: footprint.touched_by(&delta, &g),

@@ -283,7 +283,8 @@ proptest! {
 
     /// Kernel materialization equals `BMatch` view by view, node sets and
     /// distances included: `*` edges, isolated nodes (which keep their
-    /// whole base set) and empty base sets (an empty extension).
+    /// whole base set), sinks (which keep the targets they take) and empty
+    /// base sets (an empty extension).
     #[test]
     fn bmaterialize_equals_bmatch(
         g in arb_graph(),
@@ -294,10 +295,7 @@ proptest! {
         );
         let ext = graph_views::views::bmaterialize(&views, &g);
         for (i, v) in views.iter() {
-            let oracle = bmatch_pattern(&v.pattern, &g);
-            let stored = ext.extensions[i].thaw();
-            prop_assert_eq!(&stored.node_matches, &oracle.node_matches);
-            prop_assert_eq!(&stored.edge_matches, &oracle.edge_matches);
+            prop_assert_eq!(ext.extensions[i].thaw(), bmatch_pattern(&v.pattern, &g));
         }
     }
 
@@ -369,9 +367,7 @@ proptest! {
             let ext = dual_materialize(&views, &g);
             // Each extension is the view's dual result, node sets included.
             for (i, v) in views.iter() {
-                let (thawed, oracle) = (ext.extensions[i].thaw(), dual_match_pattern(&v.pattern, &g));
-                prop_assert_eq!(&thawed.node_matches, &oracle.node_matches);
-                prop_assert_eq!(thawed, oracle);
+                prop_assert_eq!(ext.extensions[i].thaw(), dual_match_pattern(&v.pattern, &g));
             }
             let joined = dual_match_join(&q, &plan, &ext).unwrap();
             let direct = dual_match_pattern(&q, &g);
