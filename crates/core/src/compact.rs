@@ -191,6 +191,19 @@ impl CompactView {
         self == other
     }
 
+    /// FNV-1a over all four columns. A frozen view is canonical, so equal
+    /// contents give equal digests: comparing digests compares answers
+    /// across processes (`gpv serve` prints one per query).
+    pub fn digest(&self) -> u64 {
+        let mut h = crate::fnv::Fnv1a::new();
+        let offsets = self.edge_offsets.iter().chain(&*self.node_offsets).copied();
+        let pairs = self.pairs.iter().flat_map(|&(a, b)| [a.0, b.0]);
+        for x in offsets.chain(pairs).chain(self.nodes.iter().map(|v| v.0)) {
+            h.write(&x.to_le_bytes());
+        }
+        h.finish()
+    }
+
     /// The raw columns `(edge_offsets, pairs, node_offsets, nodes)` — the
     /// exact byte surface the on-disk shard format persists.
     pub(crate) fn columns(&self) -> RawColumns<'_> {

@@ -38,14 +38,14 @@
 //!   by a structural [`query_fingerprint`] and confirm a hit by comparing
 //!   the stored pattern with `==`;
 //! * executes against a lock-free
-//!   [`StoreSnapshot`] of the sharded
+//!   [`StoreSnapshot`] of the
 //!   [`ViewStore`], rebuilding its internal [`QueryEngine`] only when the
 //!   store version moves — a rebuild shares the snapshot's extensions by
 //!   `Arc` ([`QueryEngine::from_snapshot`]), so it costs O(card(V)) handle
 //!   clones, never a deep copy of the materialized pairs;
 //! * plans under the one fixed [`CostModel`](crate::cost::CostModel);
 //! * keeps service-level statistics: plan- and result-cache hit rates,
-//!   per-shard occupancy, in-flight queue depth and a log₂ latency
+//!   shard-file occupancy, in-flight queue depth and a log₂ latency
 //!   histogram.
 //!
 //! Answers are **byte-identical** to calling
@@ -426,7 +426,8 @@ pub struct ServiceStats {
     pub in_flight: u64,
     /// High-water mark of [`Self::in_flight`].
     pub max_in_flight: u64,
-    /// Per-shard occupancy of the backing store.
+    /// How the backing store's views spread over the shard files
+    /// [`ViewStore::save_to_dir`] writes ([`ViewStore::occupancy`]).
     pub shard_occupancy: Vec<ShardOccupancy>,
     /// Estimated resident bytes of the store's warm incremental
     /// maintainers and the base sets they share
@@ -459,19 +460,17 @@ struct Counters {
     kept_unchanged: AtomicU64,
 }
 
-/// The engine snapshot the service executes against, tagged with the store
-/// version it was built from. Carries the MVCC [`StoreSnapshot`] it was
-/// built over so cache probes can price an answer's epoch-set stamp
-/// without re-touching the store.
+/// The engine the service executes against and the MVCC [`StoreSnapshot`]
+/// it was built over. Its version, view-set fingerprint and graph
+/// fingerprint are the snapshot's, so cache probes and graph checks price
+/// an answer against exactly the state the batch executes on.
 #[derive(Clone, Debug)]
 struct EngineSnapshot {
-    version: u64,
-    view_fingerprint: u64,
     store: Arc<StoreSnapshot>,
     engine: Arc<QueryEngine>,
 }
 
-/// A concurrent, batch-oriented query-serving facade over a sharded
+/// A concurrent, batch-oriented query-serving facade over a
 /// [`ViewStore`]. Shared by reference across client threads (`&self`
 /// everywhere); see the [module docs](self) for the full contract.
 #[derive(Debug)]
@@ -813,22 +812,22 @@ impl ViewService {
             .read()
             .expect("engine lock poisoned")
             .as_ref()
-            .filter(|s| s.version == version)
+            .filter(|s| s.store.version == version)
         {
             return snap.clone();
         }
         let mut guard = self.engine.write().expect("engine lock poisoned");
         // Another thread may have rebuilt while we waited for the lock.
-        let version = self.store.version();
-        if let Some(snap) = guard.as_ref().filter(|s| s.version == version) {
+        let store_snap = self.store.snapshot();
+        if let Some(snap) = guard
+            .as_ref()
+            .filter(|s| s.store.version == store_snap.version)
+        {
             return snap.clone();
         }
-        let store_snap = self.store.snapshot();
         let engine =
             QueryEngine::from_snapshot(&store_snap).with_config(self.config.engine.clone());
         let snap = EngineSnapshot {
-            version: store_snap.version,
-            view_fingerprint: store_snap.fingerprint,
             store: store_snap,
             engine: Arc::new(engine),
         };
@@ -943,7 +942,7 @@ impl ViewService {
                 .expect("result cache lock poisoned");
             cache
                 .map
-                .get(&(qfp, snap.view_fingerprint))
+                .get(&(qfp, snap.store.fingerprint))
                 .filter(|e| {
                     *e.query == *q
                         && (has_graph || !e.plan.needs_graph())
@@ -1002,7 +1001,7 @@ impl ViewService {
             return;
         }
         let epoch_key = plan_epoch_key(&a.plan, &snap.store);
-        let key = (qfp, snap.view_fingerprint);
+        let key = (qfp, snap.store.fingerprint);
         let mut cache = self
             .result_cache
             .write()
@@ -1016,7 +1015,7 @@ impl ViewService {
         // right after this check still gets cleaned by the purge on the
         // next engine rebuild, which every later batch performs.)
         let current = self.store.snapshot();
-        if current.fingerprint != snap.view_fingerprint
+        if current.fingerprint != snap.store.fingerprint
             || plan_epoch_key(&a.plan, &current) != epoch_key
         {
             return;
@@ -1071,10 +1070,10 @@ impl ViewService {
     /// [`QueryEngine::answer`] (or
     /// [`QueryEngine::answer_from_views`] when `g` is `None`) would return.
     ///
-    /// When `g` is supplied it must be the graph the store was
-    /// materialized against — extensions from one graph say nothing about
-    /// another. This is *checked* once per batch (one `O(1)` fingerprint
-    /// comparison): queries whose plans read `G` fail with
+    /// When `g` is supplied it must be the graph of the store snapshot the
+    /// batch executes against — extensions from one graph say nothing
+    /// about another. This is *checked* once per batch (one `O(1)`
+    /// fingerprint comparison): queries whose plans read `G` fail with
     /// [`ServiceError::GraphMismatch`] instead of computing garbage.
     /// Views-only plans never touch `g`, so they answer correctly (for the
     /// store's graph) regardless of what was passed.
@@ -1114,11 +1113,12 @@ impl ViewService {
             .fetch_max(depth, Ordering::Relaxed);
 
         let snap = self.engine();
-        // The supplied graph's validation, checked by every graph-reading
-        // plan in this batch (views-only plans ignore it).
+        // The supplied graph's validation against the graph of the snapshot
+        // this batch executes, checked by every graph-reading plan in the
+        // batch (views-only plans ignore it).
         let graph_check = g.map(|g| {
             let actual = crate::storage::graph_fingerprint(g);
-            let expected = self.store.graph_fingerprint();
+            let expected = snap.store.graph_fingerprint;
             if actual == expected {
                 Ok(g)
             } else {
@@ -1176,7 +1176,7 @@ impl ViewService {
                     }
                     None => {
                         let (plan, plan_cached) =
-                            self.plan_for(&snap.engine, snap.view_fingerprint, qfp, q);
+                            self.plan_for(&snap.engine, snap.store.fingerprint, qfp, q);
                         // Views-only plans execute with no graph at all;
                         // plans that do read G first validate it belongs to
                         // this store (once per batch).
@@ -1247,7 +1247,7 @@ impl ViewService {
             .read()
             .expect("plan cache lock poisoned")
             .map
-            .get(&(qfp, snap.view_fingerprint))
+            .get(&(qfp, snap.store.fingerprint))
             .filter(|entry| *entry.query == *q)
             .map(|entry| entry.plan.clone());
         let plan_cached = cached_plan.is_some();
@@ -1256,14 +1256,14 @@ impl ViewService {
             .read()
             .expect("result cache lock poisoned")
             .map
-            .get(&(qfp, snap.view_fingerprint))
+            .get(&(qfp, snap.store.fingerprint))
             .is_some_and(|entry| {
                 *entry.query == *q && plan_epoch_key(&entry.plan, &snap.store) == entry.epoch_key
             });
         let plan = cached_plan.unwrap_or_else(|| Arc::new(snap.engine.plan(q)));
         format!(
             "{plan}\n  cache  : query {qfp:#018x} / views {:#018x} (plan {}, result {})",
-            snap.view_fingerprint,
+            snap.store.fingerprint,
             if plan_cached { "hit" } else { "miss" },
             if result_cached { "hit" } else { "miss" }
         )

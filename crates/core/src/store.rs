@@ -1,33 +1,37 @@
-//! Sharded, concurrently-writable view storage.
+//! Concurrently-writable view storage: one published snapshot.
 //!
 //! A [`QueryEngine`](crate::engine::QueryEngine) owns one monolithic view
 //! registry. That is fine for a single-threaded CLI run but not for a
 //! serving process where many threads read views while others register or
-//! retire them. [`ViewStore`] is the concurrent representation: views live
-//! in `N` independent shards,
-//! each behind its own [`RwLock`], chosen by a hash of the view's stable id.
+//! retire them. [`ViewStore`] is the concurrent representation. Its whole
+//! state is one published [`StoreSnapshot`]: the id-ordered views and their
+//! epochs, the version, the graph's fingerprint and epoch, and the id
+//! watermark. Nothing else in the store mirrors those values.
 //!
 //! Concurrency contract (MVCC):
 //!
 //! * **Writes** (insert / remove / [`ViewStore::apply_delta`]) serialize on
-//!   one writer mutex, mutate the owning shard(s), and then *publish* a
-//!   freshly assembled [`StoreSnapshot`] behind an `Arc` swap;
+//!   one writer mutex, derive the successor of the published snapshot, and
+//!   swap it in behind an `Arc`;
 //! * **Reads never block on writers**: [`ViewStore::snapshot`] clones the
-//!   published `Arc` — in-flight readers keep serving whatever snapshot
-//!   they hold while a writer prepares the next one, and a half-applied
-//!   delta is never observable;
+//!   published `Arc`, and every accessor ([`ViewStore::len`],
+//!   [`ViewStore::get`], [`ViewStore::version`], ...) reads one snapshot.
+//!   In-flight readers keep serving whatever snapshot they hold while a
+//!   writer prepares the next one, and a half-applied delta is never
+//!   observable;
 //! * **The query hot path holds no locks at all**: execution works off a
 //!   snapshot — a consistent, immutable set of `Arc`-shared views. The
 //!   serving layer ([`crate::service::ViewService`]) rebuilds its
-//!   [`QueryEngine`](crate::engine::QueryEngine) only when
-//!   [`ViewStore::version`] moves, so steady-state query traffic is
-//!   entirely lock-free.
+//!   [`QueryEngine`](crate::engine::QueryEngine) only when the snapshot's
+//!   version moves, so steady-state query traffic is entirely lock-free.
 //!
 //! The store is keyed by *stable ids* (monotonic `u64`s handed out at
 //! registration) rather than the positional indices of
 //! [`ViewSet`]: positions shift when views are
 //! retired, ids never do. Snapshots order views by id, so planning and
-//! execution are deterministic regardless of shard count or interleaving.
+//! execution are deterministic. The store's shard count only routes views
+//! to the `shard-NNNN.bin` files [`ViewStore::save_to_dir`] writes (by a
+//! hash of the id); in memory there is one view list.
 //!
 //! ## Epochs
 //!
@@ -52,14 +56,12 @@ use crate::storage::graph_fingerprint;
 use crate::view::{materialize, ViewDef, ViewExtensions, ViewSet};
 use gpv_graph::stats::GraphStats;
 use gpv_graph::{DataGraph, NodeId};
-use gpv_matching::result::MatchResult;
 use std::collections::HashMap;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 /// One materialized view as stored: its stable id, definition and cached
-/// extension, shared by `Arc` between the shards and live snapshots.
+/// extension, shared by `Arc` between successive snapshots.
 #[derive(Debug)]
 pub struct StoredView {
     /// Stable registration id (never reused within a store).
@@ -139,22 +141,17 @@ pub struct DeltaReport {
     pub unaffected: usize,
 }
 
-/// Occupancy of one shard — how many views it holds and how many
-/// materialized pairs they carry (the serving-layer stats surface this so
-/// skew is visible).
+/// Occupancy of one shard file — how many views
+/// [`ViewStore::save_to_dir`] routes to it and how many materialized pairs
+/// they carry (the serving-layer stats surface this so skew is visible).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ShardOccupancy {
     /// Shard index.
     pub shard: usize,
-    /// Views resident in this shard.
+    /// Views routed to this shard.
     pub views: usize,
     /// Total materialized match pairs across those views.
     pub pairs: u64,
-}
-
-#[derive(Debug, Default)]
-struct Shard {
-    views: Vec<Arc<StoredView>>,
 }
 
 /// One row of [`ViewStore::eviction_advice`]: a resident view no workload
@@ -171,7 +168,7 @@ pub struct EvictionAdvice {
     pub resident_bytes: usize,
 }
 
-/// A sharded, concurrently-writable registry of materialized views.
+/// A concurrently-writable registry of materialized views.
 ///
 /// See the [module docs](self) for the locking contract. Build one with
 /// [`ViewStore::materialize`] (or [`ViewStore::load_from_dir`] for
@@ -206,26 +203,16 @@ pub struct EvictionAdvice {
 /// ```
 #[derive(Debug)]
 pub struct ViewStore {
-    shards: Vec<RwLock<Shard>>,
-    next_id: AtomicU64,
-    /// Bumped on every successful mutation; snapshot consumers use it to
-    /// detect staleness without locking any shard.
-    version: AtomicU64,
-    /// Fingerprint of the graph the store currently materializes. Atomic
-    /// because [`Self::apply_delta`] moves it to the post-delta graph.
-    graph_fingerprint: AtomicU64,
-    /// Version of the last applied edge delta (0 = the graph has never
-    /// changed). Mirrored into every snapshot as
-    /// [`StoreSnapshot::graph_epoch`].
-    graph_epoch: AtomicU64,
-    graph_stats: Option<GraphStats>,
-    /// The published MVCC snapshot: always fully assembled and internally
-    /// consistent. Readers clone the `Arc`; only the writer path (under
+    /// How many `shard-NNNN.bin` files [`Self::save_to_dir`] writes
+    /// (minimum 1).
+    shards: usize,
+    /// The store's state: always fully assembled and internally
+    /// consistent. Readers clone the `Arc`; only a mutation (under
     /// [`Self::writer`]) replaces it.
     published: RwLock<Arc<StoreSnapshot>>,
-    /// Serializes all mutations and owns the warm incremental maintainers
-    /// (view id → [`IncrementalView`]). Holding this across shard edits and
-    /// the publish step is what makes half-applied deltas unobservable.
+    /// Serializes all mutations and owns the caches they reuse. Holding it
+    /// from reading the published snapshot to swapping in its successor is
+    /// what makes half-applied mutations unobservable.
     writer: Mutex<WriterState>,
 }
 
@@ -264,65 +251,77 @@ fn shard_hash(id: u64) -> u64 {
 }
 
 impl ViewStore {
-    /// An empty store for graph `g` with `shards` shards (minimum 1).
+    /// An empty store for graph `g` that saves `shards` shard files
+    /// (minimum 1).
     pub fn for_graph(g: &DataGraph, shards: usize) -> Self {
-        Self::with_fingerprint(
-            graph_fingerprint(g),
-            Some(gpv_graph::stats::stats(g)),
-            shards,
-        )
-    }
-
-    fn with_fingerprint(fp: u64, stats: Option<GraphStats>, shards: usize) -> Self {
-        let n = shards.max(1);
-        let empty = Arc::new(StoreSnapshot {
-            version: 0,
-            fingerprint: view_set_fingerprint(&[]),
-            graph_fingerprint: fp,
-            graph_epoch: 0,
-            graph_stats: stats.clone(),
-            views: Vec::new(),
-            epochs: Vec::new(),
-            view_set: Arc::new(ViewSet::new(Vec::new())),
-            extensions: Arc::new(ViewExtensions {
-                extensions: Vec::new(),
-            }),
-        });
-        ViewStore {
-            shards: (0..n).map(|_| RwLock::new(Shard::default())).collect(),
-            next_id: AtomicU64::new(0),
-            version: AtomicU64::new(0),
-            graph_fingerprint: AtomicU64::new(fp),
-            graph_epoch: AtomicU64::new(0),
-            graph_stats: stats,
-            published: RwLock::new(empty),
-            writer: Mutex::new(WriterState::default()),
-        }
+        Self::materialize(ViewSet::new(Vec::new()), g, shards)
     }
 
     /// Materializes `views` over `g` into a fresh store. (No per-view
     /// fingerprint checks — the store is built for `g` by construction;
     /// the public [`Self::insert`] path keeps the check.)
     pub fn materialize(views: ViewSet, g: &DataGraph, shards: usize) -> Self {
-        let store = Self::for_graph(g, shards);
-        for (def, ext) in views.views().iter().zip(materialize(&views, g).extensions) {
-            store.insert_raw(def.clone(), ext);
+        let exts = materialize(&views, g).extensions;
+        let ids_defs = (0..).zip(views.views().iter().cloned());
+        let stored = ids_defs.zip(exts).map(|((id, def), ext)| (id, def, ext));
+        let stats = Some(gpv_graph::stats::stats(g));
+        Self::load(shards, graph_fingerprint(g), stats, 0, stored.collect())
+    }
+
+    /// The one bulk constructor: a store at version `views.len()` whose
+    /// views, sorted by id, carry epochs `1..=views.len()`. The id
+    /// watermark is `next_id`, raised above every loaded id.
+    fn load(
+        shards: usize,
+        graph_fingerprint: u64,
+        graph_stats: Option<GraphStats>,
+        next_id: u64,
+        mut views: Vec<(u64, ViewDef, Arc<CompactView>)>,
+    ) -> Self {
+        views.sort_by_key(|v| v.0);
+        let views: Vec<Arc<StoredView>> = (1..)
+            .zip(views)
+            .map(|(epoch, (id, def, ext))| {
+                Arc::new(StoredView {
+                    id,
+                    def,
+                    ext,
+                    epoch,
+                })
+            })
+            .collect();
+        let empty = StoreSnapshot {
+            version: 0,
+            fingerprint: view_set_fingerprint(&[]),
+            graph_fingerprint,
+            graph_epoch: 0,
+            graph_stats,
+            // Never hand out an id at or below a loaded one, even if a
+            // saved watermark is inconsistent.
+            next_id: views.last().map_or(next_id, |v| next_id.max(v.id + 1)),
+            views: Vec::new(),
+            epochs: Vec::new(),
+            view_set: Arc::new(ViewSet::new(Vec::new())),
+            extensions: Arc::new(ViewExtensions {
+                extensions: Vec::new(),
+            }),
+        };
+        let snap = empty.successor(views.len() as u64, views);
+        ViewStore {
+            shards: shards.max(1),
+            published: RwLock::new(Arc::new(snap)),
+            writer: Mutex::new(WriterState::default()),
         }
-        store.publish(false);
-        store
     }
 
-    /// Number of shards.
+    /// Number of shard files [`Self::save_to_dir`] writes.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.shards
     }
 
-    /// Total views across all shards.
+    /// Total views in the store.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().expect("shard lock poisoned").views.len())
-            .sum()
+        self.snapshot().views.len()
     }
 
     /// Whether the store holds no views.
@@ -333,40 +332,18 @@ impl ViewStore {
     /// Fingerprint of the graph this store currently materializes against
     /// (moves when [`Self::apply_delta`] mutates the edge set).
     pub fn graph_fingerprint(&self) -> u64 {
-        self.graph_fingerprint.load(Ordering::Acquire)
+        self.snapshot().graph_fingerprint
     }
 
-    /// Version of the last applied edge delta (0 if the graph never
-    /// changed). Plans that read `G` fold this into their cache keys.
-    pub fn graph_epoch(&self) -> u64 {
-        self.graph_epoch.load(Ordering::Acquire)
-    }
-
-    /// Statistics of that graph, captured at construction.
-    pub fn graph_stats(&self) -> Option<&GraphStats> {
-        self.graph_stats.as_ref()
-    }
-
-    /// The store's mutation counter: bumped on every insert/remove, stable
-    /// across reads. Snapshot consumers compare it to decide whether a
-    /// cached engine is still current.
+    /// The store's mutation counter: bumped on every insert/remove/delta,
+    /// stable across reads. Snapshot consumers compare it to decide
+    /// whether a cached engine is still current.
     pub fn version(&self) -> u64 {
-        self.version.load(Ordering::Acquire)
+        self.snapshot().version
     }
 
     fn shard_of(&self, id: u64) -> usize {
-        (shard_hash(id) % self.shards.len() as u64) as usize
-    }
-
-    /// `Err(GraphMismatch)` unless `actual` is the fingerprint of the
-    /// store's current graph.
-    fn check_graph(&self, actual: u64) -> Result<(), StoreError> {
-        let expected = self.graph_fingerprint();
-        if actual == expected {
-            Ok(())
-        } else {
-            Err(StoreError::GraphMismatch { expected, actual })
-        }
+        (shard_hash(id) % self.shards as u64) as usize
     }
 
     /// Materializes `def` over `g` and registers it, returning its stable
@@ -377,101 +354,75 @@ impl ViewStore {
     /// old graph.
     pub fn insert(&self, def: ViewDef, g: &DataGraph) -> Result<u64, StoreError> {
         let actual = graph_fingerprint(g);
-        self.check_graph(actual)?;
+        self.snapshot().check_graph(actual)?;
         let (ext, _) = GraphSource::new(g).simulate(&def.pattern, Simulation::Plain);
-        let ext = Arc::new(CompactView::freeze(&ext));
-        let _writer = self.writer.lock().expect("writer lock poisoned");
-        self.check_graph(actual)?;
-        let id = self.insert_raw(def, ext);
-        self.publish(false);
-        Ok(id)
+        self.register(def, Arc::new(CompactView::freeze(&ext)), Some(actual))
     }
 
-    /// Registers an already-materialized extension (e.g. from a loaded
-    /// cache), freezing it into its columnar arena region. The caller
-    /// asserts `ext = def(G)` for this store's graph.
-    pub fn insert_materialized(&self, def: ViewDef, ext: MatchResult) -> u64 {
-        self.insert_shared(def, Arc::new(CompactView::freeze(&ext)))
-    }
-
-    /// [`Self::insert_materialized`] for a region that is already frozen
-    /// and shared — registration keeps the `Arc`, so no pairs are copied.
+    /// Registers an already-materialized, frozen extension (e.g. from a
+    /// loaded cache) — registration keeps the `Arc`, so no pairs are
+    /// copied. The caller asserts `ext = def(G)` for this store's graph.
     pub fn insert_shared(&self, def: ViewDef, ext: Arc<CompactView>) -> u64 {
+        self.register(def, ext, None)
+            .expect("registration without a graph check cannot fail")
+    }
+
+    /// The one registration path: under the writer lock, checks the graph
+    /// fingerprint `graph` (when given) against the published snapshot and
+    /// publishes its successor with the new view appended under the next
+    /// id, at the next version, with that version as its epoch.
+    fn register(
+        &self,
+        def: ViewDef,
+        ext: Arc<CompactView>,
+        graph: Option<u64>,
+    ) -> Result<u64, StoreError> {
         let _writer = self.writer.lock().expect("writer lock poisoned");
-        let id = self.insert_raw(def, ext);
-        self.publish(false);
-        id
-    }
-
-    /// Shard insertion without publication: the bulk-load path
-    /// (`materialize`, `load_from_dir`) registers every view
-    /// first and publishes one snapshot at the end, keeping construction
-    /// O(n) instead of O(n²). The new view's epoch is the post-insert
-    /// version.
-    fn insert_raw(&self, def: ViewDef, ext: Arc<CompactView>) -> u64 {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let epoch = self.version.fetch_add(1, Ordering::Release) + 1;
-        let stored = Arc::new(StoredView {
+        let snap = self.snapshot();
+        if let Some(actual) = graph {
+            snap.check_graph(actual)?;
+        }
+        let (id, version) = (snap.next_id, snap.version + 1);
+        let mut views = snap.views.clone();
+        views.push(Arc::new(StoredView {
             id,
             def,
             ext,
-            epoch,
+            epoch: version,
+        }));
+        self.publish(StoreSnapshot {
+            next_id: id + 1,
+            ..snap.successor(version, views)
         });
-        let shard = self.shard_of(id);
-        self.shards[shard]
-            .write()
-            .expect("shard lock poisoned")
-            .views
-            .push(stored);
-        id
-    }
-
-    /// Registers a view under an explicit stable id — the shard loader's
-    /// path, which must reproduce the saved store's id → shard routing
-    /// exactly. Does not advance `next_id`; the caller restores the
-    /// watermark from the metadata.
-    fn insert_with_id(&self, id: u64, def: ViewDef, ext: Arc<CompactView>) {
-        let epoch = self.version.fetch_add(1, Ordering::Release) + 1;
-        let stored = Arc::new(StoredView {
-            id,
-            def,
-            ext,
-            epoch,
-        });
-        let shard = self.shard_of(id);
-        self.shards[shard]
-            .write()
-            .expect("shard lock poisoned")
-            .views
-            .push(stored);
+        Ok(id)
     }
 
     /// Persists the store to `dir` as `meta.json` plus one flat
     /// `shard-NNNN.bin` per shard (see [`crate::shard`] for the byte
-    /// layout). The write is deterministic — views in id order, names
-    /// interned in first-appearance order — so save → load → save
-    /// reproduces byte-identical files (pinned by tests).
+    /// layout); a view goes to shard `hash(id) % shards`. Everything
+    /// written comes from one snapshot. The write is deterministic — views
+    /// in id order, names interned in first-appearance order — so save →
+    /// load → save reproduces byte-identical files (pinned by tests).
     pub fn save_to_dir(&self, dir: impl AsRef<Path>) -> Result<(), ShardError> {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)?;
         let snap = self.snapshot();
-        let fp = self.graph_fingerprint();
-        for (i, _) in self.shards.iter().enumerate() {
+        for i in 0..self.shards {
             let mine: Vec<(u64, &ViewDef, &CompactView)> = snap
-                .views()
+                .views
                 .iter()
                 .filter(|v| self.shard_of(v.id) == i)
                 .map(|v| (v.id, &v.def, &*v.ext))
                 .collect();
-            let bytes = encode_shard(&mine, fp);
+            let bytes = encode_shard(&mine, snap.graph_fingerprint);
             std::fs::write(dir.join(format!("shard-{i:04}.bin")), bytes)?;
         }
         let meta = StoreMeta {
             format_version: SHARD_VERSION,
-            shard_count: self.shards.len() as u32,
-            graph_fingerprint: fp,
-            next_id: self.next_id.load(Ordering::Relaxed),
-            graph_stats: self.graph_stats.clone(),
+            shard_count: self.shards as u32,
+            graph_fingerprint: snap.graph_fingerprint,
+            next_id: snap.next_id,
+            graph_stats: snap.graph_stats.clone(),
         };
         std::fs::write(dir.join("meta.json"), serde_json::to_string(&meta)?)?;
         Ok(())
@@ -488,12 +439,7 @@ impl ViewStore {
         if meta.format_version != SHARD_VERSION {
             return Err(ShardError::BadVersion(meta.format_version));
         }
-        let store = Self::with_fingerprint(
-            meta.graph_fingerprint,
-            meta.graph_stats.clone(),
-            meta.shard_count as usize,
-        );
-        let mut max_id: Option<u64> = None;
+        let mut views = Vec::new();
         for i in 0..meta.shard_count as usize {
             let bytes = std::fs::read(dir.join(format!("shard-{i:04}.bin")))?;
             let contents = decode_shard(&bytes)?;
@@ -503,19 +449,16 @@ impl ViewStore {
                     actual: contents.graph_fingerprint,
                 });
             }
-            for (id, def, ext) in contents.views {
-                max_id = Some(max_id.map_or(id, |m| m.max(id)));
-                store.insert_with_id(id, def, Arc::new(ext));
-            }
+            let decoded = contents.views.into_iter();
+            views.extend(decoded.map(|(id, def, ext)| (id, def, Arc::new(ext))));
         }
-        // Never hand out an id at or below a loaded one, even if the saved
-        // watermark is inconsistent.
-        let floor = max_id.map_or(0, |m| m + 1);
-        store
-            .next_id
-            .store(meta.next_id.max(floor), Ordering::Relaxed);
-        store.publish(false);
-        Ok(store)
+        Ok(Self::load(
+            meta.shard_count as usize,
+            meta.graph_fingerprint,
+            meta.graph_stats,
+            meta.next_id,
+            views,
+        ))
     }
 
     /// Eviction advice: the resident views whose ids are *not* in
@@ -547,43 +490,36 @@ impl ViewStore {
     /// Retires the view with stable id `id`; returns it if it was present.
     pub fn remove(&self, id: u64) -> Option<Arc<StoredView>> {
         let mut writer = self.writer.lock().expect("writer lock poisoned");
-        let shard = self.shard_of(id);
-        let removed = {
-            let mut guard = self.shards[shard].write().expect("shard lock poisoned");
-            let pos = guard.views.iter().position(|v| v.id == id)?;
-            guard.views.remove(pos)
-        };
+        let snap = self.snapshot();
+        let pos = snap.position(id)?;
+        let mut views = snap.views.clone();
+        let removed = views.remove(pos);
         writer.warm.remove(&id);
-        self.version.fetch_add(1, Ordering::Release);
-        self.publish(false);
+        self.publish(snap.successor(snap.version + 1, views));
         Some(removed)
     }
 
     /// The view with stable id `id`, if resident.
     pub fn get(&self, id: u64) -> Option<Arc<StoredView>> {
-        self.shards[self.shard_of(id)]
-            .read()
-            .expect("shard lock poisoned")
-            .views
-            .iter()
-            .find(|v| v.id == id)
-            .cloned()
+        let snap = self.snapshot();
+        snap.position(id).map(|i| snap.views[i].clone())
     }
 
-    /// Per-shard occupancy (views and materialized pairs per shard).
+    /// Per-shard occupancy: views and materialized pairs per shard file.
     pub fn occupancy(&self) -> Vec<ShardOccupancy> {
-        self.shards
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                let guard = s.read().expect("shard lock poisoned");
-                ShardOccupancy {
-                    shard: i,
-                    views: guard.views.len(),
-                    pairs: guard.views.iter().map(|v| v.ext.size() as u64).sum(),
-                }
+        let mut occ: Vec<ShardOccupancy> = (0..self.shards)
+            .map(|shard| ShardOccupancy {
+                shard,
+                views: 0,
+                pairs: 0,
             })
-            .collect()
+            .collect();
+        for v in &self.snapshot().views {
+            let o = &mut occ[self.shard_of(v.id)];
+            o.views += 1;
+            o.pairs += v.ext.size() as u64;
+        }
+        occ
     }
 
     /// Estimated resident bytes of the warm maintainers, summed
@@ -601,9 +537,9 @@ impl ViewStore {
     }
 
     /// The current published MVCC snapshot: `Arc` handles to every resident
-    /// view, ordered by stable id. This is a pointer clone — no shard lock
-    /// is touched, and a writer mid-mutation never tears what readers see
-    /// (the next snapshot appears only when its publish completes).
+    /// view, ordered by stable id. This is a pointer clone, and a writer
+    /// mid-mutation never tears what readers see (the next snapshot
+    /// appears only when it is swapped in whole).
     pub fn snapshot(&self) -> Arc<StoreSnapshot> {
         self.published
             .read()
@@ -611,51 +547,13 @@ impl ViewStore {
             .clone()
     }
 
-    /// Assembles and publishes a fresh snapshot from the shards. Called at
-    /// the end of every mutation (under [`Self::writer`] for concurrent
-    /// paths; bulk constructors call it once after loading).
-    /// `same_members` says the mutation kept every id and definition (an
-    /// edge delta): the previous snapshot's view-set fingerprint and
-    /// positional [`ViewSet`] are then reused instead of re-serializing
-    /// every pattern.
-    fn publish(&self, same_members: bool) {
-        let version = self.version();
-        let mut views: Vec<Arc<StoredView>> = Vec::with_capacity(self.len());
-        for s in &self.shards {
-            views.extend(s.read().expect("shard lock poisoned").views.iter().cloned());
-        }
-        views.sort_by_key(|v| v.id);
-        // Assembled once per publish (i.e. once per store version) and then
-        // shared by `Arc` into every engine built from it: the positional
-        // view set clones the (small) definitions, the extensions clone one
-        // `Arc` per view — never the materialized pairs. A rebuild after a
-        // mutation therefore costs O(card(V)), not O(|V(G)|).
-        let (fingerprint, view_set) = if same_members {
-            let prev = self.snapshot();
-            (prev.fingerprint, prev.view_set.clone())
-        } else {
-            let defs = views.iter().map(|v| v.def.clone()).collect();
-            (view_set_fingerprint(&views), Arc::new(ViewSet::new(defs)))
-        };
-        let extensions = Arc::new(ViewExtensions {
-            extensions: views.iter().map(|v| v.ext.clone()).collect(),
-        });
-        let epochs = views.iter().map(|v| v.epoch).collect();
-        let snap = Arc::new(StoreSnapshot {
-            version,
-            fingerprint,
-            graph_fingerprint: self.graph_fingerprint(),
-            graph_epoch: self.graph_epoch(),
-            graph_stats: self.graph_stats.clone(),
-            views,
-            epochs,
-            view_set,
-            extensions,
-        });
+    /// Swaps in `snap` as the store's state. Callers hold [`Self::writer`]
+    /// and derived `snap` from the snapshot it replaces.
+    fn publish(&self, snap: StoreSnapshot) {
         *self
             .published
             .write()
-            .expect("published snapshot lock poisoned") = snap;
+            .expect("published snapshot lock poisoned") = Arc::new(snap);
     }
 
     /// Applies an edge-delta batch to the store's graph and incrementally
@@ -666,8 +564,8 @@ impl ViewStore {
     /// the writer mutex:
     ///
     /// 1. check `current`'s [`graph_fingerprint`] (`O(1)`) against the
-    ///    store's — so of two deltas racing against the same `current`,
-    ///    exactly one is applied and the other fails with
+    ///    published snapshot's — so of two deltas racing against the same
+    ///    `current`, exactly one is applied and the other fails with
     ///    [`StoreError::GraphMismatch`] — and validate delta endpoints
     ///    against the node set;
     /// 2. splice the post-delta graph ([`EdgeDelta::apply_to`]) and detect
@@ -679,8 +577,9 @@ impl ViewStore {
     ///    stamping those with the new version as their epoch. Unaffected
     ///    warm maintainers are left alone: no delta edge lies in their
     ///    footprint (the argument is on the writer state's `warm` map);
-    /// 4. bump the version, move the graph fingerprint and
-    ///    [`graph_epoch`](Self::graph_epoch), and publish one new snapshot.
+    /// 4. publish one successor snapshot carrying the new version, the
+    ///    post-delta graph's fingerprint and the new
+    ///    [`graph_epoch`](StoreSnapshot::graph_epoch).
     ///
     /// In-flight readers keep serving the previous snapshot throughout.
     pub fn apply_delta(
@@ -690,16 +589,13 @@ impl ViewStore {
     ) -> Result<DeltaReport, StoreError> {
         let mut writer = self.writer.lock().expect("writer lock poisoned");
         let writer = &mut *writer;
-        self.check_graph(graph_fingerprint(current))?;
+        let snap = self.snapshot();
+        snap.check_graph(graph_fingerprint(current))?;
         delta.validate(current)?;
         let next = delta.apply_to(current);
 
-        // Every mutation publishes under the writer mutex, so the
-        // published snapshot is the current membership, id-ordered.
-        let snap = self.snapshot();
         let resident = snap.views();
-        let position = |id: &u64| resident.binary_search_by_key(id, |v| v.id);
-        writer.warm.retain(|id, _| position(id).is_ok());
+        writer.warm.retain(|id, _| snap.position(*id).is_some());
         let index = match &writer.footprints {
             Some((set, index)) if Arc::ptr_eq(set, &snap.view_set) => index,
             _ => {
@@ -713,10 +609,12 @@ impl ViewStore {
         };
         let affected = index.affected(delta, current);
 
-        let new_version = self.version.load(Ordering::Acquire) + 1;
+        let version = snap.version + 1;
+        let mut views = resident.to_vec();
         let mut changed = Vec::new();
         for id in &affected {
-            let v = &resident[position(id).expect("affected view is resident")];
+            let pos = snap.position(*id).expect("affected view is resident");
+            let v = &resident[pos];
             // Cold maintainers are promoted straight from the stored
             // (pre-delta) extension — the relation is already known, so no
             // refinement fixpoint runs even on the first delta — and share
@@ -736,32 +634,24 @@ impl ViewStore {
             if ext.content_eq(&v.ext) {
                 continue; // identical result: keep the old arena Arc + epoch
             }
-            let shard = self.shard_of(v.id);
-            let mut guard = self.shards[shard].write().expect("shard lock poisoned");
-            let pos = guard
-                .views
-                .iter()
-                .position(|s| s.id == v.id)
-                .expect("resident view present in its shard");
-            guard.views[pos] = Arc::new(StoredView {
+            views[pos] = Arc::new(StoredView {
                 id: v.id,
                 def: v.def.clone(),
                 ext: Arc::new(ext),
-                epoch: new_version,
+                epoch: version,
             });
-            drop(guard);
             changed.push(v.id);
         }
 
-        self.graph_fingerprint
-            .store(graph_fingerprint(&next), Ordering::Release);
-        self.graph_epoch.store(new_version, Ordering::Release);
-        self.version.store(new_version, Ordering::Release);
-        self.publish(true);
         let unaffected = resident.len() - affected.len();
+        self.publish(StoreSnapshot {
+            graph_fingerprint: graph_fingerprint(&next),
+            graph_epoch: version,
+            ..snap.successor(version, views)
+        });
         Ok(DeltaReport {
             graph: next,
-            version: new_version,
+            version,
             affected,
             changed,
             unaffected,
@@ -788,7 +678,8 @@ fn view_set_fingerprint(views: &[Arc<StoredView>]) -> u64 {
 }
 
 /// An immutable, lock-free view of the store at one version: what the
-/// serving layer plans and executes against.
+/// serving layer plans and executes against, and the whole of the store's
+/// state.
 #[derive(Clone, Debug)]
 pub struct StoreSnapshot {
     /// Store version this snapshot was taken at.
@@ -804,6 +695,9 @@ pub struct StoreSnapshot {
     pub graph_epoch: u64,
     /// Graph statistics captured at store construction.
     pub graph_stats: Option<GraphStats>,
+    /// The id the next registration gets: above every id the store ever
+    /// handed out, so ids are never reused.
+    next_id: u64,
     views: Vec<Arc<StoredView>>,
     /// Position-aligned with `views`: `epochs[i]` is view `i`'s epoch.
     epochs: Vec<u64>,
@@ -812,6 +706,60 @@ pub struct StoreSnapshot {
 }
 
 impl StoreSnapshot {
+    /// The snapshot after a mutation: `views` (id-ordered) at `version`,
+    /// with this snapshot's graph and id watermark carried over. The
+    /// positional view set and extensions are assembled here once and then
+    /// shared by `Arc` into every engine built from the snapshot: the view
+    /// set clones the (small) definitions, the extensions one `Arc` per
+    /// view — never the materialized pairs. Ids are never reused and a
+    /// view's definition never changes under its id, so when the ids are
+    /// this snapshot's (an edge delta) the view-set fingerprint and
+    /// [`ViewSet`] are reused instead of re-serializing every pattern.
+    fn successor(&self, version: u64, views: Vec<Arc<StoredView>>) -> StoreSnapshot {
+        let same_members = views
+            .iter()
+            .map(|v| v.id)
+            .eq(self.views.iter().map(|v| v.id));
+        let (fingerprint, view_set) = if same_members {
+            (self.fingerprint, self.view_set.clone())
+        } else {
+            let defs = views.iter().map(|v| v.def.clone()).collect();
+            (view_set_fingerprint(&views), Arc::new(ViewSet::new(defs)))
+        };
+        StoreSnapshot {
+            version,
+            fingerprint,
+            graph_fingerprint: self.graph_fingerprint,
+            graph_epoch: self.graph_epoch,
+            graph_stats: self.graph_stats.clone(),
+            next_id: self.next_id,
+            epochs: views.iter().map(|v| v.epoch).collect(),
+            extensions: Arc::new(ViewExtensions {
+                extensions: views.iter().map(|v| v.ext.clone()).collect(),
+            }),
+            view_set,
+            views,
+        }
+    }
+
+    /// `Err(GraphMismatch)` unless `actual` is the fingerprint of this
+    /// snapshot's graph.
+    fn check_graph(&self, actual: u64) -> Result<(), StoreError> {
+        if actual == self.graph_fingerprint {
+            Ok(())
+        } else {
+            Err(StoreError::GraphMismatch {
+                expected: self.graph_fingerprint,
+                actual,
+            })
+        }
+    }
+
+    /// Position of the view with stable id `id`, if resident.
+    fn position(&self, id: u64) -> Option<usize> {
+        self.views.binary_search_by_key(&id, |v| v.id).ok()
+    }
+
     /// The snapshot's views in stable-id order.
     pub fn views(&self) -> &[Arc<StoredView>] {
         &self.views
@@ -923,8 +871,8 @@ mod tests {
     }
 
     /// Shard-count edge case: `shards == 0` must clamp to 1 everywhere a
-    /// store is constructed — otherwise `shard_of`'s `% self.shards.len()`
-    /// panics with a division by zero on the first insert or lookup.
+    /// store is constructed — otherwise `shard_of`'s `% self.shards`
+    /// panics with a division by zero on the first save or occupancy read.
     #[test]
     fn zero_shards_clamps_to_one() {
         let g = graph();

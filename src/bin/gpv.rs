@@ -29,22 +29,23 @@
 //! read and graph edges scanned.
 //!
 //! `serve` is the batch-serving front end over [`core::ViewService`]: it
-//! shards the materialized views into a [`core::ViewStore`] (`--shards`),
-//! then has `--clients` threads each submit the query batch (the
-//! `--pattern` files) `--repeat` times concurrently. Repeats are separate
-//! batches on purpose: identical queries inside one batch deduplicate,
-//! identical queries *across* batches hit the cross-batch result cache
-//! (budgeted by `--result-cache-mb`, 0 disables), and only the remainder
-//! is planned (plan cache) and executed. The command reports the answers
-//! once plus the service stats (plan- and result-cache hit rates, shard
+//! materializes the views into a [`core::ViewStore`], then has
+//! `--clients` threads each submit the query batch (the `--pattern`
+//! files) `--repeat` times concurrently. Repeats are separate batches on
+//! purpose: identical queries inside one batch deduplicate, identical
+//! queries *across* batches hit the cross-batch result cache (budgeted by
+//! `--result-cache-mb`, 0 disables), and only the remainder is planned
+//! (plan cache) and executed. The command reports the answers once (pair
+//! count, plan, an FNV-1a digest of the answer's contents, latency last)
+//! plus the service stats (plan- and result-cache hit rates, shard
 //! occupancy, queue depth, latency quantiles).
 //!
-//! `serve --store-dir D` persists the sharded store as flat columnar
-//! shard files (one per shard, see `gpv_core::shard` for the byte
-//! layout). On the first run the materialized store is saved to `D`; on
-//! later runs the shards are loaded from `D` — after checking they were
-//! built from the same graph — and serving skips materialization
-//! entirely.
+//! `serve --store-dir D` persists the store as `--shards` flat columnar
+//! shard files (a view goes to the file its id hashes to; see
+//! `gpv_core::shard` for the byte layout). On the first run the
+//! materialized store is saved to `D`; on later runs the shards are loaded
+//! from `D` — after checking they were built from the same graph — and
+//! serving skips materialization entirely.
 //!
 //! `serve --updates-per-round N` interleaves edge deltas with serving:
 //! after every batch round, N deterministic edge updates (alternating
@@ -135,7 +136,8 @@ fn usage() -> ExitCode {
          [--select auto|all|minimal|minimum] \
          [--shards N] [--clients N] [--repeat K] [--result-cache-mb M] [--explain] \
          [--store-dir D] [--budget N] [--iterations N] [--seed S] [--repro JSON] \
-         [--updates-per-round N] [--require-deltas] [--json]"
+         [--updates-per-round N] [--require-deltas] [--json]\n\
+         --shards N sets how many shard files `serve --store-dir` writes (default 8)"
     );
     ExitCode::from(2)
 }
@@ -430,8 +432,8 @@ fn run() -> Result<(), String> {
     Ok(())
 }
 
-/// The `serve` command: shard views into a [`core::ViewStore`], stand up a
-/// [`core::ViewService`], fire the batch from `--clients` concurrent client
+/// The `serve` command: materialize views into a [`core::ViewStore`], stand
+/// up a [`core::ViewService`], fire the batch from `--clients` concurrent client
 /// threads, then print the answers (once) and the service-level stats.
 fn serve(a: &Args) -> Result<(), String> {
     use std::sync::Arc;
@@ -569,7 +571,7 @@ fn serve(a: &Args) -> Result<(), String> {
     for (i, r) in answers[0].iter().enumerate() {
         match r {
             Ok(ans) => println!(
-                "query {i}: {} pairs ({}, {}{} µs)",
+                "query {i}: {} pairs ({}, {}digest {:016x}, {} µs)",
                 ans.result.size(),
                 ans.disposition(),
                 if ans.plan.needs_graph() {
@@ -577,6 +579,7 @@ fn serve(a: &Args) -> Result<(), String> {
                 } else {
                     "views only, "
                 },
+                core::CompactView::freeze(&ans.result).digest(),
                 ans.latency_micros
             ),
             Err(e) => println!("query {i}: error: {e}"),

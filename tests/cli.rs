@@ -506,7 +506,8 @@ fn serve_store_dir_saves_then_loads_with_identical_answers() {
             .unwrap()
     };
     // The per-query latency varies run to run; everything before it is
-    // the answer (pair count, disposition, sourcing) and must match.
+    // the answer (pair count, disposition, sourcing and a digest of the
+    // answer's contents) and must match.
     let answers = |stdout: &str| -> Vec<String> {
         stdout
             .lines()

@@ -606,3 +606,147 @@ proptest! {
         answer_level_case(gseed, qseed, &script)?;
     }
 }
+
+/// Readers racing a delta writer over one `ViewService`: two reader
+/// threads serve while the test thread applies a seeded chain of one-edge
+/// deltas, handing each successor graph over through a mutex. A strict
+/// batch (`g = None`) over covered queries executes against one store
+/// snapshot, so it must equal `match_pattern` on one graph of the chain,
+/// and that graph's chain index never decreases per reader. A batch over
+/// uncovered queries, supplied the graph the reader last read, must equal
+/// `match_pattern` on that graph or fail with `GraphMismatch`.
+#[test]
+fn readers_racing_a_delta_writer_see_one_chain_graph() {
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::Mutex;
+
+    let g0 = random_graph(40, 160, &LABELS[..3], 41);
+    let covered: Vec<Pattern> = (0..3)
+        .map(|i| random_pattern(3, 2, &LABELS[..3], PatternShape::Any, 300 + i))
+        .collect();
+    let svc = ViewService::new(Arc::new(ViewStore::materialize(
+        covering_views(&covered, 2, 43),
+        &g0,
+        2,
+    )));
+    let uncovered: Vec<Pattern> = (0..8)
+        .map(|i| random_pattern(3, 2, &LABELS[..3], PatternShape::Any, 400 + i))
+        .filter(|q| matches!(svc.serve(q, None), Err(ServiceError::NeedsGraph)))
+        .collect();
+    assert!(!uncovered.is_empty(), "no uncovered query to read G with");
+
+    // The chain: alternately insert an absent edge and delete a present one.
+    let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+    let mut next = move |n: usize| {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        (rng % n as u64) as usize
+    };
+    let (mut deltas, mut graphs) = (Vec::new(), vec![g0.clone()]);
+    while deltas.len() < 30 {
+        let g = graphs.last().unwrap();
+        let delta = if deltas.len() % 2 == 0 {
+            let n = g.node_count();
+            let e = (NodeId(next(n) as u32), NodeId(next(n) as u32));
+            if e.0 == e.1 || g.has_edge(e.0, e.1) {
+                continue;
+            }
+            EdgeDelta::new(vec![e], vec![])
+        } else {
+            // A matched edge: deleting it changes a strict answer.
+            let matched: Vec<(NodeId, NodeId)> = covered
+                .iter()
+                .flat_map(|q| match_pattern(q, g).edge_matches.into_iter().flatten())
+                .collect();
+            let e = match matched.len() {
+                0 => g.edges().nth(next(g.edge_count())).unwrap(),
+                n => matched[next(n)],
+            };
+            EdgeDelta::new(vec![], vec![e])
+        };
+        graphs.push(delta.apply_to(g));
+        deltas.push(delta);
+    }
+    let oracle = |qs: &[Pattern]| -> Vec<Vec<MatchResult>> {
+        let answers = |g: &DataGraph| qs.iter().map(|q| match_pattern(q, g)).collect();
+        graphs.iter().map(answers).collect()
+    };
+    let (strict_truth, graph_truth) = (oracle(&covered), oracle(&uncovered));
+    assert_ne!(
+        strict_truth[0], strict_truth[30],
+        "the chain must change a covered answer"
+    );
+
+    let current = Mutex::new((0usize, g0.clone()));
+    let done = AtomicBool::new(false);
+    let rounds = [AtomicUsize::new(0), AtomicUsize::new(0)];
+    std::thread::scope(|s| {
+        let readers: Vec<_> = (0..2)
+            .map(|reader| {
+                let (svc, current, done, rounds) = (&svc, &current, &done, &rounds);
+                let (covered, uncovered) = (&covered, &uncovered);
+                let (strict_truth, graph_truth) = (&strict_truth, &graph_truth);
+                s.spawn(move || {
+                    let (mut lo, mut seen) = (0usize, std::collections::BTreeSet::new());
+                    loop {
+                        let finished = done.load(Ordering::Acquire);
+                        let (k, g) = current.lock().unwrap().clone();
+                        let strict: Vec<MatchResult> = svc
+                            .serve_batch(covered, None)
+                            .into_iter()
+                            .map(|r| (*r.expect("covered queries answer strictly").result).clone())
+                            .collect();
+                        let Some(i) = (lo..strict_truth.len()).find(|&i| strict_truth[i] == strict)
+                        else {
+                            panic!("reader {reader}: strict answers match no graph from {lo} on");
+                        };
+                        lo = i;
+                        seen.insert(lo);
+                        for (qi, r) in svc.serve_batch(uncovered, Some(&g)).iter().enumerate() {
+                            match r {
+                                Ok(a) => assert_eq!(
+                                    *a.result, graph_truth[k][qi],
+                                    "reader {reader}: query {qi} on graph {k}"
+                                ),
+                                Err(ServiceError::GraphMismatch { .. }) => {}
+                                Err(e) => panic!("reader {reader}: query {qi}: {e}"),
+                            }
+                        }
+                        rounds[reader].fetch_add(1, Ordering::Release);
+                        if finished {
+                            break;
+                        }
+                    }
+                    assert!(seen.len() >= 2, "reader {reader} saw only {seen:?}");
+                })
+            })
+            .collect();
+        // Waits until every live reader has finished a round past `mark`.
+        let await_rounds = |mark: [usize; 2]| {
+            while (0..2)
+                .any(|i| !readers[i].is_finished() && rounds[i].load(Ordering::Acquire) <= mark[i])
+            {
+                std::thread::yield_now();
+            }
+        };
+        await_rounds([0, 0]);
+        let mut applied = Ok(());
+        for (k, delta) in deltas.iter().enumerate() {
+            let mark = rounds.each_ref().map(|r| r.load(Ordering::Acquire));
+            match svc.apply_delta(delta, &graphs[k]) {
+                Ok(report) => *current.lock().unwrap() = (k + 1, report.graph),
+                Err(e) => {
+                    applied = Err(e);
+                    break;
+                }
+            }
+            // Every reader finishes a round that raced this delta before
+            // the next one lands.
+            await_rounds(mark);
+        }
+        // Stop the readers before failing, so a failure cannot hang them.
+        done.store(true, Ordering::Release);
+        applied.expect("the only writer's deltas apply");
+    });
+}
