@@ -7,20 +7,20 @@
 //! threads submit batches of pattern queries against one shared service,
 //! which
 //!
-//! * plans each query **once** per (query, view-set) pair — a plan cache
-//!   keyed by `(query fingerprint, view-set fingerprint)` turns repeated
-//!   queries into a hash lookup (the plan IR is immutable and shared by
-//!   `Arc`);
-//! * **answers repeated queries across batches without executing** — a
-//!   byte-budgeted, LRU-evicted **result cache** keyed by `(query
-//!   fingerprint, view-set fingerprint)` replays the answer
-//!   computed the first time (the memo-over-recompute move the paper makes
-//!   for views, applied one level up the stack); entries hold the *frozen
-//!   columnar* form, so the byte budget bounds actual residency, and a hit
-//!   thaws — an O(answer) copy in place of a plan + fixpoint execution;
-//!   every entry is stamped with the **epoch set** of the views its plan
-//!   actually read (plus the graph epoch when it read `G`), so an
-//!   [`EdgeDelta`] to view *A* invalidates
+//! * keeps **one cache entry per query**, keyed by `(query fingerprint,
+//!   view-set fingerprint)`: the query's plan, planned **once** per
+//!   (query, view-set) pair (the plan IR is immutable and shared by
+//!   `Arc`), and its answer once one is cached;
+//! * **answers repeated queries across batches without executing** — an
+//!   entry's answer replays the answer computed the first time (the
+//!   memo-over-recompute move the paper makes for views, applied one level
+//!   up the stack). Answers are held in *frozen columnar* form under a
+//!   byte budget with LRU eviction, so the budget bounds actual residency,
+//!   and a hit thaws — an O(answer) copy in place of a plan + fixpoint
+//!   execution. An evicted answer leaves its plan, and entries without an
+//!   answer are LRU-bounded by count. Every answer is stamped with the
+//!   **epoch set** of the views its plan actually read (plus the graph
+//!   epoch when it read `G`), so an [`EdgeDelta`] to view *A* invalidates
 //!   exactly the answers that read *A* — answers reading only other views
 //!   keep hitting across the delta, which is the point of delta-maintained
 //!   serving: an update never colds the whole cache, let alone forces a
@@ -34,15 +34,15 @@
 //!   (`g = None`) call the views cannot answer is refused again from its
 //!   cached plan;
 //! * **deduplicates identical queries inside a batch**, executing each
-//!   distinct query once and fanning the result out. All three maps key
-//!   by a structural [`query_fingerprint`] and confirm a hit by comparing
-//!   the stored pattern with `==`;
-//! * executes against a lock-free
-//!   [`StoreSnapshot`] of the
-//!   [`ViewStore`], rebuilding its internal [`QueryEngine`] only when the
-//!   store version moves — a rebuild shares the snapshot's extensions by
-//!   `Arc` ([`QueryEngine::from_snapshot`]), so it costs O(card(V)) handle
-//!   clones, never a deep copy of the materialized pairs;
+//!   distinct query once and fanning the result out. The dedup map and
+//!   the cache key by a structural [`query_fingerprint`] and confirm a hit
+//!   by comparing the stored pattern with `==`;
+//! * runs each batch on the [`StoreSnapshot`] of the [`ViewStore`] it
+//!   reads, through an engine built over that snapshot by sharing its
+//!   extensions by `Arc` ([`QueryEngine::from_snapshot`]): a few handle
+//!   clones, never a copy of the materialized pairs. The first
+//!   batch on a new store version purges the cache of entries for other
+//!   view sets and of answers the version made stale;
 //! * plans under the one fixed [`CostModel`](crate::cost::CostModel);
 //! * keeps service-level statistics: plan- and result-cache hit rates,
 //!   shard-file occupancy, in-flight queue depth and a log₂ latency
@@ -94,10 +94,11 @@ use crate::store::{DeltaReport, ShardOccupancy, StoreError, StoreSnapshot, ViewS
 use gpv_graph::{DataGraph, Value};
 use gpv_matching::result::MatchResult;
 use gpv_pattern::{Atom, Pattern, Predicate};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
 /// A structural fingerprint of a pattern query: FNV-1a, fed through
@@ -247,17 +248,20 @@ fn bucket_of(micros: u64) -> usize {
 pub struct ServiceConfig {
     /// Engine configuration applied to the planner/executor.
     pub engine: EngineConfig,
-    /// Maximum cached plans; when full, the least-recently-used entry is
-    /// evicted — hot entries survive a flood of distinct cold queries
-    /// (`0` disables plan caching entirely).
+    /// Maximum cached queries *without* a cached answer (plans whose
+    /// answers were not cached, evicted or went stale); past it, the
+    /// least-recently-used such entry is evicted — hot entries survive a
+    /// flood of distinct cold queries. Entries holding an answer are
+    /// bounded by [`Self::result_cache_bytes`] instead. With the result
+    /// cache off, `0` disables plan caching entirely.
     pub plan_cache_capacity: usize,
-    /// Byte budget for the cross-batch **result** cache (`0` disables it).
-    /// The plan cache skips planning; this cache skips *execution*: a
-    /// repeated identical query whose views are unchanged returns the answer
+    /// Byte budget for the cached **answers** (`0` disables them). A cached
+    /// plan skips planning; a cached answer skips *execution*: a repeated
+    /// identical query whose views are unchanged returns the answer
     /// computed the first time. When an insertion pushes the estimated
-    /// resident bytes over the budget, least-recently-used entries are
-    /// evicted until it fits (an answer larger than the whole budget is
-    /// simply not cached).
+    /// resident bytes over the budget, least-recently-used answers are
+    /// evicted until it fits, each leaving its plan cached (an answer
+    /// larger than the whole budget is simply not cached).
     pub result_cache_bytes: usize,
 }
 
@@ -390,7 +394,8 @@ pub struct ServiceStats {
     pub plan_cache_hits: u64,
     /// Plan-cache misses (each miss plans and populates the cache).
     pub plan_cache_misses: u64,
-    /// Plans currently cached.
+    /// Queries currently cached: each entry holds a plan, and some also
+    /// an answer ([`Self::result_cache_size`]).
     pub plan_cache_size: usize,
     /// `hits / (hits + misses)`, 0.0 before any planning.
     pub plan_cache_hit_rate: f64,
@@ -399,7 +404,7 @@ pub struct ServiceStats {
     /// Result-cache misses (the query was planned/executed; successful
     /// answers populate the cache).
     pub result_cache_misses: u64,
-    /// Answers currently cached.
+    /// Cached queries that also hold an answer.
     pub result_cache_size: usize,
     /// Estimated resident bytes of the cached answers (the quantity the
     /// [`ServiceConfig::result_cache_bytes`] budget bounds).
@@ -420,7 +425,8 @@ pub struct ServiceStats {
     /// Queries that actually planned and executed (no cache hit, no
     /// in-batch deduplication).
     pub executed_queries: u64,
-    /// Times the engine snapshot was rebuilt because the store changed.
+    /// Store versions the service has served: the first batch on each
+    /// new version counts one and purges the cache.
     pub engine_rebuilds: u64,
     /// Queries currently in flight (the queue-depth gauge).
     pub in_flight: u64,
@@ -460,16 +466,6 @@ struct Counters {
     kept_unchanged: AtomicU64,
 }
 
-/// The engine the service executes against and the MVCC [`StoreSnapshot`]
-/// it was built over. Its version, view-set fingerprint and graph
-/// fingerprint are the snapshot's, so cache probes and graph checks price
-/// an answer against exactly the state the batch executes on.
-#[derive(Clone, Debug)]
-struct EngineSnapshot {
-    store: Arc<StoreSnapshot>,
-    engine: Arc<QueryEngine>,
-}
-
 /// A concurrent, batch-oriented query-serving facade over a
 /// [`ViewStore`]. Shared by reference across client threads (`&self`
 /// everywhere); see the [module docs](self) for the full contract.
@@ -477,65 +473,13 @@ struct EngineSnapshot {
 pub struct ViewService {
     store: Arc<ViewStore>,
     config: ServiceConfig,
-    engine: RwLock<Option<EngineSnapshot>>,
-    /// Keyed by `(query fingerprint, view-set fingerprint)`; each entry
-    /// keeps the query itself so a fingerprint collision is detected by
-    /// equality instead of silently serving the wrong plan.
-    plan_cache: RwLock<PlanCache>,
-    /// Cross-batch answers, keyed by `(query fingerprint, view-set
-    /// fingerprint)` and validated per-hit against the entry's epoch-set
-    /// stamp — the same collision-witness discipline as the plan cache,
-    /// byte-budgeted ([`ServiceConfig::result_cache_bytes`]).
-    result_cache: RwLock<ResultCache>,
+    /// One past the newest store version a batch has run on: the first
+    /// batch on a newer version purges the cache ([`Self::engine`]).
+    seen_version: AtomicU64,
+    /// Every query's plan and cached answer, keyed by `(query
+    /// fingerprint, view-set fingerprint)`.
+    cache: RwLock<QueryCache>,
     counters: Counters,
-}
-
-/// One cached plan: the query (the fingerprint-collision witness), the
-/// shared plan, and an LRU stamp updated on hits.
-#[derive(Debug)]
-struct PlanCacheEntry {
-    query: Arc<Pattern>,
-    plan: Arc<QueryPlan>,
-    last_used: AtomicU64,
-}
-
-/// `(query fingerprint, view-set fingerprint)` → cached plan, with
-/// least-recently-used eviction at capacity (a flood of distinct cold
-/// queries evicts only the coldest entries, never the hot ones).
-#[derive(Debug, Default)]
-struct PlanCache {
-    map: HashMap<(u64, u64), PlanCacheEntry>,
-    /// Monotonic LRU clock (ticked under the read lock on hits).
-    clock: AtomicU64,
-}
-
-impl PlanCache {
-    fn tick(&self) -> u64 {
-        self.clock.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Marks an entry as just-used.
-    fn touch(&self, entry: &PlanCacheEntry) {
-        entry.last_used.store(self.tick(), Ordering::Relaxed);
-    }
-
-    /// Removes the least-recently-used entry. The scan is O(capacity), but
-    /// an eviction only ever happens on a cache *miss*, which has just paid
-    /// for a full `QueryEngine::plan` (view-match simulations over every
-    /// registered view) — orders of magnitude more than one pass over the
-    /// bounded map's `u64` stamps — so exact LRU costs a rounding error per
-    /// miss and never makes any entry immortal (sampled/windowed schemes
-    /// trade that guarantee away for savings that don't show up here).
-    fn evict_lru(&mut self) {
-        let victim = self
-            .map
-            .iter()
-            .min_by_key(|(_, e)| e.last_used.load(Ordering::Relaxed))
-            .map(|(k, _)| *k);
-        if let Some(k) = victim {
-            self.map.remove(&k);
-        }
-    }
 }
 
 /// Fixed per-entry bookkeeping the budget charges on top of the frozen
@@ -583,20 +527,16 @@ fn result_entry_bytes(compact: &CompactView, q: &Pattern) -> usize {
         + RESULT_ENTRY_OVERHEAD
 }
 
-/// One cached answer. `query` is the collision witness (same discipline
-/// as the plan cache: a fingerprint hit counts only when the stored
-/// pattern `==` the probe). An answer whose plan reads `G`
+/// One cached answer. An answer whose plan reads `G`
 /// ([`QueryPlan::needs_graph`]) must not satisfy a strict views-only
 /// (`g = None`) call that would otherwise have failed with
 /// [`ServiceError::NeedsGraph`]: the cache must never change which queries
 /// a serving mode accepts, only how fast it answers them.
 #[derive(Debug)]
-struct ResultCacheEntry {
-    query: Arc<Pattern>,
+struct CachedAnswer {
     /// The answer in frozen columnar form — half the footprint of the boxed
     /// result and exactly accounted by `bytes`; a hit thaws it back.
     compact: Arc<CompactView>,
-    plan: Arc<QueryPlan>,
     join_stats: JoinStats,
     /// The query's footprint, resolved against the batch's validated
     /// graph — whenever the batch carried one (`None` for strict-mode
@@ -605,88 +545,115 @@ struct ResultCacheEntry {
     /// The epoch-set stamp ([`plan_epoch_key`]) of the snapshot the answer
     /// was computed against, or moved forward by a delta that `footprint`
     /// proves leaves the answer unchanged ([`ViewService::apply_delta`]).
-    /// A probe recomputes the stamp from `plan` against the *current*
-    /// snapshot and hits only on equality: every view (and, for
+    /// A probe recomputes the stamp from the entry's plan against the
+    /// batch's snapshot and hits only on equality: every view (and, for
     /// graph-reading plans, every graph edge the query can read) this
     /// answer depends on is then unchanged, or the footprint proved the
     /// delta between left the answer as it is.
     epoch_key: u64,
     bytes: usize,
+}
+
+/// One cached query: the query itself (the fingerprint-collision witness:
+/// an entry serves a probe only when the stored pattern `==` it), its
+/// shared plan, its answer when one is cached, and an LRU stamp updated on
+/// every hit.
+#[derive(Debug)]
+struct CacheEntry {
+    query: Arc<Pattern>,
+    plan: Arc<QueryPlan>,
+    answer: Option<CachedAnswer>,
     last_used: AtomicU64,
 }
 
-/// The cross-batch result cache: `(query fingerprint, view-set
-/// fingerprint)` → answer, bounded by an estimated-byte budget with LRU
-/// eviction.
+/// `(query fingerprint, view-set fingerprint)` → [`CacheEntry`]: a plan
+/// per query, and the answer when one is cached. Two bounds, both exact
+/// LRU: answers are evicted until their bytes fit
+/// [`ServiceConfig::result_cache_bytes`] (an evicted answer leaves its
+/// plan behind), and entries without an answer until at most
+/// [`ServiceConfig::plan_cache_capacity`] remain. A count bound on every
+/// entry would evict answers along with their plans whenever the capacity
+/// is small.
 ///
-/// Invalidation is *exact at view granularity*: a hit additionally
-/// requires the entry's epoch-set stamp to match the current snapshot
-/// ([`ResultCacheEntry::epoch_key`]), so an [`EdgeDelta`] invalidates
-/// precisely the answers whose plans read a changed view — answers over
-/// untouched views survive the mutation. Answers with a footprint survive
-/// too when the delta misses it or provably leaves them unchanged:
-/// [`ViewService::apply_delta`] re-stamps them. A view-set
-/// membership change changes the key itself. Dead entries are purged
-/// wholesale when the engine snapshot rebuilds ([`ViewService::engine`]),
-/// so an invalidation also releases its budget immediately instead of
-/// waiting for LRU pressure.
+/// Invalidation is *exact at view granularity*: an answer hits only while
+/// its epoch-set stamp ([`CachedAnswer::epoch_key`]) matches the batch's
+/// snapshot, so an [`EdgeDelta`] invalidates precisely the answers whose
+/// plans read a changed view; answers with a footprint survive too when
+/// the delta misses it or provably leaves them unchanged
+/// ([`ViewService::apply_delta`] re-stamps them). A view-set membership
+/// change changes the key itself. The first batch on a new store version
+/// purges what can never hit again ([`Self::purge`]), so an invalidation
+/// releases its budget at once instead of waiting for LRU pressure.
 #[derive(Debug, Default)]
-struct ResultCache {
-    map: HashMap<(u64, u64), ResultCacheEntry>,
-    /// Estimated resident bytes across all entries.
+struct QueryCache {
+    map: HashMap<(u64, u64), CacheEntry>,
+    /// Estimated resident bytes of the cached answers.
     bytes: usize,
     /// Monotonic LRU clock (ticked under the read lock on hits).
     clock: AtomicU64,
 }
 
-impl ResultCache {
+impl QueryCache {
     fn tick(&self) -> u64 {
         self.clock.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Marks an entry as just-used.
-    fn touch(&self, entry: &ResultCacheEntry) {
-        entry.last_used.store(self.tick(), Ordering::Relaxed);
+    /// The entry for `key` when it holds `q` itself, not a distinct query
+    /// colliding on the fingerprint.
+    fn get(&self, key: (u64, u64), q: &Pattern) -> Option<&CacheEntry> {
+        self.map.get(&key).filter(|e| *e.query == *q)
     }
 
-    /// Drops every entry that can never hit again under the freshly
-    /// published snapshot — wrong view-set fingerprint, or an epoch-set
-    /// stamp some consumed view (or the graph) has moved past. Called on
-    /// engine rebuild. Entries whose stamps *are* still current survive:
-    /// that is what keeps answers over untouched views warm across a delta.
-    fn purge_stale(&mut self, snap: &StoreSnapshot) {
-        let mut freed = 0usize;
-        self.map.retain(|&(_, vfp), entry| {
-            let keep =
-                vfp == snap.fingerprint && plan_epoch_key(&entry.plan, snap) == entry.epoch_key;
-            if !keep {
-                freed += entry.bytes;
-            }
-            keep
-        });
-        self.bytes -= freed;
+    /// The least-recently-used entry with (or without) an answer.
+    fn lru(&self, answered: bool) -> Option<(u64, u64)> {
+        self.map
+            .iter()
+            .filter(|(_, e)| e.answer.is_some() == answered)
+            .min_by_key(|(_, e)| e.last_used.load(Ordering::Relaxed))
+            .map(|(k, _)| *k)
     }
 
-    /// Evicts least-recently-used entries until the resident estimate fits
-    /// `budget`. Same exact-LRU rationale as the plan cache: eviction only
-    /// runs on the insert path, which has just paid for a full plan *and*
-    /// execution, so an O(entries) stamp scan is a rounding error.
-    fn evict_to(&mut self, budget: usize) -> u64 {
+    /// Evicts to the two bounds and returns how many answers the byte
+    /// budget evicted. The scans are O(entries), but eviction only runs
+    /// after a full plan and execution, or on a purge, so exact LRU costs a
+    /// rounding error and never makes an entry immortal.
+    fn evict(&mut self, budget: usize, capacity: usize) -> u64 {
         let mut evicted = 0u64;
-        while self.bytes > budget && !self.map.is_empty() {
-            let victim = self
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used.load(Ordering::Relaxed))
-                .map(|(k, _)| *k);
-            if let Some(k) = victim {
-                if let Some(e) = self.map.remove(&k) {
-                    self.bytes -= e.bytes;
-                    evicted += 1;
-                }
+        while self.bytes > budget {
+            let Some(key) = self.lru(true) else { break };
+            if let Some(answer) = self.map.get_mut(&key).and_then(|e| e.answer.take()) {
+                self.bytes -= answer.bytes;
+                evicted += 1;
+            }
+        }
+        let answerless = self.map.values().filter(|e| e.answer.is_none()).count();
+        for _ in capacity..answerless {
+            if let Some(key) = self.lru(false) {
+                self.map.remove(&key);
             }
         }
         evicted
+    }
+
+    /// Drops what can never hit under the freshly published `snap`:
+    /// entries of another view-set fingerprint (no batch on this snapshot
+    /// probes their keys), and answers whose epoch-set stamp a consumed
+    /// view (or the graph) has moved past, whose plans stay. Answers whose
+    /// stamps *are* still current survive: that is what keeps answers over
+    /// untouched views warm across a delta.
+    fn purge(&mut self, snap: &StoreSnapshot, budget: usize, capacity: usize) {
+        self.map.retain(|&(_, vfp), _| vfp == snap.fingerprint);
+        for e in self.map.values_mut() {
+            e.answer
+                .take_if(|a| a.epoch_key != plan_epoch_key(&e.plan, snap));
+        }
+        self.bytes = self
+            .map
+            .values()
+            .filter_map(|e| e.answer.as_ref())
+            .map(|a| a.bytes)
+            .sum();
+        self.evict(budget, capacity);
     }
 }
 
@@ -701,9 +668,8 @@ impl ViewService {
         ViewService {
             store,
             config,
-            engine: RwLock::new(None),
-            plan_cache: RwLock::new(PlanCache::default()),
-            result_cache: RwLock::new(ResultCache::default()),
+            seen_version: AtomicU64::new(0),
+            cache: RwLock::new(QueryCache::default()),
             counters: Counters::default(),
         }
     }
@@ -712,6 +678,14 @@ impl ViewService {
     /// picks membership changes up on the next batch).
     pub fn store(&self) -> &Arc<ViewStore> {
         &self.store
+    }
+
+    fn read_cache(&self) -> RwLockReadGuard<'_, QueryCache> {
+        self.cache.read().expect("query cache lock poisoned")
+    }
+
+    fn write_cache(&self) -> RwLockWriteGuard<'_, QueryCache> {
+        self.cache.write().expect("query cache lock poisoned")
     }
 
     /// Applies an edge-delta batch to the backing store between serving
@@ -744,15 +718,15 @@ impl ViewService {
 
     /// Moves the stamp of every cached answer that was valid at `before`
     /// and that `delta` provably leaves unchanged to the post-delta
-    /// snapshot: either `delta` misses the entry's [`QueryFootprint`], or
+    /// snapshot: either `delta` misses the answer's [`QueryFootprint`], or
     /// [`QueryFootprint::may_change`] proves the answer's edge sets stay
     /// the same. By the arguments in [`crate::delta`] and Theorem 1 the
     /// answer is then the post-delta `Q(G)`, so the new stamp makes a true
-    /// claim. Entries whose stamp the delta does not move are left alone.
+    /// claim. Answers whose stamp the delta does not move are left alone.
     /// Runs only when `delta` is the one mutation between `before` and the
     /// published snapshot at `version` (membership unchanged); otherwise
-    /// the entries keep their old stamps and miss. A rebuild racing this
-    /// refresh may purge an entry first, which costs a hit, never a wrong
+    /// the answers keep their old stamps and miss. A purge racing this
+    /// refresh may drop an answer first, which costs a hit, never a wrong
     /// answer.
     fn refresh_untouched(
         &self,
@@ -769,31 +743,36 @@ impl ViewService {
             return;
         }
         let (mut untouched, mut unchanged) = (0u64, 0u64);
-        let mut cache = self
-            .result_cache
-            .write()
-            .expect("result cache lock poisoned");
+        let mut cache = self.write_cache();
         for (&(_, vfp), entry) in cache.map.iter_mut() {
-            // Strict-mode entries carry no footprint and follow the
-            // view-epoch rule alone.
-            let Some(footprint) = &entry.footprint else {
+            let CacheEntry {
+                plan,
+                answer: Some(answer),
+                ..
+            } = entry
+            else {
                 continue;
             };
-            if vfp != before.fingerprint || entry.epoch_key != plan_epoch_key(&entry.plan, before) {
+            // Strict-mode answers carry no footprint and follow the
+            // view-epoch rule alone.
+            let Some(footprint) = &answer.footprint else {
+                continue;
+            };
+            if vfp != before.fingerprint || answer.epoch_key != plan_epoch_key(plan, before) {
                 continue;
             }
-            let next = plan_epoch_key(&entry.plan, &after);
-            if next == entry.epoch_key {
+            let next = plan_epoch_key(plan, &after);
+            if next == answer.epoch_key {
                 continue;
             }
             if !footprint.touched_by(delta, g) {
                 untouched += 1;
-            } else if !footprint.may_change(delta, &entry.compact, g) {
+            } else if !footprint.may_change(delta, &answer.compact, g) {
                 unchanged += 1;
             } else {
                 continue;
             }
-            entry.epoch_key = next;
+            answer.epoch_key = next;
         }
         drop(cache);
         self.counters
@@ -804,256 +783,194 @@ impl ViewService {
             .fetch_add(unchanged, Ordering::Relaxed);
     }
 
-    /// Current engine snapshot, rebuilding if the store version moved.
-    fn engine(&self) -> EngineSnapshot {
-        let version = self.store.version();
-        if let Some(snap) = self
-            .engine
-            .read()
-            .expect("engine lock poisoned")
-            .as_ref()
-            .filter(|s| s.store.version == version)
+    /// The published snapshot a batch runs on, and an engine over it. The
+    /// engine shares the snapshot's view set and extensions by `Arc`
+    /// ([`QueryEngine::from_snapshot`]), so building one per batch costs a
+    /// few handle clones, never a copy of the materialized pairs. The first
+    /// batch on a newer store version counts an engine rebuild and purges
+    /// the cache ([`QueryCache::purge`]); a batch whose version was
+    /// overtaken before it got the lock leaves the purge to the newer one.
+    fn engine(&self) -> (Arc<StoreSnapshot>, QueryEngine) {
+        let snap = self.store.snapshot();
+        if self
+            .seen_version
+            .fetch_max(snap.version + 1, Ordering::Relaxed)
+            <= snap.version
         {
-            return snap.clone();
-        }
-        let mut guard = self.engine.write().expect("engine lock poisoned");
-        // Another thread may have rebuilt while we waited for the lock.
-        let store_snap = self.store.snapshot();
-        if let Some(snap) = guard
-            .as_ref()
-            .filter(|s| s.store.version == store_snap.version)
-        {
-            return snap.clone();
-        }
-        let engine =
-            QueryEngine::from_snapshot(&store_snap).with_config(self.config.engine.clone());
-        let snap = EngineSnapshot {
-            store: store_snap,
-            engine: Arc::new(engine),
-        };
-        self.counters
-            .engine_rebuilds
-            .fetch_add(1, Ordering::Relaxed);
-        *guard = Some(snap.clone());
-        // Results whose keys or epoch-set stamps this rebuild obsoleted can
-        // never hit again — release their budget now instead of letting
-        // dead entries squat until LRU pressure finds them. Entries whose
-        // stamps survived (answers over views the mutation never touched)
-        // stay resident and keep hitting.
-        if self.config.result_cache_bytes > 0 {
-            self.result_cache
-                .write()
-                .expect("result cache lock poisoned")
-                .purge_stale(&snap.store);
-        }
-        snap
-    }
-
-    /// The plan for `q` under view-set fingerprint `vfp`, from the cache
-    /// when present. Returns `(plan, was_cached)`. A cache hit requires
-    /// both the fingerprint *and* the stored query to match — a
-    /// colliding distinct query is planned fresh (and left uncached, so
-    /// the resident entry keeps working). At capacity the LRU entry is
-    /// evicted (regression: the cache used to clear wholesale, so a
-    /// sustained stream of distinct queries dumped the hot entries too).
-    fn plan_for(
-        &self,
-        engine: &QueryEngine,
-        vfp: u64,
-        qfp: u64,
-        q: &Pattern,
-    ) -> (Arc<QueryPlan>, bool) {
-        if self.config.plan_cache_capacity == 0 {
-            self.counters.plan_misses.fetch_add(1, Ordering::Relaxed);
-            return (Arc::new(engine.plan(q)), false);
-        }
-        let key = (qfp, vfp);
-        {
-            let cache = self.plan_cache.read().expect("plan cache lock poisoned");
-            if let Some(entry) = cache.map.get(&key) {
-                if *entry.query == *q {
-                    cache.touch(entry);
-                    self.counters.plan_hits.fetch_add(1, Ordering::Relaxed);
-                    return (entry.plan.clone(), true);
-                }
-                // Fingerprint collision with a different query: plan fresh,
-                // don't disturb the resident entry.
-                self.counters.plan_misses.fetch_add(1, Ordering::Relaxed);
-                return (Arc::new(engine.plan(q)), false);
+            self.counters
+                .engine_rebuilds
+                .fetch_add(1, Ordering::Relaxed);
+            let mut cache = self.write_cache();
+            if self.store.version() == snap.version {
+                let config = &self.config;
+                cache.purge(&snap, config.result_cache_bytes, config.plan_cache_capacity);
             }
         }
-        let plan = Arc::new(engine.plan(q));
-        let mut cache = self.plan_cache.write().expect("plan cache lock poisoned");
-        // Racing planners produce identical plans (planning is
-        // deterministic), so last-writer-wins is safe; prefer the resident
-        // entry to keep `Arc` identity stable for callers comparing plans.
-        let entry = match cache.map.get(&key) {
-            Some(e) if *e.query == *q => e.plan.clone(),
-            Some(_) => plan, // collision: serve fresh, keep resident
-            None => {
-                if cache.map.len() >= self.config.plan_cache_capacity {
-                    cache.evict_lru();
-                }
-                let stamp = cache.tick();
-                cache.map.insert(
-                    key,
-                    PlanCacheEntry {
-                        query: Arc::new(q.clone()),
-                        plan: plan.clone(),
-                        last_used: AtomicU64::new(stamp),
-                    },
-                );
-                plan
-            }
-        };
-        self.counters.plan_misses.fetch_add(1, Ordering::Relaxed);
-        (entry, false)
+        let engine = QueryEngine::from_snapshot(&snap).with_config(self.config.engine.clone());
+        (snap, engine)
     }
 
     fn record_latency(&self, micros: u64) {
         self.counters.latency[bucket_of(micros)].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Probes the cross-batch result cache for `qfp`/`q` at this engine
-    /// snapshot. A hit requires the key `(fingerprint, view-set
-    /// fingerprint)` *and* the stored query to match, *and* the entry's
-    /// epoch-set stamp to still be current — every view
-    /// (and, for graph-reading plans, the graph) the cached answer's plan
-    /// consumed is then unchanged, so the answer holds even though the
-    /// store version may have moved. For a views-only (`has_graph =
-    /// false`) call the answer must additionally have been provably
-    /// computable without the graph: caching must never let a strict call
-    /// succeed where the uncached path would have returned
-    /// [`ServiceError::NeedsGraph`]. Counts a hit or a miss per probe.
-    fn cached_result(
+    /// Probes the cache for `q` at `snap`, under one read lock. Returns the
+    /// cached answer when it is still current, else the cached plan
+    /// (`Err(Some(plan))`), else `Err(None)`. An answer hits only when its
+    /// entry holds `q` itself and its epoch-set stamp is current — every
+    /// view (and, for graph-reading plans, the graph) its plan consumed is
+    /// then unchanged, so the answer holds even though the store version
+    /// may have moved. For a views-only (`has_graph = false`) call the
+    /// answer must additionally have been provably computable without the
+    /// graph: caching must never let a strict call succeed where the
+    /// uncached path would have returned [`ServiceError::NeedsGraph`].
+    /// Counts a result hit or miss when answers are cached, then a plan hit
+    /// or miss on a result miss.
+    fn lookup(
         &self,
-        snap: &EngineSnapshot,
+        snap: &StoreSnapshot,
         qfp: u64,
         q: &Pattern,
         has_graph: bool,
-    ) -> Option<ServedAnswer> {
-        if self.config.result_cache_bytes == 0 {
-            return None;
+    ) -> Result<ServedAnswer, Option<Arc<QueryPlan>>> {
+        let cache = self.read_cache();
+        let entry = cache.get((qfp, snap.fingerprint), q);
+        if self.config.result_cache_bytes > 0 {
+            let current = entry.and_then(|e| {
+                e.answer
+                    .as_ref()
+                    .filter(|a| {
+                        (has_graph || !e.plan.needs_graph())
+                            && a.epoch_key == plan_epoch_key(&e.plan, snap)
+                    })
+                    .map(|a| (e, a))
+            });
+            if let Some((e, a)) = current {
+                e.last_used.store(cache.tick(), Ordering::Relaxed);
+                self.counters.result_hits.fetch_add(1, Ordering::Relaxed);
+                return Ok(ServedAnswer {
+                    result: Arc::new(a.compact.thaw()),
+                    plan: e.plan.clone(),
+                    join_stats: a.join_stats,
+                    query_fingerprint: qfp,
+                    plan_cached: false,
+                    result_cached: true,
+                    deduplicated: false,
+                    latency_micros: 0,
+                });
+            }
+            self.counters.result_misses.fetch_add(1, Ordering::Relaxed);
         }
-        let hit = {
-            let cache = self
-                .result_cache
-                .read()
-                .expect("result cache lock poisoned");
-            cache
-                .map
-                .get(&(qfp, snap.store.fingerprint))
-                .filter(|e| {
-                    *e.query == *q
-                        && (has_graph || !e.plan.needs_graph())
-                        && plan_epoch_key(&e.plan, &snap.store) == e.epoch_key
-                })
-                .map(|e| {
-                    cache.touch(e);
-                    ServedAnswer {
-                        result: Arc::new(e.compact.thaw()),
-                        plan: e.plan.clone(),
-                        join_stats: e.join_stats,
-                        query_fingerprint: qfp,
-                        plan_cached: false,
-                        result_cached: true,
-                        deduplicated: false,
-                        latency_micros: 0,
-                    }
-                })
-        };
-        match &hit {
-            Some(_) => self.counters.result_hits.fetch_add(1, Ordering::Relaxed),
-            None => self.counters.result_misses.fetch_add(1, Ordering::Relaxed),
-        };
-        hit
+        match entry {
+            Some(e) => {
+                e.last_used.store(cache.tick(), Ordering::Relaxed);
+                self.counters.plan_hits.fetch_add(1, Ordering::Relaxed);
+                Err(Some(e.plan.clone()))
+            }
+            None => {
+                self.counters.plan_misses.fetch_add(1, Ordering::Relaxed);
+                Err(None)
+            }
+        }
     }
 
-    /// Caches a freshly-executed answer for cross-batch reuse (no-op when
-    /// the cache is disabled or the answer alone exceeds the budget). A
-    /// resident entry for the same query is replaced only when its
-    /// epoch-set stamp went stale; a colliding distinct query is simply
-    /// never cached, so the resident entry keeps serving its own query.
-    /// `g` is the batch's validated graph; when there is one, the answer
-    /// keeps its query's footprint resolved against it.
-    fn cache_result(
+    /// The cacheable form of a freshly executed answer at `snap`: frozen,
+    /// stamped and, when the batch carried its validated graph `g`, with
+    /// its query's footprint resolved against it. `None` when the result
+    /// cache is off or the answer alone exceeds its budget.
+    fn cacheable(
         &self,
-        snap: &EngineSnapshot,
-        qfp: u64,
+        snap: &StoreSnapshot,
         q: &Pattern,
         a: &ServedAnswer,
         g: Option<&DataGraph>,
-    ) {
+    ) -> Option<CachedAnswer> {
         let budget = self.config.result_cache_bytes;
         if budget == 0 {
-            return;
+            return None;
         }
         let footprint = match (a.plan.needs_graph(), g) {
             (_, Some(g)) => Some(QueryFootprint::of(q, g)),
             (false, None) => None,
             // Unreachable: a graph-reading plan only executes with a
             // validated graph. Not caching is the safe answer anyway.
-            (true, None) => return,
+            (true, None) => return None,
         };
         let compact = Arc::new(CompactView::freeze(&a.result));
         let bytes = result_entry_bytes(&compact, q);
-        if bytes > budget {
-            return;
-        }
-        let epoch_key = plan_epoch_key(&a.plan, &snap.store);
-        let key = (qfp, snap.store.fingerprint);
-        let mut cache = self
-            .result_cache
-            .write()
-            .expect("result cache lock poisoned");
-        // An in-flight batch can finish executing *after* the store moved
-        // on and `engine()` already purged this batch's world: inserting
-        // now would park a dead entry in the budget until the next purge.
-        // Recheck against the *currently published* snapshot under the
-        // same lock `purge_stale` runs under — if membership or the
-        // answer's epoch set moved, drop the insert. (A mutation racing in
-        // right after this check still gets cleaned by the purge on the
-        // next engine rebuild, which every later batch performs.)
+        (bytes <= budget).then(|| CachedAnswer {
+            compact,
+            join_stats: a.join_stats,
+            footprint,
+            epoch_key: plan_epoch_key(&a.plan, snap),
+            bytes,
+        })
+    }
+
+    /// Records `q`'s plan, with `answer` attached when there is one, after
+    /// an execution at `snap`, then evicts to the bounds. A resident entry
+    /// keeps its plan (planning is deterministic, and callers comparing
+    /// plans see one `Arc`) and its answer unless that answer's stamp went
+    /// stale; an entry holding a distinct colliding query is left alone, so
+    /// it keeps serving its own query.
+    ///
+    /// An in-flight batch can finish executing *after* the store moved on
+    /// and a newer batch already purged this batch's world. So the insert
+    /// is rechecked against the *currently published* snapshot under the
+    /// lock the purge runs under: nothing is recorded when membership
+    /// moved, and an answer whose epoch set moved is dropped. (A mutation
+    /// racing in right after this check is cleaned by the purge of the
+    /// first batch on its version.)
+    fn remember(
+        &self,
+        snap: &StoreSnapshot,
+        qfp: u64,
+        q: &Pattern,
+        plan: &Arc<QueryPlan>,
+        mut answer: Option<CachedAnswer>,
+    ) {
+        let mut guard = self.write_cache();
         let current = self.store.snapshot();
-        if current.fingerprint != snap.store.fingerprint
-            || plan_epoch_key(&a.plan, &current) != epoch_key
-        {
+        if current.fingerprint != snap.fingerprint {
             return;
         }
-        match cache.map.get(&key) {
-            // A distinct colliding query or a still-fresh duplicate: keep
-            // the resident entry (first writer wins on identical stamps).
-            Some(e) if *e.query != *q || e.epoch_key == epoch_key => return,
-            // Same query, stale stamp (a delta moved one of its views and
-            // the answer was recomputed): replace, releasing the old bytes.
-            Some(e) => {
-                let stale = e.bytes;
-                cache.bytes -= stale;
-                cache.map.remove(&key);
-            }
-            None => {}
-        }
+        answer.take_if(|a| a.epoch_key != plan_epoch_key(plan, &current));
+        let cache = &mut *guard;
         let stamp = cache.tick();
-        cache.bytes += bytes;
-        cache.map.insert(
-            key,
-            ResultCacheEntry {
-                query: Arc::new(q.clone()),
-                compact,
-                plan: a.plan.clone(),
-                join_stats: a.join_stats,
-                footprint,
-                epoch_key,
-                bytes,
-                last_used: AtomicU64::new(stamp),
-            },
-        );
-        let evicted = cache.evict_to(budget);
-        if evicted > 0 {
-            self.counters
-                .result_evictions
-                .fetch_add(evicted, Ordering::Relaxed);
+        match cache.map.entry((qfp, snap.fingerprint)) {
+            Entry::Occupied(e) => {
+                let e = e.into_mut();
+                if *e.query != *q {
+                    return;
+                }
+                e.last_used.store(stamp, Ordering::Relaxed);
+                if let Some(new) = answer {
+                    match &e.answer {
+                        // First writer wins on identical stamps.
+                        Some(old) if old.epoch_key == new.epoch_key => {}
+                        old => {
+                            cache.bytes -= old.as_ref().map_or(0, |a| a.bytes);
+                            cache.bytes += new.bytes;
+                            e.answer = Some(new);
+                        }
+                    }
+                }
+            }
+            Entry::Vacant(slot) => {
+                cache.bytes += answer.as_ref().map_or(0, |a| a.bytes);
+                slot.insert(CacheEntry {
+                    query: Arc::new(q.clone()),
+                    plan: plan.clone(),
+                    answer,
+                    last_used: AtomicU64::new(stamp),
+                });
+            }
         }
+        let config = &self.config;
+        let evicted = cache.evict(config.result_cache_bytes, config.plan_cache_capacity);
+        self.counters
+            .result_evictions
+            .fetch_add(evicted, Ordering::Relaxed);
     }
 
     /// Serves one query. `g` enables hybrid/direct fallback for queries the
@@ -1089,8 +1006,8 @@ impl ViewService {
     }
 
     /// [`Self::serve_batch`] with the query fingerprints supplied:
-    /// `fingerprints[i]` keys `queries[i]` in the dedup map and both
-    /// caches. Correct for *any* fingerprints — every keyed hit is
+    /// `fingerprints[i]` keys `queries[i]` in the dedup map and the query
+    /// cache. Correct for *any* fingerprints — every keyed hit is
     /// confirmed by comparing patterns — which is what lets the tests forge
     /// collisions.
     fn serve_fingerprinted(
@@ -1112,13 +1029,13 @@ impl ViewService {
             .max_in_flight
             .fetch_max(depth, Ordering::Relaxed);
 
-        let snap = self.engine();
+        let (snap, engine) = self.engine();
         // The supplied graph's validation against the graph of the snapshot
         // this batch executes, checked by every graph-reading plan in the
         // batch (views-only plans ignore it).
         let graph_check = g.map(|g| {
             let actual = crate::storage::graph_fingerprint(g);
-            let expected = snap.store.graph_fingerprint;
+            let expected = snap.graph_fingerprint;
             if actual == expected {
                 Ok(g)
             } else {
@@ -1151,11 +1068,11 @@ impl ViewService {
                         a
                     })
                 }
-                // Cross-batch result cache: an identical query whose
-                // epoch-set stamp is unchanged at this snapshot returns the
-                // shared answer without planning or executing anything.
-                None => match self.cached_result(&snap, qfp, q, g.is_some()) {
-                    Some(hit) => {
+                // An identical query whose epoch-set stamp is unchanged at
+                // this snapshot returns the shared answer without planning
+                // or executing anything.
+                None => match self.lookup(&snap, qfp, q, g.is_some()) {
+                    Ok(hit) => {
                         // Mirror the uncached path's graph validation: a
                         // graph-reading plan supplied with the *wrong*
                         // graph fails with GraphMismatch there, and a warm
@@ -1174,21 +1091,19 @@ impl ViewService {
                         answered.entry(qfp).or_insert_with(|| (q, answer.clone()));
                         answer
                     }
-                    None => {
-                        let (plan, plan_cached) =
-                            self.plan_for(&snap.engine, snap.store.fingerprint, qfp, q);
+                    Err(cached_plan) => {
+                        let plan_cached = cached_plan.is_some();
+                        let plan = cached_plan.unwrap_or_else(|| Arc::new(engine.plan(q)));
                         // Views-only plans execute with no graph at all;
                         // plans that do read G first validate it belongs to
                         // this store (once per batch).
                         let exec = match (plan.needs_graph(), &graph_check) {
-                            (false, _) => snap
-                                .engine
-                                .execute(q, &plan, None)
-                                .map_err(ServiceError::from),
+                            (false, _) => {
+                                engine.execute(q, &plan, None).map_err(ServiceError::from)
+                            }
                             (true, None) => Err(ServiceError::NeedsGraph),
                             (true, Some(Err(e))) => Err(e.clone()),
-                            (true, Some(Ok(g))) => snap
-                                .engine
+                            (true, Some(Ok(g))) => engine
                                 .execute(q, &plan, Some(g))
                                 .map_err(ServiceError::from),
                         };
@@ -1205,13 +1120,18 @@ impl ViewService {
                             deduplicated: false,
                             latency_micros: 0,
                         });
-                        // Successful answers enter the result cache;
-                        // failures are never remembered. A repeated strict
-                        // call that fails with NeedsGraph costs one
-                        // plan-cache probe: whether strict mode can answer
-                        // is a property of the cached plan.
-                        if let Ok(a) = &executed {
-                            self.cache_result(&snap, qfp, q, a, validated);
+                        // Successful answers are cached; failures never
+                        // are. A repeated strict call that fails with
+                        // NeedsGraph costs one probe: whether strict mode
+                        // can answer is a property of the cached plan. A
+                        // cached plan with no answer to attach takes no
+                        // write lock.
+                        let answer = executed
+                            .as_ref()
+                            .ok()
+                            .and_then(|a| self.cacheable(&snap, q, a, validated));
+                        if !plan_cached || answer.is_some() {
+                            self.remember(&snap, qfp, q, &plan, answer);
                         }
                         let micros = t0.elapsed().as_micros() as u64;
                         self.record_latency(micros);
@@ -1234,36 +1154,31 @@ impl ViewService {
 
     /// EXPLAIN for `q` against the current view set — the same plan text a
     /// served answer's `plan` renders, plus the cache-key fingerprints and
-    /// the per-query cache disposition: whether the plan cache and the
-    /// cross-batch result cache would serve this query right now.
+    /// the per-query cache disposition: whether the cache holds this
+    /// query's plan and a current answer right now.
     pub fn explain(&self, q: &Pattern) -> String {
-        let snap = self.engine();
+        let (snap, engine) = self.engine();
         let qfp = query_fingerprint(q);
-        // Observability must not perturb what it observes: probe both
-        // caches read-only (no hit/miss counters, no insertion, no LRU
-        // touch) and plan fresh on a miss.
-        let cached_plan = self
-            .plan_cache
-            .read()
-            .expect("plan cache lock poisoned")
-            .map
-            .get(&(qfp, snap.store.fingerprint))
-            .filter(|entry| *entry.query == *q)
-            .map(|entry| entry.plan.clone());
+        // Observability must not perturb what it observes: probe the cache
+        // read-only (no hit/miss counters, no insertion, no LRU touch) and
+        // plan fresh on a miss.
+        let (cached_plan, result_cached) = {
+            let cache = self.read_cache();
+            let entry = cache.get((qfp, snap.fingerprint), q);
+            (
+                entry.map(|e| e.plan.clone()),
+                entry.is_some_and(|e| {
+                    e.answer
+                        .as_ref()
+                        .is_some_and(|a| a.epoch_key == plan_epoch_key(&e.plan, &snap))
+                }),
+            )
+        };
         let plan_cached = cached_plan.is_some();
-        let result_cached = self
-            .result_cache
-            .read()
-            .expect("result cache lock poisoned")
-            .map
-            .get(&(qfp, snap.store.fingerprint))
-            .is_some_and(|entry| {
-                *entry.query == *q && plan_epoch_key(&entry.plan, &snap.store) == entry.epoch_key
-            });
-        let plan = cached_plan.unwrap_or_else(|| Arc::new(snap.engine.plan(q)));
+        let plan = cached_plan.unwrap_or_else(|| Arc::new(engine.plan(q)));
         format!(
             "{plan}\n  cache  : query {qfp:#018x} / views {:#018x} (plan {}, result {})",
-            snap.store.fingerprint,
+            snap.fingerprint,
             if plan_cached { "hit" } else { "miss" },
             if result_cached { "hit" } else { "miss" }
         )
@@ -1275,12 +1190,10 @@ impl ViewService {
         let misses = self.counters.plan_misses.load(Ordering::Relaxed);
         let rhits = self.counters.result_hits.load(Ordering::Relaxed);
         let rmisses = self.counters.result_misses.load(Ordering::Relaxed);
-        let (rsize, rbytes) = {
-            let cache = self
-                .result_cache
-                .read()
-                .expect("result cache lock poisoned");
-            (cache.map.len(), cache.bytes)
+        let (size, rsize, rbytes) = {
+            let cache = self.read_cache();
+            let answers = cache.map.values().filter(|e| e.answer.is_some()).count();
+            (cache.map.len(), answers, cache.bytes)
         };
         let mut latency = LatencyHistogram::default();
         for (i, b) in self.counters.latency.iter().enumerate() {
@@ -1291,12 +1204,7 @@ impl ViewService {
             batches: self.counters.batches.load(Ordering::Relaxed),
             plan_cache_hits: hits,
             plan_cache_misses: misses,
-            plan_cache_size: self
-                .plan_cache
-                .read()
-                .expect("plan cache lock poisoned")
-                .map
-                .len(),
+            plan_cache_size: size,
             plan_cache_hit_rate: if hits + misses > 0 {
                 hits as f64 / (hits + misses) as f64
             } else {
@@ -1363,13 +1271,17 @@ mod tests {
     }
 
     fn service() -> (ViewService, DataGraph) {
+        service_with(ServiceConfig::default())
+    }
+
+    fn service_with(config: ServiceConfig) -> (ViewService, DataGraph) {
         let g = graph();
         let views = ViewSet::new(vec![
             ViewDef::new("vab", single("A", "B")),
             ViewDef::new("vbc", single("B", "C")),
         ]);
         let store = Arc::new(ViewStore::materialize(views, &g, 4));
-        (ViewService::new(store), g)
+        (ViewService::with_config(store, config), g)
     }
 
     #[test]
@@ -1592,7 +1504,11 @@ mod tests {
         let after = svc.serve(&q, None).unwrap();
         assert!(!after.plan_cached, "view-set fingerprint changed");
         assert_eq!(*after.result, match_pattern(&q, &g));
-        assert_eq!(svc.stats().engine_rebuilds, 2);
+        let stats = svc.stats();
+        assert_eq!(stats.engine_rebuilds, 2);
+        // The first batch on the new version purged the old fingerprint's
+        // entry: only the new one is resident.
+        assert_eq!(stats.plan_cache_size, 1);
     }
 
     #[test]
@@ -1806,6 +1722,26 @@ mod tests {
         assert_eq!(*fresh.result, match_pattern(&qcd, &g2));
         // …and the recomputed answer re-enters the cache at the new stamp.
         assert!(svc.serve(&qcd, None).unwrap().result_cached);
+    }
+
+    /// An answer serves only the snapshots its stamp holds for: a batch
+    /// still running on the snapshot before a delta misses the answer a
+    /// later batch cached after it, and falls back to the cached plan.
+    #[test]
+    fn a_batch_on_an_older_snapshot_misses_a_newer_answer() {
+        let (svc, g) = service();
+        let q = single("A", "B");
+        let before = svc.store().snapshot();
+        svc.serve(&q, None).unwrap();
+        let delta = EdgeDelta::new(vec![], vec![(gpv_graph::NodeId(0), gpv_graph::NodeId(1))]);
+        let g2 = svc.apply_delta(&delta, &g).unwrap().graph;
+        let fresh = svc.serve(&q, None).unwrap();
+        assert!(!fresh.result_cached, "the delta changed vab");
+        assert_eq!(*fresh.result, match_pattern(&q, &g2));
+        assert!(matches!(
+            svc.lookup(&before, query_fingerprint(&q), &q, false),
+            Err(Some(_))
+        ));
     }
 
     /// A strict call the views cannot answer fails with `NeedsGraph`
@@ -2067,10 +2003,10 @@ mod tests {
         }
     }
 
-    /// Forged fingerprint collisions in all three maps: a distinct query
-    /// served under another query's fingerprint finds that query's dedup
-    /// slot, plan-cache entry and result-cache entry under its key, and
-    /// must still be planned, executed and answered on its own.
+    /// Forged fingerprint collisions in both maps: a distinct query served
+    /// under another query's fingerprint finds that query's dedup slot and
+    /// cache entry (plan and answer) under its key, and must still be
+    /// planned, executed and answered on its own.
     #[test]
     fn forged_fingerprint_collisions_never_share_answers() {
         let (svc, g) = service();
@@ -2098,6 +2034,8 @@ mod tests {
         assert_eq!(svc.stats().executed_queries, 3);
     }
 
+    /// `plan_cache_capacity` bounds the entries *without* an answer, so
+    /// with the result cache off a capacity of 0 caches nothing at all.
     #[test]
     fn plan_cache_capacity_zero_disables_caching() {
         let g = graph();
@@ -2107,6 +2045,7 @@ mod tests {
             store,
             ServiceConfig {
                 plan_cache_capacity: 0,
+                result_cache_bytes: 0,
                 ..ServiceConfig::default()
             },
         );
@@ -2116,5 +2055,65 @@ mod tests {
         let stats = svc.stats();
         assert_eq!(stats.plan_cache_hits, 0);
         assert_eq!(stats.plan_cache_size, 0);
+    }
+
+    /// …but an answered entry is bounded by the byte budget alone: with
+    /// answers cached, a capacity of 0 still keeps them (plan included).
+    #[test]
+    fn plan_cache_capacity_zero_still_caches_answers() {
+        let (svc, g) = service_with(ServiceConfig {
+            plan_cache_capacity: 0,
+            ..ServiceConfig::default()
+        });
+        let q = chain3();
+        assert!(!svc.serve(&q, None).unwrap().result_cached);
+        let again = svc.serve(&q, None).unwrap();
+        assert!(again.result_cached);
+        assert_eq!(*again.result, match_pattern(&q, &g));
+        let stats = svc.stats();
+        assert_eq!((stats.plan_cache_size, stats.result_cache_size), (1, 1));
+    }
+
+    /// Answered entries do not count against `plan_cache_capacity`: with a
+    /// capacity of 1, every distinct answered query still hits on repeat.
+    #[test]
+    fn answered_entries_outlive_a_small_plan_capacity() {
+        let (svc, g) = service_with(ServiceConfig {
+            plan_cache_capacity: 1,
+            ..ServiceConfig::default()
+        });
+        let queries = [single("A", "B"), single("B", "C"), chain3()];
+        for q in &queries {
+            assert!(!svc.serve(q, None).unwrap().result_cached);
+        }
+        for q in &queries {
+            let a = svc.serve(q, None).unwrap();
+            assert!(a.result_cached, "{q:?} lost its answer");
+            assert_eq!(*a.result, match_pattern(q, &g));
+        }
+        assert_eq!(svc.stats().result_cache_size, queries.len());
+    }
+
+    /// The byte budget evicts an answer, not its entry: the plan stays and
+    /// the next serve of that query re-executes from the cached plan.
+    #[test]
+    fn evicted_answer_leaves_its_plan() {
+        let g = graph();
+        let (q1, q2) = (single("A", "B"), single("B", "C"));
+        let bytes =
+            |q: &Pattern| result_entry_bytes(&CompactView::freeze(&match_pattern(q, &g)), q);
+        // Room for either answer alone, never both.
+        let (svc, _) = service_with(ServiceConfig {
+            result_cache_bytes: bytes(&q1) + bytes(&q2) - 1,
+            ..ServiceConfig::default()
+        });
+        svc.serve(&q1, None).unwrap();
+        svc.serve(&q2, None).unwrap();
+        let stats = svc.stats();
+        assert_eq!(stats.result_cache_evictions, 1, "{stats:?}");
+        assert_eq!((stats.plan_cache_size, stats.result_cache_size), (2, 1));
+        let again = svc.serve(&q1, None).unwrap();
+        assert!(again.plan_cached && !again.result_cached);
+        assert_eq!(*again.result, match_pattern(&q1, &g));
     }
 }

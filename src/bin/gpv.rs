@@ -105,7 +105,29 @@
 use gpv_core as core;
 use gpv_graph::io::parse_graph;
 use gpv_pattern::{parse_bounded_pattern, BoundedPattern};
+use std::io::Write;
 use std::process::ExitCode;
+
+/// The error a command returns when its reader closed stdout (`gpv serve
+/// ... | head`): [`main`] ends quietly on it, with status 0.
+const CLOSED_STDOUT: &str = "stdout closed";
+
+/// A failed write to the command's output, as a command error.
+fn write_failed(e: std::io::Error) -> String {
+    if e.kind() == std::io::ErrorKind::BrokenPipe {
+        CLOSED_STDOUT.into()
+    } else {
+        format!("writing output: {e}")
+    }
+}
+
+/// `writeln!` to a command's output; a failed write returns from the
+/// enclosing function ([`write_failed`]).
+macro_rules! outln {
+    ($out:expr, $($arg:tt)*) => {
+        writeln!($out, $($arg)*).map_err(write_failed)?
+    };
+}
 
 struct Args {
     graph: Option<String>,
@@ -302,7 +324,7 @@ fn require_plain(q: &BoundedPattern, what: &str) -> Result<gpv_pattern::Pattern,
     Ok(q.pattern().clone())
 }
 
-fn run() -> Result<(), String> {
+fn run(out: &mut dyn Write) -> Result<(), String> {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = argv.first() else {
         return Err("no command".into());
@@ -313,7 +335,8 @@ fn run() -> Result<(), String> {
         "stats" => {
             let g = load_graph(&a)?;
             let s = gpv_graph::stats::stats(&g);
-            println!(
+            outln!(
+                out,
                 "nodes={} edges={} labels={} avg_out_degree={:.3} max_out={} max_in={} alpha={:.3}",
                 s.nodes,
                 s.edges,
@@ -329,19 +352,19 @@ fn run() -> Result<(), String> {
             let qb = load_query(&a)?;
             if a.bounded {
                 let r = gpv_matching::bounded::bmatch_pattern(&qb, &g);
-                print_bounded_result(qb.pattern(), &r);
+                print_bounded_result(qb.pattern(), &r, out)?;
             } else if a.dual {
                 let q = require_plain(&qb, "pattern")?;
                 let r = core::GraphSource::new(&g)
                     .simulate(&q, core::Simulation::Dual)
                     .0;
-                print_result(&q, &r);
+                print_result(&q, &r, out)?;
             } else {
                 let q = require_plain(&qb, "pattern")?;
                 let r = core::GraphSource::new(&g)
                     .simulate(&q, core::Simulation::Plain)
                     .0;
-                print_result(&q, &r);
+                print_result(&q, &r, out)?;
             }
         }
         "contain" | "minimal" | "minimum" => {
@@ -359,7 +382,7 @@ fn run() -> Result<(), String> {
                     "minimal" => core::bminimal(&qb, &vs).map(|s| s.views),
                     _ => core::bminimum(&qb, &vs).map(|s| s.views),
                 };
-                report_selection(sel, &views)?;
+                report_selection(sel, &views, out)?;
             } else {
                 let q = require_plain(&qb, "pattern")?;
                 let vs = plain_view_set(&views)?;
@@ -368,7 +391,7 @@ fn run() -> Result<(), String> {
                     "minimal" => core::minimal(&q, &vs).map(|s| s.views),
                     _ => core::minimum(&q, &vs).map(|s| s.views),
                 };
-                report_selection(sel, &views)?;
+                report_selection(sel, &views, out)?;
             }
         }
         "answer" => {
@@ -386,7 +409,7 @@ fn run() -> Result<(), String> {
                     .with_bounded_views(vs, &g)
                     .with_config(engine_config(&a)?);
                 let r = engine.answer_bounded(&qb).map_err(|e| e.to_string())?;
-                print_bounded_result(qb.pattern(), &r);
+                print_bounded_result(qb.pattern(), &r, out)?;
             } else {
                 let q = require_plain(&qb, "pattern")?;
                 let vs = plain_view_set(&views)?;
@@ -397,7 +420,7 @@ fn run() -> Result<(), String> {
                     }
                     other => other.to_string(),
                 })?;
-                print_result(&q, &r);
+                print_result(&q, &r, out)?;
             }
         }
         "plan" => {
@@ -407,25 +430,26 @@ fn run() -> Result<(), String> {
             let views = load_views(&a)?;
             let vs = plain_view_set(&views)?;
             let engine = core::QueryEngine::materialize(vs, &g).with_config(engine_config(&a)?);
-            println!("{}", engine.explain(&q));
+            outln!(out, "{}", engine.explain(&q));
         }
-        "serve" => serve(&a)?,
-        "advise" => advise(&a)?,
-        "lint" => lint(&a)?,
-        "check" => check(&a)?,
-        "fuzz" => fuzz(&a)?,
+        "serve" => serve(&a, out)?,
+        "advise" => advise(&a, out)?,
+        "lint" => lint(&a, out)?,
+        "check" => check(&a, out)?,
+        "fuzz" => fuzz(&a, out)?,
         "minimize" => {
             let qb = load_query(&a)?;
             let q = require_plain(&qb, "pattern")?;
             let m = core::minimize(&q);
-            println!(
+            outln!(
+                out,
                 "# minimized {} -> {} nodes, {} -> {} edges",
                 q.node_count(),
                 m.pattern.node_count(),
                 q.edge_count(),
                 m.pattern.edge_count()
             );
-            print!("{}", gpv_pattern::write_pattern(&m.pattern));
+            write!(out, "{}", gpv_pattern::write_pattern(&m.pattern)).map_err(write_failed)?;
         }
         _ => return Err(format!("unknown command `{cmd}`")),
     }
@@ -435,7 +459,7 @@ fn run() -> Result<(), String> {
 /// The `serve` command: materialize views into a [`core::ViewStore`], stand
 /// up a [`core::ViewService`], fire the batch from `--clients` concurrent client
 /// threads, then print the answers (once) and the service-level stats.
-fn serve(a: &Args) -> Result<(), String> {
+fn serve(a: &Args, out: &mut dyn Write) -> Result<(), String> {
     use std::sync::Arc;
     let g = load_graph(a)?;
     let views = load_views(a)?;
@@ -460,14 +484,14 @@ fn serve(a: &Args) -> Result<(), String> {
                     "{dir}: store was built from a different graph (fingerprint mismatch)"
                 ));
             }
-            println!("store-dir: loaded {} views from {dir}", loaded.len());
+            outln!(out, "store-dir: loaded {} views from {dir}", loaded.len());
             Arc::new(loaded)
         }
         other => {
             let store = Arc::new(core::ViewStore::materialize(vs, &g, a.shards));
             if let Some(dir) = other {
                 store.save_to_dir(dir).map_err(|e| format!("{dir}: {e}"))?;
-                println!("store-dir: saved {} views to {dir}", store.len());
+                outln!(out, "store-dir: saved {} views to {dir}", store.len());
             }
             store
         }
@@ -570,7 +594,8 @@ fn serve(a: &Args) -> Result<(), String> {
 
     for (i, r) in answers[0].iter().enumerate() {
         match r {
-            Ok(ans) => println!(
+            Ok(ans) => outln!(
+                out,
                 "query {i}: {} pairs ({}, {}digest {:016x}, {} µs)",
                 ans.result.size(),
                 ans.disposition(),
@@ -582,12 +607,12 @@ fn serve(a: &Args) -> Result<(), String> {
                 core::CompactView::freeze(&ans.result).digest(),
                 ans.latency_micros
             ),
-            Err(e) => println!("query {i}: error: {e}"),
+            Err(e) => outln!(out, "query {i}: error: {e}"),
         }
         if a.explain {
             if let Ok(ans) = r {
                 for line in ans.plan.to_string().lines() {
-                    println!("  {line}");
+                    outln!(out, "  {line}");
                 }
             }
         }
@@ -595,15 +620,17 @@ fn serve(a: &Args) -> Result<(), String> {
 
     let stats = service.stats();
     let served: usize = answers.iter().map(Vec::len).sum();
-    println!("---");
-    println!(
+    outln!(out, "---");
+    outln!(
+        out,
         "served {served} queries in {wall:.3}s ({:.0} q/s) from {} clients x {} batches x {} queries",
         served as f64 / wall.max(1e-9),
         a.clients,
         a.repeat,
         batch.len()
     );
-    println!(
+    outln!(
+        out,
         "plan cache: {} hits / {} misses ({:.0}% hit rate), {} plans cached, {} batch-deduped",
         stats.plan_cache_hits,
         stats.plan_cache_misses,
@@ -611,7 +638,8 @@ fn serve(a: &Args) -> Result<(), String> {
         stats.plan_cache_size,
         stats.dedup_saved
     );
-    println!(
+    outln!(
+        out,
         "result cache: {} hits / {} misses ({:.0}% hit rate), {} answers / {} KiB resident, {} evicted",
         stats.result_cache_hits,
         stats.result_cache_misses,
@@ -620,19 +648,27 @@ fn serve(a: &Args) -> Result<(), String> {
         stats.result_cache_bytes / 1024,
         stats.result_cache_evictions
     );
-    println!(
+    outln!(
+        out,
         "kept across deltas: {} untouched (footprint missed), {} unchanged (answer-level test)",
-        stats.result_kept_untouched, stats.result_kept_unchanged
+        stats.result_kept_untouched,
+        stats.result_kept_unchanged
     );
-    println!(
+    outln!(
+        out,
         "latency: p50 {}, p99 {}; max queue depth {}",
         stats.latency.quantile_label(0.5),
         stats.latency.quantile_label(0.99),
         stats.max_in_flight
     );
-    println!("executed: {} queries planned+run", stats.executed_queries);
+    outln!(
+        out,
+        "executed: {} queries planned+run",
+        stats.executed_queries
+    );
     let occupied = stats.shard_occupancy.iter().filter(|o| o.views > 0).count();
-    println!(
+    outln!(
+        out,
         "store: {} views over {} shards ({} occupied): {}",
         stats.shard_occupancy.iter().map(|o| o.views).sum::<usize>(),
         stats.shard_occupancy.len(),
@@ -644,12 +680,13 @@ fn serve(a: &Args) -> Result<(), String> {
             .collect::<Vec<_>>()
             .join(" ")
     );
-    println!(
+    outln!(
+        out,
         "maintainers: {:.1} KiB resident",
         stats.maintainer_bytes as f64 / 1024.0
     );
     if let Some(m) = maintenance {
-        println!("{m}");
+        outln!(out, "{m}");
     }
     Ok(())
 }
@@ -667,7 +704,7 @@ fn splitmix64(state: &mut u64) -> u64 {
 
 /// The `advise` command: greedy view selection for a workload plus
 /// eviction candidates for whatever the selection leaves unused.
-fn advise(a: &Args) -> Result<(), String> {
+fn advise(a: &Args, out: &mut dyn Write) -> Result<(), String> {
     let g = load_graph(a)?;
     let views = load_views(a)?;
     let vs = plain_view_set(&views)?;
@@ -685,7 +722,8 @@ fn advise(a: &Args) -> Result<(), String> {
     let sel = engine.advise_views(&workload, budget, None);
 
     let answered = sel.answered.iter().filter(|&&x| x).count();
-    println!(
+    outln!(
+        out,
         "advise: keep {} of {} views (budget {budget}), answering {}/{} workload queries",
         sel.views.len(),
         views.len(),
@@ -693,11 +731,11 @@ fn advise(a: &Args) -> Result<(), String> {
         workload.len()
     );
     for &i in &sel.views {
-        println!("keep {}", views[i].0);
+        outln!(out, "keep {}", views[i].0);
     }
     for (qi, ok) in sel.answered.iter().enumerate() {
         if !ok {
-            println!("unanswered {}", a.patterns[qi]);
+            outln!(out, "unanswered {}", a.patterns[qi]);
         }
     }
 
@@ -706,12 +744,16 @@ fn advise(a: &Args) -> Result<(), String> {
     let needed: Vec<u64> = sel.views.iter().map(|&i| i as u64).collect();
     let advice = store.eviction_advice(&needed);
     if advice.is_empty() {
-        println!("evict: nothing (all resident views are needed)");
+        outln!(out, "evict: nothing (all resident views are needed)");
     } else {
         for e in &advice {
-            println!(
+            outln!(
+                out,
                 "evict {} (id {}, {} pairs, {} bytes resident)",
-                e.name, e.id, e.pairs, e.resident_bytes
+                e.name,
+                e.id,
+                e.pairs,
+                e.resident_bytes
             );
         }
     }
@@ -721,18 +763,24 @@ fn advise(a: &Args) -> Result<(), String> {
 /// Prints a diagnostic report — one human line per finding plus a count
 /// summary, or a machine-readable JSON array under `--json` — and turns
 /// error-severity findings into a nonzero exit status.
-fn emit_diagnostics(diags: &[core::Diagnostic], json: bool) -> Result<(), String> {
+fn emit_diagnostics(
+    diags: &[core::Diagnostic],
+    json: bool,
+    out: &mut dyn Write,
+) -> Result<(), String> {
     if json {
-        println!(
+        outln!(
+            out,
             "{}",
             serde_json::to_string(diags).map_err(|e| e.to_string())?
         );
     } else {
         for d in diags {
-            println!("{d}");
+            outln!(out, "{d}");
         }
         let count = |s: core::Severity| diags.iter().filter(|d| d.severity == s).count();
-        println!(
+        outln!(
+            out,
             "{} findings: {} errors, {} warnings, {} info",
             diags.len(),
             count(core::Severity::Error),
@@ -757,7 +805,7 @@ fn emit_diagnostics(diags: &[core::Diagnostic], json: bool) -> Result<(), String
 /// eviction advice from a materialized [`core::ViewStore`]. Exit status
 /// is nonzero only for error-severity findings — plain lints are
 /// warnings and info.
-fn lint(a: &Args) -> Result<(), String> {
+fn lint(a: &Args, out: &mut dyn Write) -> Result<(), String> {
     if a.patterns.is_empty() && a.views.is_empty() {
         return Err("lint needs at least one --pattern or --view".into());
     }
@@ -799,7 +847,7 @@ fn lint(a: &Args) -> Result<(), String> {
         };
         diags.extend(core::lint_views(&vs, &workload, &advice));
     }
-    emit_diagnostics(&diags, a.json)
+    emit_diagnostics(&diags, a.json, out)
 }
 
 /// The `check` command: the offline integrity checker for a `--store-dir`
@@ -809,7 +857,7 @@ fn lint(a: &Args) -> Result<(), String> {
 /// the store is loaded and its published snapshot re-validated through
 /// [`core::check_snapshot`] — against the graph's fingerprint, node
 /// ranges, and label footprints when `--graph` is given.
-fn check(a: &Args) -> Result<(), String> {
+fn check(a: &Args, out: &mut dyn Write) -> Result<(), String> {
     let dir = a.store_dir.as_ref().ok_or("check needs --store-dir")?;
     let g = a.graph.as_ref().map(|_| load_graph(a)).transpose()?;
     let mut diags = core::check_store_dir(dir);
@@ -824,14 +872,14 @@ fn check(a: &Args) -> Result<(), String> {
             )),
         }
     }
-    emit_diagnostics(&diags, a.json)
+    emit_diagnostics(&diags, a.json, out)
 }
 
 /// The `fuzz` command: the differential scenario harness. Samples
 /// deterministic scenarios, runs each through the engine and the service
 /// under the scenario's configuration, and asserts every answer equals the
 /// naive-oracle's. Any divergence prints the one-line JSON repro.
-fn fuzz(a: &Args) -> Result<(), String> {
+fn fuzz(a: &Args, out: &mut dyn Write) -> Result<(), String> {
     use gpv_core::differential::{BoundedOracle, DifferentialReport, PlainOracle};
     use gpv_generator::{check_scenario_with, Scenario};
     use std::collections::BTreeSet;
@@ -857,22 +905,29 @@ fn fuzz(a: &Args) -> Result<(), String> {
     };
     let boracle: BoundedOracle = Box::new(gpv_matching::bounded::bmatch_pattern);
     if inject {
-        println!("warning: GPV_FUZZ_INJECT set -- oracle deliberately corrupted (test-only)");
+        outln!(
+            out,
+            "warning: GPV_FUZZ_INJECT set -- oracle deliberately corrupted (test-only)"
+        );
     }
 
-    let run_one = |sc: &Scenario| -> Result<DifferentialReport, String> {
-        check_scenario_with(sc, &oracle, &boracle).map_err(|d| {
-            println!("DIVERGENCE: {d}");
-            println!("scenario: {}", sc.to_json_line());
-            println!("repro: {}", sc.repro_command());
-            "divergence found (repro line above)".to_string()
-        })
+    let run_one = |sc: &Scenario, out: &mut dyn Write| -> Result<DifferentialReport, String> {
+        match check_scenario_with(sc, &oracle, &boracle) {
+            Ok(r) => Ok(r),
+            Err(d) => {
+                outln!(out, "DIVERGENCE: {d}");
+                outln!(out, "scenario: {}", sc.to_json_line());
+                outln!(out, "repro: {}", sc.repro_command());
+                Err("divergence found (repro line above)".into())
+            }
+        }
     };
 
     if let Some(json) = &a.repro {
         let sc = Scenario::from_json_line(json)?;
-        let r = run_one(&sc)?;
-        println!(
+        let r = run_one(&sc, out)?;
+        outln!(
+            out,
             "repro ok: {} queries, {} answers over {} rounds, {} store mutations, {} edge deltas, {} bounded -- all matched the oracle",
             r.queries, r.served, r.rounds, r.mutations, r.edge_deltas, r.bounded_queries
         );
@@ -896,9 +951,10 @@ fn fuzz(a: &Args) -> Result<(), String> {
         }
         modes.insert(format!("{:?}", sc.mode));
         caches.insert(sc.result_cache_bytes);
-        let r = run_one(&sc)?;
+        let r = run_one(&sc, out)?;
         totals.absorb(&r);
-        println!(
+        outln!(
+            out,
             "fuzz {i:>3}: mode={:?} cache={}B -- ok ({} answers, plans v/h/d {}/{}/{}, {} deltas)",
             sc.mode,
             sc.result_cache_bytes,
@@ -909,17 +965,20 @@ fn fuzz(a: &Args) -> Result<(), String> {
             r.edge_deltas
         );
     }
-    println!("---");
-    println!(
+    outln!(out, "---");
+    outln!(
+        out,
         "fuzz: {} scenarios from seed {} -- engine and service matched match_pattern on every sample",
         a.iterations, a.seed
     );
-    println!(
+    outln!(
+        out,
         "coverage: modes=[{}] caches={:?}",
         modes.into_iter().collect::<Vec<_>>().join(","),
         caches.iter().collect::<Vec<_>>()
     );
-    println!(
+    outln!(
+        out,
         "checked: {} distinct queries, {} served answers, {} rounds, {} store mutations, {} bounded queries; plans views-only/hybrid/direct = {}/{}/{}; cache hits plan/result = {}/{}; {} edge deltas maintained {} views; {} graph-plan cache hits after a delta, {} after a footprint-touching delta",
         totals.queries,
         totals.served,
@@ -964,55 +1023,68 @@ fn plain_view_set(views: &[(String, BoundedPattern)]) -> Result<core::ViewSet, S
 fn report_selection(
     sel: Option<Vec<usize>>,
     views: &[(String, BoundedPattern)],
+    out: &mut dyn Write,
 ) -> Result<(), String> {
     match sel {
         Some(ids) => {
-            println!("contained=true");
+            outln!(out, "contained=true");
             for i in ids {
-                println!("view {}", views[i].0);
+                outln!(out, "view {}", views[i].0);
             }
             Ok(())
         }
         None => {
-            println!("contained=false");
+            outln!(out, "contained=false");
             Err("query is NOT contained in the views".into())
         }
     }
 }
 
-fn print_result(q: &gpv_pattern::Pattern, r: &gpv_matching::result::MatchResult) {
+fn print_result(
+    q: &gpv_pattern::Pattern,
+    r: &gpv_matching::result::MatchResult,
+    out: &mut dyn Write,
+) -> Result<(), String> {
     if r.is_empty() {
-        println!("result=empty");
-        return;
+        outln!(out, "result=empty");
+        return Ok(());
     }
-    println!("result={} pairs", r.size());
+    outln!(out, "result={} pairs", r.size());
     for (ei, &(u, v)) in q.edges().iter().enumerate() {
         let pairs: Vec<String> = r.edge_matches[ei]
             .iter()
             .map(|&(a, b)| format!("({},{})", a.0, b.0))
             .collect();
-        println!("S({u}->{v}) = {}", pairs.join(" "));
+        outln!(out, "S({u}->{v}) = {}", pairs.join(" "));
     }
+    Ok(())
 }
 
-fn print_bounded_result(q: &gpv_pattern::Pattern, r: &gpv_matching::result::BoundedMatchResult) {
+fn print_bounded_result(
+    q: &gpv_pattern::Pattern,
+    r: &gpv_matching::result::BoundedMatchResult,
+    out: &mut dyn Write,
+) -> Result<(), String> {
     if r.is_empty() {
-        println!("result=empty");
-        return;
+        outln!(out, "result=empty");
+        return Ok(());
     }
-    println!("result={} pairs", r.size());
+    outln!(out, "result={} pairs", r.size());
     for (ei, &(u, v)) in q.edges().iter().enumerate() {
         let pairs: Vec<String> = r.edge_matches[ei]
             .iter()
             .map(|&(a, b, d)| format!("({},{},d{})", a.0, b.0, d))
             .collect();
-        println!("S({u}->{v}) = {}", pairs.join(" "));
+        outln!(out, "S({u}->{v}) = {}", pairs.join(" "));
     }
+    Ok(())
 }
 
 fn main() -> ExitCode {
-    match run() {
+    let mut out = std::io::stdout().lock();
+    match run(&mut out).and_then(|()| out.flush().map_err(write_failed)) {
         Ok(()) => ExitCode::SUCCESS,
+        Err(e) if e == CLOSED_STDOUT => ExitCode::SUCCESS,
         Err(e) => {
             if e == "no command" {
                 return usage();

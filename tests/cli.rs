@@ -290,6 +290,43 @@ fn serve_repeat_reports_nonzero_result_cache_hit_rate() {
     );
 }
 
+/// A reader that closes stdout early (`gpv serve ... | head -n 1`) ends
+/// the command quietly: status 0 and nothing on stderr, not a
+/// `failed printing to stdout` panic. A thousand repeats print more than a
+/// pipe buffer holds, so the child cannot finish before the reader leaves.
+#[test]
+fn serve_into_a_closed_pipe_exits_cleanly() {
+    use std::process::Stdio;
+    let g = write_tmp("pipe-g.txt", GRAPH);
+    let q = write_tmp("pipe-q.txt", QUERY);
+    let v1 = write_tmp("pipe-v1.txt", VIEW1);
+    let v2 = write_tmp("pipe-v2.txt", VIEW2);
+    let mut child = gpv()
+        .args([
+            "serve",
+            "--graph",
+            g.to_str().unwrap(),
+            "--view",
+            v1.to_str().unwrap(),
+            "--view",
+            v2.to_str().unwrap(),
+            "--pattern",
+            q.to_str().unwrap(),
+            "--repeat",
+            "1000",
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    drop(child.stdout.take());
+    let out = child.wait_with_output().unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{:?}: {err}", out.status);
+    assert!(!err.contains("panicked"), "{err}");
+    assert!(err.is_empty(), "{err}");
+}
+
 /// `serve --updates-per-round N` interleaves seeded edge deltas with the
 /// serving rounds through the delta-maintenance pipeline and reports a
 /// maintenance summary. Serving must stay green across the deltas.
