@@ -16,16 +16,17 @@
 //!   `O(|Qb||V(G)| + |V(G)|²)` bound (Theorem 9), versus the cubic
 //!   `O(|Qb||G|²)` of direct `BMatch`;
 //! * distances are re-attached to the survivors. Both fixpoints return
-//!   each edge's survivors as a subsequence of its merged column, in merge
-//!   order, so one forward walk over the distance column finds them.
+//!   each edge's survivors as positions into its merged pair column, and
+//!   the distance column is parallel to it, so each survivor reads its
+//!   distance at its own position.
 
 use crate::bview::BoundedViewExtensions;
 use crate::compact::{BoundedColumns, BoundedEdgeSet};
 use crate::containment::ContainmentPlan;
 use crate::matchjoin::{
-    check_arity, node_sets, refine, smallest_cover, JoinError, JoinStats, JoinStrategy, MergedSets,
+    check_arity, node_sets, refine, smallest_cover, survivor_pairs, JoinError, JoinStats,
+    JoinStrategy, MergedSets,
 };
-use gpv_graph::NodeId;
 use gpv_matching::result::BoundedMatchResult;
 use gpv_pattern::{BoundedPattern, PatternEdgeId};
 use std::borrow::Cow;
@@ -101,14 +102,16 @@ pub fn bmatch_join_with(
         .collect();
     let merged: MergedSets<'_> = columns.iter().map(|&(p, _)| Cow::Borrowed(p)).collect();
 
-    let (sets, stats) = refine(q, merged, strategy);
-    let result = sets.map(|sets| {
+    let (kept, stats) = refine(q, &merged, strategy);
+    let result = kept.map(|kept| {
+        let sets = survivor_pairs(&merged, &kept);
         let nodes = node_sets(q, &sets);
         let edges = sets
             .into_iter()
+            .zip(&kept)
             .zip(&columns)
-            .map(|(set, &(pairs, dists))| {
-                let d = survivor_dists(&set, pairs, dists);
+            .map(|((set, kept), &(_, dists))| {
+                let d = kept.iter().map(|&i| dists[i as usize]);
                 set.into_iter()
                     .zip(d)
                     .map(|((v, w), d)| (v, w, d))
@@ -118,26 +121,6 @@ pub fn bmatch_join_with(
         BoundedMatchResult::new(q, nodes, edges)
     });
     Ok((result.unwrap_or_else(BoundedMatchResult::empty), stats))
-}
-
-/// The distances of `survivors`, a subsequence (in order) of `pairs` with
-/// `dists` parallel to `pairs`: one forward walk, no search.
-pub(crate) fn survivor_dists(
-    survivors: &[(NodeId, NodeId)],
-    pairs: &[(NodeId, NodeId)],
-    dists: &[u32],
-) -> Vec<u32> {
-    let mut j = 0;
-    survivors
-        .iter()
-        .map(|p| {
-            while pairs[j] != *p {
-                j += 1;
-            }
-            j += 1;
-            dists[j - 1]
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -11,12 +11,11 @@
 //! `(u, t)` with bound `k` reads, for each node of `base(u)`, a bounded BFS
 //! truncated at `k` (not truncated for `*`), keeping the nodes in `base(t)`
 //! with their shortest distances. Those candidate pairs go through the
-//! shared refinement, and the survivors get their distances back by one
-//! forward walk, as in `BMatchJoin`.
+//! shared refinement, and each survivor reads its distance at its position
+//! in the read, as in `BMatchJoin`.
 
-use crate::bmatchjoin::survivor_dists;
 use crate::compact::{BoundedEdgeSet, CompactBoundedView};
-use crate::matchjoin::{refine, JoinStrategy, MergedSets};
+use crate::matchjoin::{pick, refine, survivor_pairs, JoinStrategy, MergedSets};
 use crate::partial::GraphSource;
 use gpv_graph::traverse::{bounded_bfs, BfsScratch, Direction};
 use gpv_graph::{BitSet, DataGraph, NodeId};
@@ -158,18 +157,17 @@ impl BoundedReader<'_> {
         }
         let columns: Vec<&BoundedEdgeSet> = keys.iter().map(|k| &self.reads[k]).collect();
         let merged: MergedSets<'_> = columns.iter().map(|(p, _)| Cow::Borrowed(&p[..])).collect();
-        let (sets, _) = refine(q, merged, JoinStrategy::RankedBottomUp);
-        let Some(sets) = sets else {
+        let (kept, _) = refine(q, &merged, JoinStrategy::RankedBottomUp);
+        let Some(kept) = kept else {
             return CompactBoundedView::empty();
         };
+        let sets = survivor_pairs(&merged, &kept);
         let nodes = self.source.node_sets(q, &sets);
         let edges = sets
             .into_iter()
+            .zip(&kept)
             .zip(columns)
-            .map(|(set, (pairs, dists))| {
-                let d = survivor_dists(&set, pairs, dists);
-                (set, d)
-            })
+            .map(|((set, kept), (_, dists))| (set, pick(dists, kept)))
             .collect();
         CompactBoundedView::from_sets(edges, nodes)
     }

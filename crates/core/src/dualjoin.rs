@@ -54,8 +54,8 @@ pub fn dual_match_join(
     ext: &ViewExtensions,
 ) -> Result<MatchResult, JoinError> {
     let merged = merge_step(q, plan, ext)?;
-    let sets = ranked_fixpoint(q, merged, Simulation::Dual, &mut JoinStats::default());
-    Ok(assemble(q, sets))
+    let kept = ranked_fixpoint(q, &merged, Simulation::Dual, &mut JoinStats::default());
+    Ok(assemble(q, &merged, kept))
 }
 
 #[cfg(test)]

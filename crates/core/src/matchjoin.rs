@@ -27,11 +27,16 @@
 //!
 //! Its support-counter step — withdraw a removed node as a witness,
 //! decrement counters, schedule what reaches zero — is one function,
-//! `drain`, with `initial_support` counting the counters it starts from.
-//! Two callers share them: `ranked_fixpoint`, which reads neighbours from
+//! `drain`. Two callers share it: `ranked_fixpoint`, which counts initial
+//! support in one pass over each edge's pairs and reads neighbours from
 //! each edge's CSR, and the incremental maintainer
-//! ([`IncrementalView`](crate::maintenance::IncrementalView)), which reads
-//! them from its footprint adjacency after every edge delete or insert.
+//! ([`IncrementalView`](crate::maintenance::IncrementalView)), which
+//! counts with `initial_support` and reads neighbours from its footprint
+//! adjacency after every edge delete or insert.
+//!
+//! The kernel returns each edge's survivors as positions into its merged
+//! set; callers read pairs (and `BMatchJoin` its distances) at those
+//! positions. Node sets are read off the sorted survivors by `node_sets`.
 //!
 //! Complexity: `O(|Qs||V(G)| + |V(G)|²)` — versus
 //! `O(|Qs|² + |Qs||G| + |G|²)` for evaluating `Qs` on `G` directly.
@@ -164,18 +169,18 @@ pub(crate) fn run_fixpoint(
     merged: MergedSets<'_>,
     strategy: JoinStrategy,
 ) -> (MatchResult, JoinStats) {
-    let (sets, stats) = refine(q, merged, strategy);
-    (assemble(q, sets), stats)
+    let (kept, stats) = refine(q, &merged, strategy);
+    (assemble(q, &merged, kept), stats)
 }
 
-/// Refines merged sets under `strategy`, returning the refined per-edge
-/// sets (`None` = empty result) and the join's stats. Shared by
-/// `MatchJoin` and `BMatchJoin`.
+/// Refines merged sets under `strategy`, returning each edge's survivors
+/// (`None` = empty result) and the join's stats. Shared by `MatchJoin`
+/// and `BMatchJoin`.
 pub(crate) fn refine(
     q: &Pattern,
-    merged: MergedSets<'_>,
+    merged: &MergedSets<'_>,
     strategy: JoinStrategy,
-) -> (Option<RefinedSets>, JoinStats) {
+) -> (Option<Survivors>, JoinStats) {
     let mut stats = JoinStats {
         merged_pairs: merged.iter().map(|s| s.len() as u64).sum(),
         ..JoinStats::default()
@@ -195,6 +200,29 @@ pub(crate) type Cover<'a, T> = Option<(ViewEdgeRef, &'a [T])>;
 
 /// Refined per-edge match sets, in pattern-edge order.
 pub(crate) type RefinedSets = Vec<Vec<(NodeId, NodeId)>>;
+
+/// Each edge's surviving pairs, as ascending positions into its merged
+/// column, in pattern-edge order. A column parallel to the merged pairs
+/// (`BMatchJoin`'s distances) is read at the same positions.
+pub(crate) type Survivors = Vec<Vec<u32>>;
+
+/// The items of `column` at the positions `kept`.
+pub(crate) fn pick<T: Copy>(column: &[T], kept: &[u32]) -> Vec<T> {
+    kept.iter().map(|&i| column[i as usize]).collect()
+}
+
+/// The surviving pairs of every merged set. Every merge the kernel runs
+/// on is sorted, so the survivors come out canonical: [`node_sets`] and
+/// the result constructors then skip their sorts.
+pub(crate) fn survivor_pairs(merged: &MergedSets<'_>, kept: &Survivors) -> RefinedSets {
+    let sets: RefinedSets = merged
+        .iter()
+        .zip(kept)
+        .map(|(set, kept)| pick(set, kept))
+        .collect();
+    debug_assert!(sets.iter().all(|s| s.windows(2).all(|w| w[0] < w[1])));
+    sets
+}
 
 /// Checks that a per-edge plan (λ or source vector) of `entries` entries
 /// fits `q`, and that every node of `q` has an edge to be joined on.
@@ -285,30 +313,37 @@ pub fn merge_step_union<'a>(
     Ok(merged)
 }
 
-/// Candidate node sets implied by merged edge sets: for a node with
-/// out-edges, the intersection of the sources of every out-edge set (a match
-/// must witness them all); for a sink, the union of targets of its in-edge
-/// sets (the only way it can appear in the result).
-fn initial_candidates<S: std::ops::Deref<Target = [(NodeId, NodeId)]>>(
+/// Candidate node sets implied by the live pairs of merged edge sets (the
+/// positions `alive` into each): for a node with out-edges, the
+/// intersection of the sources of every out-edge set (a match must witness
+/// them all); for a sink, the union of targets of its in-edge sets (the
+/// only way it can appear in the result).
+fn initial_candidates(
     q: &Pattern,
-    merged: &[S],
+    merged: &MergedSets<'_>,
+    alive: &Survivors,
 ) -> Vec<HashSet<NodeId>> {
+    let pairs = |e: PatternEdgeId| {
+        alive[e.index()]
+            .iter()
+            .map(move |&i| merged[e.index()][i as usize])
+    };
     q.nodes()
         .map(|u| {
             let outs = q.out_edges(u);
             if !outs.is_empty() {
                 let mut iter = outs.iter();
                 let &(_, e0) = iter.next().expect("nonempty");
-                let mut set: HashSet<NodeId> = merged[e0.index()].iter().map(|&(s, _)| s).collect();
+                let mut set: HashSet<NodeId> = pairs(e0).map(|(s, _)| s).collect();
                 for &(_, e) in iter {
-                    let srcs: HashSet<NodeId> = merged[e.index()].iter().map(|&(s, _)| s).collect();
+                    let srcs: HashSet<NodeId> = pairs(e).map(|(s, _)| s).collect();
                     set.retain(|v| srcs.contains(v));
                 }
                 set
             } else {
                 q.in_edges(u)
                     .iter()
-                    .flat_map(|&(_, e)| merged[e.index()].iter().map(|&(_, t)| t))
+                    .flat_map(|&(_, e)| pairs(e).map(|(_, t)| t))
                     .collect()
             }
         })
@@ -316,8 +351,8 @@ fn initial_candidates<S: std::ops::Deref<Target = [(NodeId, NodeId)]>>(
 }
 
 /// Per-edge compacted representation of a merged match set: dense-id pair
-/// list, endpoint presence bitsets, and forward/reverse CSR adjacency. Pure
-/// per-edge data.
+/// list, endpoint presence bitsets, reverse CSR adjacency and, under dual
+/// simulation, forward CSR adjacency. Pure per-edge data.
 #[derive(Debug)]
 struct EdgeCsr {
     /// Compacted `(src, tgt)` pairs, in merge order.
@@ -326,8 +361,10 @@ struct EdgeCsr {
     srcs: BitSet,
     /// Dense ids occurring as targets.
     tgts: BitSet,
-    /// Forward CSR: offsets by source, target payloads.
-    fwd: Csr,
+    /// Forward CSR: offsets by source, target payloads. Only the dual
+    /// drain reads it (withdrawing a removed node from its targets'
+    /// backward counters), so plain simulation builds none.
+    fwd: Option<Csr>,
     /// Reverse CSR: offsets by target, source payloads.
     rev: Csr,
 }
@@ -336,30 +373,31 @@ struct EdgeCsr {
 type Csr = (Vec<u32>, Vec<u32>);
 
 /// Dense-id compaction over every node mentioned in the merged sets (first
-/// occurrence order, hence deterministic). The index is a flat vector
-/// sized by the largest node id, holding dense id + 1 (0 = absent): it is
-/// zero-allocated, so pages no merged node falls on are never written.
-fn compact_index(merged: &MergedSets<'_>) -> (Vec<u32>, Vec<NodeId>) {
+/// occurrence order, hence deterministic), with the number of dense ids.
+/// The index is a flat vector sized by the largest node id, holding dense
+/// id + 1 (0 = absent): it is zero-allocated, so pages no merged node
+/// falls on are never written.
+fn compact_index(merged: &MergedSets<'_>) -> (Vec<u32>, usize) {
     let pairs = || merged.iter().flat_map(|set| set.iter());
     let Some(max) = pairs().map(|&(s, t)| s.max(t)).max() else {
-        return (Vec::new(), Vec::new());
+        return (Vec::new(), 0);
     };
     let mut index = vec![0u32; max.index() + 1];
-    let mut rev_index = Vec::new();
+    let mut m = 0;
     for &(s, t) in pairs() {
         for v in [s, t] {
             let slot = &mut index[v.index()];
             if *slot == 0 {
-                rev_index.push(v);
-                *slot = rev_index.len() as u32;
+                m += 1;
+                *slot = m;
             }
         }
     }
-    (index, rev_index)
+    (index, m as usize)
 }
 
 /// Builds one edge's [`EdgeCsr`] (pure function of that edge's set).
-fn build_edge_csr(set: &[(NodeId, NodeId)], index: &[u32], m: usize) -> EdgeCsr {
+fn build_edge_csr(set: &[(NodeId, NodeId)], index: &[u32], m: usize, sim: Simulation) -> EdgeCsr {
     let mut ps = Vec::with_capacity(set.len());
     let mut sb = BitSet::new(m);
     let mut tb = BitSet::new(m);
@@ -369,7 +407,7 @@ fn build_edge_csr(set: &[(NodeId, NodeId)], index: &[u32], m: usize) -> EdgeCsr 
         sb.insert(cs as usize);
         tb.insert(ct as usize);
     }
-    let fwd = build_csr(ps.iter().copied(), ps.len(), m);
+    let fwd = (sim == Simulation::Dual).then(|| build_csr(ps.iter().copied(), ps.len(), m));
     let rev = build_csr(ps.iter().map(|&(s, t)| (t, s)), ps.len(), m);
     EdgeCsr {
         pairs: ps,
@@ -453,43 +491,58 @@ fn row((off, data): &Csr, v: usize) -> &[u32] {
 /// count, not `|G|`.
 ///
 /// Builds each edge's CSR, the candidates and the initial support
-/// counters, runs the shared [`drain`] over the CSR rows, then maps the
-/// surviving compact pairs back to [`NodeId`]s. Returns the refined
-/// per-edge sets (`None` = `Qs(G) = ∅`).
+/// counters, runs the shared [`drain`] over the CSR rows, then keeps the
+/// pairs whose endpoints survived. Returns each edge's survivors as
+/// positions into its merged set (`None` = `Qs(G) = ∅`).
 pub(crate) fn ranked_fixpoint(
     q: &Pattern,
-    merged: MergedSets<'_>,
+    merged: &MergedSets<'_>,
     sim: Simulation,
     stats: &mut JoinStats,
-) -> Option<RefinedSets> {
+) -> Option<Survivors> {
     let ne = q.edge_count();
-    let (index, rev_index) = compact_index(&merged);
-    let m = rev_index.len();
+    let (index, m) = compact_index(merged);
 
     let csrs: Vec<EdgeCsr> = merged
         .iter()
-        .map(|set| build_edge_csr(set, &index, m))
+        .map(|set| build_edge_csr(set, &index, m, sim))
         .collect();
     stats.edge_visits += ne as u64;
 
     let cand = build_candidates(q, &csrs, m, sim)?;
 
-    // Initial counters, keeping each edge's zero-support candidates.
+    // Initial counters, one pass over each edge's pairs, keeping each
+    // edge's zero-support candidates (ascending, as the seeds).
     let mut rel = Relation {
         cand,
         fwd: Vec::with_capacity(ne),
         bwd: Vec::new(),
     };
     let (mut fwd_zero, mut bwd_zero) = (Vec::with_capacity(ne), vec![Vec::new(); ne]);
+    let zeros = |cand: &BitSet, support: &[u32]| -> Vec<u32> {
+        cand.iter()
+            .filter(|&v| support[v] == 0)
+            .map(|v| v as u32)
+            .collect()
+    };
+    let dual = sim == Simulation::Dual;
     for (ei, csr) in csrs.iter().enumerate() {
         let (u, t) = q.edge(PatternEdgeId(ei as u32));
         let (cu, ct) = (&rel.cand[u.index()], &rel.cand[t.index()]);
         let mut fwd = vec![0u32; m];
-        fwd_zero.push(initial_support(cu, ct, |v| row(&csr.fwd, v), &mut fwd));
+        let mut bwd = vec![0u32; if dual { m } else { 0 }];
+        for &(v, w) in &csr.pairs {
+            if cu.contains(v as usize) && ct.contains(w as usize) {
+                fwd[v as usize] += 1;
+                if dual {
+                    bwd[w as usize] += 1;
+                }
+            }
+        }
+        fwd_zero.push(zeros(cu, &fwd));
         rel.fwd.push(fwd);
-        if sim == Simulation::Dual {
-            let mut bwd = vec![0u32; m];
-            bwd_zero[ei] = initial_support(ct, cu, |w| row(&csr.rev, w), &mut bwd);
+        if dual {
+            bwd_zero[ei] = zeros(ct, &bwd);
             rel.bwd.push(bwd);
         }
     }
@@ -511,7 +564,7 @@ pub(crate) fn ranked_fixpoint(
             let csr = &csrs[e.index()];
             match along {
                 Along::Sources => row(&csr.rev, v as usize),
-                Along::Targets => row(&csr.fwd, v as usize),
+                Along::Targets => row(csr.fwd.as_ref().expect("dual builds fwd"), v as usize),
             }
         },
         stats,
@@ -520,17 +573,18 @@ pub(crate) fn ranked_fixpoint(
         return None;
     }
 
-    // Final sets: pairs whose endpoints survived, mapped back to NodeIds.
-    let out: RefinedSets = csrs
+    // Survivors: positions of the pairs whose endpoints survived.
+    let out: Survivors = csrs
         .iter()
         .enumerate()
         .map(|(ei, csr)| {
             let (u, t) = q.edge(PatternEdgeId(ei as u32));
             let (cu, ct) = (&rel.cand[u.index()], &rel.cand[t.index()]);
-            csr.pairs
-                .iter()
-                .filter(|&&(s, w)| cu.contains(s as usize) && ct.contains(w as usize))
-                .map(|&(s, w)| (rev_index[s as usize], rev_index[w as usize]))
+            let live = |&(s, w): &(u32, u32)| cu.contains(s as usize) && ct.contains(w as usize);
+            (0u32..)
+                .zip(&csr.pairs)
+                .filter(|(_, p)| live(p))
+                .map(|(i, _)| i)
                 .collect()
         })
         .collect();
@@ -570,7 +624,8 @@ pub(crate) enum Along {
 /// Initial support over one direction of a pattern edge: for each
 /// candidate `v` in `from`, writes to `support[v]` how many of `v`'s
 /// neighbours lie in `to`, and returns the candidates left with none (the
-/// drain's seeds). Shared by the kernel and the incremental maintainer.
+/// drain's seeds). The incremental maintainer's counting; the kernel
+/// counts the same in one pass over each edge's pairs.
 pub(crate) fn initial_support<'a>(
     from: &BitSet,
     to: &BitSet,
@@ -670,77 +725,91 @@ pub(crate) fn drain<'a>(
 
 /// The literal Fig. 2 fixpoint: rescan every match set until stable.
 ///
-/// Works over [`MergedSets`]: a borrowed (arena-backed) set is counted
-/// first and only copied-on-write when the rescan actually prunes it, so a
-/// pass that removes nothing allocates nothing.
+/// Tracks each edge's live pairs as positions into its merged set, so
+/// borrowed (arena-backed) sets are never copied and the survivors come
+/// out in the ranked kernel's form.
 fn naive_fixpoint(
     q: &Pattern,
-    mut merged: MergedSets<'_>,
+    merged: &MergedSets<'_>,
     stats: &mut JoinStats,
-) -> Option<RefinedSets> {
+) -> Option<Survivors> {
+    let mut alive: Survivors = merged
+        .iter()
+        .map(|set| (0..set.len() as u32).collect())
+        .collect();
     loop {
         // Recompute candidate sets from the current match sets.
-        let cand = initial_candidates(q, &merged);
+        let cand = initial_candidates(q, merged, &alive);
         if cand.iter().any(HashSet::is_empty) {
             return None;
         }
         let mut changed = false;
-        #[allow(clippy::needless_range_loop)] // ei doubles as the PatternEdgeId
-        for ei in 0..merged.len() {
+        for (ei, live) in alive.iter_mut().enumerate() {
             stats.edge_visits += 1;
-            let (u, t) = q.edge(gpv_pattern::PatternEdgeId(ei as u32));
-            let before = merged[ei].len();
-            let surviving = merged[ei]
-                .iter()
-                .filter(|(s, w)| cand[u.index()].contains(s) && cand[t.index()].contains(w))
-                .count();
+            let (u, t) = q.edge(PatternEdgeId(ei as u32));
+            let keep = |i: &u32| {
+                let (s, w) = merged[ei][*i as usize];
+                cand[u.index()].contains(&s) && cand[t.index()].contains(&w)
+            };
+            let before = live.len();
+            let surviving = live.iter().filter(|i| keep(i)).count();
             if surviving == 0 {
                 return None;
             }
             if surviving != before {
-                merged[ei]
-                    .to_mut()
-                    .retain(|(s, w)| cand[u.index()].contains(s) && cand[t.index()].contains(w));
+                live.retain(keep);
                 stats.removals += (before - surviving) as u64;
                 changed = true;
             }
         }
         if !changed {
-            return Some(merged.into_iter().map(Cow::into_owned).collect());
+            return Some(alive);
         }
     }
 }
 
-/// Builds the final [`MatchResult`] (or empty) from refined sets, with
-/// [`node_sets`] for the node matches.
-pub(crate) fn assemble(q: &Pattern, sets: Option<RefinedSets>) -> MatchResult {
-    sets.map_or_else(MatchResult::empty, |sets| {
+/// Builds the final [`MatchResult`] (or empty) from each edge's
+/// survivors, with [`node_sets`] for the node matches.
+pub(crate) fn assemble(
+    q: &Pattern,
+    merged: &MergedSets<'_>,
+    kept: Option<Survivors>,
+) -> MatchResult {
+    kept.map_or_else(MatchResult::empty, |kept| {
+        let sets = survivor_pairs(merged, &kept);
         MatchResult::new(q, node_sets(q, &sets), sets)
     })
 }
 
 /// The node sets of nonempty refined edge sets, the one definition every
 /// result uses: a node's matches are the endpoints it takes in surviving
-/// pairs (sources of out-edges, targets of in-edges). One bitset per
-/// pattern node, sized by the largest surviving id, so each set comes out
-/// sorted. A node with no incident edge takes none; only a graph reader
-/// admits one, and gives it its base set.
+/// pairs (sources of out-edges, targets of in-edges). At a fixpoint every
+/// out-edge of `u` has the same source set, `sim(u)`, and the targets of
+/// its in-edges are a subset of it, so a node with out-edges reads the
+/// sources of its first out-edge set, and only a sink merges its in-edge
+/// targets. Sorted sets give sorted sources, deduplicated in one pass;
+/// other input (an [`IncrementalView`](crate::maintenance::IncrementalView)
+/// lists pairs in its own id order) falls back to a sort. A node with no
+/// incident edge takes none; only a graph reader admits one, and gives it
+/// its base set.
 pub(crate) fn node_sets(q: &Pattern, sets: &[Vec<(NodeId, NodeId)>]) -> Vec<Vec<NodeId>> {
-    let m = sets
-        .iter()
-        .flatten()
-        .map(|&(s, w)| s.max(w).index() + 1)
-        .max()
-        .unwrap_or(0);
-    let mut seen = vec![BitSet::new(m); q.node_count()];
-    for (&(u, t), set) in q.edges().iter().zip(sets) {
-        for &(s, w) in set {
-            seen[u.index()].insert(s.index());
-            seen[t.index()].insert(w.index());
-        }
-    }
-    seen.iter()
-        .map(|set| set.iter().map(|v| NodeId(v as u32)).collect())
+    q.nodes()
+        .map(|u| {
+            let mut nodes: Vec<NodeId> = match q.out_edges(u).first() {
+                Some(&(_, e)) => sets[e.index()].iter().map(|&(v, _)| v).collect(),
+                None => q
+                    .in_edges(u)
+                    .iter()
+                    .flat_map(|&(_, e)| &sets[e.index()])
+                    .map(|&(_, w)| w)
+                    .collect(),
+            };
+            if !nodes.is_sorted() {
+                nodes.sort_unstable();
+            }
+            nodes.dedup();
+            nodes
+        })
         .collect()
 }
 

@@ -21,8 +21,8 @@ use std::borrow::Cow;
 
 use crate::containment::{ContainmentPlan, ViewEdgeRef, ViewMatchTable};
 use crate::matchjoin::{
-    check_arity, node_sets, ranked_fixpoint, run_fixpoint, smallest_cover, Cover, JoinError,
-    JoinStats, JoinStrategy, MergedSets, Simulation,
+    check_arity, node_sets, ranked_fixpoint, run_fixpoint, smallest_cover, survivor_pairs, Cover,
+    JoinError, JoinStats, JoinStrategy, MergedSets, Simulation,
 };
 use crate::plan::EdgeSource;
 use crate::view::{ViewExtensions, ViewSet};
@@ -185,8 +185,9 @@ impl<'g> GraphSource<'g> {
             merged_pairs: merged.iter().map(|s| s.len() as u64).sum(),
             ..JoinStats::default()
         };
-        let result = ranked_fixpoint(q, merged, sim, &mut stats)
-            .map_or_else(MatchResult::empty, |sets| {
+        let result =
+            ranked_fixpoint(q, &merged, sim, &mut stats).map_or_else(MatchResult::empty, |kept| {
+                let sets = survivor_pairs(&merged, &kept);
                 MatchResult::new(q, self.node_sets(q, &sets), sets)
             });
         (result, stats)

@@ -680,12 +680,31 @@ impl ViewService {
         &self.store
     }
 
+    /// The query cache for reading. A thread that panicked while writing
+    /// it may have left it torn, so a read that finds the lock marked
+    /// first has [`write_cache`](Self::write_cache) clear it.
     fn read_cache(&self) -> RwLockReadGuard<'_, QueryCache> {
-        self.cache.read().expect("query cache lock poisoned")
+        loop {
+            match self.cache.read() {
+                Ok(cache) => return cache,
+                Err(torn) => {
+                    drop(torn);
+                    drop(self.write_cache());
+                }
+            }
+        }
     }
 
+    /// The query cache for writing. After a panic under the lock the
+    /// cache is cleared — it holds only plans and answers that can be
+    /// rebuilt — and the lock is usable again.
     fn write_cache(&self) -> RwLockWriteGuard<'_, QueryCache> {
-        self.cache.write().expect("query cache lock poisoned")
+        self.cache.write().unwrap_or_else(|torn| {
+            let mut cache = torn.into_inner();
+            *cache = QueryCache::default();
+            self.cache.clear_poison();
+            cache
+        })
     }
 
     /// Applies an edge-delta batch to the backing store between serving
@@ -1282,6 +1301,37 @@ mod tests {
         ]);
         let store = Arc::new(ViewStore::materialize(views, &g, 4));
         (ViewService::with_config(store, config), g)
+    }
+
+    /// A thread that panics while holding the cache's write lock costs the
+    /// cached plans and answers, not the service: the next batch clears the
+    /// cache, re-plans and answers as the oracle does.
+    #[test]
+    fn a_panic_under_the_cache_lock_clears_the_cache() {
+        let (svc, g) = service();
+        let q = chain3();
+        let direct = match_pattern(&q, &g);
+        assert_eq!(*svc.serve(&q, None).unwrap().result, direct);
+        assert_eq!(svc.stats().result_cache_size, 1);
+
+        let panicked = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _cache = svc.cache.write().unwrap();
+                panic!("writer dies holding the cache lock");
+            })
+            .join()
+        });
+        assert!(panicked.is_err() && svc.cache.is_poisoned());
+
+        let batch = [q.clone(), single("A", "B")];
+        for (query, answer) in batch.iter().zip(svc.serve_batch(&batch, Some(&g))) {
+            let answer = answer.unwrap();
+            assert!(!answer.result_cached, "the cache was cleared");
+            assert_eq!(*answer.result, match_pattern(query, &g));
+        }
+        assert!(!svc.cache.is_poisoned());
+        assert_eq!(*svc.serve(&q, None).unwrap().result, direct);
+        assert_eq!(svc.stats().result_cache_size, 2);
     }
 
     #[test]

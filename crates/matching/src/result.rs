@@ -14,6 +14,16 @@ use gpv_graph::NodeId;
 use gpv_pattern::{Pattern, PatternEdgeId, PatternNodeId};
 use serde::{Deserialize, Serialize};
 
+/// Sorts and deduplicates `set` unless it is already strictly increasing:
+/// one pass over canonical input, which is what the simulation kernels
+/// produce.
+fn canonicalize<T: Ord>(set: &mut Vec<T>) {
+    if !set.windows(2).all(|w| w[0] < w[1]) {
+        set.sort_unstable();
+        set.dedup();
+    }
+}
+
 /// Result of matching a plain pattern via graph simulation.
 ///
 /// Invariants (enforced by the constructors in this crate):
@@ -49,13 +59,11 @@ impl MatchResult {
         assert_eq!(edge_matches.len(), pattern.edge_count());
         for s in &mut node_matches {
             assert!(!s.is_empty(), "nonempty node match sets required");
-            s.sort_unstable();
-            s.dedup();
+            canonicalize(s);
         }
         for s in &mut edge_matches {
             assert!(!s.is_empty(), "nonempty edge match sets required");
-            s.sort_unstable();
-            s.dedup();
+            canonicalize(s);
         }
         MatchResult {
             node_matches,
@@ -118,13 +126,11 @@ impl BoundedMatchResult {
         assert_eq!(edge_matches.len(), pattern.edge_count());
         for s in &mut node_matches {
             assert!(!s.is_empty(), "nonempty node match sets required");
-            s.sort_unstable();
-            s.dedup();
+            canonicalize(s);
         }
         for s in &mut edge_matches {
             assert!(!s.is_empty(), "nonempty edge match sets required");
-            s.sort_unstable();
-            s.dedup();
+            canonicalize(s);
         }
         BoundedMatchResult {
             node_matches,

@@ -35,8 +35,9 @@
 //! purpose: identical queries inside one batch deduplicate, identical
 //! queries *across* batches hit the cross-batch result cache (budgeted by
 //! `--result-cache-mb`, 0 disables), and only the remainder is planned
-//! (plan cache) and executed. The command reports the answers once (pair
-//! count, plan, an FNV-1a digest of the answer's contents, latency last)
+//! (plan cache) and executed. The command reports the answers once, one
+//! line per batch position (pair count, plan, an FNV-1a digest of the
+//! answer's contents, latency last)
 //! plus the service stats (plan- and result-cache hit rates, shard
 //! occupancy, queue depth, latency quantiles).
 //!
@@ -509,7 +510,8 @@ fn serve(a: &Args, out: &mut dyn Write) -> Result<(), String> {
     // Repeats are *separate* batches: the first exercises dedup and the
     // plan cache, later ones the cross-batch result cache. Answers are
     // identical across clients and repeats (asserted by tests/service.rs),
-    // so only the first client's answers are printed.
+    // so only the first client's first batch is printed, one line per
+    // batch position.
     //
     // With `--updates-per-round` the repeats become barrier-separated
     // rounds instead: all clients serve the batch against the current
@@ -592,7 +594,7 @@ fn serve(a: &Args, out: &mut dyn Write) -> Result<(), String> {
     }
     let wall = t0.elapsed().as_secs_f64();
 
-    for (i, r) in answers[0].iter().enumerate() {
+    for (i, r) in answers[0].iter().take(batch.len()).enumerate() {
         match r {
             Ok(ans) => outln!(
                 out,

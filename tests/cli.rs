@@ -210,12 +210,17 @@ fn serve_batch_command() {
     let s = String::from_utf8_lossy(&out.stdout);
     // 2 patterns x 3 repeats x 2 clients, all identical: the first is
     // planned, the second dedupes inside the first batch, and the repeated
-    // batches hit the cross-batch result cache.
+    // batches hit the cross-batch result cache. One line per batch
+    // position is printed, not one per answer served.
     assert!(s.contains("served 12 queries"), "{s}");
     assert!(s.contains("query 0: 3 pairs"), "{s}");
-    assert!(s.contains("query 5: 3 pairs"), "{s}");
-    assert!(s.contains("deduped"), "{s}");
-    assert!(s.contains("result cached"), "{s}");
+    assert!(s.contains("query 1: 3 pairs (deduped"), "{s}");
+    assert!(!s.contains("query 2:"), "{s}");
+    assert!(
+        s.lines()
+            .any(|l| l.starts_with("result cache: ") && !l.starts_with("result cache: 0 hits")),
+        "repeated batches hit the result cache: {s}"
+    );
     assert!(s.contains("2 views over 4 shards"), "{s}");
     assert!(s.contains("plan cache:"), "{s}");
     assert!(s.contains("result cache:"), "{s}");
@@ -292,8 +297,9 @@ fn serve_repeat_reports_nonzero_result_cache_hit_rate() {
 
 /// A reader that closes stdout early (`gpv serve ... | head -n 1`) ends
 /// the command quietly: status 0 and nothing on stderr, not a
-/// `failed printing to stdout` panic. A thousand repeats print more than a
-/// pipe buffer holds, so the child cannot finish before the reader leaves.
+/// `failed printing to stdout` panic. A batch of two thousand patterns,
+/// each explained, prints more than a pipe buffer holds, so the child
+/// cannot finish before the reader leaves.
 #[test]
 fn serve_into_a_closed_pipe_exits_cleanly() {
     use std::process::Stdio;
@@ -301,6 +307,7 @@ fn serve_into_a_closed_pipe_exits_cleanly() {
     let q = write_tmp("pipe-q.txt", QUERY);
     let v1 = write_tmp("pipe-v1.txt", VIEW1);
     let v2 = write_tmp("pipe-v2.txt", VIEW2);
+    let q = q.to_str().unwrap();
     let mut child = gpv()
         .args([
             "serve",
@@ -310,11 +317,9 @@ fn serve_into_a_closed_pipe_exits_cleanly() {
             v1.to_str().unwrap(),
             "--view",
             v2.to_str().unwrap(),
-            "--pattern",
-            q.to_str().unwrap(),
-            "--repeat",
-            "1000",
+            "--explain",
         ])
+        .args((0..2000).flat_map(|_| ["--pattern", q]))
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
